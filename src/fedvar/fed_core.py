@@ -1,10 +1,15 @@
 """Federated two-stage estimation.
 
+A client is summarised by the sufficient statistics of its lag design,
+(sxx, sxy, syy) = (X'X/T, X'Y/T, tr(Y'Y)/T), computed once per design;
+no round or iteration below touches the raw T x pd data.
+
 Stage I iterates privatized gradient rounds on the shared low-rank
 component: each client computes its local loss gradient at the current
 iterate, adds Gaussian noise, and projects the result onto the tangent
 space of the fixed-rank manifold; the server takes a weighted step and
-retracts by rank-r SVD truncation.
+retracts by rank-r SVD truncation.  The message a client sends per
+round is that one d x pd gradient.
 
 Stage II refines each client's sparse deviation locally by accelerated
 proximal gradient (FISTA) around the frozen shared estimate.
@@ -90,21 +95,23 @@ class FitReport:
 
 
 def local_gradient(design, a0):
-    """Gradient (2/T) (A X' - Y') X of the local loss at the point a0."""
+    """Gradient 2 (A sxx - sxy') of the local loss at the point a0.
+
+    This equals (2/T) (A X' - Y') X but costs O(d pd^2) whatever T is.
+    The (d, pd) result is what a client sends the server in a round.
+    """
     a0 = check_matrix(a0, "a0")
     if a0.shape != (design.d, design.pd):
         raise ValueError(
             f"a0 shape {a0.shape} incompatible with design "
             f"({design.d}, {design.pd})"
         )
-    x, y = design.x, design.y
-    return (2.0 / design.t_len) * ((a0 @ x.T - y.T) @ x)
+    return 2.0 * (a0 @ design.sxx - design.sxy.T)
 
 
 def default_eta(design):
     """Step size 1 / (2 ||X'X/T||_op)."""
-    gram = design.x.T @ design.x / design.t_len
-    top = float(np.linalg.eigvalsh(gram)[-1])
+    top = float(np.linalg.eigvalsh(design.sxx)[-1])
     if top <= 0:
         raise ValueError("degenerate design: zero Gram matrix")
     return 1.0 / (2.0 * top)
@@ -252,10 +259,7 @@ def refine_fista(design, a0_hat, cfg):
     eta = cfg.step_eta if cfg.step_eta is not None else default_eta(design)
 
     def obj(delta):
-        resid = design.y - design.x @ (a0_hat + delta).T
-        return float(np.sum(resid * resid)) / design.t_len + cfg.varpi * float(
-            np.sum(np.abs(delta))
-        )
+        return design.loss(a0_hat + delta) + cfg.varpi * float(np.sum(np.abs(delta)))
 
     delta = np.zeros_like(a0_hat)
     extrap = delta

@@ -19,11 +19,10 @@ import numpy as np
 from .. import fed_core, rank_select, single_client, var
 from .config import KINDS, RMSFE_AGGREGATES, from_json
 from .experiments import (
-    _admm_cfg,
-    _fed_setup,
-    _fista_cfg,
-    _noise_and_budget,
     _rep_empirical,
+    admm_config,
+    fed_config,
+    fista_config,
     run_experiment,
 )
 from .panels import load_panel
@@ -119,15 +118,9 @@ def _cmd_fit(args):
 
     panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
     designs = [var.lag_design(pn) for pn in panels]
-    rounds, rho, init = _fed_setup(cfg, designs)
-    noise, budget = _noise_and_budget(cfg, rounds)
-    fcfg = fed_core.FedConfig(
-        rank=cfg.rank, rounds=rounds, step_rho=rho, noise=noise, budget=budget,
-        init_a0=init,
-    )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
     decomps, _ = fed_core.fit_federated(
-        panels, fcfg, [_fista_cfg(cfg, ds) for ds in designs], rng
+        panels, fed_config(cfg, designs), [fista_config(cfg, ds) for ds in designs], rng
     )
     arrays = {"a0": decomps[0].a0}
     for k, dec in enumerate(decomps):
@@ -181,7 +174,7 @@ def _cmd_rank_select(args):
     fits, t_lens = [], []
     for panel in panels:
         design = var.lag_design(panel)
-        dec, _ = single_client.fit_admm(design, _admm_cfg(design, cfg))
+        dec, _ = single_client.fit_admm(design, admm_config(design, cfg))
         fits.append(dec.a0)
         t_lens.append(design.t_len)
     d = panels[0].d

@@ -84,15 +84,17 @@ def _noise_rng(seed, rep, *extra):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep, 1, *extra)))
 
 
-def _admm_cfg(design, cfg):
+def admm_config(design, cfg):
+    """Single-client ADMM penalties for one design under the config's scales."""
     return single_client.default_admm_config(
         design, lam_scale=cfg.lam_scale, omega_scale=cfg.omega_scale, zeta=cfg.zeta
     )
 
 
 def _pooled_operator_norm(designs):
+    """Top eigenvalue of the pooled sum_k T_k sxx_k / sum_k T_k."""
     total = sum(ds.t_len for ds in designs)
-    gram = sum(ds.x.T @ ds.x for ds in designs) / total
+    gram = sum(ds.t_len * ds.sxx for ds in designs) / total
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
@@ -116,30 +118,43 @@ def _world(cfg, rng, k, rank=None, t_len=None):
     return a0, deltas, panels
 
 
-def _noise_and_budget(cfg, rounds, eps=None, delta=None):
+def _with_privacy(fcfg, cfg, eps=None, delta=None):
+    """``fcfg`` with the config's noise mode at (eps, delta), which default
+    to the config's own eps and delta; the budget spans fcfg.rounds."""
     if cfg.noise_mode == "none":
-        return NoisePolicy.none(), None
+        return replace(fcfg, noise=NoisePolicy.none(), budget=None)
     eps = cfg.eps if eps is None else eps
     delta = cfg.delta if delta is None else delta
-    budget = PrivacyBudget(epsilon=eps, delta=delta, rounds=rounds)
+    budget = PrivacyBudget(epsilon=eps, delta=delta, rounds=fcfg.rounds)
     if cfg.noise_mode == "fixed_scale":
-        return NoisePolicy.fixed(scale=cfg.kappa), budget
-    return NoisePolicy.calibrated(sensitivity=cfg.sensitivity), budget
+        noise = NoisePolicy.fixed(scale=cfg.kappa)
+    else:
+        noise = NoisePolicy.calibrated(sensitivity=cfg.sensitivity)
+    return replace(fcfg, noise=noise, budget=budget)
 
 
-def _fed_setup(cfg, designs):
+def fed_config(cfg, designs):
+    """The federated config of a run over ``designs``.
+
+    rounds is cfg.rounds or ceil(10 log sum_k T_k); the step is
+    rho_scale over the pooled Gram operator norm; the start is the
+    rank-truncated ADMM fit of the largest client; the noise is
+    cfg.noise_mode at (cfg.eps, cfg.delta) over all the rounds.
+    """
     rounds = cfg.rounds
     if rounds is None:
         rounds = fed_core.default_rounds(sum(ds.t_len for ds in designs))
     rho = cfg.rho_scale / _pooled_operator_norm(designs)
     sizes = [ds.t_len for ds in designs]
     init = fed_core.initial_shared_estimate(
-        designs, cfg.rank, _admm_cfg(designs[int(np.argmax(sizes))], cfg)
+        designs, cfg.rank, admm_config(designs[int(np.argmax(sizes))], cfg)
     )
-    return rounds, rho, init
+    fcfg = fed_core.FedConfig(rank=cfg.rank, rounds=rounds, step_rho=rho, init_a0=init)
+    return _with_privacy(fcfg, cfg)
 
 
-def _fista_cfg(cfg, design):
+def fista_config(cfg, design):
+    """Refinement penalty varpi_scale sqrt(log(pd) / T) for one design."""
     varpi = cfg.varpi_scale * np.sqrt(np.log(design.pd) / design.t_len)
     return fed_core.FistaConfig(varpi=varpi, iters=cfg.fista_iters)
 
@@ -151,7 +166,7 @@ def _rep_single_client_curve(cfg, rep):
         a0, deltas, panels = _world(cfg, rng, 1, t_len=t_len)
         a_true = a0 + deltas[0]
         design = var.lag_design(panels[0])
-        dec, _ = single_client.fit_admm(design, _admm_cfg(design, cfg))
+        dec, _ = single_client.fit_admm(design, admm_config(design, cfg))
         for metric, value in (
             ("ak_err", np.linalg.norm(dec.a - a_true)),
             ("a0_err", np.linalg.norm(dec.a0 - a0)),
@@ -171,7 +186,7 @@ def _rep_rank_table(cfg, rep):
             rng = _world_rng(cfg.seed, rep)
             a0, deltas, panels = _world(cfg, rng, 1, rank=true_rank, t_len=t_len)
             design = var.lag_design(panels[0])
-            dec, _ = single_client.fit_admm(design, _admm_cfg(design, cfg))
+            dec, _ = single_client.fit_admm(design, admm_config(design, cfg))
             picked = rank_select.client_rank(dec.a0, t_len, rcfg)
             base = {"rep": rep, "true_rank": true_rank, "t_len": t_len}
             recs.append({**base, "metric": "selected_rank", "value": picked})
@@ -180,32 +195,22 @@ def _rep_rank_table(cfg, rep):
 
 
 def _rep_privacy_heatmap(cfg, rep):
+    """A noise-free cell, then one cell per (delta, eps) pair of the grids
+    under cfg.noise_mode; every cell shares the world, the start and the
+    noise stream."""
     rng = _world_rng(cfg.seed, rep)
     a0, deltas, panels = _world(cfg, rng, cfg.n_clients)
     designs = [var.lag_design(pn) for pn in panels]
-    rounds, rho, init = _fed_setup(cfg, designs)
+    base = fed_config(cfg, designs)
     deltas_grid = cfg.delta_grid or (cfg.delta,)
 
-    cells = [("none", None, None)]
+    cells = [("none", None, None, replace(base, noise=NoisePolicy.none(), budget=None))]
     for dl in deltas_grid:
         for eps in cfg.eps_grid:
-            cells.append(("fixed_scale", eps, dl))
+            cells.append((cfg.noise_mode, eps, dl, _with_privacy(base, cfg, eps, dl)))
 
     recs = []
-    for mode, eps, dl in cells:
-        if mode == "none":
-            noise, budget = NoisePolicy.none(), None
-        else:
-            noise = NoisePolicy.fixed(scale=cfg.kappa)
-            budget = PrivacyBudget(epsilon=eps, delta=dl, rounds=rounds)
-        fcfg = fed_core.FedConfig(
-            rank=cfg.rank,
-            rounds=rounds,
-            step_rho=rho,
-            noise=noise,
-            budget=budget,
-            init_a0=init,
-        )
+    for mode, eps, dl, fcfg in cells:
         a0_hat, _ = fed_core.stage1_run(designs, fcfg, _noise_rng(cfg.seed, rep))
         recs.append(
             {
@@ -223,7 +228,7 @@ def _rep_privacy_heatmap(cfg, rep):
 def _single_client_errors(cfg, designs, a0, deltas):
     errs = {"a0": [], "delta": [], "ak": []}
     for ds, dl in zip(designs, deltas):
-        dec, _ = single_client.fit_admm(ds, _admm_cfg(ds, cfg))
+        dec, _ = single_client.fit_admm(ds, admm_config(ds, cfg))
         errs["a0"].append(float(np.linalg.norm(dec.a0 - a0)))
         errs["delta"].append(float(np.linalg.norm(dec.delta - dl)))
         errs["ak"].append(float(np.linalg.norm(dec.a - (a0 + dl))))
@@ -240,16 +245,7 @@ def _rep_k_sweep(cfg, rep):
     recs = []
     for k in cfg.k_grid:
         sub = designs[:k]
-        rounds, rho, init = _fed_setup(cfg, sub)
-        noise, budget = _noise_and_budget(cfg, rounds)
-        fcfg = fed_core.FedConfig(
-            rank=cfg.rank,
-            rounds=rounds,
-            step_rho=rho,
-            noise=noise,
-            budget=budget,
-            init_a0=init,
-        )
+        fcfg = fed_config(cfg, sub)
         a0_hat, _ = fed_core.stage1_run(sub, fcfg, _noise_rng(cfg.seed, rep))
         fed_err = float(np.linalg.norm(a0_hat - a0))
         single_mean = float(np.mean(singles["a0"][:k]))
@@ -268,18 +264,11 @@ def _rep_t_sweep(cfg, rep):
         designs = [var.lag_design(pn) for pn in panels]
         singles = _single_client_errors(cfg, designs, a0, deltas)
 
-        rounds, rho, init = _fed_setup(cfg, designs)
-        noise, budget = _noise_and_budget(cfg, rounds)
-        fcfg = fed_core.FedConfig(
-            rank=cfg.rank,
-            rounds=rounds,
-            step_rho=rho,
-            noise=noise,
-            budget=budget,
-            init_a0=init,
-        )
         decomps, _ = fed_core.fit_federated(
-            panels, fcfg, _fista_cfg(cfg, designs[0]), _noise_rng(cfg.seed, rep)
+            panels,
+            fed_config(cfg, designs),
+            fista_config(cfg, designs[0]),
+            _noise_rng(cfg.seed, rep),
         )
         fed_a0 = float(np.linalg.norm(decomps[0].a0 - a0))
         fed_delta = float(
@@ -321,20 +310,10 @@ def _federated_forecaster(cfg, panels, client):
     def forecast(prefix_panel):
         origin = prefix_panel.t_len
         designs = _prefix_designs(panels, origin, client)
-        rounds, rho, init = _fed_setup(cfg, designs)
-        noise, budget = _noise_and_budget(cfg, rounds)
-        fcfg = fed_core.FedConfig(
-            rank=cfg.rank,
-            rounds=rounds,
-            step_rho=rho,
-            noise=noise,
-            budget=budget,
-            init_a0=init,
-        )
         nrng = _noise_rng(cfg.seed, 0, client, origin)
-        a0_hat, _ = fed_core.stage1_run(designs, fcfg, nrng)
+        a0_hat, _ = fed_core.stage1_run(designs, fed_config(cfg, designs), nrng)
         delta, _ = fed_core.refine_fista(
-            designs[client], a0_hat, _fista_cfg(cfg, designs[client])
+            designs[client], a0_hat, fista_config(cfg, designs[client])
         )
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(a0_hat + delta, full[-cfg.p:])
@@ -350,7 +329,7 @@ def _single_forecaster(cfg, method):
             "omega": cfg.omega_scale * np.sqrt(np.log(design.pd) / design.t_len),
         }
         if method == "single_nuc_l1":
-            dec, _ = single_client.fit_admm(design, _admm_cfg(design, cfg))
+            dec, _ = single_client.fit_admm(design, admm_config(design, cfg))
             coef = dec.a
         elif method == "single_nuclear":
             coef = single_client.fit_baseline(
@@ -460,9 +439,14 @@ def run_experiment(cfg, run_dir=None):
     Replications run concurrently but their records are emitted in
     replication order, so output bytes do not depend on scheduling. A
     replication that raises is logged and skipped; the run fails once
-    more than 1% of replications abort.
+    more than 1% of replications abort.  A privacy heatmap needs a noise
+    mode other than "none" and raises ValueError before any replication.
     """
     cfg = _fill_grids(cfg)
+    if cfg.kind == "privacy_heatmap" and cfg.noise_mode == "none":
+        raise ValueError(
+            "privacy_heatmap needs noise_mode fixed_scale or calibrated, got 'none'"
+        )
     rep_fn = REP_FUNCTIONS[cfg.kind]
     fieldnames = FIELDNAMES[cfg.kind]
 

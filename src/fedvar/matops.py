@@ -2,8 +2,9 @@
 projection, and the handful of norms used throughout the package.
 
 All routines work on float64 ndarrays and are deterministic: no randomized
-algorithms, and SVD output is sign-fixed so repeated calls on equal input
-return bitwise-equal factors.
+algorithms, and the factors ``svd_truncate`` returns are sign-fixed so
+repeated calls on equal input return bitwise-equal factors.  ``svt``
+returns a matrix, which does not depend on the signs, so it skips the fix.
 """
 
 from __future__ import annotations
@@ -55,16 +56,11 @@ class TangentBasis:
 def _fix_signs(u, v):
     # Sign convention: first nonzero entry of each left singular vector is
     # nonnegative.  Makes the factorization unique for distinct singular
-    # values and repeat calls bitwise-identical.
-    u = u.copy()
-    v = v.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    return u, v
+    # values and repeat calls bitwise-identical.  Negation is exact, so
+    # u * signs and v * signs change nothing but the signs.
+    first = np.argmax(u != 0, axis=0)
+    signs = np.where(u[first, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    return u * signs, v * signs
 
 
 def _svd(m):
@@ -76,8 +72,7 @@ def _svd(m):
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"SVD failed to converge: {exc}") from exc
-    u, v = _fix_signs(u, vt.T)
-    return u, s, v
+    return u, s, vt.T
 
 
 def svd_truncate(m, r):
@@ -97,8 +92,8 @@ def svd_truncate(m, r):
     if not 1 <= r <= min(m.shape):
         raise ValueError(f"rank r={r} outside [1, {min(m.shape)}]")
     u, s, v = _svd(m)
-    u, s, v = u[:, :r], s[:r], v[:, :r]
-    factors = SvdFactors(u=u, s=s, v=v)
+    u, v = _fix_signs(u[:, :r], v[:, :r])
+    factors = SvdFactors(u=u, s=s[:r], v=v)
     return factors.matrix(), factors
 
 

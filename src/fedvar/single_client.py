@@ -75,16 +75,14 @@ def default_admm_config(design, lam_scale=1.0, omega_scale=1.0, **kwargs):
 
 def objective(design, a0, delta, lam, omega):
     """Penalized least-squares objective at a candidate (a0, delta)."""
-    resid = design.y - design.x @ (a0 + delta).T
-    fit = float(np.sum(resid * resid)) / design.t_len
-    return fit + lam * norms(a0).nuclear + omega * norms(delta).l1
+    return design.loss(a0 + delta) + lam * norms(a0).nuclear + omega * norms(delta).l1
 
 
 def fit_admm(design, cfg):
     """Solve the nuclear + l1 penalized regression by scaled-dual ADMM.
 
     Updates per iteration, all in the (pd, d) orientation:
-      B   <- (2/T X'X + rho I)^{-1} (2/T X'Y + rho (B0 + D - U))
+      B   <- (2 sxx + rho I)^{-1} (2 sxy + rho (B0 + D - U))
       B0  <- clip_zeta( svt_{lam/rho}(B - D + U) )
       D   <- soft_{omega/rho}(B - B0 + U)
       U   <- U + B - B0 - D
@@ -96,19 +94,18 @@ def fit_admm(design, cfg):
     """
     if not isinstance(design, LagDesign):
         raise TypeError("design must be a LagDesign")
-    t_len, d, pd = design.t_len, design.d, design.pd
-    x, y = design.x, design.y
+    d, pd = design.d, design.pd
 
     tol = 1e-6 * math.sqrt(pd * d)
     eps_pri = cfg.eps_pri if cfg.eps_pri is not None else tol
     eps_dual = cfg.eps_dual if cfg.eps_dual is not None else tol
 
-    h = (2.0 / t_len) * (x.T @ x) + cfg.rho * np.eye(pd)
+    h = 2.0 * design.sxx + cfg.rho * np.eye(pd)
     try:
         chol = cho_factor(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - h is pd + rho I
         raise RuntimeError(f"ridge system factorization failed: {exc}") from exc
-    g = (2.0 / t_len) * (x.T @ y)
+    g = 2.0 * design.sxy
 
     b0 = np.zeros((pd, d))
     d_mat = np.zeros((pd, d))
@@ -165,8 +162,8 @@ def fit_baseline(design, kind, tuning=None):
 
     nuclear_only  : ADMM with the sparse part pinned to zero
     l1_only       : accelerated proximal gradient with no shared part
-    least_squares : ridge-jittered normal equations (jitter
-                    1e-8 tr(X'X)/pd keeps degenerate designs solvable;
+    least_squares : ridge-jittered normal equations sxx B = sxy (jitter
+                    1e-8 tr(sxx)/pd keeps degenerate designs solvable;
                     rank deficiency triggers a warning)
     """
     if kind not in BASELINE_KINDS:
@@ -176,8 +173,7 @@ def fit_baseline(design, kind, tuning=None):
     if kind == "least_squares":
         if tuning:
             raise ValueError(f"least_squares takes no tuning, got {sorted(tuning)}")
-        x, y = design.x, design.y
-        gram = x.T @ x
+        gram, cross = design.sxx, design.sxy
         jitter = 1e-8 * np.trace(gram) / design.pd
         if np.linalg.matrix_rank(gram) < design.pd:
             # keep degenerate designs solvable with a small ridge
@@ -186,13 +182,13 @@ def fit_baseline(design, kind, tuning=None):
             )
             gram = gram + jitter * np.eye(design.pd)
         try:
-            coef = cho_solve(cho_factor(gram), x.T @ y)
+            coef = cho_solve(cho_factor(gram), cross)
         except np.linalg.LinAlgError:
             warnings.warn(
                 "near-singular design in least_squares fit", RuntimeWarning
             )
             coef = cho_solve(
-                cho_factor(gram + jitter * np.eye(design.pd)), x.T @ y
+                cho_factor(gram + jitter * np.eye(design.pd)), cross
             )
         return coef.T
 

@@ -87,10 +87,25 @@ class CoefDecomposition:
 @dataclass(frozen=True)
 class LagDesign:
     """Regression view of a panel: y rows are observations, x rows are
-    the stacked lags [y_{t-1}, ..., y_{t-p}]."""
+    the stacked lags [y_{t-1}, ..., y_{t-p}].
+
+    The loss (1/T) ||Y - X A'||_F^2 and everything fitted from it depend on
+    the data only through three sufficient statistics, computed once here:
+
+    sxx : (pd, pd) X'X / T, symmetric
+    sxy : (pd, d) X'Y / T
+    syy : tr(Y'Y) / T
+
+    Every solver reads these, so the cost of a gradient, an objective
+    value or a ridge solve does not grow with T.  The statistics are
+    read-only arrays; x and y are kept as given.
+    """
 
     x: np.ndarray
     y: np.ndarray
+    sxx: np.ndarray = field(init=False, repr=False, compare=False)
+    sxy: np.ndarray = field(init=False, repr=False, compare=False)
+    syy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = check_matrix(self.x, "x")
@@ -99,8 +114,16 @@ class LagDesign:
             raise ValueError("x and y must have equal row counts")
         if x.shape[1] % y.shape[1] != 0:
             raise ValueError("x width must be a multiple of y width")
+        inv_t = 1.0 / y.shape[0]
+        sxx = (x.T @ x) * inv_t
+        sxy = (x.T @ y) * inv_t
+        sxx.flags.writeable = False
+        sxy.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "sxx", sxx)
+        object.__setattr__(self, "sxy", sxy)
+        object.__setattr__(self, "syy", float(np.sum(y * y)) * inv_t)
 
     @property
     def t_len(self):
@@ -113,6 +136,11 @@ class LagDesign:
     @property
     def pd(self):
         return self.x.shape[1]
+
+    def loss(self, a):
+        """Least-squares loss (1/T) ||Y - X A'||_F^2 at a (d, pd) matrix,
+        in closed form syy - 2 <A, sxy'> + <A sxx, A>."""
+        return self.syy - float(np.vdot(a, 2.0 * self.sxy.T - a @ self.sxx))
 
 
 def _check_stacked(a, p):

@@ -107,3 +107,47 @@ def gaussian_sigma_ref(sensitivity, eps, delta):
     import math
 
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / eps
+
+
+def fix_signs_loop(u, v):
+    """Column-by-column sign rule: flip column j of u and v when the first
+    nonzero entry of u[:, j] is negative."""
+    u = u.copy()
+    v = v.copy()
+    for j in range(u.shape[1]):
+        nz = np.nonzero(u[:, j])[0]
+        if nz.size and u[nz[0], j] < 0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+    return u, v
+
+
+def raw_gradient(x, y, a):
+    """(2/T) (A X' - Y') X, straight from the design."""
+    return (2.0 / x.shape[0]) * ((a @ x.T - y.T) @ x)
+
+
+def raw_loss(x, y, a):
+    """(1/T) ||Y - X A'||_F^2 from the residuals."""
+    resid = y - x @ a.T
+    return float(np.sum(resid * resid)) / x.shape[0]
+
+
+def admm_raw(x, y, lam, omega, rho, iters):
+    """Scaled-dual ADMM for the nuclear + l1 regression, built from the
+    raw design with a dense solve and an explicit SVD, for a fixed number
+    of iterations.  Returns (a0, delta), both (d, pd)."""
+    t_len, pd = x.shape
+    h = (2.0 / t_len) * (x.T @ x) + rho * np.eye(pd)
+    g = (2.0 / t_len) * (x.T @ y)
+    b0 = np.zeros((pd, y.shape[1]))
+    dm = np.zeros_like(b0)
+    u = np.zeros_like(b0)
+    for _ in range(iters):
+        b = np.linalg.solve(h, g + rho * (b0 + dm - u))
+        left, s, right = np.linalg.svd(b - dm + u, full_matrices=False)
+        b0 = (left * np.maximum(s - lam / rho, 0.0)) @ right
+        z = b - b0 + u
+        dm = np.sign(z) * np.maximum(np.abs(z) - omega / rho, 0.0)
+        u = u + b - b0 - dm
+    return b0.T, dm.T

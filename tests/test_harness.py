@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fedvar import var
+from fedvar import dp, fed_core, var
 from fedvar.harness import (
     ExperimentConfig,
     PanelSpec,
@@ -326,6 +326,88 @@ class TestRunExperiment:
         return PanelSpec(path=str(path), sensitive=(2,), client_id="c1")
 
 
+def heatmap_config(tmp_path, **overrides):
+    base = dict(
+        kind="privacy_heatmap",
+        seed=5,
+        out_dir=str(tmp_path),
+        d=4,
+        rank=1,
+        n_clients=2,
+        t_len=60,
+        reps=1,
+        rounds=3,
+        eps_grid=(0.5, 2.0),
+        delta_grid=(0.05, 0.1),
+        kappa=0.7,
+        noise_mode="fixed_scale",
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+class TestPrivacyHeatmap:
+    @pytest.mark.parametrize("mode", ["fixed_scale", "calibrated"])
+    def test_noise_mode_sets_each_cell_sigma(self, mode, tmp_path, monkeypatch):
+        monkeypatch.setenv("FEDVAR_THREADS", "1")
+        seen = []
+
+        def record(m, sigma, rng):
+            seen.append(sigma)
+            return dp.add_gaussian_noise(m, sigma, rng)
+
+        monkeypatch.setattr(fed_core, "add_gaussian_noise", record)
+        cfg = heatmap_config(tmp_path, noise_mode=mode)
+        res = run_experiment(cfg, run_dir=str(tmp_path / "run"))
+        # rounds x clients draws per cell, cells in record order
+        per_cell = cfg.rounds * cfg.n_clients
+        cells = [seen[i : i + per_cell] for i in range(0, len(seen), per_cell)]
+        assert len(cells) == len(res.records)
+        assert all(len(set(c)) == 1 for c in cells)
+        assert cells[0][0] == 0.0 and res.records[0]["noise"] == "none"
+        for rec, cell in zip(res.records[1:], cells[1:]):
+            assert rec["noise"] == mode
+            if mode == "fixed_scale":
+                want = cfg.kappa * dp.gaussian_sigma(1.0, rec["eps"], rec["delta"])
+            else:
+                want = dp.gaussian_sigma(
+                    cfg.sensitivity, rec["eps"] / cfg.rounds, rec["delta"] / cfg.rounds
+                )
+            assert cell[0] == pytest.approx(want, rel=1e-15)
+        assert [(r["eps"], r["delta"]) for r in res.records[1:]] == [
+            (e, dl) for dl in cfg.delta_grid for e in cfg.eps_grid
+        ]
+
+    def test_calibrated_and_fixed_scale_differ(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FEDVAR_THREADS", "1")
+        blobs = []
+        for mode in ("fixed_scale", "calibrated"):
+            res = run_experiment(
+                heatmap_config(tmp_path, noise_mode=mode),
+                run_dir=str(tmp_path / mode),
+            )
+            with open(res.raw_csv, "rb") as fh:
+                blobs.append(fh.read())
+        assert blobs[0] != blobs[1]
+
+    def test_no_noise_is_rejected_before_any_replication(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setitem(
+            experiments.REP_FUNCTIONS,
+            "privacy_heatmap",
+            lambda cfg, rep: calls.append(rep) or [],
+        )
+        with pytest.raises(ValueError, match="noise_mode"):
+            run_experiment(
+                heatmap_config(tmp_path, noise_mode="none"),
+                run_dir=str(tmp_path / "none"),
+            )
+        assert calls == []
+        assert not os.path.exists(tmp_path / "none")
+
+
 class TestCli:
     def test_simulate_prints_run_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FEDVAR_THREADS", "1")
@@ -352,6 +434,11 @@ class TestCli:
         )
         # d=20 defaults make this a real run; just check the exit path
         assert code == 0
+
+    def test_heatmap_without_noise_mode_exits_one(self, tmp_path, capsys):
+        argv = ["simulate", "privacy_heatmap", "--seed", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert "noise_mode" in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main([]) == 1

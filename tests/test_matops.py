@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from fedvar import matops
 
-from oracles import operator_norm_power, rank_r_part, tangent_project_basis
+from oracles import (
+    fix_signs_loop,
+    operator_norm_power,
+    rank_r_part,
+    tangent_project_basis,
+)
 
 
 def small_matrices(max_side=6):
@@ -64,6 +69,21 @@ class TestSvdTruncate:
             nz = np.nonzero(col)[0]
             assert col[nz[0]] > 0
 
+    def test_vectorised_sign_rule_matches_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            u = rng.standard_normal((7, 5))
+            v = rng.standard_normal((4, 5))
+            for j, lead in enumerate(rng.integers(0, 7, size=5)):
+                u[:lead, j] = 0.0  # 0 to 6 leading zeros
+            u[:, 2] = 0.0  # an all-zero column keeps its sign
+            u[1, 3] = -0.0
+            got_u, got_v = matops._fix_signs(u, v)
+            want_u, want_v = fix_signs_loop(u, v)
+            for got, want in ((got_u, want_u), (got_v, want_v)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_rank_bounds(self):
         m = np.eye(3)
         with pytest.raises(ValueError):
@@ -97,6 +117,18 @@ class TestShrinkage:
         left = matops.svt(q1 @ m @ q2, 0.7)
         right = q1 @ matops.svt(m, 0.7) @ q2
         np.testing.assert_allclose(left, right, atol=1e-9)
+
+    def test_svt_bitwise_independent_of_sign_fix(self):
+        rng = np.random.default_rng(13)
+        for shape in ((5, 5), (4, 9), (20, 20), (12, 24)):
+            m = rng.standard_normal(shape)
+            u, s, v = matops._svd(m)
+            s = np.maximum(s - 0.3, 0.0)
+            fu, fv = matops._fix_signs(u, v)
+            assert not np.array_equal(fu, u)  # some column was flipped
+            with_fix = (fu * s) @ fv.T
+            assert np.array_equal(matops.svt(m, 0.3), with_fix)
+            assert np.array_equal((u * s) @ v.T, with_fix)
 
     def test_svt_zero_tau_identity(self):
         rng = np.random.default_rng(5)
