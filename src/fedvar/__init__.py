@@ -4,7 +4,7 @@ Each client's stacked transition matrix is modelled as a shared low-rank
 component plus a client-specific sparse deviation. The package provides
 the single-client ADMM estimator, a differentially private federated
 procedure for the shared component with local FISTA refinement, rank
-selection, rolling-origin tuning, and an experiment harness.
+selection, and an experiment harness.
 """
 
 from .dp import (
@@ -43,7 +43,7 @@ from .matops import (
     svt,
     tangent_project,
 )
-from .metrics import Band, RmsfeRecord, benefit, percentile_band, rmsfe
+from .metrics import Band, RmsfeRecord, percentile_band, rmsfe
 from .rank_select import (
     RankConfig,
     client_rank,
@@ -59,7 +59,6 @@ from .single_client import (
     fit_admm,
     fit_baseline,
 )
-from .tuning import TuneGrid, default_grids, default_rho_grid, rolling_cv
 from .var import (
     CoefDecomposition,
     LagDesign,
@@ -70,7 +69,6 @@ from .var import (
     enforce_stationarity,
     forecast_one_step,
     gen_low_rank,
-    gen_weak_sparse,
     lag_design,
     simulate,
 )
@@ -97,18 +95,14 @@ __all__ = [
     "SvdFactors",
     "TangentBasis",
     "TimeSeriesPanel",
-    "TuneGrid",
     "add_gaussian_noise",
     "assemble_dgp",
-    "benefit",
     "client_rank",
     "companion_matrix",
     "companion_spectral_radius",
     "default_admm_config",
     "default_eta",
-    "default_grids",
     "default_r_bar",
-    "default_rho_grid",
     "default_rounds",
     "enforce_stationarity",
     "fit_admm",
@@ -117,7 +111,6 @@ __all__ = [
     "forecast_one_step",
     "gaussian_sigma",
     "gen_low_rank",
-    "gen_weak_sparse",
     "initial_shared_estimate",
     "lag_design",
     "linf_project",
@@ -128,7 +121,6 @@ __all__ = [
     "refine_fista",
     "ridge_ratio_rank",
     "rmsfe",
-    "rolling_cv",
     "round_sigma",
     "sample_size_weights",
     "select_rank",

@@ -18,13 +18,13 @@ proximal gradient (FISTA) around the frozen shared estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dp import NoisePolicy, add_gaussian_noise, round_sigma
 from .matops import TangentBasis, check_matrix, soft_threshold, svd_truncate, tangent_project
-from .var import CoefDecomposition, LagDesign, lag_design
+from .var import CoefDecomposition, LagDesign
 
 
 @dataclass
@@ -274,14 +274,13 @@ def refine_fista(design, a0_hat, cfg):
     return delta, trace
 
 
-def fit_federated(panels, fed_cfg, fista_cfgs, rng, truth_a0=None):
-    """Two-stage federated fit from raw panels.
+def fit_federated(designs, fed_cfg, fista_cfgs, rng, truth_a0=None):
+    """Two-stage federated fit over the clients' lag designs.
 
     fista_cfgs may be one FistaConfig (broadcast to every client) or a
     sequence with one entry per client.  Returns one decomposition per
     client and a FitReport with both stages' traces.
     """
-    designs = [lag_design(p) for p in panels]
     d, pd = _check_designs(designs)
     weights = _resolve_weights(designs, fed_cfg)
 
@@ -296,15 +295,7 @@ def fit_federated(panels, fed_cfg, fista_cfgs, rng, truth_a0=None):
     init = fed_cfg.init_a0
     if init is None:
         init = initial_shared_estimate(designs, fed_cfg.rank)
-    run_cfg = FedConfig(
-        rank=fed_cfg.rank,
-        rounds=fed_cfg.rounds,
-        step_rho=fed_cfg.step_rho,
-        noise=fed_cfg.noise,
-        budget=fed_cfg.budget,
-        init_a0=init,
-        weights=weights,
-    )
+    run_cfg = replace(fed_cfg, init_a0=init, weights=weights)
     a0_hat, stage1_trace = stage1_run(designs, run_cfg, rng, truth_a0=truth_a0)
 
     decomps = []

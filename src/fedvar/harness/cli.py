@@ -120,7 +120,7 @@ def _cmd_fit(args):
     designs = [var.lag_design(pn) for pn in panels]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
     decomps, _ = fed_core.fit_federated(
-        panels, fed_config(cfg, designs), [fista_config(cfg, ds) for ds in designs], rng
+        designs, fed_config(cfg, designs), [fista_config(cfg, ds) for ds in designs], rng
     )
     arrays = {"a0": decomps[0].a0}
     for k, dec in enumerate(decomps):

@@ -5,12 +5,14 @@ spawn_key=(rep,)), so records are identical whatever the thread count or
 scheduling order. Noise draws for private fits come from the separate
 spawn_key=(rep, 1) stream; grid cells within a replication therefore
 share both the simulated world and the noise directions, which pairs the
-cells for sharper comparisons.
+cells for sharper comparisons.  The empirical protocol fits one
+federation per forecast origin, with noise from spawn_key=(0, 1, origin).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import os
@@ -265,7 +267,7 @@ def _rep_t_sweep(cfg, rep):
         singles = _single_client_errors(cfg, designs, a0, deltas)
 
         decomps, _ = fed_core.fit_federated(
-            panels,
+            designs,
             fed_config(cfg, designs),
             fista_config(cfg, designs[0]),
             _noise_rng(cfg.seed, rep),
@@ -292,29 +294,11 @@ def _rep_t_sweep(cfg, rep):
     return recs
 
 
-def _prefix_designs(panels, origin, client):
-    """Lag designs for one client's forecast origin across the federation.
-
-    The target client contributes exactly its first `origin`
-    observations; every other client contributes what it has up to that
-    same time index, so no fit sees data at or beyond the target time.
-    """
-    designs = []
-    for j, pn in enumerate(panels):
-        t = origin if j == client else min(origin, pn.t_len)
-        designs.append(var.lag_design(pn.prefix(t)))
-    return designs
-
-
-def _federated_forecaster(cfg, panels, client):
+def _federated_forecaster(cfg, shared, client):
     def forecast(prefix_panel):
-        origin = prefix_panel.t_len
-        designs = _prefix_designs(panels, origin, client)
-        nrng = _noise_rng(cfg.seed, 0, client, origin)
-        a0_hat, _ = fed_core.stage1_run(designs, fed_config(cfg, designs), nrng)
-        delta, _ = fed_core.refine_fista(
-            designs[client], a0_hat, fista_config(cfg, designs[client])
-        )
+        a0_hat, designs = shared(prefix_panel.t_len)
+        design = designs[client]
+        delta, _ = fed_core.refine_fista(design, a0_hat, fista_config(cfg, design))
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(a0_hat + delta, full[-cfg.p:])
 
@@ -351,12 +335,23 @@ def _single_forecaster(cfg, method):
 
 def _rep_empirical(cfg, rep):
     panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
+
+    @functools.cache
+    def shared(origin):
+        """The federation at one forecast origin: each client's first
+        min(origin, T_k) observations, one stage-1 fit on one noise
+        stream, so no fit sees data at or beyond the target time."""
+        designs = [var.lag_design(pn.prefix(min(origin, pn.t_len))) for pn in panels]
+        nrng = _noise_rng(cfg.seed, 0, origin)
+        a0_hat, _ = fed_core.stage1_run(designs, fed_config(cfg, designs), nrng)
+        return a0_hat, designs
+
     recs = []
     for k, panel in enumerate(panels):
         client = cfg.panels[k].client_id or str(k + 1)
         for method in EMPIRICAL_METHODS:
             if method == "federated":
-                forecaster = _federated_forecaster(cfg, panels, k)
+                forecaster = _federated_forecaster(cfg, shared, k)
             else:
                 forecaster = _single_forecaster(cfg, method)
             records, agg = metrics.rmsfe(

@@ -1,5 +1,5 @@
-"""Evaluation metrics: federation benefit, rolling out-of-sample forecast
-error, and percentile band summaries."""
+"""Evaluation metrics: rolling out-of-sample forecast error and
+percentile band summaries."""
 
 from __future__ import annotations
 
@@ -7,16 +7,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-
-def benefit(single_errors, fed_errors):
-    """mean(single-client errors) - mean(federated errors); positive
-    values mean federation helped."""
-    single = np.asarray(single_errors, dtype=np.float64)
-    fed = np.asarray(fed_errors, dtype=np.float64)
-    if single.size == 0 or fed.size == 0:
-        raise ValueError("error lists must be non-empty")
-    return float(single.mean() - fed.mean())
 
 
 @dataclass(frozen=True)

@@ -224,22 +224,6 @@ def _lq_sum(x, q):
     return float(np.sum(np.abs(x) ** q))
 
 
-def gen_weak_sparse(d, p, q, s_q, rng):
-    """Gaussian (d, p*d) draw shrunk into the lq ball sum |x|^q <= s_q.
-
-    The draw is multiplied by (s_q / sum |g|^q)^(1/q) when it lies outside
-    the ball and returned as is otherwise.  The shrink is a scalar, so the
-    result stays dense; ``assemble_dgp`` makes its deviations sparse instead,
-    because a fixed Frobenius norm would undo any scalar shrink.
-    """
-    _check_ball(q, s_q)
-    g = rng.standard_normal((d, p * d))
-    total = _lq_sum(g, q)
-    if total > s_q:
-        g = g * (s_q / total) ** (1.0 / q)
-    return g
-
-
 def _ball_support_size(g, q, s_q, fro):
     """How many largest-magnitude entries of g fit in the lq ball once
     rescaled to Frobenius norm ``fro``: entries are added in order of

@@ -8,6 +8,9 @@ itself.
 
 import numpy as np
 
+from fedvar import fed_core, var
+from fedvar.harness import experiments
+
 
 def svd_via_gram(m):
     """SVD factors from the eigendecomposition of M^T M / M M^T."""
@@ -151,3 +154,38 @@ def admm_raw(x, y, lam, omega, rho, iters):
         dm = np.sign(z) * np.maximum(np.abs(z) - omega / rho, 0.0)
         u = u + b - b0 - dm
     return b0.T, dm.T
+
+
+def prefix_designs(panels, origin, client):
+    """Lag designs for one client's forecast origin across the federation.
+
+    The target client contributes exactly its first `origin`
+    observations; every other client contributes what it has up to that
+    same time index, so no fit sees data at or beyond the target time.
+    """
+    designs = []
+    for j, pn in enumerate(panels):
+        t = origin if j == client else min(origin, pn.t_len)
+        designs.append(var.lag_design(pn.prefix(t)))
+    return designs
+
+
+def per_client_federated_forecaster(cfg, panels, client):
+    """Federated forecaster that refits the whole federation for every
+    (client, origin) pair: every client's design rebuilt, the start
+    refitted and stage 1 rerun on the noise stream (0, 1, client, origin).
+    Without noise it must forecast exactly as one federation per origin."""
+
+    def forecast(prefix_panel):
+        origin = prefix_panel.t_len
+        designs = prefix_designs(panels, origin, client)
+        nrng = experiments._noise_rng(cfg.seed, 0, client, origin)
+        fcfg = experiments.fed_config(cfg, designs)
+        a0_hat, _ = fed_core.stage1_run(designs, fcfg, nrng)
+        delta, _ = fed_core.refine_fista(
+            designs[client], a0_hat, experiments.fista_config(cfg, designs[client])
+        )
+        full = np.vstack([prefix_panel.presample, prefix_panel.observations])
+        return var.forecast_one_step(a0_hat + delta, full[-cfg.p:])
+
+    return forecast

@@ -227,15 +227,13 @@ class TestInitialEstimate:
 
 class TestFitFederated:
     def test_end_to_end_improves_on_init(self):
-        a0, deltas, panels, designs = make_world(
-            seed=17, d=6, k=4, t_len=300, ratio=8.0
-        )
+        a0, _, _, designs = make_world(seed=17, d=6, k=4, t_len=300, ratio=8.0)
         init = initial_shared_estimate(designs, rank=2)
         eta = min(default_eta(d) for d in designs)
         cfg = FedConfig(rank=2, rounds=40, step_rho=eta, init_a0=init)
         fcfg = FistaConfig(varpi=0.05, iters=20)
         decomps, report = fit_federated(
-            panels, cfg, fcfg, np.random.default_rng(6), truth_a0=a0
+            designs, cfg, fcfg, np.random.default_rng(6), truth_a0=a0
         )
         assert len(decomps) == 4
         for dec in decomps:
@@ -248,15 +246,15 @@ class TestFitFederated:
         assert err_final < err_init
 
     def test_per_client_configs_and_validation(self):
-        _, _, panels, designs = make_world(seed=18, k=2)
+        _, _, _, designs = make_world(seed=18, k=2)
         cfg = FedConfig(
             rank=1, rounds=2, step_rho=0.05,
             init_a0=np.zeros((5, 5)) + np.eye(5)[:5],
         )
         fcfgs = [FistaConfig(varpi=0.1), FistaConfig(varpi=0.2)]
-        decomps, _ = fit_federated(panels, cfg, fcfgs, np.random.default_rng(7))
+        decomps, _ = fit_federated(designs, cfg, fcfgs, np.random.default_rng(7))
         assert len(decomps) == 2
         with pytest.raises(ValueError, match="refinement configs"):
             fit_federated(
-                panels, cfg, [FistaConfig(varpi=0.1)], np.random.default_rng(8)
+                designs, cfg, [FistaConfig(varpi=0.1)], np.random.default_rng(8)
             )

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fedvar import dp, fed_core, var
+from fedvar import dp, fed_core, metrics, var
 from fedvar.harness import (
     ExperimentConfig,
     PanelSpec,
@@ -15,6 +15,8 @@ from fedvar.harness import (
 )
 from fedvar.harness import cli, experiments
 from fedvar.harness.config import from_json, to_json
+
+from oracles import per_client_federated_forecaster
 
 
 def tiny_config(**overrides):
@@ -324,6 +326,66 @@ class TestRunExperiment:
         path = tmp_path / "c1.csv"
         write_panel(panel, str(path))
         return PanelSpec(path=str(path), sensitive=(2,), client_id="c1")
+
+
+class TestEmpiricalFederation:
+    """One federation per forecast origin, shared by every client that
+    forecasts from it."""
+
+    LENGTHS = (30, 31, 33)
+
+    def _config(self, tmp_path, monkeypatch, **overrides):
+        monkeypatch.setattr(experiments, "EMPIRICAL_METHODS", ("federated",))
+        rng = np.random.default_rng(31)
+        a0, deltas = var.assemble_dgp(4, 1, 1, len(self.LENGTHS), rng, ratio=5.0)
+        specs = []
+        for k, t_len in enumerate(self.LENGTHS):
+            # load_panel drops the first row, so it reads back t_len rows
+            panel = var.simulate(a0 + deltas[k], 1, t_len + 1, rng)
+            path = tmp_path / f"c{k + 1}.csv"
+            write_panel(panel, str(path))
+            specs.append(PanelSpec(path=str(path), client_id=f"c{k + 1}"))
+        return ExperimentConfig(
+            kind="empirical", seed=8, d=4, p=1, rank=1, n_origins=3,
+            panels=tuple(specs), **overrides,
+        )
+
+    def test_one_stage1_fit_per_distinct_origin(self, tmp_path, monkeypatch):
+        cfg = self._config(tmp_path, monkeypatch, noise_mode="fixed_scale")
+        real = fed_core.stage1_run
+        origins = []
+
+        def counting(designs, fcfg, rng, **kwargs):
+            # the longest panel covers every origin, so it gives the origin
+            origin = max(ds.t_len for ds in designs)
+            want = np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(0, 1, origin))
+            )
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert fcfg.noise.mode == "fixed_scale"
+            origins.append(origin)
+            return real(designs, fcfg, rng, **kwargs)
+
+        monkeypatch.setattr(fed_core, "stage1_run", counting)
+        experiments._rep_empirical(cfg, 0)
+        distinct = {t - h for t in self.LENGTHS for h in (1, 2, 3)}
+        assert len(distinct) < 3 * len(self.LENGTHS)
+        assert sorted(origins) == sorted(distinct)
+
+    def test_noise_free_rmsfe_equals_per_client_federation(self, tmp_path, monkeypatch):
+        cfg = self._config(tmp_path, monkeypatch)
+        recs = experiments._rep_empirical(cfg, 0)
+        panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
+        assert [pn.t_len for pn in panels] == list(self.LENGTHS)
+        for k, (spec, panel) in enumerate(zip(cfg.panels, panels)):
+            records, agg = metrics.rmsfe(
+                per_client_federated_forecaster(cfg, panels, k),
+                panel,
+                n_origins=cfg.n_origins,
+                aggregate=cfg.rmsfe_agg,
+            )
+            got = [r["value"] for r in recs if r["client"] == spec.client_id]
+            assert got == [r.rmsfe for r in records] + [agg.rmsfe]
 
 
 def heatmap_config(tmp_path, **overrides):

@@ -2,19 +2,7 @@ import numpy as np
 import pytest
 
 from fedvar import var
-from fedvar.metrics import Band, benefit, percentile_band, rmsfe
-
-
-class TestBenefit:
-    def test_example(self):
-        assert benefit([1.0, 1.2], [0.8, 0.9]) == pytest.approx(0.25)
-
-    def test_negative_when_federation_hurts(self):
-        assert benefit([0.5], [0.9]) == pytest.approx(-0.4)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            benefit([], [1.0])
+from fedvar.metrics import Band, percentile_band, rmsfe
 
 
 class TestPercentileBand:

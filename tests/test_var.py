@@ -6,18 +6,6 @@ from fedvar import var
 from oracles import quadratic_roots
 
 
-class FakeRng:
-    """standard_normal stub returning preset arrays in order."""
-
-    def __init__(self, *arrays):
-        self.arrays = list(arrays)
-
-    def standard_normal(self, shape):
-        out = np.asarray(self.arrays.pop(0), dtype=np.float64)
-        assert out.shape == tuple(np.atleast_1d(shape))
-        return out
-
-
 class TestCompanion:
     def test_p2_diagonal_example(self):
         # per-coordinate lag polynomial x^2 - 0.5 x - 0.24 has roots 0.8, -0.3
@@ -85,30 +73,6 @@ class TestGenerators:
         s = np.linalg.svd(a0, compute_uv=False)
         assert s[1] > 1e-6
         assert s[2] < 1e-10
-
-    def test_weak_sparse_rescale_rule(self):
-        # sum |G| = 4 with q=1, s_q=2 forces the factor (2/4)^(1/1) = 0.5
-        g = np.array([[2.0, 0.0], [0.0, 2.0]])
-        out = var.gen_weak_sparse(2, 1, q=1.0, s_q=2.0, rng=FakeRng(g))
-        np.testing.assert_allclose(out, np.eye(2))
-
-    def test_weak_sparse_constraint_holds(self):
-        rng = np.random.default_rng(3)
-        for q in (0.1, 0.5, 1.0):
-            out = var.gen_weak_sparse(5, 2, q=q, s_q=10.0, rng=rng)
-            assert np.sum(np.abs(out) ** q) <= 10.0 + 1e-9
-
-    def test_weak_sparse_no_rescale_when_feasible(self):
-        g = 0.01 * np.eye(3)
-        out = var.gen_weak_sparse(3, 1, q=0.5, s_q=10.0, rng=FakeRng(g))
-        np.testing.assert_array_equal(out, g)
-
-    def test_weak_sparse_validation(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            var.gen_weak_sparse(3, 1, q=0.0, s_q=1.0, rng=rng)
-        with pytest.raises(ValueError):
-            var.gen_weak_sparse(3, 1, q=0.5, s_q=-1.0, rng=rng)
 
 
 class TestAssembleDgp:
