@@ -99,13 +99,9 @@ def local_gradient(design, a0):
 
     This equals (2/T) (A X' - Y') X but costs O(d pd^2) whatever T is.
     The (d, pd) result is what a client sends the server in a round.
+    Assumes a finite float64 a0 of shape (design.d, design.pd); not
+    checked, since the solvers call it with iterates they built.
     """
-    a0 = check_matrix(a0, "a0")
-    if a0.shape != (design.d, design.pd):
-        raise ValueError(
-            f"a0 shape {a0.shape} incompatible with design "
-            f"({design.d}, {design.pd})"
-        )
     return 2.0 * (a0 @ design.sxx - design.sxy.T)
 
 
@@ -152,6 +148,11 @@ def _check_designs(designs):
     return d, pd
 
 
+def _check_rank(rank, d, pd):
+    if not 1 <= rank <= min(d, pd):
+        raise ValueError(f"rank {rank} outside [1, {min(d, pd)}]")
+
+
 def _resolve_weights(designs, cfg):
     if cfg.weights is None:
         return sample_size_weights(designs)
@@ -170,7 +171,7 @@ def initial_shared_estimate(designs, rank, admm_cfg=None):
     """
     from .single_client import default_admm_config, fit_admm
 
-    _check_designs(designs)
+    _check_rank(rank, *_check_designs(designs))
     sizes = [d.t_len for d in designs]
     k_star = int(np.argmax(sizes))
     design = designs[k_star]
@@ -180,48 +181,16 @@ def initial_shared_estimate(designs, rank, admm_cfg=None):
     return out
 
 
-def _round(a0_n, basis, designs, weights, cfg, sigma, rng, truth_a0, index):
-    rngs = rng.spawn(len(designs))
-    agg = np.zeros_like(a0_n)
-    grad_norms = []
-    for dsn, w, child in zip(designs, weights, rngs):
-        grad = local_gradient(dsn, a0_n)
-        grad_norms.append(float(np.linalg.norm(grad)))
-        noisy = add_gaussian_noise(grad, sigma, child)
-        agg += w * tangent_project(noisy, basis)
-    a0_next, factors = svd_truncate(a0_n - cfg.step_rho * agg, cfg.rank)
-    err = None
-    if truth_a0 is not None:
-        err = float(np.linalg.norm(a0_next - truth_a0))
-    trace = RoundTrace(
-        round_index=index, sigma=sigma, grad_norms=tuple(grad_norms), a0_error=err
-    )
-    return a0_next, factors, trace
-
-
-def stage1_round(a0_n, designs, cfg, rng, truth_a0=None):
-    """One privatized gradient round from the iterate a0_n."""
-    _check_designs(designs)
-    weights = _resolve_weights(designs, cfg)
-    sigma = round_sigma(cfg.noise, cfg.budget)
-    a0_n, factors = svd_truncate(check_matrix(a0_n, "a0_n"), cfg.rank)
-    basis = TangentBasis(u=factors.u, v=factors.v)
-    a0_next, _, trace = _round(
-        a0_n, basis, designs, weights, cfg, sigma, rng, truth_a0, index=0
-    )
-    return a0_next, trace
-
-
 def stage1_run(designs, cfg, rng, truth_a0=None):
     """Run all gradient rounds; returns the shared estimate and the trace.
 
     The tangent basis of each round is reused from the SVD factors of the
-    previous round's retraction, so each round costs one truncation.
+    previous round's retraction, so each round costs one truncation.  A
+    step that overflows is refused by that truncation with ValueError.
     """
     d, pd = _check_designs(designs)
     weights = _resolve_weights(designs, cfg)
-    if not 1 <= cfg.rank <= min(d, pd):
-        raise ValueError(f"rank {cfg.rank} outside [1, {min(d, pd)}]")
+    _check_rank(cfg.rank, d, pd)
     sigma = round_sigma(cfg.noise, cfg.budget)
 
     init = cfg.init_a0
@@ -235,10 +204,15 @@ def stage1_run(designs, cfg, rng, truth_a0=None):
     traces = []
     for n in range(cfg.rounds):
         basis = TangentBasis(u=factors.u, v=factors.v)
-        a0, factors, trace = _round(
-            a0, basis, designs, weights, cfg, sigma, rng, truth_a0, index=n
-        )
-        traces.append(trace)
+        agg = np.zeros_like(a0)
+        grad_norms = []
+        for dsn, w, child in zip(designs, weights, rng.spawn(len(designs))):
+            grad = local_gradient(dsn, a0)
+            grad_norms.append(float(np.linalg.norm(grad)))
+            agg += w * tangent_project(add_gaussian_noise(grad, sigma, child), basis)
+        a0, factors = svd_truncate(a0 - cfg.step_rho * agg, cfg.rank)
+        err = None if truth_a0 is None else float(np.linalg.norm(a0 - truth_a0))
+        traces.append(RoundTrace(n, sigma, tuple(grad_norms), a0_error=err))
     return a0, traces
 
 
@@ -271,6 +245,8 @@ def refine_fista(design, a0_hat, cfg):
         extrap = delta_next + ((q[n] - 1.0) / q[n + 1]) * (delta_next - delta)
         delta = delta_next
         trace.append(obj(delta))
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("FISTA produced a non-finite deviation; lower step_eta")
     return delta, trace
 
 

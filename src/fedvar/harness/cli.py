@@ -19,8 +19,8 @@ import numpy as np
 from .. import fed_core, rank_select, single_client, var
 from .config import KINDS, RMSFE_AGGREGATES, from_json
 from .experiments import (
-    _rep_empirical,
     admm_config,
+    empirical_rmsfe,
     fed_config,
     fista_config,
     run_experiment,
@@ -127,7 +127,7 @@ def _cmd_fit(args):
         arrays[f"delta_{k + 1}"] = dec.delta
     np.savez(os.path.join(out, "estimates.npz"), **arrays)
 
-    rows = _rep_empirical(cfg, 0)
+    rows = empirical_rmsfe(cfg, panels, 0)
     table = os.path.join(out, "rmsfe.csv")
     with open(table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -333,8 +333,9 @@ def _single_forecaster(cfg, method):
     return forecast
 
 
-def _rep_empirical(cfg, rep):
-    panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
+def empirical_rmsfe(cfg, panels, rep):
+    """RMSFE records of every method for each client's loaded panel, in
+    the order of cfg.panels, tagged with replication ``rep``."""
 
     @functools.cache
     def shared(origin):
@@ -362,6 +363,10 @@ def _rep_empirical(cfg, rep):
                 recs.append({**base, "variable": r.variable + 1, "value": r.rmsfe})
             recs.append({**base, "variable": "all", "value": agg.rmsfe})
     return recs
+
+
+def _rep_empirical(cfg, rep):
+    return empirical_rmsfe(cfg, [load_panel(spec, cfg.p) for spec in cfg.panels], rep)
 
 
 REP_FUNCTIONS = {

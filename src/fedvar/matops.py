@@ -5,6 +5,13 @@ All routines work on float64 ndarrays and are deterministic: no randomized
 algorithms, and the factors ``svd_truncate`` returns are sign-fixed so
 repeated calls on equal input return bitwise-equal factors.  ``svt``
 returns a matrix, which does not depend on the signs, so it skips the fix.
+
+The kernels (``svd_truncate``, ``svt``, ``soft_threshold``,
+``linf_project``, ``tangent_project``) sit inside solver loops and do not
+validate: they assume finite 2-D float64 arrays of matching shapes and
+the parameter ranges stated in each docstring.  The solvers' entry points
+and configs check those once.  Only the SVD itself refuses non-finite
+input, because LAPACK may not return on it.
 """
 
 from __future__ import annotations
@@ -68,6 +75,9 @@ def _svd(m):
         raise ValueError(
             f"matrix side {max(m.shape)} exceeds dense-SVD cap {SVD_DIM_CAP}"
         )
+    # LAPACK's divide-and-conquer SVD can loop without end on inf entries.
+    if not np.isfinite(m).all():
+        raise ValueError("SVD input contains non-finite entries")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -80,17 +90,14 @@ def svd_truncate(m, r):
 
     Parameters
     ----------
-    m : (d1, d2) array
-    r : int, 1 <= r <= min(d1, d2)
+    m : (d1, d2) float64 array; non-finite entries raise ValueError
+    r : int, 1 <= r <= min(d1, d2); not checked
 
     Returns
     -------
     approx : (d1, d2) array, rank <= r
     factors : SvdFactors with k = r columns
     """
-    m = check_matrix(m)
-    if not 1 <= r <= min(m.shape):
-        raise ValueError(f"rank r={r} outside [1, {min(m.shape)}]")
     u, s, v = _svd(m)
     u, v = _fix_signs(u[:, :r], v[:, :r])
     factors = SvdFactors(u=u, s=s[:r], v=v)
@@ -98,28 +105,29 @@ def svd_truncate(m, r):
 
 
 def svt(m, tau):
-    """Singular value thresholding: shrink every singular value by tau."""
-    m = check_matrix(m)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    """Singular value thresholding: shrink every singular value by tau.
+
+    Assumes a 2-D float64 ``m`` and tau >= 0; neither is checked.
+    Non-finite entries raise ValueError.
+    """
     u, s, v = _svd(m)
     s = np.maximum(s - tau, 0.0)
     return (u * s) @ v.T
 
 
 def soft_threshold(m, tau):
-    """Entrywise soft threshold sign(x) * max(|x| - tau, 0)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    m = np.asarray(m, dtype=np.float64)
+    """Entrywise soft threshold sign(x) * max(|x| - tau, 0).
+
+    Assumes a finite float64 array ``m`` and tau >= 0; not checked.
+    """
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
 
 
 def linf_project(m, zeta):
-    """Clip entries into [-zeta, zeta] (projection onto the sup-norm ball)."""
-    if zeta < 0:
-        raise ValueError("zeta must be nonnegative")
-    m = np.asarray(m, dtype=np.float64)
+    """Clip entries into [-zeta, zeta] (projection onto the sup-norm ball).
+
+    Assumes a finite float64 array ``m`` and zeta >= 0; not checked.
+    """
     return np.clip(m, -zeta, zeta)
 
 
@@ -129,13 +137,10 @@ def tangent_project(b, basis):
     At a rank-r point with column space span(u) and row space span(v), the
     tangent space holds matrices of the form u@u.T@b + b@v@v.T - u@u.T@b@v@v.T.
     The projection is linear, idempotent, and nonexpansive in Frobenius norm.
+    Assumes a finite float64 ``b`` of shape (u.shape[0], v.shape[0]); not
+    checked.
     """
-    b = check_matrix(b)
     u, v = basis.u, basis.v
-    if u.shape[0] != b.shape[0] or v.shape[0] != b.shape[1]:
-        raise ValueError(
-            f"basis shapes {u.shape}/{v.shape} incompatible with b {b.shape}"
-        )
     ub = u @ (u.T @ b)
     bv = (b @ v) @ v.T
     return ub + bv - (u @ (u.T @ bv))

@@ -8,6 +8,7 @@ scale and check directions, rates, and tolerances rather than internals.
 
 import os
 import time
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -264,7 +265,8 @@ def test_structural_invariants(tmp_path, monkeypatch):
         )
         iterate = fed_core.initial_shared_estimate(designs, 2)
         for _ in range(rounds):
-            iterate, _ = fed_core.stage1_round(iterate, designs, fcfg, rng)
+            one = replace(fcfg, rounds=1, init_a0=iterate)
+            iterate, _ = fed_core.stage1_run(designs, one, rng)
             if np.linalg.matrix_rank(iterate) > 2:
                 failures.append(f"iterate rank {np.linalg.matrix_rank(iterate)} > 2")
                 break

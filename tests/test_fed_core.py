@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,11 @@ from fedvar.fed_core import (
     momentum_sequence,
     refine_fista,
     sample_size_weights,
-    stage1_round,
     stage1_run,
 )
+from fedvar.single_client import AdmmConfig
 
-from oracles import fista_q_sequence, numerical_gradient
+from oracles import fista_q_sequence, numerical_gradient, tangent_project_basis
 
 
 def make_world(seed=0, d=5, p=1, r=2, k=3, t_len=200, ratio=None):
@@ -147,13 +149,32 @@ class TestStageOne:
     def test_single_round_matches_run(self):
         a0, _, _, designs = make_world(seed=10, ratio=None)
         cfg = FedConfig(rank=2, rounds=1, step_rho=0.05, init_a0=a0)
-        out_run, _ = stage1_run(designs, cfg, np.random.default_rng(3))
-        out_round, trace = stage1_round(
-            a0, designs, cfg, np.random.default_rng(3)
+        out, traces = stage1_run(designs, cfg, np.random.default_rng(3))
+        # one round by hand: weighted tangent-projected gradients, then retract
+        start, f = fed_core.svd_truncate(a0, 2)
+        agg = sum(
+            w * tangent_project_basis(local_gradient(ds, start), f.u, f.v)
+            for w, ds in zip(sample_size_weights(designs), designs)
         )
-        np.testing.assert_allclose(out_run, out_round, atol=1e-12)
-        assert len(trace.grad_norms) == len(designs)
-        assert trace.sigma == 0.0
+        want, _ = fed_core.svd_truncate(start - 0.05 * agg, 2)
+        np.testing.assert_allclose(out, want, atol=1e-12)
+        assert len(traces) == 1
+        assert len(traces[0].grad_norms) == len(designs)
+        assert traces[0].sigma == 0.0
+
+        # a run of n rounds is n chained one-round runs on the same stream
+        noisy = replace(
+            cfg,
+            rounds=4,
+            noise=dp.NoisePolicy.fixed(),
+            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=4),
+        )
+        whole, _ = stage1_run(designs, noisy, np.random.default_rng(4))
+        rng, iterate = np.random.default_rng(4), a0
+        for _ in range(4):
+            one = replace(noisy, rounds=1, init_a0=iterate)
+            iterate, _ = stage1_run(designs, one, rng)
+        np.testing.assert_allclose(iterate, whole, atol=1e-10)
 
     def test_noise_recorded_and_seed_sensitive(self):
         a0, _, _, designs = make_world(seed=11, ratio=None)
@@ -258,3 +279,62 @@ class TestFitFederated:
             fit_federated(
                 designs, cfg, [FistaConfig(varpi=0.1)], np.random.default_rng(8)
             )
+
+
+class TestEntryPointValidation:
+    """The kernels do not validate; the entry points and configs do."""
+
+    def test_stage1_rejects_nonfinite_init(self):
+        _, _, _, designs = make_world(seed=19)
+        for bad in (np.nan, np.inf):
+            init = np.zeros((5, 5))
+            init[1, 2] = bad
+            cfg = FedConfig(rank=1, rounds=1, step_rho=0.1, init_a0=init)
+            with pytest.raises(ValueError, match="non-finite"):
+                stage1_run(designs, cfg, np.random.default_rng(0))
+
+    def test_rank_above_min_rejected(self):
+        _, _, _, designs = make_world(seed=20, d=4, p=2)  # min(d, pd) = 4
+        cfg = FedConfig(rank=5, rounds=1, step_rho=0.1)
+        fcfg = FistaConfig(varpi=0.1)
+        with pytest.raises(ValueError, match="rank 5 outside"):
+            fit_federated(designs, cfg, fcfg, np.random.default_rng(0))
+        for rank in (0, 5):
+            with pytest.raises(ValueError, match="outside"):
+                initial_shared_estimate(designs, rank)
+        assert initial_shared_estimate(designs, 4).shape == (4, 8)
+
+    def test_negative_thresholds_rejected_by_configs(self):
+        # svt and soft_threshold take their thresholds from these configs
+        with pytest.raises(ValueError):
+            AdmmConfig(lam=0.1, omega=-0.1)
+        with pytest.raises(ValueError):
+            AdmmConfig(lam=-0.1, omega=0.1)
+        with pytest.raises(ValueError):
+            FistaConfig(varpi=-0.1)
+        with pytest.raises(ValueError):
+            FistaConfig(varpi=0.1, step_eta=0.0)
+
+    def test_fista_divergence_raises(self):
+        _, _, _, designs = make_world(seed=21)
+        design = designs[0]
+        a0 = np.zeros((design.d, design.pd))
+        raised = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for iters in (1, 10, 50, 200):
+                cfg = FistaConfig(varpi=0.1, step_eta=1e6, iters=iters)
+                try:
+                    delta, _ = refine_fista(design, a0, cfg)
+                except ValueError as exc:
+                    assert "non-finite" in str(exc)
+                    raised += 1
+                else:
+                    assert np.all(np.isfinite(delta))
+        assert raised >= 1
+
+    def test_stage1_divergence_raises(self):
+        a0, _, _, designs = make_world(seed=22)
+        cfg = FedConfig(rank=2, rounds=120, step_rho=1e6, init_a0=a0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                stage1_run(designs, cfg, np.random.default_rng(0))

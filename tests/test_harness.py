@@ -544,9 +544,18 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         to_json(cfg, str(cfg_path))
 
+        loaded = []
+
+        def counting_load(spec, p):
+            loaded.append(spec.path)
+            return load_panel(spec, p)
+
+        monkeypatch.setattr(cli, "load_panel", counting_load)
+        monkeypatch.setattr(experiments, "load_panel", counting_load)
         fit_dir = tmp_path / "fitout"
         code = cli.main(["fit", "--config", str(cfg_path), "--out", str(fit_dir)])
         assert code == 0
+        assert sorted(loaded) == sorted(spec.path for spec in specs)  # once each
         est = fit_dir / "estimates.npz"
         assert est.exists() and (fit_dir / "rmsfe.csv").exists()
         with np.load(est) as bundle:
