@@ -55,12 +55,19 @@ class FedConfig:
 
 @dataclass
 class FistaConfig:
-    """Sparse-refinement controls; step_eta None uses the inverse of twice
-    the operator norm of the client's scaled Gram matrix."""
+    """Sparse-refinement controls.
+
+    step_eta None uses the inverse of twice the operator norm of the
+    client's scaled Gram matrix.  iters caps the iterations; the run
+    stops earlier once a step moves the deviation by at most
+    tol * max(1, ||delta||_F) in Frobenius norm, so tol = 0 stops only at
+    an exact fixed point.
+    """
 
     varpi: float
     step_eta: float | None = None
     iters: int = 20
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.varpi < 0:
@@ -69,6 +76,8 @@ class FistaConfig:
             raise ValueError("step_eta must be positive")
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
+        if not self.tol >= 0:
+            raise ValueError("tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,6 @@ class FitReport:
     rounds: int
     stage1_trace: list
     fista_traces: list
-    metrics: dict = field(default_factory=dict)
 
 
 def local_gradient(design, a0):
@@ -221,8 +229,12 @@ def refine_fista(design, a0_hat, cfg):
 
     Starting from zero, iterates soft-thresholded gradient steps on
     delta |-> loss(a0_hat + delta) with momentum extrapolation; the
-    shared part stays frozen.  Returns the final iterate and the
-    objective value at each iterate (including the start).
+    shared part stays frozen.  The momentum restarts whenever the last
+    step points against the gradient mapping, the gradient scheme of
+    O'Donoghue & Candes (Found. Comput. Math., 2015).  Stops after
+    cfg.iters iterations or once a step is at most
+    cfg.tol * max(1, ||delta||_F).  Returns the final iterate and the
+    objective value at each iterate run (including the start).
     """
     a0_hat = check_matrix(a0_hat, "a0_hat")
     if a0_hat.shape != (design.d, design.pd):
@@ -238,13 +250,24 @@ def refine_fista(design, a0_hat, cfg):
     delta = np.zeros_like(a0_hat)
     extrap = delta
     q = momentum_sequence(cfg.iters)
+    k = 0  # momentum index, reset to 0 by a restart
     trace = [obj(delta)]
-    for n in range(cfg.iters):
+    for _ in range(cfg.iters):
         grad = local_gradient(design, a0_hat + extrap)
         delta_next = soft_threshold(extrap - eta * grad, eta * cfg.varpi)
-        extrap = delta_next + ((q[n] - 1.0) / q[n + 1]) * (delta_next - delta)
+        step = delta_next - delta
+        if float(np.vdot(extrap - delta_next, step)) > 0.0:
+            k = 0
+        extrap = delta_next + ((q[k] - 1.0) / q[k + 1]) * step
+        k += 1
         delta = delta_next
         trace.append(obj(delta))
+        step_norm = float(np.linalg.norm(step))
+        # an overflowing step gives inf <= inf; leave it to the check below
+        if math.isfinite(step_norm) and step_norm <= cfg.tol * max(
+            1.0, float(np.linalg.norm(delta))
+        ):
+            break
     if not np.all(np.isfinite(delta)):
         raise ValueError("FISTA produced a non-finite deviation; lower step_eta")
     return delta, trace

@@ -306,23 +306,27 @@ def _federated_forecaster(cfg, shared, client):
 
 
 def _single_forecaster(cfg, method):
+    """Single-client forecaster of one method, refit at each origin.
+
+    The ADMM methods start each fit from the previous origin's final
+    iterate, so the forecaster must see origins in increasing order, as
+    metrics.rmsfe visits them.
+    """
+    last = None  # the previous origin's ADMM (B0, D, U)
+
     def forecast(prefix_panel):
+        nonlocal last
         design = var.lag_design(prefix_panel)
-        anchors = {
-            "lam": cfg.lam_scale * np.sqrt(design.pd / design.t_len),
-            "omega": cfg.omega_scale * np.sqrt(np.log(design.pd) / design.t_len),
-        }
-        if method == "single_nuc_l1":
-            dec, _ = single_client.fit_admm(design, admm_config(design, cfg))
+        if method in ("single_nuc_l1", "single_nuclear"):
+            acfg = admm_config(design, cfg)
+            if method == "single_nuclear":
+                acfg = replace(acfg, omega=0.0, pin_delta=True)
+            dec, state = single_client.fit_admm(design, acfg, start=last)
+            last = state.final
             coef = dec.a
-        elif method == "single_nuclear":
-            coef = single_client.fit_baseline(
-                design, "nuclear_only", tuning={"lam": anchors["lam"], "zeta": cfg.zeta}
-            )
         elif method == "single_l1":
-            coef = single_client.fit_baseline(
-                design, "l1_only", tuning={"omega": anchors["omega"]}
-            )
+            omega = cfg.omega_scale * np.sqrt(np.log(design.pd) / design.t_len)
+            coef = single_client.fit_baseline(design, "l1_only", tuning={"omega": omega})
         elif method == "least_squares":
             coef = single_client.fit_baseline(design, "least_squares")
         else:

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
-from .matops import linf_project, norms, soft_threshold, svt
+from .matops import check_matrix, linf_project, norms, soft_threshold, svt
 from .var import CoefDecomposition, LagDesign
 
 
@@ -48,6 +49,9 @@ class AdmmConfig:
             raise ValueError("rho must be positive")
         if self.zeta is not None and self.zeta <= 0:
             raise ValueError("zeta must be positive (or None to disable)")
+        for name in ("eps_pri", "eps_dual"):
+            if getattr(self, name) is not None and not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative (or None for the default)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.pin_a0 and self.pin_delta:
@@ -56,10 +60,16 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Solver diagnostics for one fit."""
+    """Solver diagnostics for one fit.
+
+    final is the last (B0, D, U) in the solver's (pd, d) orientation, U
+    being the dual scaled by 1/rho; pass it as fit_admm's start to warm
+    start a fit of a nearby problem under the same rho.
+    """
 
     iterations: int
     converged: bool
+    final: tuple = ()
     primal_residuals: list = field(default_factory=list)
     dual_residuals: list = field(default_factory=list)
     objective_values: list = field(default_factory=list)
@@ -78,7 +88,7 @@ def objective(design, a0, delta, lam, omega):
     return design.loss(a0 + delta) + lam * norms(a0).nuclear + omega * norms(delta).l1
 
 
-def fit_admm(design, cfg):
+def fit_admm(design, cfg, start=None):
     """Solve the nuclear + l1 penalized regression by scaled-dual ADMM.
 
     Updates per iteration, all in the (pd, d) orientation:
@@ -89,12 +99,31 @@ def fit_admm(design, cfg):
     with primal residual R = B - B0 - D and dual residual
     S = rho ((B0 - B0_prev) + (D - D_prev)).
 
+    start None begins at B0 = D = U = 0; otherwise it is a (B0, D, U)
+    triple of finite (pd, d) arrays, such as a previous fit's
+    AdmmState.final (a warm start).  A pinned component starts at zero
+    whatever start holds.
+
     Returns the decomposition (transposed back to (d, pd)) and an
-    AdmmState with residual histories.
+    AdmmState with residual histories and the final triple.
     """
     if not isinstance(design, LagDesign):
         raise TypeError("design must be a LagDesign")
     d, pd = design.d, design.pd
+    b0, d_mat, u = (np.zeros((pd, d)) for _ in range(3))
+    if start is not None:
+        if len(start) != 3:
+            raise ValueError("start must be a (B0, D, U) triple")
+        checked = []
+        for m, name in zip(start, ("B0", "D", "U")):
+            m = check_matrix(m, f"start {name}")
+            if m.shape != (pd, d):
+                raise ValueError(f"start {name} shape {m.shape}, expected ({pd}, {d})")
+            checked.append(m)
+        # a pinned component stays at zero
+        b0 = b0 if cfg.pin_a0 else checked[0]
+        d_mat = d_mat if cfg.pin_delta else checked[1]
+        u = checked[2]
 
     tol = 1e-6 * math.sqrt(pd * d)
     eps_pri = cfg.eps_pri if cfg.eps_pri is not None else tol
@@ -102,18 +131,18 @@ def fit_admm(design, cfg):
 
     h = 2.0 * design.sxx + cfg.rho * np.eye(pd)
     try:
-        chol = cho_factor(h)
+        factor, lower = cho_factor(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - h is pd + rho I
         raise RuntimeError(f"ridge system factorization failed: {exc}") from exc
     g = 2.0 * design.sxy
-
-    b0 = np.zeros((pd, d))
-    d_mat = np.zeros((pd, d))
-    u = np.zeros((pd, d))
     state = AdmmState(iterations=0, converged=False)
 
     for it in range(1, cfg.max_iter + 1):
-        b = cho_solve(chol, g + cfg.rho * (b0 + d_mat - u))
+        # the LAPACK solve cho_solve makes, without its per-call finiteness
+        # scan; the guard below catches non-finite iterates
+        b, info = dpotrs(factor, g + cfg.rho * (b0 + d_mat - u), lower=lower)
+        if info != 0:  # pragma: no cover - only for an invalid argument
+            raise RuntimeError(f"ridge solve failed: LAPACK dpotrs info={info}")
         b0_prev, d_prev = b0, d_mat
         if not cfg.pin_a0:
             b0 = svt(b - d_mat + u, cfg.lam / cfg.rho)
@@ -147,6 +176,7 @@ def fit_admm(design, cfg):
             RuntimeWarning,
         )
 
+    state.final = (b0, d_mat, u)
     a0_hat = b0.T
     sv = np.linalg.svd(a0_hat, compute_uv=False) if a0_hat.any() else np.zeros(1)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
@@ -161,7 +191,9 @@ def fit_baseline(design, kind, tuning=None):
     """Reference fits returning a stacked (d, pd) coefficient matrix.
 
     nuclear_only  : ADMM with the sparse part pinned to zero
-    l1_only       : accelerated proximal gradient with no shared part
+    l1_only       : accelerated proximal gradient with no shared part,
+                    stopped by FistaConfig's tol with a cap of 500
+                    iterations (tuning "iters")
     least_squares : ridge-jittered normal equations sxx B = sxy (jitter
                     1e-8 tr(sxx)/pd keeps degenerate designs solvable;
                     rank deficiency triggers a warning)

@@ -8,7 +8,7 @@ itself.
 
 import numpy as np
 
-from fedvar import fed_core, var
+from fedvar import fed_core, single_client, var
 from fedvar.harness import experiments
 
 
@@ -103,6 +103,60 @@ def fista_q_sequence(n):
     for _ in range(n):
         q.append((1.0 + np.sqrt(1.0 + 4.0 * q[-1] ** 2)) / 2.0)
     return q
+
+
+def plain_fista(x, y, a0_hat, varpi, eta, tol, cap):
+    """Textbook FISTA (Beck & Teboulle 2009) from the raw design, with no
+    restart, stopped as refine_fista is: once a step is at most
+    tol * max(1, ||delta||_F), or after cap iterations.  Returns the
+    deviation and the number of iterations run."""
+    t_len = x.shape[0]
+    delta = np.zeros_like(a0_hat)
+    y_pt, t = delta, 1.0
+    for n in range(1, cap + 1):
+        grad = (2.0 / t_len) * (((a0_hat + y_pt) @ x.T - y.T) @ x)
+        z = y_pt - eta * grad
+        nxt = np.sign(z) * np.maximum(np.abs(z) - eta * varpi, 0.0)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y_pt = nxt + ((t - 1.0) / t_next) * (nxt - delta)
+        step = np.sqrt(np.sum((nxt - delta) ** 2))
+        delta, t = nxt, t_next
+        if step <= tol * max(1.0, np.sqrt(np.sum(delta**2))):
+            return delta, n
+    return delta, cap
+
+
+def oracle_instance(seed, index):
+    """The design of the index-th instance that the acceptance test's
+    optimizer-oracle check draws from default_rng(seed), replaying the
+    draws of the instances before it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        d = int(rng.integers(3, 7))
+        p = int(rng.integers(1, 3))
+        t = int(rng.integers(40, 120))
+        a0, deltas = var.assemble_dgp(d, p, min(2, d - 1), 1, rng)
+        panel = var.simulate(a0 + deltas[0], p, t, rng, burn_in=100)
+    return var.lag_design(panel)
+
+
+def cold_single_forecaster(cfg, method):
+    """Single-client ADMM forecaster ("single_nuc_l1" or "single_nuclear")
+    that starts every origin's fit from zero."""
+
+    def forecast(prefix_panel):
+        design = var.lag_design(prefix_panel)
+        acfg = experiments.admm_config(design, cfg)
+        if method == "single_nuclear":
+            coef = single_client.fit_baseline(
+                design, "nuclear_only", tuning={"lam": acfg.lam, "zeta": cfg.zeta}
+            )
+        else:
+            coef = single_client.fit_admm(design, acfg)[0].a
+        full = np.vstack([prefix_panel.presample, prefix_panel.observations])
+        return var.forecast_one_step(coef, full[-cfg.p:])
+
+    return forecast
 
 
 def gaussian_sigma_ref(sensitivity, eps, delta):

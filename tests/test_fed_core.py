@@ -19,7 +19,13 @@ from fedvar.fed_core import (
 )
 from fedvar.single_client import AdmmConfig
 
-from oracles import fista_q_sequence, numerical_gradient, tangent_project_basis
+from oracles import (
+    fista_q_sequence,
+    numerical_gradient,
+    oracle_instance,
+    plain_fista,
+    tangent_project_basis,
+)
 
 
 def make_world(seed=0, d=5, p=1, r=2, k=3, t_len=200, ratio=None):
@@ -119,6 +125,65 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=7)
         with pytest.raises(ValueError):
             refine_fista(designs[0], np.zeros((2, 2)), FistaConfig(varpi=0.1))
+
+    def test_tol_validated(self):
+        for tol in (-1e-12, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                FistaConfig(varpi=0.1, tol=tol)
+        assert FistaConfig(varpi=0.1, tol=0.0).tol == 0.0
+
+    def test_stops_before_cap_near_long_reference(self):
+        # Gram condition number about 1.7: the proximal-gradient map is a
+        # strong contraction, so once a step is below tol = 1e-10 the
+        # remaining distance to the solution is a small multiple of it.
+        rng = np.random.default_rng(4)
+        design = var.LagDesign(
+            x=rng.standard_normal((200, 6)), y=rng.standard_normal((200, 3))
+        )
+        a0 = np.zeros((3, 6))
+        delta, trace = refine_fista(design, a0, FistaConfig(varpi=0.05, iters=20_000))
+        assert len(trace) - 1 < 100
+        ref, ref_trace = refine_fista(
+            design, a0, FistaConfig(varpi=0.05, iters=20_000, tol=0.0)
+        )
+        assert len(ref_trace) > len(trace)
+        assert np.linalg.norm(delta - ref) <= 1e-8 * max(1.0, np.linalg.norm(ref))
+
+    def test_restart_beats_plain_fista_on_ill_conditioned_oracle(self):
+        # instance 32 of the acceptance optimizer-oracle check (seed
+        # 20240516): d=6, p=2, T=54, Gram condition number about 1.7e3
+        design = oracle_instance(20240516, 32)
+        assert (design.d, design.pd, design.t_len) == (6, 12, 54)
+        evals = np.linalg.eigvalsh(design.sxx)
+        assert evals[-1] / evals[0] > 1e3
+        varpi = float(np.sqrt(np.log(design.pd) / design.t_len))
+        eta = default_eta(design)
+        a0 = np.zeros((design.d, design.pd))
+        cfg = FistaConfig(varpi=varpi, step_eta=eta, iters=40_000)
+        delta, trace = refine_fista(design, a0, cfg)
+        plain, plain_iters = plain_fista(
+            design.x, design.y, a0, varpi, eta, cfg.tol, cfg.iters
+        )
+        assert len(trace) - 1 < plain_iters < cfg.iters
+        assert np.linalg.norm(delta - plain) < 1e-6
+
+    def test_trace_has_one_value_per_iteration_run(self, monkeypatch):
+        calls = []
+        real = fed_core.local_gradient
+
+        def counting(design, a0):
+            calls.append(1)
+            return real(design, a0)
+
+        monkeypatch.setattr(fed_core, "local_gradient", counting)
+        _, _, _, designs = make_world(seed=4, ratio=5.0)
+        design = designs[0]
+        a0 = np.zeros((design.d, design.pd))
+        for iters, stops_early in ((5, False), (5000, True)):
+            calls.clear()
+            _, trace = refine_fista(design, a0, FistaConfig(varpi=0.05, iters=iters))
+            assert len(trace) - 1 == len(calls)
+            assert (len(calls) < iters) == stops_early
 
 
 class TestStageOne:

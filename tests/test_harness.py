@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fedvar import dp, fed_core, metrics, var
+from fedvar import dp, fed_core, metrics, single_client, var
 from fedvar.harness import (
     ExperimentConfig,
     PanelSpec,
@@ -16,7 +16,7 @@ from fedvar.harness import (
 from fedvar.harness import cli, experiments
 from fedvar.harness.config import from_json, to_json
 
-from oracles import per_client_federated_forecaster
+from oracles import cold_single_forecaster, per_client_federated_forecaster
 
 
 def tiny_config(**overrides):
@@ -386,6 +386,73 @@ class TestEmpiricalFederation:
             )
             got = [r["value"] for r in recs if r["client"] == spec.client_id]
             assert got == [r.rmsfe for r in records] + [agg.rmsfe]
+
+
+class TestWarmStartedForecasters:
+    """The single-client ADMM forecasters start each origin's fit from the
+    previous origin's final iterate."""
+
+    METHODS = ("single_nuc_l1", "single_nuclear")
+
+    def _config(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "EMPIRICAL_METHODS", self.METHODS)
+        rng = np.random.default_rng(41)
+        a0, deltas = var.assemble_dgp(4, 2, 1, 2, rng, ratio=5.0)
+        specs = []
+        for k, t_len in enumerate((40, 44)):
+            panel = var.simulate(a0 + deltas[k], 2, t_len, rng)
+            path = tmp_path / f"c{k + 1}.csv"
+            write_panel(panel, str(path))
+            specs.append(PanelSpec(path=str(path), client_id=f"c{k + 1}"))
+        return ExperimentConfig(
+            kind="empirical", seed=8, d=4, p=2, rank=1, n_origins=6,
+            panels=tuple(specs),
+        )
+
+    def test_each_origin_starts_from_the_previous_fit(self, tmp_path, monkeypatch):
+        cfg = self._config(tmp_path, monkeypatch)
+        panel = load_panel(cfg.panels[0], cfg.p)
+        real = single_client.fit_admm
+        for method in self.METHODS:
+            seen = []
+
+            def recording(design, acfg, start=None):
+                dec, state = real(design, acfg, start=start)
+                seen.append((design.t_len, start, state.final))
+                return dec, state
+
+            monkeypatch.setattr(single_client, "fit_admm", recording)
+            metrics.rmsfe(experiments._single_forecaster(cfg, method), panel, n_origins=4)
+            monkeypatch.setattr(single_client, "fit_admm", real)
+            assert len(seen) == 4
+            assert [t for t, _, _ in seen] == sorted(t for t, _, _ in seen)
+            assert seen[0][1] is None
+            for (_, _, prev_final), (_, start, _) in zip(seen, seen[1:]):
+                assert start is prev_final
+
+    def test_rmsfe_matches_cold_fits(self, tmp_path, monkeypatch):
+        # Warm and cold fits both stop once the ADMM residuals are at most
+        # 1e-6 sqrt(pd d); at panel_forecast sizes their coefficients
+        # differ by at most 3.1e-5 relative, so 1e-4 on the RMSFE.
+        cfg = self._config(tmp_path, monkeypatch)
+        panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
+        recs = experiments.empirical_rmsfe(cfg, panels, 0)
+        for spec, panel in zip(cfg.panels, panels):
+            for method in self.METHODS:
+                records, agg = metrics.rmsfe(
+                    cold_single_forecaster(cfg, method),
+                    panel,
+                    n_origins=cfg.n_origins,
+                    aggregate=cfg.rmsfe_agg,
+                )
+                got = [
+                    r["value"]
+                    for r in recs
+                    if r["client"] == spec.client_id and r["method"] == method
+                ]
+                want = [r.rmsfe for r in records] + [agg.rmsfe]
+                assert got != want  # warm fits stop at other iterates
+                np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
 
 
 def heatmap_config(tmp_path, **overrides):

@@ -88,6 +88,69 @@ class TestFitAdmm:
         assert not state.converged
         assert state.iterations == 3
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AdmmConfig(lam=0.07, omega=0.02, zeta=1.0),
+            AdmmConfig(lam=0.1, omega=0.0, pin_delta=True),
+            AdmmConfig(lam=0.0, omega=0.05, pin_a0=True),
+        ],
+    )
+    def test_warm_start_from_own_final_converges_at_once(self, cfg):
+        design, _ = make_noisy(seed=5)
+        cold, state = fit_admm(design, cfg)
+        assert state.converged and state.iterations > 1
+        b0, d_mat, u = state.final
+        assert b0.shape == d_mat.shape == u.shape == (design.pd, design.d)
+        np.testing.assert_array_equal(b0.T, cold.a0)
+        np.testing.assert_array_equal(d_mat.T, cold.delta)
+        warm, again = fit_admm(design, cfg, start=state.final)
+        assert again.converged and again.iterations == 1
+        # one more iteration moves the iterate by about the dual residual
+        tol = 1e-6 * np.sqrt(design.pd * design.d)
+        assert np.linalg.norm(warm.a - cold.a) <= 10 * tol
+
+    def test_warm_start_on_a_longer_sample_matches_cold_fit(self):
+        # the forecasters' use: the previous origin's fit starts the next
+        rng = np.random.default_rng(8)
+        a0, deltas = var.assemble_dgp(6, 2, 2, 1, rng, ratio=5.0)
+        panel = var.simulate(a0 + deltas[0], 2, 60, rng, burn_in=100)
+        short, long = var.lag_design(panel.prefix(59)), var.lag_design(panel)
+        cfg = single_client.default_admm_config(long)
+        _, prev = fit_admm(short, single_client.default_admm_config(short))
+        warm, _ = fit_admm(long, cfg, start=prev.final)
+        cold, _ = fit_admm(long, cfg)
+        # both stop at residuals <= 1e-6 sqrt(pd d), about 8.5e-6 here
+        assert np.linalg.norm(warm.a - cold.a) <= 1e-4 * np.linalg.norm(cold.a)
+
+    def test_start_validated_at_entry(self):
+        design, _ = make_noisy(seed=6)
+        cfg = AdmmConfig(lam=0.1, omega=0.05)
+        good = np.zeros((design.pd, design.d))
+        with pytest.raises(ValueError, match="triple"):
+            fit_admm(design, cfg, start=(good, good))
+        wide = np.zeros((design.pd, design.d + 1))
+        with pytest.raises(ValueError, match=r"start D shape \(5, 6\)"):
+            fit_admm(design, cfg, start=(good, wide, good))
+        with pytest.raises(ValueError, match="start U"):
+            fit_admm(design, cfg, start=(good, good, np.zeros(design.d)))
+        bad = good.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(ValueError, match="start B0 contains non-finite"):
+            fit_admm(design, cfg, start=(bad, good, good))
+
+    def test_pinned_component_starts_at_zero(self):
+        design, _ = make_noisy(seed=4)
+        ones = np.ones((design.pd, design.d))
+        start = (ones, ones, np.zeros_like(ones))
+        dec, state = fit_admm(
+            design, AdmmConfig(lam=0.1, omega=0.05, pin_delta=True), start=start
+        )
+        np.testing.assert_array_equal(dec.delta, np.zeros_like(dec.delta))
+        np.testing.assert_array_equal(start[1], ones)  # caller's arrays untouched
+        dec, _ = fit_admm(design, AdmmConfig(lam=0.1, omega=0.05, pin_a0=True), start=start)
+        np.testing.assert_array_equal(dec.a0, np.zeros_like(dec.a0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdmmConfig(lam=-1.0, omega=0.0)
@@ -97,6 +160,11 @@ class TestFitAdmm:
             AdmmConfig(lam=0.0, omega=0.0, zeta=0.0)
         with pytest.raises(ValueError):
             AdmmConfig(lam=0.0, omega=0.0, pin_a0=True, pin_delta=True)
+        for name in ("eps_pri", "eps_dual"):
+            for bad in (-1e-9, float("nan")):
+                with pytest.raises(ValueError, match=name):
+                    AdmmConfig(lam=0.0, omega=0.0, **{name: bad})
+        assert AdmmConfig(lam=0.0, omega=0.0, eps_pri=0.0).eps_pri == 0.0
 
     def test_objective_value(self):
         # hand value: y = [[1,0]], x = [[1,0]], a0 = I/2, delta = 0
