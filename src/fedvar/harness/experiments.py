@@ -320,7 +320,7 @@ def _single_forecaster(cfg, method):
         if method in ("single_nuc_l1", "single_nuclear"):
             acfg = admm_config(design, cfg)
             if method == "single_nuclear":
-                acfg = replace(acfg, omega=0.0, pin_delta=True)
+                acfg = single_client.nuclear_only_config(acfg)
             dec, state = single_client.fit_admm(design, acfg, start=last)
             last = state.final
             coef = dec.a

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -81,6 +81,11 @@ def default_admm_config(design, lam_scale=1.0, omega_scale=1.0, **kwargs):
     lam = lam_scale * math.sqrt(pd / t_len)
     omega = omega_scale * math.sqrt(math.log(pd) / t_len)
     return AdmmConfig(lam=lam, omega=omega, **kwargs)
+
+
+def nuclear_only_config(cfg):
+    """cfg with the sparse part pinned to zero: the nuclear-only problem."""
+    return replace(cfg, omega=0.0, pin_delta=True)
 
 
 def objective(design, a0, delta, lam, omega):
@@ -192,8 +197,8 @@ def fit_baseline(design, kind, tuning=None):
 
     nuclear_only  : ADMM with the sparse part pinned to zero
     l1_only       : accelerated proximal gradient with no shared part,
-                    stopped by FistaConfig's tol with a cap of 500
-                    iterations (tuning "iters")
+                    stopped by refine_fista's tolerance with a cap of
+                    500 iterations (tuning "iters")
     least_squares : ridge-jittered normal equations sxx B = sxy (jitter
                     1e-8 tr(sxx)/pd keeps degenerate designs solvable;
                     rank deficiency triggers a warning)
@@ -230,15 +235,14 @@ def fit_baseline(design, kind, tuning=None):
         if unknown:
             raise ValueError(f"unknown tuning keys {sorted(unknown)}")
         base = default_admm_config(design)
-        cfg = AdmmConfig(
+        cfg = replace(
+            base,
             lam=tuning.get("lam", base.lam),
-            omega=0.0,
             zeta=tuning.get("zeta"),
-            rho=tuning.get("rho", 1.0),
-            max_iter=tuning.get("max_iter", 2000),
-            pin_delta=True,
+            rho=tuning.get("rho", base.rho),
+            max_iter=tuning.get("max_iter", base.max_iter),
         )
-        decomp, _ = fit_admm(design, cfg)
+        decomp, _ = fit_admm(design, nuclear_only_config(cfg))
         return decomp.a0
 
     # l1_only

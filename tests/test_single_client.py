@@ -204,6 +204,15 @@ class TestBaselines:
         # a dominating penalty collapses the spectrum
         assert s_heavy[0] < 0.05 * s_light[0]
 
+    def test_nuclear_only_is_the_pinned_config(self):
+        design, _ = make_noisy(seed=10)
+        cfg = single_client.default_admm_config(design, lam_scale=2.0, zeta=3.0)
+        pinned = single_client.nuclear_only_config(cfg)
+        assert (pinned.omega, pinned.pin_delta) == (0.0, True)
+        decomp, _ = fit_admm(design, pinned)
+        base = fit_baseline(design, "nuclear_only", {"lam": cfg.lam, "zeta": 3.0})
+        np.testing.assert_array_equal(base, decomp.a0)
+
     def test_l1_only_agrees_with_pinned_admm(self):
         design, _ = make_noisy(seed=11, d=4, t_len=200)
         omega = 0.1
