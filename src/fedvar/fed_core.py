@@ -6,10 +6,13 @@ no round or iteration below touches the raw T x pd data.
 
 Stage I iterates privatized gradient rounds on the shared low-rank
 component: each client computes its local loss gradient at the current
-iterate, adds Gaussian noise, and projects the result onto the tangent
-space of the fixed-rank manifold; the server takes a weighted step and
-retracts by rank-r SVD truncation.  The message a client sends per
-round is that one d x pd gradient.
+iterate and adds Gaussian noise; the server sums the noisy gradients
+with the client weights, projects the sum once onto the tangent space of
+the fixed-rank manifold (the projection is linear, so this equals the
+weighted sum of projected gradients) and retracts to rank r.  Projection
+and retraction are one factored step, ``matops.tangent_step``: a thin QR
+and the SVD of a d x 2r core, never a full SVD.  The message a client
+sends per round is that one d x pd gradient.
 
 Stage II refines each client's sparse deviation locally by accelerated
 proximal gradient (FISTA) around the frozen shared estimate.
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dp import NoisePolicy, add_gaussian_noise, round_sigma
-from .matops import TangentBasis, check_matrix, soft_threshold, svd_truncate, tangent_project
+from .matops import check_matrix, soft_threshold, svd_truncate, tangent_step
 from .var import CoefDecomposition, LagDesign
 
 # refine_fista stops once a step is at most this times max(1, ||delta||_F);
@@ -192,9 +195,16 @@ def initial_shared_estimate(designs, rank, admm_cfg=None):
 def stage1_run(designs, cfg, rng, truth_a0=None):
     """Run all gradient rounds; returns the shared estimate and the trace.
 
-    The tangent basis of each round is reused from the SVD factors of the
-    previous round's retraction, so each round costs one truncation.  A
-    step that overflows is refused by that truncation with ValueError.
+    The start is truncated to rank r once, by SVD.  Each round then sums
+    the clients' noisy gradients with their weights and makes one
+    ``matops.tangent_step`` from the factors of the current iterate: one
+    tangent projection of the aggregate and a factored retraction of the
+    rank-2r step.  A step that overflows is refused by it with ValueError.
+
+    A noisy round spawns one child generator from ``rng``, and the
+    clients draw their noise from it in client order; a noise-free round
+    spawns nothing.  A run of n rounds therefore equals n chained
+    one-round runs on the same ``rng``.
     """
     d, pd = _check_designs(designs)
     weights = _resolve_weights(designs, cfg)
@@ -211,14 +221,14 @@ def stage1_run(designs, cfg, rng, truth_a0=None):
     a0, factors = svd_truncate(init, cfg.rank)
     traces = []
     for n in range(cfg.rounds):
-        basis = TangentBasis(u=factors.u, v=factors.v)
+        noise_rng = rng.spawn(1)[0] if sigma > 0 else None
         agg = np.zeros_like(a0)
         grad_norms = []
-        for dsn, w, child in zip(designs, weights, rng.spawn(len(designs))):
+        for dsn, w in zip(designs, weights):
             grad = local_gradient(dsn, a0)
             grad_norms.append(float(np.linalg.norm(grad)))
-            agg += w * tangent_project(add_gaussian_noise(grad, sigma, child), basis)
-        a0, factors = svd_truncate(a0 - cfg.step_rho * agg, cfg.rank)
+            agg += w * add_gaussian_noise(grad, sigma, noise_rng)
+        a0, factors = tangent_step(factors, agg, cfg.step_rho)
         err = None if truth_a0 is None else float(np.linalg.norm(a0 - truth_a0))
         traces.append(RoundTrace(n, sigma, tuple(grad_norms), a0_error=err))
     return a0, traces

@@ -7,6 +7,11 @@ spawn_key=(rep, 1) stream; grid cells within a replication therefore
 share both the simulated world and the noise directions, which pairs the
 cells for sharper comparisons.  The empirical protocol fits one
 federation per forecast origin, with noise from spawn_key=(0, 1, origin).
+Within a stage-1 run, each noisy round spawns one generator from that
+stream and the clients draw from it in turn.  Before rounds drew this
+way (one spawned generator per client per round), the same stream gave
+other draws, so noisy results from earlier versions differ; noise-free
+results are unchanged up to rounding (within 1e-12 relative).
 """
 
 from __future__ import annotations

@@ -190,6 +190,31 @@ def raw_loss(x, y, a):
     return float(np.sum(resid * resid)) / x.shape[0]
 
 
+def stage1_full_svd(designs, rank, rounds, step_rho, init_a0):
+    """Noise-free stage 1 as first written: each client's gradient, from
+    the raw design, projected onto the tangent space on its own with the
+    explicit projectors P_u = u u', P_v = v v' (b - (I - P_u) b (I - P_v)),
+    the sample-size-weighted sum stepped, and the step retracted by a full
+    SVD truncated to the rank."""
+    sizes = np.array([dsn.t_len for dsn in designs], dtype=np.float64)
+    weights = sizes / sizes.sum()
+
+    def truncate(m):
+        u, s, vt = np.linalg.svd(m)
+        return u[:, :rank], (u[:, :rank] * s[:rank]) @ vt[:rank], vt[:rank].T
+
+    u, a0, v = truncate(np.asarray(init_a0, dtype=np.float64))
+    for _ in range(rounds):
+        off_u = np.eye(u.shape[0]) - u @ u.T
+        off_v = np.eye(v.shape[0]) - v @ v.T
+        agg = np.zeros_like(a0)
+        for w, dsn in zip(weights, designs):
+            g = raw_gradient(dsn.x, dsn.y, a0)
+            agg += w * (g - off_u @ g @ off_v)
+        u, a0, v = truncate(a0 - step_rho * agg)
+    return a0
+
+
 def admm_raw(x, y, lam, omega, rho, iters):
     """Scaled-dual ADMM for the nuclear + l1 regression, built from the
     raw design with a dense solve and an explicit SVD, for a fixed number

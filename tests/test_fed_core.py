@@ -24,6 +24,7 @@ from oracles import (
     numerical_gradient,
     oracle_instance,
     plain_fista,
+    stage1_full_svd,
     tangent_project_basis,
 )
 
@@ -234,6 +235,52 @@ class TestStageOne:
             one = replace(noisy, rounds=1, init_a0=iterate)
             iterate, _ = stage1_run(designs, one, rng)
         np.testing.assert_allclose(iterate, whole, atol=1e-10)
+
+    def test_noise_free_run_matches_full_svd_loop(self):
+        # the factored step against per-client projection + full SVD
+        for seed, d, p, r, k in ((23, 5, 1, 2, 3), (24, 6, 2, 3, 4), (25, 4, 3, 2, 2)):
+            a0, _, _, designs = make_world(seed=seed, d=d, p=p, r=r, k=k, ratio=5.0)
+            init = a0 + 0.3 * np.random.default_rng(seed).standard_normal(a0.shape)
+            eta = min(default_eta(dsn) for dsn in designs)
+            cfg = FedConfig(rank=r, rounds=30, step_rho=eta, init_a0=init)
+            got, _ = stage1_run(designs, cfg, np.random.default_rng(0))
+            want = stage1_full_svd(designs, r, 30, eta, init)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_noisy_round_spawns_one_generator(self, monkeypatch):
+        draws = []
+
+        def record(m, sigma, rng):
+            draws.append((sigma, rng))
+            return dp.add_gaussian_noise(m, sigma, rng)
+
+        monkeypatch.setattr(fed_core, "add_gaussian_noise", record)
+        a0, _, _, designs = make_world(seed=26, k=4, ratio=None)
+        base = FedConfig(rank=2, rounds=6, step_rho=0.05, init_a0=a0)
+        noisy = replace(
+            base,
+            noise=dp.NoisePolicy.fixed(),
+            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=6),
+        )
+        sigma = dp.round_sigma(noisy.noise, noisy.budget)
+        for cfg, spawned, want_sigma in ((noisy, 6, sigma), (base, 0, 0.0)):
+            draws.clear()
+            rng = np.random.default_rng(5)
+            stage1_run(designs, cfg, rng)
+            assert rng.bit_generator.seed_seq.n_children_spawned == spawned
+            assert len(draws) == 6 * len(designs)
+            assert all(s == want_sigma for s, _ in draws)
+            # one generator per round, shared by the clients in order
+            k = len(designs)
+            per_round = [
+                [g for _, g in draws[i : i + k]] for i in range(0, len(draws), k)
+            ]
+            assert all(len({id(g) for g in gens}) == 1 for gens in per_round)
+            firsts = [gens[0] for gens in per_round]
+            if spawned:
+                assert None not in firsts and len({id(g) for g in firsts}) == 6
+            else:
+                assert firsts == [None] * 6
 
     def test_noise_recorded_and_seed_sensitive(self):
         a0, _, _, designs = make_world(seed=11, ratio=None)

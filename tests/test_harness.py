@@ -506,6 +506,19 @@ class TestPrivacyHeatmap:
             (e, dl) for dl in cfg.delta_grid for e in cfg.eps_grid
         ]
 
+    def test_noisy_raw_csv_byte_identical_across_threads(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = heatmap_config(tmp_path, reps=4)
+        blobs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FEDVAR_THREADS", threads)
+            res = run_experiment(cfg, run_dir=str(tmp_path / f"threads{threads}"))
+            with open(res.raw_csv, "rb") as fh:
+                blobs.append(fh.read())
+        assert blobs[0] == blobs[1]
+        assert {rec["rep"] for rec in res.records} == {0, 1, 2, 3}
+
     def test_calibrated_and_fixed_scale_differ(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDVAR_THREADS", "1")
         blobs = []

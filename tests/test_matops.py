@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedvar import matops
@@ -218,6 +218,72 @@ class TestTangentProject:
         basis = matops.TangentBasis(u=np.eye(3)[:, :1], v=np.eye(4)[:, :1])
         with pytest.raises(ValueError):
             matops.tangent_project(np.zeros((2, 4)), basis)
+
+
+@st.composite
+def tangent_step_cases(draw):
+    """(point, direction, rho) with r up to min(d, pd), so 2r > min(d, pd)
+    is drawn too; points and directions include zero, and directions
+    include one already in the tangent space."""
+    d, pd = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    r = draw(st.integers(1, min(d, pd)))
+    rho = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    point = draw(st.sampled_from(("random", "zero")))
+    direction = draw(st.sampled_from(("random", "zero", "tangent")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((d, pd)) if point == "random" else np.zeros((d, pd))
+    _, factors = matops.svd_truncate(x, r)
+    basis = matops.TangentBasis(u=factors.u, v=factors.v)
+    z = np.zeros((d, pd)) if direction == "zero" else rng.standard_normal((d, pd))
+    if direction == "tangent":
+        z = matops.tangent_project(z, basis)
+    return factors, basis, z, rho
+
+
+class TestTangentStep:
+    @settings(max_examples=300, deadline=None)
+    @given(tangent_step_cases())
+    def test_matches_projection_then_full_svd(self, case):
+        factors, basis, z, rho = case
+        r = factors.s.shape[0]
+        target = factors.matrix() - rho * matops.tangent_project(z, basis)
+        sv = np.linalg.svd(target, compute_uv=False)
+        # the rank-r truncation is unique only with a gap after sigma_r
+        assume(
+            sv.size == r or sv[r] <= 1e-13 * sv[0] or sv[r - 1] - sv[r] >= 1e-3 * sv[0]
+        )
+        want, _ = matops.svd_truncate(target, r)
+        got, f = matops.tangent_step(factors, z, rho)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert f.u.shape == factors.u.shape and f.v.shape == factors.v.shape
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(r), atol=1e-12)
+        np.testing.assert_allclose(f.v.T @ f.v, np.eye(r), atol=1e-12)
+        assert np.all(f.s >= 0) and np.all(np.diff(f.s) <= 0)
+
+    def test_nonfinite_direction_raises(self):
+        rng = np.random.default_rng(15)
+        _, factors = matops.svd_truncate(rng.standard_normal((5, 7)), 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            for pos in ((0, 0), (4, 6), (2, 3)):
+                z = rng.standard_normal((5, 7))
+                z[pos] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    matops.tangent_step(factors, z, 0.1)
+
+    def test_overflowing_step_raises(self):
+        rng = np.random.default_rng(16)
+        _, factors = matops.svd_truncate(rng.standard_normal((5, 7)), 2)
+        _, ones = matops.svd_truncate(np.ones((5, 7)), 1)
+        cases = (
+            # finite direction whose products with u and v overflow
+            (ones, np.full((5, 7), 1.5e308), 0.1, "QR input"),
+            # finite QR input, core overflows through rho
+            (factors, 1e10 * rng.standard_normal((5, 7)), 1e300, "core"),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, z, rho, where in cases:
+                with pytest.raises(ValueError, match=f"{where} contains non-finite"):
+                    matops.tangent_step(f, z, rho)
 
 
 class TestNorms:
