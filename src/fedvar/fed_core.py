@@ -226,7 +226,7 @@ def stage1_run(designs, cfg, rng, truth_a0=None):
         grad_norms = []
         for dsn, w in zip(designs, weights):
             grad = local_gradient(dsn, a0)
-            grad_norms.append(float(np.linalg.norm(grad)))
+            grad_norms.append(math.sqrt(float(np.vdot(grad, grad))))
             agg += w * add_gaussian_noise(grad, sigma, noise_rng)
         a0, factors = tangent_step(factors, agg, cfg.step_rho)
         err = None if truth_a0 is None else float(np.linalg.norm(a0 - truth_a0))

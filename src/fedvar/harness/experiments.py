@@ -1,17 +1,18 @@
 """Experiment runners: deterministic replications, CSV/JSON emission.
 
 Every replication rebuilds its generator from SeedSequence(seed,
-spawn_key=(rep,)), so records are identical whatever the thread count or
-scheduling order. Noise draws for private fits come from the separate
-spawn_key=(rep, 1) stream; grid cells within a replication therefore
-share both the simulated world and the noise directions, which pairs the
-cells for sharper comparisons.  The empirical protocol fits one
-federation per forecast origin, with noise from spawn_key=(0, 1, origin).
-Within a stage-1 run, each noisy round spawns one generator from that
-stream and the clients draw from it in turn.  Before rounds drew this
-way (one spawned generator per client per round), the same stream gave
-other draws, so noisy results from earlier versions differ; noise-free
-results are unchanged up to rounding (within 1e-12 relative).
+spawn_key=(rep,)), so a replication's records depend only on the seed
+and its index, not on how many replications the run has. Noise draws
+for private fits come from the separate spawn_key=(rep, 1) stream; grid
+cells within a replication therefore share both the simulated world and
+the noise directions, which pairs the cells for sharper comparisons.
+The empirical protocol fits one federation per forecast origin, with
+noise from spawn_key=(0, 1, origin).  Within a stage-1 run, each noisy
+round spawns one generator from that stream and the clients draw from
+it in turn.  Before rounds drew this way (one spawned generator per
+client per round), the same stream gave other draws, so noisy results
+from earlier versions differ; noise-free results are unchanged up to
+rounding (within 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,14 +73,12 @@ class RunResult:
 
 
 def resolve_threads():
-    """Worker count: FEDVAR_THREADS if set, else min(8, cpu count)."""
-    raw = os.environ.get("FEDVAR_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError("FEDVAR_THREADS must be a positive integer")
-        return n
-    return min(8, os.cpu_count() or 1)
+    """Replications run serially in the calling thread, so this is 1.
+
+    Only the benchmark's machine record (``perfbench/run.py``) still
+    imports it; it goes with the next change to the benchmark.
+    """
+    return 1
 
 
 def _world_rng(seed, rep):
@@ -445,10 +443,10 @@ def _run_dir(cfg):
 def run_experiment(cfg, run_dir=None):
     """Run every replication and write raw.csv, summary.json, manifest.json.
 
-    Replications run concurrently but their records are emitted in
-    replication order, so output bytes do not depend on scheduling. A
-    replication that raises is logged and skipped; the run fails once
-    more than 1% of replications abort.  A privacy heatmap needs a noise
+    Replications run one after another in the calling thread, and their
+    records are emitted in replication order. A replication that raises
+    is logged and skipped; the run fails once more than 1% of
+    replications abort.  A privacy heatmap needs a noise
     mode other than "none" and raises ValueError before any replication.
     """
     cfg = _fill_grids(cfg)
@@ -466,12 +464,7 @@ def run_experiment(cfg, run_dir=None):
             log.exception("replication %d of seed %d aborted", rep, cfg.seed)
             return None
 
-    threads = resolve_threads()
-    if threads == 1 or cfg.reps == 1:
-        results = [worker(rep) for rep in range(cfg.reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(cfg.reps)))
+    results = [worker(rep) for rep in range(cfg.reps)]
 
     aborted = sum(r is None for r in results)
     if aborted > 0.01 * cfg.reps:

@@ -348,14 +348,15 @@ def simulate(a, p, t_len, rng, burn_in=200, noise_chol=None, client_id=""):
             raise ValueError(f"noise_chol must be ({d}, {d})")
         eps = eps @ noise_chol.T
     blocks = lag_blocks(a, p)
-    y = np.zeros((total, d))
-    for t in range(total):
-        acc = eps[t].copy()
-        for j, blk in enumerate(blocks):
-            s = t - j - 1
-            if s >= 0:
-                acc += blk @ y[s]
-        y[t] = acc
+    # The recursion runs in place on the fresh innovations, through a
+    # list of row views so each step indexes a list, not the array. Row
+    # t adds its lag terms in lag order; that order fixes the rounding,
+    # so a path is a bitwise function of its draws.
+    y = eps
+    rows = list(y)
+    for t, row in enumerate(rows):
+        for j, blk in enumerate(blocks[:t]):
+            row += blk.dot(rows[t - j - 1])
     return TimeSeriesPanel(
         presample=y[burn_in : burn_in + p],
         observations=y[burn_in + p :],

@@ -268,3 +268,25 @@ def per_client_federated_forecaster(cfg, panels, client):
         return var.forecast_one_step(a0_hat + delta, full[-cfg.p:])
 
     return forecast
+
+
+def simulate_reference(a, p, t_len, rng, burn_in=200, noise_chol=None):
+    """VAR(p) path by the straightforward recursion: each step accumulates
+    its lag terms onto a copy of its innovation, skipping lags before the
+    start. Draws the same innovations as ``var.simulate``; returns
+    (presample, observations)."""
+    d = a.shape[0]
+    total = burn_in + p + t_len
+    eps = rng.standard_normal((total, d))
+    if noise_chol is not None:
+        eps = eps @ noise_chol.T
+    blocks = [a[:, j * d : (j + 1) * d] for j in range(p)]
+    y = np.zeros((total, d))
+    for t in range(total):
+        acc = eps[t].copy()
+        for j, blk in enumerate(blocks):
+            s = t - j - 1
+            if s >= 0:
+                acc += blk @ y[s]
+        y[t] = acc
+    return y[burn_in : burn_in + p], y[burn_in + p :]

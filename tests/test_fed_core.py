@@ -222,6 +222,15 @@ class TestStageOne:
         assert len(traces[0].grad_norms) == len(designs)
         assert traces[0].sigma == 0.0
 
+    def test_grad_norms_equal_numpy_norm(self):
+        for seed in (10, 11, 12):
+            a0, _, _, designs = make_world(seed=seed, d=6, k=4, ratio=None)
+            cfg = FedConfig(rank=2, rounds=1, step_rho=0.05, init_a0=a0)
+            _, traces = stage1_run(designs, cfg, np.random.default_rng(3))
+            start, _ = fed_core.svd_truncate(a0, 2)
+            want = [float(np.linalg.norm(local_gradient(ds, start))) for ds in designs]
+            assert list(traces[0].grad_norms) == want
+
         # a run of n rounds is n chained one-round runs on the same stream
         noisy = replace(
             cfg,

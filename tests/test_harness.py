@@ -1,5 +1,7 @@
 import json
 import os
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,21 @@ from fedvar.harness import cli, experiments
 from fedvar.harness.config import from_json, to_json
 
 from oracles import cold_single_forecaster, per_client_federated_forecaster
+
+
+def assert_reruns_identical_and_reps_independent(cfg, tmp_path):
+    """Reruns write identical bytes, and the records of replications 0-1
+    of a 4-replication run equal those of a 2-replication run."""
+    runs = []
+    for i, reps in enumerate((4, 4, 2)):
+        res = run_experiment(replace(cfg, reps=reps), run_dir=str(tmp_path / f"run{i}"))
+        with open(res.raw_csv, "rb") as fh:
+            runs.append((res.records, fh.read()))
+    (long_recs, long_raw), (_, rerun_raw), (short_recs, short_raw) = runs
+    assert long_raw == rerun_raw
+    assert {rec["rep"] for rec in long_recs} == {0, 1, 2, 3}
+    assert short_recs and [r for r in long_recs if r["rep"] < 2] == list(short_recs)
+    assert long_raw.startswith(short_raw)
 
 
 def tiny_config(**overrides):
@@ -224,8 +241,7 @@ class TestLoadPanel:
 
 
 class TestRunExperiment:
-    def test_emits_three_files_with_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
+    def test_emits_three_files_with_manifest(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path))
         res = run_experiment(cfg, run_dir=str(tmp_path / "run"))
         for name in ("raw.csv", "summary.json", "manifest.json"):
@@ -248,29 +264,32 @@ class TestRunExperiment:
         assert filled.eps_grid == explicit.eps_grid
         assert config_hash(filled) == config_hash(explicit)
 
-    def test_timestamped_dir_under_out(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
+    def test_timestamped_dir_under_out(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path), reps=1)
         res = run_experiment(cfg)
         assert res.out_dir.startswith(
             os.path.join(str(tmp_path), "single_client_curve")
         )
 
-    def test_raw_csv_byte_identical_across_runs_and_threads(
-        self, tmp_path, monkeypatch
-    ):
-        cfg = tiny_config(out_dir=str(tmp_path), reps=3)
-        blobs = []
-        for i, threads in enumerate(("1", "2", "1")):
-            monkeypatch.setenv("FEDVAR_THREADS", threads)
-            res = run_experiment(cfg, run_dir=str(tmp_path / f"run{i}"))
-            with open(res.raw_csv, "rb") as fh:
-                blobs.append(fh.read())
-        assert blobs[0] == blobs[1] == blobs[2]
+    def test_raw_csv_byte_identical_across_runs_and_rep_counts(self, tmp_path):
+        assert_reruns_identical_and_reps_independent(
+            tiny_config(out_dir=str(tmp_path)), tmp_path
+        )
+
+    def test_replications_run_serially_in_order(self, tmp_path, monkeypatch):
+        calls = []
+
+        def stub(cfg, rep):
+            calls.append((threading.get_ident(), rep))
+            return [{"rep": rep, "t_len": 60, "metric": "ak_err", "value": 1.0}]
+
+        monkeypatch.setitem(experiments.REP_FUNCTIONS, "single_client_curve", stub)
+        run_experiment(
+            tiny_config(out_dir=str(tmp_path), reps=6), run_dir=str(tmp_path / "run")
+        )
+        assert calls == [(threading.get_ident(), rep) for rep in range(6)]
 
     def test_abort_rate_over_one_percent_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
-
         def explode(cfg, rep):
             raise RuntimeError("boom")
 
@@ -281,8 +300,6 @@ class TestRunExperiment:
             )
 
     def test_rare_abort_is_tolerated_and_counted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "2")
-
         def stub(cfg, rep):
             if rep == 7:
                 raise RuntimeError("boom")
@@ -296,8 +313,7 @@ class TestRunExperiment:
         assert res.manifest["aborted_replications"] == 1
         assert res.summary["groups"]["t_len=60|metric=ak_err"]["n"] == 199
 
-    def test_empirical_runs_once_regardless_of_reps(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
+    def test_empirical_runs_once_regardless_of_reps(self, tmp_path):
         spec = self._write_world(tmp_path)
         cfg = ExperimentConfig(
             kind="empirical",
@@ -477,7 +493,6 @@ def heatmap_config(tmp_path, **overrides):
 class TestPrivacyHeatmap:
     @pytest.mark.parametrize("mode", ["fixed_scale", "calibrated"])
     def test_noise_mode_sets_each_cell_sigma(self, mode, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
         seen = []
 
         def record(m, sigma, rng):
@@ -506,21 +521,10 @@ class TestPrivacyHeatmap:
             (e, dl) for dl in cfg.delta_grid for e in cfg.eps_grid
         ]
 
-    def test_noisy_raw_csv_byte_identical_across_threads(
-        self, tmp_path, monkeypatch
-    ):
-        cfg = heatmap_config(tmp_path, reps=4)
-        blobs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FEDVAR_THREADS", threads)
-            res = run_experiment(cfg, run_dir=str(tmp_path / f"threads{threads}"))
-            with open(res.raw_csv, "rb") as fh:
-                blobs.append(fh.read())
-        assert blobs[0] == blobs[1]
-        assert {rec["rep"] for rec in res.records} == {0, 1, 2, 3}
+    def test_noisy_raw_csv_byte_identical_across_runs_and_rep_counts(self, tmp_path):
+        assert_reruns_identical_and_reps_independent(heatmap_config(tmp_path), tmp_path)
 
-    def test_calibrated_and_fixed_scale_differ(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
+    def test_calibrated_and_fixed_scale_differ(self, tmp_path):
         blobs = []
         for mode in ("fixed_scale", "calibrated"):
             res = run_experiment(
@@ -550,8 +554,7 @@ class TestPrivacyHeatmap:
 
 
 class TestCli:
-    def test_simulate_prints_run_dir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
+    def test_simulate_prints_run_dir(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         to_json(tiny_config(out_dir=str(tmp_path)), str(cfg_path))
         code = cli.main(["simulate", "single_client_curve", "--config", str(cfg_path)])
@@ -602,7 +605,6 @@ class TestCli:
         assert cli.main(["rank-select", "--config", str(cfg_path)]) == 2
 
     def test_fit_then_forecast_round_trip(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
         rng = np.random.default_rng(21)
         a0, deltas = var.assemble_dgp(4, 1, 1, 2, rng, ratio=5.0)
         specs = []
@@ -658,8 +660,7 @@ class TestCli:
         assert lines[0].startswith("client")
         assert len(lines) == 1 + 2 * 4
 
-    def test_rank_select_reports_json(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FEDVAR_THREADS", "1")
+    def test_rank_select_reports_json(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         a0, deltas = var.assemble_dgp(6, 1, 2, 2, rng, ratio=5.0)
         specs = []

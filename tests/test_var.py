@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedvar import var
 
-from oracles import quadratic_roots
+from oracles import quadratic_roots, simulate_reference
 
 
 class TestCompanion:
@@ -209,6 +211,32 @@ class TestSimulate:
         resid = design.y - design.x @ a.T
         draws = np.random.default_rng(99).standard_normal((10 + 2 + 50, 3))
         np.testing.assert_allclose(resid, draws[12:], atol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        p=st.integers(1, 3),
+        t_len=st.integers(1, 40),
+        burn_in=st.integers(0, 20),
+        with_chol=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_recursion_bitwise(
+        self, d, p, t_len, burn_in, with_chol, seed
+    ):
+        rng = np.random.default_rng(seed)
+        a = var.enforce_stationarity(rng.standard_normal((d, p * d)), p, 0.9)
+        chol = np.tril(rng.standard_normal((d, d))) if with_chol else None
+        got_rng = np.random.default_rng(seed + 1)
+        want_rng = np.random.default_rng(seed + 1)
+        panel = var.simulate(a, p, t_len, got_rng, burn_in=burn_in, noise_chol=chol)
+        presample, observations = simulate_reference(
+            a, p, t_len, want_rng, burn_in=burn_in, noise_chol=chol
+        )
+        assert np.array_equal(panel.presample, presample)
+        assert np.array_equal(panel.observations, observations)
+        # the same number of innovations was drawn
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestLagDesignAndForecast:
