@@ -253,31 +253,43 @@ def refine_fista(design, a0_hat, cfg):
             f"({design.d}, {design.pd})"
         )
     eta = cfg.step_eta if cfg.step_eta is not None else default_eta(design)
+    sxx, cross, syy = design.sxx, 2.0 * design.sxy.T, design.syy
 
-    def obj(delta):
-        return design.loss(a0_hat + delta) + cfg.varpi * float(np.sum(np.abs(delta)))
-
+    # M(delta) = (a0_hat + delta) sxx is the one product an iteration makes:
+    # the gradient at the extrapolated point delta + beta (delta - delta_prev)
+    # is 2 (M + beta (M - M_prev)) - cross, and the loss at delta is
+    # syy - <a0_hat + delta, cross - M>, design.loss written with M.
     delta = np.zeros_like(a0_hat)
     extrap = delta
+    m = a0_hat @ sxx
+    grad = 2.0 * m - cross
     q = momentum_sequence(cfg.iters)
     k = 0  # momentum index, reset to 0 by a restart
-    trace = [obj(delta)]
+    trace = [syy - float(np.vdot(a0_hat, cross - m))]
     for _ in range(cfg.iters):
-        grad = local_gradient(design, a0_hat + extrap)
         delta_next = soft_threshold(extrap - eta * grad, eta * cfg.varpi)
         step = delta_next - delta
         if float(np.vdot(extrap - delta_next, step)) > 0.0:
             k = 0
-        extrap = delta_next + ((q[k] - 1.0) / q[k + 1]) * step
+        beta = (q[k] - 1.0) / q[k + 1]
+        extrap = delta_next + beta * step
         k += 1
         delta = delta_next
-        trace.append(obj(delta))
-        step_norm = float(np.linalg.norm(step))
+        point = a0_hat + delta
+        m_next = point @ sxx
+        trace.append(
+            syy
+            - float(np.vdot(point, cross - m_next))
+            + cfg.varpi * float(np.sum(np.abs(delta)))
+        )
+        step_norm = math.sqrt(float(np.vdot(step, step)))
         # an overflowing step gives inf <= inf; leave it to the check below
         if math.isfinite(step_norm) and step_norm <= _FISTA_TOL * max(
-            1.0, float(np.linalg.norm(delta))
+            1.0, math.sqrt(float(np.vdot(delta, delta)))
         ):
             break
+        grad = 2.0 * (m_next + beta * (m_next - m)) - cross
+        m = m_next
     if not np.all(np.isfinite(delta)):
         raise ValueError("FISTA produced a non-finite deviation; lower step_eta")
     return delta, trace

@@ -331,6 +331,9 @@ def simulate(a, p, t_len, rng, burn_in=200, noise_chol=None, client_id=""):
         standard normal (identity covariance when omitted)
     """
     a, d = _check_stacked(a, p)
+    # BLAS picks its matrix-vector kernel by memory layout, and the kernels
+    # round differently; one layout makes the path a function of the values
+    a = np.ascontiguousarray(a)
     if t_len < 1:
         raise ValueError("t_len must be >= 1")
     if burn_in < 0:

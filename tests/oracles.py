@@ -126,6 +126,25 @@ def plain_fista(x, y, a0_hat, varpi, eta, tol, cap):
     return delta, cap
 
 
+def restart_fista(x, y, a0_hat, varpi, eta, iters):
+    """FISTA with gradient-scheme momentum restart (O'Donoghue & Candes
+    2015), the gradient taken from the raw design at a0_hat plus the
+    extrapolated point, for a fixed number of iterations."""
+    t_len = x.shape[0]
+    delta = np.zeros_like(a0_hat)
+    y_pt, t = delta, 1.0
+    for _ in range(iters):
+        grad = (2.0 / t_len) * (((a0_hat + y_pt) @ x.T - y.T) @ x)
+        z = y_pt - eta * grad
+        nxt = np.sign(z) * np.maximum(np.abs(z) - eta * varpi, 0.0)
+        if np.sum((y_pt - nxt) * (nxt - delta)) > 0.0:
+            t = 1.0
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y_pt = nxt + ((t - 1.0) / t_next) * (nxt - delta)
+        delta, t = nxt, t_next
+    return delta
+
+
 def oracle_instance(seed, index):
     """The design of the index-th instance that the acceptance test's
     optimizer-oracle check draws from default_rng(seed), replaying the
@@ -215,10 +234,12 @@ def stage1_full_svd(designs, rank, rounds, step_rho, init_a0):
     return a0
 
 
-def admm_raw(x, y, lam, omega, rho, iters):
+def admm_raw(x, y, lam, omega, rho, iters, relax):
     """Scaled-dual ADMM for the nuclear + l1 regression, built from the
     raw design with a dense solve and an explicit SVD, for a fixed number
-    of iterations.  Returns (a0, delta), both (d, pd)."""
+    of iterations, with the ridge step over-relaxed by the factor relax
+    (1 is plain ADMM).  An infinite lam or omega pins that part at zero.
+    Returns (a0, delta), both (d, pd)."""
     t_len, pd = x.shape
     h = (2.0 / t_len) * (x.T @ x) + rho * np.eye(pd)
     g = (2.0 / t_len) * (x.T @ y)
@@ -227,6 +248,7 @@ def admm_raw(x, y, lam, omega, rho, iters):
     u = np.zeros_like(b0)
     for _ in range(iters):
         b = np.linalg.solve(h, g + rho * (b0 + dm - u))
+        b = relax * b + (1.0 - relax) * (b0 + dm)
         left, s, right = np.linalg.svd(b - dm + u, full_matrices=False)
         b0 = (left * np.maximum(s - lam / rho, 0.0)) @ right
         z = b - b0 + u

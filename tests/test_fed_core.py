@@ -24,6 +24,7 @@ from oracles import (
     numerical_gradient,
     oracle_instance,
     plain_fista,
+    restart_fista,
     stage1_full_svd,
     tangent_project_basis,
 )
@@ -162,15 +163,43 @@ class TestRefineFista:
         assert len(trace) - 1 < plain_iters < cfg.iters
         assert np.linalg.norm(delta - plain) < 1e-6
 
+    def test_iterates_match_raw_design_restart_fista(self):
+        for seed in (4, 5, 6):
+            _, _, _, designs = make_world(seed=seed, d=4, p=2, ratio=5.0)
+            design = designs[0]
+            a0 = 0.1 * np.random.default_rng(seed).standard_normal((design.d, design.pd))
+            eta = default_eta(design)
+            for iters in (1, 2, 10, 40):
+                cfg = FistaConfig(varpi=0.05, step_eta=eta, iters=iters)
+                delta, trace = refine_fista(design, a0, cfg)
+                assert len(trace) - 1 == iters
+                want = restart_fista(design.x, design.y, a0, 0.05, eta, iters)
+                assert np.linalg.norm(delta - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_trace_entries_are_the_objective_at_each_iterate(self):
+        # a run capped at n iterations ends at the n-th iterate of a longer run
+        _, _, _, designs = make_world(seed=4, ratio=5.0)
+        design = designs[0]
+        rng = np.random.default_rng(5)
+        a0 = 0.1 * rng.standard_normal((design.d, design.pd))
+        varpi = 0.05
+        _, trace = refine_fista(design, a0, FistaConfig(varpi=varpi, iters=30))
+        assert len(trace) == 31
+        for n, value in enumerate(trace):
+            delta, _ = refine_fista(design, a0, FistaConfig(varpi=varpi, iters=n))
+            want = design.loss(a0 + delta) + varpi * np.sum(np.abs(delta))
+            assert abs(value - want) <= 1e-12 * abs(want)
+
     def test_trace_has_one_value_per_iteration_run(self, monkeypatch):
+        # every iteration makes exactly one proximal step
         calls = []
-        real = fed_core.local_gradient
+        real = fed_core.soft_threshold
 
-        def counting(design, a0):
+        def counting(m, tau):
             calls.append(1)
-            return real(design, a0)
+            return real(m, tau)
 
-        monkeypatch.setattr(fed_core, "local_gradient", counting)
+        monkeypatch.setattr(fed_core, "soft_threshold", counting)
         _, _, _, designs = make_world(seed=4, ratio=5.0)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedvar import single_client, var
 from fedvar.single_client import AdmmConfig, fit_admm, fit_baseline, objective
+
+from oracles import admm_raw
 
 
 def make_noiseless(seed=0, d=4, p=1, r=2, t_factor=50):
@@ -80,6 +84,17 @@ class TestFitAdmm:
             design.pd * design.d
         )
 
+    @pytest.mark.filterwarnings("ignore:ADMM stopped")
+    def test_primal_residual_is_on_the_unrelaxed_step(self):
+        # one iteration from zero: B solves the ridge system, and the
+        # residual is B - B0 - D, not the relaxed alpha B - B0 - D
+        design, _ = make_noisy(seed=6)
+        dec, state = fit_admm(design, AdmmConfig(lam=0.1, omega=0.05, max_iter=1))
+        h = 2.0 * design.sxx + np.eye(design.pd)
+        b = np.linalg.solve(h, 2.0 * design.sxy)
+        want = np.linalg.norm(b - dec.a0.T - dec.delta.T)
+        assert state.primal_residuals == [pytest.approx(want, rel=1e-10)]
+
     def test_max_iter_warning(self):
         design, _ = make_noisy(seed=7)
         cfg = AdmmConfig(lam=0.1, omega=0.05, max_iter=3)
@@ -122,6 +137,55 @@ class TestFitAdmm:
         cold, _ = fit_admm(long, cfg)
         # both stop at residuals <= 1e-6 sqrt(pd d), about 8.5e-6 here
         assert np.linalg.norm(warm.a - cold.a) <= 1e-4 * np.linalg.norm(cold.a)
+
+    @pytest.mark.parametrize("pin", ["none", "delta", "a0"])
+    @pytest.mark.parametrize(
+        "d, p, t_len", [(20, 1, 400), (12, 2, 40)], ids=["rank_table", "panel_forecast"]
+    )
+    def test_relaxed_fit_matches_unrelaxed_reference(self, d, p, t_len, pin):
+        rng = np.random.default_rng(7)
+        a0, deltas = var.assemble_dgp(d, p, 2, 1, rng)
+        panel = var.simulate(a0 + deltas[0], p, t_len, rng, burn_in=100)
+        design = var.lag_design(panel)
+        cfg = single_client.default_admm_config(design)
+        lam, omega = cfg.lam, cfg.omega
+        if pin == "delta":
+            cfg, omega = single_client.nuclear_only_config(cfg), np.inf
+        elif pin == "a0":
+            cfg, lam = replace(cfg, pin_a0=True), np.inf
+        dec, state = fit_admm(design, cfg)
+        assert state.converged
+        # plain ADMM; 1,000 iterations already agree with 2,000 to 1e-12
+        ref_a0, ref_delta = admm_raw(design.x, design.y, lam, omega, cfg.rho, 2000, 1.0)
+        scale = np.linalg.norm(ref_a0 + ref_delta)
+        assert np.linalg.norm(dec.a0 - ref_a0) <= 1e-4 * scale
+        assert np.linalg.norm(dec.delta - ref_delta) <= 1e-4 * scale
+
+    def test_relaxation_cuts_iterations(self, monkeypatch):
+        # the forecasters' warm-started origin chain and the pinned fits
+        def total_iterations():
+            n = 0
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                a0, deltas = var.assemble_dgp(12, 2, 2, 1, rng, ratio=5.0)
+                panel = var.simulate(a0 + deltas[0], 2, 48, rng, burn_in=100)
+                last = None
+                for t_len in range(40, 49):
+                    design = var.lag_design(panel.prefix(t_len))
+                    cfg = single_client.default_admm_config(design)
+                    _, state = fit_admm(design, cfg, start=last)
+                    last = state.final
+                    n += state.iterations
+                    for pinned in (
+                        single_client.nuclear_only_config(cfg),
+                        replace(cfg, pin_a0=True),
+                    ):
+                        n += fit_admm(design, pinned)[1].iterations
+            return n
+
+        relaxed = total_iterations()
+        monkeypatch.setattr(single_client, "_ADMM_RELAX", 1.0)
+        assert relaxed <= 0.8 * total_iterations()
 
     def test_start_validated_at_entry(self):
         design, _ = make_noisy(seed=6)

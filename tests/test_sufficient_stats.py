@@ -98,7 +98,9 @@ def test_admm_matches_raw_design(case):
     decomp, state = single_client.fit_admm(design, cfg)
     # zero tolerances stop early only when both residuals are exactly zero
     x, y, t_len = design.x, design.y, design.t_len
-    a0, delta = admm_raw(x, y, 0.01, 0.01, 1.0, state.iterations)
+    a0, delta = admm_raw(
+        x, y, 0.01, 0.01, 1.0, state.iterations, single_client._ADMM_RELAX
+    )
     # The thresholds can shrink either part, or both, to rounding size, so
     # the error is measured against the ridge step that feeds them.
     h = 2.0 * x.T @ x / t_len + np.eye(design.pd)

@@ -238,6 +238,19 @@ class TestSimulate:
         # the same number of innovations was drawn
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
+    def test_path_does_not_depend_on_coefficient_layout(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d, p = 3 + seed % 6, 1 + seed % 3
+            a = var.enforce_stationarity(rng.standard_normal((d, p * d)), p, 0.9)
+            c_rng = np.random.default_rng(seed + 100)
+            f_rng = np.random.default_rng(seed + 100)
+            c_path = var.simulate(a, p, 30, c_rng, burn_in=20)
+            f_path = var.simulate(np.asfortranarray(a), p, 30, f_rng, burn_in=20)
+            assert np.array_equal(c_path.presample, f_path.presample)
+            assert np.array_equal(c_path.observations, f_path.observations)
+            assert c_rng.bit_generator.state == f_rng.bit_generator.state
+
 
 class TestLagDesignAndForecast:
     def test_manual_alignment(self):
