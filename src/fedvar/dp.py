@@ -2,8 +2,9 @@
 budget splitting by basic composition, and the noise policies used by the
 federated gradient rounds.
 
-The index set of sensitive variables is carried as metadata for reporting;
-noise is always applied to the full gradient matrix.
+Noise is always applied to the full gradient matrix.  Which variables are
+sensitive is not carried here: a panel's ``PanelSpec.sensitive`` lists
+them, and run manifests record it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class PrivacyBudget:
     epsilon: float
     delta: float
     rounds: int = 1
-    sensitive_indices: tuple = ()
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -32,9 +32,6 @@ class PrivacyBudget:
             raise ValueError("delta must lie in (0, 1)")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        object.__setattr__(
-            self, "sensitive_indices", tuple(int(i) for i in self.sensitive_indices)
-        )
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ A client is summarised by the sufficient statistics of its lag design,
 no round or iteration below touches the raw T x pd data.
 
 Stage I iterates privatized gradient rounds on the shared low-rank
-component: each client computes its local loss gradient at the current
-iterate and adds Gaussian noise; the server sums the noisy gradients
-with the client weights, projects the sum once onto the tangent space of
+component from the start ``FedConfig.init_a0`` (``harness.fed_config``
+builds it from the largest client's single-client fit): each client
+computes its local loss gradient at the current iterate and adds
+Gaussian noise; the server sums the noisy gradients with the sample-size
+weights T_k / T, projects the sum once onto the tangent space of
 the fixed-rank manifold (the projection is linear, so this equals the
 weighted sum of projected gradients) and retracts to rank r.  Projection
 and retraction are one factored step, ``matops.tangent_step``: a thin QR
@@ -21,7 +23,7 @@ proximal gradient (FISTA) around the frozen shared estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,18 +40,17 @@ _FISTA_TOL = 1e-10
 class FedConfig:
     """Controls for the shared-component gradient rounds.
 
-    weights None means sample-size weights T_k / T.  init_a0 None lets
-    the run start from the largest client's single-client estimate,
-    truncated to the target rank.
+    init_a0 is the start, truncated to rank r before the first round;
+    ``harness.fed_config`` builds it from the largest client.  A noisy
+    run needs a budget spread over at least ``rounds`` rounds.
     """
 
     rank: int
     rounds: int
     step_rho: float
+    init_a0: np.ndarray
     noise: NoisePolicy = field(default_factory=NoisePolicy.none)
     budget: object = None
-    init_a0: np.ndarray | None = None
-    weights: tuple | None = None
 
     def __post_init__(self):
         if self.rank < 1:
@@ -98,9 +99,6 @@ class FitReport:
     """Diagnostics of a full federated fit."""
 
     a0_hat: np.ndarray
-    init_a0: np.ndarray
-    weights: tuple
-    rounds: int
     stage1_trace: list
     fista_traces: list
 
@@ -164,30 +162,12 @@ def _check_rank(rank, d, pd):
         raise ValueError(f"rank {rank} outside [1, {min(d, pd)}]")
 
 
-def _resolve_weights(designs, cfg):
-    if cfg.weights is None:
-        return sample_size_weights(designs)
-    w = tuple(float(v) for v in cfg.weights)
-    if len(w) != len(designs):
-        raise ValueError(f"{len(w)} weights for {len(designs)} clients")
-    if any(v < 0 for v in w) or abs(sum(w) - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to one")
-    return w
+def initial_shared_estimate(design, rank, admm_cfg):
+    """Single-client ADMM estimate of one design, truncated to ``rank``."""
+    from .single_client import fit_admm
 
-
-def initial_shared_estimate(designs, rank, admm_cfg=None):
-    """Rank-truncated single-client estimate from the largest client.
-
-    Ties on sample size resolve to the lowest client index.
-    """
-    from .single_client import default_admm_config, fit_admm
-
-    _check_rank(rank, *_check_designs(designs))
-    sizes = [d.t_len for d in designs]
-    k_star = int(np.argmax(sizes))
-    design = designs[k_star]
-    cfg = admm_cfg if admm_cfg is not None else default_admm_config(design)
-    decomp, _ = fit_admm(design, cfg)
+    _check_rank(rank, *_check_designs([design]))
+    decomp, _ = fit_admm(design, admm_cfg)
     out, _ = svd_truncate(decomp.a0, rank)
     return out
 
@@ -207,14 +187,16 @@ def stage1_run(designs, cfg, rng, truth_a0=None):
     one-round runs on the same ``rng``.
     """
     d, pd = _check_designs(designs)
-    weights = _resolve_weights(designs, cfg)
     _check_rank(cfg.rank, d, pd)
     sigma = round_sigma(cfg.noise, cfg.budget)
+    # each round spends budget/budget.rounds; more rounds would overspend it
+    if cfg.noise.mode != "none" and cfg.budget.rounds < cfg.rounds:
+        raise ValueError(
+            f"budget spread over {cfg.budget.rounds} rounds, but {cfg.rounds} are run"
+        )
+    weights = sample_size_weights(designs)
 
-    init = cfg.init_a0
-    if init is None:
-        init = initial_shared_estimate(designs, cfg.rank)
-    init = check_matrix(init, "init_a0")
+    init = check_matrix(cfg.init_a0, "init_a0")
     if init.shape != (d, pd):
         raise ValueError(f"init_a0 shape {init.shape}, expected ({d}, {pd})")
 
@@ -298,42 +280,22 @@ def refine_fista(design, a0_hat, cfg):
 def fit_federated(designs, fed_cfg, fista_cfgs, rng, truth_a0=None):
     """Two-stage federated fit over the clients' lag designs.
 
-    fista_cfgs may be one FistaConfig (broadcast to every client) or a
-    sequence with one entry per client.  Returns one decomposition per
-    client and a FitReport with both stages' traces.
+    fista_cfgs holds one FistaConfig per client.  Returns one
+    decomposition per client and a FitReport with both stages' traces.
     """
-    d, pd = _check_designs(designs)
-    weights = _resolve_weights(designs, fed_cfg)
-
-    if isinstance(fista_cfgs, FistaConfig):
-        fista_cfgs = [fista_cfgs] * len(designs)
-    fista_cfgs = list(fista_cfgs)
     if len(fista_cfgs) != len(designs):
         raise ValueError(
             f"{len(fista_cfgs)} refinement configs for {len(designs)} clients"
         )
-
-    init = fed_cfg.init_a0
-    if init is None:
-        init = initial_shared_estimate(designs, fed_cfg.rank)
-    run_cfg = replace(fed_cfg, init_a0=init, weights=weights)
-    a0_hat, stage1_trace = stage1_run(designs, run_cfg, rng, truth_a0=truth_a0)
+    a0_hat, stage1_trace = stage1_run(designs, fed_cfg, rng, truth_a0=truth_a0)
 
     decomps = []
     fista_traces = []
     for dsn, fcfg in zip(designs, fista_cfgs):
         delta, trace = refine_fista(dsn, a0_hat, fcfg)
-        decomps.append(
-            CoefDecomposition(a0=a0_hat, delta=delta, rank=fed_cfg.rank)
-        )
+        decomps.append(CoefDecomposition(a0=a0_hat, delta=delta))
         fista_traces.append(trace)
-
     report = FitReport(
-        a0_hat=a0_hat,
-        init_a0=check_matrix(init, "init_a0"),
-        weights=weights,
-        rounds=fed_cfg.rounds,
-        stage1_trace=stage1_trace,
-        fista_traces=fista_traces,
+        a0_hat=a0_hat, stage1_trace=stage1_trace, fista_traces=fista_traces
     )
     return decomps, report

@@ -146,13 +146,19 @@ def _cmd_forecast(args):
         raise ValueError("forecast needs a config with panels")
     if not os.path.exists(args.estimates):
         raise ValueError(f"--estimates path not found: {args.estimates}")
-    out = _out_dir(args, "forecast-out")
 
     with np.load(args.estimates) as data:
+        names = ["a0"] + [f"delta_{k + 1}" for k in range(len(cfg.panels))]
+        missing = [name for name in names if name not in data.files]
+        if missing:
+            raise ValueError(
+                f"--estimates {args.estimates} lacks {', '.join(missing)} "
+                f"for {len(cfg.panels)} configured panels"
+            )
         a0 = data["a0"]
-        deltas = [data[f"delta_{k + 1}"] for k in range(len(cfg.panels))]
+        deltas = [data[name] for name in names[1:]]
     panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
-    path = os.path.join(out, "forecasts.csv")
+    path = os.path.join(_out_dir(args, "forecast-out"), "forecasts.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("client", "variable", "forecast"))

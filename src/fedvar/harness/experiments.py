@@ -143,16 +143,17 @@ def fed_config(cfg, designs):
 
     rounds is cfg.rounds or ceil(10 log sum_k T_k); the step is
     rho_scale over the pooled Gram operator norm; the start is the
-    rank-truncated ADMM fit of the largest client; the noise is
-    cfg.noise_mode at (cfg.eps, cfg.delta) over all the rounds.
+    rank-truncated ADMM fit of the largest client, the lowest-indexed
+    one among clients of equal size; the noise is cfg.noise_mode at
+    (cfg.eps, cfg.delta) over all the rounds.
     """
     rounds = cfg.rounds
     if rounds is None:
         rounds = fed_core.default_rounds(sum(ds.t_len for ds in designs))
     rho = cfg.rho_scale / _pooled_operator_norm(designs)
-    sizes = [ds.t_len for ds in designs]
+    largest = max(designs, key=lambda ds: ds.t_len)
     init = fed_core.initial_shared_estimate(
-        designs, cfg.rank, admm_config(designs[int(np.argmax(sizes))], cfg)
+        largest, cfg.rank, admm_config(largest, cfg)
     )
     fcfg = fed_core.FedConfig(rank=cfg.rank, rounds=rounds, step_rho=rho, init_a0=init)
     return _with_privacy(fcfg, cfg)
@@ -272,7 +273,7 @@ def _rep_t_sweep(cfg, rep):
         decomps, _ = fed_core.fit_federated(
             designs,
             fed_config(cfg, designs),
-            fista_config(cfg, designs[0]),
+            [fista_config(cfg, ds) for ds in designs],
             _noise_rng(cfg.seed, rep),
         )
         fed_a0 = float(np.linalg.norm(decomps[0].a0 - a0))

@@ -197,11 +197,7 @@ def fit_admm(design, cfg, start=None):
         )
 
     state.final = (b0, d_mat, u)
-    a0_hat = b0.T
-    sv = np.linalg.svd(a0_hat, compute_uv=False) if a0_hat.any() else np.zeros(1)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
-    decomp = CoefDecomposition(a0=a0_hat, delta=d_mat.T, rank=rank)
-    return decomp, state
+    return CoefDecomposition(a0=b0.T, delta=d_mat.T), state
 
 
 BASELINE_KINDS = ("nuclear_only", "l1_only", "least_squares")

@@ -69,7 +69,6 @@ class CoefDecomposition:
 
     a0: np.ndarray
     delta: np.ndarray
-    rank: int
 
     def __post_init__(self):
         a0 = check_matrix(self.a0, "a0")

@@ -255,15 +255,20 @@ def test_structural_invariants(tmp_path):
     ]
     rounds = 25
     budget = PrivacyBudget(epsilon=2.0, delta=0.1, rounds=rounds)
+    # every client has T=150, so the start is the first client's fit
+    start = fed_core.initial_shared_estimate(
+        designs[0], 2, single_client.default_admm_config(designs[0])
+    )
     for policy in (NoisePolicy.none(), NoisePolicy.fixed(scale=0.5)):
         fcfg = fed_core.FedConfig(
             rank=2,
             rounds=rounds,
             step_rho=0.05,
+            init_a0=start,
             noise=policy,
             budget=budget if policy.mode != "none" else None,
         )
-        iterate = fed_core.initial_shared_estimate(designs, 2)
+        iterate = start
         for _ in range(rounds):
             one = replace(fcfg, rounds=1, init_a0=iterate)
             iterate, _ = fed_core.stage1_run(designs, one, rng)

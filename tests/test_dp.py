@@ -86,10 +86,6 @@ class TestBudgetAndPolicy:
         with pytest.raises(ValueError):
             dp.NoisePolicy.calibrated(sensitivity=0.0)
 
-    def test_sensitive_indices_coerced(self):
-        b = dp.PrivacyBudget(epsilon=1.0, delta=0.1, sensitive_indices=[3, 1])
-        assert b.sensitive_indices == (3, 1)
-
 
 class TestAddNoise:
     def test_zero_sigma_identity(self):

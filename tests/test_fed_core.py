@@ -17,7 +17,7 @@ from fedvar.fed_core import (
     sample_size_weights,
     stage1_run,
 )
-from fedvar.single_client import AdmmConfig
+from fedvar.single_client import AdmmConfig, default_admm_config
 
 from oracles import (
     fista_q_sequence,
@@ -341,26 +341,44 @@ class TestStageOne:
         _, _, _, designs = make_world(seed=12, k=3, t_len=100)
         w = sample_size_weights(designs)
         assert w == (pytest.approx(1 / 3),) * 3
-        cfg = FedConfig(
-            rank=1, rounds=1, step_rho=0.1, init_a0=np.zeros((5, 5)),
-            weights=(0.5, 0.5),
-        )
-        with pytest.raises(ValueError, match="weights"):
-            stage1_run(designs, cfg, np.random.default_rng(0))
-        cfg2 = FedConfig(
-            rank=1, rounds=1, step_rho=0.1, init_a0=np.zeros((5, 5)),
-            weights=(0.5, 0.4, 0.2),
-        )
-        with pytest.raises(ValueError, match="sum to one"):
-            stage1_run(designs, cfg2, np.random.default_rng(0))
 
     def test_config_validation(self):
+        init = np.zeros((5, 5))
         with pytest.raises(ValueError):
-            FedConfig(rank=0, rounds=1, step_rho=0.1)
+            FedConfig(rank=0, rounds=1, step_rho=0.1, init_a0=init)
         with pytest.raises(ValueError):
-            FedConfig(rank=1, rounds=-1, step_rho=0.1)
+            FedConfig(rank=1, rounds=-1, step_rho=0.1, init_a0=init)
         with pytest.raises(ValueError):
-            FedConfig(rank=1, rounds=1, step_rho=-0.1)
+            FedConfig(rank=1, rounds=1, step_rho=-0.1, init_a0=init)
+        with pytest.raises(TypeError):
+            FedConfig(rank=1, rounds=1, step_rho=0.1)  # the start is required
+
+    def test_budget_spread_over_fewer_rounds_rejected(self):
+        a0, _, _, designs = make_world(seed=27, ratio=None)
+        noisy = FedConfig(
+            rank=2, rounds=10, step_rho=0.05, init_a0=a0,
+            noise=dp.NoisePolicy.calibrated(1.0),
+        )
+        for mode in (dp.NoisePolicy.calibrated(1.0), dp.NoisePolicy.fixed()):
+            for spread in (1, 9):
+                short = replace(
+                    noisy, noise=mode, budget=dp.PrivacyBudget(1.0, 0.1, rounds=spread)
+                )
+                with pytest.raises(ValueError, match=f"spread over {spread} rounds"):
+                    stage1_run(designs, short, np.random.default_rng(0))
+        # equal rounds run; so do one-round runs chained under one budget
+        budget = dp.PrivacyBudget(1.0, 0.1, rounds=10)
+        whole, traces = stage1_run(
+            designs, replace(noisy, budget=budget), np.random.default_rng(1)
+        )
+        assert traces[0].sigma == pytest.approx(
+            dp.gaussian_sigma(1.0, 0.1, 0.01)
+        )
+        rng, iterate = np.random.default_rng(1), a0
+        for _ in range(10):
+            one = replace(noisy, rounds=1, budget=budget, init_a0=iterate)
+            iterate, _ = stage1_run(designs, one, rng)
+        np.testing.assert_allclose(iterate, whole, atol=1e-10)
 
     def test_mismatched_clients_rejected(self):
         _, _, _, designs = make_world(seed=13, d=5)
@@ -370,35 +388,17 @@ class TestStageOne:
             stage1_run(designs + [other[0]], cfg, np.random.default_rng(0))
 
 
-class TestInitialEstimate:
-    def test_picks_largest_client(self):
-        rng = np.random.default_rng(15)
-        a = var.enforce_stationarity(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
-        big = var.lag_design(var.simulate(a, 1, 600, rng, burn_in=100))
-        big = var.LagDesign(x=big.x, y=big.x @ a.T)  # exact targets
-        small = var.LagDesign(x=big.x[:80], y=-(big.x[:80] @ a.T))
-        init = initial_shared_estimate([small, big], rank=1)
-        assert np.sum(init * a) > 0  # follows the large client's sign
-
-    def test_tie_resolves_to_first(self):
-        rng = np.random.default_rng(16)
-        a = var.enforce_stationarity(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
-        base = var.lag_design(var.simulate(a, 1, 300, rng, burn_in=100))
-        plus = var.LagDesign(x=base.x, y=base.x @ a.T)
-        minus = var.LagDesign(x=base.x, y=-(base.x @ a.T))
-        init = initial_shared_estimate([plus, minus], rank=1)
-        assert np.sum(init * a) > 0
-
-
 class TestFitFederated:
     def test_end_to_end_improves_on_init(self):
         a0, _, _, designs = make_world(seed=17, d=6, k=4, t_len=300, ratio=8.0)
-        init = initial_shared_estimate(designs, rank=2)
+        init = initial_shared_estimate(
+            designs[0], 2, default_admm_config(designs[0])
+        )
         eta = min(default_eta(d) for d in designs)
         cfg = FedConfig(rank=2, rounds=40, step_rho=eta, init_a0=init)
-        fcfg = FistaConfig(varpi=0.05, iters=20)
+        fcfgs = [FistaConfig(varpi=0.05, iters=20)] * len(designs)
         decomps, report = fit_federated(
-            designs, cfg, fcfg, np.random.default_rng(6), truth_a0=a0
+            designs, cfg, fcfgs, np.random.default_rng(6), truth_a0=a0
         )
         assert len(decomps) == 4
         for dec in decomps:
@@ -439,14 +439,15 @@ class TestEntryPointValidation:
 
     def test_rank_above_min_rejected(self):
         _, _, _, designs = make_world(seed=20, d=4, p=2)  # min(d, pd) = 4
-        cfg = FedConfig(rank=5, rounds=1, step_rho=0.1)
-        fcfg = FistaConfig(varpi=0.1)
+        cfg = FedConfig(rank=5, rounds=1, step_rho=0.1, init_a0=np.zeros((4, 8)))
+        fcfgs = [FistaConfig(varpi=0.1)] * len(designs)
         with pytest.raises(ValueError, match="rank 5 outside"):
-            fit_federated(designs, cfg, fcfg, np.random.default_rng(0))
+            fit_federated(designs, cfg, fcfgs, np.random.default_rng(0))
+        admm_cfg = default_admm_config(designs[0])
         for rank in (0, 5):
             with pytest.raises(ValueError, match="outside"):
-                initial_shared_estimate(designs, rank)
-        assert initial_shared_estimate(designs, 4).shape == (4, 8)
+                initial_shared_estimate(designs[0], rank, admm_cfg)
+        assert initial_shared_estimate(designs[0], 4, admm_cfg).shape == (4, 8)
 
     def test_negative_thresholds_rejected_by_configs(self):
         # svt and soft_threshold take their thresholds from these configs

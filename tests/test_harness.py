@@ -470,6 +470,34 @@ class TestWarmStartedForecasters:
                 np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
 
 
+class TestFedConfig:
+    """fed_config starts the rounds from the largest client's fit."""
+
+    CFG = ExperimentConfig(kind="t_sweep", seed=1, d=4, p=1, rank=1)
+
+    def test_picks_largest_client(self):
+        rng = np.random.default_rng(15)
+        a = var.enforce_stationarity(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
+        big = var.lag_design(var.simulate(a, 1, 600, rng, burn_in=100))
+        big = var.LagDesign(x=big.x, y=big.x @ a.T)  # exact targets
+        small = var.LagDesign(x=big.x[:80], y=-(big.x[:80] @ a.T))
+        init = experiments.fed_config(self.CFG, [small, big]).init_a0
+        assert np.sum(init * a) > 0  # follows the large client's sign
+        want = fed_core.initial_shared_estimate(
+            big, 1, experiments.admm_config(big, self.CFG)
+        )
+        assert np.array_equal(init, want)
+
+    def test_tie_resolves_to_first(self):
+        rng = np.random.default_rng(16)
+        a = var.enforce_stationarity(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
+        base = var.lag_design(var.simulate(a, 1, 300, rng, burn_in=100))
+        plus = var.LagDesign(x=base.x, y=base.x @ a.T)
+        minus = var.LagDesign(x=base.x, y=-(base.x @ a.T))
+        assert np.sum(experiments.fed_config(self.CFG, [plus, minus]).init_a0 * a) > 0
+        assert np.sum(experiments.fed_config(self.CFG, [minus, plus]).init_a0 * a) < 0
+
+
 def heatmap_config(tmp_path, **overrides):
     base = dict(
         kind="privacy_heatmap",
@@ -659,6 +687,29 @@ class TestCli:
         lines = (fc_dir / "forecasts.csv").read_text().splitlines()
         assert lines[0].startswith("client")
         assert len(lines) == 1 + 2 * 4
+
+    def test_forecast_with_estimates_for_fewer_clients_exits_one(
+        self, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(22)
+        specs = []
+        for k in range(3):
+            panel = var.simulate(0.3 * np.eye(4), 1, 20, rng)
+            path = tmp_path / f"c{k + 1}.csv"
+            write_panel(panel, str(path))
+            specs.append(PanelSpec(path=str(path), client_id=f"c{k + 1}"))
+        cfg = ExperimentConfig(
+            kind="empirical", seed=6, d=4, p=1, rank=1, panels=tuple(specs)
+        )
+        cfg_path = tmp_path / "cfg.json"
+        to_json(cfg, str(cfg_path))
+        est = tmp_path / "estimates.npz"
+        np.savez(est, a0=np.zeros((4, 4)), delta_1=np.zeros((4, 4)))
+        argv = ["forecast", "--config", str(cfg_path), "--estimates", str(est)]
+        code = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "lacks delta_2, delta_3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rank_select_reports_json(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -276,9 +276,7 @@ class TestLagDesignAndForecast:
             )
 
     def test_decomposition_sum(self):
-        dec = var.CoefDecomposition(
-            a0=np.eye(2), delta=0.5 * np.eye(2), rank=1
-        )
+        dec = var.CoefDecomposition(a0=np.eye(2), delta=0.5 * np.eye(2))
         np.testing.assert_array_equal(dec.a, 1.5 * np.eye(2))
 
     def test_panel_prefix(self):
