@@ -91,7 +91,6 @@ class RoundTrace:
     round_index: int
     sigma: float
     grad_norms: tuple
-    a0_error: float | None = None
 
 
 @dataclass
@@ -172,8 +171,9 @@ def initial_shared_estimate(design, rank, admm_cfg):
     return out
 
 
-def stage1_run(designs, cfg, rng, truth_a0=None):
-    """Run all gradient rounds; returns the shared estimate and the trace.
+def stage1_run(designs, cfg, rng):
+    """Run all gradient rounds; returns the shared estimate and the trace,
+    one RoundTrace (sigma and each client's gradient norm) per round.
 
     The start is truncated to rank r once, by SVD.  Each round then sums
     the clients' noisy gradients with their weights and makes one
@@ -211,8 +211,7 @@ def stage1_run(designs, cfg, rng, truth_a0=None):
             grad_norms.append(math.sqrt(float(np.vdot(grad, grad))))
             agg += w * add_gaussian_noise(grad, sigma, noise_rng)
         a0, factors = tangent_step(factors, agg, cfg.step_rho)
-        err = None if truth_a0 is None else float(np.linalg.norm(a0 - truth_a0))
-        traces.append(RoundTrace(n, sigma, tuple(grad_norms), a0_error=err))
+        traces.append(RoundTrace(n, sigma, tuple(grad_norms)))
     return a0, traces
 
 
@@ -277,17 +276,18 @@ def refine_fista(design, a0_hat, cfg):
     return delta, trace
 
 
-def fit_federated(designs, fed_cfg, fista_cfgs, rng, truth_a0=None):
+def fit_federated(designs, fed_cfg, fista_cfgs, rng):
     """Two-stage federated fit over the clients' lag designs.
 
-    fista_cfgs holds one FistaConfig per client.  Returns one
+    Stage I is ``stage1_run``; stage II refines each client's deviation
+    by ``refine_fista`` under its own entry of fista_cfgs.  Returns one
     decomposition per client and a FitReport with both stages' traces.
     """
     if len(fista_cfgs) != len(designs):
         raise ValueError(
             f"{len(fista_cfgs)} refinement configs for {len(designs)} clients"
         )
-    a0_hat, stage1_trace = stage1_run(designs, fed_cfg, rng, truth_a0=truth_a0)
+    a0_hat, stage1_trace = stage1_run(designs, fed_cfg, rng)
 
     decomps = []
     fista_traces = []

@@ -56,12 +56,23 @@ class PanelSpec:
             raise ValueError("sensitive indices are 1-based")
 
 
+def _panel_spec(doc):
+    """A PanelSpec from a JSON panel object; unknown keys raise ValueError."""
+    if not isinstance(doc, dict) or "path" not in doc:
+        raise ValueError(f"a panel must be an object with a path, got {doc!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(PanelSpec)})
+    if unknown:
+        raise ValueError(f"unknown panel fields: {', '.join(unknown)}")
+    return PanelSpec(**doc)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs besides the output location.
 
     Grid fields left empty fall back to per-kind defaults at run time.
-    rounds=None means the ceil(10 log T) default.
+    rounds=None means the ceil(10 log T) default.  The privacy fields are
+    checked in every noise mode, so a bad one fails before any replication.
     """
 
     kind: str
@@ -118,8 +129,17 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
         for name in ("eps_grid", "delta_grid"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        for name in ("eps", "kappa", "sensitivity"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if not all(v > 0 for v in self.eps_grid):
+            raise ValueError(f"eps_grid entries must be positive, got {self.eps_grid}")
+        if not all(0 < v < 1 for v in self.delta_grid):
+            raise ValueError(f"delta_grid entries must lie in (0, 1), got {self.delta_grid}")
         specs = tuple(
-            s if isinstance(s, PanelSpec) else PanelSpec(**s) for s in self.panels
+            s if isinstance(s, PanelSpec) else _panel_spec(s) for s in self.panels
         )
         object.__setattr__(self, "panels", specs)
         if self.kind == "empirical" and not specs:

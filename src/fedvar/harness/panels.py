@@ -77,6 +77,11 @@ def load_panel(spec, p):
             out[:, j] = np.diff(np.log(col))
         else:
             raise ValueError(f"unknown transform code {code}")
+    # before standardizing, which would blame a short panel's columns
+    if out.shape[0] < p + 2:
+        raise ValueError(
+            f"{spec.path}: {out.shape[0]} rows after transforming, need at least p + 2 = {p + 2}"
+        )
     if spec.standardize:
         mean = out.mean(axis=0)
         sd = out.std(axis=0)
@@ -86,10 +91,6 @@ def load_panel(spec, p):
                 f"{spec.path}: constant column {header[flat[0]]!r} cannot be standardized"
             )
         out = (out - mean) / sd
-    if out.shape[0] < p + 2:
-        raise ValueError(
-            f"{spec.path}: {out.shape[0]} rows after preprocessing, need at least p + 2 = {p + 2}"
-        )
     return TimeSeriesPanel(
         presample=out[:p], observations=out[p:], client_id=spec.client_id or spec.path
     )

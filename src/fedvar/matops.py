@@ -1,6 +1,5 @@
 """Dense matrix primitives: truncated SVD, shrinkage operators, tangent-space
-projection, the factored tangent step on the fixed-rank manifold, and the
-handful of norms used throughout the package.
+projection and the factored tangent step on the fixed-rank manifold.
 
 All routines work on float64 ndarrays and are deterministic: no randomized
 algorithms, and the factors ``svd_truncate`` returns are sign-fixed so
@@ -21,7 +20,6 @@ may not return on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
@@ -214,23 +212,3 @@ def tangent_step(factors, z, rho):
     out = SvdFactors(u=uc[:, :r], s=sc[:r], v=q @ vct[:r].T)
     return out.matrix(), out
 
-
-class MatrixNorms(NamedTuple):
-    frobenius: float
-    nuclear: float
-    operator: float
-    linf: float  # max absolute entry
-    l1: float  # sum of absolute entries
-
-
-def norms(m):
-    """Frobenius, nuclear, operator, entrywise-max and entrywise-l1 norms."""
-    m = check_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    return MatrixNorms(
-        frobenius=float(np.linalg.norm(m)),
-        nuclear=float(s.sum()),
-        operator=float(s[0]) if s.size else 0.0,
-        linf=float(np.max(np.abs(m))) if m.size else 0.0,
-        l1=float(np.sum(np.abs(m))),
-    )

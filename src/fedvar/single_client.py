@@ -1,6 +1,6 @@
 """Single-client estimation of the low-rank + sparse coefficient pair by
-ADMM, plus the reference baselines (nuclear-norm only, l1 only, least
-squares) used for comparisons.
+ADMM, plus the reference baselines (l1 only, least squares) used for
+comparisons.  The nuclear-norm-only fit is ADMM on ``nuclear_only_config``.
 
 Internally the solver works with (pd, d) coefficient blocks B = B0 + D so
 the ridge system factors once per fit; results are transposed back to the
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 
-from .matops import check_matrix, linf_project, norms, soft_threshold, svt
+from .matops import check_matrix, linf_project, soft_threshold, svt
 from .var import CoefDecomposition, LagDesign
 
 # fit_admm's over-relaxation factor alpha, from a sweep over 1.5-1.8 (records
@@ -28,6 +28,9 @@ from .var import CoefDecomposition, LagDesign
 # 8.7e-5 relative at 1.5, 9.7e-5 at 1.6 and 1.3e-4 at 1.7.
 _ADMM_RELAX = 1.5
 
+# fit_admm's penalty parameter rho; AdmmState.final's dual is scaled by 1/rho
+_ADMM_RHO = 1.0
+
 
 @dataclass
 class AdmmConfig:
@@ -36,25 +39,22 @@ class AdmmConfig:
     zeta None disables the sup-norm clip on the low-rank part.  pin_a0
     forces B0 = 0 (pure l1 problem); pin_delta forces D = 0 (pure
     nuclear-norm problem).  Tolerances default to 1e-6 * sqrt(pd * d),
-    scaling the Frobenius residual with the problem size.
+    scaling the Frobenius residual with the problem size.  The penalty
+    parameter rho is the module constant _ADMM_RHO.
     """
 
     lam: float
     omega: float
     zeta: float | None = None
-    rho: float = 1.0
     eps_pri: float | None = None
     eps_dual: float | None = None
     max_iter: int = 2000
     pin_a0: bool = False
     pin_delta: bool = False
-    track_objective: bool = False
 
     def __post_init__(self):
         if self.lam < 0 or self.omega < 0:
             raise ValueError("penalties must be nonnegative")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
         if self.zeta is not None and self.zeta <= 0:
             raise ValueError("zeta must be positive (or None to disable)")
         for name in ("eps_pri", "eps_dual"):
@@ -71,8 +71,8 @@ class AdmmState:
     """Solver diagnostics for one fit.
 
     final is the last (B0, D, U) in the solver's (pd, d) orientation, U
-    being the dual scaled by 1/rho; pass it as fit_admm's start to warm
-    start a fit of a nearby problem under the same rho.
+    being the dual scaled by 1/_ADMM_RHO; pass it as fit_admm's start to
+    warm start a fit of a nearby problem.
     """
 
     iterations: int
@@ -80,7 +80,6 @@ class AdmmState:
     final: tuple = ()
     primal_residuals: list = field(default_factory=list)
     dual_residuals: list = field(default_factory=list)
-    objective_values: list = field(default_factory=list)
 
 
 def default_admm_config(design, lam_scale=1.0, omega_scale=1.0, **kwargs):
@@ -96,17 +95,13 @@ def nuclear_only_config(cfg):
     return replace(cfg, omega=0.0, pin_delta=True)
 
 
-def objective(design, a0, delta, lam, omega):
-    """Penalized least-squares objective at a candidate (a0, delta)."""
-    return design.loss(a0 + delta) + lam * norms(a0).nuclear + omega * norms(delta).l1
-
-
 def fit_admm(design, cfg, start=None):
     """Solve the nuclear + l1 penalized regression by scaled-dual ADMM.
 
     Updates per iteration, all in the (pd, d) orientation, over-relaxed
     (Eckstein & Bertsekas, Math. Programming 1992; Boyd et al., Found.
-    Trends ML 2011, sec. 3.4.3) by alpha = _ADMM_RELAX:
+    Trends ML 2011, sec. 3.4.3) by alpha = _ADMM_RELAX, with the penalty
+    parameter rho = _ADMM_RHO:
       B   <- (2 sxx + rho I)^{-1} (2 sxy + rho (B0 + D - U))
       Bh  <- alpha B + (1 - alpha) (B0 + D)
       B0  <- clip_zeta( svt_{lam/rho}(Bh - D + U) )
@@ -146,7 +141,7 @@ def fit_admm(design, cfg, start=None):
     eps_pri = cfg.eps_pri if cfg.eps_pri is not None else tol
     eps_dual = cfg.eps_dual if cfg.eps_dual is not None else tol
 
-    h = 2.0 * design.sxx + cfg.rho * np.eye(pd)
+    h = 2.0 * design.sxx + _ADMM_RHO * np.eye(pd)
     try:
         factor, lower = cho_factor(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - h is pd + rho I
@@ -158,31 +153,27 @@ def fit_admm(design, cfg, start=None):
     for it in range(1, cfg.max_iter + 1):
         # the LAPACK solve cho_solve makes, without its per-call finiteness
         # scan; the guard below catches non-finite iterates
-        b, info = dpotrs(factor, g + cfg.rho * (z - u), lower=lower)
+        b, info = dpotrs(factor, g + _ADMM_RHO * (z - u), lower=lower)
         if info != 0:  # pragma: no cover - only for an invalid argument
             raise RuntimeError(f"ridge solve failed: LAPACK dpotrs info={info}")
         b_hat = _ADMM_RELAX * b + (1.0 - _ADMM_RELAX) * z
         z_prev = z
         if not cfg.pin_a0:
-            b0 = svt(b_hat - d_mat + u, cfg.lam / cfg.rho)
+            b0 = svt(b_hat - d_mat + u, cfg.lam / _ADMM_RHO)
             if cfg.zeta is not None:
                 b0 = linf_project(b0, cfg.zeta)
         if not cfg.pin_delta:
-            d_mat = soft_threshold(b_hat - b0 + u, cfg.omega / cfg.rho)
+            d_mat = soft_threshold(b_hat - b0 + u, cfg.omega / _ADMM_RHO)
         z = b0 + d_mat
         r = b - z
         u = u + (b_hat - z)
-        s = cfg.rho * (z - z_prev)
+        s = _ADMM_RHO * (z - z_prev)
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(u))):
             raise RuntimeError(f"ADMM produced non-finite iterates at iteration {it}")
         r_norm = float(np.linalg.norm(r))
         s_norm = float(np.linalg.norm(s))
         state.primal_residuals.append(r_norm)
         state.dual_residuals.append(s_norm)
-        if cfg.track_objective:
-            state.objective_values.append(
-                objective(design, b0.T, d_mat.T, cfg.lam, cfg.omega)
-            )
         state.iterations = it
         if r_norm <= eps_pri and s_norm <= eps_dual:
             state.converged = True
@@ -200,16 +191,15 @@ def fit_admm(design, cfg, start=None):
     return CoefDecomposition(a0=b0.T, delta=d_mat.T), state
 
 
-BASELINE_KINDS = ("nuclear_only", "l1_only", "least_squares")
+BASELINE_KINDS = ("l1_only", "least_squares")
 
 
 def fit_baseline(design, kind, tuning=None):
     """Reference fits returning a stacked (d, pd) coefficient matrix.
 
-    nuclear_only  : ADMM with the sparse part pinned to zero
-    l1_only       : accelerated proximal gradient with no shared part,
-                    stopped by refine_fista's tolerance with a cap of
-                    500 iterations (tuning "iters")
+    l1_only       : accelerated proximal gradient with no shared part at
+                    refine_fista's default step, stopped by its tolerance
+                    with a cap of 500 iterations (tuning "omega", "iters")
     least_squares : ridge-jittered normal equations sxx B = sxy (jitter
                     1e-8 tr(sxx)/pd keeps degenerate designs solvable;
                     rank deficiency triggers a warning)
@@ -240,33 +230,15 @@ def fit_baseline(design, kind, tuning=None):
             )
         return coef.T
 
-    if kind == "nuclear_only":
-        allowed = {"lam", "zeta", "rho", "max_iter"}
-        unknown = set(tuning) - allowed
-        if unknown:
-            raise ValueError(f"unknown tuning keys {sorted(unknown)}")
-        base = default_admm_config(design)
-        cfg = replace(
-            base,
-            lam=tuning.get("lam", base.lam),
-            zeta=tuning.get("zeta"),
-            rho=tuning.get("rho", base.rho),
-            max_iter=tuning.get("max_iter", base.max_iter),
-        )
-        decomp, _ = fit_admm(design, nuclear_only_config(cfg))
-        return decomp.a0
-
     # l1_only
-    allowed = {"omega", "iters", "step_eta"}
+    allowed = {"omega", "iters"}
     unknown = set(tuning) - allowed
     if unknown:
         raise ValueError(f"unknown tuning keys {sorted(unknown)}")
-    from .fed_core import FistaConfig, default_eta, refine_fista
+    from .fed_core import FistaConfig, refine_fista
 
-    base = default_admm_config(design)
     cfg = FistaConfig(
-        varpi=tuning.get("omega", base.omega),
-        step_eta=tuning.get("step_eta", default_eta(design)),
+        varpi=tuning.get("omega", default_admm_config(design).omega),
         iters=tuning.get("iters", 500),
     )
     delta, _ = refine_fista(design, np.zeros((design.d, design.pd)), cfg)

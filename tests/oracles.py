@@ -33,21 +33,6 @@ def rank_r_part(m, r):
     return (u[:, :r] * s[:r]) @ v[:, :r].T
 
 
-def operator_norm_power(m, iters=2000, seed=7):
-    """Largest singular value by power iteration on M^T M."""
-    m = np.asarray(m, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m.shape[1])
-    x /= np.linalg.norm(x)
-    for _ in range(iters):
-        y = m.T @ (m @ x)
-        n = np.linalg.norm(y)
-        if n == 0.0:
-            return 0.0
-        x = y / n
-    return float(np.sqrt(x @ (m.T @ (m @ x))))
-
-
 def tangent_project_basis(b, u, v):
     """Least-squares projection onto an explicit tangent-space basis.
 
@@ -167,11 +152,8 @@ def cold_single_forecaster(cfg, method):
         design = var.lag_design(prefix_panel)
         acfg = experiments.admm_config(design, cfg)
         if method == "single_nuclear":
-            coef = single_client.fit_baseline(
-                design, "nuclear_only", tuning={"lam": acfg.lam, "zeta": cfg.zeta}
-            )
-        else:
-            coef = single_client.fit_admm(design, acfg)[0].a
+            acfg = single_client.nuclear_only_config(acfg)
+        coef = single_client.fit_admm(design, acfg)[0].a
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(coef, full[-cfg.p:])
 

@@ -95,6 +95,38 @@ class TestExperimentConfig:
         assert isinstance(cfg.panels[0], PanelSpec)
         assert cfg.panels[0].transforms == (1,)
 
+    def test_unknown_or_pathless_panel_rejected(self):
+        with pytest.raises(ValueError, match="unknown panel fields: bogus, other"):
+            ExperimentConfig(
+                kind="empirical",
+                seed=1,
+                panels=[{"path": "a.csv", "other": 0, "bogus": 1}],
+            )
+        for panel in ({"transforms": 1}, "a.csv"):
+            with pytest.raises(ValueError, match="with a path"):
+                ExperimentConfig(kind="empirical", seed=1, panels=[panel])
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("eps", 0.0),
+            ("eps", -1.0),
+            ("eps", float("nan")),
+            ("delta", 0.0),
+            ("delta", 1.0),
+            ("delta", 1.5),
+            ("eps_grid", (1.0, 0.0)),
+            ("delta_grid", (0.1, 1.0)),
+            ("delta_grid", (-0.1,)),
+            ("kappa", 0.0),
+            ("sensitivity", -1.0),
+        ],
+    )
+    def test_privacy_fields_checked_in_every_noise_mode(self, field, bad):
+        for mode in ("none", "fixed_scale", "calibrated"):
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig(kind="k_sweep", seed=1, noise_mode=mode, **{field: bad})
+
 
 class TestConfigJson:
     def test_round_trip(self, tmp_path):
@@ -214,6 +246,14 @@ class TestLoadPanel:
         write_csv(path, ["a"], [[1], [2], [3]])
         with pytest.raises(ValueError, match="need at least"):
             load_panel(PanelSpec(path=str(path)), p=1)
+
+    def test_short_panel_reported_before_standardizing(self, tmp_path):
+        # one row after differencing is also a constant column; the row
+        # count is the cause to report
+        path = tmp_path / "p.csv"
+        write_csv(path, ["a"], [[1], [2]])
+        with pytest.raises(ValueError, match="1 rows after transforming, need at least"):
+            load_panel(PanelSpec(path=str(path), standardize=True), p=1)
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -611,6 +651,34 @@ class TestCli:
         argv = ["simulate", "privacy_heatmap", "--seed", "1", "--out", str(tmp_path)]
         assert cli.main(argv) == 1
         assert "noise_mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [("k_sweep", "--eps", "-1"), ("privacy_heatmap", "--delta", "1.5")],
+    )
+    def test_bad_privacy_flag_exits_one_before_any_replication(
+        self, kind, flag, value, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setitem(
+            experiments.REP_FUNCTIONS, kind, lambda cfg, rep: calls.append(rep) or []
+        )
+        argv = ["simulate", kind, "--seed", "1", "--reps", "2", flag, value,
+                "--noise-mode", "calibrated", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert flag[2:] in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == []
+
+    def test_unknown_panel_field_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"kind": "empirical", "seed": 1, "panels": [{"path": "p.csv", "bogus": 1}]}
+            )
+        )
+        assert cli.main(["fit", "--config", str(cfg_path)]) == 1
+        assert "unknown panel fields: bogus" in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main([]) == 1

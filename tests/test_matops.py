@@ -7,7 +7,6 @@ from fedvar import matops
 
 from oracles import (
     fix_signs_loop,
-    operator_norm_power,
     rank_r_part,
     tangent_project_basis,
 )
@@ -285,28 +284,3 @@ class TestTangentStep:
                 with pytest.raises(ValueError, match=f"{where} contains non-finite"):
                     matops.tangent_step(f, z, rho)
 
-
-class TestNorms:
-    def test_diag_example(self):
-        n = matops.norms(np.diag([3.0, 4.0]))
-        assert n.frobenius == pytest.approx(5.0)
-        assert n.nuclear == pytest.approx(7.0)
-        assert n.operator == pytest.approx(4.0)
-        assert n.linf == pytest.approx(4.0)
-        assert n.l1 == pytest.approx(7.0)
-
-    def test_operator_matches_power_iteration(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            m = rng.standard_normal((6, 9))
-            assert matops.norms(m).operator == pytest.approx(
-                operator_norm_power(m), rel=1e-8
-            )
-
-    @settings(max_examples=50)
-    @given(small_matrices(5))
-    def test_norm_orderings(self, m):
-        n = matops.norms(m)
-        assert n.operator <= n.frobenius + 1e-9
-        assert n.frobenius <= n.nuclear + 1e-9
-        assert n.linf <= n.l1 + 1e-9

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedvar import single_client, var
-from fedvar.single_client import AdmmConfig, fit_admm, fit_baseline, objective
+from fedvar import fed_core, single_client, var
+from fedvar.single_client import AdmmConfig, fit_admm, fit_baseline
 
 from oracles import admm_raw
 
@@ -43,13 +43,25 @@ class TestFitAdmm:
         ls, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
         assert np.linalg.norm(decomp.a - ls.T) < 1e-6
 
+    @pytest.mark.filterwarnings("ignore:ADMM stopped")
     def test_objective_decreases(self):
+        # the penalized objective at the fit is no higher than after one
+        # iteration, which is no higher than at the zero start
         design, _ = make_noisy(seed=2)
-        cfg = AdmmConfig(lam=0.1, omega=0.05, track_objective=True)
-        _, state = fit_admm(design, cfg)
-        vals = state.objective_values
-        assert len(vals) == state.iterations
-        assert vals[-1] <= vals[0] + 1e-10
+        cfg = AdmmConfig(lam=0.1, omega=0.05)
+
+        def objective(dec):
+            return (
+                design.loss(dec.a)
+                + cfg.lam * np.linalg.norm(dec.a0, "nuc")
+                + cfg.omega * np.abs(dec.delta).sum()
+            )
+
+        first, _ = fit_admm(design, replace(cfg, max_iter=1))
+        fit, state = fit_admm(design, cfg)
+        assert state.converged and state.iterations > 1
+        assert objective(fit) <= objective(first) + 1e-10
+        assert objective(first) <= design.syy
 
     def test_zeta_clips_shared_part(self):
         design, _ = make_noisy(seed=3)
@@ -90,7 +102,7 @@ class TestFitAdmm:
         # residual is B - B0 - D, not the relaxed alpha B - B0 - D
         design, _ = make_noisy(seed=6)
         dec, state = fit_admm(design, AdmmConfig(lam=0.1, omega=0.05, max_iter=1))
-        h = 2.0 * design.sxx + np.eye(design.pd)
+        h = 2.0 * design.sxx + single_client._ADMM_RHO * np.eye(design.pd)
         b = np.linalg.solve(h, 2.0 * design.sxy)
         want = np.linalg.norm(b - dec.a0.T - dec.delta.T)
         assert state.primal_residuals == [pytest.approx(want, rel=1e-10)]
@@ -156,7 +168,9 @@ class TestFitAdmm:
         dec, state = fit_admm(design, cfg)
         assert state.converged
         # plain ADMM; 1,000 iterations already agree with 2,000 to 1e-12
-        ref_a0, ref_delta = admm_raw(design.x, design.y, lam, omega, cfg.rho, 2000, 1.0)
+        ref_a0, ref_delta = admm_raw(
+            design.x, design.y, lam, omega, single_client._ADMM_RHO, 2000, 1.0
+        )
         scale = np.linalg.norm(ref_a0 + ref_delta)
         assert np.linalg.norm(dec.a0 - ref_a0) <= 1e-4 * scale
         assert np.linalg.norm(dec.delta - ref_delta) <= 1e-4 * scale
@@ -219,8 +233,6 @@ class TestFitAdmm:
         with pytest.raises(ValueError):
             AdmmConfig(lam=-1.0, omega=0.0)
         with pytest.raises(ValueError):
-            AdmmConfig(lam=0.0, omega=0.0, rho=0.0)
-        with pytest.raises(ValueError):
             AdmmConfig(lam=0.0, omega=0.0, zeta=0.0)
         with pytest.raises(ValueError):
             AdmmConfig(lam=0.0, omega=0.0, pin_a0=True, pin_delta=True)
@@ -229,14 +241,6 @@ class TestFitAdmm:
                 with pytest.raises(ValueError, match=name):
                     AdmmConfig(lam=0.0, omega=0.0, **{name: bad})
         assert AdmmConfig(lam=0.0, omega=0.0, eps_pri=0.0).eps_pri == 0.0
-
-    def test_objective_value(self):
-        # hand value: y = [[1,0]], x = [[1,0]], a0 = I/2, delta = 0
-        design = var.LagDesign(x=np.array([[1.0, 0.0]]), y=np.array([[1.0, 0.0]]))
-        a0 = 0.5 * np.eye(2)
-        got = objective(design, a0, np.zeros((2, 2)), lam=2.0, omega=1.0)
-        # residual (0.5, 0): fit 0.25; nuclear of a0 is 1.0 -> 0.25 + 2.0
-        assert got == pytest.approx(2.25)
 
 
 class TestBaselines:
@@ -260,22 +264,19 @@ class TestBaselines:
 
     def test_nuclear_only_shape_and_shrinkage(self):
         design, _ = make_noisy(seed=10)
-        light = fit_baseline(design, "nuclear_only", {"lam": 0.01})
-        heavy = fit_baseline(design, "nuclear_only", {"lam": 20.0})
-        assert heavy.shape == (design.d, design.pd)
-        s_light = np.linalg.svd(light, compute_uv=False)
-        s_heavy = np.linalg.svd(heavy, compute_uv=False)
+        light, heavy = (
+            fit_admm(
+                design, single_client.nuclear_only_config(AdmmConfig(lam=lam, omega=0.05))
+            )[0]
+            for lam in (0.01, 20.0)
+        )
+        assert heavy.a0.shape == (design.d, design.pd)
+        # the sparse part is pinned at zero whatever omega was
+        np.testing.assert_array_equal(light.delta, np.zeros_like(light.delta))
+        s_light = np.linalg.svd(light.a0, compute_uv=False)
+        s_heavy = np.linalg.svd(heavy.a0, compute_uv=False)
         # a dominating penalty collapses the spectrum
         assert s_heavy[0] < 0.05 * s_light[0]
-
-    def test_nuclear_only_is_the_pinned_config(self):
-        design, _ = make_noisy(seed=10)
-        cfg = single_client.default_admm_config(design, lam_scale=2.0, zeta=3.0)
-        pinned = single_client.nuclear_only_config(cfg)
-        assert (pinned.omega, pinned.pin_delta) == (0.0, True)
-        decomp, _ = fit_admm(design, pinned)
-        base = fit_baseline(design, "nuclear_only", {"lam": cfg.lam, "zeta": 3.0})
-        np.testing.assert_array_equal(base, decomp.a0)
 
     def test_l1_only_agrees_with_pinned_admm(self):
         design, _ = make_noisy(seed=11, d=4, t_len=200)
@@ -287,11 +288,23 @@ class TestBaselines:
         )
         assert np.linalg.norm(fista - decomp.delta) < 1e-4
 
+    def test_l1_only_is_refine_fista_at_its_default_step(self):
+        design, _ = make_noisy(seed=11, d=4, t_len=200)
+        omega = 0.1
+        want, _ = fed_core.refine_fista(
+            design,
+            np.zeros((design.d, design.pd)),
+            fed_core.FistaConfig(varpi=omega, iters=500),
+        )
+        got = fit_baseline(design, "l1_only", {"omega": omega})
+        np.testing.assert_array_equal(got, want)
+
     def test_unknown_kind_and_tuning(self):
         design, _ = make_noisy(seed=12)
-        with pytest.raises(ValueError, match="kind"):
-            fit_baseline(design, "ridge")
+        for kind in ("ridge", "nuclear_only"):
+            with pytest.raises(ValueError, match="kind"):
+                fit_baseline(design, kind)
         with pytest.raises(ValueError, match="unknown tuning"):
-            fit_baseline(design, "nuclear_only", {"lambda": 1.0})
+            fit_baseline(design, "l1_only", {"step_eta": 0.1})
         with pytest.raises(ValueError, match="no tuning"):
             fit_baseline(design, "least_squares", {"lam": 1.0})
