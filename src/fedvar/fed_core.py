@@ -16,8 +16,14 @@ and retraction are one factored step, ``matops.tangent_step``: a thin QR
 and the SVD of a d x 2r core, never a full SVD.  The message a client
 sends per round is that one d x pd gradient.
 
-Stage II refines each client's sparse deviation locally by accelerated
-proximal gradient (FISTA) around the frozen shared estimate.
+Stage II refines each client's sparse deviation by accelerated proximal
+gradient (FISTA) around the frozen shared estimate.  ``refine_fista`` is
+one stacked loop over any number of same-shape problems around one
+shared estimate: each iteration makes one batched product and one soft
+threshold for every problem still running, and each problem stops on its
+own, so a problem's result does not depend on what it is stacked with.
+The clients of a fit are refined in one call; the harness also fits the
+l1-only baseline (shared part zero) of every forecast origin in one call.
 """
 
 from __future__ import annotations
@@ -215,86 +221,130 @@ def stage1_run(designs, cfg, rng):
     return a0, traces
 
 
-def refine_fista(design, a0_hat, cfg):
-    """Accelerated proximal gradient for the client's sparse deviation.
+def _dots(a, b):
+    """Inner products <a_j, b_j> of two (K, d, pd) stacks.  numpy takes
+    each by the dot kernel np.vdot uses, so a value does not depend on K
+    or on the other members of the stack."""
+    n = a.shape[0]
+    return np.matmul(a.reshape(n, 1, -1), b.reshape(n, -1, 1)).reshape(n)
 
-    Starting from zero, iterates soft-thresholded gradient steps on
-    delta |-> loss(a0_hat + delta) with momentum extrapolation; the
-    shared part stays frozen.  The momentum restarts whenever the last
-    step points against the gradient mapping, the gradient scheme of
-    O'Donoghue & Candes (Found. Comput. Math., 2015).  Stops after
-    cfg.iters iterations or once a step is at most
-    _FISTA_TOL * max(1, ||delta||_F).  Returns the final iterate and the
-    objective value at each iterate run (including the start).
+
+def refine_fista(designs, a0_hat, cfgs):
+    """Accelerated proximal gradient for a stack of sparse deviations.
+
+    Problem j starts from zero and iterates soft-thresholded gradient
+    steps on delta |-> loss_j(a0_hat + delta) + varpi_j ||delta||_1 with
+    momentum extrapolation, where loss_j is designs[j]'s loss and the
+    frozen shared part a0_hat is the same for every problem.  The
+    momentum restarts whenever the last step points against the gradient
+    mapping, the gradient scheme of O'Donoghue & Candes (Found. Comput.
+    Math., 2015).  Problem j stops after cfgs[j].iters iterations or once
+    a step is at most _FISTA_TOL * max(1, ||delta_j||_F).
+
+    The designs share one (d, pd) shape, and all problems run in one loop:
+    each iteration makes one stacked product over the problems still
+    running and one soft threshold at their own eta_j varpi_j.  A problem
+    that stops leaves the stack, so its iterate, its trace and its
+    iteration count are those of a run on its own.  Returns the (K, d, pd)
+    final iterates and, per problem, the objective value at each iterate
+    run (including the start).
     """
+    designs, cfgs = list(designs), list(cfgs)
+    d, pd = _check_designs(designs)
+    if len(cfgs) != len(designs):
+        raise ValueError(f"{len(cfgs)} refinement configs for {len(designs)} designs")
     a0_hat = check_matrix(a0_hat, "a0_hat")
-    if a0_hat.shape != (design.d, design.pd):
+    if a0_hat.shape != (d, pd):
         raise ValueError(
-            f"a0_hat shape {a0_hat.shape} incompatible with design "
-            f"({design.d}, {design.pd})"
+            f"a0_hat shape {a0_hat.shape} incompatible with designs ({d}, {pd})"
         )
-    eta = cfg.step_eta if cfg.step_eta is not None else default_eta(design)
-    sxx, cross, syy = design.sxx, 2.0 * design.sxy.T, design.syy
+    eta = np.array(
+        [c.step_eta if c.step_eta is not None else default_eta(ds)
+         for ds, c in zip(designs, cfgs)]
+    )
+    varpi = np.array([c.varpi for c in cfgs])
+    caps = np.array([c.iters for c in cfgs])
+    n_probs, max_iters = len(designs), int(caps.max())
+
+    # per-problem constants of the working stack, one row per running problem
+    live = np.arange(n_probs)
+    sxx = np.stack([ds.sxx for ds in designs])
+    cross = np.stack([2.0 * ds.sxy.T for ds in designs])
+    syy = np.array([ds.syy for ds in designs])
+    thresh = (eta * varpi)[:, None, None]
+    eta = eta[:, None, None]
 
     # M(delta) = (a0_hat + delta) sxx is the one product an iteration makes:
     # the gradient at the extrapolated point delta + beta (delta - delta_prev)
     # is 2 (M + beta (M - M_prev)) - cross, and the loss at delta is
     # syy - <a0_hat + delta, cross - M>, design.loss written with M.
-    delta = np.zeros_like(a0_hat)
+    deltas = np.zeros((n_probs, d, pd))
+    runs = np.zeros(n_probs, dtype=np.intp)  # iterations each problem ran
+    objective = np.empty((max_iters + 1, n_probs))
+    delta = deltas.copy()
     extrap = delta
-    m = a0_hat @ sxx
+    point = a0_hat + delta
+    m = point @ sxx
     grad = 2.0 * m - cross
-    q = momentum_sequence(cfg.iters)
-    k = 0  # momentum index, reset to 0 by a restart
-    trace = [syy - float(np.vdot(a0_hat, cross - m))]
-    for _ in range(cfg.iters):
-        delta_next = soft_threshold(extrap - eta * grad, eta * cfg.varpi)
+    objective[0] = syy - _dots(point, cross - m)
+    q = np.array(momentum_sequence(max_iters))
+    k = np.zeros(n_probs, dtype=np.intp)  # momentum indices, reset by a restart
+    done = caps == 0
+    for n in range(1, max_iters + 1):
+        if done.any():
+            keep = ~done
+            (live, sxx, cross, syy, varpi, caps, eta, thresh,
+             delta, extrap, m, grad, k) = (
+                a[keep] for a in (live, sxx, cross, syy, varpi, caps, eta,
+                                  thresh, delta, extrap, m, grad, k)
+            )
+        delta_next = soft_threshold(extrap - eta * grad, thresh)
         step = delta_next - delta
-        if float(np.vdot(extrap - delta_next, step)) > 0.0:
-            k = 0
-        beta = (q[k] - 1.0) / q[k + 1]
+        k[_dots(extrap - delta_next, step) > 0.0] = 0
+        beta = ((q[k] - 1.0) / q[k + 1])[:, None, None]
         extrap = delta_next + beta * step
         k += 1
         delta = delta_next
         point = a0_hat + delta
         m_next = point @ sxx
-        trace.append(
+        objective[n, live] = (
             syy
-            - float(np.vdot(point, cross - m_next))
-            + cfg.varpi * float(np.sum(np.abs(delta)))
+            - _dots(point, cross - m_next)
+            + varpi * np.abs(delta).reshape(len(live), -1).sum(axis=1)
         )
-        step_norm = math.sqrt(float(np.vdot(step, step)))
+        step_norm = np.sqrt(_dots(step, step))
         # an overflowing step gives inf <= inf; leave it to the check below
-        if math.isfinite(step_norm) and step_norm <= _FISTA_TOL * max(
-            1.0, math.sqrt(float(np.vdot(delta, delta)))
-        ):
-            break
+        done = (caps == n) | (
+            np.isfinite(step_norm)
+            & (step_norm <= _FISTA_TOL * np.maximum(1.0, np.sqrt(_dots(delta, delta))))
+        )
+        if done.any():
+            # a stopped problem's row leaves the stack at the next iteration
+            deltas[live[done]] = delta[done]
+            runs[live[done]] = n
+            if done.all():
+                break
         grad = 2.0 * (m_next + beta * (m_next - m)) - cross
         m = m_next
-    if not np.all(np.isfinite(delta)):
+    if not np.all(np.isfinite(deltas)):
         raise ValueError("FISTA produced a non-finite deviation; lower step_eta")
-    return delta, trace
+    return deltas, [objective[: r + 1, j] for j, r in enumerate(runs)]
 
 
 def fit_federated(designs, fed_cfg, fista_cfgs, rng):
     """Two-stage federated fit over the clients' lag designs.
 
-    Stage I is ``stage1_run``; stage II refines each client's deviation
-    by ``refine_fista`` under its own entry of fista_cfgs.  Returns one
-    decomposition per client and a FitReport with both stages' traces.
+    Stage I is ``stage1_run``; stage II refines every client's deviation
+    in one ``refine_fista`` call, client k under fista_cfgs[k].  Returns
+    one decomposition per client and a FitReport with both stages' traces.
     """
     if len(fista_cfgs) != len(designs):
         raise ValueError(
             f"{len(fista_cfgs)} refinement configs for {len(designs)} clients"
         )
     a0_hat, stage1_trace = stage1_run(designs, fed_cfg, rng)
-
-    decomps = []
-    fista_traces = []
-    for dsn, fcfg in zip(designs, fista_cfgs):
-        delta, trace = refine_fista(dsn, a0_hat, fcfg)
-        decomps.append(CoefDecomposition(a0=a0_hat, delta=delta))
-        fista_traces.append(trace)
+    deltas, fista_traces = refine_fista(designs, a0_hat, fista_cfgs)
+    decomps = [CoefDecomposition(a0=a0_hat, delta=delta) for delta in deltas]
     report = FitReport(
         a0_hat=a0_hat, stage1_trace=stage1_trace, fista_traces=fista_traces
     )

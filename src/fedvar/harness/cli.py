@@ -114,9 +114,19 @@ def _cmd_fit(args):
     cfg = _load_config(args)
     if not cfg.panels:
         raise ValueError("fit needs a config with panels")
+    # every panel is read and checked before the output directory exists
+    for spec in cfg.panels:
+        if not os.path.isfile(spec.path):
+            raise ValueError(f"panel file not found: {spec.path}")
+    panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
+    for spec, panel in zip(cfg.panels, panels):
+        if not 1 <= cfg.n_origins <= panel.t_len - 1:
+            raise ValueError(
+                f"n_origins {cfg.n_origins} outside [1, {panel.t_len - 1}] "
+                f"for panel {spec.path}"
+            )
     out = _out_dir(args, "fit-out")
 
-    panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
     designs = [var.lag_design(pn) for pn in panels]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
     decomps, _ = fed_core.fit_federated(

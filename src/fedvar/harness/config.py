@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 from ..dp import NOISE_MODES
@@ -56,6 +57,42 @@ class PanelSpec:
             raise ValueError("sensitive indices are 1-based")
 
 
+# numeric fields by type; None is allowed where it is the default
+_INT_FIELDS = ("reps", "d", "p", "rank", "n_clients", "t_len", "fista_iters",
+               "n_origins", "rounds")
+_FLOAT_FIELDS = ("eps", "delta", "kappa", "sensitivity", "ratio", "q", "s_q",
+                 "target_radius", "lam_scale", "omega_scale", "zeta", "rho_scale",
+                 "varpi_scale")
+_NONE_ALLOWED = ("rounds", "zeta")
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _check_types(cfg):
+    """ValueError for a numeric field or grid entry of the wrong type, such
+    as a JSON string or boolean; int fields and int grids take integers."""
+    for names, ok, what in ((_INT_FIELDS, _is_int, "an integer"),
+                            (_FLOAT_FIELDS, _is_real, "a number")):
+        for name in names:
+            v = getattr(cfg, name)
+            if not ok(v) and not (v is None and name in _NONE_ALLOWED):
+                raise ValueError(f"{name} must be {what}, got {v!r}")
+    for name in ("t_grid", "rank_grid", "k_grid"):
+        for v in getattr(cfg, name):
+            if not (_is_real(v) and float(v).is_integer()):
+                raise ValueError(f"{name} entries must be integers, got {v!r}")
+    for name in ("eps_grid", "delta_grid"):
+        for v in getattr(cfg, name):
+            if not _is_real(v):
+                raise ValueError(f"{name} entries must be numbers, got {v!r}")
+
+
 def _panel_spec(doc):
     """A PanelSpec from a JSON panel object; unknown keys raise ValueError."""
     if not isinstance(doc, dict) or "path" not in doc:
@@ -71,7 +108,9 @@ class ExperimentConfig:
     """Everything a run needs besides the output location.
 
     Grid fields left empty fall back to per-kind defaults at run time.
-    rounds=None means the ceil(10 log T) default.  The privacy fields are
+    rounds=None means the ceil(10 log T) default.  Numeric fields and grid
+    entries must be numbers (integers where the field counts something);
+    a string or a boolean raises ValueError.  The privacy fields are
     checked in every noise mode, so a bad one fails before any replication.
     """
 
@@ -112,8 +151,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        _check_types(self)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         for name in ("d", "p", "rank", "n_clients", "t_len", "fista_iters", "n_origins"):

@@ -7,7 +7,10 @@ for private fits come from the separate spawn_key=(rep, 1) stream; grid
 cells within a replication therefore share both the simulated world and
 the noise directions, which pairs the cells for sharper comparisons.
 The empirical protocol fits one federation per forecast origin, with
-noise from spawn_key=(0, 1, origin).  Within a stage-1 run, each noisy
+noise from spawn_key=(0, 1, origin), and refines the deviations of the
+clients that forecast from that origin in one stacked ``refine_fista``
+call; the l1-only baselines of all (client, origin) pairs are fitted
+up front in one more such call.  Within a stage-1 run, each noisy
 round spawns one generator from that stream and the clients draw from
 it in turn.  Before rounds drew this way (one spawned generator per
 client per round), the same stream gave other draws, so noisy results
@@ -298,19 +301,19 @@ def _rep_t_sweep(cfg, rep):
     return recs
 
 
-def _federated_forecaster(cfg, shared, client):
+def _stored_forecaster(p, coef_at):
+    """Forecaster from coefficients fitted up front: coef_at maps a prefix
+    length (the forecast origin) to the client's (d, pd) coefficients."""
+
     def forecast(prefix_panel):
-        a0_hat, designs = shared(prefix_panel.t_len)
-        design = designs[client]
-        delta, _ = fed_core.refine_fista(design, a0_hat, fista_config(cfg, design))
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
-        return var.forecast_one_step(a0_hat + delta, full[-cfg.p:])
+        return var.forecast_one_step(coef_at(prefix_panel.t_len), full[-p:])
 
     return forecast
 
 
 def _single_forecaster(cfg, method):
-    """Single-client forecaster of one method, refit at each origin.
+    """Single-client ADMM or least-squares forecaster, refit at each origin.
 
     The ADMM methods start each fit from the previous origin's final
     iterate, so the forecaster must see origins in increasing order, as
@@ -328,9 +331,6 @@ def _single_forecaster(cfg, method):
             dec, state = single_client.fit_admm(design, acfg, start=last)
             last = state.final
             coef = dec.a
-        elif method == "single_l1":
-            omega = cfg.omega_scale * np.sqrt(np.log(design.pd) / design.t_len)
-            coef = single_client.fit_baseline(design, "l1_only", tuning={"omega": omega})
         elif method == "least_squares":
             coef = single_client.fit_baseline(design, "least_squares")
         else:
@@ -343,24 +343,70 @@ def _single_forecaster(cfg, method):
 
 def empirical_rmsfe(cfg, panels, rep):
     """RMSFE records of every method for each client's loaded panel, in
-    the order of cfg.panels, tagged with replication ``rep``."""
+    the order of cfg.panels, tagged with replication ``rep``.
+
+    Client k forecasts from the origins T_k - n_origins, ..., T_k - 1.
+    The federation of an origin is fitted once and refines, in one
+    ``refine_fista`` call, the deviations of exactly the clients that
+    forecast from it.  The l1-only baselines of all (client, origin)
+    pairs are fitted in one ``refine_fista`` call, before the first
+    l1-only forecast.
+    """
+    lengths = [pn.t_len for pn in panels]
 
     @functools.cache
-    def shared(origin):
-        """The federation at one forecast origin: each client's first
-        min(origin, T_k) observations, one stage-1 fit on one noise
-        stream, so no fit sees data at or beyond the target time."""
-        designs = [var.lag_design(pn.prefix(min(origin, pn.t_len))) for pn in panels]
+    def design(k, t):
+        return var.lag_design(panels[k].prefix(t))
+
+    @functools.cache
+    def federated(origin):
+        """Each forecasting client's coefficients at one origin.  Stage 1
+        sees every client's first min(origin, T_k) observations on one
+        noise stream, so no fit sees data at or beyond the target time."""
+        designs = [design(k, min(origin, t)) for k, t in enumerate(lengths)]
         nrng = _noise_rng(cfg.seed, 0, origin)
         a0_hat, _ = fed_core.stage1_run(designs, fed_config(cfg, designs), nrng)
-        return a0_hat, designs
+        clients = [
+            k for k, t in enumerate(lengths) if t - cfg.n_origins <= origin < t
+        ]
+        refined = [designs[k] for k in clients]
+        deltas, _ = fed_core.refine_fista(
+            refined, a0_hat, [fista_config(cfg, ds) for ds in refined]
+        )
+        return {k: a0_hat + dl for k, dl in zip(clients, deltas)}
+
+    @functools.cache
+    def single_l1():
+        """The l1-only coefficients of every (client, origin) pair."""
+        # an origin below 1 is left for metrics.rmsfe to refuse
+        pairs = [
+            (k, t)
+            for k, length in enumerate(lengths)
+            for t in range(max(length - cfg.n_origins, 1), length)
+        ]
+        designs = [design(k, t) for k, t in pairs]
+        cfgs = [
+            single_client.l1_only_config(
+                ds, omega=cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len)
+            )
+            for ds in designs
+        ]
+        zero = np.zeros((designs[0].d, designs[0].pd))
+        deltas, _ = fed_core.refine_fista(designs, zero, cfgs)
+        return dict(zip(pairs, deltas))
 
     recs = []
     for k, panel in enumerate(panels):
         client = cfg.panels[k].client_id or str(k + 1)
         for method in EMPIRICAL_METHODS:
             if method == "federated":
-                forecaster = _federated_forecaster(cfg, shared, k)
+                forecaster = _stored_forecaster(
+                    cfg.p, lambda t, k=k: federated(t)[k]
+                )
+            elif method == "single_l1":
+                forecaster = _stored_forecaster(
+                    cfg.p, lambda t, k=k: single_l1()[(k, t)]
+                )
             else:
                 forecaster = _single_forecaster(cfg, method)
             records, agg = metrics.rmsfe(

@@ -235,11 +235,19 @@ def fit_baseline(design, kind, tuning=None):
     unknown = set(tuning) - allowed
     if unknown:
         raise ValueError(f"unknown tuning keys {sorted(unknown)}")
-    from .fed_core import FistaConfig, refine_fista
+    from .fed_core import refine_fista
 
-    cfg = FistaConfig(
-        varpi=tuning.get("omega", default_admm_config(design).omega),
-        iters=tuning.get("iters", 500),
-    )
-    delta, _ = refine_fista(design, np.zeros((design.d, design.pd)), cfg)
-    return delta
+    cfg = l1_only_config(design, **tuning)
+    deltas, _ = refine_fista([design], np.zeros((design.d, design.pd)), [cfg])
+    return deltas[0]
+
+
+def l1_only_config(design, omega=None, iters=500):
+    """The l1-only baseline's refine_fista config: penalty omega (None
+    takes default_admm_config(design).omega) at the default step, capped
+    at iters iterations."""
+    from .fed_core import FistaConfig
+
+    if omega is None:
+        omega = default_admm_config(design).omega
+    return FistaConfig(varpi=omega, iters=iters)

@@ -160,6 +160,21 @@ def cold_single_forecaster(cfg, method):
     return forecast
 
 
+def cold_l1_forecaster(cfg):
+    """The "single_l1" forecaster fitted on its own at each origin:
+    fit_baseline("l1_only") on that origin's design, at the harness's
+    penalty omega_scale sqrt(log(pd) / T)."""
+
+    def forecast(prefix_panel):
+        design = var.lag_design(prefix_panel)
+        omega = cfg.omega_scale * np.sqrt(np.log(design.pd) / design.t_len)
+        coef = single_client.fit_baseline(design, "l1_only", tuning={"omega": omega})
+        full = np.vstack([prefix_panel.presample, prefix_panel.observations])
+        return var.forecast_one_step(coef, full[-cfg.p:])
+
+    return forecast
+
+
 def gaussian_sigma_ref(sensitivity, eps, delta):
     """Gaussian-mechanism scale, written out longhand."""
     import math
@@ -265,8 +280,8 @@ def per_client_federated_forecaster(cfg, panels, client):
         nrng = experiments._noise_rng(cfg.seed, 0, client, origin)
         fcfg = experiments.fed_config(cfg, designs)
         a0_hat, _ = fed_core.stage1_run(designs, fcfg, nrng)
-        delta, _ = fed_core.refine_fista(
-            designs[client], a0_hat, experiments.fista_config(cfg, designs[client])
+        (delta,), _ = fed_core.refine_fista(
+            [designs[client]], a0_hat, [experiments.fista_config(cfg, designs[client])]
         )
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(a0_hat + delta, full[-cfg.p:])

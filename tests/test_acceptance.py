@@ -197,12 +197,14 @@ def test_optimizer_oracle_equivalence():
                 eps_dual=1e-10,
             ),
         )
-        fista_delta, _ = fed_core.refine_fista(
-            design,
+        (fista_delta,), _ = fed_core.refine_fista(
+            [design],
             np.zeros((design.d, design.pd)),
-            fed_core.FistaConfig(
-                varpi=omega, step_eta=fed_core.default_eta(design), iters=4000
-            ),
+            [
+                fed_core.FistaConfig(
+                    varpi=omega, step_eta=fed_core.default_eta(design), iters=4000
+                )
+            ],
         )
         worst_l1 = max(worst_l1, float(np.linalg.norm(admm_dec.delta - fista_delta)))
 

@@ -94,7 +94,7 @@ class TestRefineFista:
             x=rng.standard_normal((120, 6)), y=rng.standard_normal((120, 3))
         )
         a0 = np.zeros((3, 6))
-        delta, _ = refine_fista(design, a0, FistaConfig(varpi=0.0, iters=2000))
+        (delta,), _ = refine_fista([design], a0, [FistaConfig(varpi=0.0, iters=2000)])
         ls, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
         assert np.linalg.norm(delta - ls.T) < 1e-8
 
@@ -102,8 +102,8 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=4, ratio=5.0)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        delta, trace = refine_fista(
-            design, a0, FistaConfig(varpi=0.05, iters=20)
+        (delta,), (trace,) = refine_fista(
+            [design], a0, [FistaConfig(varpi=0.05, iters=20)]
         )
         assert len(trace) == 21
         assert trace[-1] <= trace[0] + 1e-10
@@ -112,7 +112,7 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=5)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        delta, trace = refine_fista(design, a0, FistaConfig(varpi=0.1, iters=0))
+        (delta,), (trace,) = refine_fista([design], a0, [FistaConfig(varpi=0.1, iters=0)])
         np.testing.assert_array_equal(delta, np.zeros_like(delta))
         assert len(trace) == 1
 
@@ -120,13 +120,13 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=6)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        delta, _ = refine_fista(design, a0, FistaConfig(varpi=1e6, iters=20))
+        (delta,), _ = refine_fista([design], a0, [FistaConfig(varpi=1e6, iters=20)])
         np.testing.assert_array_equal(delta, np.zeros_like(delta))
 
     def test_shape_mismatch(self):
         _, _, _, designs = make_world(seed=7)
         with pytest.raises(ValueError):
-            refine_fista(designs[0], np.zeros((2, 2)), FistaConfig(varpi=0.1))
+            refine_fista([designs[0]], np.zeros((2, 2)), [FistaConfig(varpi=0.1)])
 
     def test_stops_before_cap_near_long_reference(self):
         # Gram condition number about 1.7: the proximal-gradient map is a
@@ -137,7 +137,8 @@ class TestRefineFista:
             x=rng.standard_normal((200, 6)), y=rng.standard_normal((200, 3))
         )
         a0 = np.zeros((3, 6))
-        delta, trace = refine_fista(design, a0, FistaConfig(varpi=0.05, iters=20_000))
+        cfg = FistaConfig(varpi=0.05, iters=20_000)
+        (delta,), (trace,) = refine_fista([design], a0, [cfg])
         assert len(trace) - 1 < 100
         ref, ref_iters = plain_fista(
             design.x, design.y, a0, 0.05, default_eta(design), tol=0.0, cap=20_000
@@ -156,7 +157,7 @@ class TestRefineFista:
         eta = default_eta(design)
         a0 = np.zeros((design.d, design.pd))
         cfg = FistaConfig(varpi=varpi, step_eta=eta, iters=40_000)
-        delta, trace = refine_fista(design, a0, cfg)
+        (delta,), (trace,) = refine_fista([design], a0, [cfg])
         plain, plain_iters = plain_fista(
             design.x, design.y, a0, varpi, eta, fed_core._FISTA_TOL, cfg.iters
         )
@@ -171,7 +172,7 @@ class TestRefineFista:
             eta = default_eta(design)
             for iters in (1, 2, 10, 40):
                 cfg = FistaConfig(varpi=0.05, step_eta=eta, iters=iters)
-                delta, trace = refine_fista(design, a0, cfg)
+                (delta,), (trace,) = refine_fista([design], a0, [cfg])
                 assert len(trace) - 1 == iters
                 want = restart_fista(design.x, design.y, a0, 0.05, eta, iters)
                 assert np.linalg.norm(delta - want) <= 1e-10 * np.linalg.norm(want)
@@ -183,10 +184,10 @@ class TestRefineFista:
         rng = np.random.default_rng(5)
         a0 = 0.1 * rng.standard_normal((design.d, design.pd))
         varpi = 0.05
-        _, trace = refine_fista(design, a0, FistaConfig(varpi=varpi, iters=30))
+        _, (trace,) = refine_fista([design], a0, [FistaConfig(varpi=varpi, iters=30)])
         assert len(trace) == 31
         for n, value in enumerate(trace):
-            delta, _ = refine_fista(design, a0, FistaConfig(varpi=varpi, iters=n))
+            (delta,), _ = refine_fista([design], a0, [FistaConfig(varpi=varpi, iters=n)])
             want = design.loss(a0 + delta) + varpi * np.sum(np.abs(delta))
             assert abs(value - want) <= 1e-12 * abs(want)
 
@@ -205,9 +206,66 @@ class TestRefineFista:
         a0 = np.zeros((design.d, design.pd))
         for iters, stops_early in ((5, False), (5000, True)):
             calls.clear()
-            _, trace = refine_fista(design, a0, FistaConfig(varpi=0.05, iters=iters))
+            cfg = FistaConfig(varpi=0.05, iters=iters)
+            _, (trace,) = refine_fista([design], a0, [cfg])
             assert len(trace) - 1 == len(calls)
             assert (len(calls) < iters) == stops_early
+
+
+class TestStackedRefinement:
+    """refine_fista runs a stack of problems in one loop; each member's
+    result is that of a one-problem call."""
+
+    def _stack(self):
+        rng = np.random.default_rng(9)
+        a0, deltas = var.assemble_dgp(4, 2, 1, 5, rng, ratio=5.0)
+        designs = [
+            var.lag_design(var.simulate(a0 + dl, 2, t, rng, burn_in=100))
+            for dl, t in zip(deltas, (40, 55, 70, 90, 120))
+        ]
+        eta = 0.5 * default_eta(designs[2])
+        cfgs = [
+            FistaConfig(varpi=0.05, iters=5000),  # stops early
+            FistaConfig(varpi=0.0, iters=5000),  # no penalty
+            FistaConfig(varpi=0.02, step_eta=eta, iters=12),  # explicit step, capped
+            FistaConfig(varpi=0.1, iters=0),  # no iteration
+            FistaConfig(varpi=0.03, iters=7),  # capped
+        ]
+        return designs, 0.5 * a0, cfgs
+
+    def test_members_equal_their_solo_runs(self):
+        designs, shared, cfgs = self._stack()
+        deltas, traces = refine_fista(designs, shared, cfgs)
+        assert deltas.shape == (5, 4, 8)
+        runs = [len(tr) - 1 for tr in traces]
+        assert runs[0] < 5000 and runs[1] < 5000 and runs[0] != runs[1]
+        assert runs[2:] == [12, 0, 7]
+        for j, (dsn, cfg) in enumerate(zip(designs, cfgs)):
+            (solo,), (solo_trace,) = refine_fista([dsn], shared, [cfg])
+            assert np.array_equal(deltas[j], solo)
+            assert np.array_equal(traces[j], solo_trace)
+        # the order of the stack does not matter either
+        back, back_traces = refine_fista(designs[::-1], shared, cfgs[::-1])
+        assert np.array_equal(back[::-1], deltas)
+        for got, want in zip(back_traces[::-1], traces):
+            assert np.array_equal(got, want)
+
+    def test_member_matches_raw_design_restart_fista(self):
+        designs, shared, cfgs = self._stack()
+        deltas, _ = refine_fista(designs, shared, cfgs)
+        dsn, cfg = designs[2], cfgs[2]
+        want = restart_fista(dsn.x, dsn.y, shared, cfg.varpi, cfg.step_eta, cfg.iters)
+        assert np.linalg.norm(deltas[2] - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_bad_stacks_rejected(self):
+        designs, shared, cfgs = self._stack()
+        with pytest.raises(ValueError, match="at least one"):
+            refine_fista([], shared, [])
+        with pytest.raises(ValueError, match="1 refinement configs for 2 designs"):
+            refine_fista(designs[:2], shared, cfgs[:1])
+        _, _, _, other = make_world(seed=7, d=4, p=1)
+        with pytest.raises(ValueError, match="shape"):
+            refine_fista([designs[0], other[0]], shared, cfgs[:2])
 
 
 class TestStageOne:
@@ -466,7 +524,7 @@ class TestEntryPointValidation:
             for iters in (1, 10, 50, 200):
                 cfg = FistaConfig(varpi=0.1, step_eta=1e6, iters=iters)
                 try:
-                    delta, _ = refine_fista(design, a0, cfg)
+                    (delta,), _ = refine_fista([design], a0, [cfg])
                 except ValueError as exc:
                     assert "non-finite" in str(exc)
                     raised += 1

@@ -18,7 +18,11 @@ from fedvar.harness import (
 from fedvar.harness import cli, experiments
 from fedvar.harness.config import from_json, to_json
 
-from oracles import cold_single_forecaster, per_client_federated_forecaster
+from oracles import (
+    cold_l1_forecaster,
+    cold_single_forecaster,
+    per_client_federated_forecaster,
+)
 
 
 def assert_reruns_identical_and_reps_independent(cfg, tmp_path):
@@ -126,6 +130,34 @@ class TestExperimentConfig:
         for mode in ("none", "fixed_scale", "calibrated"):
             with pytest.raises(ValueError, match=field):
                 ExperimentConfig(kind="k_sweep", seed=1, noise_mode=mode, **{field: bad})
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"reps": "2"},
+            {"eps": "2"},
+            {"reps": True},
+            {"seed": True},
+            {"fista_iters": 2.0},
+            {"zeta": "1"},
+            {"t_grid": [100, "200"]},
+            {"t_grid": [100.5]},
+            {"eps_grid": [1.0, True]},
+        ],
+    )
+    def test_numeric_fields_type_checked(self, doc, tmp_path, capsys):
+        field = next(iter(doc))
+        text = json.dumps({"kind": "t_sweep", "seed": 1, **doc})
+        with pytest.raises(ValueError, match=field):
+            from_json(text=text)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        argv = ["simulate", "t_sweep", "--config", str(path), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigJson:
@@ -390,8 +422,8 @@ class TestEmpiricalFederation:
 
     LENGTHS = (30, 31, 33)
 
-    def _config(self, tmp_path, monkeypatch, **overrides):
-        monkeypatch.setattr(experiments, "EMPIRICAL_METHODS", ("federated",))
+    def _config(self, tmp_path, monkeypatch, methods=("federated",), **overrides):
+        monkeypatch.setattr(experiments, "EMPIRICAL_METHODS", methods)
         rng = np.random.default_rng(31)
         a0, deltas = var.assemble_dgp(4, 1, 1, len(self.LENGTHS), rng, ratio=5.0)
         specs = []
@@ -436,6 +468,46 @@ class TestEmpiricalFederation:
         for k, (spec, panel) in enumerate(zip(cfg.panels, panels)):
             records, agg = metrics.rmsfe(
                 per_client_federated_forecaster(cfg, panels, k),
+                panel,
+                n_origins=cfg.n_origins,
+                aggregate=cfg.rmsfe_agg,
+            )
+            got = [r["value"] for r in recs if r["client"] == spec.client_id]
+            assert got == [r.rmsfe for r in records] + [agg.rmsfe]
+
+
+    def test_one_refinement_per_origin_of_its_forecasting_clients(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = self._config(tmp_path, monkeypatch, methods=("federated", "single_l1"))
+        real = fed_core.refine_fista
+        calls = []
+
+        def recording(designs, a0_hat, cfgs):
+            calls.append(([ds.t_len for ds in designs], not a0_hat.any()))
+            return real(designs, a0_hat, cfgs)
+
+        monkeypatch.setattr(fed_core, "refine_fista", recording)
+        experiments._rep_empirical(cfg, 0)
+        baseline = [sizes for sizes, zero in calls if zero]
+        federated = [sizes for sizes, zero in calls if not zero]
+        # the l1-only baseline: every (client, origin) pair in one call
+        want = [t - h for t in self.LENGTHS for h in (3, 2, 1)]
+        assert baseline == [want]
+        # each origin refines exactly the clients that forecast from it
+        distinct = sorted({t - h for t in self.LENGTHS for h in (1, 2, 3)})
+        assert sorted(sizes[0] for sizes in federated) == distinct
+        for sizes in federated:
+            n = sum(t - 3 <= sizes[0] < t for t in self.LENGTHS)
+            assert sizes == [sizes[0]] * n
+
+    def test_single_l1_equals_cold_per_origin_fits(self, tmp_path, monkeypatch):
+        cfg = self._config(tmp_path, monkeypatch, methods=("single_l1",))
+        recs = experiments._rep_empirical(cfg, 0)
+        panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
+        for spec, panel in zip(cfg.panels, panels):
+            records, agg = metrics.rmsfe(
+                cold_l1_forecaster(cfg),
                 panel,
                 n_origins=cfg.n_origins,
                 aggregate=cfg.rmsfe_agg,
@@ -679,6 +751,28 @@ class TestCli:
         )
         assert cli.main(["fit", "--config", str(cfg_path)]) == 1
         assert "unknown panel fields: bogus" in capsys.readouterr().err
+
+    def test_fit_checks_every_panel_before_creating_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(23)
+        good = tmp_path / "c1.csv"
+        write_panel(var.simulate(0.3 * np.eye(4), 1, 20, rng), str(good))
+        short = tmp_path / "short.csv"
+        short.write_text("a,b,c,d\n1,2,3,4\n2,3,4,5\n")
+        for bad, message in (
+            (tmp_path / "missing.csv", "panel file not found: "),
+            (short, "need at least p + 2"),
+        ):
+            cfg = ExperimentConfig(
+                kind="empirical", seed=1, d=4, p=1, rank=1, n_origins=3,
+                panels=(PanelSpec(path=str(good)), PanelSpec(path=str(bad))),
+            )
+            cfg_path = tmp_path / "cfg.json"
+            to_json(cfg, str(cfg_path))
+            out = tmp_path / "fitout"
+            assert cli.main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert message in err and str(bad) in err
+            assert not out.exists()
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main([]) == 1

@@ -291,10 +291,10 @@ class TestBaselines:
     def test_l1_only_is_refine_fista_at_its_default_step(self):
         design, _ = make_noisy(seed=11, d=4, t_len=200)
         omega = 0.1
-        want, _ = fed_core.refine_fista(
-            design,
+        (want,), _ = fed_core.refine_fista(
+            [design],
             np.zeros((design.d, design.pd)),
-            fed_core.FistaConfig(varpi=omega, iters=500),
+            [fed_core.FistaConfig(varpi=omega, iters=500)],
         )
         got = fit_baseline(design, "l1_only", {"omega": omega})
         np.testing.assert_array_equal(got, want)
