@@ -14,7 +14,13 @@ the fixed-rank manifold (the projection is linear, so this equals the
 weighted sum of projected gradients) and retracts to rank r.  Projection
 and retraction are one factored step, ``matops.tangent_step``: a thin QR
 and the SVD of a d x 2r core, never a full SVD.  The message a client
-sends per round is that one d x pd gradient.
+sends per round is that one d x pd gradient.  ``stage1_run`` runs any
+number of federations over the same clients (members of one rank and
+one number of rounds, each with its own start, step, noise and
+generator) in one lockstep loop: a round takes every (member, client)
+gradient in one batched product and makes one tangent step over the
+stack, and a member's result is bitwise that of its one-member call.
+The harness fits the cells of a privacy heatmap in one call.
 
 Stage II refines each client's sparse deviation by accelerated proximal
 gradient (FISTA) around the frozen shared estimate.  ``refine_fista`` is
@@ -34,7 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dp import NoisePolicy, add_gaussian_noise, round_sigma
-from .matops import check_matrix, soft_threshold, svd_truncate, tangent_step
+from .matops import (
+    SvdFactors,
+    check_matrix,
+    soft_threshold,
+    svd_truncate,
+    tangent_step,
+)
 from .var import CoefDecomposition, LagDesign
 
 # refine_fista stops once a step is at most this times max(1, ||delta||_F);
@@ -112,9 +124,10 @@ def local_gradient(design, a0):
     """Gradient 2 (A sxx - sxy') of the local loss at the point a0.
 
     This equals (2/T) (A X' - Y') X but costs O(d pd^2) whatever T is.
-    The (d, pd) result is what a client sends the server in a round.
-    Assumes a finite float64 a0 of shape (design.d, design.pd); not
-    checked, since the solvers call it with iterates they built.
+    The (d, pd) result is what a client sends the server in a round;
+    ``stage1_run`` computes the same expression for every (member,
+    client) pair at once.  Assumes a finite float64 a0 of shape
+    (design.d, design.pd); not checked.
     """
     return 2.0 * (a0 @ design.sxx - design.sxy.T)
 
@@ -177,48 +190,83 @@ def initial_shared_estimate(design, rank, admm_cfg):
     return out
 
 
-def stage1_run(designs, cfg, rng):
-    """Run all gradient rounds; returns the shared estimate and the trace,
-    one RoundTrace (sigma and each client's gradient norm) per round.
+def _check_members(cfgs, rngs, d, pd):
+    """Each member's sigma and rank-r start, after the checks of one
+    federation; the stack must share rank and rounds."""
+    if not cfgs:
+        raise ValueError("need at least one federation config")
+    if len(rngs) != len(cfgs):
+        raise ValueError(f"{len(rngs)} generators for {len(cfgs)} federation configs")
+    rank, rounds = cfgs[0].rank, cfgs[0].rounds
+    _check_rank(rank, d, pd)
+    sigmas, starts = [], []
+    for c, cfg in enumerate(cfgs):
+        if (cfg.rank, cfg.rounds) != (rank, rounds):
+            raise ValueError(
+                f"member {c} has rank {cfg.rank} and {cfg.rounds} rounds, "
+                f"member 0 has rank {rank} and {rounds} rounds"
+            )
+        sigmas.append(round_sigma(cfg.noise, cfg.budget))
+        # each round spends budget/budget.rounds; more rounds would overspend it
+        if cfg.noise.mode != "none" and cfg.budget.rounds < rounds:
+            raise ValueError(
+                f"budget spread over {cfg.budget.rounds} rounds, but {rounds} are run"
+            )
+        init = check_matrix(cfg.init_a0, "init_a0")
+        if init.shape != (d, pd):
+            raise ValueError(f"init_a0 shape {init.shape}, expected ({d}, {pd})")
+        starts.append(svd_truncate(init, rank))
+    return sigmas, starts
 
-    The start is truncated to rank r once, by SVD.  Each round then sums
-    the clients' noisy gradients with their weights and makes one
-    ``matops.tangent_step`` from the factors of the current iterate: one
-    tangent projection of the aggregate and a factored retraction of the
+
+def stage1_run(designs, cfgs, rngs):
+    """Run the gradient rounds of C federations over the same clients in
+    lockstep, member c under cfgs[c] with noise from rngs[c].  Returns the
+    (C, d, pd) shared estimates and, per member, its trace: one RoundTrace
+    (sigma and each client's gradient norm) per round.  One federation is
+    the one-member call.
+
+    The members share rank and rounds and may differ in start, step, noise
+    and budget.  Each start is truncated to rank r once, by SVD.  A round
+    takes every (member, client) gradient in one batched product, sums each
+    member's noisy gradients with the client weights in client order, and
+    makes one ``matops.tangent_step`` over the stack: per member, one
+    tangent projection of its aggregate and a factored retraction of the
     rank-2r step.  A step that overflows is refused by it with ValueError.
 
-    A noisy round spawns one child generator from ``rng``, and the
-    clients draw their noise from it in client order; a noise-free round
-    spawns nothing.  A run of n rounds therefore equals n chained
-    one-round runs on the same ``rng``.
+    In a noisy round a member spawns one child generator from its rngs[c],
+    and its clients draw their noise from it in client order; a noise-free
+    member spawns nothing.  A member's estimate and trace are therefore
+    bitwise those of its one-member call, and a run of n rounds equals n
+    chained one-round runs on the same generators.
     """
+    cfgs, rngs = list(cfgs), list(rngs)
     d, pd = _check_designs(designs)
-    _check_rank(cfg.rank, d, pd)
-    sigma = round_sigma(cfg.noise, cfg.budget)
-    # each round spends budget/budget.rounds; more rounds would overspend it
-    if cfg.noise.mode != "none" and cfg.budget.rounds < cfg.rounds:
-        raise ValueError(
-            f"budget spread over {cfg.budget.rounds} rounds, but {cfg.rounds} are run"
-        )
+    sigmas, starts = _check_members(cfgs, rngs, d, pd)
     weights = sample_size_weights(designs)
+    sxx = np.stack([ds.sxx for ds in designs])
+    sxy_t = np.stack([ds.sxy.T for ds in designs])
+    rho = np.array([cfg.step_rho for cfg in cfgs])
 
-    init = check_matrix(cfg.init_a0, "init_a0")
-    if init.shape != (d, pd):
-        raise ValueError(f"init_a0 shape {init.shape}, expected ({d}, {pd})")
-
-    a0, factors = svd_truncate(init, cfg.rank)
-    traces = []
-    for n in range(cfg.rounds):
-        noise_rng = rng.spawn(1)[0] if sigma > 0 else None
-        agg = np.zeros_like(a0)
-        grad_norms = []
-        for dsn, w in zip(designs, weights):
-            grad = local_gradient(dsn, a0)
-            grad_norms.append(math.sqrt(float(np.vdot(grad, grad))))
-            agg += w * add_gaussian_noise(grad, sigma, noise_rng)
-        a0, factors = tangent_step(factors, agg, cfg.step_rho)
-        traces.append(RoundTrace(n, sigma, tuple(grad_norms)))
-    return a0, traces
+    a0s = np.stack([a0 for a0, _ in starts])
+    factors = SvdFactors.stack([f for _, f in starts])
+    traces = [[] for _ in cfgs]
+    for n in range(cfgs[0].rounds):
+        # local_gradient of every (member, client) pair: (C, K, d, pd)
+        grads = 2.0 * (a0s[:, None] @ sxx - sxy_t)
+        flat = grads.reshape(-1, d, pd)
+        norms = np.sqrt(_dots(flat, flat)).reshape(grads.shape[:2]).tolist()
+        noisy = np.empty_like(grads)
+        for c, (sigma, rng) in enumerate(zip(sigmas, rngs)):
+            noise_rng = rng.spawn(1)[0] if sigma > 0 else None
+            for k in range(len(designs)):
+                noisy[c, k] = add_gaussian_noise(grads[c, k], sigma, noise_rng)
+            traces[c].append(RoundTrace(n, sigma, tuple(norms[c])))
+        agg = np.zeros_like(a0s)
+        for k, w in enumerate(weights):
+            agg += w * noisy[:, k]
+        a0s, factors = tangent_step(factors, agg, rho)
+    return a0s, traces
 
 
 def _dots(a, b):
@@ -334,15 +382,16 @@ def refine_fista(designs, a0_hat, cfgs):
 def fit_federated(designs, fed_cfg, fista_cfgs, rng):
     """Two-stage federated fit over the clients' lag designs.
 
-    Stage I is ``stage1_run``; stage II refines every client's deviation
-    in one ``refine_fista`` call, client k under fista_cfgs[k].  Returns
-    one decomposition per client and a FitReport with both stages' traces.
+    Stage I is the one-member ``stage1_run`` call under fed_cfg and rng;
+    stage II refines every client's deviation in one ``refine_fista``
+    call, client k under fista_cfgs[k].  Returns one decomposition per
+    client and a FitReport with both stages' traces.
     """
     if len(fista_cfgs) != len(designs):
         raise ValueError(
             f"{len(fista_cfgs)} refinement configs for {len(designs)} clients"
         )
-    a0_hat, stage1_trace = stage1_run(designs, fed_cfg, rng)
+    (a0_hat,), (stage1_trace,) = stage1_run(designs, [fed_cfg], [rng])
     deltas, fista_traces = refine_fista(designs, a0_hat, fista_cfgs)
     decomps = [CoefDecomposition(a0=a0_hat, delta=delta) for delta in deltas]
     report = FitReport(

@@ -110,14 +110,22 @@ def _out_dir(args, default):
     return path
 
 
-def _cmd_fit(args):
+def _panels_config(args, command):
+    """The config of a command that reads panels, each panel file checked
+    to exist, so a missing one is a usage error before anything is
+    written."""
     cfg = _load_config(args)
     if not cfg.panels:
-        raise ValueError("fit needs a config with panels")
-    # every panel is read and checked before the output directory exists
+        raise ValueError(f"{command} needs a config with panels")
     for spec in cfg.panels:
         if not os.path.isfile(spec.path):
             raise ValueError(f"panel file not found: {spec.path}")
+    return cfg
+
+
+def _cmd_fit(args):
+    cfg = _panels_config(args, "fit")
+    # every panel is read and checked before the output directory exists
     panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
     for spec, panel in zip(cfg.panels, panels):
         if not 1 <= cfg.n_origins <= panel.t_len - 1:
@@ -151,9 +159,7 @@ def _cmd_fit(args):
 
 
 def _cmd_forecast(args):
-    cfg = _load_config(args)
-    if not cfg.panels:
-        raise ValueError("forecast needs a config with panels")
+    cfg = _panels_config(args, "forecast")
     if not os.path.exists(args.estimates):
         raise ValueError(f"--estimates path not found: {args.estimates}")
 
@@ -183,9 +189,7 @@ def _cmd_forecast(args):
 
 
 def _cmd_rank_select(args):
-    cfg = _load_config(args)
-    if not cfg.panels:
-        raise ValueError("rank-select needs a config with panels")
+    cfg = _panels_config(args, "rank-select")
     panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
     fits, t_lens = [], []
     for panel in panels:

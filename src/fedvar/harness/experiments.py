@@ -10,12 +10,15 @@ The empirical protocol fits one federation per forecast origin, with
 noise from spawn_key=(0, 1, origin), and refines the deviations of the
 clients that forecast from that origin in one stacked ``refine_fista``
 call; the l1-only baselines of all (client, origin) pairs are fitted
-up front in one more such call.  Within a stage-1 run, each noisy
-round spawns one generator from that stream and the clients draw from
-it in turn.  Before rounds drew this way (one spawned generator per
-client per round), the same stream gave other draws, so noisy results
-from earlier versions differ; noise-free results are unchanged up to
-rounding (within 1e-12 relative).
+up front in one more such call.  A privacy heatmap fits its noise-free
+cell and all its (eps, delta) cells in one stacked ``stage1_run`` call;
+each cell keeps its own generator, built from the replication's noise
+stream, so a cell's draws do not depend on the other cells.  Within a
+stage-1 run, each noisy round spawns one generator from a member's
+stream and its clients draw from it in turn.  Before rounds drew this
+way (one spawned generator per client per round), the same stream gave
+other draws, so noisy results from earlier versions differ; noise-free
+results are unchanged up to rounding (within 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -205,8 +208,9 @@ def _rep_rank_table(cfg, rep):
 
 def _rep_privacy_heatmap(cfg, rep):
     """A noise-free cell, then one cell per (delta, eps) pair of the grids
-    under cfg.noise_mode; every cell shares the world, the start and the
-    noise stream."""
+    under cfg.noise_mode, fitted in one stacked stage-1 call; every cell
+    shares the world and the start, and draws from its own generator on
+    the replication's noise stream."""
     rng = _world_rng(cfg.seed, rep)
     a0, deltas, panels = _world(cfg, rng, cfg.n_clients)
     designs = [var.lag_design(pn) for pn in panels]
@@ -218,9 +222,13 @@ def _rep_privacy_heatmap(cfg, rep):
         for eps in cfg.eps_grid:
             cells.append((cfg.noise_mode, eps, dl, _with_privacy(base, cfg, eps, dl)))
 
+    a0_hats, _ = fed_core.stage1_run(
+        designs,
+        [fcfg for _, _, _, fcfg in cells],
+        [_noise_rng(cfg.seed, rep) for _ in cells],
+    )
     recs = []
-    for mode, eps, dl, fcfg in cells:
-        a0_hat, _ = fed_core.stage1_run(designs, fcfg, _noise_rng(cfg.seed, rep))
+    for (mode, eps, dl, _), a0_hat in zip(cells, a0_hats):
         recs.append(
             {
                 "rep": rep,
@@ -255,7 +263,7 @@ def _rep_k_sweep(cfg, rep):
     for k in cfg.k_grid:
         sub = designs[:k]
         fcfg = fed_config(cfg, sub)
-        a0_hat, _ = fed_core.stage1_run(sub, fcfg, _noise_rng(cfg.seed, rep))
+        (a0_hat,), _ = fed_core.stage1_run(sub, [fcfg], [_noise_rng(cfg.seed, rep)])
         fed_err = float(np.linalg.norm(a0_hat - a0))
         single_mean = float(np.mean(singles["a0"][:k]))
         base = {"rep": rep, "n_clients": k}
@@ -365,7 +373,7 @@ def empirical_rmsfe(cfg, panels, rep):
         noise stream, so no fit sees data at or beyond the target time."""
         designs = [design(k, min(origin, t)) for k, t in enumerate(lengths)]
         nrng = _noise_rng(cfg.seed, 0, origin)
-        a0_hat, _ = fed_core.stage1_run(designs, fed_config(cfg, designs), nrng)
+        (a0_hat,), _ = fed_core.stage1_run(designs, [fed_config(cfg, designs)], [nrng])
         clients = [
             k for k, t in enumerate(lengths) if t - cfg.n_origins <= origin < t
         ]

@@ -9,12 +9,12 @@ skip the fix.
 
 The kernels (``svd_truncate``, ``svt``, ``soft_threshold``,
 ``linf_project``, ``tangent_project``, ``tangent_step``) sit inside solver
-loops and do not validate: they assume finite 2-D float64 arrays of
-matching shapes and the parameter ranges stated in each docstring.  The
-solvers' entry points and configs check those once.  Only what reaches
-LAPACK's SVD and QR (and ``tangent_step``'s direction, from which its
-LAPACK input is built) is checked for non-finite entries, because LAPACK
-may not return on them.
+loops and do not validate: they assume finite 2-D float64 arrays (for
+``tangent_step``, stacks of them) of matching shapes and the parameter
+ranges stated in each docstring.  The solvers' entry points and configs
+check those once.  Only what reaches LAPACK's SVD and QR (and
+``tangent_step``'s direction, from which its LAPACK input is built) is
+checked for non-finite entries, because LAPACK may not return on them.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ class SvdFactors:
     u : (m, k) orthonormal columns
     s : (k,) nonnegative, nonincreasing
     v : (n, k) orthonormal columns, so that u @ diag(s) @ v.T reconstructs.
+
+    ``tangent_step`` holds a stack of C such factorizations in one: u
+    (C, m, k), s (C, k) and v (C, n, k).
     """
 
     u: np.ndarray
@@ -52,7 +55,28 @@ class SvdFactors:
     v: np.ndarray
 
     def matrix(self):
-        return (self.u * self.s) @ self.v.T
+        return (self.u * self.s[..., None, :]) @ self.v.swapaxes(-1, -2)
+
+    @classmethod
+    def stack(cls, members):
+        """One stacked SvdFactors from equal-shape 2-D ones, each slice in
+        the memory layout of its member (see ``_stack``)."""
+        return cls(
+            u=_stack([f.u for f in members]),
+            s=np.stack([f.s for f in members]),
+            v=_stack([f.v for f in members]),
+        )
+
+
+def _stack(mats):
+    """Stack equal-shape 2-D arrays so that each slice has the strides of
+    its source when the sources share one layout: Fortran-ordered sources
+    give Fortran-ordered slices.  BLAS may round a product differently for
+    each layout of its operands, so only then is a batched product bitwise
+    the product of the sources."""
+    if all(m.flags.f_contiguous and not m.flags.c_contiguous for m in mats):
+        return np.stack([m.T for m in mats]).transpose(0, 2, 1)
+    return np.stack(mats)
 
 
 @dataclass(frozen=True)
@@ -167,12 +191,13 @@ def _orthonormal_columns(a):
 
 
 def tangent_step(factors, z, rho):
-    """Rank-r truncation of ``X - rho * P_T(z)`` and its thin factors, where
-    X = u diag(s) v' is the point ``factors`` describes and P_T the
-    projection onto its tangent space (``tangent_project`` at (u, v)).
+    """Rank-r truncation of ``X_c - rho_c * P_c(z_c)`` and its thin factors,
+    for each member c of a stack, where X_c = u_c diag(s_c) v_c' is the
+    point ``factors`` describes and P_c the projection onto its tangent
+    space (``tangent_project`` at (u_c, v_c)).
 
-    The step never forms P_T(z) or a full SVD.  With m = u'zv and
-    Vp = z'u - v m', the point X - rho P_T(z) equals
+    The step never forms P_c(z_c) or a full SVD.  With m = u'zv and
+    Vp = z'u - v m', the point X - rho P(z) equals
     [u diag(s) - rho zv, -rho u] [v, Vp]', a product of a d1 x 2r and a
     2r x d2 factor (Vandereycken, SIAM J. Optim. 2013).  One thin QR
     [v, Vp] = Q R and one thin SVD of the d1 x min(d2, 2r) core
@@ -180,17 +205,25 @@ def tangent_step(factors, z, rho):
     costs O((d1 + d2) r^2) after the two products with z.  No sign fix:
     the point does not depend on the signs of the factors.
 
+    The products run batched over the stack.  The QR (dgeqrf, dorgqr) and
+    the SVD (dgesdd) stay one direct LAPACK call per member: numpy's
+    batched ``svd`` rounds differently from dgesdd (singular values up to
+    about 1e-15 relative apart) and is no faster on five 20 x 4 cores,
+    and its batched ``qr`` costs three times one direct call when the
+    stack has one member (one BLAS thread).  A member's result is
+    bitwise that of a one-member stack.
+
     Parameters
     ----------
-    factors : SvdFactors of the point, u (d1, r) and v (d2, r) with
-        orthonormal columns; not checked
-    z : (d1, d2) float64 array, the step direction
-    rho : float >= 0, the step size; not checked
+    factors : SvdFactors of the C points, u (C, d1, r), s (C, r) and
+        v (C, d2, r), u and v with orthonormal columns; not checked
+    z : (C, d1, d2) float64 array, the step directions
+    rho : (C,) floats >= 0, the step sizes; not checked
 
     Returns
     -------
-    approx : (d1, d2) array, rank <= r
-    factors : SvdFactors with r columns, singular values nonincreasing
+    approx : (C, d1, d2) array, each member of rank <= r
+    factors : SvdFactors of the same shapes, singular values nonincreasing
 
     A non-finite ``z``, or a step whose QR input or core overflows, raises
     ValueError.
@@ -199,16 +232,31 @@ def tangent_step(factors, z, rho):
     # checked on its own: a BLAS may skip zero multipliers, so an inf where
     # u and v have zero rows need not reach the products below
     _require_finite(z, "tangent step direction")
+    rho = np.asarray(rho, dtype=np.float64)[:, None, None]
     zv = z @ v
-    right = np.concatenate((v, z.T @ u - v @ (u.T @ zv).T), axis=1)
+    m_t = (u.swapaxes(1, 2) @ zv).swapaxes(1, 2)
+    right = np.concatenate((v, z.swapaxes(1, 2) @ u - v @ m_t), axis=2)
     _require_finite(right, "tangent step QR input")
-    q = _orthonormal_columns(right)
-    core = np.concatenate((u * s - rho * zv, -rho * u), axis=1) @ (right.T @ q)
+    # LAPACK returns Fortran-ordered arrays; each is stored transposed in a
+    # C-ordered stack, so that a slice has the strides of the 2-D output
+    # (q, uc[:, :r], vct[:r].T) and a batched product equals the 2-D
+    # product of the outputs bit for bit (see ``_stack``)
+    n, d1, d2 = z.shape
+    k = min(d2, right.shape[2])
+    qt = np.empty((n, k, d2))
+    for c in range(n):
+        qt[c] = _orthonormal_columns(right[c]).T
+    q = qt.swapaxes(1, 2)
+    left = np.concatenate((u * s[:, None, :] - rho * zv, -rho * u), axis=2)
+    core = left @ (right.swapaxes(1, 2) @ q)
     _require_finite(core, "tangent step core")
-    uc, sc, vct, info = dgesdd(core, full_matrices=0)
-    if info != 0:
-        raise ValueError(f"SVD failed to converge: LAPACK dgesdd info={info}")
-    r = s.shape[0]
-    out = SvdFactors(u=uc[:, :r], s=sc[:r], v=q @ vct[:r].T)
+    r = s.shape[1]
+    ut, s_out = np.empty((n, r, d1)), np.empty((n, r))
+    vt = np.empty((n, k, min(d1, k)))
+    for c in range(n):
+        uc, sc, vct, info = dgesdd(core[c], full_matrices=0)
+        if info != 0:
+            raise ValueError(f"SVD failed to converge: LAPACK dgesdd info={info}")
+        ut[c], s_out[c], vt[c] = uc[:, :r].T, sc[:r], vct.T
+    out = SvdFactors(u=ut.swapaxes(1, 2), s=s_out, v=q @ vt[:, :, :r])
     return out.matrix(), out
-

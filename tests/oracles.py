@@ -279,7 +279,7 @@ def per_client_federated_forecaster(cfg, panels, client):
         designs = prefix_designs(panels, origin, client)
         nrng = experiments._noise_rng(cfg.seed, 0, client, origin)
         fcfg = experiments.fed_config(cfg, designs)
-        a0_hat, _ = fed_core.stage1_run(designs, fcfg, nrng)
+        (a0_hat,), _ = fed_core.stage1_run(designs, [fcfg], [nrng])
         (delta,), _ = fed_core.refine_fista(
             [designs[client]], a0_hat, [experiments.fista_config(cfg, designs[client])]
         )

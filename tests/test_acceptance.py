@@ -273,7 +273,7 @@ def test_structural_invariants(tmp_path):
         iterate = start
         for _ in range(rounds):
             one = replace(fcfg, rounds=1, init_a0=iterate)
-            iterate, _ = fed_core.stage1_run(designs, one, rng)
+            (iterate,), _ = fed_core.stage1_run(designs, [one], [rng])
             if np.linalg.matrix_rank(iterate) > 2:
                 failures.append(f"iterate rank {np.linalg.matrix_rank(iterate)} > 2")
                 break

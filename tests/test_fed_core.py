@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedvar import dp, fed_core, var
+from fedvar import dp, fed_core, matops, var
 from fedvar.fed_core import (
     FedConfig,
     FistaConfig,
@@ -272,7 +272,7 @@ class TestStageOne:
     def test_zero_step_is_identity_on_truncation(self):
         a0, _, _, designs = make_world(seed=8, ratio=None)
         cfg = FedConfig(rank=2, rounds=5, step_rho=0.0, init_a0=a0)
-        out, traces = stage1_run(designs, cfg, np.random.default_rng(0))
+        (out,), (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(0)])
         trunc, _ = fed_core.svd_truncate(a0, 2)
         np.testing.assert_allclose(out, trunc, atol=1e-12)
         assert len(traces) == 5
@@ -283,7 +283,7 @@ class TestStageOne:
         init = a0 + 0.5 * rng.standard_normal(a0.shape)
         eta = min(default_eta(d) for d in designs)
         cfg = FedConfig(rank=2, rounds=40, step_rho=eta, init_a0=init)
-        out, _ = stage1_run(designs, cfg, np.random.default_rng(2))
+        (out,), _ = stage1_run(designs, [cfg], [np.random.default_rng(2)])
         init_err = np.linalg.norm(
             fed_core.svd_truncate(init, 2)[0] - a0
         )
@@ -293,7 +293,7 @@ class TestStageOne:
     def test_single_round_matches_run(self):
         a0, _, _, designs = make_world(seed=10, ratio=None)
         cfg = FedConfig(rank=2, rounds=1, step_rho=0.05, init_a0=a0)
-        out, traces = stage1_run(designs, cfg, np.random.default_rng(3))
+        (out,), (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(3)])
         # one round by hand: weighted tangent-projected gradients, then retract
         start, f = fed_core.svd_truncate(a0, 2)
         agg = sum(
@@ -310,7 +310,7 @@ class TestStageOne:
         for seed in (10, 11, 12):
             a0, _, _, designs = make_world(seed=seed, d=6, k=4, ratio=None)
             cfg = FedConfig(rank=2, rounds=1, step_rho=0.05, init_a0=a0)
-            _, traces = stage1_run(designs, cfg, np.random.default_rng(3))
+            _, (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(3)])
             start, _ = fed_core.svd_truncate(a0, 2)
             want = [float(np.linalg.norm(local_gradient(ds, start))) for ds in designs]
             assert list(traces[0].grad_norms) == want
@@ -322,11 +322,11 @@ class TestStageOne:
             noise=dp.NoisePolicy.fixed(),
             budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=4),
         )
-        whole, _ = stage1_run(designs, noisy, np.random.default_rng(4))
+        (whole,), _ = stage1_run(designs, [noisy], [np.random.default_rng(4)])
         rng, iterate = np.random.default_rng(4), a0
         for _ in range(4):
             one = replace(noisy, rounds=1, init_a0=iterate)
-            iterate, _ = stage1_run(designs, one, rng)
+            (iterate,), _ = stage1_run(designs, [one], [rng])
         np.testing.assert_allclose(iterate, whole, atol=1e-10)
 
     def test_noise_free_run_matches_full_svd_loop(self):
@@ -336,7 +336,7 @@ class TestStageOne:
             init = a0 + 0.3 * np.random.default_rng(seed).standard_normal(a0.shape)
             eta = min(default_eta(dsn) for dsn in designs)
             cfg = FedConfig(rank=r, rounds=30, step_rho=eta, init_a0=init)
-            got, _ = stage1_run(designs, cfg, np.random.default_rng(0))
+            (got,), _ = stage1_run(designs, [cfg], [np.random.default_rng(0)])
             want = stage1_full_svd(designs, r, 30, eta, init)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -359,7 +359,7 @@ class TestStageOne:
         for cfg, spawned, want_sigma in ((noisy, 6, sigma), (base, 0, 0.0)):
             draws.clear()
             rng = np.random.default_rng(5)
-            stage1_run(designs, cfg, rng)
+            stage1_run(designs, [cfg], [rng])
             assert rng.bit_generator.seed_seq.n_children_spawned == spawned
             assert len(draws) == 6 * len(designs)
             assert all(s == want_sigma for s, _ in draws)
@@ -385,9 +385,9 @@ class TestStageOne:
             noise=dp.NoisePolicy.fixed(),
             budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=3),
         )
-        out1, traces = stage1_run(designs, cfg, np.random.default_rng(4))
-        out2, _ = stage1_run(designs, cfg, np.random.default_rng(4))
-        out3, _ = stage1_run(designs, cfg, np.random.default_rng(5))
+        (out1,), (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(4)])
+        (out2,), _ = stage1_run(designs, [cfg], [np.random.default_rng(4)])
+        (out3,), _ = stage1_run(designs, [cfg], [np.random.default_rng(5)])
         assert np.array_equal(out1, out2)
         assert not np.array_equal(out1, out3)
         assert traces[0].sigma == pytest.approx(1.1237723622487465)
@@ -420,11 +420,11 @@ class TestStageOne:
                     noisy, noise=mode, budget=dp.PrivacyBudget(1.0, 0.1, rounds=spread)
                 )
                 with pytest.raises(ValueError, match=f"spread over {spread} rounds"):
-                    stage1_run(designs, short, np.random.default_rng(0))
+                    stage1_run(designs, [short], [np.random.default_rng(0)])
         # equal rounds run; so do one-round runs chained under one budget
         budget = dp.PrivacyBudget(1.0, 0.1, rounds=10)
-        whole, traces = stage1_run(
-            designs, replace(noisy, budget=budget), np.random.default_rng(1)
+        (whole,), (traces,) = stage1_run(
+            designs, [replace(noisy, budget=budget)], [np.random.default_rng(1)]
         )
         assert traces[0].sigma == pytest.approx(
             dp.gaussian_sigma(1.0, 0.1, 0.01)
@@ -432,15 +432,87 @@ class TestStageOne:
         rng, iterate = np.random.default_rng(1), a0
         for _ in range(10):
             one = replace(noisy, rounds=1, budget=budget, init_a0=iterate)
-            iterate, _ = stage1_run(designs, one, rng)
+            (iterate,), _ = stage1_run(designs, [one], [rng])
         np.testing.assert_allclose(iterate, whole, atol=1e-10)
+
+    def _members(self):
+        a0, _, _, designs = make_world(seed=28, d=6, k=4, ratio=None)
+        rng = np.random.default_rng(29)
+        base = FedConfig(rank=2, rounds=7, step_rho=0.05, init_a0=a0)
+        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=7)
+        cfgs = [
+            base,
+            replace(base, noise=dp.NoisePolicy.fixed(), budget=budget),
+            replace(
+                base,
+                step_rho=0.08,
+                init_a0=a0 + 0.2 * rng.standard_normal(a0.shape),
+                noise=dp.NoisePolicy.calibrated(0.5),
+                budget=replace(budget, epsilon=4.0, rounds=9),
+            ),
+            replace(base, noise=dp.NoisePolicy.fixed(scale=0.3), budget=budget),
+        ]
+        return designs, cfgs
+
+    def test_members_equal_their_solo_runs(self):
+        designs, cfgs = self._members()
+        seeds = (5, 6, 6, 7)  # two members with equal seeds, separate generators
+        outs, traces = stage1_run(
+            designs, cfgs, [np.random.default_rng(s) for s in seeds]
+        )
+        assert outs.shape == (4, 6, 6) and len(traces) == 4
+        assert len({tr[0].sigma for tr in traces}) == 4
+        for cfg, seed, out, trace in zip(cfgs, seeds, outs, traces):
+            (want,), (want_trace,) = stage1_run(
+                designs, [cfg], [np.random.default_rng(seed)]
+            )
+            assert np.array_equal(out, want)
+            assert trace == want_trace
+        back, back_traces = stage1_run(
+            designs, cfgs[::-1], [np.random.default_rng(s) for s in seeds[::-1]]
+        )
+        assert np.array_equal(back[::-1], outs)
+        assert back_traces[::-1] == traces
+
+    def test_round_by_hand(self):
+        # one noisy round, bitwise: client-order draws from one child
+        # generator, a client-order weighted sum, one tangent step
+        designs, cfgs = self._members()
+        cfg = replace(cfgs[2], rounds=1)
+        rng = np.random.default_rng(8)
+        (got,), (trace,) = stage1_run(designs, [cfg], [rng])
+        sigma = dp.round_sigma(cfg.noise, cfg.budget)
+        start, factors = fed_core.svd_truncate(cfg.init_a0, cfg.rank)
+        child = np.random.default_rng(8).spawn(1)[0]
+        agg = np.zeros_like(start)
+        for w, ds in zip(sample_size_weights(designs), designs):
+            agg += w * dp.add_gaussian_noise(local_gradient(ds, start), sigma, child)
+        (want,), _ = matops.tangent_step(
+            matops.SvdFactors.stack([factors]), agg[None], [cfg.step_rho]
+        )
+        assert np.array_equal(got, want)
+        assert [(t.round_index, t.sigma) for t in trace] == [(0, sigma)]
+
+    def test_bad_stacks_rejected(self):
+        designs, cfgs = self._members()
+        rngs = [np.random.default_rng(c) for c in range(4)]
+        with pytest.raises(ValueError, match="at least one federation"):
+            stage1_run(designs, [], [])
+        with pytest.raises(ValueError, match="3 generators for 4 federation configs"):
+            stage1_run(designs, cfgs, rngs[:3])
+        for bad in (replace(cfgs[1], rank=1), replace(cfgs[1], rounds=6)):
+            with pytest.raises(ValueError, match="member 1 has rank"):
+                stage1_run(designs, [cfgs[0], bad] + cfgs[2:], rngs)
+        short = replace(cfgs[3], budget=replace(cfgs[3].budget, rounds=6))
+        with pytest.raises(ValueError, match="spread over 6 rounds, but 7"):
+            stage1_run(designs, cfgs[:3] + [short], rngs)
 
     def test_mismatched_clients_rejected(self):
         _, _, _, designs = make_world(seed=13, d=5)
         _, _, _, other = make_world(seed=14, d=4)
         cfg = FedConfig(rank=1, rounds=1, step_rho=0.1, init_a0=np.zeros((5, 5)))
         with pytest.raises(ValueError, match="shape"):
-            stage1_run(designs + [other[0]], cfg, np.random.default_rng(0))
+            stage1_run(designs + [other[0]], [cfg], [np.random.default_rng(0)])
 
 
 class TestFitFederated:
@@ -490,7 +562,7 @@ class TestEntryPointValidation:
             init[1, 2] = bad
             cfg = FedConfig(rank=1, rounds=1, step_rho=0.1, init_a0=init)
             with pytest.raises(ValueError, match="non-finite"):
-                stage1_run(designs, cfg, np.random.default_rng(0))
+                stage1_run(designs, [cfg], [np.random.default_rng(0)])
 
     def test_rank_above_min_rejected(self):
         _, _, _, designs = make_world(seed=20, d=4, p=2)  # min(d, pd) = 4
@@ -537,4 +609,4 @@ class TestEntryPointValidation:
         cfg = FedConfig(rank=2, rounds=120, step_rho=1e6, init_a0=a0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                stage1_run(designs, cfg, np.random.default_rng(0))
+                stage1_run(designs, [cfg], [np.random.default_rng(0)])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 from dataclasses import replace
@@ -443,16 +444,17 @@ class TestEmpiricalFederation:
         real = fed_core.stage1_run
         origins = []
 
-        def counting(designs, fcfg, rng, **kwargs):
+        def counting(designs, fcfgs, rngs):
             # the longest panel covers every origin, so it gives the origin
             origin = max(ds.t_len for ds in designs)
             want = np.random.default_rng(
                 np.random.SeedSequence(cfg.seed, spawn_key=(0, 1, origin))
             )
+            ((fcfg,), (rng,)) = fcfgs, rngs
             assert rng.bit_generator.state == want.bit_generator.state
             assert fcfg.noise.mode == "fixed_scale"
             origins.append(origin)
-            return real(designs, fcfg, rng, **kwargs)
+            return real(designs, fcfgs, rngs)
 
         monkeypatch.setattr(fed_core, "stage1_run", counting)
         experiments._rep_empirical(cfg, 0)
@@ -642,13 +644,12 @@ class TestPrivacyHeatmap:
         monkeypatch.setattr(fed_core, "add_gaussian_noise", record)
         cfg = heatmap_config(tmp_path, noise_mode=mode)
         res = run_experiment(cfg, run_dir=str(tmp_path / "run"))
-        # rounds x clients draws per cell, cells in record order
+        # the cells run in lockstep, so their draws interleave round by
+        # round: count rounds x clients draws at each cell's sigma
         per_cell = cfg.rounds * cfg.n_clients
-        cells = [seen[i : i + per_cell] for i in range(0, len(seen), per_cell)]
-        assert len(cells) == len(res.records)
-        assert all(len(set(c)) == 1 for c in cells)
-        assert cells[0][0] == 0.0 and res.records[0]["noise"] == "none"
-        for rec, cell in zip(res.records[1:], cells[1:]):
+        assert len(seen) == per_cell * len(res.records)
+        assert seen.count(0.0) == per_cell and res.records[0]["noise"] == "none"
+        for rec in res.records[1:]:
             assert rec["noise"] == mode
             if mode == "fixed_scale":
                 want = cfg.kappa * dp.gaussian_sigma(1.0, rec["eps"], rec["delta"])
@@ -656,7 +657,7 @@ class TestPrivacyHeatmap:
                 want = dp.gaussian_sigma(
                     cfg.sensitivity, rec["eps"] / cfg.rounds, rec["delta"] / cfg.rounds
                 )
-            assert cell[0] == pytest.approx(want, rel=1e-15)
+            assert sum(math.isclose(s, want, rel_tol=1e-15) for s in seen) == per_cell
         assert [(r["eps"], r["delta"]) for r in res.records[1:]] == [
             (e, dl) for dl in cfg.delta_grid for e in cfg.eps_grid
         ]
@@ -784,15 +785,42 @@ class TestCli:
         assert cli.main(["fit", "--config", "/no/such/file.json"]) == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_runtime_failure_exits_two(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
+    @pytest.mark.parametrize("command", ["fit", "forecast", "rank-select"])
+    def test_missing_panel_file_exits_one(self, command, tmp_path, capsys):
+        rng = np.random.default_rng(23)
+        good = tmp_path / "c1.csv"
+        write_panel(var.simulate(0.3 * np.eye(4), 1, 20, rng), str(good))
+        missing = tmp_path / "missing.csv"
         cfg = ExperimentConfig(
-            kind="empirical",
-            seed=1,
-            panels=(PanelSpec(path=str(tmp_path / "missing.csv")),),
+            kind="empirical", seed=1, d=4, p=1, rank=1, n_origins=3,
+            panels=(PanelSpec(path=str(good)), PanelSpec(path=str(missing))),
         )
+        cfg_path = tmp_path / "cfg.json"
         to_json(cfg, str(cfg_path))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        if command == "forecast":
+            argv += ["--estimates", str(tmp_path / "estimates.npz")]
+        assert cli.main(argv) == 1
+        assert f"panel file not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(24)
+        path = tmp_path / "c1.csv"
+        write_panel(var.simulate(0.3 * np.eye(4), 1, 40, rng), str(path))
+        cfg = ExperimentConfig(
+            kind="empirical", seed=1, d=4, p=1, rank=1, panels=(PanelSpec(path=str(path)),)
+        )
+        cfg_path = tmp_path / "cfg.json"
+        to_json(cfg, str(cfg_path))
+
+        def failing(design, cfg, start=None):
+            raise RuntimeError("solver broke")
+
+        monkeypatch.setattr(single_client, "fit_admm", failing)
         assert cli.main(["rank-select", "--config", str(cfg_path)]) == 2
+        assert "runtime failure: solver broke" in capsys.readouterr().err
 
     def test_fit_then_forecast_round_trip(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(21)

@@ -239,6 +239,12 @@ def tangent_step_cases(draw):
     return factors, basis, z, rho
 
 
+def solo_step(factors, z, rho):
+    """tangent_step on a one-member stack, unstacked."""
+    got, f = matops.tangent_step(matops.SvdFactors.stack([factors]), z[None], [rho])
+    return got[0], matops.SvdFactors(u=f.u[0], s=f.s[0], v=f.v[0])
+
+
 class TestTangentStep:
     @settings(max_examples=300, deadline=None)
     @given(tangent_step_cases())
@@ -252,7 +258,7 @@ class TestTangentStep:
             sv.size == r or sv[r] <= 1e-13 * sv[0] or sv[r - 1] - sv[r] >= 1e-3 * sv[0]
         )
         want, _ = matops.svd_truncate(target, r)
-        got, f = matops.tangent_step(factors, z, rho)
+        got, f = solo_step(factors, z, rho)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert f.u.shape == factors.u.shape and f.v.shape == factors.v.shape
         np.testing.assert_allclose(f.u.T @ f.u, np.eye(r), atol=1e-12)
@@ -267,7 +273,7 @@ class TestTangentStep:
                 z = rng.standard_normal((5, 7))
                 z[pos] = bad
                 with pytest.raises(ValueError, match="non-finite"):
-                    matops.tangent_step(factors, z, 0.1)
+                    solo_step(factors, z, 0.1)
 
     def test_overflowing_step_raises(self):
         rng = np.random.default_rng(16)
@@ -282,5 +288,24 @@ class TestTangentStep:
         with np.errstate(over="ignore", invalid="ignore"):
             for f, z, rho, where in cases:
                 with pytest.raises(ValueError, match=f"{where} contains non-finite"):
-                    matops.tangent_step(f, z, rho)
+                    solo_step(f, z, rho)
 
+    def test_stack_equals_solo_steps(self):
+        rng = np.random.default_rng(17)
+        members = [
+            (matops.svd_truncate(rng.standard_normal((6, 9)), 2)[1],
+             rng.standard_normal((6, 9)), rho)
+            for rho in (0.3, 0.0, 2.0)
+        ]
+        factors = matops.SvdFactors.stack([f for f, _, _ in members])
+        z = np.stack([z for _, z, _ in members])
+        # two steps, the second from the stacked factors the first returned
+        for rhos in ([rho for _, _, rho in members], [0.1, 0.2, 0.3]):
+            got, out = matops.tangent_step(factors, z, rhos)
+            for c in range(3):
+                solo = matops.SvdFactors(u=factors.u[c], s=factors.s[c], v=factors.v[c])
+                want, want_f = solo_step(solo, z[c], rhos[c])
+                assert np.array_equal(got[c], want)
+                for name in ("u", "s", "v"):
+                    assert np.array_equal(getattr(out, name)[c], getattr(want_f, name))
+            factors = out
