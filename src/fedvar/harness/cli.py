@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .. import fed_core, rank_select, single_client, var
+from ..matops import check_matrix
 from .config import KINDS, RMSFE_AGGREGATES, from_json
 from .experiments import (
     admm_config,
@@ -25,7 +26,7 @@ from .experiments import (
     fista_config,
     run_experiment,
 )
-from .panels import load_panel
+from .panels import load_panels
 
 NOISE_FLAG_MODES = {"none": "none", "fixed": "fixed_scale", "calibrated": "calibrated"}
 
@@ -110,42 +111,32 @@ def _out_dir(args, default):
     return path
 
 
-def _panels_config(args, command):
-    """The config of a command that reads panels, each panel file checked
-    to exist, so a missing one is a usage error before anything is
+def _config_and_panels(args, command):
+    """The config of a command that reads panels and its loaded panels,
+    every one checked (see panels.load_panels) before anything is
     written."""
     cfg = _load_config(args)
     if not cfg.panels:
         raise ValueError(f"{command} needs a config with panels")
-    for spec in cfg.panels:
-        if not os.path.isfile(spec.path):
-            raise ValueError(f"panel file not found: {spec.path}")
-    return cfg
+    return cfg, load_panels(cfg.panels, cfg.p)
 
 
 def _cmd_fit(args):
-    cfg = _panels_config(args, "fit")
-    # every panel is read and checked before the output directory exists
-    panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
-    for spec, panel in zip(cfg.panels, panels):
-        if not 1 <= cfg.n_origins <= panel.t_len - 1:
-            raise ValueError(
-                f"n_origins {cfg.n_origins} outside [1, {panel.t_len - 1}] "
-                f"for panel {spec.path}"
-            )
-    out = _out_dir(args, "fit-out")
-
+    cfg, panels = _config_and_panels(args, "fit")
+    # all fitting, and with it the n_origins check, comes before --out exists
+    rows = empirical_rmsfe(cfg, panels, 0)
     designs = [var.lag_design(pn) for pn in panels]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
     decomps, _ = fed_core.fit_federated(
         designs, fed_config(cfg, designs), [fista_config(cfg, ds) for ds in designs], rng
     )
+    out = _out_dir(args, "fit-out")
+
     arrays = {"a0": decomps[0].a0}
     for k, dec in enumerate(decomps):
         arrays[f"delta_{k + 1}"] = dec.delta
     np.savez(os.path.join(out, "estimates.npz"), **arrays)
 
-    rows = empirical_rmsfe(cfg, panels, 0)
     table = os.path.join(out, "rmsfe.csv")
     with open(table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -159,7 +150,7 @@ def _cmd_fit(args):
 
 
 def _cmd_forecast(args):
-    cfg = _panels_config(args, "forecast")
+    cfg, panels = _config_and_panels(args, "forecast")
     if not os.path.exists(args.estimates):
         raise ValueError(f"--estimates path not found: {args.estimates}")
 
@@ -171,9 +162,15 @@ def _cmd_forecast(args):
                 f"--estimates {args.estimates} lacks {', '.join(missing)} "
                 f"for {len(cfg.panels)} configured panels"
             )
-        a0 = data["a0"]
-        deltas = [data[name] for name in names[1:]]
-    panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
+        arrays = [check_matrix(data[name], f"--estimates {name}") for name in names]
+    d = panels[0].d
+    for name, arr in zip(names, arrays):
+        if arr.shape != (d, cfg.p * d):
+            raise ValueError(
+                f"--estimates {args.estimates}: {name} has shape {arr.shape}, "
+                f"the panels need ({d}, {cfg.p * d})"
+            )
+    a0, deltas = arrays[0], arrays[1:]
     path = os.path.join(_out_dir(args, "forecast-out"), "forecasts.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -189,8 +186,7 @@ def _cmd_forecast(args):
 
 
 def _cmd_rank_select(args):
-    cfg = _panels_config(args, "rank-select")
-    panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
+    cfg, panels = _config_and_panels(args, "rank-select")
     fits, t_lens = [], []
     for panel in panels:
         design = var.lag_design(panel)

@@ -35,7 +35,8 @@ class PanelSpec:
     transforms: per-column code, or a single code broadcast to every
     column. 0 leaves a column as is, 1 takes first differences, 2 takes
     log differences (positive data only). sensitive lists 1-based column
-    indices. They are recorded in run manifests only: stage-1 noise goes
+    indices, none beyond the panel's width (load_panel checks it). They
+    are recorded in run manifests only: stage-1 noise goes
     on every gradient coordinate, so they change no result.
     """
 

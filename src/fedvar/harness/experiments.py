@@ -6,16 +6,17 @@ and its index, not on how many replications the run has. Noise draws
 for private fits come from the separate spawn_key=(rep, 1) stream; grid
 cells within a replication therefore share both the simulated world and
 the noise directions, which pairs the cells for sharper comparisons.
-The empirical protocol fits one federation per forecast origin, with
-noise from spawn_key=(0, 1, origin), and refines the deviations of the
-clients that forecast from that origin in one stacked ``refine_fista``
-call; the l1-only baselines of all (client, origin) pairs are fitted
-up front in one more such call.  A privacy heatmap fits its noise-free
-cell and all its (eps, delta) cells in one stacked ``stage1_run`` call;
-each cell keeps its own generator, built from the replication's noise
-stream, so a cell's draws do not depend on the other cells.  Within a
-stage-1 run, each noisy round spawns one generator from a member's
-stream and its clients draw from it in turn.  Before rounds drew this
+The empirical protocol fits every method's coefficients for each
+(client, forecast origin) from one cache of lag designs.  The
+federation of an origin draws noise from spawn_key=(0, 1, origin) and
+refines the clients that forecast from it in one stacked
+``refine_fista`` call; the l1-only baselines are one more such call.
+A privacy heatmap fits its noise-free cell and all its (eps, delta)
+cells in one stacked ``stage1_run`` call; each cell keeps its own
+generator, built from the replication's noise stream, so a cell's draws
+do not depend on the other cells.  Within a stage-1 run, each noisy
+round spawns one generator from a member's stream and its clients draw
+from it in turn.  Before rounds drew this
 way (one spawned generator per client per round), the same stream gave
 other draws, so noisy results from earlier versions differ; noise-free
 results are unchanged up to rounding (within 1e-12 relative).
@@ -36,7 +37,7 @@ import numpy as np
 from .. import __version__, fed_core, metrics, rank_select, single_client, var
 from ..dp import NoisePolicy, PrivacyBudget
 from .config import FORMAT_VERSION, config_hash
-from .panels import load_panel
+from .panels import load_panels
 
 log = logging.getLogger("fedvar.harness")
 
@@ -309,42 +310,13 @@ def _rep_t_sweep(cfg, rep):
     return recs
 
 
-def _stored_forecaster(p, coef_at):
-    """Forecaster from coefficients fitted up front: coef_at maps a prefix
-    length (the forecast origin) to the client's (d, pd) coefficients."""
+def _stored_forecaster(p, coefs, k):
+    """Client k's forecaster from coefficients fitted up front: coefs maps
+    (client, forecast origin) to that client's (d, pd) coefficients."""
 
     def forecast(prefix_panel):
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
-        return var.forecast_one_step(coef_at(prefix_panel.t_len), full[-p:])
-
-    return forecast
-
-
-def _single_forecaster(cfg, method):
-    """Single-client ADMM or least-squares forecaster, refit at each origin.
-
-    The ADMM methods start each fit from the previous origin's final
-    iterate, so the forecaster must see origins in increasing order, as
-    metrics.rmsfe visits them.
-    """
-    last = None  # the previous origin's ADMM (B0, D, U)
-
-    def forecast(prefix_panel):
-        nonlocal last
-        design = var.lag_design(prefix_panel)
-        if method in ("single_nuc_l1", "single_nuclear"):
-            acfg = admm_config(design, cfg)
-            if method == "single_nuclear":
-                acfg = single_client.nuclear_only_config(acfg)
-            dec, state = single_client.fit_admm(design, acfg, start=last)
-            last = state.final
-            coef = dec.a
-        elif method == "least_squares":
-            coef = single_client.fit_baseline(design, "least_squares")
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        full = np.vstack([prefix_panel.presample, prefix_panel.observations])
-        return var.forecast_one_step(coef, full[-cfg.p:])
+        return var.forecast_one_step(coefs[k, prefix_panel.t_len], full[-p:])
 
     return forecast
 
@@ -353,46 +325,48 @@ def empirical_rmsfe(cfg, panels, rep):
     """RMSFE records of every method for each client's loaded panel, in
     the order of cfg.panels, tagged with replication ``rep``.
 
-    Client k forecasts from the origins T_k - n_origins, ..., T_k - 1.
-    The federation of an origin is fitted once and refines, in one
-    ``refine_fista`` call, the deviations of exactly the clients that
-    forecast from it.  The l1-only baselines of all (client, origin)
-    pairs are fitted in one ``refine_fista`` call, before the first
-    l1-only forecast.
+    Client k forecasts from the origins t = T_k - n_origins, ..., T_k - 1
+    (a panel too short for that raises ValueError before any fit).  Each
+    method fits a table of coefficients keyed by (k, t), entry (k, t) on
+    client k's first t observations, from one cache of lag designs, and
+    one forecaster scores every table.  The federation of origin t is
+    fitted once, on every client's first min(t, T_k) observations, and
+    refines the clients that forecast from t in one ``refine_fista``
+    call; the l1-only baselines are one more such call; each ADMM method
+    is one chain per client, each fit started from the previous one's
+    final iterate.
     """
     lengths = [pn.t_len for pn in panels]
+    for spec, length in zip(cfg.panels, lengths):
+        if not 1 <= cfg.n_origins <= length - 1:
+            raise ValueError(
+                f"n_origins {cfg.n_origins} outside [1, {length - 1}] "
+                f"for panel {spec.path}"
+            )
+    # each client's origins in increasing order, as the ADMM chains need
+    origins = [(k, t) for k, length in enumerate(lengths)
+               for t in range(length - cfg.n_origins, length)]
 
     @functools.cache
     def design(k, t):
         return var.lag_design(panels[k].prefix(t))
 
-    @functools.cache
-    def federated(origin):
-        """Each forecasting client's coefficients at one origin.  Stage 1
-        sees every client's first min(origin, T_k) observations on one
-        noise stream, so no fit sees data at or beyond the target time."""
-        designs = [design(k, min(origin, t)) for k, t in enumerate(lengths)]
-        nrng = _noise_rng(cfg.seed, 0, origin)
-        (a0_hat,), _ = fed_core.stage1_run(designs, [fed_config(cfg, designs)], [nrng])
-        clients = [
-            k for k, t in enumerate(lengths) if t - cfg.n_origins <= origin < t
-        ]
-        refined = [designs[k] for k in clients]
-        deltas, _ = fed_core.refine_fista(
-            refined, a0_hat, [fista_config(cfg, ds) for ds in refined]
-        )
-        return {k: a0_hat + dl for k, dl in zip(clients, deltas)}
+    def federated():
+        coefs = {}
+        for origin in sorted({t for _, t in origins}):
+            designs = [design(k, min(origin, t)) for k, t in enumerate(lengths)]
+            nrng = _noise_rng(cfg.seed, 0, origin)
+            (a0_hat,), _ = fed_core.stage1_run(designs, [fed_config(cfg, designs)], [nrng])
+            clients = [k for k, t in origins if t == origin]
+            refined = [designs[k] for k in clients]
+            deltas, _ = fed_core.refine_fista(
+                refined, a0_hat, [fista_config(cfg, ds) for ds in refined]
+            )
+            coefs.update({(k, origin): a0_hat + dl for k, dl in zip(clients, deltas)})
+        return coefs
 
-    @functools.cache
     def single_l1():
-        """The l1-only coefficients of every (client, origin) pair."""
-        # an origin below 1 is left for metrics.rmsfe to refuse
-        pairs = [
-            (k, t)
-            for k, length in enumerate(lengths)
-            for t in range(max(length - cfg.n_origins, 1), length)
-        ]
-        designs = [design(k, t) for k, t in pairs]
+        designs = [design(k, t) for k, t in origins]
         cfgs = [
             single_client.l1_only_config(
                 ds, omega=cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len)
@@ -401,22 +375,36 @@ def empirical_rmsfe(cfg, panels, rep):
         ]
         zero = np.zeros((designs[0].d, designs[0].pd))
         deltas, _ = fed_core.refine_fista(designs, zero, cfgs)
-        return dict(zip(pairs, deltas))
+        return dict(zip(origins, deltas))
+
+    def admm(nuclear_only):
+        coefs, last = {}, {}  # last: each client's previous (B0, D, U)
+        for k, t in origins:
+            ds = design(k, t)
+            acfg = admm_config(ds, cfg)
+            if nuclear_only:
+                acfg = single_client.nuclear_only_config(acfg)
+            dec, state = single_client.fit_admm(ds, acfg, start=last.get(k))
+            coefs[k, t], last[k] = dec.a, state.final
+        return coefs
+
+    fits = {
+        "federated": federated,
+        "single_nuc_l1": lambda: admm(False),
+        "single_nuclear": lambda: admm(True),
+        "single_l1": single_l1,
+        "least_squares": lambda: {
+            (k, t): single_client.fit_baseline(design(k, t), "least_squares")
+            for k, t in origins
+        },
+    }
+    tables = {method: fits[method]() for method in EMPIRICAL_METHODS}
 
     recs = []
     for k, panel in enumerate(panels):
         client = cfg.panels[k].client_id or str(k + 1)
         for method in EMPIRICAL_METHODS:
-            if method == "federated":
-                forecaster = _stored_forecaster(
-                    cfg.p, lambda t, k=k: federated(t)[k]
-                )
-            elif method == "single_l1":
-                forecaster = _stored_forecaster(
-                    cfg.p, lambda t, k=k: single_l1()[(k, t)]
-                )
-            else:
-                forecaster = _single_forecaster(cfg, method)
+            forecaster = _stored_forecaster(cfg.p, tables[method], k)
             records, agg = metrics.rmsfe(
                 forecaster, panel, n_origins=cfg.n_origins, aggregate=cfg.rmsfe_agg
             )
@@ -428,7 +416,7 @@ def empirical_rmsfe(cfg, panels, rep):
 
 
 def _rep_empirical(cfg, rep):
-    return empirical_rmsfe(cfg, [load_panel(spec, cfg.p) for spec in cfg.panels], rep)
+    return empirical_rmsfe(cfg, load_panels(cfg.panels, cfg.p), rep)
 
 
 REP_FUNCTIONS = {
@@ -501,8 +489,11 @@ def run_experiment(cfg, run_dir=None):
     Replications run one after another in the calling thread, and their
     records are emitted in replication order. A replication that raises
     is logged and skipped; the run fails once more than 1% of
-    replications abort.  A privacy heatmap needs a noise
-    mode other than "none" and raises ValueError before any replication.
+    replications abort.  An empirical run has one replication, whose
+    errors propagate: a missing or mismatched panel, or an n_origins too
+    large for a panel, raises ValueError before any fit.  A privacy
+    heatmap needs a noise mode other than "none" and raises ValueError
+    before any replication.
     """
     cfg = _fill_grids(cfg)
     if cfg.kind == "privacy_heatmap" and cfg.noise_mode == "none":
@@ -519,7 +510,12 @@ def run_experiment(cfg, run_dir=None):
             log.exception("replication %d of seed %d aborted", rep, cfg.seed)
             return None
 
-    results = [worker(rep) for rep in range(cfg.reps)]
+    if cfg.kind == "empirical":
+        # one replication over fixed panels, with no abort to tolerate: its
+        # errors propagate, a bad panel or n_origins as a ValueError
+        results = [rep_fn(cfg, 0)]
+    else:
+        results = [worker(rep) for rep in range(cfg.reps)]
 
     aborted = sum(r is None for r in results)
     if aborted > 0.01 * cfg.reps:

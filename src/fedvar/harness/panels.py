@@ -3,12 +3,14 @@
 A panel file has a header row of variable names and one row per time
 point, oldest first. Loading applies per-column transform codes, drops
 the first post-transform row, optionally standardizes, and splits the
-first p rows off as the presample.
+first p rows off as the presample.  ``load_panels`` loads the panels of
+one federation, which must all have the same width.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 
 import numpy as np
 
@@ -49,10 +51,15 @@ def load_panel(spec, p):
     log differences (rejecting nonpositive values). The first row after
     transforming is dropped so every code yields the same length. With
     standardize on, each column is centered and scaled by its
-    population standard deviation; constant columns are rejected.
+    population standard deviation; constant columns are rejected, and so
+    is a sensitive index beyond the panel's width.
     """
     header, raw = _read_csv(spec.path)
     n, width = raw.shape
+    if spec.sensitive and max(spec.sensitive) > width:
+        raise ValueError(
+            f"{spec.path}: sensitive index {max(spec.sensitive)} exceeds its {width} columns"
+        )
     codes = spec.transforms
     if len(codes) == 1:
         codes = codes * width
@@ -94,6 +101,22 @@ def load_panel(spec, p):
     return TimeSeriesPanel(
         presample=out[:p], observations=out[p:], client_id=spec.client_id or spec.path
     )
+
+
+def load_panels(specs, p):
+    """Every client's panel, in the order of specs, or ValueError before
+    any is returned: for a missing file, for a panel load_panel refuses,
+    and for a panel whose width differs from the first one's."""
+    for spec in specs:
+        if not os.path.isfile(spec.path):
+            raise ValueError(f"panel file not found: {spec.path}")
+    panels = [load_panel(spec, p) for spec in specs]
+    for spec, panel in zip(specs, panels):
+        if panel.d != panels[0].d:
+            raise ValueError(
+                f"{spec.path}: {panel.d} columns, but {specs[0].path} has {panels[0].d}"
+            )
+    return panels
 
 
 def write_panel(panel, path, var_names=None):

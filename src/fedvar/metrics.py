@@ -25,8 +25,7 @@ def rmsfe(forecaster, panel, n_origins=20, aggregate="mean"):
     ``forecaster`` maps a panel prefix to a length-d prediction of the
     next observation; it is refit at every origin.  Origins are visited
     in increasing order, one call each, so a forecaster may carry state
-    from one origin to the next (the harness's single-client forecasters
-    warm-start their ADMM fits this way).  Per-variable records
+    from one origin to the next.  Per-variable records
     come first; the aggregate is either the mean of per-variable values
     ("mean") or the square root of the pooled mean squared error
     ("pooled").

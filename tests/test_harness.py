@@ -17,6 +17,7 @@ from fedvar.harness import (
     write_panel,
 )
 from fedvar.harness import cli, experiments
+from fedvar.harness import panels as panels_module
 from fedvar.harness.config import from_json, to_json
 
 from oracles import (
@@ -407,6 +408,15 @@ class TestRunExperiment:
         assert len(per_all) == len(methods)
         assert res.manifest["sensitive_indices"] == {"c1": [2]}
 
+    def test_sensitive_index_beyond_panel_width_refused(self, tmp_path):
+        spec = replace(self._write_world(tmp_path), sensitive=(2, 5))
+        cfg = ExperimentConfig(
+            kind="empirical", seed=3, d=4, p=1, rank=1, n_origins=3, panels=(spec,)
+        )
+        with pytest.raises(ValueError, match=f"{spec.path}: sensitive index 5 exceeds"):
+            run_experiment(cfg, run_dir=str(tmp_path / "emp"))
+        assert not (tmp_path / "emp").exists()
+
     @staticmethod
     def _write_world(tmp_path):
         rng = np.random.default_rng(12)
@@ -503,6 +513,25 @@ class TestEmpiricalFederation:
             n = sum(t - 3 <= sizes[0] < t for t in self.LENGTHS)
             assert sizes == [sizes[0]] * n
 
+    def test_each_lag_design_built_once_across_methods(self, tmp_path, monkeypatch):
+        cfg = self._config(tmp_path, monkeypatch, methods=experiments.EMPIRICAL_METHODS)
+        real = var.lag_design
+        built = []
+
+        def counting(panel):
+            built.append((panel.client_id, panel.t_len))
+            return real(panel)
+
+        monkeypatch.setattr(var, "lag_design", counting)
+        experiments._rep_empirical(cfg, 0)
+        clients = [(f"c{k + 1}", t) for k, t in enumerate(self.LENGTHS)]
+        origins = {t - h for t in self.LENGTHS for h in (1, 2, 3)}
+        # every (client, origin) pair, and what each federation sees of
+        # the clients whose panels end before its origin
+        want = {(c, t - h) for c, t in clients for h in (1, 2, 3)}
+        want |= {(c, min(o, t)) for c, t in clients for o in origins}
+        assert sorted(built) == sorted(want)
+
     def test_single_l1_equals_cold_per_origin_fits(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch, methods=("single_l1",))
         recs = experiments._rep_empirical(cfg, 0)
@@ -519,7 +548,7 @@ class TestEmpiricalFederation:
 
 
 class TestWarmStartedForecasters:
-    """The single-client ADMM forecasters start each origin's fit from the
+    """The single-client ADMM methods start each origin's fit from the
     previous origin's final iterate."""
 
     METHODS = ("single_nuc_l1", "single_nuclear")
@@ -541,21 +570,28 @@ class TestWarmStartedForecasters:
 
     def test_each_origin_starts_from_the_previous_fit(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch)
-        panel = load_panel(cfg.panels[0], cfg.p)
+        panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
         real = single_client.fit_admm
-        for method in self.METHODS:
-            seen = []
+        chains = {}  # (client, nuclear only) -> [(t, start, final)]
 
-            def recording(design, acfg, start=None):
-                dec, state = real(design, acfg, start=start)
-                seen.append((design.t_len, start, state.final))
-                return dec, state
+        def recording(design, acfg, start=None):
+            dec, state = real(design, acfg, start=start)
+            k = next(
+                k for k, pn in enumerate(panels)
+                if np.array_equal(design.y, pn.observations[: design.t_len])
+            )
+            chains.setdefault((k, acfg.pin_delta), []).append(
+                (design.t_len, start, state.final)
+            )
+            return dec, state
 
-            monkeypatch.setattr(single_client, "fit_admm", recording)
-            metrics.rmsfe(experiments._single_forecaster(cfg, method), panel, n_origins=4)
-            monkeypatch.setattr(single_client, "fit_admm", real)
-            assert len(seen) == 4
-            assert [t for t, _, _ in seen] == sorted(t for t, _, _ in seen)
+        monkeypatch.setattr(single_client, "fit_admm", recording)
+        experiments.empirical_rmsfe(cfg, panels, 0)
+        assert sorted(chains) == [(0, False), (0, True), (1, False), (1, True)]
+        for (k, _), seen in chains.items():
+            t_len = panels[k].t_len
+            want = list(range(t_len - cfg.n_origins, t_len))
+            assert [t for t, _, _ in seen] == want
             assert seen[0][1] is None
             for (_, _, prev_final), (_, start, _) in zip(seen, seen[1:]):
                 assert start is prev_final
@@ -805,6 +841,84 @@ class TestCli:
         assert f"panel file not found: {missing}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "forecast", "rank-select"])
+    def test_mixed_panel_widths_exit_one(self, command, tmp_path, capsys):
+        rng = np.random.default_rng(25)
+        specs = []
+        for k, d in enumerate((4, 3)):
+            path = tmp_path / f"c{k + 1}.csv"
+            write_panel(var.simulate(0.3 * np.eye(d), 1, 30, rng), str(path))
+            specs.append(PanelSpec(path=str(path)))
+        cfg = ExperimentConfig(
+            kind="empirical", seed=1, d=4, p=1, rank=1, n_origins=3, panels=tuple(specs)
+        )
+        cfg_path = tmp_path / "cfg.json"
+        to_json(cfg, str(cfg_path))
+        est = tmp_path / "estimates.npz"
+        np.savez(est, a0=np.zeros((4, 4)), delta_1=np.zeros((4, 4)), delta_2=np.zeros((4, 4)))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        if command == "forecast":
+            argv += ["--estimates", str(est)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{specs[1].path}: 3 columns, but {specs[0].path} has 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["fit"], ["simulate", "empirical"]], ids=["fit", "simulate"]
+    )
+    def test_empirical_usage_errors_exit_one(self, command, tmp_path, capsys):
+        rng = np.random.default_rng(26)
+        good = tmp_path / "c1.csv"
+        write_panel(var.simulate(0.3 * np.eye(4), 1, 20, rng), str(good))
+        missing = tmp_path / "missing.csv"
+        for panel, n_origins, message in (
+            (missing, 3, f"panel file not found: {missing}"),
+            (good, 20, f"n_origins 20 outside [1, 18] for panel {good}"),
+        ):
+            cfg = ExperimentConfig(
+                kind="empirical", seed=1, d=4, p=1, rank=1, n_origins=n_origins,
+                panels=(PanelSpec(path=str(good)), PanelSpec(path=str(panel))),
+            )
+            cfg_path = tmp_path / "cfg.json"
+            to_json(cfg, str(cfg_path))
+            out = tmp_path / "out"
+            argv = command + ["--config", str(cfg_path), "--out", str(out)]
+            assert cli.main(argv) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "delta_2, message",
+        [
+            (np.zeros((4, 5)), "delta_2 has shape (4, 5), the panels need (4, 4)"),
+            (np.full((4, 4), np.nan), "--estimates delta_2 contains non-finite entries"),
+        ],
+        ids=["too_wide", "non_finite"],
+    )
+    def test_forecast_checks_every_estimate_before_writing(
+        self, delta_2, message, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(27)
+        specs = []
+        for k in range(2):
+            path = tmp_path / f"c{k + 1}.csv"
+            write_panel(var.simulate(0.3 * np.eye(4), 1, 20, rng), str(path))
+            specs.append(PanelSpec(path=str(path), client_id=f"c{k + 1}"))
+        cfg = ExperimentConfig(
+            kind="empirical", seed=6, d=4, p=1, rank=1, panels=tuple(specs)
+        )
+        cfg_path = tmp_path / "cfg.json"
+        to_json(cfg, str(cfg_path))
+        est = tmp_path / "estimates.npz"
+        np.savez(est, a0=np.zeros((4, 4)), delta_1=np.zeros((4, 4)), delta_2=delta_2)
+        out = tmp_path / "out"
+        argv = ["forecast", "--config", str(cfg_path), "--estimates", str(est)]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(24)
         path = tmp_path / "c1.csv"
@@ -849,8 +963,7 @@ class TestCli:
             loaded.append(spec.path)
             return load_panel(spec, p)
 
-        monkeypatch.setattr(cli, "load_panel", counting_load)
-        monkeypatch.setattr(experiments, "load_panel", counting_load)
+        monkeypatch.setattr(panels_module, "load_panel", counting_load)
         fit_dir = tmp_path / "fitout"
         code = cli.main(["fit", "--config", str(cfg_path), "--out", str(fit_dir)])
         assert code == 0
