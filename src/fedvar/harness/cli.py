@@ -30,6 +30,20 @@ from .panels import load_panels
 
 NOISE_FLAG_MODES = {"none": "none", "fixed": "fixed_scale", "calibrated": "calibrated"}
 
+# config-overriding flags by argparse dest; each command takes the ones it reads
+FLAGS = {
+    "seed": {"type": int, "help": "override the config seed"},
+    "out": {"help": "override the output directory"},
+    "eps": {"type": float, "help": "override the privacy epsilon"},
+    "delta": {"type": float, "help": "override the privacy delta"},
+    "noise_mode": {"choices": sorted(NOISE_FLAG_MODES), "help": "gradient noise policy"},
+    "reps": {"type": int, "help": "override the replication count"},
+    "rmsfe_agg": {
+        "choices": RMSFE_AGGREGATES,
+        "help": "forecast error aggregation across variables",
+    },
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -42,64 +56,40 @@ def _build_parser():
     parser = _Parser(prog="fedvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_config):
+    def command(name, summary, flags=(), need_config=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=need_config, help="JSON config path")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="override the output directory")
-        p.add_argument("--eps", type=float, help="override the privacy epsilon")
-        p.add_argument("--delta", type=float, help="override the privacy delta")
-        p.add_argument(
-            "--noise-mode",
-            choices=sorted(NOISE_FLAG_MODES),
-            help="gradient noise policy",
-        )
-        p.add_argument("--reps", type=int, help="override the replication count")
-        p.add_argument(
-            "--rmsfe-agg",
-            choices=RMSFE_AGGREGATES,
-            help="forecast error aggregation across variables",
-        )
+        for dest in flags:
+            p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
+        return p
 
-    p_sim = sub.add_parser("simulate", help="run one experiment kind")
+    p_sim = command("simulate", "run one experiment kind", FLAGS, need_config=False)
     p_sim.add_argument("kind", choices=KINDS)
-    common(p_sim, need_config=False)
-
-    p_fit = sub.add_parser("fit", help="fit estimators on configured panels")
-    common(p_fit, need_config=True)
-
-    p_fc = sub.add_parser("forecast", help="one-step forecasts from saved estimates")
-    common(p_fc, need_config=True)
+    # an empirical fit is one replication, so fit takes no --reps
+    command("fit", "fit estimators on configured panels", [f for f in FLAGS if f != "reps"])
+    p_fc = command("forecast", "one-step forecasts from saved estimates", ["out"])
     p_fc.add_argument("--estimates", required=True, help="estimates.npz from fit")
-
-    p_rank = sub.add_parser("rank-select", help="select the shared rank from panels")
-    common(p_rank, need_config=True)
-
+    command("rank-select", "select the shared rank from panels")
     return parser
 
 
-def _load_config(args, kind=None):
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "eps": args.eps,
-        "delta": args.delta,
-        "noise_mode": NOISE_FLAG_MODES.get(getattr(args, "noise_mode", None)),
-        "reps": args.reps,
-        "rmsfe_agg": args.rmsfe_agg,
-    }
-    if kind is not None:
-        overrides["kind"] = kind
+def _load_config(args):
+    """The command's config with its flags applied; a flag the command does
+    not take, or one left unset, keeps the config's value."""
+    overrides = {dest: getattr(args, dest, None) for dest in (*FLAGS, "kind")}
+    overrides["out_dir"] = overrides.pop("out")
+    overrides["noise_mode"] = NOISE_FLAG_MODES.get(overrides["noise_mode"])
     if args.config is None:
         if args.seed is None:
             raise ValueError("--seed is required when no --config is given")
-        return from_json(text="{}", overrides={**overrides, "kind": kind})
+        return from_json(text="{}", overrides=overrides)
     if not os.path.exists(args.config):
         raise ValueError(f"--config path not found: {args.config}")
     return from_json(path=args.config, overrides=overrides)
 
 
 def _cmd_simulate(args):
-    cfg = _load_config(args, kind=args.kind)
+    cfg = _load_config(args)
     result = run_experiment(cfg)
     print(result.out_dir)
     return 0
@@ -178,9 +168,8 @@ def _cmd_forecast(args):
         for spec, panel, delta in zip(cfg.panels, panels, deltas):
             full = np.vstack([panel.presample, panel.observations])
             pred = var.forecast_one_step(a0 + delta, full[-cfg.p:])
-            client = spec.client_id or spec.path
             for j, value in enumerate(pred):
-                writer.writerow((client, j + 1, repr(float(value))))
+                writer.writerow((spec.label, j + 1, repr(float(value))))
     print(path)
     return 0
 
@@ -198,10 +187,7 @@ def _cmd_rank_select(args):
     rank, picks = rank_select.select_rank(fits, t_lens, rcfg)
     doc = {
         "rank": rank,
-        "per_client": {
-            spec.client_id or spec.path: pick
-            for spec, pick in zip(cfg.panels, picks)
-        },
+        "per_client": {spec.label: pick for spec, pick in zip(cfg.panels, picks)},
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

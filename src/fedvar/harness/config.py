@@ -37,7 +37,8 @@ class PanelSpec:
     log differences (positive data only). sensitive lists 1-based column
     indices, none beyond the panel's width (load_panel checks it). They
     are recorded in run manifests only: stage-1 noise goes
-    on every gradient coordinate, so they change no result.
+    on every gradient coordinate, so they change no result.  label names
+    the client in every output: client_id, or the path when it is empty.
     """
 
     path: str
@@ -56,6 +57,10 @@ class PanelSpec:
         object.__setattr__(self, "sensitive", tuple(int(i) for i in self.sensitive))
         if any(i < 1 for i in self.sensitive):
             raise ValueError("sensitive indices are 1-based")
+
+    @property
+    def label(self):
+        return self.client_id or self.path
 
 
 # numeric fields by type; None is allowed where it is the default
@@ -113,6 +118,7 @@ class ExperimentConfig:
     entries must be numbers (integers where the field counts something);
     a string or a boolean raises ValueError.  The privacy fields are
     checked in every noise mode, so a bad one fails before any replication.
+    Two panels may not share a label (PanelSpec.label).
     """
 
     kind: str
@@ -183,6 +189,12 @@ class ExperimentConfig:
             s if isinstance(s, PanelSpec) else _panel_spec(s) for s in self.panels
         )
         object.__setattr__(self, "panels", specs)
+        labels = [s.label for s in specs]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(
+                    f"two panels are labelled {label!r}; set distinct client_ids"
+                )
         if self.kind == "empirical" and not specs:
             raise ValueError("empirical experiments need at least one panel")
 
@@ -208,7 +220,9 @@ def from_json(text=None, path=None, overrides=None):
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
-    doc.pop("format_version", None)
+    version = doc.pop("format_version", FORMAT_VERSION)
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}")
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in fields(ExperimentConfig)}

@@ -123,10 +123,7 @@ def _world(cfg, rng, k, rank=None, t_len=None):
         target_radius=cfg.target_radius,
     )
     t = cfg.t_len if t_len is None else t_len
-    panels = [
-        var.simulate(a0 + dl, cfg.p, t, rng, client_id=str(i + 1))
-        for i, dl in enumerate(deltas)
-    ]
+    panels = [var.simulate(a0 + dl, cfg.p, t, rng) for dl in deltas]
     return a0, deltas, panels
 
 
@@ -323,7 +320,8 @@ def _stored_forecaster(p, coefs, k):
 
 def empirical_rmsfe(cfg, panels, rep):
     """RMSFE records of every method for each client's loaded panel, in
-    the order of cfg.panels, tagged with replication ``rep``.
+    the order of cfg.panels, tagged with replication ``rep`` and the
+    client's PanelSpec.label.
 
     Client k forecasts from the origins t = T_k - n_origins, ..., T_k - 1
     (a panel too short for that raises ValueError before any fit).  Each
@@ -367,12 +365,8 @@ def empirical_rmsfe(cfg, panels, rep):
 
     def single_l1():
         designs = [design(k, t) for k, t in origins]
-        cfgs = [
-            single_client.l1_only_config(
-                ds, omega=cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len)
-            )
-            for ds in designs
-        ]
+        omegas = [cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len) for ds in designs]
+        cfgs = [single_client.l1_only_config(omega) for omega in omegas]
         zero = np.zeros((designs[0].d, designs[0].pd))
         deltas, _ = fed_core.refine_fista(designs, zero, cfgs)
         return dict(zip(origins, deltas))
@@ -394,21 +388,19 @@ def empirical_rmsfe(cfg, panels, rep):
         "single_nuclear": lambda: admm(True),
         "single_l1": single_l1,
         "least_squares": lambda: {
-            (k, t): single_client.fit_baseline(design(k, t), "least_squares")
-            for k, t in origins
+            (k, t): single_client.fit_baseline(design(k, t)) for k, t in origins
         },
     }
     tables = {method: fits[method]() for method in EMPIRICAL_METHODS}
 
     recs = []
-    for k, panel in enumerate(panels):
-        client = cfg.panels[k].client_id or str(k + 1)
+    for k, (spec, panel) in enumerate(zip(cfg.panels, panels)):
         for method in EMPIRICAL_METHODS:
             forecaster = _stored_forecaster(cfg.p, tables[method], k)
             records, agg = metrics.rmsfe(
                 forecaster, panel, n_origins=cfg.n_origins, aggregate=cfg.rmsfe_agg
             )
-            base = {"rep": rep, "client": client, "method": method, "metric": "rmsfe"}
+            base = {"rep": rep, "client": spec.label, "method": method, "metric": "rmsfe"}
             for r in records:
                 recs.append({**base, "variable": r.variable + 1, "value": r.rmsfe})
             recs.append({**base, "variable": "all", "value": agg.rmsfe})
@@ -556,9 +548,7 @@ def run_experiment(cfg, run_dir=None):
         "aborted_replications": aborted,
     }
     if cfg.kind == "empirical":
-        manifest["sensitive_indices"] = {
-            (spec.client_id or spec.path): list(spec.sensitive) for spec in cfg.panels
-        }
+        manifest["sensitive_indices"] = {s.label: list(s.sensitive) for s in cfg.panels}
     with open(manifest_json, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

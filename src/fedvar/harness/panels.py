@@ -98,9 +98,7 @@ def load_panel(spec, p):
                 f"{spec.path}: constant column {header[flat[0]]!r} cannot be standardized"
             )
         out = (out - mean) / sd
-    return TimeSeriesPanel(
-        presample=out[:p], observations=out[p:], client_id=spec.client_id or spec.path
-    )
+    return TimeSeriesPanel(presample=out[:p], observations=out[p:])
 
 
 def load_panels(specs, p):

@@ -1,6 +1,8 @@
 """Single-client estimation of the low-rank + sparse coefficient pair by
-ADMM, plus the reference baselines (l1 only, least squares) used for
-comparisons.  The nuclear-norm-only fit is ADMM on ``nuclear_only_config``.
+ADMM, plus the reference baselines used for comparisons: least squares
+(``fit_baseline``) and l1 only (``refine_fista`` with no shared part, on
+``l1_only_config``).  The nuclear-norm-only fit is ADMM on
+``nuclear_only_config``.
 
 Internally the solver works with (pd, d) coefficient blocks B = B0 + D so
 the ridge system factors once per fit; results are transposed back to the
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 
+from .fed_core import FistaConfig
 from .matops import check_matrix, linf_project, soft_threshold, svt
 from .var import CoefDecomposition, LagDesign
 
@@ -191,63 +194,26 @@ def fit_admm(design, cfg, start=None):
     return CoefDecomposition(a0=b0.T, delta=d_mat.T), state
 
 
-BASELINE_KINDS = ("l1_only", "least_squares")
+def fit_baseline(design):
+    """The least-squares reference fit, a stacked (d, pd) coefficient matrix:
+    ridge-jittered normal equations sxx B = sxy (jitter 1e-8 tr(sxx)/pd
+    keeps degenerate designs solvable; rank deficiency triggers a
+    warning)."""
+    gram, cross = design.sxx, design.sxy
+    jitter = 1e-8 * np.trace(gram) / design.pd
+    if np.linalg.matrix_rank(gram) < design.pd:
+        # keep degenerate designs solvable with a small ridge
+        warnings.warn("rank-deficient design in least_squares fit", RuntimeWarning)
+        gram = gram + jitter * np.eye(design.pd)
+    try:
+        coef = cho_solve(cho_factor(gram), cross)
+    except np.linalg.LinAlgError:
+        warnings.warn("near-singular design in least_squares fit", RuntimeWarning)
+        coef = cho_solve(cho_factor(gram + jitter * np.eye(design.pd)), cross)
+    return coef.T
 
 
-def fit_baseline(design, kind, tuning=None):
-    """Reference fits returning a stacked (d, pd) coefficient matrix.
-
-    l1_only       : accelerated proximal gradient with no shared part at
-                    refine_fista's default step, stopped by its tolerance
-                    with a cap of 500 iterations (tuning "omega", "iters")
-    least_squares : ridge-jittered normal equations sxx B = sxy (jitter
-                    1e-8 tr(sxx)/pd keeps degenerate designs solvable;
-                    rank deficiency triggers a warning)
-    """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}")
-    tuning = dict(tuning or {})
-
-    if kind == "least_squares":
-        if tuning:
-            raise ValueError(f"least_squares takes no tuning, got {sorted(tuning)}")
-        gram, cross = design.sxx, design.sxy
-        jitter = 1e-8 * np.trace(gram) / design.pd
-        if np.linalg.matrix_rank(gram) < design.pd:
-            # keep degenerate designs solvable with a small ridge
-            warnings.warn(
-                "rank-deficient design in least_squares fit", RuntimeWarning
-            )
-            gram = gram + jitter * np.eye(design.pd)
-        try:
-            coef = cho_solve(cho_factor(gram), cross)
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "near-singular design in least_squares fit", RuntimeWarning
-            )
-            coef = cho_solve(
-                cho_factor(gram + jitter * np.eye(design.pd)), cross
-            )
-        return coef.T
-
-    # l1_only
-    allowed = {"omega", "iters"}
-    unknown = set(tuning) - allowed
-    if unknown:
-        raise ValueError(f"unknown tuning keys {sorted(unknown)}")
-    from .fed_core import refine_fista
-
-    cfg = l1_only_config(design, **tuning)
-    deltas, _ = refine_fista([design], np.zeros((design.d, design.pd)), [cfg])
-    return deltas[0]
-
-
-def l1_only_config(design, omega=None, iters=500):
-    """The l1-only baseline's refine_fista config: penalty omega (None
-    takes default_admm_config(design).omega) at the default step, capped
-    at iters iterations."""
-    from .fed_core import FistaConfig
-
-    if omega is None:
-        omega = default_admm_config(design).omega
-    return FistaConfig(varpi=omega, iters=iters)
+def l1_only_config(omega):
+    """The l1-only baseline's refine_fista config, for a zero shared part:
+    penalty omega at refine_fista's default step, capped at 500 iterations."""
+    return FistaConfig(varpi=omega, iters=500)

@@ -21,11 +21,13 @@ class TimeSeriesPanel:
 
     presample : (p, d) rows used only to form lagged regressors
     observations : (t_len, d) rows entering the loss / evaluation
+
+    A panel carries no name; the harness names a client by its
+    PanelSpec.label.
     """
 
     presample: np.ndarray
     observations: np.ndarray
-    client_id: str = ""
 
     def __post_init__(self):
         pre = check_matrix(self.presample, "presample")
@@ -57,9 +59,7 @@ class TimeSeriesPanel:
         if not 1 <= t_len <= self.t_len:
             raise ValueError(f"prefix length {t_len} outside [1, {self.t_len}]")
         return TimeSeriesPanel(
-            presample=self.presample,
-            observations=self.observations[:t_len],
-            client_id=self.client_id,
+            presample=self.presample, observations=self.observations[:t_len]
         )
 
 
@@ -316,7 +316,7 @@ def assemble_dgp(
         sizes = [m - o for m, o in zip(sizes, over)]
 
 
-def simulate(a, p, t_len, rng, burn_in=200, noise_chol=None, client_id=""):
+def simulate(a, p, t_len, rng, burn_in=200, noise_chol=None):
     """Simulate a stationary VAR(p) path started from a zero state.
 
     Parameters
@@ -328,6 +328,8 @@ def simulate(a, p, t_len, rng, burn_in=200, noise_chol=None, client_id=""):
     burn_in : discarded initial steps before the presample
     noise_chol : optional (d, d) factor L; innovations are L @ z with z
         standard normal (identity covariance when omitted)
+
+    Returns a TimeSeriesPanel of p presample rows and t_len observations.
     """
     a, d = _check_stacked(a, p)
     # BLAS picks its matrix-vector kernel by memory layout, and the kernels
@@ -360,9 +362,7 @@ def simulate(a, p, t_len, rng, burn_in=200, noise_chol=None, client_id=""):
         for j, blk in enumerate(blocks[:t]):
             row += blk.dot(rows[t - j - 1])
     return TimeSeriesPanel(
-        presample=y[burn_in : burn_in + p],
-        observations=y[burn_in + p :],
-        client_id=client_id,
+        presample=y[burn_in : burn_in + p], observations=y[burn_in + p :]
     )
 
 

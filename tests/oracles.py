@@ -161,14 +161,19 @@ def cold_single_forecaster(cfg, method):
 
 
 def cold_l1_forecaster(cfg):
-    """The "single_l1" forecaster fitted on its own at each origin:
-    fit_baseline("l1_only") on that origin's design, at the harness's
-    penalty omega_scale sqrt(log(pd) / T)."""
+    """The "single_l1" forecaster fitted on its own at each origin: a
+    one-problem refine_fista call from a zero shared part on that origin's
+    design, at the harness's penalty omega_scale sqrt(log(pd) / T) and
+    the baseline's cap of 500 iterations."""
 
     def forecast(prefix_panel):
         design = var.lag_design(prefix_panel)
         omega = cfg.omega_scale * np.sqrt(np.log(design.pd) / design.t_len)
-        coef = single_client.fit_baseline(design, "l1_only", tuning={"omega": omega})
+        (coef,), _ = fed_core.refine_fista(
+            [design],
+            np.zeros((design.d, design.pd)),
+            [fed_core.FistaConfig(varpi=omega, iters=500)],
+        )
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(coef, full[-cfg.p:])
 

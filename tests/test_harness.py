@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import os
+import re
 import threading
 from dataclasses import replace
 
@@ -42,6 +44,17 @@ def assert_reruns_identical_and_reps_independent(cfg, tmp_path):
     assert long_raw.startswith(short_raw)
 
 
+# simulate's config-overriding flags besides --out, each with a valid value
+OVERRIDE_FLAGS = (
+    ("--seed", "9"),
+    ("--eps", "1.0"),
+    ("--delta", "0.1"),
+    ("--noise-mode", "calibrated"),
+    ("--reps", "7"),
+    ("--rmsfe-agg", "pooled"),
+)
+
+
 def tiny_config(**overrides):
     base = dict(
         kind="single_client_curve",
@@ -70,6 +83,10 @@ class TestPanelSpec:
         with pytest.raises(ValueError):
             PanelSpec(path="x.csv", sensitive=(0,))
         assert PanelSpec(path="x.csv", sensitive=(2, 1)).sensitive == (2, 1)
+
+    def test_label_is_client_id_else_path(self):
+        assert PanelSpec(path="x.csv").label == "x.csv"
+        assert PanelSpec(path="x.csv", client_id="north").label == "north"
 
 
 class TestExperimentConfig:
@@ -111,6 +128,21 @@ class TestExperimentConfig:
         for panel in ({"transforms": 1}, "a.csv"):
             with pytest.raises(ValueError, match="with a path"):
                 ExperimentConfig(kind="empirical", seed=1, panels=[panel])
+
+    @pytest.mark.parametrize(
+        "panels, label",
+        [
+            ((("a.csv", "x"), ("b.csv", "x")), "x"),
+            ((("a.csv", ""), ("a.csv", "")), "a.csv"),
+            ((("a.csv", "b.csv"), ("b.csv", "")), "b.csv"),
+        ],
+        ids=["same_id", "same_path", "id_is_other_path"],
+    )
+    def test_duplicate_panel_labels_rejected(self, panels, label):
+        specs = tuple(PanelSpec(path=path, client_id=cid) for path, cid in panels)
+        message = f"two panels are labelled '{label}'; set distinct client_ids"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(kind="empirical", seed=1, panels=specs)
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -194,6 +226,18 @@ class TestConfigJson:
         with pytest.raises(ValueError):
             from_json(text="{}", path="also.json")
 
+    @pytest.mark.parametrize("version", [2, 0, "1", 1.5, True])
+    def test_other_format_version_refused(self, version, tmp_path, capsys):
+        doc = json.dumps({"kind": "t_sweep", "seed": 1, "format_version": version})
+        with pytest.raises(ValueError, match="format_version"):
+            from_json(text=doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "t_sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert f"format_version {version!r} is not 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigHash:
     def test_out_dir_excluded(self):
@@ -218,7 +262,6 @@ class TestLoadPanel:
         panel = load_panel(PanelSpec(path=str(path)), p=1)
         assert panel.presample.tolist() == [[2.0, 20.0]]
         assert panel.observations.tolist() == [[3.0, 30.0], [4.0, 40.0]]
-        assert panel.client_id == str(path)
 
     def test_first_difference_then_standardize(self, tmp_path):
         # diffs of (1, 3, 6, 10) are (2, 3, 4); population sd of the
@@ -294,7 +337,6 @@ class TestLoadPanel:
         panel = var.TimeSeriesPanel(
             presample=rng.standard_normal((2, 3)),
             observations=rng.standard_normal((7, 3)),
-            client_id="rt",
         )
         path = tmp_path / "p.csv"
         write_panel(panel, str(path))
@@ -302,7 +344,7 @@ class TestLoadPanel:
         assert header == "v1,v2,v3"
         # code 0 drops one leading row, so reload with p = 1: the
         # observations and the last presample row survive bit-for-bit
-        back = load_panel(PanelSpec(path=str(path), client_id="rt"), p=1)
+        back = load_panel(PanelSpec(path=str(path)), p=1)
         assert np.array_equal(back.presample, panel.presample[1:])
         assert np.array_equal(back.observations, panel.observations)
 
@@ -421,7 +463,7 @@ class TestRunExperiment:
     def _write_world(tmp_path):
         rng = np.random.default_rng(12)
         a0, deltas = var.assemble_dgp(4, 1, 1, 1, rng, ratio=5.0)
-        panel = var.simulate(a0 + deltas[0], 1, 30, rng, client_id="c1")
+        panel = var.simulate(a0 + deltas[0], 1, 30, rng)
         path = tmp_path / "c1.csv"
         write_panel(panel, str(path))
         return PanelSpec(path=str(path), sensitive=(2,), client_id="c1")
@@ -515,11 +557,15 @@ class TestEmpiricalFederation:
 
     def test_each_lag_design_built_once_across_methods(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch, methods=experiments.EMPIRICAL_METHODS)
+        loaded = [load_panel(spec, cfg.p) for spec in cfg.panels]
         real = var.lag_design
         built = []
 
         def counting(panel):
-            built.append((panel.client_id, panel.t_len))
+            # a prefix's first observation tells whose panel it is
+            k = next(k for k, pn in enumerate(loaded)
+                     if np.array_equal(pn.observations[0], panel.observations[0]))
+            built.append((cfg.panels[k].client_id, panel.t_len))
             return real(panel)
 
         monkeypatch.setattr(var, "lag_design", counting)
@@ -834,7 +880,9 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         to_json(cfg, str(cfg_path))
         out = tmp_path / "out"
-        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        argv = [command, "--config", str(cfg_path)]
+        if command != "rank-select":
+            argv += ["--out", str(out)]
         if command == "forecast":
             argv += ["--estimates", str(tmp_path / "estimates.npz")]
         assert cli.main(argv) == 1
@@ -857,7 +905,9 @@ class TestCli:
         est = tmp_path / "estimates.npz"
         np.savez(est, a0=np.zeros((4, 4)), delta_1=np.zeros((4, 4)), delta_2=np.zeros((4, 4)))
         out = tmp_path / "out"
-        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        argv = [command, "--config", str(cfg_path)]
+        if command != "rank-select":
+            argv += ["--out", str(out)]
         if command == "forecast":
             argv += ["--estimates", str(est)]
         assert cli.main(argv) == 1
@@ -879,7 +929,8 @@ class TestCli:
         ):
             cfg = ExperimentConfig(
                 kind="empirical", seed=1, d=4, p=1, rank=1, n_origins=n_origins,
-                panels=(PanelSpec(path=str(good)), PanelSpec(path=str(panel))),
+                panels=(PanelSpec(path=str(good), client_id="c1"),
+                        PanelSpec(path=str(panel), client_id="c2")),
             )
             cfg_path = tmp_path / "cfg.json"
             to_json(cfg, str(cfg_path))
@@ -1032,3 +1083,88 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"rank", "per_client"}
         assert set(doc["per_client"]) == {"c1", "c2"}
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fit"], ["forecast"], ["rank-select"], ["simulate", "empirical"]],
+        ids=["fit", "forecast", "rank-select", "simulate"],
+    )
+    def test_duplicate_client_label_exits_one(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(29)
+        panels = []
+        for k in range(2):
+            path = f"c{k + 1}.csv"
+            write_panel(var.simulate(0.3 * np.eye(4), 1, 30, rng), path)
+            panels.append({"path": path, "client_id": "x"})
+        doc = {"kind": "empirical", "seed": 1, "d": 4, "p": 1, "rank": 1,
+               "n_origins": 3, "panels": panels}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv = command + ["--config", "cfg.json"]
+        if command != ["rank-select"]:
+            argv += ["--out", "out"]
+        if command == ["forecast"]:
+            np.savez("estimates.npz", a0=np.zeros((4, 4)), delta_1=np.zeros((4, 4)),
+                     delta_2=np.zeros((4, 4)))
+            argv += ["--estimates", "estimates.npz"]
+        before = sorted(os.listdir(tmp_path))
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "two panels are labelled 'x'; set distinct client_ids" in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_unnamed_panels_carry_their_path_in_every_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(28)
+        a0, deltas = var.assemble_dgp(4, 1, 1, 2, rng, ratio=5.0)
+        specs = []
+        for k in range(2):
+            path = tmp_path / f"p{k + 1}.csv"
+            write_panel(var.simulate(a0 + deltas[k], 1, 40, rng), str(path))
+            specs.append(PanelSpec(path=str(path), sensitive=(1,)))
+        cfg = ExperimentConfig(
+            kind="empirical", seed=6, d=4, p=1, rank=1, n_origins=3, panels=tuple(specs)
+        )
+        cfg_path = str(tmp_path / "cfg.json")
+        to_json(cfg, cfg_path)
+        paths = [spec.path for spec in specs]
+
+        def clients(table):
+            with open(table, newline="", encoding="utf-8") as fh:
+                return list(dict.fromkeys(row["client"] for row in csv.DictReader(fh)))
+
+        fit_dir, fc_dir = tmp_path / "fit", tmp_path / "fc"
+        assert cli.main(["fit", "--config", cfg_path, "--out", str(fit_dir)]) == 0
+        est = str(fit_dir / "estimates.npz")
+        argv = ["forecast", "--config", cfg_path, "--estimates", est, "--out", str(fc_dir)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(["rank-select", "--config", cfg_path]) == 0
+        per_client = json.loads(capsys.readouterr().out)["per_client"]
+        argv = ["simulate", "empirical", "--config", cfg_path, "--out", str(tmp_path / "sim")]
+        assert cli.main(argv) == 0
+        run_dir = capsys.readouterr().out.strip()
+        with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
+            sensitive = json.load(fh)["sensitive_indices"]
+
+        assert clients(fit_dir / "rmsfe.csv") == paths
+        assert clients(fc_dir / "forecasts.csv") == paths
+        assert clients(os.path.join(run_dir, "raw.csv")) == paths
+        assert sorted(per_client) == sorted(sensitive) == sorted(paths)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("fit", "--reps", "7")]
+        + [("forecast", flag, value) for flag, value in OVERRIDE_FLAGS]
+        + [("rank-select", flag, value)
+           for flag, value in (("--out", "nowhere"), *OVERRIDE_FLAGS)],
+    )
+    def test_flag_the_command_does_not_read_exits_one(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        argv = [command, "--config", str(tmp_path / "cfg.json"), flag, value]
+        if command == "forecast":
+            argv += ["--estimates", str(tmp_path / "estimates.npz")]
+        assert cli.main(argv) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []

@@ -246,12 +246,12 @@ class TestFitAdmm:
 class TestBaselines:
     def test_least_squares_noiseless_exact(self):
         design, a = make_noiseless(seed=8)
-        fit = fit_baseline(design, "least_squares")
+        fit = fit_baseline(design)
         assert np.linalg.norm(fit - a) < 1e-8
 
     def test_least_squares_matches_lstsq(self):
         design, _ = make_noisy(seed=9)
-        fit = fit_baseline(design, "least_squares")
+        fit = fit_baseline(design)
         ls, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
         assert np.linalg.norm(fit - ls.T) < 1e-6
 
@@ -260,7 +260,7 @@ class TestBaselines:
         x[:, 0] = np.arange(6.0) + 1
         design = var.LagDesign(x=x, y=np.ones((6, 3)))
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
-            fit_baseline(design, "least_squares")
+            fit_baseline(design)
 
     def test_nuclear_only_shape_and_shrinkage(self):
         design, _ = make_noisy(seed=10)
@@ -281,30 +281,13 @@ class TestBaselines:
     def test_l1_only_agrees_with_pinned_admm(self):
         design, _ = make_noisy(seed=11, d=4, t_len=200)
         omega = 0.1
-        fista = fit_baseline(design, "l1_only", {"omega": omega, "iters": 3000})
+        (fista,), _ = fed_core.refine_fista(
+            [design],
+            np.zeros((design.d, design.pd)),
+            [fed_core.FistaConfig(varpi=omega, iters=3000)],
+        )
         decomp, _ = fit_admm(
             design,
             AdmmConfig(lam=0.0, omega=omega, pin_a0=True, max_iter=5000),
         )
         assert np.linalg.norm(fista - decomp.delta) < 1e-4
-
-    def test_l1_only_is_refine_fista_at_its_default_step(self):
-        design, _ = make_noisy(seed=11, d=4, t_len=200)
-        omega = 0.1
-        (want,), _ = fed_core.refine_fista(
-            [design],
-            np.zeros((design.d, design.pd)),
-            [fed_core.FistaConfig(varpi=omega, iters=500)],
-        )
-        got = fit_baseline(design, "l1_only", {"omega": omega})
-        np.testing.assert_array_equal(got, want)
-
-    def test_unknown_kind_and_tuning(self):
-        design, _ = make_noisy(seed=12)
-        for kind in ("ridge", "nuclear_only"):
-            with pytest.raises(ValueError, match="kind"):
-                fit_baseline(design, kind)
-        with pytest.raises(ValueError, match="unknown tuning"):
-            fit_baseline(design, "l1_only", {"step_eta": 0.1})
-        with pytest.raises(ValueError, match="no tuning"):
-            fit_baseline(design, "least_squares", {"lam": 1.0})
