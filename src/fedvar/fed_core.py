@@ -180,14 +180,16 @@ def _check_rank(rank, d, pd):
         raise ValueError(f"rank {rank} outside [1, {min(d, pd)}]")
 
 
-def initial_shared_estimate(design, rank, admm_cfg):
-    """Single-client ADMM estimate of one design, truncated to ``rank``."""
+def initial_shared_estimate(designs, rank, admm_cfgs):
+    """Starts of several federations: for each same-shape design, its
+    single-client ADMM estimate under the matching config, truncated to
+    ``rank``.  The fits are one stacked ``fit_admm`` call, and each start
+    is bitwise that of a one-design call."""
     from .single_client import fit_admm
 
-    _check_rank(rank, *_check_designs([design]))
-    decomp, _ = fit_admm(design, admm_cfg)
-    out, _ = svd_truncate(decomp.a0, rank)
-    return out
+    _check_rank(rank, *_check_designs(designs))
+    decomps, _ = fit_admm(designs, admm_cfgs)
+    return [svd_truncate(dec.a0, rank)[0] for dec in decomps]
 
 
 def _check_members(cfgs, rngs, d, pd):

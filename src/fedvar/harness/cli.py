@@ -53,11 +53,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    parser = _Parser(prog="fedvar", description=__doc__)
+    # allow_abbrev=False: a prefix such as --d must not stand for --delta
+    parser = _Parser(prog="fedvar", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary, flags=(), need_config=True):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", required=need_config, help="JSON config path")
         for dest in flags:
             p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
@@ -89,6 +90,8 @@ def _load_config(args):
 
 
 def _cmd_simulate(args):
+    if args.kind == "empirical" and args.reps not in (None, 1):
+        raise ValueError(f"the empirical kind runs one replication, got --reps {args.reps}")
     cfg = _load_config(args)
     result = run_experiment(cfg)
     print(result.out_dir)
@@ -118,7 +121,10 @@ def _cmd_fit(args):
     designs = [var.lag_design(pn) for pn in panels]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
     decomps, _ = fed_core.fit_federated(
-        designs, fed_config(cfg, designs), [fista_config(cfg, ds) for ds in designs], rng
+        designs,
+        fed_config(cfg, [designs])[0],
+        [fista_config(cfg, ds) for ds in designs],
+        rng,
     )
     out = _out_dir(args, "fit-out")
 
@@ -176,15 +182,13 @@ def _cmd_forecast(args):
 
 def _cmd_rank_select(args):
     cfg, panels = _config_and_panels(args, "rank-select")
-    fits, t_lens = [], []
-    for panel in panels:
-        design = var.lag_design(panel)
-        dec, _ = single_client.fit_admm(design, admm_config(design, cfg))
-        fits.append(dec.a0)
-        t_lens.append(design.t_len)
+    designs = [var.lag_design(panel) for panel in panels]
+    decomps, _ = single_client.fit_admm(designs, [admm_config(ds, cfg) for ds in designs])
     d = panels[0].d
     rcfg = rank_select.RankConfig(r_bar=rank_select.default_r_bar(d, cfg.p * d))
-    rank, picks = rank_select.select_rank(fits, t_lens, rcfg)
+    rank, picks = rank_select.select_rank(
+        [dec.a0 for dec in decomps], [ds.t_len for ds in designs], rcfg
+    )
     doc = {
         "rank": rank,
         "per_client": {spec.label: pick for spec, pick in zip(cfg.panels, picks)},

@@ -11,6 +11,12 @@ The empirical protocol fits every method's coefficients for each
 federation of an origin draws noise from spawn_key=(0, 1, origin) and
 refines the clients that forecast from it in one stacked
 ``refine_fista`` call; the l1-only baselines are one more such call.
+The two single-client ADMM methods fit one stack per origin step, every
+client's fit under both methods in one ``fit_admm`` call, each
+warm-started from its own fit at the step before; the starts of all the
+origins' federations are one more stacked ADMM call.  The simulation
+kinds fit all of a replication's single-client problems in one
+``fit_admm`` call, and the starts of all its federations in another.
 A privacy heatmap fits its noise-free cell and all its (eps, delta)
 cells in one stacked ``stage1_run`` call; each cell keeps its own
 generator, built from the replication's noise stream, so a cell's draws
@@ -142,25 +148,30 @@ def _with_privacy(fcfg, cfg, eps=None, delta=None):
     return replace(fcfg, noise=noise, budget=budget)
 
 
-def fed_config(cfg, designs):
-    """The federated config of a run over ``designs``.
+def fed_config(cfg, design_sets):
+    """The federated configs of runs over each list of designs in
+    ``design_sets``, one per list, in order.
 
     rounds is cfg.rounds or ceil(10 log sum_k T_k); the step is
     rho_scale over the pooled Gram operator norm; the start is the
     rank-truncated ADMM fit of the largest client, the lowest-indexed
     one among clients of equal size; the noise is cfg.noise_mode at
-    (cfg.eps, cfg.delta) over all the rounds.
+    (cfg.eps, cfg.delta) over all the rounds.  Every list's start comes
+    from one stacked ``initial_shared_estimate`` call.
     """
-    rounds = cfg.rounds
-    if rounds is None:
-        rounds = fed_core.default_rounds(sum(ds.t_len for ds in designs))
-    rho = cfg.rho_scale / _pooled_operator_norm(designs)
-    largest = max(designs, key=lambda ds: ds.t_len)
-    init = fed_core.initial_shared_estimate(
-        largest, cfg.rank, admm_config(largest, cfg)
+    largest = [max(designs, key=lambda ds: ds.t_len) for designs in design_sets]
+    inits = fed_core.initial_shared_estimate(
+        largest, cfg.rank, [admm_config(ds, cfg) for ds in largest]
     )
-    fcfg = fed_core.FedConfig(rank=cfg.rank, rounds=rounds, step_rho=rho, init_a0=init)
-    return _with_privacy(fcfg, cfg)
+    fcfgs = []
+    for designs, init in zip(design_sets, inits):
+        rounds = cfg.rounds
+        if rounds is None:
+            rounds = fed_core.default_rounds(sum(ds.t_len for ds in designs))
+        rho = cfg.rho_scale / _pooled_operator_norm(designs)
+        fcfg = fed_core.FedConfig(rank=cfg.rank, rounds=rounds, step_rho=rho, init_a0=init)
+        fcfgs.append(_with_privacy(fcfg, cfg))
+    return fcfgs
 
 
 def fista_config(cfg, design):
@@ -169,16 +180,23 @@ def fista_config(cfg, design):
     return fed_core.FistaConfig(varpi=varpi, iters=cfg.fista_iters)
 
 
+def _fit_single(cfg, designs):
+    """Each design's single-client ADMM fit under the config's scales, all
+    in one stacked ``fit_admm`` call."""
+    decomps, _ = single_client.fit_admm(designs, [admm_config(ds, cfg) for ds in designs])
+    return decomps
+
+
 def _rep_single_client_curve(cfg, rep):
-    recs = []
+    worlds = []
     for t_len in cfg.t_grid:
         rng = _world_rng(cfg.seed, rep)
-        a0, deltas, panels = _world(cfg, rng, 1, t_len=t_len)
-        a_true = a0 + deltas[0]
-        design = var.lag_design(panels[0])
-        dec, _ = single_client.fit_admm(design, admm_config(design, cfg))
+        worlds.append(_world(cfg, rng, 1, t_len=t_len))
+    decomps = _fit_single(cfg, [var.lag_design(panels[0]) for _, _, panels in worlds])
+    recs = []
+    for t_len, (a0, deltas, _), dec in zip(cfg.t_grid, worlds, decomps):
         for metric, value in (
-            ("ak_err", np.linalg.norm(dec.a - a_true)),
+            ("ak_err", np.linalg.norm(dec.a - (a0 + deltas[0]))),
             ("a0_err", np.linalg.norm(dec.a0 - a0)),
             ("delta_err", np.linalg.norm(dec.delta - deltas[0])),
         ):
@@ -189,18 +207,19 @@ def _rep_single_client_curve(cfg, rep):
 
 
 def _rep_rank_table(cfg, rep):
-    recs = []
     rcfg = rank_select.RankConfig(r_bar=rank_select.default_r_bar(cfg.d, cfg.p * cfg.d))
-    for true_rank in cfg.rank_grid:
-        for t_len in cfg.t_grid:
-            rng = _world_rng(cfg.seed, rep)
-            a0, deltas, panels = _world(cfg, rng, 1, rank=true_rank, t_len=t_len)
-            design = var.lag_design(panels[0])
-            dec, _ = single_client.fit_admm(design, admm_config(design, cfg))
-            picked = rank_select.client_rank(dec.a0, t_len, rcfg)
-            base = {"rep": rep, "true_rank": true_rank, "t_len": t_len}
-            recs.append({**base, "metric": "selected_rank", "value": picked})
-            recs.append({**base, "metric": "correct", "value": int(picked == true_rank)})
+    cells = [(r, t) for r in cfg.rank_grid for t in cfg.t_grid]
+    designs = []
+    for true_rank, t_len in cells:
+        rng = _world_rng(cfg.seed, rep)
+        _, _, panels = _world(cfg, rng, 1, rank=true_rank, t_len=t_len)
+        designs.append(var.lag_design(panels[0]))
+    recs = []
+    for (true_rank, t_len), dec in zip(cells, _fit_single(cfg, designs)):
+        picked = rank_select.client_rank(dec.a0, t_len, rcfg)
+        base = {"rep": rep, "true_rank": true_rank, "t_len": t_len}
+        recs.append({**base, "metric": "selected_rank", "value": picked})
+        recs.append({**base, "metric": "correct", "value": int(picked == true_rank)})
     return recs
 
 
@@ -212,7 +231,7 @@ def _rep_privacy_heatmap(cfg, rep):
     rng = _world_rng(cfg.seed, rep)
     a0, deltas, panels = _world(cfg, rng, cfg.n_clients)
     designs = [var.lag_design(pn) for pn in panels]
-    base = fed_config(cfg, designs)
+    (base,) = fed_config(cfg, [designs])
     deltas_grid = cfg.delta_grid or (cfg.delta,)
 
     cells = [("none", None, None, replace(base, noise=NoisePolicy.none(), budget=None))]
@@ -240,10 +259,9 @@ def _rep_privacy_heatmap(cfg, rep):
     return recs
 
 
-def _single_client_errors(cfg, designs, a0, deltas):
+def _single_client_errors(decomps, a0, deltas):
     errs = {"a0": [], "delta": [], "ak": []}
-    for ds, dl in zip(designs, deltas):
-        dec, _ = single_client.fit_admm(ds, admm_config(ds, cfg))
+    for dec, dl in zip(decomps, deltas):
         errs["a0"].append(float(np.linalg.norm(dec.a0 - a0)))
         errs["delta"].append(float(np.linalg.norm(dec.delta - dl)))
         errs["ak"].append(float(np.linalg.norm(dec.a - (a0 + dl))))
@@ -255,12 +273,12 @@ def _rep_k_sweep(cfg, rep):
     rng = _world_rng(cfg.seed, rep)
     a0, deltas, panels = _world(cfg, rng, k_max)
     designs = [var.lag_design(pn) for pn in panels]
-    singles = _single_client_errors(cfg, designs, a0, deltas)
+    singles = _single_client_errors(_fit_single(cfg, designs), a0, deltas)
 
     recs = []
-    for k in cfg.k_grid:
+    fcfgs = fed_config(cfg, [designs[:k] for k in cfg.k_grid])
+    for k, fcfg in zip(cfg.k_grid, fcfgs):
         sub = designs[:k]
-        fcfg = fed_config(cfg, sub)
         (a0_hat,), _ = fed_core.stage1_run(sub, [fcfg], [_noise_rng(cfg.seed, rep)])
         fed_err = float(np.linalg.norm(a0_hat - a0))
         single_mean = float(np.mean(singles["a0"][:k]))
@@ -272,16 +290,26 @@ def _rep_k_sweep(cfg, rep):
 
 
 def _rep_t_sweep(cfg, rep):
-    recs = []
+    """One world per sample size; every world's single-client fits are one
+    stacked ADMM call, and so are the starts of their federations."""
+    worlds = []
     for t_len in cfg.t_grid:
         rng = _world_rng(cfg.seed, rep)
         a0, deltas, panels = _world(cfg, rng, cfg.n_clients, t_len=t_len)
-        designs = [var.lag_design(pn) for pn in panels]
-        singles = _single_client_errors(cfg, designs, a0, deltas)
+        worlds.append((a0, deltas, [var.lag_design(pn) for pn in panels]))
+    design_sets = [designs for _, _, designs in worlds]
+    single_fits = _fit_single(cfg, [ds for designs in design_sets for ds in designs])
+    fcfgs = fed_config(cfg, design_sets)
 
+    recs = []
+    k = cfg.n_clients
+    for i, (t_len, (a0, deltas, designs), fcfg) in enumerate(
+        zip(cfg.t_grid, worlds, fcfgs)
+    ):
+        singles = _single_client_errors(single_fits[i * k : (i + 1) * k], a0, deltas)
         decomps, _ = fed_core.fit_federated(
             designs,
-            fed_config(cfg, designs),
+            fcfg,
             [fista_config(cfg, ds) for ds in designs],
             _noise_rng(cfg.seed, rep),
         )
@@ -330,9 +358,12 @@ def empirical_rmsfe(cfg, panels, rep):
     one forecaster scores every table.  The federation of origin t is
     fitted once, on every client's first min(t, T_k) observations, and
     refines the clients that forecast from t in one ``refine_fista``
-    call; the l1-only baselines are one more such call; each ADMM method
-    is one chain per client, each fit started from the previous one's
-    final iterate.
+    call; the starts of every origin's federation are one stacked ADMM
+    call, and the l1-only baselines are one more ``refine_fista`` call.
+    The two ADMM methods fit every client's origins in increasing order,
+    as one stack per origin step: step j fits, for every client and both
+    methods, its j-th origin in one ``fit_admm`` call, each fit started
+    from its own fit at step j - 1.
     """
     lengths = [pn.t_len for pn in panels]
     for spec, length in zip(cfg.panels, lengths):
@@ -341,7 +372,6 @@ def empirical_rmsfe(cfg, panels, rep):
                 f"n_origins {cfg.n_origins} outside [1, {length - 1}] "
                 f"for panel {spec.path}"
             )
-    # each client's origins in increasing order, as the ADMM chains need
     origins = [(k, t) for k, length in enumerate(lengths)
                for t in range(length - cfg.n_origins, length)]
 
@@ -351,10 +381,16 @@ def empirical_rmsfe(cfg, panels, rep):
 
     def federated():
         coefs = {}
-        for origin in sorted({t for _, t in origins}):
-            designs = [design(k, min(origin, t)) for k, t in enumerate(lengths)]
+        fed_origins = sorted({t for _, t in origins})
+        design_sets = [
+            [design(k, min(origin, t)) for k, t in enumerate(lengths)]
+            for origin in fed_origins
+        ]
+        for origin, designs, fcfg in zip(
+            fed_origins, design_sets, fed_config(cfg, design_sets)
+        ):
             nrng = _noise_rng(cfg.seed, 0, origin)
-            (a0_hat,), _ = fed_core.stage1_run(designs, [fed_config(cfg, designs)], [nrng])
+            (a0_hat,), _ = fed_core.stage1_run(designs, [fcfg], [nrng])
             clients = [k for k, t in origins if t == origin]
             refined = [designs[k] for k in clients]
             deltas, _ = fed_core.refine_fista(
@@ -371,21 +407,29 @@ def empirical_rmsfe(cfg, panels, rep):
         deltas, _ = fed_core.refine_fista(designs, zero, cfgs)
         return dict(zip(origins, deltas))
 
-    def admm(nuclear_only):
-        coefs, last = {}, {}  # last: each client's previous (B0, D, U)
-        for k, t in origins:
-            ds = design(k, t)
-            acfg = admm_config(ds, cfg)
-            if nuclear_only:
-                acfg = single_client.nuclear_only_config(acfg)
-            dec, state = single_client.fit_admm(ds, acfg, start=last.get(k))
-            coefs[k, t], last[k] = dec.a, state.final
-        return coefs
+    @functools.cache
+    def admm():
+        # one chain per (client, method); step j stacks every chain's j-th fit
+        chains = [(k, nuclear_only) for nuclear_only in (False, True)
+                  for k in range(len(lengths))]
+        tables = {False: {}, True: {}}
+        starts = [None] * len(chains)
+        for j in range(cfg.n_origins):
+            steps = [(k, lengths[k] - cfg.n_origins + j) for k, _ in chains]
+            designs = [design(k, t) for k, t in steps]
+            acfgs = [admm_config(ds, cfg) for ds in designs]
+            acfgs = [single_client.nuclear_only_config(acfg) if nuclear_only else acfg
+                     for acfg, (_, nuclear_only) in zip(acfgs, chains)]
+            decomps, report = single_client.fit_admm(designs, acfgs, starts)
+            for (_, nuclear_only), step, dec in zip(chains, steps, decomps):
+                tables[nuclear_only][step] = dec.a
+            starts = [state.final for state in report.members]
+        return tables
 
     fits = {
         "federated": federated,
-        "single_nuc_l1": lambda: admm(False),
-        "single_nuclear": lambda: admm(True),
+        "single_nuc_l1": lambda: admm()[False],
+        "single_nuclear": lambda: admm()[True],
         "single_l1": single_l1,
         "least_squares": lambda: {
             (k, t): single_client.fit_baseline(design(k, t)) for k, t in origins

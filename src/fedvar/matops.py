@@ -102,13 +102,17 @@ def _require_finite(m, what):
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def _svd(m):
+def _check_svd_input(m):
     if max(m.shape) > SVD_DIM_CAP:
         raise ValueError(
             f"matrix side {max(m.shape)} exceeds dense-SVD cap {SVD_DIM_CAP}"
         )
     # LAPACK's divide-and-conquer SVD can loop without end on inf entries.
     _require_finite(m, "SVD input")
+
+
+def _svd(m):
+    _check_svd_input(m)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -139,11 +143,21 @@ def svt(m, tau):
     """Singular value thresholding: shrink every singular value by tau.
 
     Assumes a 2-D float64 ``m`` and tau >= 0; neither is checked.
-    Non-finite entries raise ValueError.
+    Non-finite entries, and a side above SVD_DIM_CAP, raise ValueError.
+
+    The SVD is LAPACK dgesdd called directly, as in ``tangent_step``:
+    numpy's wrapper adds about 15% to a 24 x 12 factorization, and ADMM
+    makes one per problem and iteration.  The factors are made C-ordered
+    before the product, as numpy's are, because a product of
+    Fortran-ordered factors rounds differently; so the result is bitwise
+    ``(u * s) @ vt`` from ``np.linalg.svd``.
     """
-    u, s, v = _svd(m)
+    _check_svd_input(m)
+    u, s, vt, info = dgesdd(m, full_matrices=0)
+    if info != 0:
+        raise ValueError(f"SVD failed to converge: LAPACK dgesdd info={info}")
     s = np.maximum(s - tau, 0.0)
-    return (u * s) @ v.T
+    return (np.ascontiguousarray(u) * s) @ np.ascontiguousarray(vt)
 
 
 def soft_threshold(m, tau):

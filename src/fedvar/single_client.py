@@ -4,6 +4,14 @@ ADMM, plus the reference baselines used for comparisons: least squares
 ``l1_only_config``).  The nuclear-norm-only fit is ADMM on
 ``nuclear_only_config``.
 
+``fit_admm`` is one lockstep loop over any number of same-shape problems,
+and one fit is the one-problem call: each problem keeps its own ridge
+factor, pins, penalties and stop rule, the elementwise updates run once
+over the stack, and a problem's result is bitwise that of its
+one-problem call.  The harness fits a replication's single-client
+problems, the starts of its federations and each origin step of the
+empirical ADMM chains as such stacks.
+
 Internally the solver works with (pd, d) coefficient blocks B = B0 + D so
 the ridge system factors once per fit; results are transposed back to the
 package-wide (d, pd) orientation on output.
@@ -19,9 +27,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 
-from .fed_core import FistaConfig
+from .fed_core import FistaConfig, _check_designs, _dots
 from .matops import check_matrix, linf_project, soft_threshold, svt
-from .var import CoefDecomposition, LagDesign
+from .var import CoefDecomposition
 
 # fit_admm's over-relaxation factor alpha, from a sweep over 1.5-1.8 (records
 # in BENCH_relax.json).  Up to 1.7, a larger alpha needs fewer iterations
@@ -71,7 +79,7 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Solver diagnostics for one fit.
+    """Solver diagnostics for one problem of a fit_admm call.
 
     final is the last (B0, D, U) in the solver's (pd, d) orientation, U
     being the dual scaled by 1/_ADMM_RHO; pass it as fit_admm's start to
@@ -83,6 +91,23 @@ class AdmmState:
     final: tuple = ()
     primal_residuals: list = field(default_factory=list)
     dual_residuals: list = field(default_factory=list)
+
+
+@dataclass
+class AdmmReport:
+    """Diagnostics of one fit_admm call: members holds each problem's
+    AdmmState in the order of the designs; iterations sums theirs, and
+    converged holds when every problem converged."""
+
+    members: list
+
+    @property
+    def iterations(self):
+        return sum(s.iterations for s in self.members)
+
+    @property
+    def converged(self):
+        return all(s.converged for s in self.members)
 
 
 def default_admm_config(design, lam_scale=1.0, omega_scale=1.0, **kwargs):
@@ -98,8 +123,9 @@ def nuclear_only_config(cfg):
     return replace(cfg, omega=0.0, pin_delta=True)
 
 
-def fit_admm(design, cfg, start=None):
-    """Solve the nuclear + l1 penalized regression by scaled-dual ADMM.
+def fit_admm(designs, cfgs, starts=None):
+    """Solve the nuclear + l1 penalized regression by scaled-dual ADMM for
+    a stack of same-shape problems, problem j on designs[j] under cfgs[j].
 
     Updates per iteration, all in the (pd, d) orientation, over-relaxed
     (Eckstein & Bertsekas, Math. Programming 1992; Boyd et al., Found.
@@ -114,84 +140,161 @@ def fit_admm(design, cfg, start=None):
     residual S = rho ((B0 + D) - (B0_prev + D_prev)).  Relaxation changes
     the path, not the fixed point: there B = B0 + D, so Bh = B.
 
-    start None begins at B0 = D = U = 0; otherwise it is a (B0, D, U)
-    triple of finite (pd, d) arrays, such as a previous fit's
-    AdmmState.final (a warm start; it is the same triple under
-    relaxation).  A pinned component starts at zero whatever start holds.
+    The problems run in one lockstep loop.  Each keeps its own Cholesky
+    factor of the ridge system (one LAPACK dpotrs per problem and
+    iteration), its own pins, zeta, tolerances and max_iter, and its own
+    ``matops.svt`` call; the elementwise updates and the residual norms
+    run once over the stack.  A problem that converges or reaches its
+    max_iter leaves the stack, so its iterates, residual histories and
+    iteration count are bitwise those of its one-problem call.  Each
+    problem that stops at max_iter warns once.
 
-    Returns the decomposition (transposed back to (d, pd)) and an
-    AdmmState with residual histories and the final triple.
+    starts None begins every problem at B0 = D = U = 0; otherwise it holds
+    one entry per problem, None for the zero start or a (B0, D, U) triple
+    of finite (pd, d) arrays, such as a previous fit's AdmmState.final (a
+    warm start; it is the same triple under relaxation).  A pinned
+    component starts at zero whatever its start holds.  Every start is
+    checked before the first iteration.
+
+    Returns one decomposition per problem (transposed back to (d, pd)) and
+    an AdmmReport holding each problem's AdmmState.
     """
-    if not isinstance(design, LagDesign):
-        raise TypeError("design must be a LagDesign")
-    d, pd = design.d, design.pd
-    b0, d_mat, u = (np.zeros((pd, d)) for _ in range(3))
-    if start is not None:
-        if len(start) != 3:
-            raise ValueError("start must be a (B0, D, U) triple")
-        checked = []
-        for m, name in zip(start, ("B0", "D", "U")):
-            m = check_matrix(m, f"start {name}")
-            if m.shape != (pd, d):
-                raise ValueError(f"start {name} shape {m.shape}, expected ({pd}, {d})")
-            checked.append(m)
-        # a pinned component stays at zero
-        b0 = b0 if cfg.pin_a0 else checked[0]
-        d_mat = d_mat if cfg.pin_delta else checked[1]
-        u = checked[2]
+    designs, cfgs = list(designs), list(cfgs)
+    d, pd = _check_designs(designs)
+    n = len(designs)
+    if len(cfgs) != n:
+        raise ValueError(f"{len(cfgs)} ADMM configs for {n} designs")
+    starts = [None] * n if starts is None else list(starts)
+    if len(starts) != n:
+        raise ValueError(f"{len(starts)} starts for {n} designs")
 
+    # the working stacks hold Fortran-ordered (pd, d) slices, the layout of
+    # dpotrs's solution, so the solve runs in place and the SVD takes its
+    # input as it is
+    def stack():
+        return np.zeros((n, d, pd)).transpose(0, 2, 1)
+
+    b0, d_mat, u, g = stack(), stack(), stack(), stack()
+    factors = []
+    for j, (design, cfg, start) in enumerate(zip(designs, cfgs, starts)):
+        if start is not None:
+            b0_j, d_j, u[j] = _check_start(start, j, pd, d)
+            # a pinned component stays at zero
+            if not cfg.pin_a0:
+                b0[j] = b0_j
+            if not cfg.pin_delta:
+                d_mat[j] = d_j
+        try:
+            factors.append(cho_factor(2.0 * design.sxx + _ADMM_RHO * np.eye(pd)))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - pd + rho I
+            raise RuntimeError(f"ridge system factorization failed: {exc}") from exc
+        g[j] = 2.0 * design.sxy
+
+    # per-problem constants; the arrays shrink with the stack, lam, pin_a0
+    # and the factors are read by problem index
     tol = 1e-6 * math.sqrt(pd * d)
-    eps_pri = cfg.eps_pri if cfg.eps_pri is not None else tol
-    eps_dual = cfg.eps_dual if cfg.eps_dual is not None else tol
+    eps_pri = np.array([tol if c.eps_pri is None else c.eps_pri for c in cfgs])
+    eps_dual = np.array([tol if c.eps_dual is None else c.eps_dual for c in cfgs])
+    caps = np.array([c.max_iter for c in cfgs])
+    omega = np.array([c.omega / _ADMM_RHO for c in cfgs])[:, None, None]
+    zeta = np.array([math.inf if c.zeta is None else c.zeta for c in cfgs])[:, None, None]
+    pin_delta = np.array([c.pin_delta for c in cfgs])
+    lam = [c.lam / _ADMM_RHO for c in cfgs]
+    pin_a0 = [c.pin_a0 for c in cfgs]
+    clip = any(c.zeta is not None for c in cfgs)
 
-    h = 2.0 * design.sxx + _ADMM_RHO * np.eye(pd)
-    try:
-        factor, lower = cho_factor(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - h is pd + rho I
-        raise RuntimeError(f"ridge system factorization failed: {exc}") from exc
-    g = 2.0 * design.sxy
-    state = AdmmState(iterations=0, converged=False)
+    # per-problem results, filled as problems leave the stack; the final
+    # triple is C-ordered, as the one-problem iterates are
+    finals = np.empty((3, n, pd, d))
+    runs = np.zeros(n, dtype=np.intp)
+    converged = np.zeros(n, dtype=bool)
+    primal = np.empty((int(caps.max()), n))
+    dual = np.empty_like(primal)
 
+    live, cap = np.arange(n), caps
     z = b0 + d_mat
-    for it in range(1, cfg.max_iter + 1):
-        # the LAPACK solve cho_solve makes, without its per-call finiteness
-        # scan; the guard below catches non-finite iterates
-        b, info = dpotrs(factor, g + _ADMM_RHO * (z - u), lower=lower)
-        if info != 0:  # pragma: no cover - only for an invalid argument
-            raise RuntimeError(f"ridge solve failed: LAPACK dpotrs info={info}")
+    for it in range(1, int(caps.max()) + 1):
+        b = g + _ADMM_RHO * (z - u)
+        for j, c in enumerate(live):
+            # the LAPACK solve cho_solve makes, in place on a Fortran-ordered
+            # slice and without its per-call finiteness scan; the guard
+            # below catches non-finite iterates
+            factor, lower = factors[c]
+            _, info = dpotrs(factor, b[j], lower=lower, overwrite_b=True)
+            if info != 0:  # pragma: no cover - only for an invalid argument
+                raise RuntimeError(f"ridge solve failed: LAPACK dpotrs info={info}")
         b_hat = _ADMM_RELAX * b + (1.0 - _ADMM_RELAX) * z
         z_prev = z
-        if not cfg.pin_a0:
-            b0 = svt(b_hat - d_mat + u, cfg.lam / _ADMM_RHO)
-            if cfg.zeta is not None:
-                b0 = linf_project(b0, cfg.zeta)
-        if not cfg.pin_delta:
-            d_mat = soft_threshold(b_hat - b0 + u, cfg.omega / _ADMM_RHO)
+        shrink = b_hat - d_mat + u
+        for j, c in enumerate(live):
+            if not pin_a0[c]:
+                b0[j] = svt(shrink[j], lam[c])
+        if clip:
+            b0 = linf_project(b0, zeta)
+        d_mat = soft_threshold(b_hat - b0 + u, omega)
+        d_mat[pin_delta] = 0.0
         z = b0 + d_mat
         r = b - z
         u = u + (b_hat - z)
         s = _ADMM_RHO * (z - z_prev)
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(u))):
             raise RuntimeError(f"ADMM produced non-finite iterates at iteration {it}")
-        r_norm = float(np.linalg.norm(r))
-        s_norm = float(np.linalg.norm(s))
-        state.primal_residuals.append(r_norm)
-        state.dual_residuals.append(s_norm)
-        state.iterations = it
-        if r_norm <= eps_pri and s_norm <= eps_dual:
-            state.converged = True
-            break
+        # ||R||_F by the dot kernel np.linalg.norm uses, in the same order,
+        # so a problem's residuals do not depend on the stack
+        r_norm = np.sqrt(_dots(r, r))
+        s_norm = np.sqrt(_dots(s, s))
+        primal[it - 1, live] = r_norm
+        dual[it - 1, live] = s_norm
+        done = (r_norm <= eps_pri) & (s_norm <= eps_dual)
+        stop = done | (cap == it)
+        if stop.any():
+            gone = live[stop]
+            finals[:, gone] = (b0[stop], d_mat[stop], u[stop])
+            runs[gone], converged[gone] = it, done[stop]
+            if stop.all():
+                break
+            keep = ~stop
+            (live, cap, eps_pri, eps_dual, omega, zeta, pin_delta,
+             g, b0, d_mat, u, z) = (
+                a[keep] for a in (live, cap, eps_pri, eps_dual, omega, zeta,
+                                  pin_delta, g, b0, d_mat, u, z)
+            )
 
-    if not state.converged:
-        warnings.warn(
-            f"ADMM stopped at max_iter={cfg.max_iter} with residuals "
-            f"(primal {state.primal_residuals[-1]:.2e}, "
-            f"dual {state.dual_residuals[-1]:.2e})",
-            RuntimeWarning,
+    states = []
+    for j in range(n):
+        hist_r, hist_s = primal[: runs[j], j].tolist(), dual[: runs[j], j].tolist()
+        if not converged[j]:
+            warnings.warn(
+                f"ADMM stopped at max_iter={caps[j]} with residuals "
+                f"(primal {hist_r[-1]:.2e}, dual {hist_s[-1]:.2e})",
+                RuntimeWarning,
+            )
+        states.append(
+            AdmmState(
+                iterations=int(runs[j]),
+                converged=bool(converged[j]),
+                final=tuple(finals[:, j]),
+                primal_residuals=hist_r,
+                dual_residuals=hist_s,
+            )
         )
+    decomps = [CoefDecomposition(a0=s.final[0].T, delta=s.final[1].T) for s in states]
+    return decomps, AdmmReport(members=states)
 
-    state.final = (b0, d_mat, u)
-    return CoefDecomposition(a0=b0.T, delta=d_mat.T), state
+
+def _check_start(start, j, pd, d):
+    """Problem j's start triple as finite (pd, d) float64 arrays."""
+    if len(start) != 3:
+        raise ValueError(f"problem {j}: start must be a (B0, D, U) triple")
+    checked = []
+    for m, name in zip(start, ("B0", "D", "U")):
+        m = check_matrix(m, f"problem {j}: start {name}")
+        if m.shape != (pd, d):
+            raise ValueError(
+                f"problem {j}: start {name} shape {m.shape}, expected ({pd}, {d})"
+            )
+        checked.append(m)
+    return checked
 
 
 def fit_baseline(design):

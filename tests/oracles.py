@@ -6,10 +6,15 @@ construction, finite differences) so tests do not compare a routine with
 itself.
 """
 
+import math
+import warnings
+
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from fedvar import fed_core, single_client, var
 from fedvar.harness import experiments
+from fedvar.matops import check_matrix, linf_project, soft_threshold
 
 
 def svd_via_gram(m):
@@ -153,7 +158,7 @@ def cold_single_forecaster(cfg, method):
         acfg = experiments.admm_config(design, cfg)
         if method == "single_nuclear":
             acfg = single_client.nuclear_only_config(acfg)
-        coef = single_client.fit_admm(design, acfg)[0].a
+        coef = single_client.fit_admm([design], [acfg])[0][0].a
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(coef, full[-cfg.p:])
 
@@ -259,6 +264,71 @@ def admm_raw(x, y, lam, omega, rho, iters, relax):
     return b0.T, dm.T
 
 
+def admm_solo(design, cfg, start=None):
+    """One ADMM fit on its own, as fit_admm ran before it stacked problems:
+    the same over-relaxed scaled-dual updates, stop rule, start checks and
+    max_iter warning, for one design, with the ridge system solved by
+    cho_solve and the singular value threshold taken from np.linalg.svd.
+    Returns the decomposition and an AdmmState."""
+    d, pd = design.d, design.pd
+    rho, relax = single_client._ADMM_RHO, single_client._ADMM_RELAX
+    b0, d_mat, u = (np.zeros((pd, d)) for _ in range(3))
+    if start is not None:
+        if len(start) != 3:
+            raise ValueError("start must be a (B0, D, U) triple")
+        checked = []
+        for m, name in zip(start, ("B0", "D", "U")):
+            m = check_matrix(m, f"start {name}")
+            if m.shape != (pd, d):
+                raise ValueError(f"start {name} shape {m.shape}, expected ({pd}, {d})")
+            checked.append(m)
+        b0 = b0 if cfg.pin_a0 else checked[0]
+        d_mat = d_mat if cfg.pin_delta else checked[1]
+        u = checked[2]
+
+    tol = 1e-6 * math.sqrt(pd * d)
+    eps_pri = cfg.eps_pri if cfg.eps_pri is not None else tol
+    eps_dual = cfg.eps_dual if cfg.eps_dual is not None else tol
+    factor = cho_factor(2.0 * design.sxx + rho * np.eye(pd))
+    g = 2.0 * design.sxy
+    state = single_client.AdmmState(iterations=0, converged=False)
+
+    z = b0 + d_mat
+    for it in range(1, cfg.max_iter + 1):
+        b = cho_solve(factor, g + rho * (z - u))
+        b_hat = relax * b + (1.0 - relax) * z
+        z_prev = z
+        if not cfg.pin_a0:
+            left, s, right = np.linalg.svd(b_hat - d_mat + u, full_matrices=False)
+            b0 = (left * np.maximum(s - cfg.lam / rho, 0.0)) @ right
+            if cfg.zeta is not None:
+                b0 = linf_project(b0, cfg.zeta)
+        if not cfg.pin_delta:
+            d_mat = soft_threshold(b_hat - b0 + u, cfg.omega / rho)
+        z = b0 + d_mat
+        r = b - z
+        u = u + (b_hat - z)
+        s = rho * (z - z_prev)
+        r_norm = float(np.linalg.norm(r))
+        s_norm = float(np.linalg.norm(s))
+        state.primal_residuals.append(r_norm)
+        state.dual_residuals.append(s_norm)
+        state.iterations = it
+        if r_norm <= eps_pri and s_norm <= eps_dual:
+            state.converged = True
+            break
+
+    if not state.converged:
+        warnings.warn(
+            f"ADMM stopped at max_iter={cfg.max_iter} with residuals "
+            f"(primal {state.primal_residuals[-1]:.2e}, "
+            f"dual {state.dual_residuals[-1]:.2e})",
+            RuntimeWarning,
+        )
+    state.final = (b0, d_mat, u)
+    return var.CoefDecomposition(a0=b0.T, delta=d_mat.T), state
+
+
 def prefix_designs(panels, origin, client):
     """Lag designs for one client's forecast origin across the federation.
 
@@ -283,7 +353,7 @@ def per_client_federated_forecaster(cfg, panels, client):
         origin = prefix_panel.t_len
         designs = prefix_designs(panels, origin, client)
         nrng = experiments._noise_rng(cfg.seed, 0, client, origin)
-        fcfg = experiments.fed_config(cfg, designs)
+        (fcfg,) = experiments.fed_config(cfg, [designs])
         (a0_hat,), _ = fed_core.stage1_run(designs, [fcfg], [nrng])
         (delta,), _ = fed_core.refine_fista(
             [designs[client]], a0_hat, [experiments.fista_config(cfg, designs[client])]

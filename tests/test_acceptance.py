@@ -186,16 +186,18 @@ def test_optimizer_oracle_equivalence():
         design = var.lag_design(panel)
         omega = float(np.sqrt(np.log(design.pd) / design.t_len))
 
-        admm_dec, _ = single_client.fit_admm(
-            design,
-            single_client.AdmmConfig(
-                lam=0.0,
-                omega=omega,
-                pin_a0=True,
-                max_iter=20000,
-                eps_pri=1e-10,
-                eps_dual=1e-10,
-            ),
+        (admm_dec,), _ = single_client.fit_admm(
+            [design],
+            [
+                single_client.AdmmConfig(
+                    lam=0.0,
+                    omega=omega,
+                    pin_a0=True,
+                    max_iter=20000,
+                    eps_pri=1e-10,
+                    eps_dual=1e-10,
+                )
+            ],
         )
         (fista_delta,), _ = fed_core.refine_fista(
             [design],
@@ -208,11 +210,13 @@ def test_optimizer_oracle_equivalence():
         )
         worst_l1 = max(worst_l1, float(np.linalg.norm(admm_dec.delta - fista_delta)))
 
-        ls_dec, _ = single_client.fit_admm(
-            design,
-            single_client.AdmmConfig(
-                lam=0.0, omega=0.0, max_iter=20000, eps_pri=1e-11, eps_dual=1e-11
-            ),
+        (ls_dec,), _ = single_client.fit_admm(
+            [design],
+            [
+                single_client.AdmmConfig(
+                    lam=0.0, omega=0.0, max_iter=20000, eps_pri=1e-11, eps_dual=1e-11
+                )
+            ],
         )
         ls = cho_solve(cho_factor(design.x.T @ design.x), design.x.T @ design.y).T
         worst_ls = max(worst_ls, float(np.linalg.norm(ls_dec.a - ls)))
@@ -258,8 +262,8 @@ def test_structural_invariants(tmp_path):
     rounds = 25
     budget = PrivacyBudget(epsilon=2.0, delta=0.1, rounds=rounds)
     # every client has T=150, so the start is the first client's fit
-    start = fed_core.initial_shared_estimate(
-        designs[0], 2, single_client.default_admm_config(designs[0])
+    (start,) = fed_core.initial_shared_estimate(
+        [designs[0]], 2, [single_client.default_admm_config(designs[0])]
     )
     for policy in (NoisePolicy.none(), NoisePolicy.fixed(scale=0.5)):
         fcfg = fed_core.FedConfig(
@@ -295,9 +299,9 @@ def test_structural_invariants(tmp_path):
     # sup-norm cap on the shared part binds
     design = designs[0]
     zeta = 0.2
-    capped, _ = single_client.fit_admm(
-        design,
-        single_client.default_admm_config(design, zeta=zeta),
+    (capped,), _ = single_client.fit_admm(
+        [design],
+        [single_client.default_admm_config(design, zeta=zeta)],
     )
     overshoot = float(np.max(np.abs(capped.a0))) - zeta
     if overshoot > 1e-12:

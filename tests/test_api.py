@@ -38,7 +38,7 @@ def test_readme_quick_start_runs_the_harness_configuration():
     # the example builds what the harness builds at its default scales
     cfg = ExperimentConfig(kind="t_sweep", seed=0)
     designs = scope["designs"]
-    want = experiments.fed_config(cfg, designs)
+    (want,) = experiments.fed_config(cfg, [designs])
     got = scope["fed_cfg"]
     assert (got.rank, got.rounds, got.step_rho) == (want.rank, want.rounds, want.step_rho)
     assert np.array_equal(got.init_a0, want.init_a0)

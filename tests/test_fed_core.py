@@ -518,8 +518,8 @@ class TestStageOne:
 class TestFitFederated:
     def test_end_to_end_improves_on_init(self):
         a0, _, _, designs = make_world(seed=17, d=6, k=4, t_len=300, ratio=8.0)
-        init = initial_shared_estimate(
-            designs[0], 2, default_admm_config(designs[0])
+        (init,) = initial_shared_estimate(
+            [designs[0]], 2, [default_admm_config(designs[0])]
         )
         eta = min(default_eta(d) for d in designs)
         cfg = FedConfig(rank=2, rounds=40, step_rho=eta, init_a0=init)
@@ -573,8 +573,9 @@ class TestEntryPointValidation:
         admm_cfg = default_admm_config(designs[0])
         for rank in (0, 5):
             with pytest.raises(ValueError, match="outside"):
-                initial_shared_estimate(designs[0], rank, admm_cfg)
-        assert initial_shared_estimate(designs[0], 4, admm_cfg).shape == (4, 8)
+                initial_shared_estimate([designs[0]], rank, [admm_cfg])
+        (start,) = initial_shared_estimate([designs[0]], 4, [admm_cfg])
+        assert start.shape == (4, 8)
 
     def test_negative_thresholds_rejected_by_configs(self):
         # svt and soft_threshold take their thresholds from these configs

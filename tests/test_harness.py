@@ -620,16 +620,18 @@ class TestWarmStartedForecasters:
         real = single_client.fit_admm
         chains = {}  # (client, nuclear only) -> [(t, start, final)]
 
-        def recording(design, acfg, start=None):
-            dec, state = real(design, acfg, start=start)
-            k = next(
-                k for k, pn in enumerate(panels)
-                if np.array_equal(design.y, pn.observations[: design.t_len])
-            )
-            chains.setdefault((k, acfg.pin_delta), []).append(
-                (design.t_len, start, state.final)
-            )
-            return dec, state
+        def recording(designs, acfgs, starts=None):
+            decomps, report = real(designs, acfgs, starts)
+            for j, (design, acfg) in enumerate(zip(designs, acfgs)):
+                k = next(
+                    k for k, pn in enumerate(panels)
+                    if np.array_equal(design.y, pn.observations[: design.t_len])
+                )
+                start = None if starts is None else starts[j]
+                chains.setdefault((k, acfg.pin_delta), []).append(
+                    (design.t_len, start, report.members[j].final)
+                )
+            return decomps, report
 
         monkeypatch.setattr(single_client, "fit_admm", recording)
         experiments.empirical_rmsfe(cfg, panels, 0)
@@ -677,10 +679,11 @@ class TestFedConfig:
         big = var.lag_design(var.simulate(a, 1, 600, rng, burn_in=100))
         big = var.LagDesign(x=big.x, y=big.x @ a.T)  # exact targets
         small = var.LagDesign(x=big.x[:80], y=-(big.x[:80] @ a.T))
-        init = experiments.fed_config(self.CFG, [small, big]).init_a0
+        (fcfg,) = experiments.fed_config(self.CFG, [[small, big]])
+        init = fcfg.init_a0
         assert np.sum(init * a) > 0  # follows the large client's sign
-        want = fed_core.initial_shared_estimate(
-            big, 1, experiments.admm_config(big, self.CFG)
+        (want,) = fed_core.initial_shared_estimate(
+            [big], 1, [experiments.admm_config(big, self.CFG)]
         )
         assert np.array_equal(init, want)
 
@@ -690,8 +693,9 @@ class TestFedConfig:
         base = var.lag_design(var.simulate(a, 1, 300, rng, burn_in=100))
         plus = var.LagDesign(x=base.x, y=base.x @ a.T)
         minus = var.LagDesign(x=base.x, y=-(base.x @ a.T))
-        assert np.sum(experiments.fed_config(self.CFG, [plus, minus]).init_a0 * a) > 0
-        assert np.sum(experiments.fed_config(self.CFG, [minus, plus]).init_a0 * a) < 0
+        first, second = experiments.fed_config(self.CFG, [[plus, minus], [minus, plus]])
+        assert np.sum(first.init_a0 * a) > 0
+        assert np.sum(second.init_a0 * a) < 0
 
 
 def heatmap_config(tmp_path, **overrides):
@@ -980,7 +984,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         to_json(cfg, str(cfg_path))
 
-        def failing(design, cfg, start=None):
+        def failing(designs, cfgs, starts=None):
             raise RuntimeError("solver broke")
 
         monkeypatch.setattr(single_client, "fit_admm", failing)
@@ -1113,6 +1117,51 @@ class TestCli:
         assert "two panels are labelled 'x'; set distinct client_ids" in captured.err
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "single_client_curve", "--seed", "1", "--reps", "1", "--d", "4"],
+             "unrecognized arguments: --d 4"),
+            (["simulate", "rank_table", "--se", "1"], "unrecognized arguments: --se 1"),
+            (["simulate", "t_sweep", "--seed", "1", "--noise", "fixed"],
+             "unrecognized arguments: --noise fixed"),
+            (["fit", "--conf", "cfg.json"], "required: --config"),
+            (["forecast", "--config", "cfg.json", "--est", "e.npz"], "required: --estimates"),
+            (["rank-select", "--conf", "cfg.json"], "required: --config"),
+            (["--he"], "required: command"),
+        ],
+        ids=["simulate_d", "simulate_se", "simulate_noise", "fit", "forecast", "rank-select",
+             "top_level"],
+    )
+    def test_abbreviated_flag_exits_one(self, argv, message, tmp_path, capsys, monkeypatch):
+        # argparse would otherwise read --d as --delta, --se as --seed and
+        # --he as --help
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("reps", ["7", "2", "0"])
+    def test_simulate_empirical_refuses_reps_other_than_one(
+        self, reps, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_panel(var.simulate(0.3 * np.eye(4), 1, 30, np.random.default_rng(30)), "c1.csv")
+        doc = {"kind": "empirical", "seed": 1, "d": 4, "p": 1, "rank": 1,
+               "n_origins": 3, "panels": [{"path": "c1.csv"}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        base = ["simulate", "empirical", "--config", "cfg.json", "--out", "out"]
+        assert cli.main(base + ["--reps", reps]) == 1
+        captured = capsys.readouterr()
+        assert f"the empirical kind runs one replication, got --reps {reps}" in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["c1.csv", "cfg.json"]
+        assert cli.main(base + ["--reps", "1"]) == 0
+        with open(os.path.join(capsys.readouterr().out.strip(), "manifest.json")) as fh:
+            assert json.load(fh)["replications"] == 1
 
     def test_unnamed_panels_carry_their_path_in_every_output(self, tmp_path, capsys):
         rng = np.random.default_rng(28)

@@ -87,15 +87,19 @@ class TestSvdTruncate:
         big = np.zeros((matops.SVD_DIM_CAP + 1, 2))
         with pytest.raises(ValueError, match="cap"):
             matops.svd_truncate(big, 1)
+        for m in (big, big.T):
+            with pytest.raises(ValueError, match="cap"):
+                matops.svt(m, 0.1)
 
     def test_rejects_nonfinite(self):
         # LAPACK may never return on inf entries, so the SVD refuses them
         for bad in (np.nan, np.inf, -np.inf):
-            m = np.array([[1.0, bad], [0.0, 1.0]])
-            with pytest.raises(ValueError, match="non-finite"):
-                matops.svd_truncate(m, 1)
-            with pytest.raises(ValueError, match="non-finite"):
-                matops.svt(m, 0.1)
+            for order in ("C", "F"):
+                m = np.array([[1.0, bad], [0.0, 1.0]], order=order)
+                with pytest.raises(ValueError, match="non-finite"):
+                    matops.svd_truncate(m, 1)
+                with pytest.raises(ValueError, match="non-finite"):
+                    matops.svt(m, 0.1)
 
 
 class TestShrinkage:
@@ -125,6 +129,19 @@ class TestShrinkage:
             with_fix = (fu * s) @ fv.T
             assert np.array_equal(matops.svt(m, 0.3), with_fix)
             assert np.array_equal((u * s) @ v.T, with_fix)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(20, 20), (24, 12), (40, 20), (12, 24)])
+    def test_svt_is_bitwise_the_numpy_svd_threshold(self, shape, order):
+        # svt calls dgesdd directly; its result must not depend on that
+        rng = np.random.default_rng(14)
+        for tau in (0.0, 0.3, 2.0):
+            m = np.asarray(rng.standard_normal(shape), order=order)
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
+            want = (u * np.maximum(s - tau, 0.0)) @ vt
+            got = matops.svt(m, tau)
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes()
 
     def test_svt_zero_tau_identity(self):
         rng = np.random.default_rng(5)

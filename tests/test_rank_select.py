@@ -105,7 +105,7 @@ class TestPipelineSmoke:
         panel = var.simulate(a0 + deltas[0], 1, 1600, rng, burn_in=200)
         design = var.lag_design(panel)
         cfg = single_client.default_admm_config(design, lam_scale=1.4, omega_scale=1.0)
-        decomp, _ = single_client.fit_admm(design, cfg)
+        (decomp,), _ = single_client.fit_admm([design], [cfg])
         rank_cfg = RankConfig(r_bar=default_r_bar(20, 20))
         global_rank, per_client = select_rank([decomp.a0], [1600], rank_cfg)
         assert global_rank == 2

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from fedvar import fed_core, single_client, var
 from fedvar.single_client import AdmmConfig, fit_admm, fit_baseline
 
-from oracles import admm_raw
+from oracles import admm_raw, admm_solo
+
+
+def fit_one(design, cfg, start=None):
+    """One problem through fit_admm: its decomposition and its AdmmState."""
+    (dec,), report = fit_admm([design], [cfg], None if start is None else [start])
+    return dec, report.members[0]
 
 
 def make_noiseless(seed=0, d=4, p=1, r=2, t_factor=50):
@@ -29,7 +36,7 @@ class TestFitAdmm:
     def test_noiseless_recovery(self):
         design, a = make_noiseless()
         cfg = AdmmConfig(lam=1e-6, omega=1e6)
-        decomp, state = fit_admm(design, cfg)
+        decomp, state = fit_one(design, cfg)
         assert state.converged
         assert np.linalg.norm(decomp.a - a) < 1e-3
         # the huge l1 penalty empties the sparse part
@@ -39,7 +46,7 @@ class TestFitAdmm:
         design, _ = make_noisy()
         cfg = AdmmConfig(lam=0.0, omega=0.0, eps_pri=1e-9, eps_dual=1e-9,
                          max_iter=20_000)
-        decomp, _ = fit_admm(design, cfg)
+        decomp, _ = fit_one(design, cfg)
         ls, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
         assert np.linalg.norm(decomp.a - ls.T) < 1e-6
 
@@ -57,8 +64,8 @@ class TestFitAdmm:
                 + cfg.omega * np.abs(dec.delta).sum()
             )
 
-        first, _ = fit_admm(design, replace(cfg, max_iter=1))
-        fit, state = fit_admm(design, cfg)
+        first, _ = fit_one(design, replace(cfg, max_iter=1))
+        fit, state = fit_one(design, cfg)
         assert state.converged and state.iterations > 1
         assert objective(fit) <= objective(first) + 1e-10
         assert objective(first) <= design.syy
@@ -66,14 +73,14 @@ class TestFitAdmm:
     def test_zeta_clips_shared_part(self):
         design, _ = make_noisy(seed=3)
         cfg = AdmmConfig(lam=0.01, omega=10.0, zeta=0.05)
-        decomp, _ = fit_admm(design, cfg)
+        decomp, _ = fit_one(design, cfg)
         assert np.max(np.abs(decomp.a0)) <= 0.05 + 1e-12
 
     def test_pins(self):
         design, _ = make_noisy(seed=4)
-        decomp, _ = fit_admm(design, AdmmConfig(lam=0.1, omega=0.05, pin_a0=True))
+        decomp, _ = fit_one(design, AdmmConfig(lam=0.1, omega=0.05, pin_a0=True))
         np.testing.assert_array_equal(decomp.a0, np.zeros_like(decomp.a0))
-        decomp, _ = fit_admm(
+        decomp, _ = fit_one(
             design, AdmmConfig(lam=0.1, omega=0.05, pin_delta=True)
         )
         np.testing.assert_array_equal(decomp.delta, np.zeros_like(decomp.delta))
@@ -81,15 +88,15 @@ class TestFitAdmm:
     def test_deterministic(self):
         design, _ = make_noisy(seed=5)
         cfg = AdmmConfig(lam=0.07, omega=0.02, zeta=1.0)
-        d1, s1 = fit_admm(design, cfg)
-        d2, s2 = fit_admm(design, cfg)
+        d1, s1 = fit_one(design, cfg)
+        d2, s2 = fit_one(design, cfg)
         assert np.array_equal(d1.a0, d2.a0)
         assert np.array_equal(d1.delta, d2.delta)
         assert s1.iterations == s2.iterations
 
     def test_residual_histories(self):
         design, _ = make_noisy(seed=6)
-        _, state = fit_admm(design, AdmmConfig(lam=0.1, omega=0.05))
+        _, state = fit_one(design, AdmmConfig(lam=0.1, omega=0.05))
         assert len(state.primal_residuals) == state.iterations
         assert len(state.dual_residuals) == state.iterations
         assert state.primal_residuals[-1] <= 1e-6 * np.sqrt(
@@ -101,7 +108,7 @@ class TestFitAdmm:
         # one iteration from zero: B solves the ridge system, and the
         # residual is B - B0 - D, not the relaxed alpha B - B0 - D
         design, _ = make_noisy(seed=6)
-        dec, state = fit_admm(design, AdmmConfig(lam=0.1, omega=0.05, max_iter=1))
+        dec, state = fit_one(design, AdmmConfig(lam=0.1, omega=0.05, max_iter=1))
         h = 2.0 * design.sxx + single_client._ADMM_RHO * np.eye(design.pd)
         b = np.linalg.solve(h, 2.0 * design.sxy)
         want = np.linalg.norm(b - dec.a0.T - dec.delta.T)
@@ -111,7 +118,7 @@ class TestFitAdmm:
         design, _ = make_noisy(seed=7)
         cfg = AdmmConfig(lam=0.1, omega=0.05, max_iter=3)
         with pytest.warns(RuntimeWarning, match="max_iter"):
-            _, state = fit_admm(design, cfg)
+            _, state = fit_one(design, cfg)
         assert not state.converged
         assert state.iterations == 3
 
@@ -125,13 +132,13 @@ class TestFitAdmm:
     )
     def test_warm_start_from_own_final_converges_at_once(self, cfg):
         design, _ = make_noisy(seed=5)
-        cold, state = fit_admm(design, cfg)
+        cold, state = fit_one(design, cfg)
         assert state.converged and state.iterations > 1
         b0, d_mat, u = state.final
         assert b0.shape == d_mat.shape == u.shape == (design.pd, design.d)
         np.testing.assert_array_equal(b0.T, cold.a0)
         np.testing.assert_array_equal(d_mat.T, cold.delta)
-        warm, again = fit_admm(design, cfg, start=state.final)
+        warm, again = fit_one(design, cfg, start=state.final)
         assert again.converged and again.iterations == 1
         # one more iteration moves the iterate by about the dual residual
         tol = 1e-6 * np.sqrt(design.pd * design.d)
@@ -144,9 +151,9 @@ class TestFitAdmm:
         panel = var.simulate(a0 + deltas[0], 2, 60, rng, burn_in=100)
         short, long = var.lag_design(panel.prefix(59)), var.lag_design(panel)
         cfg = single_client.default_admm_config(long)
-        _, prev = fit_admm(short, single_client.default_admm_config(short))
-        warm, _ = fit_admm(long, cfg, start=prev.final)
-        cold, _ = fit_admm(long, cfg)
+        _, prev = fit_one(short, single_client.default_admm_config(short))
+        warm, _ = fit_one(long, cfg, start=prev.final)
+        cold, _ = fit_one(long, cfg)
         # both stop at residuals <= 1e-6 sqrt(pd d), about 8.5e-6 here
         assert np.linalg.norm(warm.a - cold.a) <= 1e-4 * np.linalg.norm(cold.a)
 
@@ -165,7 +172,7 @@ class TestFitAdmm:
             cfg, omega = single_client.nuclear_only_config(cfg), np.inf
         elif pin == "a0":
             cfg, lam = replace(cfg, pin_a0=True), np.inf
-        dec, state = fit_admm(design, cfg)
+        dec, state = fit_one(design, cfg)
         assert state.converged
         # plain ADMM; 1,000 iterations already agree with 2,000 to 1e-12
         ref_a0, ref_delta = admm_raw(
@@ -187,14 +194,14 @@ class TestFitAdmm:
                 for t_len in range(40, 49):
                     design = var.lag_design(panel.prefix(t_len))
                     cfg = single_client.default_admm_config(design)
-                    _, state = fit_admm(design, cfg, start=last)
+                    _, state = fit_one(design, cfg, start=last)
                     last = state.final
                     n += state.iterations
                     for pinned in (
                         single_client.nuclear_only_config(cfg),
                         replace(cfg, pin_a0=True),
                     ):
-                        n += fit_admm(design, pinned)[1].iterations
+                        n += fit_one(design, pinned)[1].iterations
             return n
 
         relaxed = total_iterations()
@@ -206,27 +213,27 @@ class TestFitAdmm:
         cfg = AdmmConfig(lam=0.1, omega=0.05)
         good = np.zeros((design.pd, design.d))
         with pytest.raises(ValueError, match="triple"):
-            fit_admm(design, cfg, start=(good, good))
+            fit_one(design, cfg, start=(good, good))
         wide = np.zeros((design.pd, design.d + 1))
         with pytest.raises(ValueError, match=r"start D shape \(5, 6\)"):
-            fit_admm(design, cfg, start=(good, wide, good))
+            fit_one(design, cfg, start=(good, wide, good))
         with pytest.raises(ValueError, match="start U"):
-            fit_admm(design, cfg, start=(good, good, np.zeros(design.d)))
+            fit_one(design, cfg, start=(good, good, np.zeros(design.d)))
         bad = good.copy()
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="start B0 contains non-finite"):
-            fit_admm(design, cfg, start=(bad, good, good))
+            fit_one(design, cfg, start=(bad, good, good))
 
     def test_pinned_component_starts_at_zero(self):
         design, _ = make_noisy(seed=4)
         ones = np.ones((design.pd, design.d))
         start = (ones, ones, np.zeros_like(ones))
-        dec, state = fit_admm(
+        dec, state = fit_one(
             design, AdmmConfig(lam=0.1, omega=0.05, pin_delta=True), start=start
         )
         np.testing.assert_array_equal(dec.delta, np.zeros_like(dec.delta))
         np.testing.assert_array_equal(start[1], ones)  # caller's arrays untouched
-        dec, _ = fit_admm(design, AdmmConfig(lam=0.1, omega=0.05, pin_a0=True), start=start)
+        dec, _ = fit_one(design, AdmmConfig(lam=0.1, omega=0.05, pin_a0=True), start=start)
         np.testing.assert_array_equal(dec.a0, np.zeros_like(dec.a0))
 
     def test_config_validation(self):
@@ -241,6 +248,117 @@ class TestFitAdmm:
                 with pytest.raises(ValueError, match=name):
                     AdmmConfig(lam=0.0, omega=0.0, **{name: bad})
         assert AdmmConfig(lam=0.0, omega=0.0, eps_pri=0.0).eps_pri == 0.0
+
+
+def mixed_stack(d, p, t_len):
+    """Six same-shape problems whose configs mix nuclear + l1, pin_delta
+    and pin_a0 fits, zeta set and unset, and max_iter caps, half of them
+    warm-started from the nuclear + l1 fit of a shorter sample (so the
+    pinned ones are handed a nonzero part they must zero)."""
+    rng = np.random.default_rng(d + t_len)
+    designs, cfgs, starts = [], [], []
+    variants = [
+        ({}, False),
+        ({"pin_delta": True, "omega": 0.0}, True),
+        ({"pin_a0": True}, True),
+        ({"zeta": 0.05, "max_iter": 3000}, True),
+        ({"max_iter": 4}, False),
+        ({"pin_delta": True, "omega": 0.0, "zeta": 0.05, "max_iter": 25}, False),
+    ]
+    for j, (changes, warm) in enumerate(variants):
+        a0, deltas = var.assemble_dgp(d, p, 2, 1, rng, ratio=5.0)
+        panel = var.simulate(a0 + deltas[0], p, t_len + j, rng, burn_in=100)
+        design = var.lag_design(panel)
+        cfgs.append(replace(single_client.default_admm_config(design), **changes))
+        designs.append(design)
+        start = None
+        if warm:
+            short = var.lag_design(panel.prefix(t_len + j - 1))
+            start = admm_solo(short, single_client.default_admm_config(short))[1].final
+        starts.append(start)
+    return designs, cfgs, starts
+
+
+class TestStackedAdmm:
+    """fit_admm runs a stack of problems; each equals its fit on its own."""
+
+    @pytest.mark.filterwarnings("ignore:ADMM stopped")
+    @pytest.mark.parametrize(
+        "d, p, t_len", [(12, 2, 44), (20, 1, 400)], ids=["24x12", "20x20"]
+    )
+    def test_members_equal_the_solo_oracle_bitwise(self, d, p, t_len):
+        designs, cfgs, starts = mixed_stack(d, p, t_len)
+        decomps, report = fit_admm(designs, cfgs, starts)
+        assert len(decomps) == len(report.members) == len(designs)
+        for dec, state, design, cfg, start in zip(
+            decomps, report.members, designs, cfgs, starts
+        ):
+            want_dec, want = admm_solo(design, cfg, start)
+            assert state.iterations == want.iterations
+            assert state.converged == want.converged
+            assert state.primal_residuals == want.primal_residuals
+            assert state.dual_residuals == want.dual_residuals
+            for got_m, want_m in zip(state.final, want.final):
+                assert got_m.tobytes() == want_m.tobytes()
+            assert dec.a0.tobytes() == want_dec.a0.tobytes()
+            assert dec.delta.tobytes() == want_dec.delta.tobytes()
+        # the mix has members that stop early, capped and converged
+        assert report.members[4].converged is False
+        assert report.iterations == sum(s.iterations for s in report.members)
+        assert report.converged is False
+
+    def test_report_converged_when_every_member_did(self):
+        designs, cfgs, _ = mixed_stack(12, 2, 44)
+        _, report = fit_admm(designs[:4], cfgs[:4])
+        assert all(s.converged for s in report.members)
+        assert report.converged is True
+
+    def test_each_capped_member_warns_once(self):
+        designs, cfgs, _ = mixed_stack(12, 2, 44)
+        cfgs = [replace(cfgs[0], max_iter=3), cfgs[1], replace(cfgs[2], max_iter=2)]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            _, report = fit_admm(designs[:3], cfgs)
+        runtime = [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 2
+        assert ["max_iter=3" in str(w.message) for w in runtime] == [True, False]
+        assert (report.members[0].iterations, report.members[2].iterations) == (3, 2)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda good: (good, good), "problem 2: start must be a"),
+            (lambda good: (good, np.zeros((3, 3)), good), r"problem 2: start D shape \(3, 3\)"),
+            (lambda good: (good, good, np.full_like(good, np.nan)),
+             "problem 2: start U contains non-finite"),
+        ],
+        ids=["not_a_triple", "wrong_shape", "non_finite"],
+    )
+    def test_bad_start_in_any_member_refused_before_any_iteration(
+        self, bad, message, monkeypatch
+    ):
+        designs, cfgs, _ = mixed_stack(12, 2, 44)
+        good = np.zeros((designs[0].pd, designs[0].d))
+        calls = []
+        monkeypatch.setattr(
+            single_client, "dpotrs", lambda *a, **k: calls.append(a) or (None, 0)
+        )
+        starts = [None, (good, good, good), bad(good), None]
+        with pytest.raises(ValueError, match=message):
+            fit_admm(designs[:4], cfgs[:4], starts)
+        assert calls == []
+
+    def test_stack_arguments_validated(self):
+        designs, cfgs, _ = mixed_stack(12, 2, 44)
+        with pytest.raises(ValueError, match="2 ADMM configs for 3 designs"):
+            fit_admm(designs[:3], cfgs[:2])
+        with pytest.raises(ValueError, match="1 starts for 2 designs"):
+            fit_admm(designs[:2], cfgs[:2], [None])
+        other, _ = make_noisy(d=5)
+        with pytest.raises(ValueError, match="shape"):
+            fit_admm([designs[0], other], cfgs[:2])
+        with pytest.raises(ValueError, match="at least one"):
+            fit_admm([], [])
 
 
 class TestBaselines:
@@ -265,7 +383,7 @@ class TestBaselines:
     def test_nuclear_only_shape_and_shrinkage(self):
         design, _ = make_noisy(seed=10)
         light, heavy = (
-            fit_admm(
+            fit_one(
                 design, single_client.nuclear_only_config(AdmmConfig(lam=lam, omega=0.05))
             )[0]
             for lam in (0.01, 20.0)
@@ -286,7 +404,7 @@ class TestBaselines:
             np.zeros((design.d, design.pd)),
             [fed_core.FistaConfig(varpi=omega, iters=3000)],
         )
-        decomp, _ = fit_admm(
+        decomp, _ = fit_one(
             design,
             AdmmConfig(lam=0.0, omega=omega, pin_a0=True, max_iter=5000),
         )

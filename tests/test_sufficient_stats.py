@@ -92,7 +92,8 @@ def test_admm_matches_raw_design(case):
     cfg = single_client.AdmmConfig(
         lam=0.01, omega=0.01, max_iter=30, eps_pri=0.0, eps_dual=0.0
     )
-    decomp, state = single_client.fit_admm(design, cfg)
+    (decomp,), report = single_client.fit_admm([design], [cfg])
+    state = report.members[0]
     # zero tolerances stop early only when both residuals are exactly zero
     x, y, t_len = design.x, design.y, design.t_len
     a0, delta = admm_raw(
