@@ -117,8 +117,8 @@ def _config_and_panels(args, command):
 def _cmd_fit(args):
     cfg, panels = _config_and_panels(args, "fit")
     # all fitting, and with it the n_origins check, comes before --out exists
-    rows = empirical_rmsfe(cfg, panels, 0)
     designs = [var.lag_design(pn) for pn in panels]
+    rows = empirical_rmsfe(cfg, designs, 0)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
     decomps, _ = fed_core.fit_federated(
         designs,

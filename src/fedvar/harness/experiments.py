@@ -6,8 +6,10 @@ and its index, not on how many replications the run has. Noise draws
 for private fits come from the separate spawn_key=(rep, 1) stream; grid
 cells within a replication therefore share both the simulated world and
 the noise directions, which pairs the cells for sharper comparisons.
-The empirical protocol fits every method's coefficients for each
-(client, forecast origin) from one cache of lag designs.  The
+The empirical protocol reads each client through one lag design: the
+coefficients of every method at forecast origin t are fitted on the
+design's rows [:t], kept in one cache of row prefixes, and scored on
+row t, so no fit looks ahead.  The
 federation of an origin draws noise from spawn_key=(0, 1, origin) and
 refines the clients that forecast from it in one stacked
 ``refine_fista`` call; the l1-only baselines are one more such call.
@@ -157,19 +159,25 @@ def fed_config(cfg, design_sets):
     rank-truncated ADMM fit of the largest client, the lowest-indexed
     one among clients of equal size; the noise is cfg.noise_mode at
     (cfg.eps, cfg.delta) over all the rounds.  Every list's start comes
-    from one stacked ``initial_shared_estimate`` call.
+    from one stacked ``initial_shared_estimate`` call, which fits each
+    distinct largest design (by identity) once; lists that share it
+    share its start.
     """
     largest = [max(designs, key=lambda ds: ds.t_len) for designs in design_sets]
-    inits = fed_core.initial_shared_estimate(
-        largest, cfg.rank, [admm_config(ds, cfg) for ds in largest]
+    distinct = list({id(ds): ds for ds in largest}.values())
+    fits = fed_core.initial_shared_estimate(
+        distinct, cfg.rank, [admm_config(ds, cfg) for ds in distinct]
     )
+    inits = dict(zip(map(id, distinct), fits))
     fcfgs = []
-    for designs, init in zip(design_sets, inits):
+    for designs, big in zip(design_sets, largest):
         rounds = cfg.rounds
         if rounds is None:
             rounds = fed_core.default_rounds(sum(ds.t_len for ds in designs))
         rho = cfg.rho_scale / _pooled_operator_norm(designs)
-        fcfg = fed_core.FedConfig(rank=cfg.rank, rounds=rounds, step_rho=rho, init_a0=init)
+        fcfg = fed_core.FedConfig(
+            rank=cfg.rank, rounds=rounds, step_rho=rho, init_a0=inits[id(big)]
+        )
         fcfgs.append(_with_privacy(fcfg, cfg))
     return fcfgs
 
@@ -335,37 +343,27 @@ def _rep_t_sweep(cfg, rep):
     return recs
 
 
-def _stored_forecaster(p, coefs, k):
-    """Client k's forecaster from coefficients fitted up front: coefs maps
-    (client, forecast origin) to that client's (d, pd) coefficients."""
-
-    def forecast(prefix_panel):
-        full = np.vstack([prefix_panel.presample, prefix_panel.observations])
-        return var.forecast_one_step(coefs[k, prefix_panel.t_len], full[-p:])
-
-    return forecast
-
-
-def empirical_rmsfe(cfg, panels, rep):
-    """RMSFE records of every method for each client's loaded panel, in
-    the order of cfg.panels, tagged with replication ``rep`` and the
-    client's PanelSpec.label.
+def empirical_rmsfe(cfg, designs, rep):
+    """RMSFE records of every method for each client's full lag design
+    (``var.lag_design`` of its loaded panel), in the order of cfg.panels,
+    tagged with replication ``rep`` and the client's PanelSpec.label.
 
     Client k forecasts from the origins t = T_k - n_origins, ..., T_k - 1
-    (a panel too short for that raises ValueError before any fit).  Each
-    method fits a table of coefficients keyed by (k, t), entry (k, t) on
-    client k's first t observations, from one cache of lag designs, and
-    one forecaster scores every table.  The federation of origin t is
-    fitted once, on every client's first min(t, T_k) observations, and
-    refines the clients that forecast from t in one ``refine_fista``
-    call; the starts of every origin's federation are one stacked ADMM
-    call, and the l1-only baselines are one more ``refine_fista`` call.
-    The two ADMM methods fit every client's origins in increasing order,
-    as one stack per origin step: step j fits, for every client and both
-    methods, its j-th origin in one ``fit_admm`` call, each fit started
-    from its own fit at step j - 1.
+    (a design too short for that raises ValueError before any fit).  Each
+    method fits a table of coefficients keyed by (k, t): entry (k, t) is
+    fitted on rows [:t] of client k's design, a row prefix kept in one
+    cache, and scored on row t, predicting y[t] by the entry times x[t],
+    so no fit looks ahead.  The federation of origin t is fitted once, on
+    rows [:min(t, T_k)] of every client's design, and refines the clients
+    that forecast from t in one ``refine_fista`` call; the starts of every
+    origin's federation are one stacked ADMM call, and the l1-only
+    baselines are one more ``refine_fista`` call.  The two ADMM methods
+    fit every client's origins in increasing order, as one stack per
+    origin step: step j fits, for every client and both methods, its j-th
+    origin in one ``fit_admm`` call, each fit started from its own fit at
+    step j - 1.
     """
-    lengths = [pn.t_len for pn in panels]
+    lengths = [ds.t_len for ds in designs]
     for spec, length in zip(cfg.panels, lengths):
         if not 1 <= cfg.n_origins <= length - 1:
             raise ValueError(
@@ -377,7 +375,8 @@ def empirical_rmsfe(cfg, panels, rep):
 
     @functools.cache
     def design(k, t):
-        return var.lag_design(panels[k].prefix(t))
+        full = designs[k]
+        return full if t == full.t_len else var.LagDesign(x=full.x[:t], y=full.y[:t])
 
     def federated():
         coefs = {}
@@ -438,21 +437,23 @@ def empirical_rmsfe(cfg, panels, rep):
     tables = {method: fits[method]() for method in EMPIRICAL_METHODS}
 
     recs = []
-    for k, (spec, panel) in enumerate(zip(cfg.panels, panels)):
+    for k, (spec, full) in enumerate(zip(cfg.panels, designs)):
+        scored = range(full.t_len - cfg.n_origins, full.t_len)
         for method in EMPIRICAL_METHODS:
-            forecaster = _stored_forecaster(cfg.p, tables[method], k)
-            records, agg = metrics.rmsfe(
-                forecaster, panel, n_origins=cfg.n_origins, aggregate=cfg.rmsfe_agg
+            predicted = np.array([tables[method][k, t] @ full.x[t] for t in scored])
+            per_var, agg = metrics.rmsfe(
+                full.y[scored.start :], predicted, aggregate=cfg.rmsfe_agg
             )
             base = {"rep": rep, "client": spec.label, "method": method, "metric": "rmsfe"}
-            for r in records:
-                recs.append({**base, "variable": r.variable + 1, "value": r.rmsfe})
-            recs.append({**base, "variable": "all", "value": agg.rmsfe})
+            for j, value in enumerate(per_var.tolist()):
+                recs.append({**base, "variable": j + 1, "value": value})
+            recs.append({**base, "variable": "all", "value": agg})
     return recs
 
 
 def _rep_empirical(cfg, rep):
-    return empirical_rmsfe(cfg, load_panels(cfg.panels, cfg.p), rep)
+    panels = load_panels(cfg.panels, cfg.p)
+    return empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], rep)
 
 
 REP_FUNCTIONS = {

@@ -1,61 +1,50 @@
-"""Evaluation metrics: rolling out-of-sample forecast error and
-percentile band summaries."""
+"""Evaluation metrics: one-step forecast error over a run of forecast
+origins, and percentile band summaries.
+
+``rmsfe`` scores forecasts already made: row h of ``predicted`` is the
+forecast of row h of ``actual``.  The harness makes them from one lag
+design per client: the forecast for origin t uses coefficients fitted on
+rows [:t] of that design and is scored on row t, so no fit sees the row
+it forecasts.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RmsfeRecord:
-    """Root mean squared one-step forecast error; variable None is the
-    cross-variable aggregate."""
+def rmsfe(actual, predicted, aggregate="mean"):
+    """Root mean squared one-step forecast error per variable and across
+    variables.
 
-    variable: int | None
-    rmsfe: float
-    n_origins: int
+    ``actual`` and ``predicted`` are (n_origins, d) arrays whose row h
+    holds the observation at the h-th forecast origin and its forecast.
+    In the empirical comparison, for client k at origin t, the actual row
+    is y[t] of k's lag design and the forecast is entry (k, t), fitted on
+    rows [:t] of that design, times x[t].  The aggregate is
+    either the mean of the per-variable values ("mean") or the square
+    root of the pooled mean squared error ("pooled").
 
-
-def rmsfe(forecaster, panel, n_origins=20, aggregate="mean"):
-    """Expanding-window forecast evaluation over the last origins.
-
-    ``forecaster`` maps a panel prefix to a length-d prediction of the
-    next observation; it is refit at every origin.  Origins are visited
-    in increasing order, one call each, so a forecaster may carry state
-    from one origin to the next.  Per-variable records
-    come first; the aggregate is either the mean of per-variable values
-    ("mean") or the square root of the pooled mean squared error
-    ("pooled").
-
-    Returns (per_variable_records, aggregate_record).
+    Returns (per_variable, aggregate): a length-d array and a float.
     """
     if aggregate not in ("mean", "pooled"):
         raise ValueError("aggregate must be 'mean' or 'pooled'")
-    t_len, d = panel.t_len, panel.d
-    if not 1 <= n_origins <= t_len - 1:
+    actual = np.asarray(actual, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=np.float64)
+    if actual.ndim != 2 or actual.shape != predicted.shape:
         raise ValueError(
-            f"n_origins {n_origins} outside [1, {t_len - 1}] for this panel"
+            f"actual {actual.shape} and predicted {predicted.shape} must be "
+            "equal (n_origins, d) shapes"
         )
-    sq = np.zeros((n_origins, d))
-    for h in range(n_origins):
-        i = t_len - n_origins + h
-        pred = np.asarray(forecaster(panel.prefix(i)), dtype=np.float64)
-        if pred.shape != (d,):
-            raise ValueError(f"forecaster returned shape {pred.shape}, want ({d},)")
-        sq[h] = (panel.observations[i] - pred) ** 2
+    if actual.size == 0:
+        raise ValueError("need at least one origin and one variable")
+    sq = (actual - predicted) ** 2
     per_var = np.sqrt(sq.mean(axis=0))
-    records = [
-        RmsfeRecord(variable=j, rmsfe=float(per_var[j]), n_origins=n_origins)
-        for j in range(d)
-    ]
     if aggregate == "mean":
-        agg = float(per_var.mean())
-    else:
-        agg = float(np.sqrt(sq.mean()))
-    return records, RmsfeRecord(variable=None, rmsfe=agg, n_origins=n_origins)
+        return per_var, float(per_var.mean())
+    return per_var, float(np.sqrt(sq.mean()))
 
 
 class Band(NamedTuple):

@@ -6,7 +6,7 @@ ADMM, plus the reference baselines used for comparisons: least squares
 
 ``fit_admm`` is one lockstep loop over any number of same-shape problems,
 and one fit is the one-problem call: each problem keeps its own ridge
-factor, pins, penalties and stop rule, the elementwise updates run once
+factor, pin_delta, penalties and stop rule, the elementwise updates run once
 over the stack, and a problem's result is bitwise that of its
 one-problem call.  The harness fits a replication's single-client
 problems, the starts of its federations and each origin step of the
@@ -47,9 +47,8 @@ _ADMM_RHO = 1.0
 class AdmmConfig:
     """Penalties and solver controls for one ADMM fit.
 
-    zeta None disables the sup-norm clip on the low-rank part.  pin_a0
-    forces B0 = 0 (pure l1 problem); pin_delta forces D = 0 (pure
-    nuclear-norm problem).  Tolerances default to 1e-6 * sqrt(pd * d),
+    zeta None disables the sup-norm clip on the low-rank part.  pin_delta
+    forces D = 0 (pure nuclear-norm problem).  Tolerances default to 1e-6 * sqrt(pd * d),
     scaling the Frobenius residual with the problem size.  The penalty
     parameter rho is the module constant _ADMM_RHO.
     """
@@ -60,7 +59,6 @@ class AdmmConfig:
     eps_pri: float | None = None
     eps_dual: float | None = None
     max_iter: int = 2000
-    pin_a0: bool = False
     pin_delta: bool = False
 
     def __post_init__(self):
@@ -73,8 +71,6 @@ class AdmmConfig:
                 raise ValueError(f"{name} must be nonnegative (or None for the default)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.pin_a0 and self.pin_delta:
-            raise ValueError("cannot pin both components")
 
 
 @dataclass
@@ -142,7 +138,7 @@ def fit_admm(designs, cfgs, starts=None):
 
     The problems run in one lockstep loop.  Each keeps its own Cholesky
     factor of the ridge system (one LAPACK dpotrs per problem and
-    iteration), its own pins, zeta, tolerances and max_iter, and its own
+    iteration), its own pin_delta, zeta, tolerances and max_iter, and its own
     ``matops.svt`` call; the elementwise updates and the residual norms
     run once over the stack.  A problem that converges or reaches its
     max_iter leaves the stack, so its iterates, residual histories and
@@ -153,7 +149,7 @@ def fit_admm(designs, cfgs, starts=None):
     one entry per problem, None for the zero start or a (B0, D, U) triple
     of finite (pd, d) arrays, such as a previous fit's AdmmState.final (a
     warm start; it is the same triple under relaxation).  A pinned
-    component starts at zero whatever its start holds.  Every start is
+    deviation starts at zero whatever its start holds.  Every start is
     checked before the first iteration.
 
     Returns one decomposition per problem (transposed back to (d, pd)) and
@@ -178,10 +174,8 @@ def fit_admm(designs, cfgs, starts=None):
     factors = []
     for j, (design, cfg, start) in enumerate(zip(designs, cfgs, starts)):
         if start is not None:
-            b0_j, d_j, u[j] = _check_start(start, j, pd, d)
-            # a pinned component stays at zero
-            if not cfg.pin_a0:
-                b0[j] = b0_j
+            b0[j], d_j, u[j] = _check_start(start, j, pd, d)
+            # a pinned deviation stays at zero
             if not cfg.pin_delta:
                 d_mat[j] = d_j
         try:
@@ -190,8 +184,8 @@ def fit_admm(designs, cfgs, starts=None):
             raise RuntimeError(f"ridge system factorization failed: {exc}") from exc
         g[j] = 2.0 * design.sxy
 
-    # per-problem constants; the arrays shrink with the stack, lam, pin_a0
-    # and the factors are read by problem index
+    # per-problem constants; the arrays shrink with the stack, lam and the
+    # factors are read by problem index
     tol = 1e-6 * math.sqrt(pd * d)
     eps_pri = np.array([tol if c.eps_pri is None else c.eps_pri for c in cfgs])
     eps_dual = np.array([tol if c.eps_dual is None else c.eps_dual for c in cfgs])
@@ -200,7 +194,6 @@ def fit_admm(designs, cfgs, starts=None):
     zeta = np.array([math.inf if c.zeta is None else c.zeta for c in cfgs])[:, None, None]
     pin_delta = np.array([c.pin_delta for c in cfgs])
     lam = [c.lam / _ADMM_RHO for c in cfgs]
-    pin_a0 = [c.pin_a0 for c in cfgs]
     clip = any(c.zeta is not None for c in cfgs)
 
     # per-problem results, filled as problems leave the stack; the final
@@ -227,8 +220,7 @@ def fit_admm(designs, cfgs, starts=None):
         z_prev = z
         shrink = b_hat - d_mat + u
         for j, c in enumerate(live):
-            if not pin_a0[c]:
-                b0[j] = svt(shrink[j], lam[c])
+            b0[j] = svt(shrink[j], lam[c])
         if clip:
             b0 = linf_project(b0, zeta)
         d_mat = soft_threshold(b_hat - b0 + u, omega)

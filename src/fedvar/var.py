@@ -23,7 +23,9 @@ class TimeSeriesPanel:
     observations : (t_len, d) rows entering the loss / evaluation
 
     A panel carries no name; the harness names a client by its
-    PanelSpec.label.
+    PanelSpec.label.  The harness reads a panel once, through its
+    ``lag_design``: a fit at forecast origin t uses rows [:t] of that
+    design and the forecast is scored on row t, so no fit looks ahead.
     """
 
     presample: np.ndarray
@@ -53,14 +55,6 @@ class TimeSeriesPanel:
     @property
     def t_len(self):
         return self.observations.shape[0]
-
-    def prefix(self, t_len):
-        """Panel truncated to its first ``t_len`` observations."""
-        if not 1 <= t_len <= self.t_len:
-            raise ValueError(f"prefix length {t_len} outside [1, {self.t_len}]")
-        return TimeSeriesPanel(
-            presample=self.presample, observations=self.observations[:t_len]
-        )
 
 
 @dataclass(frozen=True)
@@ -187,22 +181,6 @@ def scale_lag_blocks(a, p, c):
     return np.hstack([(c ** (j + 1)) * blk for j, blk in enumerate(blocks)])
 
 
-def enforce_stationarity(a, p, target_radius=0.9):
-    """Rescale lag blocks so the companion spectral radius equals the target.
-
-    Scaling block j by c**j is a similarity transform of c times the
-    companion matrix, so the radius after scaling is exactly c * radius.
-    The required c = target_radius / radius is therefore closed form.
-    A zero coefficient matrix (radius 0) is returned unchanged.
-    """
-    if target_radius <= 0 or target_radius >= 1:
-        raise ValueError("target_radius must lie in (0, 1)")
-    radius = companion_spectral_radius(a, p)
-    if radius == 0.0:
-        return check_matrix(a).copy()
-    return scale_lag_blocks(a, p, target_radius / radius)
-
-
 def gen_low_rank(d, p, r, rng):
     """Rank-r truncation of a (d, p*d) standard Gaussian draw."""
     if not 1 <= r <= min(d, p * d):
@@ -316,18 +294,16 @@ def assemble_dgp(
         sizes = [m - o for m, o in zip(sizes, over)]
 
 
-def simulate(a, p, t_len, rng, burn_in=200, noise_chol=None):
+def simulate(a, p, t_len, rng, burn_in=200):
     """Simulate a stationary VAR(p) path started from a zero state.
 
     Parameters
     ----------
     a : (d, p*d) stacked coefficients, companion radius must be < 1
     t_len : number of retained observations after the presample
-    rng : numpy Generator; exactly (burn_in + p + t_len) innovation rows
-        are drawn, so equal seeds replay the identical path
+    rng : numpy Generator; exactly (burn_in + p + t_len) standard normal
+        innovation rows are drawn, so equal seeds replay the identical path
     burn_in : discarded initial steps before the presample
-    noise_chol : optional (d, d) factor L; innovations are L @ z with z
-        standard normal (identity covariance when omitted)
 
     Returns a TimeSeriesPanel of p presample rows and t_len observations.
     """
@@ -344,19 +320,12 @@ def simulate(a, p, t_len, rng, burn_in=200, noise_chol=None):
         raise ValueError(
             f"non-stationary coefficients (companion radius {radius:.4f})"
         )
-    total = burn_in + p + t_len
-    eps = rng.standard_normal((total, d))
-    if noise_chol is not None:
-        noise_chol = check_matrix(noise_chol, "noise_chol")
-        if noise_chol.shape != (d, d):
-            raise ValueError(f"noise_chol must be ({d}, {d})")
-        eps = eps @ noise_chol.T
     blocks = lag_blocks(a, p)
     # The recursion runs in place on the fresh innovations, through a
     # list of row views so each step indexes a list, not the array. Row
     # t adds its lag terms in lag order; that order fixes the rounding,
     # so a path is a bitwise function of its draws.
-    y = eps
+    y = rng.standard_normal((burn_in + p + t_len, d))
     rows = list(y)
     for t, row in enumerate(rows):
         for j, blk in enumerate(blocks[:t]):

@@ -264,12 +264,14 @@ def admm_raw(x, y, lam, omega, rho, iters, relax):
     return b0.T, dm.T
 
 
-def admm_solo(design, cfg, start=None):
+def admm_solo(design, cfg, start=None, pin_a0=False):
     """One ADMM fit on its own, as fit_admm ran before it stacked problems:
     the same over-relaxed scaled-dual updates, stop rule, start checks and
     max_iter warning, for one design, with the ridge system solved by
     cho_solve and the singular value threshold taken from np.linalg.svd.
-    Returns the decomposition and an AdmmState."""
+    pin_a0 holds B0 at zero, which leaves the pure l1 problem (the
+    package fits that with refine_fista).  Returns the decomposition and
+    an AdmmState."""
     d, pd = design.d, design.pd
     rho, relax = single_client._ADMM_RHO, single_client._ADMM_RELAX
     b0, d_mat, u = (np.zeros((pd, d)) for _ in range(3))
@@ -282,7 +284,7 @@ def admm_solo(design, cfg, start=None):
             if m.shape != (pd, d):
                 raise ValueError(f"start {name} shape {m.shape}, expected ({pd}, {d})")
             checked.append(m)
-        b0 = b0 if cfg.pin_a0 else checked[0]
+        b0 = b0 if pin_a0 else checked[0]
         d_mat = d_mat if cfg.pin_delta else checked[1]
         u = checked[2]
 
@@ -298,7 +300,7 @@ def admm_solo(design, cfg, start=None):
         b = cho_solve(factor, g + rho * (z - u))
         b_hat = relax * b + (1.0 - relax) * z
         z_prev = z
-        if not cfg.pin_a0:
+        if not pin_a0:
             left, s, right = np.linalg.svd(b_hat - d_mat + u, full_matrices=False)
             b0 = (left * np.maximum(s - cfg.lam / rho, 0.0)) @ right
             if cfg.zeta is not None:
@@ -329,6 +331,37 @@ def admm_solo(design, cfg, start=None):
     return var.CoefDecomposition(a0=b0.T, delta=d_mat.T), state
 
 
+def prefix_panel(panel, t_len):
+    """The panel cut to its first t_len observations, presample kept."""
+    return var.TimeSeriesPanel(
+        presample=panel.presample, observations=panel.observations[:t_len]
+    )
+
+
+def reference_rmsfe(forecaster, panel, n_origins, aggregate="mean"):
+    """Expanding-window RMSFE scored the long way: at each of the last
+    n_origins indices i, in increasing order, forecaster gets the panel
+    cut to its first i observations and its length-d forecast is scored
+    against observation i, so a forecaster that sees only what it is given
+    cannot look ahead.  Returns the per-variable values followed by the
+    aggregate, the order empirical_rmsfe records them in."""
+    t_len = panel.t_len
+    sq = np.zeros((n_origins, panel.d))
+    for h in range(n_origins):
+        i = t_len - n_origins + h
+        pred = np.asarray(forecaster(prefix_panel(panel, i)), dtype=np.float64)
+        sq[h] = (panel.observations[i] - pred) ** 2
+    per_var = np.sqrt(sq.mean(axis=0))
+    agg = per_var.mean() if aggregate == "mean" else np.sqrt(sq.mean())
+    return [float(v) for v in per_var] + [float(agg)]
+
+
+def scale_to_radius(a, p, radius):
+    """a with lag block j scaled by c**j so that its companion spectral
+    radius is radius (a test fixture for a stationary VAR)."""
+    return var.scale_lag_blocks(a, p, radius / var.companion_spectral_radius(a, p))
+
+
 def prefix_designs(panels, origin, client):
     """Lag designs for one client's forecast origin across the federation.
 
@@ -339,7 +372,7 @@ def prefix_designs(panels, origin, client):
     designs = []
     for j, pn in enumerate(panels):
         t = origin if j == client else min(origin, pn.t_len)
-        designs.append(var.lag_design(pn.prefix(t)))
+        designs.append(var.lag_design(prefix_panel(pn, t)))
     return designs
 
 
@@ -364,7 +397,7 @@ def per_client_federated_forecaster(cfg, panels, client):
     return forecast
 
 
-def simulate_reference(a, p, t_len, rng, burn_in=200, noise_chol=None):
+def simulate_reference(a, p, t_len, rng, burn_in=200):
     """VAR(p) path by the straightforward recursion: each step accumulates
     its lag terms onto a copy of its innovation, skipping lags before the
     start. Draws the same innovations as ``var.simulate``; returns
@@ -372,8 +405,6 @@ def simulate_reference(a, p, t_len, rng, burn_in=200, noise_chol=None):
     d = a.shape[0]
     total = burn_in + p + t_len
     eps = rng.standard_normal((total, d))
-    if noise_chol is not None:
-        eps = eps @ noise_chol.T
     blocks = [a[:, j * d : (j + 1) * d] for j in range(p)]
     y = np.zeros((total, d))
     for t in range(total):

@@ -25,6 +25,8 @@ from fedvar.dp import (
 )
 from fedvar.harness import ExperimentConfig, PanelSpec, run_experiment, write_panel
 
+from oracles import admm_solo
+
 SEED = 20240516
 
 
@@ -186,18 +188,13 @@ def test_optimizer_oracle_equivalence():
         design = var.lag_design(panel)
         omega = float(np.sqrt(np.log(design.pd) / design.t_len))
 
-        (admm_dec,), _ = single_client.fit_admm(
-            [design],
-            [
-                single_client.AdmmConfig(
-                    lam=0.0,
-                    omega=omega,
-                    pin_a0=True,
-                    max_iter=20000,
-                    eps_pri=1e-10,
-                    eps_dual=1e-10,
-                )
-            ],
+        # the l1-only problem by ADMM with the shared part held at zero
+        admm_dec, _ = admm_solo(
+            design,
+            single_client.AdmmConfig(
+                lam=0.0, omega=omega, max_iter=20000, eps_pri=1e-10, eps_dual=1e-10
+            ),
+            pin_a0=True,
         )
         (fista_delta,), _ = fed_core.refine_fista(
             [design],

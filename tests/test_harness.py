@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedvar import dp, fed_core, metrics, single_client, var
+from fedvar import dp, fed_core, single_client, var
 from fedvar.harness import (
     ExperimentConfig,
     PanelSpec,
@@ -26,6 +26,8 @@ from oracles import (
     cold_l1_forecaster,
     cold_single_forecaster,
     per_client_federated_forecaster,
+    reference_rmsfe,
+    scale_to_radius,
 )
 
 
@@ -520,14 +522,14 @@ class TestEmpiricalFederation:
         panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
         assert [pn.t_len for pn in panels] == list(self.LENGTHS)
         for k, (spec, panel) in enumerate(zip(cfg.panels, panels)):
-            records, agg = metrics.rmsfe(
+            want = reference_rmsfe(
                 per_client_federated_forecaster(cfg, panels, k),
                 panel,
-                n_origins=cfg.n_origins,
-                aggregate=cfg.rmsfe_agg,
+                cfg.n_origins,
+                cfg.rmsfe_agg,
             )
             got = [r["value"] for r in recs if r["client"] == spec.client_id]
-            assert got == [r.rmsfe for r in records] + [agg.rmsfe]
+            assert got == want
 
 
     def test_one_refinement_per_origin_of_its_forecasting_clients(
@@ -558,23 +560,32 @@ class TestEmpiricalFederation:
     def test_each_lag_design_built_once_across_methods(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch, methods=experiments.EMPIRICAL_METHODS)
         loaded = [load_panel(spec, cfg.p) for spec in cfg.panels]
-        real = var.lag_design
-        built = []
+        real_lag_design, real_design = var.lag_design, var.LagDesign
+        lag_designs, built = [], []
 
-        def counting(panel):
-            # a prefix's first observation tells whose panel it is
-            k = next(k for k, pn in enumerate(loaded)
-                     if np.array_equal(pn.observations[0], panel.observations[0]))
-            built.append((cfg.panels[k].client_id, panel.t_len))
-            return real(panel)
+        def client(y):
+            # a design's first target row tells whose panel it is
+            return next(spec.client_id for spec, pn in zip(cfg.panels, loaded)
+                        if np.array_equal(pn.observations[0], y[0]))
 
-        monkeypatch.setattr(var, "lag_design", counting)
+        def counting_lag_design(panel):
+            lag_designs.append(client(panel.observations))
+            return real_lag_design(panel)
+
+        def counting_design(x, y):
+            built.append((client(y), y.shape[0]))
+            return real_design(x=x, y=y)
+
+        monkeypatch.setattr(var, "lag_design", counting_lag_design)
+        monkeypatch.setattr(var, "LagDesign", counting_design)
         experiments._rep_empirical(cfg, 0)
         clients = [(f"c{k + 1}", t) for k, t in enumerate(self.LENGTHS)]
+        assert lag_designs == [c for c, _ in clients]
         origins = {t - h for t in self.LENGTHS for h in (1, 2, 3)}
-        # every (client, origin) pair, and what each federation sees of
-        # the clients whose panels end before its origin
-        want = {(c, t - h) for c, t in clients for h in (1, 2, 3)}
+        # each full design, every (client, origin) pair, and what each
+        # federation sees of the clients whose panels end before its origin
+        want = set(clients)
+        want |= {(c, t - h) for c, t in clients for h in (1, 2, 3)}
         want |= {(c, min(o, t)) for c, t in clients for o in origins}
         assert sorted(built) == sorted(want)
 
@@ -583,14 +594,11 @@ class TestEmpiricalFederation:
         recs = experiments._rep_empirical(cfg, 0)
         panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
         for spec, panel in zip(cfg.panels, panels):
-            records, agg = metrics.rmsfe(
-                cold_l1_forecaster(cfg),
-                panel,
-                n_origins=cfg.n_origins,
-                aggregate=cfg.rmsfe_agg,
+            want = reference_rmsfe(
+                cold_l1_forecaster(cfg), panel, cfg.n_origins, cfg.rmsfe_agg
             )
             got = [r["value"] for r in recs if r["client"] == spec.client_id]
-            assert got == [r.rmsfe for r in records] + [agg.rmsfe]
+            assert got == want
 
 
 class TestWarmStartedForecasters:
@@ -634,7 +642,7 @@ class TestWarmStartedForecasters:
             return decomps, report
 
         monkeypatch.setattr(single_client, "fit_admm", recording)
-        experiments.empirical_rmsfe(cfg, panels, 0)
+        experiments.empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], 0)
         assert sorted(chains) == [(0, False), (0, True), (1, False), (1, True)]
         for (k, _), seen in chains.items():
             t_len = panels[k].t_len
@@ -650,21 +658,20 @@ class TestWarmStartedForecasters:
         # differ by at most 3.1e-5 relative, so 1e-4 on the RMSFE.
         cfg = self._config(tmp_path, monkeypatch)
         panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
-        recs = experiments.empirical_rmsfe(cfg, panels, 0)
+        recs = experiments.empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], 0)
         for spec, panel in zip(cfg.panels, panels):
             for method in self.METHODS:
-                records, agg = metrics.rmsfe(
+                want = reference_rmsfe(
                     cold_single_forecaster(cfg, method),
                     panel,
-                    n_origins=cfg.n_origins,
-                    aggregate=cfg.rmsfe_agg,
+                    cfg.n_origins,
+                    cfg.rmsfe_agg,
                 )
                 got = [
                     r["value"]
                     for r in recs
                     if r["client"] == spec.client_id and r["method"] == method
                 ]
-                want = [r.rmsfe for r in records] + [agg.rmsfe]
                 np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
 
 
@@ -675,7 +682,7 @@ class TestFedConfig:
 
     def test_picks_largest_client(self):
         rng = np.random.default_rng(15)
-        a = var.enforce_stationarity(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
+        a = scale_to_radius(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
         big = var.lag_design(var.simulate(a, 1, 600, rng, burn_in=100))
         big = var.LagDesign(x=big.x, y=big.x @ a.T)  # exact targets
         small = var.LagDesign(x=big.x[:80], y=-(big.x[:80] @ a.T))
@@ -689,13 +696,43 @@ class TestFedConfig:
 
     def test_tie_resolves_to_first(self):
         rng = np.random.default_rng(16)
-        a = var.enforce_stationarity(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
+        a = scale_to_radius(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
         base = var.lag_design(var.simulate(a, 1, 300, rng, burn_in=100))
         plus = var.LagDesign(x=base.x, y=base.x @ a.T)
         minus = var.LagDesign(x=base.x, y=-(base.x @ a.T))
         first, second = experiments.fed_config(self.CFG, [[plus, minus], [minus, plus]])
         assert np.sum(first.init_a0 * a) > 0
         assert np.sum(second.init_a0 * a) < 0
+
+    def test_shared_largest_design_fitted_once(self):
+        rng = np.random.default_rng(17)
+        a = scale_to_radius(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
+        big, small, other = (
+            var.lag_design(var.simulate(a, 1, t, rng, burn_in=100)) for t in (90, 60, 80)
+        )
+        fcfgs = experiments.fed_config(self.CFG, [[big, small], [small, big], [other]])
+        assert fcfgs[0].init_a0 is fcfgs[1].init_a0
+        (want,) = fed_core.initial_shared_estimate(
+            [big], 1, [experiments.admm_config(big, self.CFG)]
+        )
+        assert np.array_equal(fcfgs[0].init_a0, want)
+
+    def test_k_sweep_fits_one_start(self, monkeypatch):
+        cfg = ExperimentConfig(
+            kind="k_sweep", seed=3, d=4, p=1, rank=1, t_len=60, k_grid=(2, 3, 5)
+        )
+        real = fed_core.initial_shared_estimate
+        calls = []
+
+        def recording(designs, rank, acfgs):
+            calls.append(len(designs))
+            return real(designs, rank, acfgs)
+
+        monkeypatch.setattr(fed_core, "initial_shared_estimate", recording)
+        recs = experiments._rep_k_sweep(cfg, 0)
+        # every k starts from designs[0], the first of equally long clients
+        assert calls == [1]
+        assert {r["n_clients"] for r in recs} == {2, 3, 5}
 
 
 def heatmap_config(tmp_path, **overrides):

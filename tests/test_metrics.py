@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fedvar import var
 from fedvar.metrics import Band, percentile_band, rmsfe
 
 
@@ -25,54 +24,38 @@ class TestPercentileBand:
 
 class TestRmsfe:
     def test_zero_forecaster_hand_values(self):
-        panel = var.TimeSeriesPanel(
-            presample=np.zeros((1, 2)),
-            observations=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-        )
-        zero = lambda prefix: np.zeros(2)
-        records, agg = rmsfe(zero, panel, n_origins=2)
-        assert [r.variable for r in records] == [0, 1]
-        assert records[0].rmsfe == pytest.approx(np.sqrt((9 + 25) / 2))
-        assert records[1].rmsfe == pytest.approx(np.sqrt((16 + 36) / 2))
-        assert agg.variable is None
-        assert agg.rmsfe == pytest.approx(
-            (np.sqrt(17.0) + np.sqrt(26.0)) / 2
-        )
-        _, pooled = rmsfe(zero, panel, n_origins=2, aggregate="pooled")
-        assert pooled.rmsfe == pytest.approx(np.sqrt(86.0 / 4.0))
+        actual = np.array([[3.0, 4.0], [5.0, 6.0]])
+        per_var, agg = rmsfe(actual, np.zeros((2, 2)))
+        np.testing.assert_allclose(per_var, [np.sqrt(17.0), np.sqrt(26.0)])
+        assert agg == pytest.approx((np.sqrt(17.0) + np.sqrt(26.0)) / 2)
+        _, pooled = rmsfe(actual, np.zeros((2, 2)), aggregate="pooled")
+        assert pooled == pytest.approx(np.sqrt(86.0 / 4.0))
+
+    def test_errors_are_actual_minus_predicted_per_row(self):
+        actual = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+        predicted = np.array([[0.0, 3.0], [0.0, 0.0], [2.0, 0.0]])
+        per_var, agg = rmsfe(actual, predicted)
+        # errors (1, -3), (2, 0), (-2, 0): squares 1+4+4 and 9 over 3 rows
+        np.testing.assert_allclose(per_var, [np.sqrt(3.0), np.sqrt(3.0)])
+        assert agg == pytest.approx(np.sqrt(3.0))
+        _, pooled = rmsfe(actual, predicted, aggregate="pooled")
+        assert pooled == pytest.approx(np.sqrt(18.0 / 6.0))
 
     def test_perfect_forecaster_scores_zero(self):
-        # deterministic decay y_t = 0.9 y_{t-1} known to the forecaster
-        obs = np.array([[0.9**t, 2 * 0.9**t] for t in range(1, 11)])
-        panel = var.TimeSeriesPanel(
-            presample=np.array([[1.0, 2.0]]), observations=obs
-        )
-        forecaster = lambda prefix: 0.9 * np.vstack(
-            [prefix.presample, prefix.observations]
-        )[-1]
-        records, agg = rmsfe(forecaster, panel, n_origins=5)
-        assert agg.rmsfe == pytest.approx(0.0, abs=1e-12)
-
-    def test_forecaster_sees_expanding_prefixes(self):
-        panel = var.TimeSeriesPanel(
-            presample=np.zeros((1, 1)), observations=np.arange(8.0).reshape(8, 1)
-        )
-        seen = []
-
-        def forecaster(prefix):
-            seen.append(prefix.t_len)
-            return np.zeros(1)
-
-        rmsfe(forecaster, panel, n_origins=3)
-        assert seen == [5, 6, 7]
+        actual = np.arange(10.0).reshape(5, 2)
+        per_var, agg = rmsfe(actual, actual.copy())
+        np.testing.assert_array_equal(per_var, [0.0, 0.0])
+        assert agg == 0.0
 
     def test_validation(self):
-        panel = var.TimeSeriesPanel(
-            presample=np.zeros((1, 1)), observations=np.ones((5, 1))
-        )
-        with pytest.raises(ValueError):
-            rmsfe(lambda p: np.zeros(1), panel, n_origins=5)
-        with pytest.raises(ValueError):
-            rmsfe(lambda p: np.zeros(2), panel, n_origins=2)
-        with pytest.raises(ValueError):
-            rmsfe(lambda p: np.zeros(1), panel, n_origins=2, aggregate="median")
+        ones = np.ones((3, 2))
+        with pytest.raises(ValueError, match="equal"):
+            rmsfe(ones, np.ones((3, 1)))
+        with pytest.raises(ValueError, match="equal"):
+            rmsfe(ones, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="equal"):
+            rmsfe(np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="at least one"):
+            rmsfe(np.ones((0, 2)), np.ones((0, 2)))
+        with pytest.raises(ValueError, match="aggregate"):
+            rmsfe(ones, ones, aggregate="median")

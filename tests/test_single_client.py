@@ -7,7 +7,7 @@ import pytest
 from fedvar import fed_core, single_client, var
 from fedvar.single_client import AdmmConfig, fit_admm, fit_baseline
 
-from oracles import admm_raw, admm_solo
+from oracles import admm_raw, admm_solo, prefix_panel, scale_to_radius
 
 
 def fit_one(design, cfg, start=None):
@@ -19,7 +19,7 @@ def fit_one(design, cfg, start=None):
 def make_noiseless(seed=0, d=4, p=1, r=2, t_factor=50):
     """Design whose targets are exactly x @ a.T for a known rank-r a."""
     rng = np.random.default_rng(seed)
-    a = var.enforce_stationarity(var.gen_low_rank(d, p, r, rng), p, 0.8)
+    a = scale_to_radius(var.gen_low_rank(d, p, r, rng), p, 0.8)
     panel = var.simulate(a, p, t_factor * p * d, rng, burn_in=100)
     design = var.lag_design(panel)
     return var.LagDesign(x=design.x, y=design.x @ a.T), a
@@ -27,7 +27,7 @@ def make_noiseless(seed=0, d=4, p=1, r=2, t_factor=50):
 
 def make_noisy(seed=1, d=5, p=1, t_len=300):
     rng = np.random.default_rng(seed)
-    a = var.enforce_stationarity(rng.standard_normal((d, p * d)), p, 0.8)
+    a = scale_to_radius(rng.standard_normal((d, p * d)), p, 0.8)
     panel = var.simulate(a, p, t_len, rng, burn_in=100)
     return var.lag_design(panel), a
 
@@ -78,8 +78,6 @@ class TestFitAdmm:
 
     def test_pins(self):
         design, _ = make_noisy(seed=4)
-        decomp, _ = fit_one(design, AdmmConfig(lam=0.1, omega=0.05, pin_a0=True))
-        np.testing.assert_array_equal(decomp.a0, np.zeros_like(decomp.a0))
         decomp, _ = fit_one(
             design, AdmmConfig(lam=0.1, omega=0.05, pin_delta=True)
         )
@@ -127,7 +125,6 @@ class TestFitAdmm:
         [
             AdmmConfig(lam=0.07, omega=0.02, zeta=1.0),
             AdmmConfig(lam=0.1, omega=0.0, pin_delta=True),
-            AdmmConfig(lam=0.0, omega=0.05, pin_a0=True),
         ],
     )
     def test_warm_start_from_own_final_converges_at_once(self, cfg):
@@ -149,7 +146,7 @@ class TestFitAdmm:
         rng = np.random.default_rng(8)
         a0, deltas = var.assemble_dgp(6, 2, 2, 1, rng, ratio=5.0)
         panel = var.simulate(a0 + deltas[0], 2, 60, rng, burn_in=100)
-        short, long = var.lag_design(panel.prefix(59)), var.lag_design(panel)
+        short, long = var.lag_design(prefix_panel(panel, 59)), var.lag_design(panel)
         cfg = single_client.default_admm_config(long)
         _, prev = fit_one(short, single_client.default_admm_config(short))
         warm, _ = fit_one(long, cfg, start=prev.final)
@@ -157,7 +154,7 @@ class TestFitAdmm:
         # both stop at residuals <= 1e-6 sqrt(pd d), about 8.5e-6 here
         assert np.linalg.norm(warm.a - cold.a) <= 1e-4 * np.linalg.norm(cold.a)
 
-    @pytest.mark.parametrize("pin", ["none", "delta", "a0"])
+    @pytest.mark.parametrize("pin", ["none", "delta"])
     @pytest.mark.parametrize(
         "d, p, t_len", [(20, 1, 400), (12, 2, 40)], ids=["rank_table", "panel_forecast"]
     )
@@ -170,8 +167,6 @@ class TestFitAdmm:
         lam, omega = cfg.lam, cfg.omega
         if pin == "delta":
             cfg, omega = single_client.nuclear_only_config(cfg), np.inf
-        elif pin == "a0":
-            cfg, lam = replace(cfg, pin_a0=True), np.inf
         dec, state = fit_one(design, cfg)
         assert state.converged
         # plain ADMM; 1,000 iterations already agree with 2,000 to 1e-12
@@ -183,7 +178,7 @@ class TestFitAdmm:
         assert np.linalg.norm(dec.delta - ref_delta) <= 1e-4 * scale
 
     def test_relaxation_cuts_iterations(self, monkeypatch):
-        # the forecasters' warm-started origin chain and the pinned fits
+        # the forecasters' warm-started origin chain and the nuclear-only fits
         def total_iterations():
             n = 0
             for seed in range(4):
@@ -192,16 +187,13 @@ class TestFitAdmm:
                 panel = var.simulate(a0 + deltas[0], 2, 48, rng, burn_in=100)
                 last = None
                 for t_len in range(40, 49):
-                    design = var.lag_design(panel.prefix(t_len))
+                    design = var.lag_design(prefix_panel(panel, t_len))
                     cfg = single_client.default_admm_config(design)
                     _, state = fit_one(design, cfg, start=last)
                     last = state.final
                     n += state.iterations
-                    for pinned in (
-                        single_client.nuclear_only_config(cfg),
-                        replace(cfg, pin_a0=True),
-                    ):
-                        n += fit_one(design, pinned)[1].iterations
+                    pinned = single_client.nuclear_only_config(cfg)
+                    n += fit_one(design, pinned)[1].iterations
             return n
 
         relaxed = total_iterations()
@@ -233,16 +225,12 @@ class TestFitAdmm:
         )
         np.testing.assert_array_equal(dec.delta, np.zeros_like(dec.delta))
         np.testing.assert_array_equal(start[1], ones)  # caller's arrays untouched
-        dec, _ = fit_one(design, AdmmConfig(lam=0.1, omega=0.05, pin_a0=True), start=start)
-        np.testing.assert_array_equal(dec.a0, np.zeros_like(dec.a0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdmmConfig(lam=-1.0, omega=0.0)
         with pytest.raises(ValueError):
             AdmmConfig(lam=0.0, omega=0.0, zeta=0.0)
-        with pytest.raises(ValueError):
-            AdmmConfig(lam=0.0, omega=0.0, pin_a0=True, pin_delta=True)
         for name in ("eps_pri", "eps_dual"):
             for bad in (-1e-9, float("nan")):
                 with pytest.raises(ValueError, match=name):
@@ -251,16 +239,17 @@ class TestFitAdmm:
 
 
 def mixed_stack(d, p, t_len):
-    """Six same-shape problems whose configs mix nuclear + l1, pin_delta
-    and pin_a0 fits, zeta set and unset, and max_iter caps, half of them
-    warm-started from the nuclear + l1 fit of a shorter sample (so the
-    pinned ones are handed a nonzero part they must zero)."""
+    """Six same-shape problems whose configs mix nuclear + l1 fits at
+    several penalties, pin_delta fits, zeta set and unset, and max_iter
+    caps, half of them warm-started from the nuclear + l1 fit of a shorter
+    sample (so the pinned ones are handed a nonzero part they must
+    zero)."""
     rng = np.random.default_rng(d + t_len)
     designs, cfgs, starts = [], [], []
     variants = [
         ({}, False),
         ({"pin_delta": True, "omega": 0.0}, True),
-        ({"pin_a0": True}, True),
+        ({"lam": 0.0}, True),
         ({"zeta": 0.05, "max_iter": 3000}, True),
         ({"max_iter": 4}, False),
         ({"pin_delta": True, "omega": 0.0, "zeta": 0.05, "max_iter": 25}, False),
@@ -273,7 +262,7 @@ def mixed_stack(d, p, t_len):
         designs.append(design)
         start = None
         if warm:
-            short = var.lag_design(panel.prefix(t_len + j - 1))
+            short = var.lag_design(prefix_panel(panel, t_len + j - 1))
             start = admm_solo(short, single_client.default_admm_config(short))[1].final
         starts.append(start)
     return designs, cfgs, starts
@@ -397,6 +386,7 @@ class TestBaselines:
         assert s_heavy[0] < 0.05 * s_light[0]
 
     def test_l1_only_agrees_with_pinned_admm(self):
+        # the ADMM side is the oracle's, with the shared part held at zero
         design, _ = make_noisy(seed=11, d=4, t_len=200)
         omega = 0.1
         (fista,), _ = fed_core.refine_fista(
@@ -404,8 +394,7 @@ class TestBaselines:
             np.zeros((design.d, design.pd)),
             [fed_core.FistaConfig(varpi=omega, iters=3000)],
         )
-        decomp, _ = fit_one(
-            design,
-            AdmmConfig(lam=0.0, omega=omega, pin_a0=True, max_iter=5000),
+        decomp, _ = admm_solo(
+            design, AdmmConfig(lam=0.0, omega=omega, max_iter=5000), pin_a0=True
         )
         assert np.linalg.norm(fista - decomp.delta) < 1e-4

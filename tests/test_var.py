@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fedvar import var
 
-from oracles import quadratic_roots, simulate_reference
+from oracles import prefix_panel, quadratic_roots, scale_to_radius, simulate_reference
 
 
 class TestCompanion:
@@ -45,26 +45,6 @@ class TestStationarityScaling:
                 scaled = var.scale_lag_blocks(a, p, c)
                 got = var.companion_spectral_radius(scaled, p)
                 assert got == pytest.approx(c * base, rel=1e-9)
-
-    def test_enforce_hits_target_exactly(self):
-        rng = np.random.default_rng(1)
-        for p in (1, 3):
-            a = rng.standard_normal((4, 4 * p))
-            out = var.enforce_stationarity(a, p, target_radius=0.9)
-            assert var.companion_spectral_radius(out, p) == pytest.approx(
-                0.9, abs=1e-10
-            )
-
-    def test_zero_matrix_unchanged(self):
-        a = np.zeros((3, 6))
-        out = var.enforce_stationarity(a, 2)
-        np.testing.assert_array_equal(out, a)
-
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            var.enforce_stationarity(np.eye(2), 1, target_radius=1.0)
-        with pytest.raises(ValueError):
-            var.enforce_stationarity(np.eye(2), 1, target_radius=0.0)
 
 
 class TestGenerators:
@@ -180,17 +160,6 @@ class TestSimulate:
         np.testing.assert_array_equal(panel.observations, draws[6:])
         np.testing.assert_array_equal(panel.presample, draws[5:6])
 
-    def test_zero_noise_gives_zero_path(self):
-        panel = var.simulate(
-            0.5 * np.eye(2),
-            1,
-            8,
-            np.random.default_rng(0),
-            burn_in=3,
-            noise_chol=np.zeros((2, 2)),
-        )
-        np.testing.assert_array_equal(panel.observations, np.zeros((8, 2)))
-
     def test_rejects_nonstationary(self):
         with pytest.raises(ValueError, match="non-stationary"):
             var.simulate(1.05 * np.eye(2), 1, 10, np.random.default_rng(0))
@@ -205,7 +174,7 @@ class TestSimulate:
     def test_innovation_replay_identity(self):
         # y_t - A x_t recovers the very innovations that were drawn
         rng = np.random.default_rng(13)
-        a = var.enforce_stationarity(rng.standard_normal((3, 6)), 2, 0.8)
+        a = scale_to_radius(rng.standard_normal((3, 6)), 2, 0.8)
         panel = var.simulate(a, 2, 50, np.random.default_rng(99), burn_in=10)
         design = var.lag_design(panel)
         resid = design.y - design.x @ a.T
@@ -218,20 +187,16 @@ class TestSimulate:
         p=st.integers(1, 3),
         t_len=st.integers(1, 40),
         burn_in=st.integers(0, 20),
-        with_chol=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_reference_recursion_bitwise(
-        self, d, p, t_len, burn_in, with_chol, seed
-    ):
+    def test_matches_reference_recursion_bitwise(self, d, p, t_len, burn_in, seed):
         rng = np.random.default_rng(seed)
-        a = var.enforce_stationarity(rng.standard_normal((d, p * d)), p, 0.9)
-        chol = np.tril(rng.standard_normal((d, d))) if with_chol else None
+        a = scale_to_radius(rng.standard_normal((d, p * d)), p, 0.9)
         got_rng = np.random.default_rng(seed + 1)
         want_rng = np.random.default_rng(seed + 1)
-        panel = var.simulate(a, p, t_len, got_rng, burn_in=burn_in, noise_chol=chol)
+        panel = var.simulate(a, p, t_len, got_rng, burn_in=burn_in)
         presample, observations = simulate_reference(
-            a, p, t_len, want_rng, burn_in=burn_in, noise_chol=chol
+            a, p, t_len, want_rng, burn_in=burn_in
         )
         assert np.array_equal(panel.presample, presample)
         assert np.array_equal(panel.observations, observations)
@@ -242,7 +207,7 @@ class TestSimulate:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             d, p = 3 + seed % 6, 1 + seed % 3
-            a = var.enforce_stationarity(rng.standard_normal((d, p * d)), p, 0.9)
+            a = scale_to_radius(rng.standard_normal((d, p * d)), p, 0.9)
             c_rng = np.random.default_rng(seed + 100)
             f_rng = np.random.default_rng(seed + 100)
             c_path = var.simulate(a, p, 30, c_rng, burn_in=20)
@@ -264,7 +229,7 @@ class TestLagDesignAndForecast:
 
     def test_forecast_matches_design_row(self):
         rng = np.random.default_rng(14)
-        a = var.enforce_stationarity(rng.standard_normal((2, 4)), 2, 0.8)
+        a = scale_to_radius(rng.standard_normal((2, 4)), 2, 0.8)
         panel = var.simulate(a, 2, 30, np.random.default_rng(3), burn_in=20)
         design = var.lag_design(panel)
         full = np.vstack([panel.presample, panel.observations])
@@ -279,12 +244,21 @@ class TestLagDesignAndForecast:
         dec = var.CoefDecomposition(a0=np.eye(2), delta=0.5 * np.eye(2))
         np.testing.assert_array_equal(dec.a, 1.5 * np.eye(2))
 
-    def test_panel_prefix(self):
-        panel = var.TimeSeriesPanel(
-            presample=np.zeros((1, 2)), observations=np.arange(10.0).reshape(5, 2)
-        )
-        pre = panel.prefix(3)
-        assert pre.t_len == 3
-        np.testing.assert_array_equal(pre.observations, panel.observations[:3])
-        with pytest.raises(ValueError):
-            panel.prefix(6)
+    def test_row_prefix_equals_design_of_prefix_panel_bitwise(self):
+        # the empirical protocol fits origin t on rows [:t] of one design;
+        # a row prefix of a C-ordered array is C-ordered, so the
+        # statistics come from the same BLAS calls as a prefix panel's
+        rng = np.random.default_rng(15)
+        for d, p, t_len in ((12, 2, 44), (3, 1, 10), (5, 3, 30)):
+            panel = var.simulate(
+                scale_to_radius(rng.standard_normal((d, p * d)), p, 0.9), p, t_len, rng
+            )
+            full = var.lag_design(panel)
+            for t in range(1, t_len + 1):
+                got = var.LagDesign(x=full.x[:t], y=full.y[:t])
+                want = var.lag_design(prefix_panel(panel, t))
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.y.tobytes() == want.y.tobytes()
+                assert got.sxx.tobytes() == want.sxx.tobytes()
+                assert got.sxy.tobytes() == want.sxy.tobytes()
+                assert got.syy == want.syy
