@@ -20,7 +20,7 @@ from .fed_core import (
     stage1_run,
 )
 from .metrics import rmsfe
-from .rank_select import RankConfig, client_rank, default_r_bar, select_rank
+from .rank_select import client_rank, select_rank
 from .single_client import AdmmConfig, default_admm_config, fit_admm, fit_baseline
 from .var import (
     CoefDecomposition,
@@ -46,13 +46,11 @@ __all__ = [
     "LagDesign",
     "NoisePolicy",
     "PrivacyBudget",
-    "RankConfig",
     "TimeSeriesPanel",
     "assemble_dgp",
     "client_rank",
     "default_admm_config",
     "default_eta",
-    "default_r_bar",
     "default_rounds",
     "fit_admm",
     "fit_baseline",

@@ -1,6 +1,7 @@
 """Differential privacy helpers: Gaussian-mechanism calibration, per-round
 budget splitting by basic composition, and the noise policies used by the
-federated gradient rounds.
+federated gradient rounds.  A budget is spent over the rounds a run makes,
+so the split reads the rounds from the run, not from the budget.
 
 Noise is always applied to the full gradient matrix.  Which variables are
 sensitive is not carried here: a panel's ``PanelSpec.sensitive`` lists
@@ -19,19 +20,16 @@ NOISE_MODES = ("none", "fixed_scale", "calibrated")
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """Total (epsilon, delta) budget spread over a number of rounds."""
+    """Total (epsilon, delta) budget of one run, whatever its rounds."""
 
     epsilon: float
     delta: float
-    rounds: int = 1
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,8 @@ class NoisePolicy:
     fixed_scale : sigma = scale * sqrt(2 log(1.25/delta)) / epsilon with the
                   full budget, the same in every round
     calibrated  : Gaussian mechanism at the stated sensitivity under the
-                  per-round budget (epsilon/rounds, delta/rounds)
+                  per-round budget (epsilon/R, delta/R) of a run of R
+                  rounds
     """
 
     mode: str
@@ -81,20 +80,25 @@ def gaussian_sigma(sensitivity, epsilon, delta):
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-def split_budget(budget):
-    """Per-round (epsilon, delta) under basic composition."""
-    return budget.epsilon / budget.rounds, budget.delta / budget.rounds
+def split_budget(budget, rounds):
+    """Per-round (epsilon, delta) of ``rounds`` >= 1 rounds under basic
+    composition."""
+    return budget.epsilon / rounds, budget.delta / rounds
 
 
-def round_sigma(policy, budget=None):
-    """Noise scale for one gradient round under the given policy."""
+def round_sigma(policy, budget, rounds):
+    """Noise scale of each of the ``rounds`` gradient rounds of a run under
+    the given policy.  A run of no rounds draws no noise, so its sigma is
+    0 in every mode."""
     if policy.mode == "none":
         return 0.0
     if budget is None:
         raise ValueError(f"mode {policy.mode!r} requires a privacy budget")
+    if rounds == 0:
+        return 0.0
     if policy.mode == "fixed_scale":
         return policy.scale * gaussian_sigma(1.0, budget.epsilon, budget.delta)
-    eps_round, delta_round = split_budget(budget)
+    eps_round, delta_round = split_budget(budget, rounds)
     return gaussian_sigma(policy.sensitivity, eps_round, delta_round)
 
 

@@ -60,7 +60,8 @@ class FedConfig:
 
     init_a0 is the start, truncated to rank r before the first round;
     ``harness.fed_config`` builds it from the largest client.  A noisy
-    run needs a budget spread over at least ``rounds`` rounds.
+    run needs a budget; a calibrated one is spent evenly over the
+    ``rounds`` rounds run.
     """
 
     rank: int
@@ -83,21 +84,18 @@ class FedConfig:
 class FistaConfig:
     """Sparse-refinement controls.
 
-    step_eta None uses the inverse of twice the operator norm of the
-    client's scaled Gram matrix.  iters caps the iterations; the run
-    stops earlier once a step moves the deviation by at most
-    _FISTA_TOL * max(1, ||delta||_F) in Frobenius norm.
+    The step is ``default_eta`` of the client's design, the inverse of
+    twice the operator norm of its scaled Gram matrix.  iters caps the
+    iterations; the run stops earlier once a step moves the deviation by
+    at most _FISTA_TOL * max(1, ||delta||_F) in Frobenius norm.
     """
 
     varpi: float
-    step_eta: float | None = None
     iters: int = 20
 
     def __post_init__(self):
         if self.varpi < 0:
             raise ValueError("varpi must be nonnegative")
-        if self.step_eta is not None and self.step_eta <= 0:
-            raise ValueError("step_eta must be positive")
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
 
@@ -208,12 +206,7 @@ def _check_members(cfgs, rngs, d, pd):
                 f"member {c} has rank {cfg.rank} and {cfg.rounds} rounds, "
                 f"member 0 has rank {rank} and {rounds} rounds"
             )
-        sigmas.append(round_sigma(cfg.noise, cfg.budget))
-        # each round spends budget/budget.rounds; more rounds would overspend it
-        if cfg.noise.mode != "none" and cfg.budget.rounds < rounds:
-            raise ValueError(
-                f"budget spread over {cfg.budget.rounds} rounds, but {rounds} are run"
-            )
+        sigmas.append(round_sigma(cfg.noise, cfg.budget, rounds))
         init = check_matrix(cfg.init_a0, "init_a0")
         if init.shape != (d, pd):
             raise ValueError(f"init_a0 shape {init.shape}, expected ({d}, {pd})")
@@ -229,7 +222,10 @@ def stage1_run(designs, cfgs, rngs):
     the one-member call.
 
     The members share rank and rounds and may differ in start, step, noise
-    and budget.  Each start is truncated to rank r once, by SVD.  A round
+    and budget.  A calibrated member spends its budget (eps, delta) evenly
+    over the R rounds run, (eps/R, delta/R) per round; a zero-round run
+    draws no noise and returns the truncated start.  Each start is
+    truncated to rank r once, by SVD.  A round
     takes every (member, client) gradient in one batched product, sums each
     member's noisy gradients with the client weights in client order, and
     makes one ``matops.tangent_step`` over the stack: per member, one
@@ -240,7 +236,8 @@ def stage1_run(designs, cfgs, rngs):
     and its clients draw their noise from it in client order; a noise-free
     member spawns nothing.  A member's estimate and trace are therefore
     bitwise those of its one-member call, and a run of n rounds equals n
-    chained one-round runs on the same generators.
+    chained one-round runs on the same generators, each with a per-round
+    budget of (eps/n, delta/n).
     """
     cfgs, rngs = list(cfgs), list(rngs)
     d, pd = _check_designs(designs)
@@ -288,8 +285,9 @@ def refine_fista(designs, a0_hat, cfgs):
     frozen shared part a0_hat is the same for every problem.  The
     momentum restarts whenever the last step points against the gradient
     mapping, the gradient scheme of O'Donoghue & Candes (Found. Comput.
-    Math., 2015).  Problem j stops after cfgs[j].iters iterations or once
-    a step is at most _FISTA_TOL * max(1, ||delta_j||_F).
+    Math., 2015).  Problem j steps by eta_j = default_eta(designs[j]) and
+    stops after cfgs[j].iters iterations or once a step is at most
+    _FISTA_TOL * max(1, ||delta_j||_F).
 
     The designs share one (d, pd) shape, and all problems run in one loop:
     each iteration makes one stacked product over the problems still
@@ -308,10 +306,7 @@ def refine_fista(designs, a0_hat, cfgs):
         raise ValueError(
             f"a0_hat shape {a0_hat.shape} incompatible with designs ({d}, {pd})"
         )
-    eta = np.array(
-        [c.step_eta if c.step_eta is not None else default_eta(ds)
-         for ds, c in zip(designs, cfgs)]
-    )
+    eta = np.array([default_eta(ds) for ds in designs])
     varpi = np.array([c.varpi for c in cfgs])
     caps = np.array([c.iters for c in cfgs])
     n_probs, max_iters = len(designs), int(caps.max())
@@ -377,7 +372,7 @@ def refine_fista(designs, a0_hat, cfgs):
         grad = 2.0 * (m_next + beta * (m_next - m)) - cross
         m = m_next
     if not np.all(np.isfinite(deltas)):
-        raise ValueError("FISTA produced a non-finite deviation; lower step_eta")
+        raise ValueError("FISTA produced a non-finite deviation")
     return deltas, [objective[: r + 1, j] for j, r in enumerate(runs)]
 
 

@@ -184,10 +184,8 @@ def _cmd_rank_select(args):
     cfg, panels = _config_and_panels(args, "rank-select")
     designs = [var.lag_design(panel) for panel in panels]
     decomps, _ = single_client.fit_admm(designs, [admm_config(ds, cfg) for ds in designs])
-    d = panels[0].d
-    rcfg = rank_select.RankConfig(r_bar=rank_select.default_r_bar(d, cfg.p * d))
     rank, picks = rank_select.select_rank(
-        [dec.a0 for dec in decomps], [ds.t_len for ds in designs], rcfg
+        [dec.a0 for dec in decomps], [ds.t_len for ds in designs]
     )
     doc = {
         "rank": rank,

@@ -116,8 +116,11 @@ class ExperimentConfig:
     Grid fields left empty fall back to per-kind defaults at run time.
     rounds=None means the ceil(10 log T) default.  Numeric fields and grid
     entries must be numbers (integers where the field counts something);
-    a string or a boolean raises ValueError.  The privacy fields are
-    checked in every noise mode, so a bad one fails before any replication.
+    a string or a boolean raises ValueError.  A simulated rank lies in
+    [1, d]: every ``rank_grid`` entry of a rank_table, and ``rank`` for
+    the other simulation kinds; ``t_grid`` and ``k_grid`` entries are
+    >= 1.  The privacy fields are checked in every noise mode, so a bad
+    one fails before any replication.
     Two panels may not share a label (PanelSpec.label).
     """
 
@@ -176,6 +179,15 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
         for name in ("eps_grid", "delta_grid"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        for name in ("t_grid", "k_grid"):
+            if not all(v >= 1 for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)}")
+        # an empirical run takes d from its panels and checks rank once they load
+        if self.kind != "empirical":
+            ranks = self.rank_grid if self.kind == "rank_table" else (self.rank,)
+            for r in ranks:
+                if not 1 <= r <= self.d:
+                    raise ValueError(f"rank {r} outside [1, d={self.d}] for {self.kind}")
         for name in ("eps", "kappa", "sensitivity"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

@@ -137,12 +137,12 @@ def _world(cfg, rng, k, rank=None, t_len=None):
 
 def _with_privacy(fcfg, cfg, eps=None, delta=None):
     """``fcfg`` with the config's noise mode at (eps, delta), which default
-    to the config's own eps and delta; the budget spans fcfg.rounds."""
+    to the config's own eps and delta; the budget covers the whole run."""
     if cfg.noise_mode == "none":
         return replace(fcfg, noise=NoisePolicy.none(), budget=None)
     eps = cfg.eps if eps is None else eps
     delta = cfg.delta if delta is None else delta
-    budget = PrivacyBudget(epsilon=eps, delta=delta, rounds=fcfg.rounds)
+    budget = PrivacyBudget(epsilon=eps, delta=delta)
     if cfg.noise_mode == "fixed_scale":
         noise = NoisePolicy.fixed(scale=cfg.kappa)
     else:
@@ -203,19 +203,14 @@ def _rep_single_client_curve(cfg, rep):
     decomps = _fit_single(cfg, [var.lag_design(panels[0]) for _, _, panels in worlds])
     recs = []
     for t_len, (a0, deltas, _), dec in zip(cfg.t_grid, worlds, decomps):
-        for metric, value in (
-            ("ak_err", np.linalg.norm(dec.a - (a0 + deltas[0]))),
-            ("a0_err", np.linalg.norm(dec.a0 - a0)),
-            ("delta_err", np.linalg.norm(dec.delta - deltas[0])),
-        ):
-            recs.append(
-                {"rep": rep, "t_len": t_len, "metric": metric, "value": float(value)}
-            )
+        errs = _single_client_errors([dec], a0, deltas)
+        for part in ("ak", "a0", "delta"):
+            recs.append({"rep": rep, "t_len": t_len, "metric": f"{part}_err",
+                         "value": errs[part][0]})
     return recs
 
 
 def _rep_rank_table(cfg, rep):
-    rcfg = rank_select.RankConfig(r_bar=rank_select.default_r_bar(cfg.d, cfg.p * cfg.d))
     cells = [(r, t) for r in cfg.rank_grid for t in cfg.t_grid]
     designs = []
     for true_rank, t_len in cells:
@@ -224,7 +219,7 @@ def _rep_rank_table(cfg, rep):
         designs.append(var.lag_design(panels[0]))
     recs = []
     for (true_rank, t_len), dec in zip(cells, _fit_single(cfg, designs)):
-        picked = rank_select.client_rank(dec.a0, t_len, rcfg)
+        picked = rank_select.client_rank(dec.a0, t_len)
         base = {"rep": rep, "true_rank": true_rank, "t_len": t_len}
         recs.append({**base, "metric": "selected_rank", "value": picked})
         recs.append({**base, "metric": "correct", "value": int(picked == true_rank)})

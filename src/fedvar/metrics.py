@@ -1,5 +1,5 @@
 """Evaluation metrics: one-step forecast error over a run of forecast
-origins, and percentile band summaries.
+origins, and 5-95 percentile band summaries.
 
 ``rmsfe`` scores forecasts already made: row h of ``predicted`` is the
 forecast of row h of ``actual``.  The harness makes them from one lag
@@ -53,12 +53,10 @@ class Band(NamedTuple):
     mean: float
 
 
-def percentile_band(values, lo=5.0, hi=95.0):
-    """Percentile band (linear interpolation) plus the mean."""
+def percentile_band(values):
+    """The 5th and 95th percentiles (linear interpolation) plus the mean."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("values must be non-empty")
-    if not 0 <= lo <= hi <= 100:
-        raise ValueError("need 0 <= lo <= hi <= 100")
-    q_lo, q_hi = np.percentile(values, [lo, hi])
+    q_lo, q_hi = np.percentile(values, [5.0, 95.0])
     return Band(lo=float(q_lo), hi=float(q_hi), mean=float(values.mean()))

@@ -2,38 +2,23 @@
 
 Each client picks the rank minimizing the ridge-stabilized ratio of
 successive singular values of its local shared-part estimate; the global
-rank is the mode of the client picks.
+rank is the mode of the client picks.  A client's search range
+[1, r_bar - 1], r_bar = max(2, min(d, pd, 10)), and its ridge constant
+c = _RIDGE_COEFF * sqrt(pd / T_k) are read from the shape of its (d, pd)
+estimate and its sample size T_k.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .matops import check_matrix
 
-
-@dataclass(frozen=True)
-class RankConfig:
-    """Search range [1, r_bar - 1] and the ridge coefficient in
-    c(d, T_k) = penalty_coeff * sqrt(pd / T_k)."""
-
-    r_bar: int
-    penalty_coeff: float = 1e-2
-
-    def __post_init__(self):
-        if self.r_bar < 2:
-            raise ValueError("r_bar must be >= 2")
-        if self.penalty_coeff <= 0:
-            raise ValueError("penalty_coeff must be positive")
-
-
-def default_r_bar(d, pd):
-    """Search cap min(d, pd, 10); the criterion needs r_bar >= 2."""
-    return max(2, min(d, pd, 10))
+# the coefficient of the ridge constant c = _RIDGE_COEFF * sqrt(pd / T_k)
+_RIDGE_COEFF = 1e-2
 
 
 def ridge_ratio_rank(singular_values, c, r_bar):
@@ -59,23 +44,25 @@ def ridge_ratio_rank(singular_values, c, r_bar):
     return int(np.argmin(ratios)) + 1
 
 
-def client_rank(a0_fit, t_len, cfg):
-    """Candidate rank from one client's shared-part estimate."""
+def client_rank(a0_fit, t_len):
+    """Candidate rank from one client's (d, pd) shared-part estimate and
+    its sample size: the ridge-ratio argmin over [1, r_bar - 1] with
+    r_bar = max(2, min(d, pd, 10)) and c = _RIDGE_COEFF * sqrt(pd / t_len)."""
     a0_fit = check_matrix(a0_fit, "a0_fit")
     if t_len < 1:
         raise ValueError("t_len must be >= 1")
-    pd = a0_fit.shape[1]
-    c = cfg.penalty_coeff * math.sqrt(pd / t_len)
+    d, pd = a0_fit.shape
+    c = _RIDGE_COEFF * math.sqrt(pd / t_len)
     sv = np.linalg.svd(a0_fit, compute_uv=False)
-    return ridge_ratio_rank(sv, c, cfg.r_bar)
+    return ridge_ratio_rank(sv, c, max(2, min(d, pd, 10)))
 
 
-def select_rank(a0_fits, t_lens, cfg):
+def select_rank(a0_fits, t_lens):
     """Mode of the per-client candidate ranks; ties resolve to the
     smallest rank.  Returns (global_rank, per_client_ranks)."""
     if len(a0_fits) != len(t_lens) or not a0_fits:
         raise ValueError("need one sample size per fit, at least one client")
-    picks = [client_rank(fit, t, cfg) for fit, t in zip(a0_fits, t_lens)]
+    picks = [client_rank(fit, t) for fit, t in zip(a0_fits, t_lens)]
     counts = Counter(picks)
     top = max(counts.values())
     global_rank = min(r for r, n in counts.items() if n == top)

@@ -6,11 +6,11 @@ ADMM, plus the reference baselines used for comparisons: least squares
 
 ``fit_admm`` is one lockstep loop over any number of same-shape problems,
 and one fit is the one-problem call: each problem keeps its own ridge
-factor, pin_delta, penalties and stop rule, the elementwise updates run once
-over the stack, and a problem's result is bitwise that of its
-one-problem call.  The harness fits a replication's single-client
-problems, the starts of its federations and each origin step of the
-empirical ADMM chains as such stacks.
+factor, pin_delta and penalties, all share the module's stop rule, the
+elementwise updates run once over the stack, and a problem's result is
+bitwise that of its one-problem call.  The harness fits a replication's
+single-client problems, the starts of its federations and each origin
+step of the empirical ADMM chains as such stacks.
 
 Internally the solver works with (pd, d) coefficient blocks B = B0 + D so
 the ridge system factors once per fit; results are transposed back to the
@@ -42,23 +42,27 @@ _ADMM_RELAX = 1.5
 # fit_admm's penalty parameter rho; AdmmState.final's dual is scaled by 1/rho
 _ADMM_RHO = 1.0
 
+# fit_admm's stop rule: both residuals at most _ADMM_EPS * sqrt(pd * d),
+# which scales the Frobenius residual with the problem size, or
+# _ADMM_MAX_ITER iterations, whichever comes first
+_ADMM_EPS = 1e-6
+_ADMM_MAX_ITER = 2000
+
 
 @dataclass
 class AdmmConfig:
-    """Penalties and solver controls for one ADMM fit.
+    """Penalties of one ADMM fit.
 
     zeta None disables the sup-norm clip on the low-rank part.  pin_delta
-    forces D = 0 (pure nuclear-norm problem).  Tolerances default to 1e-6 * sqrt(pd * d),
-    scaling the Frobenius residual with the problem size.  The penalty
-    parameter rho is the module constant _ADMM_RHO.
+    forces D = 0 (pure nuclear-norm problem).  The solver controls are
+    module constants: the penalty parameter rho is _ADMM_RHO, and a fit
+    stops once both residuals are at most _ADMM_EPS * sqrt(pd * d) or
+    after _ADMM_MAX_ITER iterations.
     """
 
     lam: float
     omega: float
     zeta: float | None = None
-    eps_pri: float | None = None
-    eps_dual: float | None = None
-    max_iter: int = 2000
     pin_delta: bool = False
 
     def __post_init__(self):
@@ -66,11 +70,6 @@ class AdmmConfig:
             raise ValueError("penalties must be nonnegative")
         if self.zeta is not None and self.zeta <= 0:
             raise ValueError("zeta must be positive (or None to disable)")
-        for name in ("eps_pri", "eps_dual"):
-            if getattr(self, name) is not None and not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative (or None for the default)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -138,12 +137,14 @@ def fit_admm(designs, cfgs, starts=None):
 
     The problems run in one lockstep loop.  Each keeps its own Cholesky
     factor of the ridge system (one LAPACK dpotrs per problem and
-    iteration), its own pin_delta, zeta, tolerances and max_iter, and its own
-    ``matops.svt`` call; the elementwise updates and the residual norms
-    run once over the stack.  A problem that converges or reaches its
-    max_iter leaves the stack, so its iterates, residual histories and
-    iteration count are bitwise those of its one-problem call.  Each
-    problem that stops at max_iter warns once.
+    iteration), its own pin_delta and zeta, and its own ``matops.svt``
+    call; the elementwise updates and the residual norms run once over
+    the stack.  Every problem stops once both residuals are at most
+    _ADMM_EPS * sqrt(pd * d), one tolerance for the stack since its
+    problems share a shape, or after _ADMM_MAX_ITER iterations.  A
+    problem that stops leaves the stack, so its iterates, residual
+    histories and iteration count are bitwise those of its one-problem
+    call.  Each problem that stops at the cap warns once.
 
     starts None begins every problem at B0 = D = U = 0; otherwise it holds
     one entry per problem, None for the zero start or a (B0, D, U) triple
@@ -184,12 +185,9 @@ def fit_admm(designs, cfgs, starts=None):
             raise RuntimeError(f"ridge system factorization failed: {exc}") from exc
         g[j] = 2.0 * design.sxy
 
+    tol, max_iter = _ADMM_EPS * math.sqrt(pd * d), _ADMM_MAX_ITER
     # per-problem constants; the arrays shrink with the stack, lam and the
     # factors are read by problem index
-    tol = 1e-6 * math.sqrt(pd * d)
-    eps_pri = np.array([tol if c.eps_pri is None else c.eps_pri for c in cfgs])
-    eps_dual = np.array([tol if c.eps_dual is None else c.eps_dual for c in cfgs])
-    caps = np.array([c.max_iter for c in cfgs])
     omega = np.array([c.omega / _ADMM_RHO for c in cfgs])[:, None, None]
     zeta = np.array([math.inf if c.zeta is None else c.zeta for c in cfgs])[:, None, None]
     pin_delta = np.array([c.pin_delta for c in cfgs])
@@ -201,12 +199,12 @@ def fit_admm(designs, cfgs, starts=None):
     finals = np.empty((3, n, pd, d))
     runs = np.zeros(n, dtype=np.intp)
     converged = np.zeros(n, dtype=bool)
-    primal = np.empty((int(caps.max()), n))
+    primal = np.empty((max_iter, n))
     dual = np.empty_like(primal)
 
-    live, cap = np.arange(n), caps
+    live = np.arange(n)
     z = b0 + d_mat
-    for it in range(1, int(caps.max()) + 1):
+    for it in range(1, max_iter + 1):
         b = g + _ADMM_RHO * (z - u)
         for j, c in enumerate(live):
             # the LAPACK solve cho_solve makes, in place on a Fortran-ordered
@@ -237,8 +235,8 @@ def fit_admm(designs, cfgs, starts=None):
         s_norm = np.sqrt(_dots(s, s))
         primal[it - 1, live] = r_norm
         dual[it - 1, live] = s_norm
-        done = (r_norm <= eps_pri) & (s_norm <= eps_dual)
-        stop = done | (cap == it)
+        done = (r_norm <= tol) & (s_norm <= tol)
+        stop = done | (it == max_iter)
         if stop.any():
             gone = live[stop]
             finals[:, gone] = (b0[stop], d_mat[stop], u[stop])
@@ -246,10 +244,8 @@ def fit_admm(designs, cfgs, starts=None):
             if stop.all():
                 break
             keep = ~stop
-            (live, cap, eps_pri, eps_dual, omega, zeta, pin_delta,
-             g, b0, d_mat, u, z) = (
-                a[keep] for a in (live, cap, eps_pri, eps_dual, omega, zeta,
-                                  pin_delta, g, b0, d_mat, u, z)
+            live, omega, zeta, pin_delta, g, b0, d_mat, u, z = (
+                a[keep] for a in (live, omega, zeta, pin_delta, g, b0, d_mat, u, z)
             )
 
     states = []
@@ -257,7 +253,7 @@ def fit_admm(designs, cfgs, starts=None):
         hist_r, hist_s = primal[: runs[j], j].tolist(), dual[: runs[j], j].tolist()
         if not converged[j]:
             warnings.warn(
-                f"ADMM stopped at max_iter={caps[j]} with residuals "
+                f"ADMM stopped at max_iter={max_iter} with residuals "
                 f"(primal {hist_r[-1]:.2e}, dual {hist_s[-1]:.2e})",
                 RuntimeWarning,
             )
@@ -310,5 +306,5 @@ def fit_baseline(design):
 
 def l1_only_config(omega):
     """The l1-only baseline's refine_fista config, for a zero shared part:
-    penalty omega at refine_fista's default step, capped at 500 iterations."""
+    penalty omega at refine_fista's step, capped at 500 iterations."""
     return FistaConfig(varpi=omega, iters=500)

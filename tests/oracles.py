@@ -264,14 +264,15 @@ def admm_raw(x, y, lam, omega, rho, iters, relax):
     return b0.T, dm.T
 
 
-def admm_solo(design, cfg, start=None, pin_a0=False):
+def admm_solo(design, cfg, start=None, pin_a0=False, tol=None, max_iter=2000):
     """One ADMM fit on its own, as fit_admm ran before it stacked problems:
-    the same over-relaxed scaled-dual updates, stop rule, start checks and
-    max_iter warning, for one design, with the ridge system solved by
-    cho_solve and the singular value threshold taken from np.linalg.svd.
-    pin_a0 holds B0 at zero, which leaves the pure l1 problem (the
-    package fits that with refine_fista).  Returns the decomposition and
-    an AdmmState."""
+    the same over-relaxed scaled-dual updates, start checks and max_iter
+    warning, for one design, with the ridge system solved by cho_solve
+    and the singular value threshold taken from np.linalg.svd.  It stops
+    once both residuals are at most tol (None for fit_admm's default,
+    1e-6 sqrt(pd d)) or after max_iter iterations.  pin_a0 holds B0 at
+    zero, which leaves the pure l1 problem (the package fits that with
+    refine_fista).  Returns the decomposition and an AdmmState."""
     d, pd = design.d, design.pd
     rho, relax = single_client._ADMM_RHO, single_client._ADMM_RELAX
     b0, d_mat, u = (np.zeros((pd, d)) for _ in range(3))
@@ -288,15 +289,13 @@ def admm_solo(design, cfg, start=None, pin_a0=False):
         d_mat = d_mat if cfg.pin_delta else checked[1]
         u = checked[2]
 
-    tol = 1e-6 * math.sqrt(pd * d)
-    eps_pri = cfg.eps_pri if cfg.eps_pri is not None else tol
-    eps_dual = cfg.eps_dual if cfg.eps_dual is not None else tol
+    tol = 1e-6 * math.sqrt(pd * d) if tol is None else tol
     factor = cho_factor(2.0 * design.sxx + rho * np.eye(pd))
     g = 2.0 * design.sxy
     state = single_client.AdmmState(iterations=0, converged=False)
 
     z = b0 + d_mat
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
         b = cho_solve(factor, g + rho * (z - u))
         b_hat = relax * b + (1.0 - relax) * z
         z_prev = z
@@ -316,13 +315,13 @@ def admm_solo(design, cfg, start=None, pin_a0=False):
         state.primal_residuals.append(r_norm)
         state.dual_residuals.append(s_norm)
         state.iterations = it
-        if r_norm <= eps_pri and s_norm <= eps_dual:
+        if r_norm <= tol and s_norm <= tol:
             state.converged = True
             break
 
     if not state.converged:
         warnings.warn(
-            f"ADMM stopped at max_iter={cfg.max_iter} with residuals "
+            f"ADMM stopped at max_iter={max_iter} with residuals "
             f"(primal {state.primal_residuals[-1]:.2e}, "
             f"dual {state.dual_residuals[-1]:.2e})",
             RuntimeWarning,

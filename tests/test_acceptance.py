@@ -6,6 +6,7 @@ slower than the unit suites: they run full replication studies at desk
 scale and check directions, rates, and tolerances rather than internals.
 """
 
+import math
 import os
 import time
 from dataclasses import replace
@@ -174,9 +175,10 @@ def test_gaussian_mechanism_calibration():
     )
 
 
-def test_optimizer_oracle_equivalence():
+def test_optimizer_oracle_equivalence(monkeypatch):
     from scipy.linalg import cho_factor, cho_solve
 
+    monkeypatch.setattr(single_client, "_ADMM_MAX_ITER", 20000)
     rng = np.random.default_rng(SEED)
     worst_l1, worst_ls = 0.0, 0.0
     for _ in range(50):
@@ -191,29 +193,24 @@ def test_optimizer_oracle_equivalence():
         # the l1-only problem by ADMM with the shared part held at zero
         admm_dec, _ = admm_solo(
             design,
-            single_client.AdmmConfig(
-                lam=0.0, omega=omega, max_iter=20000, eps_pri=1e-10, eps_dual=1e-10
-            ),
+            single_client.AdmmConfig(lam=0.0, omega=omega),
             pin_a0=True,
+            tol=1e-10,
+            max_iter=20000,
         )
         (fista_delta,), _ = fed_core.refine_fista(
             [design],
             np.zeros((design.d, design.pd)),
-            [
-                fed_core.FistaConfig(
-                    varpi=omega, step_eta=fed_core.default_eta(design), iters=4000
-                )
-            ],
+            [fed_core.FistaConfig(varpi=omega, iters=4000)],
         )
         worst_l1 = max(worst_l1, float(np.linalg.norm(admm_dec.delta - fista_delta)))
 
+        # both residuals at most 1e-11 (the product is exact at these shapes)
+        monkeypatch.setattr(
+            single_client, "_ADMM_EPS", 1e-11 / math.sqrt(design.pd * design.d)
+        )
         (ls_dec,), _ = single_client.fit_admm(
-            [design],
-            [
-                single_client.AdmmConfig(
-                    lam=0.0, omega=0.0, max_iter=20000, eps_pri=1e-11, eps_dual=1e-11
-                )
-            ],
+            [design], [single_client.AdmmConfig(lam=0.0, omega=0.0)]
         )
         ls = cho_solve(cho_factor(design.x.T @ design.x), design.x.T @ design.y).T
         worst_ls = max(worst_ls, float(np.linalg.norm(ls_dec.a - ls)))
@@ -257,7 +254,7 @@ def test_structural_invariants(tmp_path):
         for dk in deltas
     ]
     rounds = 25
-    budget = PrivacyBudget(epsilon=2.0, delta=0.1, rounds=rounds)
+    budget = PrivacyBudget(epsilon=2.0, delta=0.1)
     # every client has T=150, so the start is the first client's fit
     (start,) = fed_core.initial_shared_estimate(
         [designs[0]], 2, [single_client.default_admm_config(designs[0])]

@@ -13,7 +13,7 @@ ENTRY_POINTS = {
     "FedConfig", "FistaConfig", "FitReport", "fit_federated", "stage1_run",
     "refine_fista", "initial_shared_estimate", "default_rounds", "default_eta",
     "AdmmConfig", "fit_admm", "fit_baseline", "default_admm_config",
-    "RankConfig", "select_rank", "client_rank", "default_r_bar",
+    "select_rank", "client_rank",
     "rmsfe", "__version__",
 }
 

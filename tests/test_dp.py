@@ -46,39 +46,42 @@ class TestGaussianSigma:
 
 class TestBudgetAndPolicy:
     def test_split_example(self):
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=10)
-        assert dp.split_budget(budget) == (0.2, pytest.approx(0.01))
+        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
+        assert dp.split_budget(budget, 10) == (0.2, pytest.approx(0.01))
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             dp.PrivacyBudget(epsilon=-1.0, delta=0.1)
         with pytest.raises(ValueError):
             dp.PrivacyBudget(epsilon=1.0, delta=1.5)
-        with pytest.raises(ValueError):
-            dp.PrivacyBudget(epsilon=1.0, delta=0.1, rounds=0)
 
     def test_round_sigma_none(self):
-        assert dp.round_sigma(dp.NoisePolicy.none()) == 0.0
-        assert dp.round_sigma(dp.NoisePolicy.none(), None) == 0.0
+        assert dp.round_sigma(dp.NoisePolicy.none(), None, 10) == 0.0
+        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
+        assert dp.round_sigma(dp.NoisePolicy.none(), budget, 10) == 0.0
 
     def test_round_sigma_fixed_scale_uses_full_budget(self):
         # kappa=0.1 at (eps, delta) = (0.2, 0.05): 0.1*sqrt(2 ln 25)/0.2
-        budget = dp.PrivacyBudget(epsilon=0.2, delta=0.05, rounds=50)
-        got = dp.round_sigma(dp.NoisePolicy.fixed(scale=0.1), budget)
+        budget = dp.PrivacyBudget(epsilon=0.2, delta=0.05)
+        got = dp.round_sigma(dp.NoisePolicy.fixed(scale=0.1), budget, 50)
         assert got == pytest.approx(1.2686362411795196, abs=1e-12)
         # unchanged by the round count
-        budget2 = dp.PrivacyBudget(epsilon=0.2, delta=0.05, rounds=1)
-        assert dp.round_sigma(dp.NoisePolicy.fixed(scale=0.1), budget2) == got
+        assert dp.round_sigma(dp.NoisePolicy.fixed(scale=0.1), budget, 1) == got
 
     def test_round_sigma_calibrated_splits_budget(self):
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=10)
-        got = dp.round_sigma(dp.NoisePolicy.calibrated(sensitivity=1.0), budget)
+        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
+        got = dp.round_sigma(dp.NoisePolicy.calibrated(sensitivity=1.0), budget, 10)
         want = gaussian_sigma_ref(1.0, 0.2, 0.01)
         assert got == pytest.approx(want, abs=1e-14)
+        # no round is run, so nothing is drawn and nothing divides by zero
+        for policy in (dp.NoisePolicy.calibrated(1.0), dp.NoisePolicy.fixed()):
+            assert dp.round_sigma(policy, budget, 0) == 0.0
 
     def test_policy_requires_budget(self):
         with pytest.raises(ValueError, match="budget"):
-            dp.round_sigma(dp.NoisePolicy.fixed(), None)
+            dp.round_sigma(dp.NoisePolicy.fixed(), None, 10)
+        with pytest.raises(ValueError, match="budget"):
+            dp.round_sigma(dp.NoisePolicy.calibrated(1.0), None, 0)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -156,7 +156,7 @@ class TestRefineFista:
         varpi = float(np.sqrt(np.log(design.pd) / design.t_len))
         eta = default_eta(design)
         a0 = np.zeros((design.d, design.pd))
-        cfg = FistaConfig(varpi=varpi, step_eta=eta, iters=40_000)
+        cfg = FistaConfig(varpi=varpi, iters=40_000)
         (delta,), (trace,) = refine_fista([design], a0, [cfg])
         plain, plain_iters = plain_fista(
             design.x, design.y, a0, varpi, eta, fed_core._FISTA_TOL, cfg.iters
@@ -171,7 +171,7 @@ class TestRefineFista:
             a0 = 0.1 * np.random.default_rng(seed).standard_normal((design.d, design.pd))
             eta = default_eta(design)
             for iters in (1, 2, 10, 40):
-                cfg = FistaConfig(varpi=0.05, step_eta=eta, iters=iters)
+                cfg = FistaConfig(varpi=0.05, iters=iters)
                 (delta,), (trace,) = refine_fista([design], a0, [cfg])
                 assert len(trace) - 1 == iters
                 want = restart_fista(design.x, design.y, a0, 0.05, eta, iters)
@@ -223,11 +223,10 @@ class TestStackedRefinement:
             var.lag_design(var.simulate(a0 + dl, 2, t, rng, burn_in=100))
             for dl, t in zip(deltas, (40, 55, 70, 90, 120))
         ]
-        eta = 0.5 * default_eta(designs[2])
         cfgs = [
             FistaConfig(varpi=0.05, iters=5000),  # stops early
             FistaConfig(varpi=0.0, iters=5000),  # no penalty
-            FistaConfig(varpi=0.02, step_eta=eta, iters=12),  # explicit step, capped
+            FistaConfig(varpi=0.02, iters=12),  # capped
             FistaConfig(varpi=0.1, iters=0),  # no iteration
             FistaConfig(varpi=0.03, iters=7),  # capped
         ]
@@ -254,7 +253,7 @@ class TestStackedRefinement:
         designs, shared, cfgs = self._stack()
         deltas, _ = refine_fista(designs, shared, cfgs)
         dsn, cfg = designs[2], cfgs[2]
-        want = restart_fista(dsn.x, dsn.y, shared, cfg.varpi, cfg.step_eta, cfg.iters)
+        want = restart_fista(dsn.x, dsn.y, shared, cfg.varpi, default_eta(dsn), cfg.iters)
         assert np.linalg.norm(deltas[2] - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_bad_stacks_rejected(self):
@@ -320,7 +319,7 @@ class TestStageOne:
             cfg,
             rounds=4,
             noise=dp.NoisePolicy.fixed(),
-            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=4),
+            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1),
         )
         (whole,), _ = stage1_run(designs, [noisy], [np.random.default_rng(4)])
         rng, iterate = np.random.default_rng(4), a0
@@ -353,9 +352,9 @@ class TestStageOne:
         noisy = replace(
             base,
             noise=dp.NoisePolicy.fixed(),
-            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=6),
+            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1),
         )
-        sigma = dp.round_sigma(noisy.noise, noisy.budget)
+        sigma = dp.round_sigma(noisy.noise, noisy.budget, 6)
         for cfg, spawned, want_sigma in ((noisy, 6, sigma), (base, 0, 0.0)):
             draws.clear()
             rng = np.random.default_rng(5)
@@ -383,7 +382,7 @@ class TestStageOne:
             step_rho=0.05,
             init_a0=a0,
             noise=dp.NoisePolicy.fixed(),
-            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=3),
+            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1),
         )
         (out1,), (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(4)])
         (out2,), _ = stage1_run(designs, [cfg], [np.random.default_rng(4)])
@@ -408,38 +407,48 @@ class TestStageOne:
         with pytest.raises(TypeError):
             FedConfig(rank=1, rounds=1, step_rho=0.1)  # the start is required
 
-    def test_budget_spread_over_fewer_rounds_rejected(self):
+    def test_calibrated_budget_split_over_the_rounds_run(self):
         a0, _, _, designs = make_world(seed=27, ratio=None)
+        budget = dp.PrivacyBudget(1.0, 0.1)
         noisy = FedConfig(
             rank=2, rounds=10, step_rho=0.05, init_a0=a0,
-            noise=dp.NoisePolicy.calibrated(1.0),
+            noise=dp.NoisePolicy.calibrated(0.7), budget=budget,
         )
-        for mode in (dp.NoisePolicy.calibrated(1.0), dp.NoisePolicy.fixed()):
-            for spread in (1, 9):
-                short = replace(
-                    noisy, noise=mode, budget=dp.PrivacyBudget(1.0, 0.1, rounds=spread)
-                )
-                with pytest.raises(ValueError, match=f"spread over {spread} rounds"):
-                    stage1_run(designs, [short], [np.random.default_rng(0)])
-        # equal rounds run; so do one-round runs chained under one budget
-        budget = dp.PrivacyBudget(1.0, 0.1, rounds=10)
-        (whole,), (traces,) = stage1_run(
-            designs, [replace(noisy, budget=budget)], [np.random.default_rng(1)]
-        )
-        assert traces[0].sigma == pytest.approx(
-            dp.gaussian_sigma(1.0, 0.1, 0.01)
-        )
+        for rounds in (1, 3, 10):
+            _, (trace,) = stage1_run(
+                designs, [replace(noisy, rounds=rounds)], [np.random.default_rng(1)]
+            )
+            want = dp.gaussian_sigma(0.7, 1.0 / rounds, 0.1 / rounds)
+            assert [t.sigma for t in trace] == [want] * rounds
+        # ten one-round runs, each on a tenth of the budget, chain to the run
+        (whole,), _ = stage1_run(designs, [noisy], [np.random.default_rng(1)])
+        tenth = dp.PrivacyBudget(1.0 / 10, 0.1 / 10)
         rng, iterate = np.random.default_rng(1), a0
         for _ in range(10):
-            one = replace(noisy, rounds=1, budget=budget, init_a0=iterate)
+            one = replace(noisy, rounds=1, budget=tenth, init_a0=iterate)
             (iterate,), _ = stage1_run(designs, [one], [rng])
         np.testing.assert_allclose(iterate, whole, atol=1e-10)
+
+    def test_zero_round_calibrated_run_returns_the_truncated_start(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(fed_core, "add_gaussian_noise", lambda *a: draws.append(a))
+        a0, _, _, designs = make_world(seed=27, ratio=None)
+        init = a0 + 0.1 * np.random.default_rng(2).standard_normal(a0.shape)
+        cfg = FedConfig(
+            rank=2, rounds=0, step_rho=0.05, init_a0=init,
+            noise=dp.NoisePolicy.calibrated(1.0), budget=dp.PrivacyBudget(1.0, 0.1),
+        )
+        rng = np.random.default_rng(3)
+        (out,), (trace,) = stage1_run(designs, [cfg], [rng])
+        assert np.array_equal(out, fed_core.svd_truncate(init, 2)[0])
+        assert trace == [] and draws == []
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     def _members(self):
         a0, _, _, designs = make_world(seed=28, d=6, k=4, ratio=None)
         rng = np.random.default_rng(29)
         base = FedConfig(rank=2, rounds=7, step_rho=0.05, init_a0=a0)
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1, rounds=7)
+        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
         cfgs = [
             base,
             replace(base, noise=dp.NoisePolicy.fixed(), budget=budget),
@@ -448,7 +457,7 @@ class TestStageOne:
                 step_rho=0.08,
                 init_a0=a0 + 0.2 * rng.standard_normal(a0.shape),
                 noise=dp.NoisePolicy.calibrated(0.5),
-                budget=replace(budget, epsilon=4.0, rounds=9),
+                budget=replace(budget, epsilon=4.0),
             ),
             replace(base, noise=dp.NoisePolicy.fixed(scale=0.3), budget=budget),
         ]
@@ -481,7 +490,7 @@ class TestStageOne:
         cfg = replace(cfgs[2], rounds=1)
         rng = np.random.default_rng(8)
         (got,), (trace,) = stage1_run(designs, [cfg], [rng])
-        sigma = dp.round_sigma(cfg.noise, cfg.budget)
+        sigma = dp.round_sigma(cfg.noise, cfg.budget, 1)
         start, factors = fed_core.svd_truncate(cfg.init_a0, cfg.rank)
         child = np.random.default_rng(8).spawn(1)[0]
         agg = np.zeros_like(start)
@@ -503,9 +512,6 @@ class TestStageOne:
         for bad in (replace(cfgs[1], rank=1), replace(cfgs[1], rounds=6)):
             with pytest.raises(ValueError, match="member 1 has rank"):
                 stage1_run(designs, [cfgs[0], bad] + cfgs[2:], rngs)
-        short = replace(cfgs[3], budget=replace(cfgs[3].budget, rounds=6))
-        with pytest.raises(ValueError, match="spread over 6 rounds, but 7"):
-            stage1_run(designs, cfgs[:3] + [short], rngs)
 
     def test_mismatched_clients_rejected(self):
         _, _, _, designs = make_world(seed=13, d=5)
@@ -585,17 +591,17 @@ class TestEntryPointValidation:
             AdmmConfig(lam=-0.1, omega=0.1)
         with pytest.raises(ValueError):
             FistaConfig(varpi=-0.1)
-        with pytest.raises(ValueError):
-            FistaConfig(varpi=0.1, step_eta=0.0)
 
-    def test_fista_divergence_raises(self):
+    def test_fista_divergence_raises(self, monkeypatch):
         _, _, _, designs = make_world(seed=21)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
+        # a step far past 1 / (2 ||sxx||) makes the iterates blow up
+        monkeypatch.setattr(fed_core, "default_eta", lambda design: 1e6)
         raised = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for iters in (1, 10, 50, 200):
-                cfg = FistaConfig(varpi=0.1, step_eta=1e6, iters=iters)
+                cfg = FistaConfig(varpi=0.1, iters=iters)
                 try:
                     (delta,), _ = refine_fista([design], a0, [cfg])
                 except ValueError as exc:

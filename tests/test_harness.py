@@ -370,6 +370,8 @@ class TestRunExperiment:
         assert res.summary["replications"] == 2
         key = "t_len=60|metric=ak_err"
         assert res.summary["groups"][key]["n"] == 2
+        metrics = [rec["metric"] for rec in res.records]
+        assert metrics == ["ak_err", "a0_err", "delta_err"] * 2
 
     def test_grid_defaults_fill_and_hash_ignores_spelling(self, tmp_path):
         # leaving a grid empty and spelling out the default are the same
@@ -865,6 +867,35 @@ class TestCli:
         assert flag[2:] in capsys.readouterr().err
         assert calls == []
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "k_sweep", "d": 4, "rank": 6}, "rank 6 outside [1, d=4] for k_sweep"),
+            ({"kind": "rank_table", "d": 4, "rank_grid": [0]},
+             "rank 0 outside [1, d=4] for rank_table"),
+            ({"kind": "rank_table", "d": 4, "rank_grid": [6]},
+             "rank 6 outside [1, d=4] for rank_table"),
+            ({"kind": "t_sweep", "t_grid": [0]}, "t_grid entries must be >= 1, got (0,)"),
+            ({"kind": "k_sweep", "k_grid": [0, 2]}, "k_grid entries must be >= 1, got (0, 2)"),
+        ],
+        ids=["rank", "rank_grid_0", "rank_grid_6", "t_grid", "k_grid"],
+    )
+    def test_bad_rank_or_grid_exits_one_before_any_replication(
+        self, doc, message, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setitem(
+            experiments.REP_FUNCTIONS, doc["kind"], lambda cfg, rep: calls.append(rep) or []
+        )
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1, "reps": 2, **doc}))
+        assert cli.main(["simulate", doc["kind"], "--config", "cfg.json"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert calls == []
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_unknown_panel_field_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -18,8 +18,6 @@ class TestPercentileBand:
     def test_validation(self):
         with pytest.raises(ValueError):
             percentile_band([])
-        with pytest.raises(ValueError):
-            percentile_band([1.0], lo=60.0, hi=40.0)
 
 
 class TestRmsfe:

@@ -1,14 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from fedvar import rank_select, single_client, var
-from fedvar.rank_select import (
-    RankConfig,
-    client_rank,
-    default_r_bar,
-    ridge_ratio_rank,
-    select_rank,
-)
+from fedvar import single_client, var
+from fedvar.rank_select import client_rank, ridge_ratio_rank, select_rank
 
 
 class TestRidgeRatio:
@@ -49,7 +45,7 @@ class TestRidgeRatio:
         noisy = a0 + 1e-6 * rng.standard_normal(a0.shape)
         sv = np.linalg.svd(noisy, compute_uv=False)
         c = 1e-2 * np.sqrt(8 / 400)
-        assert ridge_ratio_rank(sv, c, default_r_bar(8, 8)) == 2
+        assert ridge_ratio_rank(sv, c, 8) == 2
 
 
 class TestSelectRank:
@@ -60,40 +56,46 @@ class TestSelectRank:
 
     def test_mode(self):
         fits = [self._fit_with_rank(r) for r in (2, 2, 3)]
-        cfg = RankConfig(r_bar=5)
-        global_rank, picks = select_rank(fits, [400, 400, 400], cfg)
+        global_rank, picks = select_rank(fits, [400, 400, 400])
         assert picks == [2, 2, 3]
         assert global_rank == 2
 
     def test_tie_resolves_to_smaller(self):
         fits = [self._fit_with_rank(r) for r in (1, 1, 2, 2)]
-        cfg = RankConfig(r_bar=5)
-        global_rank, _ = select_rank(fits, [400] * 4, cfg)
+        global_rank, _ = select_rank(fits, [400] * 4)
         assert global_rank == 1
 
     def test_penalty_uses_client_sample_size(self):
         # same fit, different T: the ridge constant changes but the pick
         # stays stable for a clean spectrum
         fit = self._fit_with_rank(2)
-        cfg = RankConfig(r_bar=5)
-        assert client_rank(fit, 100, cfg) == client_rank(fit, 1600, cfg) == 2
+        assert client_rank(fit, 100) == client_rank(fit, 1600) == 2
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            select_rank([np.eye(3)], [100, 200], RankConfig(r_bar=3))
+            select_rank([np.eye(3)], [100, 200])
         with pytest.raises(ValueError):
-            select_rank([], [], RankConfig(r_bar=3))
+            select_rank([], [])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RankConfig(r_bar=1)
-        with pytest.raises(ValueError):
-            RankConfig(r_bar=4, penalty_coeff=0.0)
-
-    def test_default_r_bar(self):
-        assert default_r_bar(20, 20) == 10
-        assert default_r_bar(5, 10) == 5
-        assert default_r_bar(1, 1) == 2
+    @pytest.mark.parametrize(
+        "d, pd, r_bar", [(1, 1, 2), (5, 10, 5), (20, 20, 10), (20, 40, 10)]
+    )
+    def test_search_range_read_from_fit_shape(self, d, pd, r_bar):
+        # the pick of the search range r_bar = max(2, min(d, pd, 10)) and
+        # c = 1e-2 sqrt(pd / T), spectra that drop after each possible rank
+        rng = np.random.default_rng(d + pd)
+        for true_rank in range(1, min(d, pd) + 1):
+            sv = np.zeros(min(d, pd))
+            sv[:true_rank] = np.sort(rng.uniform(1.0, 5.0, true_rank))[::-1]
+            sv[true_rank:] = rng.uniform(0.0, 1e-3, min(d, pd) - true_rank)
+            sv[true_rank:] = np.sort(sv[true_rank:])[::-1]
+            left, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            right, _ = np.linalg.qr(rng.standard_normal((pd, pd)))
+            fit = (left[:, : sv.size] * sv) @ right[:, : sv.size].T
+            for t_len in (50, 400, 1600):
+                c = 1e-2 * math.sqrt(pd / t_len)
+                svals = np.linalg.svd(fit, compute_uv=False)
+                assert client_rank(fit, t_len) == ridge_ratio_rank(svals, c, r_bar)
 
 
 class TestPipelineSmoke:
@@ -106,7 +108,6 @@ class TestPipelineSmoke:
         design = var.lag_design(panel)
         cfg = single_client.default_admm_config(design, lam_scale=1.4, omega_scale=1.0)
         (decomp,), _ = single_client.fit_admm([design], [cfg])
-        rank_cfg = RankConfig(r_bar=default_r_bar(20, 20))
-        global_rank, per_client = select_rank([decomp.a0], [1600], rank_cfg)
+        global_rank, per_client = select_rank([decomp.a0], [1600])
         assert global_rank == 2
         assert per_client == [2]

@@ -89,10 +89,11 @@ def test_default_eta_matches_raw(case):
 @given(designs())
 def test_admm_matches_raw_design(case):
     design, _ = case
-    cfg = single_client.AdmmConfig(
-        lam=0.01, omega=0.01, max_iter=30, eps_pri=0.0, eps_dual=0.0
-    )
-    (decomp,), report = single_client.fit_admm([design], [cfg])
+    cfg = single_client.AdmmConfig(lam=0.01, omega=0.01)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(single_client, "_ADMM_MAX_ITER", 30)
+        m.setattr(single_client, "_ADMM_EPS", 0.0)
+        (decomp,), report = single_client.fit_admm([design], [cfg])
     state = report.members[0]
     # zero tolerances stop early only when both residuals are exactly zero
     x, y, t_len = design.x, design.y, design.t_len
