@@ -15,21 +15,24 @@ weighted sum of projected gradients) and retracts to rank r.  Projection
 and retraction are one factored step, ``matops.tangent_step``: a thin QR
 and the SVD of a d x 2r core, never a full SVD.  The message a client
 sends per round is that one d x pd gradient.  ``stage1_run`` runs any
-number of federations over the same clients (members of one rank and
-one number of rounds, each with its own start, step, noise and
-generator) in one lockstep loop: a round takes every (member, client)
-gradient in one batched product and makes one tangent step over the
-stack, and a member's result is bitwise that of its one-member call.
-The harness fits the cells of a privacy heatmap in one call.
+number of federations (members of one rank and one number of clients,
+each with its own clients' designs, start, step, noise, generator and
+number of rounds) in one lockstep loop: a round takes every (member,
+client) gradient in one batched product and makes one tangent step over
+the members still running, a member leaves the stack once its rounds are
+run, and its result is bitwise that of its one-member call.  The harness
+fits the cells of a privacy heatmap, the sample sizes of a T sweep and
+the forecast origins of the empirical comparison in one call each.
 
 Stage II refines each client's sparse deviation by accelerated proximal
-gradient (FISTA) around the frozen shared estimate.  ``refine_fista`` is
-one stacked loop over any number of same-shape problems around one
-shared estimate: each iteration makes one batched product and one soft
-threshold for every problem still running, and each problem stops on its
-own, so a problem's result does not depend on what it is stacked with.
-The clients of a fit are refined in one call; the harness also fits the
-l1-only baseline (shared part zero) of every forecast origin in one call.
+gradient (FISTA) around a frozen shared estimate.  ``refine_fista`` is
+one stacked loop over any number of same-shape problems, each around its
+own shared estimate: each iteration makes one batched product and one
+soft threshold for every problem still running, and each problem stops
+on its own, so a problem's result does not depend on what it is stacked
+with.  The clients of a fit are refined in one call; the harness refines
+every (client, origin) pair of the empirical comparison in one call, and
+fits the l1-only baseline (shared part zero) of every origin in another.
 """
 
 from __future__ import annotations
@@ -190,47 +193,56 @@ def initial_shared_estimate(designs, rank, admm_cfgs):
     return [svd_truncate(dec.a0, rank)[0] for dec in decomps]
 
 
-def _check_members(cfgs, rngs, d, pd):
-    """Each member's sigma and rank-r start, after the checks of one
-    federation; the stack must share rank and rounds."""
+def _check_members(design_sets, cfgs, rngs):
+    """The (d, pd) shape of every member's clients, and each member's sigma
+    and rank-r start, after the checks of one federation; the stack must
+    share rank and number of clients."""
     if not cfgs:
         raise ValueError("need at least one federation config")
     if len(rngs) != len(cfgs):
         raise ValueError(f"{len(rngs)} generators for {len(cfgs)} federation configs")
-    rank, rounds = cfgs[0].rank, cfgs[0].rounds
+    if len(design_sets) != len(cfgs):
+        raise ValueError(
+            f"{len(design_sets)} client lists for {len(cfgs)} federation configs"
+        )
+    d, pd = _check_designs([ds for designs in design_sets for ds in designs])
+    rank, n_clients = cfgs[0].rank, len(design_sets[0])
     _check_rank(rank, d, pd)
     sigmas, starts = [], []
-    for c, cfg in enumerate(cfgs):
-        if (cfg.rank, cfg.rounds) != (rank, rounds):
+    for c, (designs, cfg) in enumerate(zip(design_sets, cfgs)):
+        if (cfg.rank, len(designs)) != (rank, n_clients):
             raise ValueError(
-                f"member {c} has rank {cfg.rank} and {cfg.rounds} rounds, "
-                f"member 0 has rank {rank} and {rounds} rounds"
+                f"member {c} has rank {cfg.rank} and {len(designs)} clients, "
+                f"member 0 has rank {rank} and {n_clients} clients"
             )
-        sigmas.append(round_sigma(cfg.noise, cfg.budget, rounds))
+        sigmas.append(round_sigma(cfg.noise, cfg.budget, cfg.rounds))
         init = check_matrix(cfg.init_a0, "init_a0")
         if init.shape != (d, pd):
             raise ValueError(f"init_a0 shape {init.shape}, expected ({d}, {pd})")
         starts.append(svd_truncate(init, rank))
-    return sigmas, starts
+    return d, pd, sigmas, starts
 
 
-def stage1_run(designs, cfgs, rngs):
-    """Run the gradient rounds of C federations over the same clients in
-    lockstep, member c under cfgs[c] with noise from rngs[c].  Returns the
-    (C, d, pd) shared estimates and, per member, its trace: one RoundTrace
-    (sigma and each client's gradient norm) per round.  One federation is
-    the one-member call.
+def stage1_run(design_sets, cfgs, rngs):
+    """Run the gradient rounds of C federations in lockstep, member c over
+    the clients design_sets[c] under cfgs[c] with noise from rngs[c].
+    Returns the (C, d, pd) shared estimates and, per member, its trace:
+    one RoundTrace (sigma and each client's gradient norm) per round run.
+    One federation is the one-member call.
 
-    The members share rank and rounds and may differ in start, step, noise
-    and budget.  A calibrated member spends its budget (eps, delta) evenly
-    over the R rounds run, (eps/R, delta/R) per round; a zero-round run
-    draws no noise and returns the truncated start.  Each start is
-    truncated to rank r once, by SVD.  A round
-    takes every (member, client) gradient in one batched product, sums each
-    member's noisy gradients with the client weights in client order, and
-    makes one ``matops.tangent_step`` over the stack: per member, one
-    tangent projection of its aggregate and a factored retraction of the
-    rank-2r step.  A step that overflows is refused by it with ValueError.
+    Every member has the same number K of clients, all of one (d, pd)
+    shape, and the members share rank; they may differ in their clients'
+    designs, start, step, noise, budget and number of rounds.  A
+    calibrated member spends its budget (eps, delta) evenly over the R
+    rounds it runs, (eps/R, delta/R) per round; a zero-round member draws
+    no noise and returns its truncated start.  Each start is truncated to
+    rank r once, by SVD.  A round takes every (member, client) gradient
+    in one batched product, sums each member's noisy gradients with its
+    own client weights in client order, and makes one
+    ``matops.tangent_step`` over the stack: per member, one tangent
+    projection of its aggregate and a factored retraction of the rank-2r
+    step.  A step that overflows is refused by it with ValueError.  A
+    member that has run its rounds leaves the stack.
 
     In a noisy round a member spawns one child generator from its rngs[c],
     and its clients draw their noise from it in client order; a noise-free
@@ -240,32 +252,52 @@ def stage1_run(designs, cfgs, rngs):
     budget of (eps/n, delta/n).
     """
     cfgs, rngs = list(cfgs), list(rngs)
-    d, pd = _check_designs(designs)
-    sigmas, starts = _check_members(cfgs, rngs, d, pd)
-    weights = sample_size_weights(designs)
-    sxx = np.stack([ds.sxx for ds in designs])
-    sxy_t = np.stack([ds.sxy.T for ds in designs])
+    design_sets = [list(designs) for designs in design_sets]
+    d, pd, sigmas, starts = _check_members(design_sets, cfgs, rngs)
+    n_clients = len(design_sets[0])
+    # per-member constants of the working stack, one row per running member
+    weights = np.array([sample_size_weights(ds) for ds in design_sets])[..., None, None]
+    sxx = np.array([[ds.sxx for ds in designs] for designs in design_sets])
+    sxy_t = np.array([[ds.sxy.T for ds in designs] for designs in design_sets])
     rho = np.array([cfg.step_rho for cfg in cfgs])
+    rounds = np.array([cfg.rounds for cfg in cfgs])
 
     a0s = np.stack([a0 for a0, _ in starts])
     factors = SvdFactors.stack([f for _, f in starts])
+    out = np.empty_like(a0s)  # each member's estimate, filled as it leaves
+    live = np.arange(len(cfgs))
     traces = [[] for _ in cfgs]
-    for n in range(cfgs[0].rounds):
+    ends = set(rounds.tolist())
+    for n in range(int(rounds.max())):
+        if n in ends:
+            # the members that have run their n rounds leave the stack
+            gone = rounds[live] == n
+            out[live[gone]] = a0s[gone]
+            keep = ~gone
+            live, weights, sxx, sxy_t, rho, a0s, u, s, v = (
+                a[keep] for a in (live, weights, sxx, sxy_t, rho, a0s,
+                                  factors.u, factors.s, factors.v)
+            )
+            factors = SvdFactors(u=u, s=s, v=v)
         # local_gradient of every (member, client) pair: (C, K, d, pd)
         grads = 2.0 * (a0s[:, None] @ sxx - sxy_t)
         flat = grads.reshape(-1, d, pd)
         norms = np.sqrt(_dots(flat, flat)).reshape(grads.shape[:2]).tolist()
         noisy = np.empty_like(grads)
-        for c, (sigma, rng) in enumerate(zip(sigmas, rngs)):
+        for j, c in enumerate(live.tolist()):
+            sigma, rng = sigmas[c], rngs[c]
             noise_rng = rng.spawn(1)[0] if sigma > 0 else None
-            for k in range(len(designs)):
-                noisy[c, k] = add_gaussian_noise(grads[c, k], sigma, noise_rng)
-            traces[c].append(RoundTrace(n, sigma, tuple(norms[c])))
+            for k in range(n_clients):
+                noisy[j, k] = add_gaussian_noise(grads[j, k], sigma, noise_rng)
+            traces[c].append(RoundTrace(n, sigma, tuple(norms[j])))
+        # each member's weighted sum, in client order
+        weighted = weights * noisy
         agg = np.zeros_like(a0s)
-        for k, w in enumerate(weights):
-            agg += w * noisy[:, k]
+        for k in range(n_clients):
+            agg += weighted[:, k]
         a0s, factors = tangent_step(factors, agg, rho)
-    return a0s, traces
+    out[live] = a0s
+    return out, traces
 
 
 def _dots(a, b):
@@ -276,40 +308,45 @@ def _dots(a, b):
     return np.matmul(a.reshape(n, 1, -1), b.reshape(n, -1, 1)).reshape(n)
 
 
-def refine_fista(designs, a0_hat, cfgs):
+def refine_fista(designs, a0_hats, cfgs):
     """Accelerated proximal gradient for a stack of sparse deviations.
 
     Problem j starts from zero and iterates soft-thresholded gradient
-    steps on delta |-> loss_j(a0_hat + delta) + varpi_j ||delta||_1 with
-    momentum extrapolation, where loss_j is designs[j]'s loss and the
-    frozen shared part a0_hat is the same for every problem.  The
-    momentum restarts whenever the last step points against the gradient
-    mapping, the gradient scheme of O'Donoghue & Candes (Found. Comput.
-    Math., 2015).  Problem j steps by eta_j = default_eta(designs[j]) and
-    stops after cfgs[j].iters iterations or once a step is at most
+    steps on delta |-> loss_j(a0_hats[j] + delta) + varpi_j ||delta||_1
+    with momentum extrapolation, where loss_j is designs[j]'s loss and
+    a0_hats[j] its frozen shared part.  The momentum restarts whenever
+    the last step points against the gradient mapping, the gradient
+    scheme of O'Donoghue & Candes (Found. Comput. Math., 2015).  Problem
+    j steps by eta_j = default_eta(designs[j]) and stops after
+    cfgs[j].iters iterations or once a step is at most
     _FISTA_TOL * max(1, ||delta_j||_F).
 
-    The designs share one (d, pd) shape, and all problems run in one loop:
-    each iteration makes one stacked product over the problems still
-    running and one soft threshold at their own eta_j varpi_j.  A problem
-    that stops leaves the stack, so its iterate, its trace and its
-    iteration count are those of a run on its own.  Returns the (K, d, pd)
-    final iterates and, per problem, the objective value at each iterate
-    run (including the start).
+    The designs share one (d, pd) shape, ``a0_hats`` is a (K, d, pd)
+    stack of finite shared parts, one per problem, and all problems run
+    in one loop: each iteration makes one stacked product over the
+    problems still running and one soft threshold at their own
+    eta_j varpi_j.  A problem that stops leaves the stack, so its
+    iterate, its trace and its iteration count are those of a run on its
+    own.  Returns the (K, d, pd) final iterates and, per problem, the
+    objective value at each iterate run (including the start).
     """
     designs, cfgs = list(designs), list(cfgs)
     d, pd = _check_designs(designs)
-    if len(cfgs) != len(designs):
-        raise ValueError(f"{len(cfgs)} refinement configs for {len(designs)} designs")
-    a0_hat = check_matrix(a0_hat, "a0_hat")
-    if a0_hat.shape != (d, pd):
+    n_probs = len(designs)
+    if len(cfgs) != n_probs:
+        raise ValueError(f"{len(cfgs)} refinement configs for {n_probs} designs")
+    a0 = np.asarray(a0_hats, dtype=np.float64)
+    if a0.shape != (n_probs, d, pd):
         raise ValueError(
-            f"a0_hat shape {a0_hat.shape} incompatible with designs ({d}, {pd})"
+            f"a0_hats shape {a0.shape} incompatible with {n_probs} designs "
+            f"of shape ({d}, {pd})"
         )
+    if not np.isfinite(a0).all():
+        raise ValueError("a0_hats contains non-finite entries")
     eta = np.array([default_eta(ds) for ds in designs])
     varpi = np.array([c.varpi for c in cfgs])
     caps = np.array([c.iters for c in cfgs])
-    n_probs, max_iters = len(designs), int(caps.max())
+    max_iters = int(caps.max())
 
     # per-problem constants of the working stack, one row per running problem
     live = np.arange(n_probs)
@@ -319,16 +356,16 @@ def refine_fista(designs, a0_hat, cfgs):
     thresh = (eta * varpi)[:, None, None]
     eta = eta[:, None, None]
 
-    # M(delta) = (a0_hat + delta) sxx is the one product an iteration makes:
+    # M(delta) = (a0 + delta) sxx is the one product an iteration makes:
     # the gradient at the extrapolated point delta + beta (delta - delta_prev)
     # is 2 (M + beta (M - M_prev)) - cross, and the loss at delta is
-    # syy - <a0_hat + delta, cross - M>, design.loss written with M.
+    # syy - <a0 + delta, cross - M>, design.loss written with M.
     deltas = np.zeros((n_probs, d, pd))
     runs = np.zeros(n_probs, dtype=np.intp)  # iterations each problem ran
     objective = np.empty((max_iters + 1, n_probs))
     delta = deltas.copy()
     extrap = delta
-    point = a0_hat + delta
+    point = a0 + delta
     m = point @ sxx
     grad = 2.0 * m - cross
     objective[0] = syy - _dots(point, cross - m)
@@ -338,9 +375,9 @@ def refine_fista(designs, a0_hat, cfgs):
     for n in range(1, max_iters + 1):
         if done.any():
             keep = ~done
-            (live, sxx, cross, syy, varpi, caps, eta, thresh,
+            (live, a0, sxx, cross, syy, varpi, caps, eta, thresh,
              delta, extrap, m, grad, k) = (
-                a[keep] for a in (live, sxx, cross, syy, varpi, caps, eta,
+                a[keep] for a in (live, a0, sxx, cross, syy, varpi, caps, eta,
                                   thresh, delta, extrap, m, grad, k)
             )
         delta_next = soft_threshold(extrap - eta * grad, thresh)
@@ -350,7 +387,7 @@ def refine_fista(designs, a0_hat, cfgs):
         extrap = delta_next + beta * step
         k += 1
         delta = delta_next
-        point = a0_hat + delta
+        point = a0 + delta
         m_next = point @ sxx
         objective[n, live] = (
             syy
@@ -380,16 +417,16 @@ def fit_federated(designs, fed_cfg, fista_cfgs, rng):
     """Two-stage federated fit over the clients' lag designs.
 
     Stage I is the one-member ``stage1_run`` call under fed_cfg and rng;
-    stage II refines every client's deviation in one ``refine_fista``
-    call, client k under fista_cfgs[k].  Returns one decomposition per
-    client and a FitReport with both stages' traces.
+    stage II refines every client's deviation around that estimate in one
+    ``refine_fista`` call, client k under fista_cfgs[k].  Returns one
+    decomposition per client and a FitReport with both stages' traces.
     """
     if len(fista_cfgs) != len(designs):
         raise ValueError(
             f"{len(fista_cfgs)} refinement configs for {len(designs)} clients"
         )
-    (a0_hat,), (stage1_trace,) = stage1_run(designs, [fed_cfg], [rng])
-    deltas, fista_traces = refine_fista(designs, a0_hat, fista_cfgs)
+    (a0_hat,), (stage1_trace,) = stage1_run([designs], [fed_cfg], [rng])
+    deltas, fista_traces = refine_fista(designs, [a0_hat] * len(designs), fista_cfgs)
     decomps = [CoefDecomposition(a0=a0_hat, delta=delta) for delta in deltas]
     report = FitReport(
         a0_hat=a0_hat, stage1_trace=stage1_trace, fista_traces=fista_traces

@@ -9,16 +9,19 @@ the noise directions, which pairs the cells for sharper comparisons.
 The empirical protocol reads each client through one lag design: the
 coefficients of every method at forecast origin t are fitted on the
 design's rows [:t], kept in one cache of row prefixes, and scored on
-row t, so no fit looks ahead.  The
-federation of an origin draws noise from spawn_key=(0, 1, origin) and
-refines the clients that forecast from it in one stacked
-``refine_fista`` call; the l1-only baselines are one more such call.
+row t, so no fit looks ahead.  The federation of an origin draws noise
+from spawn_key=(0, 1, origin); the federations of all the origins are
+one stacked ``stage1_run`` call, and every (client, origin) pair is
+refined around its origin's estimate in one stacked ``refine_fista``
+call; the l1-only baselines are one more such call.
 The two single-client ADMM methods fit one stack per origin step, every
 client's fit under both methods in one ``fit_admm`` call, each
 warm-started from its own fit at the step before; the starts of all the
 origins' federations are one more stacked ADMM call.  The simulation
 kinds fit all of a replication's single-client problems in one
 ``fit_admm`` call, and the starts of all its federations in another.
+A T sweep fits its worlds' federations in one ``stage1_run`` call and
+refines all their clients in one ``refine_fista`` call.
 A privacy heatmap fits its noise-free cell and all its (eps, delta)
 cells in one stacked ``stage1_run`` call; each cell keeps its own
 generator, built from the replication's noise stream, so a cell's draws
@@ -243,7 +246,7 @@ def _rep_privacy_heatmap(cfg, rep):
             cells.append((cfg.noise_mode, eps, dl, _with_privacy(base, cfg, eps, dl)))
 
     a0_hats, _ = fed_core.stage1_run(
-        designs,
+        [designs] * len(cells),
         [fcfg for _, _, _, fcfg in cells],
         [_noise_rng(cfg.seed, rep) for _ in cells],
     )
@@ -282,7 +285,7 @@ def _rep_k_sweep(cfg, rep):
     fcfgs = fed_config(cfg, [designs[:k] for k in cfg.k_grid])
     for k, fcfg in zip(cfg.k_grid, fcfgs):
         sub = designs[:k]
-        (a0_hat,), _ = fed_core.stage1_run(sub, [fcfg], [_noise_rng(cfg.seed, rep)])
+        (a0_hat,), _ = fed_core.stage1_run([sub], [fcfg], [_noise_rng(cfg.seed, rep)])
         fed_err = float(np.linalg.norm(a0_hat - a0))
         single_mean = float(np.mean(singles["a0"][:k]))
         base = {"rep": rep, "n_clients": k}
@@ -294,34 +297,40 @@ def _rep_k_sweep(cfg, rep):
 
 def _rep_t_sweep(cfg, rep):
     """One world per sample size; every world's single-client fits are one
-    stacked ADMM call, and so are the starts of their federations."""
+    stacked ADMM call, and so are the starts of their federations.  The
+    worlds' federations are one ``stage1_run`` call, each on its own
+    generator from the replication's noise stream, and every world's
+    clients are refined around their world's estimate in one
+    ``refine_fista`` call."""
     worlds = []
     for t_len in cfg.t_grid:
         rng = _world_rng(cfg.seed, rep)
         a0, deltas, panels = _world(cfg, rng, cfg.n_clients, t_len=t_len)
         worlds.append((a0, deltas, [var.lag_design(pn) for pn in panels]))
     design_sets = [designs for _, _, designs in worlds]
-    single_fits = _fit_single(cfg, [ds for designs in design_sets for ds in designs])
-    fcfgs = fed_config(cfg, design_sets)
+    clients = [ds for designs in design_sets for ds in designs]
+    single_fits = _fit_single(cfg, clients)
+    a0_hats, _ = fed_core.stage1_run(
+        design_sets,
+        fed_config(cfg, design_sets),
+        [_noise_rng(cfg.seed, rep) for _ in design_sets],
+    )
+    k = cfg.n_clients
+    fed_deltas, _ = fed_core.refine_fista(
+        clients, np.repeat(a0_hats, k, axis=0), [fista_config(cfg, ds) for ds in clients]
+    )
 
     recs = []
-    k = cfg.n_clients
-    for i, (t_len, (a0, deltas, designs), fcfg) in enumerate(
-        zip(cfg.t_grid, worlds, fcfgs)
-    ):
+    for i, (t_len, (a0, deltas, _), a0_hat) in enumerate(zip(cfg.t_grid, worlds, a0_hats)):
         singles = _single_client_errors(single_fits[i * k : (i + 1) * k], a0, deltas)
-        decomps, _ = fed_core.fit_federated(
-            designs,
-            fcfg,
-            [fista_config(cfg, ds) for ds in designs],
-            _noise_rng(cfg.seed, rep),
-        )
-        fed_a0 = float(np.linalg.norm(decomps[0].a0 - a0))
+        fitted = fed_deltas[i * k : (i + 1) * k]
+        fed_a0 = float(np.linalg.norm(a0_hat - a0))
         fed_delta = float(
-            np.mean([np.linalg.norm(dc.delta - dl) for dc, dl in zip(decomps, deltas)])
+            np.mean([np.linalg.norm(fd - dl) for fd, dl in zip(fitted, deltas)])
         )
         fed_ak = float(
-            np.mean([np.linalg.norm(dc.a - (a0 + dl)) for dc, dl in zip(decomps, deltas)])
+            np.mean([np.linalg.norm((a0_hat + fd) - (a0 + dl))
+                     for fd, dl in zip(fitted, deltas)])
         )
         base = {"rep": rep, "t_len": t_len}
         for metric, value in (
@@ -349,10 +358,11 @@ def empirical_rmsfe(cfg, designs, rep):
     fitted on rows [:t] of client k's design, a row prefix kept in one
     cache, and scored on row t, predicting y[t] by the entry times x[t],
     so no fit looks ahead.  The federation of origin t is fitted once, on
-    rows [:min(t, T_k)] of every client's design, and refines the clients
-    that forecast from t in one ``refine_fista`` call; the starts of every
-    origin's federation are one stacked ADMM call, and the l1-only
-    baselines are one more ``refine_fista`` call.  The two ADMM methods
+    rows [:min(t, T_k)] of every client's design, with noise from
+    spawn_key=(0, 1, t); the federations of every origin are one
+    ``stage1_run`` call, and their starts one stacked ADMM call.  Every
+    (client, origin) pair is refined around its origin's estimate in one
+    ``refine_fista`` call, and the l1-only baselines are one more.  The two ADMM methods
     fit every client's origins in increasing order, as one stack per
     origin step: step j fits, for every client and both methods, its j-th
     origin in one ``fit_admm`` call, each fit started from its own fit at
@@ -374,30 +384,30 @@ def empirical_rmsfe(cfg, designs, rep):
         return full if t == full.t_len else var.LagDesign(x=full.x[:t], y=full.y[:t])
 
     def federated():
-        coefs = {}
         fed_origins = sorted({t for _, t in origins})
         design_sets = [
             [design(k, min(origin, t)) for k, t in enumerate(lengths)]
             for origin in fed_origins
         ]
-        for origin, designs, fcfg in zip(
-            fed_origins, design_sets, fed_config(cfg, design_sets)
-        ):
-            nrng = _noise_rng(cfg.seed, 0, origin)
-            (a0_hat,), _ = fed_core.stage1_run(designs, [fcfg], [nrng])
-            clients = [k for k, t in origins if t == origin]
-            refined = [designs[k] for k in clients]
-            deltas, _ = fed_core.refine_fista(
-                refined, a0_hat, [fista_config(cfg, ds) for ds in refined]
-            )
-            coefs.update({(k, origin): a0_hat + dl for k, dl in zip(clients, deltas)})
-        return coefs
+        a0_hats, _ = fed_core.stage1_run(
+            design_sets,
+            fed_config(cfg, design_sets),
+            [_noise_rng(cfg.seed, 0, origin) for origin in fed_origins],
+        )
+        shared = dict(zip(fed_origins, a0_hats))
+        refined = [design(k, t) for k, t in origins]
+        deltas, _ = fed_core.refine_fista(
+            refined,
+            [shared[t] for _, t in origins],
+            [fista_config(cfg, ds) for ds in refined],
+        )
+        return {(k, t): shared[t] + dl for (k, t), dl in zip(origins, deltas)}
 
     def single_l1():
         designs = [design(k, t) for k, t in origins]
         omegas = [cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len) for ds in designs]
         cfgs = [single_client.l1_only_config(omega) for omega in omegas]
-        zero = np.zeros((designs[0].d, designs[0].pd))
+        zero = np.zeros((len(designs), designs[0].d, designs[0].pd))
         deltas, _ = fed_core.refine_fista(designs, zero, cfgs)
         return dict(zip(origins, deltas))
 

@@ -10,8 +10,8 @@ skip the fix.
 The kernels (``svd_truncate``, ``svt``, ``soft_threshold``,
 ``linf_project``, ``tangent_project``, ``tangent_step``) sit inside solver
 loops and do not validate: they assume finite 2-D float64 arrays (for
-``tangent_step``, stacks of them) of matching shapes and the parameter
-ranges stated in each docstring.  The solvers' entry points and configs
+``svt`` and ``tangent_step``, stacks of them) of matching shapes and the
+parameter ranges stated in each docstring.  The solvers' entry points and configs
 check those once.  Only what reaches LAPACK's SVD and QR (and
 ``tangent_step``'s direction, from which its LAPACK input is built) is
 checked for non-finite entries, because LAPACK may not return on them.
@@ -103,21 +103,23 @@ def _require_finite(m, what):
 
 
 def _check_svd_input(m):
-    if max(m.shape) > SVD_DIM_CAP:
-        raise ValueError(
-            f"matrix side {max(m.shape)} exceeds dense-SVD cap {SVD_DIM_CAP}"
-        )
+    """Cap each matrix's two sides (a stack's last two axes, not its
+    member count) and refuse non-finite entries."""
+    side = max(m.shape[-2:])
+    if side > SVD_DIM_CAP:
+        raise ValueError(f"matrix side {side} exceeds dense-SVD cap {SVD_DIM_CAP}")
     # LAPACK's divide-and-conquer SVD can loop without end on inf entries.
     _require_finite(m, "SVD input")
 
 
 def _svd(m):
+    """Thin SVD factors (u, s, v) of a matrix or of each member of a stack."""
     _check_svd_input(m)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"SVD failed to converge: {exc}") from exc
-    return u, s, vt.T
+    return u, s, vt.swapaxes(-1, -2)
 
 
 def svd_truncate(m, r):
@@ -140,24 +142,26 @@ def svd_truncate(m, r):
 
 
 def svt(m, tau):
-    """Singular value thresholding: shrink every singular value by tau.
+    """Singular value thresholding of each member of a stack: shrink every
+    singular value of m[c] by tau[c].
 
-    Assumes a 2-D float64 ``m`` and tau >= 0; neither is checked.
-    Non-finite entries, and a side above SVD_DIM_CAP, raise ValueError.
+    ``m`` is an (n, a, b) float64 stack, in any memory layout, and ``tau``
+    n thresholds >= 0 (a 2-D ``m`` with a scalar ``tau`` is one matrix);
+    neither is checked.  Non-finite entries in any member, and a side a
+    or b above SVD_DIM_CAP, raise ValueError; the number of members is
+    not capped.
 
-    The SVD is LAPACK dgesdd called directly, as in ``tangent_step``:
-    numpy's wrapper adds about 15% to a 24 x 12 factorization, and ADMM
-    makes one per problem and iteration.  The factors are made C-ordered
-    before the product, as numpy's are, because a product of
-    Fortran-ordered factors rounds differently; so the result is bitwise
-    ``(u * s) @ vt`` from ``np.linalg.svd``.
+    The stack takes one ``np.linalg.svd`` call, numpy's batched gufunc,
+    which runs LAPACK dgesdd on each member in turn, and one batched
+    product ``(u * s) @ vt``.  Each member's result is bitwise that of
+    its own call: the gufunc copies every member into the same Fortran
+    buffer whatever the stack's layout, and the product's slices keep
+    the strides of a 2-D product.  ADMM thresholds every problem of its
+    stack in one call per iteration.
     """
-    _check_svd_input(m)
-    u, s, vt, info = dgesdd(m, full_matrices=0)
-    if info != 0:
-        raise ValueError(f"SVD failed to converge: LAPACK dgesdd info={info}")
-    s = np.maximum(s - tau, 0.0)
-    return (np.ascontiguousarray(u) * s) @ np.ascontiguousarray(vt)
+    u, s, v = _svd(m)
+    s = np.maximum(s - np.asarray(tau, dtype=np.float64)[..., None], 0.0)
+    return (u * s[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def soft_threshold(m, tau):
@@ -220,12 +224,14 @@ def tangent_step(factors, z, rho):
     the point does not depend on the signs of the factors.
 
     The products run batched over the stack.  The QR (dgeqrf, dorgqr) and
-    the SVD (dgesdd) stay one direct LAPACK call per member: numpy's
-    batched ``svd`` rounds differently from dgesdd (singular values up to
-    about 1e-15 relative apart) and is no faster on five 20 x 4 cores,
-    and its batched ``qr`` costs three times one direct call when the
-    stack has one member (one BLAS thread).  A member's result is
-    bitwise that of a one-member stack.
+    the SVD (dgesdd) stay one direct LAPACK call per member.  numpy's
+    batched ``svd`` returns bitwise dgesdd's factors at these core shapes
+    (numpy 2.4, scipy 1.17), but is not worth its overhead: with one BLAS
+    thread it takes 12.0 us against 6.4 us for one 12 x 4 core, 34.6
+    against 32.2 us for five 20 x 4 cores, and 45.9 against 52.0 us for
+    eight 12 x 4 cores.  Its batched ``qr`` costs three times one direct
+    call when the stack has one member.  A member's result is bitwise
+    that of a one-member stack.
 
     Parameters
     ----------

@@ -137,9 +137,10 @@ def fit_admm(designs, cfgs, starts=None):
 
     The problems run in one lockstep loop.  Each keeps its own Cholesky
     factor of the ridge system (one LAPACK dpotrs per problem and
-    iteration), its own pin_delta and zeta, and its own ``matops.svt``
-    call; the elementwise updates and the residual norms run once over
-    the stack.  Every problem stops once both residuals are at most
+    iteration), its own pin_delta and zeta, and its own lam; the singular
+    value thresholding is one ``matops.svt`` call over the stack per
+    iteration, and the elementwise updates and the residual norms run
+    once over the stack.  Every problem stops once both residuals are at most
     _ADMM_EPS * sqrt(pd * d), one tolerance for the stack since its
     problems share a shape, or after _ADMM_MAX_ITER iterations.  A
     problem that stops leaves the stack, so its iterates, residual
@@ -166,8 +167,8 @@ def fit_admm(designs, cfgs, starts=None):
         raise ValueError(f"{len(starts)} starts for {n} designs")
 
     # the working stacks hold Fortran-ordered (pd, d) slices, the layout of
-    # dpotrs's solution, so the solve runs in place and the SVD takes its
-    # input as it is
+    # dpotrs's solution, so the solve runs in place; _check_in_place
+    # refuses any other layout before a solve
     def stack():
         return np.zeros((n, d, pd)).transpose(0, 2, 1)
 
@@ -188,10 +189,10 @@ def fit_admm(designs, cfgs, starts=None):
     tol, max_iter = _ADMM_EPS * math.sqrt(pd * d), _ADMM_MAX_ITER
     # per-problem constants; the arrays shrink with the stack, lam and the
     # factors are read by problem index
+    lam = np.array([c.lam / _ADMM_RHO for c in cfgs])
     omega = np.array([c.omega / _ADMM_RHO for c in cfgs])[:, None, None]
     zeta = np.array([math.inf if c.zeta is None else c.zeta for c in cfgs])[:, None, None]
     pin_delta = np.array([c.pin_delta for c in cfgs])
-    lam = [c.lam / _ADMM_RHO for c in cfgs]
     clip = any(c.zeta is not None for c in cfgs)
 
     # per-problem results, filled as problems leave the stack; the final
@@ -206,6 +207,7 @@ def fit_admm(designs, cfgs, starts=None):
     z = b0 + d_mat
     for it in range(1, max_iter + 1):
         b = g + _ADMM_RHO * (z - u)
+        _check_in_place(b)
         for j, c in enumerate(live):
             # the LAPACK solve cho_solve makes, in place on a Fortran-ordered
             # slice and without its per-call finiteness scan; the guard
@@ -216,9 +218,7 @@ def fit_admm(designs, cfgs, starts=None):
                 raise RuntimeError(f"ridge solve failed: LAPACK dpotrs info={info}")
         b_hat = _ADMM_RELAX * b + (1.0 - _ADMM_RELAX) * z
         z_prev = z
-        shrink = b_hat - d_mat + u
-        for j, c in enumerate(live):
-            b0[j] = svt(shrink[j], lam[c])
+        b0[...] = svt(b_hat - d_mat + u, lam[live])
         if clip:
             b0 = linf_project(b0, zeta)
         d_mat = soft_threshold(b_hat - b0 + u, omega)
@@ -268,6 +268,17 @@ def fit_admm(designs, cfgs, starts=None):
         )
     decomps = [CoefDecomposition(a0=s.final[0].T, delta=s.final[1].T) for s in states]
     return decomps, AdmmReport(members=states)
+
+
+def _check_in_place(b):
+    """Refuse a stack whose slices are not Fortran-ordered.  On any other
+    layout f2py hands dpotrs a copy of the slice, and overwrite_b solves
+    the copy, leaving the iterate unsolved without a word."""
+    if not b[0].flags.f_contiguous:
+        raise RuntimeError(
+            f"ADMM working stack has strides {b.strides}, not Fortran-ordered "
+            "slices; dpotrs would not solve it in place"
+        )
 
 
 def _check_start(start, j, pd, d):

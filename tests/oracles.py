@@ -176,7 +176,7 @@ def cold_l1_forecaster(cfg):
         omega = cfg.omega_scale * np.sqrt(np.log(design.pd) / design.t_len)
         (coef,), _ = fed_core.refine_fista(
             [design],
-            np.zeros((design.d, design.pd)),
+            np.zeros((1, design.d, design.pd)),
             [fed_core.FistaConfig(varpi=omega, iters=500)],
         )
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
@@ -386,9 +386,9 @@ def per_client_federated_forecaster(cfg, panels, client):
         designs = prefix_designs(panels, origin, client)
         nrng = experiments._noise_rng(cfg.seed, 0, client, origin)
         (fcfg,) = experiments.fed_config(cfg, [designs])
-        (a0_hat,), _ = fed_core.stage1_run(designs, [fcfg], [nrng])
+        (a0_hat,), _ = fed_core.stage1_run([designs], [fcfg], [nrng])
         (delta,), _ = fed_core.refine_fista(
-            [designs[client]], a0_hat, [experiments.fista_config(cfg, designs[client])]
+            [designs[client]], [a0_hat], [experiments.fista_config(cfg, designs[client])]
         )
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(a0_hat + delta, full[-cfg.p:])

@@ -200,7 +200,7 @@ def test_optimizer_oracle_equivalence(monkeypatch):
         )
         (fista_delta,), _ = fed_core.refine_fista(
             [design],
-            np.zeros((design.d, design.pd)),
+            np.zeros((1, design.d, design.pd)),
             [fed_core.FistaConfig(varpi=omega, iters=4000)],
         )
         worst_l1 = max(worst_l1, float(np.linalg.norm(admm_dec.delta - fista_delta)))
@@ -271,7 +271,7 @@ def test_structural_invariants(tmp_path):
         iterate = start
         for _ in range(rounds):
             one = replace(fcfg, rounds=1, init_a0=iterate)
-            (iterate,), _ = fed_core.stage1_run(designs, [one], [rng])
+            (iterate,), _ = fed_core.stage1_run([designs], [one], [rng])
             if np.linalg.matrix_rank(iterate) > 2:
                 failures.append(f"iterate rank {np.linalg.matrix_rank(iterate)} > 2")
                 break

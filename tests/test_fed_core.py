@@ -94,7 +94,7 @@ class TestRefineFista:
             x=rng.standard_normal((120, 6)), y=rng.standard_normal((120, 3))
         )
         a0 = np.zeros((3, 6))
-        (delta,), _ = refine_fista([design], a0, [FistaConfig(varpi=0.0, iters=2000)])
+        (delta,), _ = refine_fista([design], [a0], [FistaConfig(varpi=0.0, iters=2000)])
         ls, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
         assert np.linalg.norm(delta - ls.T) < 1e-8
 
@@ -103,7 +103,7 @@ class TestRefineFista:
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
         (delta,), (trace,) = refine_fista(
-            [design], a0, [FistaConfig(varpi=0.05, iters=20)]
+            [design], [a0], [FistaConfig(varpi=0.05, iters=20)]
         )
         assert len(trace) == 21
         assert trace[-1] <= trace[0] + 1e-10
@@ -112,7 +112,9 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=5)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        (delta,), (trace,) = refine_fista([design], a0, [FistaConfig(varpi=0.1, iters=0)])
+        (delta,), (trace,) = refine_fista(
+            [design], [a0], [FistaConfig(varpi=0.1, iters=0)]
+        )
         np.testing.assert_array_equal(delta, np.zeros_like(delta))
         assert len(trace) == 1
 
@@ -120,13 +122,13 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=6)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        (delta,), _ = refine_fista([design], a0, [FistaConfig(varpi=1e6, iters=20)])
+        (delta,), _ = refine_fista([design], [a0], [FistaConfig(varpi=1e6, iters=20)])
         np.testing.assert_array_equal(delta, np.zeros_like(delta))
 
     def test_shape_mismatch(self):
         _, _, _, designs = make_world(seed=7)
         with pytest.raises(ValueError):
-            refine_fista([designs[0]], np.zeros((2, 2)), [FistaConfig(varpi=0.1)])
+            refine_fista([designs[0]], np.zeros((1, 2, 2)), [FistaConfig(varpi=0.1)])
 
     def test_stops_before_cap_near_long_reference(self):
         # Gram condition number about 1.7: the proximal-gradient map is a
@@ -138,7 +140,7 @@ class TestRefineFista:
         )
         a0 = np.zeros((3, 6))
         cfg = FistaConfig(varpi=0.05, iters=20_000)
-        (delta,), (trace,) = refine_fista([design], a0, [cfg])
+        (delta,), (trace,) = refine_fista([design], [a0], [cfg])
         assert len(trace) - 1 < 100
         ref, ref_iters = plain_fista(
             design.x, design.y, a0, 0.05, default_eta(design), tol=0.0, cap=20_000
@@ -157,7 +159,7 @@ class TestRefineFista:
         eta = default_eta(design)
         a0 = np.zeros((design.d, design.pd))
         cfg = FistaConfig(varpi=varpi, iters=40_000)
-        (delta,), (trace,) = refine_fista([design], a0, [cfg])
+        (delta,), (trace,) = refine_fista([design], [a0], [cfg])
         plain, plain_iters = plain_fista(
             design.x, design.y, a0, varpi, eta, fed_core._FISTA_TOL, cfg.iters
         )
@@ -172,7 +174,7 @@ class TestRefineFista:
             eta = default_eta(design)
             for iters in (1, 2, 10, 40):
                 cfg = FistaConfig(varpi=0.05, iters=iters)
-                (delta,), (trace,) = refine_fista([design], a0, [cfg])
+                (delta,), (trace,) = refine_fista([design], [a0], [cfg])
                 assert len(trace) - 1 == iters
                 want = restart_fista(design.x, design.y, a0, 0.05, eta, iters)
                 assert np.linalg.norm(delta - want) <= 1e-10 * np.linalg.norm(want)
@@ -184,10 +186,10 @@ class TestRefineFista:
         rng = np.random.default_rng(5)
         a0 = 0.1 * rng.standard_normal((design.d, design.pd))
         varpi = 0.05
-        _, (trace,) = refine_fista([design], a0, [FistaConfig(varpi=varpi, iters=30)])
+        _, (trace,) = refine_fista([design], [a0], [FistaConfig(varpi=varpi, iters=30)])
         assert len(trace) == 31
         for n, value in enumerate(trace):
-            (delta,), _ = refine_fista([design], a0, [FistaConfig(varpi=varpi, iters=n)])
+            (delta,), _ = refine_fista([design], [a0], [FistaConfig(varpi=varpi, iters=n)])
             want = design.loss(a0 + delta) + varpi * np.sum(np.abs(delta))
             assert abs(value - want) <= 1e-12 * abs(want)
 
@@ -207,7 +209,7 @@ class TestRefineFista:
         for iters, stops_early in ((5, False), (5000, True)):
             calls.clear()
             cfg = FistaConfig(varpi=0.05, iters=iters)
-            _, (trace,) = refine_fista([design], a0, [cfg])
+            _, (trace,) = refine_fista([design], [a0], [cfg])
             assert len(trace) - 1 == len(calls)
             assert (len(calls) < iters) == stops_early
 
@@ -234,24 +236,37 @@ class TestStackedRefinement:
 
     def test_members_equal_their_solo_runs(self):
         designs, shared, cfgs = self._stack()
-        deltas, traces = refine_fista(designs, shared, cfgs)
+        deltas, traces = refine_fista(designs, [shared] * 5, cfgs)
         assert deltas.shape == (5, 4, 8)
         runs = [len(tr) - 1 for tr in traces]
         assert runs[0] < 5000 and runs[1] < 5000 and runs[0] != runs[1]
         assert runs[2:] == [12, 0, 7]
         for j, (dsn, cfg) in enumerate(zip(designs, cfgs)):
-            (solo,), (solo_trace,) = refine_fista([dsn], shared, [cfg])
+            (solo,), (solo_trace,) = refine_fista([dsn], [shared], [cfg])
             assert np.array_equal(deltas[j], solo)
             assert np.array_equal(traces[j], solo_trace)
         # the order of the stack does not matter either
-        back, back_traces = refine_fista(designs[::-1], shared, cfgs[::-1])
+        back, back_traces = refine_fista(designs[::-1], [shared] * 5, cfgs[::-1])
         assert np.array_equal(back[::-1], deltas)
         for got, want in zip(back_traces[::-1], traces):
             assert np.array_equal(got, want)
 
+    def test_members_around_their_own_shared_parts_equal_solo_runs(self):
+        designs, shared, cfgs = self._stack()
+        rng = np.random.default_rng(10)
+        parts = [shared + 0.1 * rng.standard_normal(shared.shape) for _ in designs]
+        deltas, traces = refine_fista(designs, parts, cfgs)
+        for j, (dsn, part, cfg) in enumerate(zip(designs, parts, cfgs)):
+            (solo,), (solo_trace,) = refine_fista([dsn], [part], [cfg])
+            assert deltas[j].tobytes() == solo.tobytes()
+            assert np.array_equal(traces[j], solo_trace)
+        # the shared part matters: around one common part the result differs
+        common, _ = refine_fista(designs, [shared] * 5, cfgs)
+        assert not np.array_equal(common[0], deltas[0])
+
     def test_member_matches_raw_design_restart_fista(self):
         designs, shared, cfgs = self._stack()
-        deltas, _ = refine_fista(designs, shared, cfgs)
+        deltas, _ = refine_fista(designs, [shared] * 5, cfgs)
         dsn, cfg = designs[2], cfgs[2]
         want = restart_fista(dsn.x, dsn.y, shared, cfg.varpi, default_eta(dsn), cfg.iters)
         assert np.linalg.norm(deltas[2] - want) <= 1e-10 * np.linalg.norm(want)
@@ -259,19 +274,23 @@ class TestStackedRefinement:
     def test_bad_stacks_rejected(self):
         designs, shared, cfgs = self._stack()
         with pytest.raises(ValueError, match="at least one"):
-            refine_fista([], shared, [])
+            refine_fista([], [], [])
         with pytest.raises(ValueError, match="1 refinement configs for 2 designs"):
-            refine_fista(designs[:2], shared, cfgs[:1])
+            refine_fista(designs[:2], [shared] * 2, cfgs[:1])
         _, _, _, other = make_world(seed=7, d=4, p=1)
         with pytest.raises(ValueError, match="shape"):
-            refine_fista([designs[0], other[0]], shared, cfgs[:2])
+            refine_fista([designs[0], other[0]], [shared] * 2, cfgs[:2])
+        with pytest.raises(ValueError, match=r"a0_hats shape \(1, 4, 8\)"):
+            refine_fista(designs[:2], [shared], cfgs[:2])
+        with pytest.raises(ValueError, match="non-finite"):
+            refine_fista(designs[:2], [shared, np.full_like(shared, np.inf)], cfgs[:2])
 
 
 class TestStageOne:
     def test_zero_step_is_identity_on_truncation(self):
         a0, _, _, designs = make_world(seed=8, ratio=None)
         cfg = FedConfig(rank=2, rounds=5, step_rho=0.0, init_a0=a0)
-        (out,), (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(0)])
+        (out,), (traces,) = stage1_run([designs], [cfg], [np.random.default_rng(0)])
         trunc, _ = fed_core.svd_truncate(a0, 2)
         np.testing.assert_allclose(out, trunc, atol=1e-12)
         assert len(traces) == 5
@@ -282,7 +301,7 @@ class TestStageOne:
         init = a0 + 0.5 * rng.standard_normal(a0.shape)
         eta = min(default_eta(d) for d in designs)
         cfg = FedConfig(rank=2, rounds=40, step_rho=eta, init_a0=init)
-        (out,), _ = stage1_run(designs, [cfg], [np.random.default_rng(2)])
+        (out,), _ = stage1_run([designs], [cfg], [np.random.default_rng(2)])
         init_err = np.linalg.norm(
             fed_core.svd_truncate(init, 2)[0] - a0
         )
@@ -292,7 +311,7 @@ class TestStageOne:
     def test_single_round_matches_run(self):
         a0, _, _, designs = make_world(seed=10, ratio=None)
         cfg = FedConfig(rank=2, rounds=1, step_rho=0.05, init_a0=a0)
-        (out,), (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(3)])
+        (out,), (traces,) = stage1_run([designs], [cfg], [np.random.default_rng(3)])
         # one round by hand: weighted tangent-projected gradients, then retract
         start, f = fed_core.svd_truncate(a0, 2)
         agg = sum(
@@ -309,7 +328,7 @@ class TestStageOne:
         for seed in (10, 11, 12):
             a0, _, _, designs = make_world(seed=seed, d=6, k=4, ratio=None)
             cfg = FedConfig(rank=2, rounds=1, step_rho=0.05, init_a0=a0)
-            _, (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(3)])
+            _, (traces,) = stage1_run([designs], [cfg], [np.random.default_rng(3)])
             start, _ = fed_core.svd_truncate(a0, 2)
             want = [float(np.linalg.norm(local_gradient(ds, start))) for ds in designs]
             assert list(traces[0].grad_norms) == want
@@ -321,11 +340,11 @@ class TestStageOne:
             noise=dp.NoisePolicy.fixed(),
             budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1),
         )
-        (whole,), _ = stage1_run(designs, [noisy], [np.random.default_rng(4)])
+        (whole,), _ = stage1_run([designs], [noisy], [np.random.default_rng(4)])
         rng, iterate = np.random.default_rng(4), a0
         for _ in range(4):
             one = replace(noisy, rounds=1, init_a0=iterate)
-            (iterate,), _ = stage1_run(designs, [one], [rng])
+            (iterate,), _ = stage1_run([designs], [one], [rng])
         np.testing.assert_allclose(iterate, whole, atol=1e-10)
 
     def test_noise_free_run_matches_full_svd_loop(self):
@@ -335,7 +354,7 @@ class TestStageOne:
             init = a0 + 0.3 * np.random.default_rng(seed).standard_normal(a0.shape)
             eta = min(default_eta(dsn) for dsn in designs)
             cfg = FedConfig(rank=r, rounds=30, step_rho=eta, init_a0=init)
-            (got,), _ = stage1_run(designs, [cfg], [np.random.default_rng(0)])
+            (got,), _ = stage1_run([designs], [cfg], [np.random.default_rng(0)])
             want = stage1_full_svd(designs, r, 30, eta, init)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -358,7 +377,7 @@ class TestStageOne:
         for cfg, spawned, want_sigma in ((noisy, 6, sigma), (base, 0, 0.0)):
             draws.clear()
             rng = np.random.default_rng(5)
-            stage1_run(designs, [cfg], [rng])
+            stage1_run([designs], [cfg], [rng])
             assert rng.bit_generator.seed_seq.n_children_spawned == spawned
             assert len(draws) == 6 * len(designs)
             assert all(s == want_sigma for s, _ in draws)
@@ -384,9 +403,9 @@ class TestStageOne:
             noise=dp.NoisePolicy.fixed(),
             budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1),
         )
-        (out1,), (traces,) = stage1_run(designs, [cfg], [np.random.default_rng(4)])
-        (out2,), _ = stage1_run(designs, [cfg], [np.random.default_rng(4)])
-        (out3,), _ = stage1_run(designs, [cfg], [np.random.default_rng(5)])
+        (out1,), (traces,) = stage1_run([designs], [cfg], [np.random.default_rng(4)])
+        (out2,), _ = stage1_run([designs], [cfg], [np.random.default_rng(4)])
+        (out3,), _ = stage1_run([designs], [cfg], [np.random.default_rng(5)])
         assert np.array_equal(out1, out2)
         assert not np.array_equal(out1, out3)
         assert traces[0].sigma == pytest.approx(1.1237723622487465)
@@ -416,17 +435,17 @@ class TestStageOne:
         )
         for rounds in (1, 3, 10):
             _, (trace,) = stage1_run(
-                designs, [replace(noisy, rounds=rounds)], [np.random.default_rng(1)]
+                [designs], [replace(noisy, rounds=rounds)], [np.random.default_rng(1)]
             )
             want = dp.gaussian_sigma(0.7, 1.0 / rounds, 0.1 / rounds)
             assert [t.sigma for t in trace] == [want] * rounds
         # ten one-round runs, each on a tenth of the budget, chain to the run
-        (whole,), _ = stage1_run(designs, [noisy], [np.random.default_rng(1)])
+        (whole,), _ = stage1_run([designs], [noisy], [np.random.default_rng(1)])
         tenth = dp.PrivacyBudget(1.0 / 10, 0.1 / 10)
         rng, iterate = np.random.default_rng(1), a0
         for _ in range(10):
             one = replace(noisy, rounds=1, budget=tenth, init_a0=iterate)
-            (iterate,), _ = stage1_run(designs, [one], [rng])
+            (iterate,), _ = stage1_run([designs], [one], [rng])
         np.testing.assert_allclose(iterate, whole, atol=1e-10)
 
     def test_zero_round_calibrated_run_returns_the_truncated_start(self, monkeypatch):
@@ -439,7 +458,7 @@ class TestStageOne:
             noise=dp.NoisePolicy.calibrated(1.0), budget=dp.PrivacyBudget(1.0, 0.1),
         )
         rng = np.random.default_rng(3)
-        (out,), (trace,) = stage1_run(designs, [cfg], [rng])
+        (out,), (trace,) = stage1_run([designs], [cfg], [rng])
         assert np.array_equal(out, fed_core.svd_truncate(init, 2)[0])
         assert trace == [] and draws == []
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
@@ -467,21 +486,71 @@ class TestStageOne:
         designs, cfgs = self._members()
         seeds = (5, 6, 6, 7)  # two members with equal seeds, separate generators
         outs, traces = stage1_run(
-            designs, cfgs, [np.random.default_rng(s) for s in seeds]
+            [designs] * 4, cfgs, [np.random.default_rng(s) for s in seeds]
         )
         assert outs.shape == (4, 6, 6) and len(traces) == 4
         assert len({tr[0].sigma for tr in traces}) == 4
         for cfg, seed, out, trace in zip(cfgs, seeds, outs, traces):
             (want,), (want_trace,) = stage1_run(
-                designs, [cfg], [np.random.default_rng(seed)]
+                [designs], [cfg], [np.random.default_rng(seed)]
             )
             assert np.array_equal(out, want)
             assert trace == want_trace
         back, back_traces = stage1_run(
-            designs, cfgs[::-1], [np.random.default_rng(s) for s in seeds[::-1]]
+            [designs] * 4, cfgs[::-1], [np.random.default_rng(s) for s in seeds[::-1]]
         )
         assert np.array_equal(back[::-1], outs)
         assert back_traces[::-1] == traces
+
+    def test_members_of_own_clients_and_rounds_equal_their_solo_runs(
+        self, monkeypatch
+    ):
+        # members over different clients (so different client weights) and
+        # round counts, under no, fixed and calibrated noise, with one
+        # zero-round member, leave the stack at different rounds
+        draws = []
+
+        def record(m, sigma, rng):
+            draws.append(sigma)
+            return dp.add_gaussian_noise(m, sigma, rng)
+
+        monkeypatch.setattr(fed_core, "add_gaussian_noise", record)
+        a0, deltas = var.assemble_dgp(5, 1, 2, 3, np.random.default_rng(30))
+        sets = []
+        for t_len in (60, 90, 150, 75, 120):
+            rng = np.random.default_rng(t_len)
+            panels = [
+                var.simulate(a0 + dk, 1, t_len + 15 * k, rng, burn_in=100)
+                for k, dk in enumerate(deltas)
+            ]
+            sets.append([var.lag_design(pn) for pn in panels])
+        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
+        base = FedConfig(rank=2, rounds=9, step_rho=0.05, init_a0=a0)
+        cfgs = [
+            base,
+            replace(base, rounds=4, noise=dp.NoisePolicy.fixed(), budget=budget),
+            replace(base, rounds=0, noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
+            replace(base, rounds=6, noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
+            replace(base, rounds=2, step_rho=0.08),
+        ]
+        seeds = (1, 2, 3, 4, 5)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        outs, traces = stage1_run(sets, cfgs, rngs)
+        assert [len(tr) for tr in traces] == [9, 4, 0, 6, 2]
+        # each noisy member spawned once per round it ran, and drew once per
+        # client in each of them
+        spawned = [g.bit_generator.seed_seq.n_children_spawned for g in rngs]
+        assert spawned == [0, 4, 0, 6, 0]
+        assert len(draws) == 3 * sum(len(tr) for tr in traces)
+        for designs, cfg, seed, out, trace in zip(sets, cfgs, seeds, outs, traces):
+            solo_rng = np.random.default_rng(seed)
+            (want,), (want_trace,) = stage1_run([designs], [cfg], [solo_rng])
+            assert out.tobytes() == want.tobytes()
+            assert trace == want_trace
+            assert solo_rng.bit_generator.seed_seq.n_children_spawned == (
+                cfg.rounds if cfg.noise.mode != "none" else 0
+            )
+        assert np.array_equal(outs[2], fed_core.svd_truncate(a0, 2)[0])
 
     def test_round_by_hand(self):
         # one noisy round, bitwise: client-order draws from one child
@@ -489,7 +558,7 @@ class TestStageOne:
         designs, cfgs = self._members()
         cfg = replace(cfgs[2], rounds=1)
         rng = np.random.default_rng(8)
-        (got,), (trace,) = stage1_run(designs, [cfg], [rng])
+        (got,), (trace,) = stage1_run([designs], [cfg], [rng])
         sigma = dp.round_sigma(cfg.noise, cfg.budget, 1)
         start, factors = fed_core.svd_truncate(cfg.init_a0, cfg.rank)
         child = np.random.default_rng(8).spawn(1)[0]
@@ -505,20 +574,29 @@ class TestStageOne:
     def test_bad_stacks_rejected(self):
         designs, cfgs = self._members()
         rngs = [np.random.default_rng(c) for c in range(4)]
+        sets = [designs] * 4
         with pytest.raises(ValueError, match="at least one federation"):
-            stage1_run(designs, [], [])
+            stage1_run([], [], [])
         with pytest.raises(ValueError, match="3 generators for 4 federation configs"):
-            stage1_run(designs, cfgs, rngs[:3])
-        for bad in (replace(cfgs[1], rank=1), replace(cfgs[1], rounds=6)):
-            with pytest.raises(ValueError, match="member 1 has rank"):
-                stage1_run(designs, [cfgs[0], bad] + cfgs[2:], rngs)
+            stage1_run(sets, cfgs, rngs[:3])
+        with pytest.raises(ValueError, match="3 client lists for 4 federation configs"):
+            stage1_run(sets[:3], cfgs, rngs)
+        bad = [cfgs[0], replace(cfgs[1], rank=1)] + cfgs[2:]
+        with pytest.raises(ValueError, match="member 1 has rank 1 and 4 clients"):
+            stage1_run(sets, bad, rngs)
+        fewer = [designs, designs[:3]] + sets[2:]
+        with pytest.raises(ValueError, match="member 1 has rank 2 and 3 clients"):
+            stage1_run(fewer, cfgs, rngs)
+        _, _, _, other = make_world(seed=14, d=4, k=4)
+        with pytest.raises(ValueError, match="shape"):
+            stage1_run([designs, other] + sets[2:], cfgs, rngs)
 
     def test_mismatched_clients_rejected(self):
         _, _, _, designs = make_world(seed=13, d=5)
         _, _, _, other = make_world(seed=14, d=4)
         cfg = FedConfig(rank=1, rounds=1, step_rho=0.1, init_a0=np.zeros((5, 5)))
         with pytest.raises(ValueError, match="shape"):
-            stage1_run(designs + [other[0]], [cfg], [np.random.default_rng(0)])
+            stage1_run([designs + [other[0]]], [cfg], [np.random.default_rng(0)])
 
 
 class TestFitFederated:
@@ -568,7 +646,7 @@ class TestEntryPointValidation:
             init[1, 2] = bad
             cfg = FedConfig(rank=1, rounds=1, step_rho=0.1, init_a0=init)
             with pytest.raises(ValueError, match="non-finite"):
-                stage1_run(designs, [cfg], [np.random.default_rng(0)])
+                stage1_run([designs], [cfg], [np.random.default_rng(0)])
 
     def test_rank_above_min_rejected(self):
         _, _, _, designs = make_world(seed=20, d=4, p=2)  # min(d, pd) = 4
@@ -603,7 +681,7 @@ class TestEntryPointValidation:
             for iters in (1, 10, 50, 200):
                 cfg = FistaConfig(varpi=0.1, iters=iters)
                 try:
-                    (delta,), _ = refine_fista([design], a0, [cfg])
+                    (delta,), _ = refine_fista([design], [a0], [cfg])
                 except ValueError as exc:
                     assert "non-finite" in str(exc)
                     raised += 1
@@ -616,4 +694,4 @@ class TestEntryPointValidation:
         cfg = FedConfig(rank=2, rounds=120, step_rho=1e6, init_a0=a0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                stage1_run(designs, [cfg], [np.random.default_rng(0)])
+                stage1_run([designs], [cfg], [np.random.default_rng(0)])

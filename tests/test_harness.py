@@ -498,25 +498,28 @@ class TestEmpiricalFederation:
     def test_one_stage1_fit_per_distinct_origin(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch, noise_mode="fixed_scale")
         real = fed_core.stage1_run
-        origins = []
+        calls = []
 
-        def counting(designs, fcfgs, rngs):
-            # the longest panel covers every origin, so it gives the origin
-            origin = max(ds.t_len for ds in designs)
-            want = np.random.default_rng(
-                np.random.SeedSequence(cfg.seed, spawn_key=(0, 1, origin))
-            )
-            ((fcfg,), (rng,)) = fcfgs, rngs
-            assert rng.bit_generator.state == want.bit_generator.state
-            assert fcfg.noise.mode == "fixed_scale"
-            origins.append(origin)
-            return real(designs, fcfgs, rngs)
+        def counting(design_sets, fcfgs, rngs):
+            origins = []
+            for designs, fcfg, rng in zip(design_sets, fcfgs, rngs):
+                # the longest panel covers every origin, so it gives the origin
+                origin = max(ds.t_len for ds in designs)
+                want = np.random.default_rng(
+                    np.random.SeedSequence(cfg.seed, spawn_key=(0, 1, origin))
+                )
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert fcfg.noise.mode == "fixed_scale"
+                origins.append(origin)
+            calls.append(origins)
+            return real(design_sets, fcfgs, rngs)
 
         monkeypatch.setattr(fed_core, "stage1_run", counting)
         experiments._rep_empirical(cfg, 0)
         distinct = {t - h for t in self.LENGTHS for h in (1, 2, 3)}
         assert len(distinct) < 3 * len(self.LENGTHS)
-        assert sorted(origins) == sorted(distinct)
+        # every origin's federation is one member of one stacked call
+        assert len(calls) == 1 and sorted(calls[0]) == sorted(distinct)
 
     def test_noise_free_rmsfe_equals_per_client_federation(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch)
@@ -534,30 +537,34 @@ class TestEmpiricalFederation:
             assert got == want
 
 
-    def test_one_refinement_per_origin_of_its_forecasting_clients(
-        self, tmp_path, monkeypatch
-    ):
+    def test_one_refinement_of_every_client_origin_pair(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch, methods=("federated", "single_l1"))
-        real = fed_core.refine_fista
-        calls = []
+        real_stage1, real_refine = fed_core.stage1_run, fed_core.refine_fista
+        shared, calls = {}, []
 
-        def recording(designs, a0_hat, cfgs):
-            calls.append(([ds.t_len for ds in designs], not a0_hat.any()))
-            return real(designs, a0_hat, cfgs)
+        def stage1(design_sets, fcfgs, rngs):
+            a0_hats, traces = real_stage1(design_sets, fcfgs, rngs)
+            for designs, a0_hat in zip(design_sets, a0_hats):
+                shared[max(ds.t_len for ds in designs)] = a0_hat
+            return a0_hats, traces
 
+        def recording(designs, a0_hats, cfgs):
+            calls.append(([ds.t_len for ds in designs], np.array(a0_hats)))
+            return real_refine(designs, a0_hats, cfgs)
+
+        monkeypatch.setattr(fed_core, "stage1_run", stage1)
         monkeypatch.setattr(fed_core, "refine_fista", recording)
         experiments._rep_empirical(cfg, 0)
-        baseline = [sizes for sizes, zero in calls if zero]
-        federated = [sizes for sizes, zero in calls if not zero]
-        # the l1-only baseline: every (client, origin) pair in one call
+        baseline = [sizes for sizes, a0_hats in calls if not a0_hats.any()]
+        federated = [(sizes, a0_hats) for sizes, a0_hats in calls if a0_hats.any()]
+        # every (client, origin) pair in one call, for each method
         want = [t - h for t in self.LENGTHS for h in (3, 2, 1)]
         assert baseline == [want]
-        # each origin refines exactly the clients that forecast from it
-        distinct = sorted({t - h for t in self.LENGTHS for h in (1, 2, 3)})
-        assert sorted(sizes[0] for sizes in federated) == distinct
-        for sizes in federated:
-            n = sum(t - 3 <= sizes[0] < t for t in self.LENGTHS)
-            assert sizes == [sizes[0]] * n
+        ((sizes, a0_hats),) = federated
+        assert sizes == want
+        # each pair is refined around its origin's shared estimate
+        for origin, a0_hat in zip(sizes, a0_hats):
+            assert np.array_equal(a0_hat, shared[origin])
 
     def test_each_lag_design_built_once_across_methods(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch, methods=experiments.EMPIRICAL_METHODS)

@@ -143,6 +143,41 @@ class TestShrinkage:
             assert got.shape == shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_stacked_svt_is_bitwise_the_per_slice_threshold(self, n, order):
+        # one batched SVD, each member at its own tau, equals each member's
+        # np.linalg.svd threshold in its own call
+        rng = np.random.default_rng(15)
+        for shape in ((24, 12), (12, 24), (20, 4)):
+            stack = rng.standard_normal((n, *shape))
+            if order == "F":
+                # Fortran-ordered slices, the layout of fit_admm's stack
+                stack = np.ascontiguousarray(stack.swapaxes(1, 2)).swapaxes(1, 2)
+            tau = rng.uniform(0.0, 2.0, n)
+            got = matops.svt(stack, tau)
+            assert got.shape == stack.shape
+            for m, t, g in zip(stack, tau, got):
+                u, s, vt = np.linalg.svd(m, full_matrices=False)
+                want = (u * np.maximum(s - t, 0.0)) @ vt
+                assert g.tobytes() == want.tobytes()
+
+    def test_stacked_svt_refuses_one_nonfinite_member(self):
+        stack = np.random.default_rng(16).standard_normal((4, 6, 3))
+        for bad in (np.nan, np.inf):
+            stack[2, 1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                matops.svt(stack, np.full(4, 0.1))
+
+    def test_stacked_svt_caps_sides_not_members(self):
+        small = np.ones((matops.SVD_DIM_CAP + 1, 2, 2))
+        out = matops.svt(small, np.zeros(matops.SVD_DIM_CAP + 1))
+        np.testing.assert_allclose(out, small, atol=1e-12)
+        for big in (np.zeros((2, matops.SVD_DIM_CAP + 1, 2)),
+                    np.zeros((2, 2, matops.SVD_DIM_CAP + 1))):
+            with pytest.raises(ValueError, match="cap"):
+                matops.svt(big, np.zeros(2))
+
     def test_svt_zero_tau_identity(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 7))

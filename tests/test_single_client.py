@@ -348,6 +348,14 @@ class TestStackedAdmm:
             fit_admm(designs[:4], cfgs[:4], starts)
         assert calls == []
 
+    def test_working_stack_must_be_solvable_in_place(self):
+        # dpotrs solves in place only on a Fortran-ordered slice; on any
+        # other layout f2py solves a copy, so fit_admm refuses the stack
+        f_ordered = np.zeros((3, 4, 6)).transpose(0, 2, 1)
+        single_client._check_in_place(f_ordered)
+        with pytest.raises(RuntimeError, match="not Fortran-ordered"):
+            single_client._check_in_place(np.zeros((3, 6, 4)))
+
     def test_stack_arguments_validated(self):
         designs, cfgs, _ = mixed_stack(12, 2, 44)
         with pytest.raises(ValueError, match="2 ADMM configs for 3 designs"):
@@ -402,7 +410,7 @@ class TestBaselines:
         omega = 0.1
         (fista,), _ = fed_core.refine_fista(
             [design],
-            np.zeros((design.d, design.pd)),
+            np.zeros((1, design.d, design.pd)),
             [fed_core.FistaConfig(varpi=omega, iters=3000)],
         )
         decomp, _ = admm_solo(

@@ -68,7 +68,7 @@ def test_fista_objective_trace_matches_residuals(case):
     design, a = case
     varpi = 0.05
     (delta,), (trace,) = fed_core.refine_fista(
-        [design], a, [fed_core.FistaConfig(varpi=varpi, iters=5)]
+        [design], [a], [fed_core.FistaConfig(varpi=varpi, iters=5)]
     )
     start = raw_loss(design.x, design.y, a)
     end = raw_loss(design.x, design.y, a + delta) + varpi * np.sum(np.abs(delta))
