@@ -11,8 +11,8 @@ The kernels (``svd_truncate``, ``svt``, ``soft_threshold``,
 ``linf_project``, ``tangent_project``, ``tangent_step``) sit inside solver
 loops and do not validate: they assume finite 2-D float64 arrays (for
 ``svt`` and ``tangent_step``, stacks of them) of matching shapes and the
-parameter ranges stated in each docstring.  The solvers' entry points and configs
-check those once.  Only what reaches LAPACK's SVD and QR (and
+parameter ranges stated in each docstring.  The solvers' entry points and
+configs check those once.  Only what reaches LAPACK's SVD and QR (and
 ``tangent_step``'s direction, from which its LAPACK input is built) is
 checked for non-finite entries, because LAPACK may not return on them.
 """
