@@ -21,8 +21,7 @@ number of rounds) in one lockstep loop: a round takes every (member,
 client) gradient in one batched product and makes one tangent step over
 the members still running, a member leaves the stack once its rounds are
 run, and its result is bitwise that of its one-member call.  The harness
-fits the cells of a privacy heatmap, the sample sizes of a T sweep and
-the forecast origins of the empirical comparison in one call each.
+fits the cells of a privacy heatmap in one call.
 
 Stage II refines each client's sparse deviation by accelerated proximal
 gradient (FISTA) around a frozen shared estimate.  ``refine_fista`` is
@@ -30,9 +29,14 @@ one stacked loop over any number of same-shape problems, each around its
 own shared estimate: each iteration makes one batched product and one
 soft threshold for every problem still running, and each problem stops
 on its own, so a problem's result does not depend on what it is stacked
-with.  The clients of a fit are refined in one call; the harness refines
-every (client, origin) pair of the empirical comparison in one call, and
-fits the l1-only baseline (shared part zero) of every origin in another.
+with.  The harness fits the l1-only baseline (shared part zero) of every
+forecast origin in one call.
+
+``fit_federated`` is the two-stage fit, stacked like its stages: one
+``stage1_run`` over its federations, then one ``refine_fista`` over every
+(federation, client) pair around that federation's estimate.  The harness
+fits the sample sizes of a T sweep, and every forecast origin of the
+empirical comparison together with its full-sample fit, in one call each.
 """
 
 from __future__ import annotations
@@ -413,22 +417,30 @@ def refine_fista(designs, a0_hats, cfgs):
     return deltas, [objective[: r + 1, j] for j, r in enumerate(runs)]
 
 
-def fit_federated(designs, fed_cfg, fista_cfgs, rng):
-    """Two-stage federated fit over the clients' lag designs.
+def fit_federated(design_sets, fed_cfgs, fista_cfgs, rngs):
+    """Two-stage federated fits of C federations over their clients' lag
+    designs, member c over design_sets[c] under fed_cfgs[c], the refinement
+    configs fista_cfgs[c] (one per client) and the generator rngs[c].
 
-    Stage I is the one-member ``stage1_run`` call under fed_cfg and rng;
-    stage II refines every client's deviation around that estimate in one
-    ``refine_fista`` call, client k under fista_cfgs[k].  Returns one
-    decomposition per client and a FitReport with both stages' traces.
+    Stage I is one ``stage1_run`` call over the members; stage II refines
+    every (member, client) deviation around its member's estimate in one
+    ``refine_fista`` call.  Returns, per member, one decomposition per
+    client and a FitReport with both stages' traces; a member's results
+    are bitwise those of its one-member call.
     """
-    if len(fista_cfgs) != len(designs):
-        raise ValueError(
-            f"{len(fista_cfgs)} refinement configs for {len(designs)} clients"
-        )
-    (a0_hat,), (stage1_trace,) = stage1_run([designs], [fed_cfg], [rng])
-    deltas, fista_traces = refine_fista(designs, [a0_hat] * len(designs), fista_cfgs)
-    decomps = [CoefDecomposition(a0=a0_hat, delta=delta) for delta in deltas]
-    report = FitReport(
-        a0_hat=a0_hat, stage1_trace=stage1_trace, fista_traces=fista_traces
+    n_cfgs, n_clients = [len(f) for f in fista_cfgs], [len(d) for d in design_sets]
+    if n_cfgs != n_clients:
+        raise ValueError(f"refinement configs per member {n_cfgs}, clients {n_clients}")
+    a0_hats, stage1_traces = stage1_run(design_sets, fed_cfgs, rngs)
+    k = n_clients[0]
+    deltas, fista_traces = refine_fista(
+        [ds for designs in design_sets for ds in designs],
+        np.repeat(a0_hats, k, axis=0),
+        [fcfg for fcfgs in fista_cfgs for fcfg in fcfgs],
     )
-    return decomps, report
+    parts = [slice(c * k, (c + 1) * k) for c in range(len(a0_hats))]
+    decomps = [[CoefDecomposition(a0=a0, delta=dl) for dl in deltas[part]]
+               for a0, part in zip(a0_hats, parts)]
+    reports = [FitReport(a0_hat=a0, stage1_trace=trace, fista_traces=fista_traces[part])
+               for a0, trace, part in zip(a0_hats, stage1_traces, parts)]
+    return decomps, reports

@@ -16,16 +16,10 @@ import sys
 
 import numpy as np
 
-from .. import fed_core, rank_select, single_client, var
+from .. import rank_select, single_client, var
 from ..matops import check_matrix
 from .config import KINDS, RMSFE_AGGREGATES, from_json
-from .experiments import (
-    admm_config,
-    empirical_rmsfe,
-    fed_config,
-    fista_config,
-    run_experiment,
-)
+from .experiments import admm_config, empirical_rmsfe, run_experiment
 from .panels import load_panels
 
 NOISE_FLAG_MODES = {"none": "none", "fixed": "fixed_scale", "calibrated": "calibrated"}
@@ -116,16 +110,9 @@ def _config_and_panels(args, command):
 
 def _cmd_fit(args):
     cfg, panels = _config_and_panels(args, "fit")
-    # all fitting, and with it the n_origins check, comes before --out exists
-    designs = [var.lag_design(pn) for pn in panels]
-    rows = empirical_rmsfe(cfg, designs, 0)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
-    decomps, _ = fed_core.fit_federated(
-        designs,
-        fed_config(cfg, [designs])[0],
-        [fista_config(cfg, ds) for ds in designs],
-        rng,
-    )
+    # all fitting, and with it the n_origins check, comes before --out exists;
+    # the saved estimates are the full-sample member of the origins' stacked fit
+    rows, decomps = empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], 0)
     out = _out_dir(args, "fit-out")
 
     arrays = {"a0": decomps[0].a0}

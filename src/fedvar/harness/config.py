@@ -39,6 +39,9 @@ class PanelSpec:
     are recorded in run manifests only: stage-1 noise goes
     on every gradient coordinate, so they change no result.  label names
     the client in every output: client_id, or the path when it is empty.
+    A value of the wrong type raises ValueError, not a coercion: path and
+    client_id are strings, standardize a bool, and every transforms and
+    sensitive entry an integer other than a bool.
     """
 
     path: str
@@ -48,13 +51,20 @@ class PanelSpec:
     client_id: str = ""
 
     def __post_init__(self):
-        if isinstance(self.transforms, int):
+        for name, kind in (("path", str), ("client_id", str), ("standardize", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"panel {name} must be a {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
+        if _is_int(self.transforms):
             object.__setattr__(self, "transforms", (self.transforms,))
-        object.__setattr__(self, "transforms", tuple(int(t) for t in self.transforms))
+        for name in ("transforms", "sensitive"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)) or not all(map(_is_int, values)):
+                raise ValueError(f"panel {name} entries must be integers, got {values!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
         for t in self.transforms:
             if t not in (0, 1, 2):
                 raise ValueError(f"unknown transform code {t}")
-        object.__setattr__(self, "sensitive", tuple(int(i) for i in self.sensitive))
         if any(i < 1 for i in self.sensitive):
             raise ValueError("sensitive indices are 1-based")
 

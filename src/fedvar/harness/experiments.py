@@ -10,18 +10,17 @@ The empirical protocol reads each client through one lag design: the
 coefficients of every method at forecast origin t are fitted on the
 design's rows [:t], kept in one cache of row prefixes, and scored on
 row t, so no fit looks ahead.  The federation of an origin draws noise
-from spawn_key=(0, 1, origin); the federations of all the origins are
-one stacked ``stage1_run`` call, and every (client, origin) pair is
-refined around its origin's estimate in one stacked ``refine_fista``
-call; the l1-only baselines are one more such call.
+from spawn_key=(0, 1, origin), and the full-sample federation that
+``fedvar fit`` saves from spawn_key=(0, 1); all of them are one stacked
+``fed_core.fit_federated`` call, and the l1-only baselines are one
+stacked ``refine_fista`` call.
 The two single-client ADMM methods fit one stack per origin step, every
 client's fit under both methods in one ``fit_admm`` call, each
 warm-started from its own fit at the step before; the starts of all the
-origins' federations are one more stacked ADMM call.  The simulation
+federations are one more stacked ADMM call.  The simulation
 kinds fit all of a replication's single-client problems in one
 ``fit_admm`` call, and the starts of all its federations in another.
-A T sweep fits its worlds' federations in one ``stage1_run`` call and
-refines all their clients in one ``refine_fista`` call.
+A T sweep fits its worlds' federations in one ``fit_federated`` call.
 A privacy heatmap fits its noise-free cell and all its (eps, delta)
 cells in one stacked ``stage1_run`` call; each cell keeps its own
 generator, built from the replication's noise stream, so a cell's draws
@@ -115,10 +114,13 @@ def admm_config(design, cfg):
 
 
 def _pooled_operator_norm(designs):
-    """Top eigenvalue of the pooled sum_k T_k sxx_k / sum_k T_k."""
+    """Top eigenvalue of the pooled sum_k T_k sxx_k / sum_k T_k, if nonzero."""
     total = sum(ds.t_len for ds in designs)
     gram = sum(ds.t_len * ds.sxx for ds in designs) / total
-    return float(np.linalg.eigvalsh(gram)[-1])
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    if top <= 0:
+        raise ValueError("degenerate designs: zero pooled Gram matrix")
+    return top
 
 
 def _world(cfg, rng, k, rank=None, t_len=None):
@@ -206,7 +208,7 @@ def _rep_single_client_curve(cfg, rep):
     decomps = _fit_single(cfg, [var.lag_design(panels[0]) for _, _, panels in worlds])
     recs = []
     for t_len, (a0, deltas, _), dec in zip(cfg.t_grid, worlds, decomps):
-        errs = _single_client_errors([dec], a0, deltas)
+        errs = _fit_errors([dec], a0, deltas)
         for part in ("ak", "a0", "delta"):
             recs.append({"rep": rep, "t_len": t_len, "metric": f"{part}_err",
                          "value": errs[part][0]})
@@ -265,7 +267,7 @@ def _rep_privacy_heatmap(cfg, rep):
     return recs
 
 
-def _single_client_errors(decomps, a0, deltas):
+def _fit_errors(decomps, a0, deltas):
     errs = {"a0": [], "delta": [], "ak": []}
     for dec, dl in zip(decomps, deltas):
         errs["a0"].append(float(np.linalg.norm(dec.a0 - a0)))
@@ -279,7 +281,7 @@ def _rep_k_sweep(cfg, rep):
     rng = _world_rng(cfg.seed, rep)
     a0, deltas, panels = _world(cfg, rng, k_max)
     designs = [var.lag_design(pn) for pn in panels]
-    singles = _single_client_errors(_fit_single(cfg, designs), a0, deltas)
+    singles = _fit_errors(_fit_single(cfg, designs), a0, deltas)
 
     recs = []
     fcfgs = fed_config(cfg, [designs[:k] for k in cfg.k_grid])
@@ -297,45 +299,32 @@ def _rep_k_sweep(cfg, rep):
 
 def _rep_t_sweep(cfg, rep):
     """One world per sample size; every world's single-client fits are one
-    stacked ADMM call, and so are the starts of their federations.  The
-    worlds' federations are one ``stage1_run`` call, each on its own
-    generator from the replication's noise stream, and every world's
-    clients are refined around their world's estimate in one
-    ``refine_fista`` call."""
+    stacked ADMM call.  The worlds' federations are one ``fit_federated``
+    call, each on its own generator from the replication's noise stream."""
     worlds = []
     for t_len in cfg.t_grid:
         rng = _world_rng(cfg.seed, rep)
         a0, deltas, panels = _world(cfg, rng, cfg.n_clients, t_len=t_len)
         worlds.append((a0, deltas, [var.lag_design(pn) for pn in panels]))
     design_sets = [designs for _, _, designs in worlds]
-    clients = [ds for designs in design_sets for ds in designs]
-    single_fits = _fit_single(cfg, clients)
-    a0_hats, _ = fed_core.stage1_run(
+    single_fits = _fit_single(cfg, [ds for designs in design_sets for ds in designs])
+    fed_fits, _ = fed_core.fit_federated(
         design_sets,
         fed_config(cfg, design_sets),
+        [[fista_config(cfg, ds) for ds in designs] for designs in design_sets],
         [_noise_rng(cfg.seed, rep) for _ in design_sets],
     )
     k = cfg.n_clients
-    fed_deltas, _ = fed_core.refine_fista(
-        clients, np.repeat(a0_hats, k, axis=0), [fista_config(cfg, ds) for ds in clients]
-    )
 
     recs = []
-    for i, (t_len, (a0, deltas, _), a0_hat) in enumerate(zip(cfg.t_grid, worlds, a0_hats)):
-        singles = _single_client_errors(single_fits[i * k : (i + 1) * k], a0, deltas)
-        fitted = fed_deltas[i * k : (i + 1) * k]
-        fed_a0 = float(np.linalg.norm(a0_hat - a0))
-        fed_delta = float(
-            np.mean([np.linalg.norm(fd - dl) for fd, dl in zip(fitted, deltas)])
-        )
-        fed_ak = float(
-            np.mean([np.linalg.norm((a0_hat + fd) - (a0 + dl))
-                     for fd, dl in zip(fitted, deltas)])
-        )
+    for i, (t_len, (a0, deltas, _), fitted) in enumerate(zip(cfg.t_grid, worlds, fed_fits)):
+        singles = _fit_errors(single_fits[i * k : (i + 1) * k], a0, deltas)
+        fed = _fit_errors(fitted, a0, deltas)
+        fed_a0, fed_ak = fed["a0"][0], float(np.mean(fed["ak"]))
         base = {"rep": rep, "t_len": t_len}
         for metric, value in (
             ("fed_a0_err", fed_a0),
-            ("fed_delta_err_mean", fed_delta),
+            ("fed_delta_err_mean", float(np.mean(fed["delta"]))),
             ("fed_ak_err_mean", fed_ak),
             ("single_a0_err_mean", float(np.mean(singles["a0"]))),
             ("single_delta_err_mean", float(np.mean(singles["delta"]))),
@@ -350,7 +339,8 @@ def _rep_t_sweep(cfg, rep):
 def empirical_rmsfe(cfg, designs, rep):
     """RMSFE records of every method for each client's full lag design
     (``var.lag_design`` of its loaded panel), in the order of cfg.panels,
-    tagged with replication ``rep`` and the client's PanelSpec.label.
+    tagged with replication ``rep`` and the client's PanelSpec.label, and
+    the full-sample federated fit: one decomposition per client.
 
     Client k forecasts from the origins t = T_k - n_origins, ..., T_k - 1
     (a design too short for that raises ValueError before any fit).  Each
@@ -359,10 +349,12 @@ def empirical_rmsfe(cfg, designs, rep):
     cache, and scored on row t, predicting y[t] by the entry times x[t],
     so no fit looks ahead.  The federation of origin t is fitted once, on
     rows [:min(t, T_k)] of every client's design, with noise from
-    spawn_key=(0, 1, t); the federations of every origin are one
-    ``stage1_run`` call, and their starts one stacked ADMM call.  Every
-    (client, origin) pair is refined around its origin's estimate in one
-    ``refine_fista`` call, and the l1-only baselines are one more.  The two ADMM methods
+    spawn_key=(0, 1, t), and refines every client at t, including those
+    that do not forecast from t; the full-sample fit is one more
+    federation, at origin max T_k over every whole design, with noise from
+    spawn_key=(0, 1).  All these federations are one ``fit_federated``
+    call, and their starts one stacked ADMM call.  The l1-only baselines
+    are one ``refine_fista`` call.  The two ADMM methods
     fit every client's origins in increasing order, as one stack per
     origin step: step j fits, for every client and both methods, its j-th
     origin in one ``fit_admm`` call, each fit started from its own fit at
@@ -383,25 +375,26 @@ def empirical_rmsfe(cfg, designs, rep):
         full = designs[k]
         return full if t == full.t_len else var.LagDesign(x=full.x[:t], y=full.y[:t])
 
+    full_fit = None
+
     def federated():
+        nonlocal full_fit
+        # the last member, at origin max T_k, is the full-sample fit
         fed_origins = sorted({t for _, t in origins})
+        members = [*fed_origins, max(lengths)]
         design_sets = [
-            [design(k, min(origin, t)) for k, t in enumerate(lengths)]
-            for origin in fed_origins
+            [design(k, min(origin, t)) for k, t in enumerate(lengths)] for origin in members
         ]
-        a0_hats, _ = fed_core.stage1_run(
+        decomps, _ = fed_core.fit_federated(
             design_sets,
             fed_config(cfg, design_sets),
-            [_noise_rng(cfg.seed, 0, origin) for origin in fed_origins],
+            [[fista_config(cfg, ds) for ds in designs] for designs in design_sets],
+            [_noise_rng(cfg.seed, 0, origin) for origin in fed_origins]
+            + [_noise_rng(cfg.seed, 0)],
         )
-        shared = dict(zip(fed_origins, a0_hats))
-        refined = [design(k, t) for k, t in origins]
-        deltas, _ = fed_core.refine_fista(
-            refined,
-            [shared[t] for _, t in origins],
-            [fista_config(cfg, ds) for ds in refined],
-        )
-        return {(k, t): shared[t] + dl for (k, t), dl in zip(origins, deltas)}
+        full_fit = decomps.pop()
+        return {(k, t): dec.a for t, fits in zip(fed_origins, decomps)
+                for k, dec in enumerate(fits)}
 
     def single_l1():
         designs = [design(k, t) for k, t in origins]
@@ -453,12 +446,12 @@ def empirical_rmsfe(cfg, designs, rep):
             for j, value in enumerate(per_var.tolist()):
                 recs.append({**base, "variable": j + 1, "value": value})
             recs.append({**base, "variable": "all", "value": agg})
-    return recs
+    return recs, full_fit
 
 
 def _rep_empirical(cfg, rep):
     panels = load_panels(cfg.panels, cfg.p)
-    return empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], rep)
+    return empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], rep)[0]
 
 
 REP_FUNCTIONS = {

@@ -608,8 +608,8 @@ class TestFitFederated:
         eta = min(default_eta(d) for d in designs)
         cfg = FedConfig(rank=2, rounds=40, step_rho=eta, init_a0=init)
         fcfgs = [FistaConfig(varpi=0.05, iters=20)] * len(designs)
-        decomps, report = fit_federated(
-            designs, cfg, fcfgs, np.random.default_rng(6)
+        (decomps,), (report,) = fit_federated(
+            [designs], [cfg], [fcfgs], [np.random.default_rng(6)]
         )
         assert len(decomps) == 4
         for dec in decomps:
@@ -628,12 +628,66 @@ class TestFitFederated:
             init_a0=np.zeros((5, 5)) + np.eye(5)[:5],
         )
         fcfgs = [FistaConfig(varpi=0.1), FistaConfig(varpi=0.2)]
-        decomps, _ = fit_federated(designs, cfg, fcfgs, np.random.default_rng(7))
+        rngs = [np.random.default_rng(7)]
+        (decomps,), _ = fit_federated([designs], [cfg], [fcfgs], rngs)
         assert len(decomps) == 2
-        with pytest.raises(ValueError, match="refinement configs"):
-            fit_federated(
-                designs, cfg, [FistaConfig(varpi=0.1)], np.random.default_rng(8)
+        short = [FistaConfig(varpi=0.1)]
+        for sets, bad in (
+            ([designs], [short]),  # too few configs for the member's clients
+            ([designs, designs], [fcfgs, short]),  # ... for the second member's
+            ([designs, designs], [fcfgs]),  # one list for two members
+            ([designs], [fcfgs, fcfgs]),  # two lists for one member
+        ):
+            with pytest.raises(ValueError, match="refinement configs"):
+                fit_federated(sets, [cfg] * len(sets), bad, rngs * len(sets))
+
+    def test_members_equal_their_one_member_calls(self):
+        # members over different clients and sample sizes, with their own
+        # rounds (one of them zero), noise, step and refinement penalties
+        a0, deltas = var.assemble_dgp(5, 2, 2, 3, np.random.default_rng(40), ratio=5.0)
+        sets = []
+        for t_len in (70, 120, 95, 150):
+            rng = np.random.default_rng(t_len)
+            panels = [
+                var.simulate(a0 + dk, 2, t_len + 20 * k, rng, burn_in=100)
+                for k, dk in enumerate(deltas)
+            ]
+            sets.append([var.lag_design(pn) for pn in panels])
+        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
+        base = FedConfig(rank=2, rounds=8, step_rho=0.05, init_a0=a0)
+        cfgs = [
+            base,
+            replace(base, rounds=5, noise=dp.NoisePolicy.fixed(), budget=budget),
+            replace(base, rounds=0, noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
+            replace(base, rounds=7, step_rho=0.08,
+                    noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
+        ]
+        fista_cfgs = [
+            [FistaConfig(varpi=v * (k + 1), iters=n) for k in range(3)]
+            for v, n in ((0.02, 20), (0.05, 200), (0.01, 0), (0.1, 60))
+        ]
+        seeds = (11, 12, 13, 14)
+        decomps, reports = fit_federated(
+            sets, cfgs, fista_cfgs, [np.random.default_rng(s) for s in seeds]
+        )
+        assert [len(r.stage1_trace) for r in reports] == [8, 5, 0, 7]
+        for c, (designs, cfg, fcfgs, seed) in enumerate(zip(sets, cfgs, fista_cfgs, seeds)):
+            (want,), (want_report,) = fit_federated(
+                [designs], [cfg], [fcfgs], [np.random.default_rng(seed)]
             )
+            report = reports[c]
+            assert report.a0_hat.tobytes() == want_report.a0_hat.tobytes()
+            assert report.stage1_trace == want_report.stage1_trace
+            assert len(report.fista_traces) == len(want_report.fista_traces) == 3
+            for got_tr, want_tr in zip(report.fista_traces, want_report.fista_traces):
+                assert got_tr.tobytes() == want_tr.tobytes()
+            assert len(decomps[c]) == 3
+            for got, exp in zip(decomps[c], want):
+                assert got.a0.tobytes() == exp.a0.tobytes()
+                assert got.delta.tobytes() == exp.delta.tobytes()
+        # the deviations differ across members, so none was refined around
+        # another member's estimate
+        assert len({decomps[c][0].delta.tobytes() for c in range(4)}) == 4
 
 
 class TestEntryPointValidation:
@@ -653,7 +707,7 @@ class TestEntryPointValidation:
         cfg = FedConfig(rank=5, rounds=1, step_rho=0.1, init_a0=np.zeros((4, 8)))
         fcfgs = [FistaConfig(varpi=0.1)] * len(designs)
         with pytest.raises(ValueError, match="rank 5 outside"):
-            fit_federated(designs, cfg, fcfgs, np.random.default_rng(0))
+            fit_federated([designs], [cfg], [fcfgs], [np.random.default_rng(0)])
         admm_cfg = default_admm_config(designs[0])
         for rank in (0, 5):
             with pytest.raises(ValueError, match="outside"):

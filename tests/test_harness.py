@@ -90,6 +90,25 @@ class TestPanelSpec:
         assert PanelSpec(path="x.csv").label == "x.csv"
         assert PanelSpec(path="x.csv", client_id="north").label == "north"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("transforms", (1.5, True), "transforms entries must be integers"),
+            ("transforms", [1, True], "transforms entries must be integers"),
+            ("transforms", 1.0, "transforms entries must be integers"),
+            ("sensitive", (2.7,), "sensitive entries must be integers"),
+            ("sensitive", [True], "sensitive entries must be integers"),
+            ("sensitive", 2, "sensitive entries must be integers"),
+            ("standardize", "false", "standardize must be a bool"),
+            ("standardize", 1, "standardize must be a bool"),
+            ("path", 5, "path must be a str"),
+            ("client_id", 5, "client_id must be a str"),
+        ],
+    )
+    def test_wrong_types_rejected_not_coerced(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PanelSpec(**{"path": "a.csv", field: value})
+
 
 class TestExperimentConfig:
     def test_unknown_kind_rejected(self):
@@ -502,12 +521,12 @@ class TestEmpiricalFederation:
 
         def counting(design_sets, fcfgs, rngs):
             origins = []
-            for designs, fcfg, rng in zip(design_sets, fcfgs, rngs):
+            for c, (designs, fcfg, rng) in enumerate(zip(design_sets, fcfgs, rngs)):
                 # the longest panel covers every origin, so it gives the origin
                 origin = max(ds.t_len for ds in designs)
-                want = np.random.default_rng(
-                    np.random.SeedSequence(cfg.seed, spawn_key=(0, 1, origin))
-                )
+                # the last member is the full-sample fit, on the stream (0, 1)
+                key = (0, 1) if c == len(design_sets) - 1 else (0, 1, origin)
+                want = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
                 assert rng.bit_generator.state == want.bit_generator.state
                 assert fcfg.noise.mode == "fixed_scale"
                 origins.append(origin)
@@ -518,8 +537,9 @@ class TestEmpiricalFederation:
         experiments._rep_empirical(cfg, 0)
         distinct = {t - h for t in self.LENGTHS for h in (1, 2, 3)}
         assert len(distinct) < 3 * len(self.LENGTHS)
-        # every origin's federation is one member of one stacked call
-        assert len(calls) == 1 and sorted(calls[0]) == sorted(distinct)
+        # every origin's federation is one member of one stacked call, and
+        # the full-sample fit, at origin max T_k, is its last member
+        assert calls == [sorted(distinct) + [max(self.LENGTHS)]]
 
     def test_noise_free_rmsfe_equals_per_client_federation(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch)
@@ -560,11 +580,38 @@ class TestEmpiricalFederation:
         # every (client, origin) pair in one call, for each method
         want = [t - h for t in self.LENGTHS for h in (3, 2, 1)]
         assert baseline == [want]
+        # the federated call refines every client of every federation: each
+        # distinct origin and the full-sample fit at max T_k
+        members = sorted({t - h for t in self.LENGTHS for h in (3, 2, 1)})
+        members.append(max(self.LENGTHS))
         ((sizes, a0_hats),) = federated
-        assert sizes == want
-        # each pair is refined around its origin's shared estimate
-        for origin, a0_hat in zip(sizes, a0_hats):
-            assert np.array_equal(a0_hat, shared[origin])
+        assert sizes == [min(o, t) for o in members for t in self.LENGTHS]
+        # each pair is refined around its federation's shared estimate
+        for j, a0_hat in enumerate(a0_hats):
+            assert np.array_equal(a0_hat, shared[members[j // len(self.LENGTHS)]])
+
+    @pytest.mark.parametrize("flag", sorted(cli.NOISE_FLAG_MODES))
+    def test_fit_saves_the_full_sample_fit(self, flag, tmp_path, monkeypatch, capsys):
+        cfg = self._config(tmp_path, monkeypatch, noise_mode=cli.NOISE_FLAG_MODES[flag])
+        cfg_path = tmp_path / "cfg.json"
+        to_json(cfg, str(cfg_path))
+        out = tmp_path / "fitout"
+        argv = ["fit", "--config", str(cfg_path), "--out", str(out), "--noise-mode", flag]
+        assert cli.main(argv) == 0
+        # one federation over every whole design, on the stream (0, 1)
+        designs = [var.lag_design(load_panel(spec, cfg.p)) for spec in cfg.panels]
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
+        (want,), _ = fed_core.fit_federated(
+            [designs],
+            experiments.fed_config(cfg, [designs]),
+            [[experiments.fista_config(cfg, ds) for ds in designs]],
+            [rng],
+        )
+        with np.load(out / "estimates.npz") as got:
+            assert sorted(got.files) == ["a0", "delta_1", "delta_2", "delta_3"]
+            assert got["a0"].tobytes() == want[0].a0.tobytes()
+            for k, dec in enumerate(want):
+                assert got[f"delta_{k + 1}"].tobytes() == dec.delta.tobytes()
 
     def test_each_lag_design_built_once_across_methods(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch, methods=experiments.EMPIRICAL_METHODS)
@@ -667,7 +714,7 @@ class TestWarmStartedForecasters:
         # differ by at most 3.1e-5 relative, so 1e-4 on the RMSFE.
         cfg = self._config(tmp_path, monkeypatch)
         panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
-        recs = experiments.empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], 0)
+        recs, _ = experiments.empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], 0)
         for spec, panel in zip(cfg.panels, panels):
             for method in self.METHODS:
                 want = reference_rmsfe(
@@ -913,6 +960,40 @@ class TestCli:
         )
         assert cli.main(["fit", "--config", str(cfg_path)]) == 1
         assert "unknown panel fields: bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("standardize", "false"), ("transforms", [1.5]), ("sensitive", [2.7]),
+         ("client_id", 5)],
+    )
+    def test_mistyped_panel_field_exits_one(self, field, value, tmp_path, capsys):
+        rng = np.random.default_rng(25)
+        path = tmp_path / "c1.csv"
+        write_panel(var.simulate(0.3 * np.eye(4), 1, 20, rng), str(path))
+        panel = {"path": str(path), field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "empirical", "seed": 1, "panels": [panel]}))
+        out = tmp_path / "fitout"
+        assert cli.main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"panel {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_zero_panels_exit_one(self, tmp_path, capsys):
+        # every Gram matrix is zero, so no stage-1 step can be set
+        specs = []
+        for k in range(2):
+            path = tmp_path / f"c{k + 1}.csv"
+            path.write_text("a,b,c\n" + "0,0,0\n" * 12)
+            specs.append(PanelSpec(path=str(path), client_id=f"c{k + 1}"))
+        cfg = ExperimentConfig(
+            kind="empirical", seed=1, d=3, p=1, rank=1, n_origins=3, panels=tuple(specs)
+        )
+        cfg_path = tmp_path / "cfg.json"
+        to_json(cfg, str(cfg_path))
+        out = tmp_path / "fitout"
+        assert cli.main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "zero pooled Gram matrix" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_checks_every_panel_before_creating_output(self, tmp_path, capsys):
         rng = np.random.default_rng(23)
