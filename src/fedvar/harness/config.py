@@ -129,8 +129,9 @@ class ExperimentConfig:
     a string or a boolean raises ValueError.  A simulated rank lies in
     [1, d]: every ``rank_grid`` entry of a rank_table, and ``rank`` for
     the other simulation kinds; ``t_grid`` and ``k_grid`` entries are
-    >= 1.  The privacy fields are checked in every noise mode, so a bad
-    one fails before any replication.
+    >= 1; ``target_radius`` lies in (0, 1).  The privacy fields are
+    checked in every noise mode, so a bad one fails before any
+    replication.
     Two panels may not share a label (PanelSpec.label).
     """
 
@@ -198,6 +199,10 @@ class ExperimentConfig:
             for r in ranks:
                 if not 1 <= r <= self.d:
                     raise ValueError(f"rank {r} outside [1, d={self.d}] for {self.kind}")
+        # the worlds' largest companion radius: 0 gives all-zero coefficients,
+        # 1 or more a world no path can be simulated from
+        if not 0 < self.target_radius < 1:
+            raise ValueError(f"target_radius must lie in (0, 1), got {self.target_radius}")
         for name in ("eps", "kappa", "sensitivity"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

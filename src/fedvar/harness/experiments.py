@@ -6,6 +6,22 @@ and its index, not on how many replications the run has. Noise draws
 for private fits come from the separate spawn_key=(rep, 1) stream; grid
 cells within a replication therefore share both the simulated world and
 the noise directions, which pairs the cells for sharper comparisons.
+
+A simulation kind's replication runs in two steps (``Simulation``).
+Its draw builds each of its worlds on a fresh world generator:
+``assemble_dgp``, then every client's coefficients checked stationary.
+``run_experiment`` gathers the drawn replications into chunks of at
+most CHUNK_BYTES of paths and simulates a chunk's worlds in one
+``var.simulate_paths`` call, each path bitwise its own ``var.simulate``;
+it then fits the chunk's replications in order and releases the paths
+before the next chunk.  Records therefore do not depend on the chunking
+either.  rank_table and single_client_curve draw every sample size of a
+world from one generator, so each world is simulated once, at the
+largest T, and a smaller T's design is the row prefix of that world's
+design, bitwise the design of a world simulated at that T.  The
+multi-client kinds draw their clients in turn from one generator, so
+their sample sizes are not nested; they only stack.
+
 The empirical protocol reads each client through one lag design: the
 coefficients of every method at forecast origin t are fitted on the
 design's rows [:t], kept in one cache of row prefixes, and scored on
@@ -19,7 +35,8 @@ client's fit under both methods in one ``fit_admm`` call, each
 warm-started from its own fit at the step before; the starts of all the
 federations are one more stacked ADMM call.  The simulation
 kinds fit all of a replication's single-client problems in one
-``fit_admm`` call, and the starts of all its federations in another.
+``fit_admm`` call; a k or T sweep starts its federations from those
+fits, and a privacy heatmap fits its start in one more call.
 A T sweep fits its worlds' federations in one ``fit_federated`` call.
 A privacy heatmap fits its noise-free cell and all its (eps, delta)
 cells in one stacked ``stage1_run`` call; each cell keeps its own
@@ -41,15 +58,24 @@ import logging
 import os
 import time
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .. import __version__, fed_core, metrics, rank_select, single_client, var
 from ..dp import NoisePolicy, PrivacyBudget
+from ..matops import svd_truncate
 from .config import FORMAT_VERSION, config_hash
 from .panels import load_panels
 
 log = logging.getLogger("fedvar.harness")
+
+# Innovation rows every simulated path discards before its presample.
+_BURN_IN = 200
+# Bytes of simulated paths one chunk of replications holds at most (a
+# replication larger than this is a chunk of its own): at d = 20, four
+# rank_table or eight privacy_heatmap replications.
+CHUNK_BYTES = 4 * 2**20
 
 DEFAULT_GRIDS = {
     "single_client_curve": {"t_grid": (200, 400, 800, 1600)},
@@ -123,7 +149,23 @@ def _pooled_operator_norm(designs):
     return top
 
 
-def _world(cfg, rng, k, rank=None, t_len=None):
+@dataclass(frozen=True)
+class World:
+    """One drawn world before simulation: the shared part a0, one deviation
+    per client, the sample size every client is simulated at, and the
+    generator its clients draw their innovations from, in client order."""
+
+    a0: np.ndarray
+    deltas: list
+    t_len: int
+    rng: np.random.Generator
+
+
+def _draw_world(cfg, rep, k, t_len, rank=None):
+    """A world of k clients on the replication's own world generator, each
+    client's coefficients checked stationary, so a world that cannot be
+    simulated aborts its replication alone, before its chunk runs."""
+    rng = _world_rng(cfg.seed, rep)
     a0, deltas = var.assemble_dgp(
         cfg.d,
         cfg.p,
@@ -135,9 +177,35 @@ def _world(cfg, rng, k, rank=None, t_len=None):
         ratio=cfg.ratio,
         target_radius=cfg.target_radius,
     )
-    t = cfg.t_len if t_len is None else t_len
-    panels = [var.simulate(a0 + dl, cfg.p, t, rng) for dl in deltas]
-    return a0, deltas, panels
+    for dl in deltas:
+        var.check_stationary(a0 + dl, cfg.p)
+    return World(a0=a0, deltas=deltas, t_len=t_len, rng=rng)
+
+
+def _simulate_worlds(cfg, worlds):
+    """Every world's client panels, in world order, from one
+    ``var.simulate_paths`` call; each is bitwise its own ``simulate``."""
+    paths = [(w.a0 + dl, w.t_len, w.rng) for w in worlds for dl in w.deltas]
+    if not paths:
+        return [[] for _ in worlds]
+    coefs, t_lens, rngs = zip(*paths)
+    panels = iter(var.simulate_paths(coefs, cfg.p, t_lens, rngs, _BURN_IN))
+    return [[next(panels) for _ in w.deltas] for w in worlds]
+
+
+def _path_bytes(cfg, worlds):
+    """Bytes of the (paths, longest path, d) stack that simulates
+    ``worlds``."""
+    t_lens = [w.t_len for w in worlds for _ in w.deltas]
+    if not t_lens:
+        return 0
+    return len(t_lens) * (_BURN_IN + cfg.p + max(t_lens)) * cfg.d * 8
+
+
+def _row_prefix(full, t):
+    """Rows [:t] of a lag design: the design of the path's first t
+    observations, bitwise, since a C-ordered row prefix stays C-ordered."""
+    return full if t == full.t_len else var.LagDesign(x=full.x[:t], y=full.y[:t])
 
 
 def _with_privacy(fcfg, cfg, eps=None, delta=None):
@@ -155,25 +223,34 @@ def _with_privacy(fcfg, cfg, eps=None, delta=None):
     return replace(fcfg, noise=noise, budget=budget)
 
 
-def fed_config(cfg, design_sets):
+def fed_config(cfg, design_sets, fitted=()):
     """The federated configs of runs over each list of designs in
     ``design_sets``, one per list, in order.
 
     rounds is cfg.rounds or ceil(10 log sum_k T_k); the step is
     rho_scale over the pooled Gram operator norm; the start is the
-    rank-truncated ADMM fit of the largest client, the lowest-indexed
-    one among clients of equal size; the noise is cfg.noise_mode at
-    (cfg.eps, cfg.delta) over all the rounds.  Every list's start comes
-    from one stacked ``initial_shared_estimate`` call, which fits each
-    distinct largest design (by identity) once; lists that share it
+    rank-truncated single-client ADMM fit of the largest client, the
+    lowest-indexed one among clients of equal size; the noise is
+    cfg.noise_mode at (cfg.eps, cfg.delta) over all the rounds.
+    ``fitted`` holds (design, fit) pairs of single-client ADMM fits under
+    the config's scales that the caller already has, as ``_fit_single``
+    returns them; a largest design among them (by identity) starts from
+    its fit, bitwise the start a new fit would give.  The other starts
+    come from one stacked ``initial_shared_estimate`` call, which fits
+    each distinct largest design (by identity) once; lists that share it
     share its start.
     """
+    known = {id(ds): dec for ds, dec in fitted}
     largest = [max(designs, key=lambda ds: ds.t_len) for designs in design_sets]
     distinct = list({id(ds): ds for ds in largest}.values())
-    fits = fed_core.initial_shared_estimate(
-        distinct, cfg.rank, [admm_config(ds, cfg) for ds in distinct]
-    )
-    inits = dict(zip(map(id, distinct), fits))
+    inits = {id(ds): svd_truncate(known[id(ds)].a0, cfg.rank)[0]
+             for ds in distinct if id(ds) in known}
+    todo = [ds for ds in distinct if id(ds) not in known]
+    if todo:
+        fits = fed_core.initial_shared_estimate(
+            todo, cfg.rank, [admm_config(ds, cfg) for ds in todo]
+        )
+        inits.update(zip(map(id, todo), fits))
     fcfgs = []
     for designs, big in zip(design_sets, largest):
         rounds = cfg.rounds
@@ -200,28 +277,33 @@ def _fit_single(cfg, designs):
     return decomps
 
 
-def _rep_single_client_curve(cfg, rep):
-    worlds = []
-    for t_len in cfg.t_grid:
-        rng = _world_rng(cfg.seed, rep)
-        worlds.append(_world(cfg, rng, 1, t_len=t_len))
-    decomps = _fit_single(cfg, [var.lag_design(panels[0]) for _, _, panels in worlds])
+def _draw_single_client_curve(cfg, rep):
+    # nested sample sizes: one world at the largest T, the others its prefixes
+    return [_draw_world(cfg, rep, 1, max(cfg.t_grid))]
+
+
+def _fit_single_client_curve(cfg, rep, worlds, panels):
+    (world,), ((panel,),) = worlds, panels
+    full = var.lag_design(panel)
+    decomps = _fit_single(cfg, [_row_prefix(full, t) for t in cfg.t_grid])
     recs = []
-    for t_len, (a0, deltas, _), dec in zip(cfg.t_grid, worlds, decomps):
-        errs = _fit_errors([dec], a0, deltas)
+    for t_len, dec in zip(cfg.t_grid, decomps):
+        errs = _fit_errors([dec], world.a0, world.deltas)
         for part in ("ak", "a0", "delta"):
             recs.append({"rep": rep, "t_len": t_len, "metric": f"{part}_err",
                          "value": errs[part][0]})
     return recs
 
 
-def _rep_rank_table(cfg, rep):
+def _draw_rank_table(cfg, rep):
+    # one world per true rank at the largest T, the smaller T its prefixes
+    return [_draw_world(cfg, rep, 1, max(cfg.t_grid), rank=r) for r in cfg.rank_grid]
+
+
+def _fit_rank_table(cfg, rep, worlds, panels):
+    fulls = [var.lag_design(pn) for (pn,) in panels]
     cells = [(r, t) for r in cfg.rank_grid for t in cfg.t_grid]
-    designs = []
-    for true_rank, t_len in cells:
-        rng = _world_rng(cfg.seed, rep)
-        _, _, panels = _world(cfg, rng, 1, rank=true_rank, t_len=t_len)
-        designs.append(var.lag_design(panels[0]))
+    designs = [_row_prefix(full, t) for full in fulls for t in cfg.t_grid]
     recs = []
     for (true_rank, t_len), dec in zip(cells, _fit_single(cfg, designs)):
         picked = rank_select.client_rank(dec.a0, t_len)
@@ -231,14 +313,17 @@ def _rep_rank_table(cfg, rep):
     return recs
 
 
-def _rep_privacy_heatmap(cfg, rep):
+def _draw_privacy_heatmap(cfg, rep):
+    return [_draw_world(cfg, rep, cfg.n_clients, cfg.t_len)]
+
+
+def _fit_privacy_heatmap(cfg, rep, worlds, panels):
     """A noise-free cell, then one cell per (delta, eps) pair of the grids
     under cfg.noise_mode, fitted in one stacked stage-1 call; every cell
     shares the world and the start, and draws from its own generator on
     the replication's noise stream."""
-    rng = _world_rng(cfg.seed, rep)
-    a0, deltas, panels = _world(cfg, rng, cfg.n_clients)
-    designs = [var.lag_design(pn) for pn in panels]
+    (world,), (client_panels,) = worlds, panels
+    designs = [var.lag_design(pn) for pn in client_panels]
     (base,) = fed_config(cfg, [designs])
     deltas_grid = cfg.delta_grid or (cfg.delta,)
 
@@ -261,7 +346,7 @@ def _rep_privacy_heatmap(cfg, rep):
                 "eps": "" if eps is None else eps,
                 "delta": "" if dl is None else dl,
                 "metric": "a0_err",
-                "value": float(np.linalg.norm(a0_hat - a0)),
+                "value": float(np.linalg.norm(a0_hat - world.a0)),
             }
         )
     return recs
@@ -276,19 +361,22 @@ def _fit_errors(decomps, a0, deltas):
     return errs
 
 
-def _rep_k_sweep(cfg, rep):
-    k_max = max(cfg.k_grid)
-    rng = _world_rng(cfg.seed, rep)
-    a0, deltas, panels = _world(cfg, rng, k_max)
-    designs = [var.lag_design(pn) for pn in panels]
-    singles = _fit_errors(_fit_single(cfg, designs), a0, deltas)
+def _draw_k_sweep(cfg, rep):
+    return [_draw_world(cfg, rep, max(cfg.k_grid), cfg.t_len)]
+
+
+def _fit_k_sweep(cfg, rep, worlds, panels):
+    (world,), (client_panels,) = worlds, panels
+    designs = [var.lag_design(pn) for pn in client_panels]
+    fits = _fit_single(cfg, designs)
+    singles = _fit_errors(fits, world.a0, world.deltas)
 
     recs = []
-    fcfgs = fed_config(cfg, [designs[:k] for k in cfg.k_grid])
+    fcfgs = fed_config(cfg, [designs[:k] for k in cfg.k_grid], zip(designs, fits))
     for k, fcfg in zip(cfg.k_grid, fcfgs):
         sub = designs[:k]
         (a0_hat,), _ = fed_core.stage1_run([sub], [fcfg], [_noise_rng(cfg.seed, rep)])
-        fed_err = float(np.linalg.norm(a0_hat - a0))
+        fed_err = float(np.linalg.norm(a0_hat - world.a0))
         single_mean = float(np.mean(singles["a0"][:k]))
         base = {"rep": rep, "n_clients": k}
         recs.append({**base, "metric": "fed_a0_err", "value": fed_err})
@@ -297,29 +385,32 @@ def _rep_k_sweep(cfg, rep):
     return recs
 
 
-def _rep_t_sweep(cfg, rep):
-    """One world per sample size; every world's single-client fits are one
-    stacked ADMM call.  The worlds' federations are one ``fit_federated``
-    call, each on its own generator from the replication's noise stream."""
-    worlds = []
-    for t_len in cfg.t_grid:
-        rng = _world_rng(cfg.seed, rep)
-        a0, deltas, panels = _world(cfg, rng, cfg.n_clients, t_len=t_len)
-        worlds.append((a0, deltas, [var.lag_design(pn) for pn in panels]))
-    design_sets = [designs for _, _, designs in worlds]
-    single_fits = _fit_single(cfg, [ds for designs in design_sets for ds in designs])
+def _draw_t_sweep(cfg, rep):
+    # one world per sample size, each on a fresh world generator; its
+    # clients draw in turn, so the sizes are not row prefixes of each other
+    return [_draw_world(cfg, rep, cfg.n_clients, t) for t in cfg.t_grid]
+
+
+def _fit_t_sweep(cfg, rep, worlds, panels):
+    """Every world's single-client fits are one stacked ADMM call, which
+    also gives each federation its start.  The worlds' federations are
+    one ``fit_federated`` call, each on its own generator from the
+    replication's noise stream."""
+    design_sets = [[var.lag_design(pn) for pn in client_panels] for client_panels in panels]
+    flat = [ds for designs in design_sets for ds in designs]
+    single_fits = _fit_single(cfg, flat)
     fed_fits, _ = fed_core.fit_federated(
         design_sets,
-        fed_config(cfg, design_sets),
+        fed_config(cfg, design_sets, zip(flat, single_fits)),
         [[fista_config(cfg, ds) for ds in designs] for designs in design_sets],
         [_noise_rng(cfg.seed, rep) for _ in design_sets],
     )
     k = cfg.n_clients
 
     recs = []
-    for i, (t_len, (a0, deltas, _), fitted) in enumerate(zip(cfg.t_grid, worlds, fed_fits)):
-        singles = _fit_errors(single_fits[i * k : (i + 1) * k], a0, deltas)
-        fed = _fit_errors(fitted, a0, deltas)
+    for i, (t_len, world, fitted) in enumerate(zip(cfg.t_grid, worlds, fed_fits)):
+        singles = _fit_errors(single_fits[i * k : (i + 1) * k], world.a0, world.deltas)
+        fed = _fit_errors(fitted, world.a0, world.deltas)
         fed_a0, fed_ak = fed["a0"][0], float(np.mean(fed["ak"]))
         base = {"rep": rep, "t_len": t_len}
         for metric, value in (
@@ -372,8 +463,7 @@ def empirical_rmsfe(cfg, designs, rep):
 
     @functools.cache
     def design(k, t):
-        full = designs[k]
-        return full if t == full.t_len else var.LagDesign(x=full.x[:t], y=full.y[:t])
+        return _row_prefix(designs[k], t)
 
     full_fit = None
 
@@ -454,13 +544,22 @@ def _rep_empirical(cfg, rep):
     return empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], rep)[0]
 
 
-REP_FUNCTIONS = {
-    "single_client_curve": _rep_single_client_curve,
-    "rank_table": _rep_rank_table,
-    "privacy_heatmap": _rep_privacy_heatmap,
-    "k_sweep": _rep_k_sweep,
-    "t_sweep": _rep_t_sweep,
-    "empirical": _rep_empirical,
+class Simulation(NamedTuple):
+    """A simulation kind's replication in two steps.  ``draw(cfg, rep)``
+    returns the replication's worlds, drawn on its own world generator;
+    ``fit(cfg, rep, worlds, panels)`` returns its records, given each
+    world's list of client panels."""
+
+    draw: Callable
+    fit: Callable
+
+
+SIMULATIONS = {
+    "single_client_curve": Simulation(_draw_single_client_curve, _fit_single_client_curve),
+    "rank_table": Simulation(_draw_rank_table, _fit_rank_table),
+    "privacy_heatmap": Simulation(_draw_privacy_heatmap, _fit_privacy_heatmap),
+    "k_sweep": Simulation(_draw_k_sweep, _fit_k_sweep),
+    "t_sweep": Simulation(_draw_t_sweep, _fit_t_sweep),
 }
 
 
@@ -518,12 +617,52 @@ def _run_dir(cfg):
     return path
 
 
+def _guarded(cfg, rep, step, *args):
+    """step(cfg, rep, *args), or None, logged, if it raises."""
+    try:
+        return step(cfg, rep, *args)
+    except Exception:
+        log.exception("replication %d of seed %d aborted", rep, cfg.seed)
+        return None
+
+
+def _run_simulation(cfg, sim):
+    """Every replication's records, or None for one that aborted, in
+    replication order.  Replications are drawn one after another and
+    gathered into chunks of at most CHUNK_BYTES of paths; each chunk's
+    worlds are simulated in one ``var.simulate_paths`` call, its
+    replications fitted in order, and its paths released before the next
+    chunk is simulated.  A draw or fit that raises aborts its replication
+    alone."""
+    results = [None] * cfg.reps
+
+    def run(chunk):
+        panels = iter(_simulate_worlds(cfg, [w for _, worlds in chunk for w in worlds]))
+        for rep, worlds in chunk:
+            mine = [next(panels) for _ in worlds]
+            results[rep] = _guarded(cfg, rep, sim.fit, worlds, mine)
+
+    chunk = []
+    for rep in range(cfg.reps):
+        worlds = _guarded(cfg, rep, sim.draw)
+        if worlds is None:
+            continue
+        if chunk and _path_bytes(cfg, [w for _, ws in chunk for w in ws] + worlds) > CHUNK_BYTES:
+            run(chunk)
+            chunk = []
+        chunk.append((rep, worlds))
+    if chunk:
+        run(chunk)
+    return results
+
+
 def run_experiment(cfg, run_dir=None):
     """Run every replication and write raw.csv, summary.json, manifest.json.
 
-    Replications run one after another in the calling thread, and their
-    records are emitted in replication order. A replication that raises
-    is logged and skipped; the run fails once more than 1% of
+    Replications run one after another in the calling thread, their
+    worlds simulated a chunk at a time (see ``_run_simulation``), and
+    their records are emitted in replication order. A replication whose
+    draw or fit raises is logged and skipped; the run fails once more than 1% of
     replications abort.  An empirical run has one replication, whose
     errors propagate: a missing or mismatched panel, or an n_origins too
     large for a panel, raises ValueError before any fit.  A privacy
@@ -535,22 +674,13 @@ def run_experiment(cfg, run_dir=None):
         raise ValueError(
             "privacy_heatmap needs noise_mode fixed_scale or calibrated, got 'none'"
         )
-    rep_fn = REP_FUNCTIONS[cfg.kind]
     fieldnames = FIELDNAMES[cfg.kind]
-
-    def worker(rep):
-        try:
-            return rep_fn(cfg, rep)
-        except Exception:
-            log.exception("replication %d of seed %d aborted", rep, cfg.seed)
-            return None
-
     if cfg.kind == "empirical":
         # one replication over fixed panels, with no abort to tolerate: its
         # errors propagate, a bad panel or n_origins as a ValueError
-        results = [rep_fn(cfg, 0)]
+        results = [_rep_empirical(cfg, 0)]
     else:
-        results = [worker(rep) for rep in range(cfg.reps)]
+        results = _run_simulation(cfg, SIMULATIONS[cfg.kind])
 
     aborted = sum(r is None for r in results)
     if aborted > 0.01 * cfg.reps:

@@ -294,8 +294,91 @@ def assemble_dgp(
         sizes = [m - o for m, o in zip(sizes, over)]
 
 
+def check_stationary(a, p):
+    """Raise ValueError unless the stacked (d, p*d) coefficients have
+    companion spectral radius < 1."""
+    radius = companion_spectral_radius(a, p)
+    if radius >= 1.0:
+        raise ValueError(
+            f"non-stationary coefficients (companion radius {radius:.4f})"
+        )
+
+
+def simulate_paths(coefs, p, t_lens, rngs, burn_in=200):
+    """Simulate a stack of stationary VAR(p) paths, each started from a
+    zero state, in one recursion.
+
+    Parameters
+    ----------
+    coefs : sequence of (d, p*d) stacked coefficients, one per path, all
+        of one d, each of companion radius < 1
+    t_lens : each path's number of retained observations after the
+        presample
+    rngs : each path's numpy Generator.  Path i draws exactly
+        (burn_in + p + t_lens[i]) standard normal innovation rows from
+        rngs[i], the paths in order, so paths that share a generator
+        draw from it in turn, as consecutive ``simulate`` calls would
+    burn_in : discarded initial steps before the presample
+
+    Every step is one stacked matrix-vector product per lag, its terms
+    added in lag order, so path i is bitwise
+    ``simulate(coefs[i], p, t_lens[i], rngs[i], burn_in)``.  A path
+    shorter than the longest runs on past its end over zero innovations,
+    and those rows are dropped.
+
+    Returns one TimeSeriesPanel per path, of p presample rows and
+    t_lens[i] observations; each panel views one path of the stack.
+    """
+    coefs, t_lens, rngs = list(coefs), list(t_lens), list(rngs)
+    if not coefs:
+        raise ValueError("need at least one path")
+    if not len(t_lens) == len(rngs) == len(coefs):
+        raise ValueError(
+            f"{len(coefs)} coefficient matrices, {len(t_lens)} lengths and "
+            f"{len(rngs)} generators"
+        )
+    checked = [_check_stacked(a, p) for a in coefs]
+    d = checked[0][1]
+    if any(di != d for _, di in checked):
+        raise ValueError("every path must have the same number of variables")
+    if min(t_lens) < 1:
+        raise ValueError("t_len must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    for a, _ in checked:
+        check_stationary(a, p)
+    n, lengths = len(coefs), [burn_in + p + t for t in t_lens]
+    # BLAS picks its matrix-vector kernel by memory layout, and the kernels
+    # round differently; one C-ordered stack makes a path a function of
+    # the values
+    stack = np.empty((n, d, p * d))
+    for i, (a, _) in enumerate(checked):
+        stack[i] = a
+    blocks = [stack[:, :, j * d : (j + 1) * d] for j in range(p)]
+    # The recursion runs in place on the fresh innovations, through a list
+    # of (n, d, 1) row views so each step indexes a list, not the array.
+    # Row t adds its lag terms in lag order, one stacked product per lag
+    # (a matrix-vector BLAS call per path); that order fixes the rounding,
+    # so a path is a bitwise function of its draws.
+    y = np.zeros((n, max(lengths), d))
+    for i, (rng, length) in enumerate(zip(rngs, lengths)):
+        rng.standard_normal(out=y[i, :length])
+    rows = list(y.transpose(1, 0, 2)[:, :, :, None])
+    for t, row in enumerate(rows):
+        for j, blk in enumerate(blocks[:t]):
+            row += blk @ rows[t - j - 1]
+    return [
+        TimeSeriesPanel(
+            presample=y[i, burn_in : burn_in + p],
+            observations=y[i, burn_in + p : burn_in + p + t_len],
+        )
+        for i, t_len in enumerate(t_lens)
+    ]
+
+
 def simulate(a, p, t_len, rng, burn_in=200):
-    """Simulate a stationary VAR(p) path started from a zero state.
+    """Simulate a stationary VAR(p) path started from a zero state: the
+    one-path call of ``simulate_paths``.
 
     Parameters
     ----------
@@ -307,32 +390,8 @@ def simulate(a, p, t_len, rng, burn_in=200):
 
     Returns a TimeSeriesPanel of p presample rows and t_len observations.
     """
-    a, d = _check_stacked(a, p)
-    # BLAS picks its matrix-vector kernel by memory layout, and the kernels
-    # round differently; one layout makes the path a function of the values
-    a = np.ascontiguousarray(a)
-    if t_len < 1:
-        raise ValueError("t_len must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    radius = companion_spectral_radius(a, p)
-    if radius >= 1.0:
-        raise ValueError(
-            f"non-stationary coefficients (companion radius {radius:.4f})"
-        )
-    blocks = lag_blocks(a, p)
-    # The recursion runs in place on the fresh innovations, through a
-    # list of row views so each step indexes a list, not the array. Row
-    # t adds its lag terms in lag order; that order fixes the rounding,
-    # so a path is a bitwise function of its draws.
-    y = rng.standard_normal((burn_in + p + t_len, d))
-    rows = list(y)
-    for t, row in enumerate(rows):
-        for j, blk in enumerate(blocks[:t]):
-            row += blk.dot(rows[t - j - 1])
-    return TimeSeriesPanel(
-        presample=y[burn_in : burn_in + p], observations=y[burn_in + p :]
-    )
+    (panel,) = simulate_paths([a], p, [t_len], [rng], burn_in)
+    return panel
 
 
 def lag_design(panel):

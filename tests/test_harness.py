@@ -46,6 +46,23 @@ def assert_reruns_identical_and_reps_independent(cfg, tmp_path):
     assert long_raw.startswith(short_raw)
 
 
+def stub_simulation(monkeypatch, kind, draw, fit):
+    """Replace a simulation kind's draw and fit steps."""
+    monkeypatch.setitem(experiments.SIMULATIONS, kind, experiments.Simulation(draw, fit))
+
+
+def record_replications(monkeypatch, kind):
+    """Stub a kind's steps to record each replication they reach; returns
+    the list they append to."""
+    calls = []
+    stub_simulation(
+        monkeypatch, kind,
+        lambda cfg, rep: calls.append(rep) or [],
+        lambda cfg, rep, worlds, panels: calls.append(rep) or [],
+    )
+    return calls
+
+
 # simulate's config-overriding flags besides --out, each with a valid value
 OVERRIDE_FLAGS = (
     ("--seed", "9"),
@@ -186,6 +203,12 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match=field):
                 ExperimentConfig(kind="k_sweep", seed=1, noise_mode=mode, **{field: bad})
 
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_target_radius_outside_unit_interval_rejected(self, bad):
+        for kind in ("rank_table", "privacy_heatmap"):
+            with pytest.raises(ValueError, match=r"target_radius must lie in \(0, 1\)"):
+                ExperimentConfig(kind=kind, seed=1, noise_mode="fixed_scale", target_radius=bad)
 
     @pytest.mark.parametrize(
         "doc",
@@ -418,33 +441,42 @@ class TestRunExperiment:
     def test_replications_run_serially_in_order(self, tmp_path, monkeypatch):
         calls = []
 
-        def stub(cfg, rep):
-            calls.append((threading.get_ident(), rep))
+        def draw(cfg, rep):
+            calls.append((threading.get_ident(), "draw", rep))
+            return []
+
+        def fit(cfg, rep, worlds, panels):
+            calls.append((threading.get_ident(), "fit", rep))
             return [{"rep": rep, "t_len": 60, "metric": "ak_err", "value": 1.0}]
 
-        monkeypatch.setitem(experiments.REP_FUNCTIONS, "single_client_curve", stub)
-        run_experiment(
+        stub_simulation(monkeypatch, "single_client_curve", draw, fit)
+        res = run_experiment(
             tiny_config(out_dir=str(tmp_path), reps=6), run_dir=str(tmp_path / "run")
         )
-        assert calls == [(threading.get_ident(), rep) for rep in range(6)]
+        # worlds without paths fill no chunk: every draw, then every fit
+        me = threading.get_ident()
+        assert calls == [(me, step, rep) for step in ("draw", "fit") for rep in range(6)]
+        assert [r["rep"] for r in res.records] == list(range(6))
 
     def test_abort_rate_over_one_percent_fails(self, tmp_path, monkeypatch):
         def explode(cfg, rep):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(experiments.REP_FUNCTIONS, "single_client_curve", explode)
+        stub_simulation(
+            monkeypatch, "single_client_curve", explode, lambda cfg, rep, w, p: []
+        )
         with pytest.raises(RuntimeError, match="aborted"):
             run_experiment(
                 tiny_config(out_dir=str(tmp_path)), run_dir=str(tmp_path / "run")
             )
 
     def test_rare_abort_is_tolerated_and_counted(self, tmp_path, monkeypatch):
-        def stub(cfg, rep):
+        def fit(cfg, rep, worlds, panels):
             if rep == 7:
                 raise RuntimeError("boom")
             return [{"rep": rep, "t_len": 60, "metric": "ak_err", "value": 1.0}]
 
-        monkeypatch.setitem(experiments.REP_FUNCTIONS, "single_client_curve", stub)
+        stub_simulation(monkeypatch, "single_client_curve", lambda cfg, rep: [], fit)
         res = run_experiment(
             tiny_config(out_dir=str(tmp_path), reps=200),
             run_dir=str(tmp_path / "run"),
@@ -490,6 +522,132 @@ class TestRunExperiment:
         path = tmp_path / "c1.csv"
         write_panel(panel, str(path))
         return PanelSpec(path=str(path), sensitive=(2,), client_id="c1")
+
+
+# one tiny config of every simulation kind, three replications each
+CHUNKED_KINDS = {
+    "single_client_curve": dict(t_grid=(60, 40)),
+    "rank_table": dict(rank_grid=(1, 2), t_grid=(40, 60)),
+    "privacy_heatmap": dict(n_clients=2, t_len=60, rounds=3, eps_grid=(0.5, 2.0),
+                            noise_mode="fixed_scale"),
+    "k_sweep": dict(t_len=60, k_grid=(2, 3), noise_mode="calibrated", rounds=3),
+    "t_sweep": dict(n_clients=2, t_grid=(40, 60), rounds=3),
+}
+
+
+def chunked_config(kind, tmp_path, **overrides):
+    return ExperimentConfig(kind=kind, seed=6, d=4, p=2, rank=1, reps=3,
+                            out_dir=str(tmp_path), **{**CHUNKED_KINDS[kind], **overrides})
+
+
+def count_stacks(monkeypatch):
+    """Count the var.simulate_paths calls the harness makes."""
+    calls = []
+    real = var.simulate_paths
+    monkeypatch.setattr(
+        var, "simulate_paths", lambda coefs, *rest: calls.append(len(coefs)) or real(coefs, *rest)
+    )
+    return calls
+
+
+class TestChunks:
+    """Replications' worlds are simulated in chunks of at most
+    CHUNK_BYTES of paths."""
+
+    @pytest.mark.parametrize("kind", sorted(CHUNKED_KINDS))
+    def test_records_do_not_depend_on_chunking(self, kind, tmp_path, monkeypatch):
+        cfg = chunked_config(kind, tmp_path)
+        rep_bytes = experiments._path_bytes(cfg, experiments.SIMULATIONS[kind].draw(cfg, 0))
+        stacks = count_stacks(monkeypatch)
+        runs = {}
+        # every replication in one chunk, two to a chunk, each on its own
+        for name, budget in (("one", 3 * rep_bytes), ("two", 2 * rep_bytes), ("each", 1)):
+            monkeypatch.setattr(experiments, "CHUNK_BYTES", budget)
+            runs[name] = run_experiment(cfg, run_dir=str(tmp_path / name)).records
+        per_rep = stacks[0] // 3
+        assert stacks == [3 * per_rep, 2 * per_rep, per_rep, per_rep, per_rep, per_rep]
+        assert runs["one"] == runs["two"] == runs["each"]
+        assert {r["rep"] for r in runs["one"]} == {0, 1, 2}
+        solo = run_experiment(replace(cfg, reps=1), run_dir=str(tmp_path / "solo")).records
+        assert list(solo) == [r for r in runs["one"] if r["rep"] == 0]
+
+    @pytest.mark.parametrize("kind", sorted(CHUNKED_KINDS))
+    def test_every_client_gets_its_own_path(self, kind, tmp_path, monkeypatch):
+        cfg = chunked_config(kind, tmp_path)
+        sim = experiments.SIMULATIONS[kind]
+        seen = {}
+
+        def keep(cfg, rep, worlds, panels):
+            seen[rep] = panels
+            return []
+
+        stub_simulation(monkeypatch, kind, sim.draw, keep)
+        stacks = count_stacks(monkeypatch)
+        run_experiment(cfg, run_dir=str(tmp_path / "run"))
+        assert len(stacks) == 1 and sorted(seen) == [0, 1, 2]
+        # a world drawn again, its clients simulated one by one in order
+        for rep, panels in seen.items():
+            worlds = sim.draw(cfg, rep)
+            assert len(panels) == len(worlds)
+            for world, client_panels in zip(worlds, panels):
+                assert len(client_panels) == len(world.deltas)
+                for dl, got in zip(world.deltas, client_panels):
+                    want = var.simulate(world.a0 + dl, cfg.p, world.t_len, world.rng)
+                    assert got.presample.tobytes() == want.presample.tobytes()
+                    assert got.observations.tobytes() == want.observations.tobytes()
+
+    def test_draw_that_raises_aborts_its_replication_alone(self, tmp_path, monkeypatch):
+        cfg = chunked_config("t_sweep", tmp_path)
+        sim = experiments.SIMULATIONS["t_sweep"]
+        want = experiments._run_simulation(cfg, sim)
+
+        def draw(cfg, rep):
+            if rep == 1:
+                raise RuntimeError("boom")
+            return sim.draw(cfg, rep)
+
+        stacks = count_stacks(monkeypatch)
+        got = experiments._run_simulation(cfg, experiments.Simulation(draw, sim.fit))
+        # replications 0 and 2 still share one stack, and fit as before
+        assert stacks == [2 * 2 * len(cfg.t_grid)]
+        assert got == [want[0], None, want[2]]
+
+    def test_fit_that_raises_aborts_its_replication_alone(self, tmp_path, monkeypatch):
+        cfg = chunked_config("rank_table", tmp_path)
+        sim = experiments.SIMULATIONS["rank_table"]
+        want = experiments._run_simulation(cfg, sim)
+
+        def fit(cfg, rep, worlds, panels):
+            if rep == 0:
+                raise RuntimeError("boom")
+            return sim.fit(cfg, rep, worlds, panels)
+
+        got = experiments._run_simulation(cfg, experiments.Simulation(sim.draw, fit))
+        assert got == [None, want[1], want[2]]
+
+    def test_prefix_design_is_bitwise_a_separately_simulated_world(self):
+        # rank_table's T=400 design is a row prefix of its T=1600 world
+        cfg = ExperimentConfig(kind="rank_table", seed=8)
+        full_world = experiments._draw_world(cfg, 3, 1, 1600, rank=2)
+        ((panel,),) = experiments._simulate_worlds(cfg, [full_world])
+        got = experiments._row_prefix(var.lag_design(panel), 400)
+        world = experiments._draw_world(cfg, 3, 1, 400, rank=2)
+        assert world.a0.tobytes() == full_world.a0.tobytes()
+        want = var.lag_design(
+            var.simulate(world.a0 + world.deltas[0], cfg.p, 400, world.rng)
+        )
+        assert got.t_len == 400
+        for name in ("x", "y", "sxx", "sxy"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.syy == want.syy
+
+    def test_chunk_holds_as_many_replications_as_fit_the_budget(self):
+        # d = 20: a rank_table replication is three 1,801-row paths, 0.86 MB
+        cfg = experiments._fill_grids(ExperimentConfig(kind="rank_table", seed=1))
+        worlds = experiments.SIMULATIONS["rank_table"].draw(cfg, 0)
+        rep_bytes = experiments._path_bytes(cfg, worlds)
+        assert rep_bytes == 3 * 1801 * 20 * 8
+        assert experiments.CHUNK_BYTES // rep_bytes == 4
 
 
 class TestEmpiricalFederation:
@@ -773,22 +931,57 @@ class TestFedConfig:
         )
         assert np.array_equal(fcfgs[0].init_a0, want)
 
-    def test_k_sweep_fits_one_start(self, monkeypatch):
-        cfg = ExperimentConfig(
-            kind="k_sweep", seed=3, d=4, p=1, rank=1, t_len=60, k_grid=(2, 3, 5)
-        )
-        real = fed_core.initial_shared_estimate
+    def test_fitted_start_is_bitwise_a_new_fit(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        a = scale_to_radius(var.gen_low_rank(4, 1, 1, rng), 1, 0.8)
+        designs = [var.lag_design(var.simulate(a, 1, t, rng, burn_in=100)) for t in (90, 60)]
+        sets = [designs, designs[1:]]
+        want = experiments.fed_config(self.CFG, sets)
+        fits = experiments._fit_single(self.CFG, designs)
         calls = []
-
-        def recording(designs, rank, acfgs):
-            calls.append(len(designs))
-            return real(designs, rank, acfgs)
-
-        monkeypatch.setattr(fed_core, "initial_shared_estimate", recording)
-        recs = experiments._rep_k_sweep(cfg, 0)
-        # every k starts from designs[0], the first of equally long clients
+        real = fed_core.initial_shared_estimate
+        monkeypatch.setattr(
+            fed_core, "initial_shared_estimate",
+            lambda *args: calls.append(len(args[0])) or real(*args),
+        )
+        # the first list's start comes from its fit, the second's is new
+        got = experiments.fed_config(self.CFG, sets, zip(designs[:1], fits[:1]))
         assert calls == [1]
-        assert {r["n_clients"] for r in recs} == {2, 3, 5}
+        for g, w in zip(got, want):
+            assert g.init_a0.tobytes() == w.init_a0.tobytes()
+        both = experiments.fed_config(self.CFG, sets, zip(designs, fits))
+        assert calls == [1]
+        for g, w in zip(both, want):
+            assert g.init_a0.tobytes() == w.init_a0.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, fields, n_fits",
+        [
+            ("k_sweep", {"k_grid": (2, 3, 5)}, 5),
+            ("t_sweep", {"t_grid": (40, 60), "n_clients": 3}, 6),
+        ],
+        ids=["k_sweep", "t_sweep"],
+    )
+    def test_sweep_starts_from_its_single_fits(self, kind, fields, n_fits, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            kind=kind, seed=3, d=4, p=1, rank=1, t_len=60, reps=1, out_dir=str(tmp_path),
+            **fields,
+        )
+        stacks, starts = [], []
+        real_fit, real_start = single_client.fit_admm, fed_core.initial_shared_estimate
+        monkeypatch.setattr(
+            single_client, "fit_admm",
+            lambda designs, *rest: stacks.append(len(designs)) or real_fit(designs, *rest),
+        )
+        monkeypatch.setattr(
+            fed_core, "initial_shared_estimate",
+            lambda *args: starts.append(args) or real_start(*args),
+        )
+        res = run_experiment(cfg, run_dir=str(tmp_path / "run"))
+        # one ADMM stack of every client's fit; no second fit of the largest
+        assert stacks == [n_fits]
+        assert starts == []
+        assert res.manifest["aborted_replications"] == 0
 
 
 def heatmap_config(tmp_path, **overrides):
@@ -858,12 +1051,7 @@ class TestPrivacyHeatmap:
     def test_no_noise_is_rejected_before_any_replication(
         self, tmp_path, monkeypatch
     ):
-        calls = []
-        monkeypatch.setitem(
-            experiments.REP_FUNCTIONS,
-            "privacy_heatmap",
-            lambda cfg, rep: calls.append(rep) or [],
-        )
+        calls = record_replications(monkeypatch, "privacy_heatmap")
         with pytest.raises(ValueError, match="noise_mode"):
             run_experiment(
                 heatmap_config(tmp_path, noise_mode="none"),
@@ -911,10 +1099,7 @@ class TestCli:
     def test_bad_privacy_flag_exits_one_before_any_replication(
         self, kind, flag, value, tmp_path, capsys, monkeypatch
     ):
-        calls = []
-        monkeypatch.setitem(
-            experiments.REP_FUNCTIONS, kind, lambda cfg, rep: calls.append(rep) or []
-        )
+        calls = record_replications(monkeypatch, kind)
         argv = ["simulate", kind, "--seed", "1", "--reps", "2", flag, value,
                 "--noise-mode", "calibrated", "--out", str(tmp_path)]
         assert cli.main(argv) == 1
@@ -932,17 +1117,21 @@ class TestCli:
              "rank 6 outside [1, d=4] for rank_table"),
             ({"kind": "t_sweep", "t_grid": [0]}, "t_grid entries must be >= 1, got (0,)"),
             ({"kind": "k_sweep", "k_grid": [0, 2]}, "k_grid entries must be >= 1, got (0, 2)"),
+            # 1.0 once aborted every replication with exit 2; 0.0 wrote a
+            # study of all-zero worlds with exit 0
+            ({"kind": "rank_table", "target_radius": 1.0},
+             "target_radius must lie in (0, 1), got 1.0"),
+            ({"kind": "t_sweep", "target_radius": 0.0},
+             "target_radius must lie in (0, 1), got 0.0"),
         ],
-        ids=["rank", "rank_grid_0", "rank_grid_6", "t_grid", "k_grid"],
+        ids=["rank", "rank_grid_0", "rank_grid_6", "t_grid", "k_grid",
+             "target_radius_1", "target_radius_0"],
     )
     def test_bad_rank_or_grid_exits_one_before_any_replication(
         self, doc, message, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
-        calls = []
-        monkeypatch.setitem(
-            experiments.REP_FUNCTIONS, doc["kind"], lambda cfg, rep: calls.append(rep) or []
-        )
+        calls = record_replications(monkeypatch, doc["kind"])
         (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1, "reps": 2, **doc}))
         assert cli.main(["simulate", doc["kind"], "--config", "cfg.json"]) == 1
         captured = capsys.readouterr()

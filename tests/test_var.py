@@ -203,6 +203,63 @@ class TestSimulate:
         # the same number of innovations was drawn
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        p=st.integers(1, 3),
+        t_lens=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        shares=st.lists(st.booleans(), min_size=5, max_size=5),
+        burn_in=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_paths_match_reference_recursion_bitwise(
+        self, d, p, t_lens, shares, burn_in, seed
+    ):
+        rng = np.random.default_rng(seed)
+        coefs = [scale_to_radius(rng.standard_normal((d, p * d)), p, 0.9) for _ in t_lens]
+        # member i draws from member i-1's generator where shares[i] holds
+        owner = [0]
+        for share in shares[1 : len(t_lens)]:
+            owner.append(owner[-1] if share else owner[-1] + 1)
+        got_rngs = [np.random.default_rng(seed + 1 + g) for g in range(owner[-1] + 1)]
+        want_rngs = [np.random.default_rng(seed + 1 + g) for g in range(owner[-1] + 1)]
+        panels = var.simulate_paths(
+            coefs, p, t_lens, [got_rngs[g] for g in owner], burn_in=burn_in
+        )
+        assert len(panels) == len(t_lens)
+        for a, t_len, g, panel in zip(coefs, t_lens, owner, panels):
+            presample, observations = simulate_reference(
+                a, p, t_len, want_rngs[g], burn_in=burn_in
+            )
+            assert panel.presample.tobytes() == presample.tobytes()
+            assert panel.observations.tobytes() == observations.tobytes()
+        for got, want in zip(got_rngs, want_rngs):
+            assert got.bit_generator.state == want.bit_generator.state
+        # simulate is the one-member call
+        (solo,) = var.simulate_paths(
+            coefs[:1], p, t_lens[:1], [np.random.default_rng(seed)], burn_in=burn_in
+        )
+        one = var.simulate(coefs[0], p, t_lens[0], np.random.default_rng(seed), burn_in)
+        assert solo.presample.tobytes() == one.presample.tobytes()
+        assert solo.observations.tobytes() == one.observations.tobytes()
+
+    def test_paths_checked_like_one_path(self):
+        a, rng = 0.5 * np.eye(2), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="at least one path"):
+            var.simulate_paths([], 1, [], [])
+        with pytest.raises(ValueError, match="2 coefficient matrices, 1 lengths"):
+            var.simulate_paths([a, a], 1, [5], [rng, rng])
+        with pytest.raises(ValueError, match="same number of variables"):
+            var.simulate_paths([a, 0.5 * np.eye(3)], 1, [5, 5], [rng, rng])
+        with pytest.raises(ValueError, match="non-stationary"):
+            var.simulate_paths([a, 1.05 * np.eye(2)], 1, [5, 5], [rng, rng])
+        with pytest.raises(ValueError, match="t_len"):
+            var.simulate_paths([a, a], 1, [5, 0], [rng, rng])
+        with pytest.raises(ValueError, match=r"\(d, p\*d\)"):
+            var.simulate_paths([a, np.eye(2)[:, :1]], 1, [5, 5], [rng, rng])
+        # nothing was drawn before the checks refused the stack
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     def test_path_does_not_depend_on_coefficient_layout(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
