@@ -227,7 +227,9 @@ class ExperimentConfig:
 
 
 def to_json(cfg, path=None):
-    """Serialize a config; returns the JSON text, optionally writing it."""
+    """The public config writer: the JSON text of a config, also written
+    to ``path`` if given.  ``from_json`` reads it back, so
+    ``from_json(text=to_json(cfg)) == cfg``."""
     doc = asdict(cfg)
     doc["format_version"] = FORMAT_VERSION
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

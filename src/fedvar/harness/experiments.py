@@ -30,10 +30,10 @@ from spawn_key=(0, 1, origin), and the full-sample federation that
 ``fedvar fit`` saves from spawn_key=(0, 1); all of them are one stacked
 ``fed_core.fit_federated`` call, and the l1-only baselines are one
 stacked ``refine_fista`` call.
-The two single-client ADMM methods fit one stack per origin step, every
-client's fit under both methods in one ``fit_admm`` call, each
-warm-started from its own fit at the step before; the starts of all the
-federations are one more stacked ADMM call.  The simulation
+The two single-client ADMM methods fit every (client, origin) entry from
+zero in one ``fit_admm`` call; an origin's federation starts from the fit
+in that stack of its largest client, and the starts not in it are one
+more stacked ADMM call.  The simulation
 kinds fit all of a replication's single-client problems in one
 ``fit_admm`` call; a k or T sweep starts its federations from those
 fits, and a privacy heatmap fits its start in one more call.
@@ -444,12 +444,12 @@ def empirical_rmsfe(cfg, designs, rep):
     that do not forecast from t; the full-sample fit is one more
     federation, at origin max T_k over every whole design, with noise from
     spawn_key=(0, 1).  All these federations are one ``fit_federated``
-    call, and their starts one stacked ADMM call.  The l1-only baselines
-    are one ``refine_fista`` call.  The two ADMM methods
-    fit every client's origins in increasing order, as one stack per
-    origin step: step j fits, for every client and both methods, its j-th
-    origin in one ``fit_admm`` call, each fit started from its own fit at
-    step j - 1.
+    call.  The two ADMM methods fit every (client, origin) entry from zero,
+    all of them under both methods in one ``fit_admm`` call; each
+    federation of an origin starts from the nuclear + l1 fit of its largest
+    client there when that fit is in the stack, and the other starts (the
+    full-sample fit's among them) are one more stacked ADMM call.  The
+    l1-only baselines are one ``refine_fista`` call.
     """
     lengths = [ds.t_len for ds in designs]
     for spec, length in zip(cfg.panels, lengths):
@@ -465,6 +465,12 @@ def empirical_rmsfe(cfg, designs, rep):
     def design(k, t):
         return _row_prefix(designs[k], t)
 
+    prefixes = [design(k, t) for k, t in origins]
+    acfgs = [admm_config(ds, cfg) for ds in prefixes]
+    admm_fits, _ = single_client.fit_admm(
+        prefixes * 2, acfgs + [single_client.nuclear_only_config(c) for c in acfgs]
+    )
+    nuc_l1, nuclear = admm_fits[: len(origins)], admm_fits[len(origins) :]
     full_fit = None
 
     def federated():
@@ -477,7 +483,7 @@ def empirical_rmsfe(cfg, designs, rep):
         ]
         decomps, _ = fed_core.fit_federated(
             design_sets,
-            fed_config(cfg, design_sets),
+            fed_config(cfg, design_sets, zip(prefixes, nuc_l1)),
             [[fista_config(cfg, ds) for ds in designs] for designs in design_sets],
             [_noise_rng(cfg.seed, 0, origin) for origin in fed_origins]
             + [_noise_rng(cfg.seed, 0)],
@@ -487,39 +493,19 @@ def empirical_rmsfe(cfg, designs, rep):
                 for k, dec in enumerate(fits)}
 
     def single_l1():
-        designs = [design(k, t) for k, t in origins]
-        omegas = [cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len) for ds in designs]
+        omegas = [cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len) for ds in prefixes]
         cfgs = [single_client.l1_only_config(omega) for omega in omegas]
-        zero = np.zeros((len(designs), designs[0].d, designs[0].pd))
-        deltas, _ = fed_core.refine_fista(designs, zero, cfgs)
+        zero = np.zeros((len(prefixes), prefixes[0].d, prefixes[0].pd))
+        deltas, _ = fed_core.refine_fista(prefixes, zero, cfgs)
         return dict(zip(origins, deltas))
-
-    @functools.cache
-    def admm():
-        # one chain per (client, method); step j stacks every chain's j-th fit
-        chains = [(k, nuclear_only) for nuclear_only in (False, True)
-                  for k in range(len(lengths))]
-        tables = {False: {}, True: {}}
-        starts = [None] * len(chains)
-        for j in range(cfg.n_origins):
-            steps = [(k, lengths[k] - cfg.n_origins + j) for k, _ in chains]
-            designs = [design(k, t) for k, t in steps]
-            acfgs = [admm_config(ds, cfg) for ds in designs]
-            acfgs = [single_client.nuclear_only_config(acfg) if nuclear_only else acfg
-                     for acfg, (_, nuclear_only) in zip(acfgs, chains)]
-            decomps, report = single_client.fit_admm(designs, acfgs, starts)
-            for (_, nuclear_only), step, dec in zip(chains, steps, decomps):
-                tables[nuclear_only][step] = dec.a
-            starts = [state.final for state in report.members]
-        return tables
 
     fits = {
         "federated": federated,
-        "single_nuc_l1": lambda: admm()[False],
-        "single_nuclear": lambda: admm()[True],
+        "single_nuc_l1": lambda: {o: dec.a for o, dec in zip(origins, nuc_l1)},
+        "single_nuclear": lambda: {o: dec.a for o, dec in zip(origins, nuclear)},
         "single_l1": single_l1,
         "least_squares": lambda: {
-            (k, t): single_client.fit_baseline(design(k, t)) for k, t in origins
+            o: single_client.fit_baseline(ds) for o, ds in zip(origins, prefixes)
         },
     }
     tables = {method: fits[method]() for method in EMPIRICAL_METHODS}

@@ -9,8 +9,8 @@ and one fit is the one-problem call: each problem keeps its own ridge
 factor, pin_delta and penalties, all share the module's stop rule, the
 elementwise updates run once over the stack, and a problem's result is
 bitwise that of its one-problem call.  The harness fits a replication's
-single-client problems, the starts of its federations and each origin
-step of the empirical ADMM chains as such stacks.
+single-client problems, the starts of its federations and every
+(method, client, origin) fit of the empirical comparison as such stacks.
 
 Internally the solver works with (pd, d) coefficient blocks B = B0 + D so
 the ridge system factors once per fit; results are transposed back to the
@@ -28,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 
 from .fed_core import FistaConfig, _check_designs, _dots
-from .matops import check_matrix, linf_project, soft_threshold, svt
+from .matops import linf_project, soft_threshold, svt
 from .var import CoefDecomposition
 
 # fit_admm's over-relaxation factor alpha, from a sweep over 1.5-1.8 (records
@@ -77,8 +77,7 @@ class AdmmState:
     """Solver diagnostics for one problem of a fit_admm call.
 
     final is the last (B0, D, U) in the solver's (pd, d) orientation, U
-    being the dual scaled by 1/_ADMM_RHO; pass it as fit_admm's start to
-    warm start a fit of a nearby problem.
+    being the dual scaled by 1/_ADMM_RHO.
     """
 
     iterations: int
@@ -118,7 +117,7 @@ def nuclear_only_config(cfg):
     return replace(cfg, omega=0.0, pin_delta=True)
 
 
-def fit_admm(designs, cfgs, starts=None):
+def fit_admm(designs, cfgs):
     """Solve the nuclear + l1 penalized regression by scaled-dual ADMM for
     a stack of same-shape problems, problem j on designs[j] under cfgs[j].
 
@@ -147,12 +146,7 @@ def fit_admm(designs, cfgs, starts=None):
     histories and iteration count are bitwise those of its one-problem
     call.  Each problem that stops at the cap warns once.
 
-    starts None begins every problem at B0 = D = U = 0; otherwise it holds
-    one entry per problem, None for the zero start or a (B0, D, U) triple
-    of finite (pd, d) arrays, such as a previous fit's AdmmState.final (a
-    warm start; it is the same triple under relaxation).  A pinned
-    deviation starts at zero whatever its start holds.  Every start is
-    checked before the first iteration.
+    Every problem starts at B0 = D = U = 0.
 
     Returns one decomposition per problem (transposed back to (d, pd)) and
     an AdmmReport holding each problem's AdmmState.
@@ -162,9 +156,6 @@ def fit_admm(designs, cfgs, starts=None):
     n = len(designs)
     if len(cfgs) != n:
         raise ValueError(f"{len(cfgs)} ADMM configs for {n} designs")
-    starts = [None] * n if starts is None else list(starts)
-    if len(starts) != n:
-        raise ValueError(f"{len(starts)} starts for {n} designs")
 
     # the working stacks hold Fortran-ordered (pd, d) slices, the layout of
     # dpotrs's solution, so the solve runs in place; _check_in_place
@@ -174,12 +165,7 @@ def fit_admm(designs, cfgs, starts=None):
 
     b0, d_mat, u, g = stack(), stack(), stack(), stack()
     factors = []
-    for j, (design, cfg, start) in enumerate(zip(designs, cfgs, starts)):
-        if start is not None:
-            b0[j], d_j, u[j] = _check_start(start, j, pd, d)
-            # a pinned deviation stays at zero
-            if not cfg.pin_delta:
-                d_mat[j] = d_j
+    for j, design in enumerate(designs):
         try:
             factors.append(cho_factor(2.0 * design.sxx + _ADMM_RHO * np.eye(pd)))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - pd + rho I
@@ -279,21 +265,6 @@ def _check_in_place(b):
             f"ADMM working stack has strides {b.strides}, not Fortran-ordered "
             "slices; dpotrs would not solve it in place"
         )
-
-
-def _check_start(start, j, pd, d):
-    """Problem j's start triple as finite (pd, d) float64 arrays."""
-    if len(start) != 3:
-        raise ValueError(f"problem {j}: start must be a (B0, D, U) triple")
-    checked = []
-    for m, name in zip(start, ("B0", "D", "U")):
-        m = check_matrix(m, f"problem {j}: start {name}")
-        if m.shape != (pd, d):
-            raise ValueError(
-                f"problem {j}: start {name} shape {m.shape}, expected ({pd}, {d})"
-            )
-        checked.append(m)
-    return checked
 
 
 def fit_baseline(design):

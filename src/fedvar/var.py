@@ -91,7 +91,8 @@ class LagDesign:
 
     Every solver reads these, so the cost of a gradient, an objective
     value or a ridge solve does not grow with T.  The statistics are
-    read-only arrays; x and y are kept as given.
+    read-only arrays; x and y are kept as given.  Data whose statistics
+    overflow float64 raise ValueError naming the statistic.
     """
 
     x: np.ndarray
@@ -108,15 +109,25 @@ class LagDesign:
         if x.shape[1] % y.shape[1] != 0:
             raise ValueError("x width must be a multiple of y width")
         inv_t = 1.0 / y.shape[0]
-        sxx = (x.T @ x) * inv_t
-        sxy = (x.T @ y) * inv_t
+        # finite data can still square past the float range; name the
+        # statistic instead of letting inf reach a solver's LAPACK call
+        with np.errstate(over="ignore", invalid="ignore"):
+            sxx = (x.T @ x) * inv_t
+            sxy = (x.T @ y) * inv_t
+            syy = float(np.sum(y * y)) * inv_t
+        for name, stat in (("sxx", sxx), ("sxy", sxy), ("syy", syy)):
+            if not np.all(np.isfinite(stat)):
+                raise ValueError(
+                    f"lag design statistic {name} overflows: the data are too "
+                    "large to square in float64"
+                )
         sxx.flags.writeable = False
         sxy.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sxx", sxx)
         object.__setattr__(self, "sxy", sxy)
-        object.__setattr__(self, "syy", float(np.sum(y * y)) * inv_t)
+        object.__setattr__(self, "syy", syy)
 
     @property
     def t_len(self):

@@ -14,7 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from fedvar import fed_core, single_client, var
 from fedvar.harness import experiments
-from fedvar.matops import check_matrix, linf_project, soft_threshold
+from fedvar.matops import linf_project, soft_threshold
 
 
 def svd_via_gram(m):
@@ -264,9 +264,9 @@ def admm_raw(x, y, lam, omega, rho, iters, relax):
     return b0.T, dm.T
 
 
-def admm_solo(design, cfg, start=None, pin_a0=False, tol=None, max_iter=2000):
+def admm_solo(design, cfg, pin_a0=False, tol=None, max_iter=2000):
     """One ADMM fit on its own, as fit_admm ran before it stacked problems:
-    the same over-relaxed scaled-dual updates, start checks and max_iter
+    the same over-relaxed scaled-dual updates from zero and max_iter
     warning, for one design, with the ridge system solved by cho_solve
     and the singular value threshold taken from np.linalg.svd.  It stops
     once both residuals are at most tol (None for fit_admm's default,
@@ -276,18 +276,6 @@ def admm_solo(design, cfg, start=None, pin_a0=False, tol=None, max_iter=2000):
     d, pd = design.d, design.pd
     rho, relax = single_client._ADMM_RHO, single_client._ADMM_RELAX
     b0, d_mat, u = (np.zeros((pd, d)) for _ in range(3))
-    if start is not None:
-        if len(start) != 3:
-            raise ValueError("start must be a (B0, D, U) triple")
-        checked = []
-        for m, name in zip(start, ("B0", "D", "U")):
-            m = check_matrix(m, f"start {name}")
-            if m.shape != (pd, d):
-                raise ValueError(f"start {name} shape {m.shape}, expected ({pd}, {d})")
-            checked.append(m)
-        b0 = b0 if pin_a0 else checked[0]
-        d_mat = d_mat if cfg.pin_delta else checked[1]
-        u = checked[2]
 
     tol = 1e-6 * math.sqrt(pd * d) if tol is None else tol
     factor = cho_factor(2.0 * design.sxx + rho * np.eye(pd))

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -650,6 +651,25 @@ class TestChunks:
         assert experiments.CHUNK_BYTES // rep_bytes == 4
 
 
+def empirical_config(tmp_path, lengths, **overrides):
+    """An empirical config over one world's clients, client k a panel
+    that load_panel reads back with lengths[k] rows, forecasting from 3
+    origins each."""
+    rng = np.random.default_rng(31)
+    a0, deltas = var.assemble_dgp(4, 1, 1, len(lengths), rng, ratio=5.0)
+    specs = []
+    for k, t_len in enumerate(lengths):
+        # load_panel drops the first row, so it reads back t_len rows
+        panel = var.simulate(a0 + deltas[k], 1, t_len + 1, rng)
+        path = tmp_path / f"c{k + 1}.csv"
+        write_panel(panel, str(path))
+        specs.append(PanelSpec(path=str(path), client_id=f"c{k + 1}"))
+    return ExperimentConfig(
+        kind="empirical", seed=8, d=4, p=1, rank=1, n_origins=3,
+        panels=tuple(specs), **overrides,
+    )
+
+
 class TestEmpiricalFederation:
     """One federation per forecast origin, shared by every client that
     forecasts from it."""
@@ -658,19 +678,7 @@ class TestEmpiricalFederation:
 
     def _config(self, tmp_path, monkeypatch, methods=("federated",), **overrides):
         monkeypatch.setattr(experiments, "EMPIRICAL_METHODS", methods)
-        rng = np.random.default_rng(31)
-        a0, deltas = var.assemble_dgp(4, 1, 1, len(self.LENGTHS), rng, ratio=5.0)
-        specs = []
-        for k, t_len in enumerate(self.LENGTHS):
-            # load_panel drops the first row, so it reads back t_len rows
-            panel = var.simulate(a0 + deltas[k], 1, t_len + 1, rng)
-            path = tmp_path / f"c{k + 1}.csv"
-            write_panel(panel, str(path))
-            specs.append(PanelSpec(path=str(path), client_id=f"c{k + 1}"))
-        return ExperimentConfig(
-            kind="empirical", seed=8, d=4, p=1, rank=1, n_origins=3,
-            panels=tuple(specs), **overrides,
-        )
+        return empirical_config(tmp_path, self.LENGTHS, **overrides)
 
     def test_one_stage1_fit_per_distinct_origin(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, monkeypatch, noise_mode="fixed_scale")
@@ -815,9 +823,8 @@ class TestEmpiricalFederation:
             assert got == want
 
 
-class TestWarmStartedForecasters:
-    """The single-client ADMM methods start each origin's fit from the
-    previous origin's final iterate."""
+class TestColdForecasters:
+    """The single-client ADMM methods fit every origin from zero."""
 
     METHODS = ("single_nuc_l1", "single_nuclear")
 
@@ -836,40 +843,8 @@ class TestWarmStartedForecasters:
             panels=tuple(specs),
         )
 
-    def test_each_origin_starts_from_the_previous_fit(self, tmp_path, monkeypatch):
-        cfg = self._config(tmp_path, monkeypatch)
-        panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
-        real = single_client.fit_admm
-        chains = {}  # (client, nuclear only) -> [(t, start, final)]
-
-        def recording(designs, acfgs, starts=None):
-            decomps, report = real(designs, acfgs, starts)
-            for j, (design, acfg) in enumerate(zip(designs, acfgs)):
-                k = next(
-                    k for k, pn in enumerate(panels)
-                    if np.array_equal(design.y, pn.observations[: design.t_len])
-                )
-                start = None if starts is None else starts[j]
-                chains.setdefault((k, acfg.pin_delta), []).append(
-                    (design.t_len, start, report.members[j].final)
-                )
-            return decomps, report
-
-        monkeypatch.setattr(single_client, "fit_admm", recording)
-        experiments.empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], 0)
-        assert sorted(chains) == [(0, False), (0, True), (1, False), (1, True)]
-        for (k, _), seen in chains.items():
-            t_len = panels[k].t_len
-            want = list(range(t_len - cfg.n_origins, t_len))
-            assert [t for t, _, _ in seen] == want
-            assert seen[0][1] is None
-            for (_, _, prev_final), (_, start, _) in zip(seen, seen[1:]):
-                assert start is prev_final
-
     def test_rmsfe_matches_cold_fits(self, tmp_path, monkeypatch):
-        # Warm and cold fits both stop once the ADMM residuals are at most
-        # 1e-6 sqrt(pd d); at panel_forecast sizes their coefficients
-        # differ by at most 3.1e-5 relative, so 1e-4 on the RMSFE.
+        # every stack member is bitwise its one-problem fit
         cfg = self._config(tmp_path, monkeypatch)
         panels = [load_panel(spec, cfg.p) for spec in cfg.panels]
         recs, _ = experiments.empirical_rmsfe(cfg, [var.lag_design(pn) for pn in panels], 0)
@@ -886,7 +861,7 @@ class TestWarmStartedForecasters:
                     for r in recs
                     if r["client"] == spec.client_id and r["method"] == method
                 ]
-                np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
+                assert got == want
 
 
 class TestFedConfig:
@@ -955,32 +930,45 @@ class TestFedConfig:
             assert g.init_a0.tobytes() == w.init_a0.tobytes()
 
     @pytest.mark.parametrize(
-        "kind, fields, n_fits",
+        "kind, fields, stacks_want",
         [
-            ("k_sweep", {"k_grid": (2, 3, 5)}, 5),
-            ("t_sweep", {"t_grid": (40, 60), "n_clients": 3}, 6),
+            ("k_sweep", {"k_grid": (2, 3, 5)}, [5]),
+            ("t_sweep", {"t_grid": (40, 60), "n_clients": 3}, [6]),
+            # every (method, client, origin) fit, then the full-sample start
+            ("empirical", {"lengths": (32, 32, 32)}, [2 * 3 * 3, 1]),
+            # origins 30 and 31's largest clients end there, as does the
+            # full sample, so those starts are not in the stack
+            ("empirical", {"lengths": TestEmpiricalFederation.LENGTHS}, [2 * 3 * 3, 3]),
         ],
-        ids=["k_sweep", "t_sweep"],
+        ids=["k_sweep", "t_sweep", "empirical", "empirical_unequal"],
     )
-    def test_sweep_starts_from_its_single_fits(self, kind, fields, n_fits, tmp_path, monkeypatch):
-        cfg = ExperimentConfig(
-            kind=kind, seed=3, d=4, p=1, rank=1, t_len=60, reps=1, out_dir=str(tmp_path),
-            **fields,
-        )
+    def test_sweep_starts_from_its_single_fits(
+        self, kind, fields, stacks_want, tmp_path, monkeypatch
+    ):
+        if kind == "empirical":
+            cfg = empirical_config(tmp_path, fields["lengths"], out_dir=str(tmp_path))
+        else:
+            cfg = ExperimentConfig(
+                kind=kind, seed=3, d=4, p=1, rank=1, t_len=60, reps=1,
+                out_dir=str(tmp_path), **fields,
+            )
         stacks, starts = [], []
         real_fit, real_start = single_client.fit_admm, fed_core.initial_shared_estimate
         monkeypatch.setattr(
             single_client, "fit_admm",
-            lambda designs, *rest: stacks.append(len(designs)) or real_fit(designs, *rest),
+            lambda designs, *rest: stacks.append(designs) or real_fit(designs, *rest),
         )
         monkeypatch.setattr(
             fed_core, "initial_shared_estimate",
-            lambda *args: starts.append(args) or real_start(*args),
+            lambda *args: starts.append(args[0]) or real_start(*args),
         )
         res = run_experiment(cfg, run_dir=str(tmp_path / "run"))
-        # one ADMM stack of every client's fit; no second fit of the largest
-        assert stacks == [n_fits]
-        assert starts == []
+        # one ADMM stack of every single-client fit; a start is fitted
+        # again only for a design that is not in it
+        assert [len(designs) for designs in stacks] == stacks_want
+        assert stacks[1:] == starts
+        fitted = {id(ds) for ds in stacks[0]}
+        assert not any(id(ds) in fitted for designs in starts for ds in designs)
         assert res.manifest["aborted_replications"] == 0
 
 
@@ -1184,6 +1172,34 @@ class TestCli:
         assert "zero pooled Gram matrix" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "rank-select", "simulate"])
+    def test_overflowing_panels_exit_one(self, command, tmp_path, capsys):
+        # finite readings whose squares pass the float64 range
+        rng = np.random.default_rng(25)
+        specs = []
+        for k in range(2):
+            path = tmp_path / f"c{k + 1}.csv"
+            pn = var.simulate(0.3 * np.eye(4), 1, 30, rng)
+            write_panel(var.TimeSeriesPanel(pn.presample * 1e160, pn.observations * 1e160),
+                        str(path))
+            specs.append(PanelSpec(path=str(path), client_id=f"c{k + 1}", standardize=False))
+        cfg = ExperimentConfig(
+            kind="empirical", seed=1, d=4, p=1, rank=1, n_origins=3, panels=tuple(specs)
+        )
+        cfg_path = tmp_path / "cfg.json"
+        to_json(cfg, str(cfg_path))
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["fit", "--config", str(cfg_path), "--out", str(out)],
+            "rank-select": ["rank-select", "--config", str(cfg_path)],
+            "simulate": ["simulate", "empirical", "--config", str(cfg_path), "--out", str(out)],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        assert "lag design statistic sxx overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_checks_every_panel_before_creating_output(self, tmp_path, capsys):
         rng = np.random.default_rng(23)
         good = tmp_path / "c1.csv"
@@ -1329,7 +1345,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         to_json(cfg, str(cfg_path))
 
-        def failing(designs, cfgs, starts=None):
+        def failing(designs, cfgs):
             raise RuntimeError("solver broke")
 
         monkeypatch.setattr(single_client, "fit_admm", failing)

@@ -10,9 +10,9 @@ from fedvar.single_client import AdmmConfig, fit_admm, fit_baseline
 from oracles import admm_raw, admm_solo, prefix_panel, scale_to_radius
 
 
-def fit_one(design, cfg, start=None):
+def fit_one(design, cfg):
     """One problem through fit_admm: its decomposition and its AdmmState."""
-    (dec,), report = fit_admm([design], [cfg], None if start is None else [start])
+    (dec,), report = fit_admm([design], [cfg])
     return dec, report.members[0]
 
 
@@ -125,40 +125,6 @@ class TestFitAdmm:
         assert not state.converged
         assert state.iterations == 3
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            AdmmConfig(lam=0.07, omega=0.02, zeta=1.0),
-            AdmmConfig(lam=0.1, omega=0.0, pin_delta=True),
-        ],
-    )
-    def test_warm_start_from_own_final_converges_at_once(self, cfg):
-        design, _ = make_noisy(seed=5)
-        cold, state = fit_one(design, cfg)
-        assert state.converged and state.iterations > 1
-        b0, d_mat, u = state.final
-        assert b0.shape == d_mat.shape == u.shape == (design.pd, design.d)
-        np.testing.assert_array_equal(b0.T, cold.a0)
-        np.testing.assert_array_equal(d_mat.T, cold.delta)
-        warm, again = fit_one(design, cfg, start=state.final)
-        assert again.converged and again.iterations == 1
-        # one more iteration moves the iterate by about the dual residual
-        tol = 1e-6 * np.sqrt(design.pd * design.d)
-        assert np.linalg.norm(warm.a - cold.a) <= 10 * tol
-
-    def test_warm_start_on_a_longer_sample_matches_cold_fit(self):
-        # the forecasters' use: the previous origin's fit starts the next
-        rng = np.random.default_rng(8)
-        a0, deltas = var.assemble_dgp(6, 2, 2, 1, rng, ratio=5.0)
-        panel = var.simulate(a0 + deltas[0], 2, 60, rng, burn_in=100)
-        short, long = var.lag_design(prefix_panel(panel, 59)), var.lag_design(panel)
-        cfg = single_client.default_admm_config(long)
-        _, prev = fit_one(short, single_client.default_admm_config(short))
-        warm, _ = fit_one(long, cfg, start=prev.final)
-        cold, _ = fit_one(long, cfg)
-        # both stop at residuals <= 1e-6 sqrt(pd d), about 8.5e-6 here
-        assert np.linalg.norm(warm.a - cold.a) <= 1e-4 * np.linalg.norm(cold.a)
-
     @pytest.mark.parametrize("pin", ["none", "delta"])
     @pytest.mark.parametrize(
         "d, p, t_len", [(20, 1, 400), (12, 2, 40)], ids=["rank_table", "panel_forecast"]
@@ -183,53 +149,23 @@ class TestFitAdmm:
         assert np.linalg.norm(dec.delta - ref_delta) <= 1e-4 * scale
 
     def test_relaxation_cuts_iterations(self, monkeypatch):
-        # the forecasters' warm-started origin chain and the nuclear-only fits
+        # the empirical comparison's use: every origin's fit under both
+        # methods, from zero, in one stack
+        designs = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            a0, deltas = var.assemble_dgp(12, 2, 2, 1, rng, ratio=5.0)
+            panel = var.simulate(a0 + deltas[0], 2, 48, rng, burn_in=100)
+            designs += [var.lag_design(prefix_panel(panel, t)) for t in range(40, 49)]
+        cfgs = [single_client.default_admm_config(ds) for ds in designs]
+        cfgs += [single_client.nuclear_only_config(cfg) for cfg in cfgs]
+
         def total_iterations():
-            n = 0
-            for seed in range(4):
-                rng = np.random.default_rng(seed)
-                a0, deltas = var.assemble_dgp(12, 2, 2, 1, rng, ratio=5.0)
-                panel = var.simulate(a0 + deltas[0], 2, 48, rng, burn_in=100)
-                last = None
-                for t_len in range(40, 49):
-                    design = var.lag_design(prefix_panel(panel, t_len))
-                    cfg = single_client.default_admm_config(design)
-                    _, state = fit_one(design, cfg, start=last)
-                    last = state.final
-                    n += state.iterations
-                    pinned = single_client.nuclear_only_config(cfg)
-                    n += fit_one(design, pinned)[1].iterations
-            return n
+            return fit_admm(designs * 2, cfgs)[1].iterations
 
         relaxed = total_iterations()
         monkeypatch.setattr(single_client, "_ADMM_RELAX", 1.0)
         assert relaxed <= 0.8 * total_iterations()
-
-    def test_start_validated_at_entry(self):
-        design, _ = make_noisy(seed=6)
-        cfg = AdmmConfig(lam=0.1, omega=0.05)
-        good = np.zeros((design.pd, design.d))
-        with pytest.raises(ValueError, match="triple"):
-            fit_one(design, cfg, start=(good, good))
-        wide = np.zeros((design.pd, design.d + 1))
-        with pytest.raises(ValueError, match=r"start D shape \(5, 6\)"):
-            fit_one(design, cfg, start=(good, wide, good))
-        with pytest.raises(ValueError, match="start U"):
-            fit_one(design, cfg, start=(good, good, np.zeros(design.d)))
-        bad = good.copy()
-        bad[0, 0] = np.inf
-        with pytest.raises(ValueError, match="start B0 contains non-finite"):
-            fit_one(design, cfg, start=(bad, good, good))
-
-    def test_pinned_component_starts_at_zero(self):
-        design, _ = make_noisy(seed=4)
-        ones = np.ones((design.pd, design.d))
-        start = (ones, ones, np.zeros_like(ones))
-        dec, state = fit_one(
-            design, AdmmConfig(lam=0.1, omega=0.05, pin_delta=True), start=start
-        )
-        np.testing.assert_array_equal(dec.delta, np.zeros_like(dec.delta))
-        np.testing.assert_array_equal(start[1], ones)  # caller's arrays untouched
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -243,35 +179,28 @@ STACK_CAP = 45
 
 def mixed_stack(d, p, t_len):
     """Six same-shape problems whose configs mix nuclear + l1 fits at
-    several penalties, pin_delta fits and zeta set and unset, half of them
-    warm-started from the nuclear + l1 fit of a shorter sample (so the
-    pinned ones are handed a nonzero part they must zero).  Run to
-    convergence, the members need 31, 94, 75, 42, 73 and 1175 iterations
-    at 24x12 and 54, 22, 15, 30, 50 and 664 at 20x20, so under a cap of
+    several penalties, pin_delta fits and zeta set and unset.  Run to
+    convergence, the members need 31, 88, 75, 38, 73 and 1175 iterations
+    at 24x12 and 54, 21, 16, 22, 50 and 664 at 20x20, so under a cap of
     STACK_CAP some converge and the rest, members 4 and 5 among them, are
     capped."""
     rng = np.random.default_rng(d + t_len)
-    designs, cfgs, starts = [], [], []
+    designs, cfgs = [], []
     variants = [
-        ({}, False),
-        ({"pin_delta": True, "omega": 0.0}, True),
-        ({"lam": 0.0}, True),
-        ({"zeta": 0.05}, True),
-        ({}, False),
-        ({"pin_delta": True, "omega": 0.0, "zeta": 0.05}, False),
+        {},
+        {"pin_delta": True, "omega": 0.0},
+        {"lam": 0.0},
+        {"zeta": 0.05},
+        {},
+        {"pin_delta": True, "omega": 0.0, "zeta": 0.05},
     ]
-    for j, (changes, warm) in enumerate(variants):
+    for j, changes in enumerate(variants):
         a0, deltas = var.assemble_dgp(d, p, 2, 1, rng, ratio=5.0)
         panel = var.simulate(a0 + deltas[0], p, t_len + j, rng, burn_in=100)
         design = var.lag_design(panel)
         cfgs.append(replace(single_client.default_admm_config(design), **changes))
         designs.append(design)
-        start = None
-        if warm:
-            short = var.lag_design(prefix_panel(panel, t_len + j - 1))
-            start = admm_solo(short, single_client.default_admm_config(short))[1].final
-        starts.append(start)
-    return designs, cfgs, starts
+    return designs, cfgs
 
 
 class TestStackedAdmm:
@@ -282,14 +211,12 @@ class TestStackedAdmm:
         "d, p, t_len", [(12, 2, 44), (20, 1, 400)], ids=["24x12", "20x20"]
     )
     def test_members_equal_the_solo_oracle_bitwise(self, d, p, t_len, monkeypatch):
-        designs, cfgs, starts = mixed_stack(d, p, t_len)
+        designs, cfgs = mixed_stack(d, p, t_len)
         monkeypatch.setattr(single_client, "_ADMM_MAX_ITER", STACK_CAP)
-        decomps, report = fit_admm(designs, cfgs, starts)
+        decomps, report = fit_admm(designs, cfgs)
         assert len(decomps) == len(report.members) == len(designs)
-        for dec, state, design, cfg, start in zip(
-            decomps, report.members, designs, cfgs, starts
-        ):
-            want_dec, want = admm_solo(design, cfg, start, max_iter=STACK_CAP)
+        for dec, state, design, cfg in zip(decomps, report.members, designs, cfgs):
+            want_dec, want = admm_solo(design, cfg, max_iter=STACK_CAP)
             assert state.iterations == want.iterations
             assert state.converged == want.converged
             assert state.primal_residuals == want.primal_residuals
@@ -305,48 +232,23 @@ class TestStackedAdmm:
         assert report.converged is False
 
     def test_report_converged_when_every_member_did(self):
-        designs, cfgs, _ = mixed_stack(12, 2, 44)
+        designs, cfgs = mixed_stack(12, 2, 44)
         _, report = fit_admm(designs[:4], cfgs[:4])
         assert all(s.converged for s in report.members)
         assert report.converged is True
 
     def test_each_capped_member_warns_once(self, monkeypatch):
-        designs, cfgs, _ = mixed_stack(12, 2, 44)
-        # member 1 starts at its own solution and converges at once
-        _, own = fit_one(designs[1], cfgs[1])
-        monkeypatch.setattr(single_client, "_ADMM_MAX_ITER", 3)
+        designs, cfgs = mixed_stack(12, 2, 44)
+        # members 0 and 3 converge in 31 and 38 iterations, 1 and 2 need more
+        monkeypatch.setattr(single_client, "_ADMM_MAX_ITER", 40)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            _, report = fit_admm(designs[:3], cfgs[:3], [None, own.final, None])
+            _, report = fit_admm(designs[:4], cfgs[:4])
         runtime = [w for w in seen if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 2
-        assert all("max_iter=3" in str(w.message) for w in runtime)
-        assert [s.iterations for s in report.members] == [3, 1, 3]
-        assert [s.converged for s in report.members] == [False, True, False]
-
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            (lambda good: (good, good), "problem 2: start must be a"),
-            (lambda good: (good, np.zeros((3, 3)), good), r"problem 2: start D shape \(3, 3\)"),
-            (lambda good: (good, good, np.full_like(good, np.nan)),
-             "problem 2: start U contains non-finite"),
-        ],
-        ids=["not_a_triple", "wrong_shape", "non_finite"],
-    )
-    def test_bad_start_in_any_member_refused_before_any_iteration(
-        self, bad, message, monkeypatch
-    ):
-        designs, cfgs, _ = mixed_stack(12, 2, 44)
-        good = np.zeros((designs[0].pd, designs[0].d))
-        calls = []
-        monkeypatch.setattr(
-            single_client, "dpotrs", lambda *a, **k: calls.append(a) or (None, 0)
-        )
-        starts = [None, (good, good, good), bad(good), None]
-        with pytest.raises(ValueError, match=message):
-            fit_admm(designs[:4], cfgs[:4], starts)
-        assert calls == []
+        assert all("max_iter=40" in str(w.message) for w in runtime)
+        assert [s.iterations for s in report.members] == [31, 40, 40, 38]
+        assert [s.converged for s in report.members] == [True, False, False, True]
 
     def test_working_stack_must_be_solvable_in_place(self):
         # dpotrs solves in place only on a Fortran-ordered slice; on any
@@ -357,11 +259,9 @@ class TestStackedAdmm:
             single_client._check_in_place(np.zeros((3, 6, 4)))
 
     def test_stack_arguments_validated(self):
-        designs, cfgs, _ = mixed_stack(12, 2, 44)
+        designs, cfgs = mixed_stack(12, 2, 44)
         with pytest.raises(ValueError, match="2 ADMM configs for 3 designs"):
             fit_admm(designs[:3], cfgs[:2])
-        with pytest.raises(ValueError, match="1 starts for 2 designs"):
-            fit_admm(designs[:2], cfgs[:2], [None])
         other, _ = make_noisy(d=5)
         with pytest.raises(ValueError, match="shape"):
             fit_admm([designs[0], other], cfgs[:2])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +298,18 @@ class TestLagDesignAndForecast:
             np.testing.assert_allclose(
                 var.forecast_one_step(a, recent), a @ design.x[i], atol=1e-12
             )
+
+    def test_statistics_that_overflow_are_refused(self):
+        # finite data whose squares pass the float64 range: a ValueError
+        # naming the statistic, and no overflow warning on the way
+        rng = np.random.default_rng(16)
+        design = var.lag_design(var.simulate(0.5 * np.eye(3), 1, 20, rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="statistic sxx overflows"):
+                var.LagDesign(x=design.x * 1e200, y=design.y * 1e200)
+            with pytest.raises(ValueError, match="statistic syy overflows"):
+                var.LagDesign(x=design.x, y=design.y * 1e200)
 
     def test_decomposition_sum(self):
         dec = var.CoefDecomposition(a0=np.eye(2), delta=0.5 * np.eye(2))
