@@ -5,23 +5,25 @@ A client is summarised by the sufficient statistics of its lag design,
 no round or iteration below touches the raw T x pd data.
 
 Stage I iterates privatized gradient rounds on the shared low-rank
-component from the start ``FedConfig.init_a0`` (``harness.fed_config``
-builds it from the largest client's single-client fit): each client
-computes its local loss gradient at the current iterate and adds
-Gaussian noise; the server sums the noisy gradients with the sample-size
-weights T_k / T, projects the sum once onto the tangent space of
-the fixed-rank manifold (the projection is linear, so this equals the
-weighted sum of projected gradients) and retracts to rank r.  Projection
-and retraction are one factored step, ``matops.tangent_step``: a thin QR
-and the SVD of a d x 2r core, never a full SVD.  The message a client
-sends per round is that one d x pd gradient.  ``stage1_run`` runs any
-number of federations (members of one rank and one number of clients,
-each with its own clients' designs, start, step, noise, generator and
-number of rounds) in one lockstep loop: a round takes every (member,
-client) gradient in one batched product and makes one tangent step over
-the members still running, a member leaves the stack once its rounds are
-run, and its result is bitwise that of its one-member call.  The harness
-fits the cells of a privacy heatmap in one call.
+component from the start ``FedConfig.init_a0``, truncated to rank r
+(``harness.fed_config`` builds it from the largest client's
+single-client fit, as ``initial_shared_estimate`` does with
+``single_client.fit_admm``): each client computes its local loss
+gradient at the current iterate and adds Gaussian noise; the server sums
+the noisy gradients with the sample-size weights T_k / T, projects the
+sum once onto the tangent space of the fixed-rank manifold (the
+projection is linear, so this equals the weighted sum of projected
+gradients) and retracts to rank r.  Projection and retraction are one
+factored step, ``matops.tangent_step``: a thin QR and the SVD of a
+d x 2r core, never a full SVD.  The message a client sends per round is
+that one d x pd gradient.  ``stage1_run`` runs any number of federations
+(members of one rank and one number of clients, each with its own
+clients' designs, start, step, noise, generator and number of rounds) in
+one lockstep loop: a round takes every (member, client) gradient in one
+batched product and makes one tangent step over the members still
+running, a member leaves the stack once its rounds are run, and its
+result is bitwise that of its one-member call.  The harness fits the
+cells of a privacy heatmap in one call.
 
 Stage II refines each client's sparse deviation by accelerated proximal
 gradient (FISTA) around a frozen shared estimate.  ``refine_fista`` is
@@ -49,12 +51,18 @@ import numpy as np
 from .dp import NoisePolicy, add_gaussian_noise, round_sigma
 from .matops import (
     SvdFactors,
+    _dots,
     check_matrix,
     soft_threshold,
     svd_truncate,
     tangent_step,
 )
-from .var import CoefDecomposition, LagDesign
+# after matops: importing scipy.linalg first through single_client made
+# perfbench's setup probe 40 ms slower, all in numpy.f2py's import (cause
+# not found)
+from . import single_client
+from .single_client import _check_designs
+from .var import CoefDecomposition
 
 # refine_fista stops once a step is at most this times max(1, ||delta||_F);
 # 1e-8 left the acceptance oracle's sparse-only gap at 2e-5, 1e-10 at 6e-8
@@ -166,41 +174,27 @@ def sample_size_weights(designs):
     return tuple(sizes / sizes.sum())
 
 
-def _check_designs(designs):
-    if not designs:
-        raise ValueError("need at least one client design")
-    d, pd = designs[0].d, designs[0].pd
-    for k, dsn in enumerate(designs):
-        if not isinstance(dsn, LagDesign):
-            raise TypeError("designs must be LagDesign instances")
-        if (dsn.d, dsn.pd) != (d, pd):
-            raise ValueError(
-                f"client {k} has shape ({dsn.d}, {dsn.pd}), expected ({d}, {pd})"
-            )
-    return d, pd
-
-
 def _check_rank(rank, d, pd):
     if not 1 <= rank <= min(d, pd):
         raise ValueError(f"rank {rank} outside [1, {min(d, pd)}]")
 
 
 def initial_shared_estimate(designs, rank, admm_cfgs):
-    """Starts of several federations: for each same-shape design, its
-    single-client ADMM estimate under the matching config, truncated to
-    ``rank``.  The fits are one stacked ``fit_admm`` call, and each start
-    is bitwise that of a one-design call."""
-    from .single_client import fit_admm
-
+    """Starts of several federations, a (n, d, pd) stack: for each of n
+    same-shape designs, its single-client ADMM estimate under the matching
+    config, truncated to ``rank``.  The fits are one stacked ``fit_admm``
+    call and the truncations one stacked ``svd_truncate`` call, so each
+    start is bitwise that of a one-design call."""
     _check_rank(rank, *_check_designs(designs))
-    decomps, _ = fit_admm(designs, admm_cfgs)
-    return [svd_truncate(dec.a0, rank)[0] for dec in decomps]
+    decomps, _ = single_client.fit_admm(designs, admm_cfgs)
+    return svd_truncate(np.stack([dec.a0 for dec in decomps]), rank)[0]
 
 
 def _check_members(design_sets, cfgs, rngs):
-    """The (d, pd) shape of every member's clients, and each member's sigma
-    and rank-r start, after the checks of one federation; the stack must
-    share rank and number of clients."""
+    """The (d, pd) shape of every member's clients, each member's sigma,
+    and the checked (C, d, pd) stack of their starts ``init_a0``, after
+    the checks of one federation; the stack must share rank and number of
+    clients."""
     if not cfgs:
         raise ValueError("need at least one federation config")
     if len(rngs) != len(cfgs):
@@ -212,7 +206,7 @@ def _check_members(design_sets, cfgs, rngs):
     d, pd = _check_designs([ds for designs in design_sets for ds in designs])
     rank, n_clients = cfgs[0].rank, len(design_sets[0])
     _check_rank(rank, d, pd)
-    sigmas, starts = [], []
+    sigmas, inits = [], []
     for c, (designs, cfg) in enumerate(zip(design_sets, cfgs)):
         if (cfg.rank, len(designs)) != (rank, n_clients):
             raise ValueError(
@@ -223,8 +217,8 @@ def _check_members(design_sets, cfgs, rngs):
         init = check_matrix(cfg.init_a0, "init_a0")
         if init.shape != (d, pd):
             raise ValueError(f"init_a0 shape {init.shape}, expected ({d}, {pd})")
-        starts.append(svd_truncate(init, rank))
-    return d, pd, sigmas, starts
+        inits.append(init)
+    return d, pd, sigmas, np.stack(inits)
 
 
 def stage1_run(design_sets, cfgs, rngs):
@@ -239,14 +233,15 @@ def stage1_run(design_sets, cfgs, rngs):
     designs, start, step, noise, budget and number of rounds.  A
     calibrated member spends its budget (eps, delta) evenly over the R
     rounds it runs, (eps/R, delta/R) per round; a zero-round member draws
-    no noise and returns its truncated start.  Each start is truncated to
-    rank r once, by SVD.  A round takes every (member, client) gradient
-    in one batched product, sums each member's noisy gradients with its
-    own client weights in client order, and makes one
-    ``matops.tangent_step`` over the stack: per member, one tangent
-    projection of its aggregate and a factored retraction of the rank-2r
-    step.  A step that overflows is refused by it with ValueError.  A
-    member that has run its rounds leaves the stack.
+    no noise and returns its truncated start.  The starts are truncated
+    to rank r once, all in one stacked ``matops.svd_truncate`` call.  A
+    round takes every (member, client) gradient in one batched product,
+    sums each member's noisy gradients with its own client weights in
+    client order, and makes one ``matops.tangent_step`` over the stack:
+    per member, one tangent projection of its aggregate and a factored
+    retraction of the rank-2r step.  A step that overflows is refused by
+    it with ValueError.  A member that has run its rounds leaves the
+    stack.
 
     In a noisy round a member spawns one child generator from its rngs[c],
     and its clients draw their noise from it in client order; a noise-free
@@ -257,7 +252,7 @@ def stage1_run(design_sets, cfgs, rngs):
     """
     cfgs, rngs = list(cfgs), list(rngs)
     design_sets = [list(designs) for designs in design_sets]
-    d, pd, sigmas, starts = _check_members(design_sets, cfgs, rngs)
+    d, pd, sigmas, inits = _check_members(design_sets, cfgs, rngs)
     n_clients = len(design_sets[0])
     # per-member constants of the working stack, one row per running member
     weights = np.array([sample_size_weights(ds) for ds in design_sets])[..., None, None]
@@ -266,8 +261,7 @@ def stage1_run(design_sets, cfgs, rngs):
     rho = np.array([cfg.step_rho for cfg in cfgs])
     rounds = np.array([cfg.rounds for cfg in cfgs])
 
-    a0s = np.stack([a0 for a0, _ in starts])
-    factors = SvdFactors.stack([f for _, f in starts])
+    a0s, factors = svd_truncate(inits, cfgs[0].rank)
     out = np.empty_like(a0s)  # each member's estimate, filled as it leaves
     live = np.arange(len(cfgs))
     traces = [[] for _ in cfgs]
@@ -302,14 +296,6 @@ def stage1_run(design_sets, cfgs, rngs):
         a0s, factors = tangent_step(factors, agg, rho)
     out[live] = a0s
     return out, traces
-
-
-def _dots(a, b):
-    """Inner products <a_j, b_j> of two (K, d, pd) stacks.  numpy takes
-    each by the dot kernel np.vdot uses, so a value does not depend on K
-    or on the other members of the stack."""
-    n = a.shape[0]
-    return np.matmul(a.reshape(n, 1, -1), b.reshape(n, -1, 1)).reshape(n)
 
 
 def refine_fista(designs, a0_hats, cfgs):

@@ -3,7 +3,9 @@
 Subcommands: simulate (run one experiment kind), fit (estimate on CSV
 panels and report forecast accuracy), forecast (one-step predictions
 from saved estimates), rank-select (choose the shared rank from panels).
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 runtime failure, 141 output
+pipe closed by its reader (nothing printed, the status a shell reports
+for a command stopped by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -197,7 +199,17 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        # flushed here, so that a reader that is gone fails inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout to devnull, so the exit flush cannot raise again; no
+        # SIGPIPE handler, since main also runs in-process
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"fedvar: error: {exc}", file=sys.stderr)
         return 1

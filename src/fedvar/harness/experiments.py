@@ -235,22 +235,20 @@ def fed_config(cfg, design_sets, fitted=()):
     ``fitted`` holds (design, fit) pairs of single-client ADMM fits under
     the config's scales that the caller already has, as ``_fit_single``
     returns them; a largest design among them (by identity) starts from
-    its fit, bitwise the start a new fit would give.  The other starts
-    come from one stacked ``initial_shared_estimate`` call, which fits
-    each distinct largest design (by identity) once; lists that share it
+    its fit, bitwise the start a new fit would give.  The distinct
+    largest designs (by identity) without a fit are fitted in one
+    ``_fit_single`` stack, and every distinct start is truncated in one
+    stacked ``svd_truncate`` call; lists that share a largest design
     share its start.
     """
     known = {id(ds): dec for ds, dec in fitted}
     largest = [max(designs, key=lambda ds: ds.t_len) for designs in design_sets]
     distinct = list({id(ds): ds for ds in largest}.values())
-    inits = {id(ds): svd_truncate(known[id(ds)].a0, cfg.rank)[0]
-             for ds in distinct if id(ds) in known}
     todo = [ds for ds in distinct if id(ds) not in known]
     if todo:
-        fits = fed_core.initial_shared_estimate(
-            todo, cfg.rank, [admm_config(ds, cfg) for ds in todo]
-        )
-        inits.update(zip(map(id, todo), fits))
+        known.update(zip(map(id, todo), _fit_single(cfg, todo)))
+    starts, _ = svd_truncate(np.stack([known[id(ds)].a0 for ds in distinct]), cfg.rank)
+    inits = dict(zip(map(id, distinct), starts))
     fcfgs = []
     for designs, big in zip(design_sets, largest):
         rounds = cfg.rounds
@@ -494,7 +492,8 @@ def empirical_rmsfe(cfg, designs, rep):
 
     def single_l1():
         omegas = [cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len) for ds in prefixes]
-        cfgs = [single_client.l1_only_config(omega) for omega in omegas]
+        # penalty omega around a zero shared part, capped at 500 iterations
+        cfgs = [fed_core.FistaConfig(varpi=omega, iters=500) for omega in omegas]
         zero = np.zeros((len(prefixes), prefixes[0].d, prefixes[0].pd))
         deltas, _ = fed_core.refine_fista(prefixes, zero, cfgs)
         return dict(zip(origins, deltas))

@@ -10,11 +10,12 @@ skip the fix.
 The kernels (``svd_truncate``, ``svt``, ``soft_threshold``,
 ``linf_project``, ``tangent_project``, ``tangent_step``) sit inside solver
 loops and do not validate: they assume finite 2-D float64 arrays (for
-``svt`` and ``tangent_step``, stacks of them) of matching shapes and the
-parameter ranges stated in each docstring.  The solvers' entry points and
-configs check those once.  Only what reaches LAPACK's SVD and QR (and
-``tangent_step``'s direction, from which its LAPACK input is built) is
-checked for non-finite entries, because LAPACK may not return on them.
+``svd_truncate``, ``svt`` and ``tangent_step``, stacks of them) of
+matching shapes and the parameter ranges stated in each docstring.  The
+solvers' entry points and configs check those once.  Only what reaches
+LAPACK's SVD and QR (and ``tangent_step``'s direction, from which its
+LAPACK input is built) is checked for non-finite entries, because LAPACK
+may not return on them.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class SvdFactors:
     s : (k,) nonnegative, nonincreasing
     v : (n, k) orthonormal columns, so that u @ diag(s) @ v.T reconstructs.
 
-    ``tangent_step`` holds a stack of C such factorizations in one: u
-    (C, m, k), s (C, k) and v (C, n, k).
+    A stack of C such factorizations is one SvdFactors with u (C, m, k),
+    s (C, k) and v (C, n, k), as ``svd_truncate`` of a stack returns and
+    ``tangent_step`` takes and returns.
     """
 
     u: np.ndarray
@@ -57,43 +59,16 @@ class SvdFactors:
     def matrix(self):
         return (self.u * self.s[..., None, :]) @ self.v.swapaxes(-1, -2)
 
-    @classmethod
-    def stack(cls, members):
-        """One stacked SvdFactors from equal-shape 2-D ones, each slice in
-        the memory layout of its member (see ``_stack``)."""
-        return cls(
-            u=_stack([f.u for f in members]),
-            s=np.stack([f.s for f in members]),
-            v=_stack([f.v for f in members]),
-        )
-
-
-def _stack(mats):
-    """Stack equal-shape 2-D arrays so that each slice has the strides of
-    its source when the sources share one layout: Fortran-ordered sources
-    give Fortran-ordered slices.  BLAS may round a product differently for
-    each layout of its operands, so only then is a batched product bitwise
-    the product of the sources."""
-    if all(m.flags.f_contiguous and not m.flags.c_contiguous for m in mats):
-        return np.stack([m.T for m in mats]).transpose(0, 2, 1)
-    return np.stack(mats)
-
-
-@dataclass(frozen=True)
-class TangentBasis:
-    """Orthonormal bases (u, v) of the row/column spaces of a rank-r point."""
-
-    u: np.ndarray
-    v: np.ndarray
-
 
 def _fix_signs(u, v):
     # Sign convention: first nonzero entry of each left singular vector is
     # nonnegative.  Makes the factorization unique for distinct singular
     # values and repeat calls bitwise-identical.  Negation is exact, so
-    # u * signs and v * signs change nothing but the signs.
-    first = np.argmax(u != 0, axis=0)
-    signs = np.where(u[first, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    # u * signs and v * signs change nothing but the signs.  Works on the
+    # last two axes, so a stack's members are fixed one by one.
+    first = np.argmax(u != 0, axis=-2)[..., None, :]
+    lead = np.take_along_axis(u, first, axis=-2)
+    signs = np.where(lead < 0, -1.0, 1.0)
     return u * signs, v * signs
 
 
@@ -123,21 +98,25 @@ def _svd(m):
 
 
 def svd_truncate(m, r):
-    """Best rank-r approximation of ``m`` together with its thin factors.
+    """Best rank-r approximation of ``m``, or of each member of a stack,
+    together with its thin factors.  A stack takes one batched SVD and
+    one batched product, as ``svt`` does, and each member's results are
+    bitwise those of its own 2-D call, whatever the stack's layout.
 
     Parameters
     ----------
-    m : (d1, d2) float64 array; non-finite entries raise ValueError
+    m : (d1, d2) float64 array or (n, d1, d2) stack of them; non-finite
+        entries raise ValueError
     r : int, 1 <= r <= min(d1, d2); not checked
 
     Returns
     -------
-    approx : (d1, d2) array, rank <= r
-    factors : SvdFactors with k = r columns
+    approx : array of m's shape, each matrix of rank <= r
+    factors : SvdFactors with k = r columns, stacked when m is
     """
     u, s, v = _svd(m)
-    u, v = _fix_signs(u[:, :r], v[:, :r])
-    factors = SvdFactors(u=u, s=s[:r], v=v)
+    u, v = _fix_signs(u[..., :r], v[..., :r])
+    factors = SvdFactors(u=u, s=s[..., :r], v=v)
     return factors.matrix(), factors
 
 
@@ -164,6 +143,14 @@ def svt(m, tau):
     return (u * s[..., None, :]) @ v.swapaxes(-1, -2)
 
 
+def _dots(a, b):
+    """Inner products <a_j, b_j> of two (K, d, pd) stacks.  numpy takes
+    each by the dot kernel np.vdot uses, so a value does not depend on K
+    or on the other members of the stack."""
+    n = a.shape[0]
+    return np.matmul(a.reshape(n, 1, -1), b.reshape(n, -1, 1)).reshape(n)
+
+
 def soft_threshold(m, tau):
     """Entrywise soft threshold sign(x) * max(|x| - tau, 0).
 
@@ -186,8 +173,9 @@ def tangent_project(b, basis):
     At a rank-r point with column space span(u) and row space span(v), the
     tangent space holds matrices of the form u@u.T@b + b@v@v.T - u@u.T@b@v@v.T.
     The projection is linear, idempotent, and nonexpansive in Frobenius norm.
-    Assumes a finite float64 ``b`` of shape (u.shape[0], v.shape[0]); not
-    checked.
+    ``basis`` is anything with attributes ``u`` (d1, r) and ``v`` (d2, r),
+    each with orthonormal columns, such as the SvdFactors of the point.
+    Assumes a finite float64 ``b`` of shape (d1, d2); not checked.
     """
     u, v = basis.u, basis.v
     ub = u @ (u.T @ b)
@@ -260,7 +248,7 @@ def tangent_step(factors, z, rho):
     # LAPACK returns Fortran-ordered arrays; each is stored transposed in a
     # C-ordered stack, so that a slice has the strides of the 2-D output
     # (q, uc[:, :r], vct[:r].T) and a batched product equals the 2-D
-    # product of the outputs bit for bit (see ``_stack``)
+    # product of the outputs bit for bit
     n, d1, d2 = z.shape
     k = min(d2, right.shape[2])
     qt = np.empty((n, k, d2))

@@ -1,8 +1,7 @@
 """Single-client estimation of the low-rank + sparse coefficient pair by
-ADMM, plus the reference baselines used for comparisons: least squares
-(``fit_baseline``) and l1 only (``refine_fista`` with no shared part, on
-``l1_only_config``).  The nuclear-norm-only fit is ADMM on
-``nuclear_only_config``.
+ADMM, plus the least-squares reference fit ``fit_baseline``.  The
+nuclear-norm-only fit is ADMM on ``nuclear_only_config``; the l1-only
+baseline is ``fed_core.refine_fista`` around a zero shared part.
 
 ``fit_admm`` is one lockstep loop over any number of same-shape problems,
 and one fit is the one-problem call: each problem keeps its own ridge
@@ -27,9 +26,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 
-from .fed_core import FistaConfig, _check_designs, _dots
-from .matops import linf_project, soft_threshold, svt
-from .var import CoefDecomposition
+from .matops import _dots, linf_project, soft_threshold, svt
+from .var import CoefDecomposition, LagDesign
 
 # fit_admm's over-relaxation factor alpha, from a sweep over 1.5-1.8 (records
 # in BENCH_relax.json).  Up to 1.7, a larger alpha needs fewer iterations
@@ -117,6 +115,21 @@ def nuclear_only_config(cfg):
     return replace(cfg, omega=0.0, pin_delta=True)
 
 
+def _check_designs(designs):
+    """The (d, pd) shape of a nonempty list of same-shape LagDesigns."""
+    if not designs:
+        raise ValueError("need at least one client design")
+    d, pd = designs[0].d, designs[0].pd
+    for k, dsn in enumerate(designs):
+        if not isinstance(dsn, LagDesign):
+            raise TypeError("designs must be LagDesign instances")
+        if (dsn.d, dsn.pd) != (d, pd):
+            raise ValueError(
+                f"client {k} has shape ({dsn.d}, {dsn.pd}), expected ({d}, {pd})"
+            )
+    return d, pd
+
+
 def fit_admm(designs, cfgs):
     """Solve the nuclear + l1 penalized regression by scaled-dual ADMM for
     a stack of same-shape problems, problem j on designs[j] under cfgs[j].
@@ -186,8 +199,8 @@ def fit_admm(designs, cfgs):
     finals = np.empty((3, n, pd, d))
     runs = np.zeros(n, dtype=np.intp)
     converged = np.zeros(n, dtype=bool)
-    primal = np.empty((max_iter, n))
-    dual = np.empty_like(primal)
+    # (live, primal, dual) residual norms of each iteration run
+    history = []
 
     live = np.arange(n)
     z = b0 + d_mat
@@ -219,8 +232,7 @@ def fit_admm(designs, cfgs):
         # so a problem's residuals do not depend on the stack
         r_norm = np.sqrt(_dots(r, r))
         s_norm = np.sqrt(_dots(s, s))
-        primal[it - 1, live] = r_norm
-        dual[it - 1, live] = s_norm
+        history.append((live, r_norm, s_norm))
         done = (r_norm <= tol) & (s_norm <= tol)
         stop = done | (it == max_iter)
         if stop.any():
@@ -234,6 +246,9 @@ def fit_admm(designs, cfgs):
                 a[keep] for a in (live, omega, zeta, pin_delta, g, b0, d_mat, u, z)
             )
 
+    primal, dual = np.empty((2, len(history), n))
+    for i, (rows, r_norm, s_norm) in enumerate(history):
+        primal[i, rows], dual[i, rows] = r_norm, s_norm
     states = []
     for j in range(n):
         hist_r, hist_s = primal[: runs[j], j].tolist(), dual[: runs[j], j].tolist()
@@ -285,8 +300,3 @@ def fit_baseline(design):
         coef = cho_solve(cho_factor(gram + jitter * np.eye(design.pd)), cross)
     return coef.T
 
-
-def l1_only_config(omega):
-    """The l1-only baseline's refine_fista config, for a zero shared part:
-    penalty omega at refine_fista's step, capped at 500 iterations."""
-    return FistaConfig(varpi=omega, iters=500)

@@ -565,9 +565,8 @@ class TestStageOne:
         agg = np.zeros_like(start)
         for w, ds in zip(sample_size_weights(designs), designs):
             agg += w * dp.add_gaussian_noise(local_gradient(ds, start), sigma, child)
-        (want,), _ = matops.tangent_step(
-            matops.SvdFactors.stack([factors]), agg[None], [cfg.step_rho]
-        )
+        one = matops.SvdFactors(u=factors.u[None], s=factors.s[None], v=factors.v[None])
+        (want,), _ = matops.tangent_step(one, agg[None], [cfg.step_rho])
         assert np.array_equal(got, want)
         assert [(t.round_index, t.sigma) for t in trace] == [(0, sigma)]
 

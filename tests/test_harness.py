@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -10,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedvar
 from fedvar import dp, fed_core, single_client, var
 from fedvar.harness import (
     ExperimentConfig,
@@ -914,10 +917,10 @@ class TestFedConfig:
         want = experiments.fed_config(self.CFG, sets)
         fits = experiments._fit_single(self.CFG, designs)
         calls = []
-        real = fed_core.initial_shared_estimate
+        real = single_client.fit_admm
         monkeypatch.setattr(
-            fed_core, "initial_shared_estimate",
-            lambda *args: calls.append(len(args[0])) or real(*args),
+            single_client, "fit_admm",
+            lambda designs, *rest: calls.append(len(designs)) or real(designs, *rest),
         )
         # the first list's start comes from its fit, the second's is new
         got = experiments.fed_config(self.CFG, sets, zip(designs[:1], fits[:1]))
@@ -934,13 +937,16 @@ class TestFedConfig:
         [
             ("k_sweep", {"k_grid": (2, 3, 5)}, [5]),
             ("t_sweep", {"t_grid": (40, 60), "n_clients": 3}, [6]),
+            # no single-client fits of its own: the start is the only stack
+            ("privacy_heatmap", {"n_clients": 2, "eps_grid": (1.0,), "rounds": 2,
+                                 "noise_mode": "fixed_scale"}, [1]),
             # every (method, client, origin) fit, then the full-sample start
             ("empirical", {"lengths": (32, 32, 32)}, [2 * 3 * 3, 1]),
             # origins 30 and 31's largest clients end there, as does the
             # full sample, so those starts are not in the stack
             ("empirical", {"lengths": TestEmpiricalFederation.LENGTHS}, [2 * 3 * 3, 3]),
         ],
-        ids=["k_sweep", "t_sweep", "empirical", "empirical_unequal"],
+        ids=["k_sweep", "t_sweep", "privacy_heatmap", "empirical", "empirical_unequal"],
     )
     def test_sweep_starts_from_its_single_fits(
         self, kind, fields, stacks_want, tmp_path, monkeypatch
@@ -952,23 +958,40 @@ class TestFedConfig:
                 kind=kind, seed=3, d=4, p=1, rank=1, t_len=60, reps=1,
                 out_dir=str(tmp_path), **fields,
             )
-        stacks, starts = [], []
-        real_fit, real_start = single_client.fit_admm, fed_core.initial_shared_estimate
+        stacks, truncations, per_call = [], [], []
+        real_fit, real_truncate = single_client.fit_admm, experiments.svd_truncate
         monkeypatch.setattr(
             single_client, "fit_admm",
             lambda designs, *rest: stacks.append(designs) or real_fit(designs, *rest),
         )
-        monkeypatch.setattr(
-            fed_core, "initial_shared_estimate",
-            lambda *args: starts.append(args[0]) or real_start(*args),
-        )
+
+        def truncate(m, r):
+            truncations.append(np.ndim(m))
+            return real_truncate(m, r)
+
+        def counted(fn):
+            def wrapped(*args):
+                before = len(truncations)
+                out = fn(*args)
+                per_call.append((fn.__name__, len(truncations) - before))
+                return out
+            return wrapped
+
+        for module in (experiments, fed_core):
+            monkeypatch.setattr(module, "svd_truncate", truncate)
+        monkeypatch.setattr(experiments, "fed_config", counted(experiments.fed_config))
+        monkeypatch.setattr(fed_core, "stage1_run", counted(fed_core.stage1_run))
         res = run_experiment(cfg, run_dir=str(tmp_path / "run"))
         # one ADMM stack of every single-client fit; a start is fitted
-        # again only for a design that is not in it
+        # again, in one more stack, only for a design that is not in it
         assert [len(designs) for designs in stacks] == stacks_want
-        assert stacks[1:] == starts
         fitted = {id(ds) for ds in stacks[0]}
-        assert not any(id(ds) in fitted for designs in starts for ds in designs)
+        assert not any(id(ds) in fitted for designs in stacks[1:] for ds in designs)
+        # each fed_config call truncates its starts in one stacked call,
+        # and each stage1_run call its members' starts in one more
+        assert {name for name, _ in per_call} == {"fed_config", "stage1_run"}
+        assert all(n == 1 for _, n in per_call)
+        assert truncations == [3] * len(per_call)
         assert res.manifest["aborted_replications"] == 0
 
 
@@ -1074,6 +1097,25 @@ class TestCli:
         )
         # d=20 defaults make this a real run; just check the exit path
         assert code == 0
+
+    def test_closed_output_pipe_exits_141_silently(self, tmp_path):
+        # the reader is gone before the run prints its directory, as in
+        # `fedvar simulate ... | true`
+        cfg_path = tmp_path / "cfg.json"
+        to_json(tiny_config(out_dir=str(tmp_path)), str(cfg_path))
+        src = os.path.dirname(os.path.dirname(fedvar.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["simulate", "single_client_curve", "--config", str(cfg_path)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fedvar.harness.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     def test_heatmap_without_noise_mode_exits_one(self, tmp_path, capsys):
         argv = ["simulate", "privacy_heatmap", "--seed", "1", "--out", str(tmp_path)]

@@ -59,6 +59,28 @@ class TestSvdTruncate:
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.v, f2.v)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stack_equals_member_calls(self, n, order):
+        rng = np.random.default_rng(18)
+        members = [rng.standard_normal((6, 9)) for _ in range(n - 1)]
+        # a rank-deficient member: rank 2 of 6
+        members.append(rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9)))
+        members = [np.asarray(m, order=order) for m in members]
+        # a C-ordered stack, and one whose slices are Fortran-ordered
+        stacks = (np.stack(members), np.stack([m.T for m in members]).transpose(0, 2, 1))
+        for stack in stacks:
+            for r in (1, 6):
+                got, f = matops.svd_truncate(stack, r)
+                assert f.u.shape == (n, 6, r) and f.s.shape == (n, r)
+                assert f.v.shape == (n, 9, r)
+                for c, m in enumerate(members):
+                    want, want_f = matops.svd_truncate(m, r)
+                    assert got[c].tobytes() == want.tobytes()
+                    for name in ("u", "s", "v"):
+                        got_part, want_part = getattr(f, name)[c], getattr(want_f, name)
+                        assert got_part.tobytes() == want_part.tobytes()
+
     def test_sign_convention(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((6, 5))
@@ -218,7 +240,7 @@ class TestTangentProject:
     def _basis(self, rng, d1, d2, r):
         m = rng.standard_normal((d1, d2))
         _, f = matops.svd_truncate(m, r)
-        return matops.TangentBasis(u=f.u, v=f.v), m
+        return f, m
 
     def test_matches_explicit_basis_oracle(self):
         rng = np.random.default_rng(6)
@@ -266,7 +288,7 @@ class TestTangentProject:
         )
 
     def test_shape_mismatch(self):
-        basis = matops.TangentBasis(u=np.eye(3)[:, :1], v=np.eye(4)[:, :1])
+        basis = matops.SvdFactors(u=np.eye(3)[:, :1], s=np.ones(1), v=np.eye(4)[:, :1])
         with pytest.raises(ValueError):
             matops.tangent_project(np.zeros((2, 4)), basis)
 
@@ -284,16 +306,16 @@ def tangent_step_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((d, pd)) if point == "random" else np.zeros((d, pd))
     _, factors = matops.svd_truncate(x, r)
-    basis = matops.TangentBasis(u=factors.u, v=factors.v)
     z = np.zeros((d, pd)) if direction == "zero" else rng.standard_normal((d, pd))
     if direction == "tangent":
-        z = matops.tangent_project(z, basis)
-    return factors, basis, z, rho
+        z = matops.tangent_project(z, factors)
+    return factors, z, rho
 
 
 def solo_step(factors, z, rho):
     """tangent_step on a one-member stack, unstacked."""
-    got, f = matops.tangent_step(matops.SvdFactors.stack([factors]), z[None], [rho])
+    one = matops.SvdFactors(u=factors.u[None], s=factors.s[None], v=factors.v[None])
+    got, f = matops.tangent_step(one, z[None], [rho])
     return got[0], matops.SvdFactors(u=f.u[0], s=f.s[0], v=f.v[0])
 
 
@@ -301,9 +323,9 @@ class TestTangentStep:
     @settings(max_examples=300, deadline=None)
     @given(tangent_step_cases())
     def test_matches_projection_then_full_svd(self, case):
-        factors, basis, z, rho = case
+        factors, z, rho = case
         r = factors.s.shape[0]
-        target = factors.matrix() - rho * matops.tangent_project(z, basis)
+        target = factors.matrix() - rho * matops.tangent_project(z, factors)
         sv = np.linalg.svd(target, compute_uv=False)
         # the rank-r truncation is unique only with a gap after sigma_r
         assume(
@@ -349,7 +371,11 @@ class TestTangentStep:
              rng.standard_normal((6, 9)), rho)
             for rho in (0.3, 0.0, 2.0)
         ]
-        factors = matops.SvdFactors.stack([f for f, _, _ in members])
+        factors = matops.SvdFactors(
+            u=np.stack([f.u for f, _, _ in members]),
+            s=np.stack([f.s for f, _, _ in members]),
+            v=np.stack([f.v for f, _, _ in members]),
+        )
         z = np.stack([z for _, z, _ in members])
         # two steps, the second from the stacked factors the first returned
         for rhos in ([rho for _, _, rho in members], [0.1, 0.2, 0.3]):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -249,6 +250,25 @@ class TestStackedAdmm:
         assert all("max_iter=40" in str(w.message) for w in runtime)
         assert [s.iterations for s in report.members] == [31, 40, 40, 38]
         assert [s.converged for s in report.members] == [True, False, False, True]
+
+    def test_histories_hold_only_the_iterations_run(self, monkeypatch):
+        # a 4-member fit of 50 to 96 iterations: residual histories sized
+        # by the cap would take 2 x 200,000 x 4 floats, 12.8 MB
+        rng = np.random.default_rng(23)
+        designs = []
+        for _ in range(4):
+            a0, deltas = var.assemble_dgp(6, 1, 2, 1, rng, ratio=5.0)
+            designs.append(var.lag_design(var.simulate(a0 + deltas[0], 1, 200, rng)))
+        cfgs = [single_client.default_admm_config(ds) for ds in designs]
+        monkeypatch.setattr(single_client, "_ADMM_MAX_ITER", 200_000)
+        tracemalloc.start()
+        try:
+            _, report = fit_admm(designs, cfgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 2**20
 
     def test_working_stack_must_be_solvable_in_place(self):
         # dpotrs solves in place only on a Fortran-ordered slice; on any
