@@ -26,8 +26,9 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # NaN fails every comparison, so each check is stated as what holds
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -51,10 +52,14 @@ class NoisePolicy:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}")
-        if self.mode == "calibrated" and self.sensitivity <= 0:
-            raise ValueError("calibrated mode needs a positive sensitivity")
-        if self.mode == "fixed_scale" and self.scale <= 0:
-            raise ValueError("fixed_scale mode needs a positive scale")
+        if self.mode == "calibrated" and not 0 < self.sensitivity < math.inf:
+            raise ValueError(
+                f"calibrated mode needs a positive finite sensitivity, got {self.sensitivity}"
+            )
+        if self.mode == "fixed_scale" and not 0 < self.scale < math.inf:
+            raise ValueError(
+                f"fixed_scale mode needs a positive finite scale, got {self.scale}"
+            )
 
     @classmethod
     def none(cls):
@@ -109,4 +114,9 @@ def add_gaussian_noise(m, sigma, rng):
     m = np.asarray(m, dtype=np.float64)
     if sigma == 0.0:
         return m.copy()
-    return m + sigma * rng.standard_normal(m.shape)
+    # m + sigma * z in the draw's own buffer: IEEE * and + commute, so the
+    # bytes are those of the expression
+    out = rng.standard_normal(m.shape)
+    out *= sigma
+    out += m
+    return out

@@ -243,12 +243,13 @@ def stage1_run(design_sets, cfgs, rngs):
     it with ValueError.  A member that has run its rounds leaves the
     stack.
 
-    In a noisy round a member spawns one child generator from its rngs[c],
-    and its clients draw their noise from it in client order; a noise-free
-    member spawns nothing.  A member's estimate and trace are therefore
-    bitwise those of its one-member call, and a run of n rounds equals n
-    chained one-round runs on the same generators, each with a per-round
-    budget of (eps/n, delta/n).
+    A noisy member spawns its R round generators from its rngs[c] in one
+    ``spawn(R)`` call, which gives the children of R ``spawn(1)`` calls;
+    round n's clients draw their noise from child n in client order.  A
+    noise-free member spawns nothing.  A member's estimate and trace are
+    therefore bitwise those of its one-member call, and a run of n rounds
+    equals n chained one-round runs on the same generators, each with a
+    per-round budget of (eps/n, delta/n).
     """
     cfgs, rngs = list(cfgs), list(rngs)
     design_sets = [list(designs) for designs in design_sets]
@@ -260,6 +261,12 @@ def stage1_run(design_sets, cfgs, rngs):
     sxy_t = np.array([[ds.sxy.T for ds in designs] for designs in design_sets])
     rho = np.array([cfg.step_rho for cfg in cfgs])
     rounds = np.array([cfg.rounds for cfg in cfgs])
+    # each noisy member's round generators, spawned in one call: the same
+    # children as one spawn(1) per round
+    noise_rngs = [
+        rng.spawn(cfg.rounds) if sigma > 0 else None
+        for rng, cfg, sigma in zip(rngs, cfgs, sigmas)
+    ]
 
     a0s, factors = svd_truncate(inits, cfgs[0].rank)
     out = np.empty_like(a0s)  # each member's estimate, filled as it leaves
@@ -283,8 +290,8 @@ def stage1_run(design_sets, cfgs, rngs):
         norms = np.sqrt(_dots(flat, flat)).reshape(grads.shape[:2]).tolist()
         noisy = np.empty_like(grads)
         for j, c in enumerate(live.tolist()):
-            sigma, rng = sigmas[c], rngs[c]
-            noise_rng = rng.spawn(1)[0] if sigma > 0 else None
+            sigma = sigmas[c]
+            noise_rng = noise_rngs[c][n] if sigma > 0 else None
             for k in range(n_clients):
                 noisy[j, k] = add_gaussian_noise(grads[j, k], sigma, noise_rng)
             traces[c].append(RoundTrace(n, sigma, tuple(norms[j])))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
@@ -203,13 +204,18 @@ class ExperimentConfig:
         # 1 or more a world no path can be simulated from
         if not 0 < self.target_radius < 1:
             raise ValueError(f"target_radius must lie in (0, 1), got {self.target_radius}")
+        # an infinite eps would calibrate a "private" run with no noise
         for name in ("eps", "kappa", "sensitivity"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not all(v > 0 for v in self.eps_grid):
-            raise ValueError(f"eps_grid entries must be positive, got {self.eps_grid}")
+        if not all(0 < v < math.inf for v in self.eps_grid):
+            raise ValueError(
+                f"eps_grid entries must be positive and finite, got {self.eps_grid}"
+            )
         if not all(0 < v < 1 for v in self.delta_grid):
             raise ValueError(f"delta_grid entries must lie in (0, 1), got {self.delta_grid}")
         specs = tuple(

@@ -41,10 +41,11 @@ A T sweep fits its worlds' federations in one ``fit_federated`` call.
 A privacy heatmap fits its noise-free cell and all its (eps, delta)
 cells in one stacked ``stage1_run`` call; each cell keeps its own
 generator, built from the replication's noise stream, so a cell's draws
-do not depend on the other cells.  Within a stage-1 run, each noisy
-round spawns one generator from a member's stream and its clients draw
-from it in turn.  Before rounds drew this
-way (one spawned generator per client per round), the same stream gave
+do not depend on the other cells.  Within a stage-1 run, a noisy member
+spawns one generator per round from its stream, all in one spawn call,
+and a round's clients draw from its generator in turn.  Before rounds
+drew this way (one spawned generator per client per round), the same
+stream gave
 other draws, so noisy results from earlier versions differ; noise-free
 results are unchanged up to rounding (within 1e-12 relative).
 """

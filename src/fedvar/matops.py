@@ -5,7 +5,11 @@ All routines work on float64 ndarrays and are deterministic: no randomized
 algorithms, and the factors ``svd_truncate`` returns are sign-fixed so
 repeated calls on equal input return bitwise-equal factors.  ``svt`` and
 ``tangent_step`` return points that do not depend on the signs, so they
-skip the fix.
+skip the fix.  ``svd_truncate`` and ``tangent_step`` take LAPACK's
+dgesdd SVD.  ``svt`` takes the eigendecomposition of each matrix's
+smaller Gram matrix, which is not bitwise dgesdd's threshold but stays
+within the bound derived beside ``_GRAM_RATIO``; a matrix outside that
+guard is thresholded from dgesdd.
 
 The kernels (``svd_truncate``, ``svt``, ``soft_threshold``,
 ``linf_project``, ``tangent_project``, ``tangent_step``) sit inside solver
@@ -13,9 +17,9 @@ loops and do not validate: they assume finite 2-D float64 arrays (for
 ``svd_truncate``, ``svt`` and ``tangent_step``, stacks of them) of
 matching shapes and the parameter ranges stated in each docstring.  The
 solvers' entry points and configs check those once.  Only what reaches
-LAPACK's SVD and QR (and ``tangent_step``'s direction, from which its
-LAPACK input is built) is checked for non-finite entries, because LAPACK
-may not return on them.
+LAPACK's SVD, eigendecomposition and QR (and ``tangent_step``'s
+direction, from which its LAPACK input is built) is checked for
+non-finite entries, because LAPACK may not return on them.
 """
 
 from __future__ import annotations
@@ -77,12 +81,17 @@ def _require_finite(m, what):
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def _check_svd_input(m):
+def _check_sides(m):
     """Cap each matrix's two sides (a stack's last two axes, not its
-    member count) and refuse non-finite entries."""
+    member count)."""
     side = max(m.shape[-2:])
     if side > SVD_DIM_CAP:
         raise ValueError(f"matrix side {side} exceeds dense-SVD cap {SVD_DIM_CAP}")
+
+
+def _check_svd_input(m):
+    """Cap each matrix's sides and refuse non-finite entries."""
+    _check_sides(m)
     # LAPACK's divide-and-conquer SVD can loop without end on inf entries.
     _require_finite(m, "SVD input")
 
@@ -120,6 +129,38 @@ def svd_truncate(m, r):
     return factors.matrix(), factors
 
 
+# The Gram path of ``svt`` and its guard.  With k the smaller and l the
+# larger side of m, G the k x k Gram matrix (m'm for a tall m, mm' for a
+# wide one) and h(x) = max(1 - tau/sqrt(x), 0), the threshold is exactly
+# m h(G) (or h(G) m): each singular value s of m becomes s h(s^2) =
+# max(s - tau, 0).  In floating point, with unit roundoff u = 2^-53 and
+# s_max the largest singular value:
+#   - the product G carries an error of at most l u ||m||_F^2 <= k l u
+#     s_max^2 in Frobenius norm, and eigh's eigenpairs are exact, to
+#     within rounding of the vectors, for a matrix within a modest
+#     multiple of k u s_max^2 of that (backward stability), so the
+#     decomposed matrix is G + E with ||E||_F <~ k (k + l) u s_max^2;
+#   - h is Lipschitz with constant 1/(2 tau^2), its slope at x = tau^2,
+#     and a function Lipschitz on the reals is Lipschitz with the same
+#     constant on symmetric matrices in Frobenius norm, so
+#     ||h(G + E) - h(G)||_F <= ||E||_F / (2 tau^2);
+#   - multiplying by m (||m||_2 = s_max) and rounding h (a few u for the
+#     square root, division and subtraction of each shrink factor, about
+#     k u for the eigenvectors' departure from orthogonality and k^2 u
+#     for the two products) add at most about (k + 1)(k + l) u s_max, the
+#     order of dgesdd's own error.
+# So the result is within (k + 1)(k + l) u s_max (1 + s_max^2 / (2 tau^2))
+# of the exact threshold, first order.  The bound grows without limit as tau
+# falls (tau = 0, where h is not Lipschitz at 0, included), so a member
+# takes the Gram path only when s_max < _GRAM_RATIO tau; every other
+# member goes to dgesdd.  At 300 the error is at most (k + 1)(k + l) u
+# (1 + 4.5e4) s_max, 4.2e-9 s_max at 20 x 20, far below ADMM's stop
+# tolerance.  In two seed-11 replications each of rank_table (d=20),
+# single_client_curve and t_sweep (d=8), ADMM's thresholds met s_max / tau
+# of 5 to 57, so they take the Gram path.
+_GRAM_RATIO = 300.0
+
+
 def svt(m, tau):
     """Singular value thresholding of each member of a stack: shrink every
     singular value of m[c] by tau[c].
@@ -130,17 +171,61 @@ def svt(m, tau):
     or b above SVD_DIM_CAP, raise ValueError; the number of members is
     not capped.
 
-    The stack takes one ``np.linalg.svd`` call, numpy's batched gufunc,
-    which runs LAPACK dgesdd on each member in turn, and one batched
-    product ``(u * s) @ vt``.  Each member's result is bitwise that of
-    its own call: the gufunc copies every member into the same Fortran
-    buffer whatever the stack's layout, and the product's slices keep
-    the strides of a 2-D product.  ADMM thresholds every problem of its
-    stack in one call per iteration.
+    SVT needs only the singular triplets above the threshold (Cai,
+    Candes & Shen, SIAM J. Optim. 2010), and the Gram matrix on the
+    smaller side has them at a fraction of an SVD's cost.  The stack
+    takes one batched product for the Gram matrices, one batched
+    ``np.linalg.eigh`` (LAPACK dsyevd on each member in turn), and two
+    batched products for m V diag(max(1 - tau/s, 0)) V' (V diag(...) V' m
+    for a wide m), where s^2 are the eigenvalues above tau^2.  A member
+    whose largest singular value reaches _GRAM_RATIO tau, tau = 0
+    included, is thresholded from its dgesdd SVD instead, bitwise as
+    ``(u * max(s - tau, 0)) @ vt`` of ``np.linalg.svd``.  The result is
+    within (min(a, b) + 1)(a + b) u s_max (1 + s_max^2 / (2 tau^2)) of
+    the exact threshold, with u = 2^-53 and s_max the largest singular value
+    (derivation above _GRAM_RATIO).
+
+    Each member's result is bitwise that of its own call, in a stack of
+    either layout: the gufuncs copy every member into the same Fortran
+    buffer, and the products' slices keep the strides of a 2-D product.
+    It does not depend on the signs of the eigenvectors, since each
+    enters twice.  ADMM thresholds every problem of its stack in one
+    call per iteration.
     """
-    u, s, v = _svd(m)
-    s = np.maximum(s - np.asarray(tau, dtype=np.float64)[..., None], 0.0)
-    return (u * s[..., None, :]) @ v.swapaxes(-1, -2)
+    if m.ndim == 2:
+        return svt(m[None], np.reshape(tau, 1))[0]
+    _check_sides(m)
+    # each member's largest entry: non-finite for a non-finite member, and
+    # above 1e150 its Gram matrix may overflow, which eigh may not return
+    # on; such a member is zeroed for the Gram path and goes to dgesdd
+    top = np.abs(m).max(axis=(1, 2))
+    _require_finite(top, "SVD input")
+    huge = top > 1e150
+    src = m
+    if huge.any():
+        src = m.copy(order="K")
+        src[huge] = 0.0
+    tau = np.asarray(tau, dtype=np.float64)
+    tall = m.shape[1] >= m.shape[2]
+    gram = src.swapaxes(1, 2) @ src if tall else src @ src.swapaxes(1, 2)
+    try:
+        w, v = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"eigendecomposition failed to converge: {exc}") from exc
+    # the singular values; rounding may leave a zero eigenvalue negative
+    s = np.sqrt(np.maximum(w, 0.0))
+    t = tau[:, None]
+    keep = s > t
+    shrink = np.where(keep, 1.0 - t / np.where(keep, s, 1.0), 0.0)
+    h = (v * shrink[:, None, :]) @ v.swapaxes(1, 2)
+    out = m @ h if tall else h @ m
+    # the guard, stated so that a huge tau cannot overflow it
+    svd = huge | ~(s[:, -1] / _GRAM_RATIO < tau)
+    if svd.any():
+        u, s, v = _svd(m[svd])
+        s = np.maximum(s - tau[svd, None], 0.0)
+        out[svd] = (u * s[:, None, :]) @ v.swapaxes(1, 2)
+    return out
 
 
 def _dots(a, b):

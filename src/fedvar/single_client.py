@@ -151,13 +151,16 @@ def fit_admm(designs, cfgs):
     factor of the ridge system (one LAPACK dpotrs per problem and
     iteration), its own pin_delta and zeta, and its own lam; the singular
     value thresholding is one ``matops.svt`` call over the stack per
-    iteration, and the elementwise updates and the residual norms run
-    once over the stack.  Every problem stops once both residuals are at most
+    iteration (the eigendecomposition of each problem's d x d Gram
+    matrix, within svt's stated bound of the dgesdd threshold, and
+    dgesdd itself for lam = 0), and the elementwise updates and the
+    residual norms run once over the stack.  Every problem stops once both residuals are at most
     _ADMM_EPS * sqrt(pd * d), one tolerance for the stack since its
     problems share a shape, or after _ADMM_MAX_ITER iterations.  A
     problem that stops leaves the stack, so its iterates, residual
     histories and iteration count are bitwise those of its one-problem
-    call.  Each problem that stops at the cap warns once.
+    call (svt's result for a member does not depend on the stack).
+    Each problem that stops at the cap warns once.
 
     Every problem starts at B0 = D = U = 0.
 

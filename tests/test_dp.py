@@ -55,6 +55,19 @@ class TestBudgetAndPolicy:
         with pytest.raises(ValueError):
             dp.PrivacyBudget(epsilon=1.0, delta=1.5)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, bad):
+        # NaN passes a "<= 0" check, and an infinite epsilon or an infinite
+        # sensitivity would calibrate no noise or infinite noise
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            dp.PrivacyBudget(epsilon=bad, delta=0.1)
+        with pytest.raises(ValueError, match="delta"):
+            dp.PrivacyBudget(epsilon=1.0, delta=bad)
+        with pytest.raises(ValueError, match="positive finite sensitivity"):
+            dp.NoisePolicy.calibrated(bad)
+        with pytest.raises(ValueError, match="positive finite scale"):
+            dp.NoisePolicy.fixed(bad)
+
     def test_round_sigma_none(self):
         assert dp.round_sigma(dp.NoisePolicy.none(), None, 10) == 0.0
         budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)

@@ -482,6 +482,29 @@ class TestStageOne:
         ]
         return designs, cfgs
 
+    def test_round_generators_are_sequential_spawn_children(self, monkeypatch):
+        # a noisy member spawns its R round generators in one spawn(R)
+        # call: they are the children R spawn(1) calls give, and each
+        # round's first client draws from its child's fresh state
+        designs, cfgs = self._members()
+        seen = []
+        real = fed_core.add_gaussian_noise
+
+        def spy(m, sigma, rng):
+            seen.append((rng.bit_generator.seed_seq.spawn_key, rng.bit_generator.state))
+            return real(m, sigma, rng)
+
+        monkeypatch.setattr(fed_core, "add_gaussian_noise", spy)
+        cfg, n_clients = cfgs[1], len(designs)
+        stage1_run([designs], [cfg], [np.random.default_rng(6)])
+        assert len(seen) == cfg.rounds * n_clients
+        parent = np.random.default_rng(6)
+        for n in range(cfg.rounds):
+            child = parent.spawn(1)[0]
+            this_round = seen[n * n_clients : (n + 1) * n_clients]
+            assert {key for key, _ in this_round} == {child.bit_generator.seed_seq.spawn_key}
+            assert this_round[0][1] == child.bit_generator.state
+
     def test_members_equal_their_solo_runs(self):
         designs, cfgs = self._members()
         seeds = (5, 6, 6, 7)  # two members with equal seeds, separate generators

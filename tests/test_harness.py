@@ -200,6 +200,14 @@ class TestExperimentConfig:
             ("delta_grid", (-0.1,)),
             ("kappa", 0.0),
             ("sensitivity", -1.0),
+            # an infinite eps calibrated a run with sigma 0
+            ("eps", float("inf")),
+            ("eps_grid", (1.0, float("inf"))),
+            ("eps_grid", (float("nan"),)),
+            ("kappa", float("inf")),
+            ("kappa", float("nan")),
+            ("sensitivity", float("inf")),
+            ("sensitivity", float("nan")),
         ],
     )
     def test_privacy_fields_checked_in_every_noise_mode(self, field, bad):
@@ -1124,7 +1132,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "kind, flag, value",
-        [("k_sweep", "--eps", "-1"), ("privacy_heatmap", "--delta", "1.5")],
+        [("k_sweep", "--eps", "-1"), ("privacy_heatmap", "--delta", "1.5"),
+         # inf once ran a "calibrated" sweep with sigma 0 and exit 0
+         ("k_sweep", "--eps", "inf"), ("k_sweep", "--eps", "nan")],
     )
     def test_bad_privacy_flag_exits_one_before_any_replication(
         self, kind, flag, value, tmp_path, capsys, monkeypatch
@@ -1136,6 +1146,28 @@ class TestCli:
         assert flag[2:] in capsys.readouterr().err
         assert calls == []
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("eps", "Infinity"), ("kappa", "NaN"), ("sensitivity", "Infinity"),
+         ("eps_grid", "[1.0, Infinity]")],
+    )
+    def test_non_finite_privacy_config_exits_one_before_any_replication(
+        self, field, text, tmp_path, capsys, monkeypatch
+    ):
+        # JSON configs may spell non-finite numbers; none reaches a run
+        monkeypatch.chdir(tmp_path)
+        kind = "privacy_heatmap" if field == "eps_grid" else "k_sweep"
+        calls = record_replications(monkeypatch, kind)
+        (tmp_path / "cfg.json").write_text(
+            f'{{"kind": "{kind}", "seed": 1, "reps": 2, '
+            f'"noise_mode": "calibrated", "{field}": {text}}}'
+        )
+        assert cli.main(["simulate", kind, "--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "positive and finite" in err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "doc, message",

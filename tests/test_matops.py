@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,61 @@ def small_matrices(max_side=6):
             max_size=mn[0] * mn[1],
         ).map(lambda vals: np.array(vals, dtype=np.float64).reshape(mn))
     )
+
+
+def svt_bound(shape, s_max, tau):
+    """svt's stated distance from the exact threshold, (k + 1)(k + l) u
+    s_max (1 + s_max^2 / (2 tau^2)) for sides k <= l."""
+    k, l = sorted(shape)
+    return (k + 1) * (k + l) * 2.0**-53 * s_max * (1.0 + s_max**2 / (2.0 * tau**2))
+
+
+def dgesdd_threshold(m, tau):
+    """The np.linalg.svd threshold of m, its s_max, and a bound on its own
+    distance from the exact threshold.  SVT is nonexpansive, so that
+    distance is at most the factorization's backward error plus s_max
+    times its factors' departure from orthogonality, and the products'
+    rounding."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    want = (u * np.maximum(s - tau, 0.0)) @ vt
+    eye = np.eye(s.shape[0])
+    departure = np.linalg.norm(u.T @ u - eye) + np.linalg.norm(vt @ vt.T - eye)
+    slack = np.linalg.norm((u * s) @ vt - m) + (departure + s.shape[0] * 2.0**-53) * s[0]
+    return want, s[0], slack
+
+
+@st.composite
+def svt_cases(draw):
+    """(m, tau): tall, square and wide m in C or F order, with a random,
+    rank-deficient, zero, clustered-at-tau or near-threshold spectrum whose
+    largest value lies between tau and 1000 tau, on both sides of svt's
+    guard, and tau = 0 among the thresholds."""
+    k, l = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(max(k, l), min(k, l)), (min(k, l), max(k, l)), (k, k)]))
+    tau = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    spectrum = draw(
+        st.sampled_from(("random", "deficient", "zero", "clustered", "near"))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = min(shape)
+    left, _ = np.linalg.qr(rng.standard_normal((shape[0], n)))
+    right, _ = np.linalg.qr(rng.standard_normal((shape[1], n)))
+    unit = tau if tau > 0 else 1.0
+    top = unit * 10.0 ** draw(st.floats(0.0, 3.0))
+    if spectrum == "random":
+        s = rng.uniform(0.0, top, n)
+    elif spectrum == "deficient":
+        s = rng.uniform(0.0, top, n) * (rng.random(n) < 0.4)
+    elif spectrum == "zero":
+        s = np.zeros(n)
+    elif spectrum == "clustered":
+        s = unit * (1.0 + rng.uniform(-1e-9, 1e-9, n))
+    else:
+        s = unit * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-15, -3, n))
+    if spectrum in ("clustered", "near"):
+        s[0] = max(s[0], top)
+    m = (left * s) @ right.T
+    return np.asarray(m, order=draw(st.sampled_from("CF"))), tau
 
 
 class TestSvdTruncate:
@@ -140,36 +197,77 @@ class TestShrinkage:
         right = q1 @ matops.svt(m, 0.7) @ q2
         np.testing.assert_allclose(left, right, atol=1e-9)
 
-    def test_svt_bitwise_independent_of_sign_fix(self):
+    def test_svt_bitwise_independent_of_sign_fix(self, monkeypatch):
+        # each eigenvector enters V diag(f) V' twice, and negation is exact,
+        # so flipping any eigenvector's sign leaves every bit of the result
         rng = np.random.default_rng(13)
-        for shape in ((5, 5), (4, 9), (20, 20), (12, 24)):
-            m = rng.standard_normal(shape)
-            u, s, v = matops._svd(m)
-            s = np.maximum(s - 0.3, 0.0)
-            fu, fv = matops._fix_signs(u, v)
-            assert not np.array_equal(fu, u)  # some column was flipped
-            with_fix = (fu * s) @ fv.T
-            assert np.array_equal(matops.svt(m, 0.3), with_fix)
-            assert np.array_equal((u * s) @ v.T, with_fix)
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def flipped(a):
+            w, v = real_eigh(a)
+            calls.append(a.shape)
+            return w, v * np.where(np.arange(v.shape[-1]) % 2 == 0, -1.0, 1.0)
+
+        for shape in ((5, 5), (4, 9), (20, 20), (12, 24), (24, 12)):
+            for order in ("C", "F"):
+                stack = np.asarray(rng.standard_normal((3, *shape)), order=order)
+                # two thresholds on the Gram path, with eigenpairs kept and
+                # dropped, and one above the spectrum
+                tau = np.array([0.3, 1.5, 50.0])
+                want = matops.svt(stack, tau)
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "eigh", flipped)
+                    got = matops.svt(stack, tau)
+                assert calls and got.tobytes() == want.tobytes()
+                calls.clear()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shape", [(20, 20), (24, 12), (40, 20), (12, 24)])
     def test_svt_is_bitwise_the_numpy_svd_threshold(self, shape, order):
-        # svt calls dgesdd directly; its result must not depend on that
+        # a matrix the guard sends to dgesdd, at tau = 0 or with s_max at
+        # least _GRAM_RATIO tau, gets the np.linalg.svd threshold bit for bit
         rng = np.random.default_rng(14)
-        for tau in (0.0, 0.3, 2.0):
-            m = np.asarray(rng.standard_normal(shape), order=order)
-            u, s, vt = np.linalg.svd(m, full_matrices=False)
+        m = np.asarray(rng.standard_normal(shape), order=order)
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        for tau in (0.0, s[0] / (2.0 * matops._GRAM_RATIO), s[0] / 1e4):
             want = (u * np.maximum(s - tau, 0.0)) @ vt
             got = matops.svt(m, tau)
             assert got.shape == shape
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(20, 20), (24, 12), (40, 20), (12, 24)])
+    def test_svt_is_within_the_bound_of_the_numpy_svd_threshold(self, shape, order):
+        # the Gram path lands within svt's stated bound of the dgesdd
+        # threshold, and is not bitwise it
+        rng = np.random.default_rng(14)
+        for tau in (0.3, 2.0):
+            m = np.asarray(rng.standard_normal(shape), order=order)
+            want, s_max, slack = dgesdd_threshold(m, tau)
+            got = matops.svt(m, tau)
+            assert got.shape == shape
+            assert 0.0 < np.linalg.norm(got - want) <= svt_bound(shape, s_max, tau) + slack
+
+    @settings(max_examples=300, deadline=None)
+    @given(svt_cases())
+    def test_svt_property_against_the_dgesdd_threshold(self, case):
+        m, tau = case
+        want, s_max, slack = dgesdd_threshold(m, tau)
+        got = matops.svt(m, tau)
+        # svt decides from the Gram matrix's s_max, so a hair above the
+        # guard either path may run, and both meet the bound
+        if s_max >= matops._GRAM_RATIO * tau * (1.0 + 1e-9):
+            # the guard sends tau = 0 and large s_max / tau to dgesdd
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.linalg.norm(got - want) <= svt_bound(m.shape, s_max, tau) + slack
+
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [1, 5])
     def test_stacked_svt_is_bitwise_the_per_slice_threshold(self, n, order):
-        # one batched SVD, each member at its own tau, equals each member's
-        # np.linalg.svd threshold in its own call
+        # one batched call, each member at its own tau, equals each
+        # member's own call, as a one-member stack and as a 2-D matrix
         rng = np.random.default_rng(15)
         for shape in ((24, 12), (12, 24), (20, 4)):
             stack = rng.standard_normal((n, *shape))
@@ -179,10 +277,42 @@ class TestShrinkage:
             tau = rng.uniform(0.0, 2.0, n)
             got = matops.svt(stack, tau)
             assert got.shape == stack.shape
-            for m, t, g in zip(stack, tau, got):
-                u, s, vt = np.linalg.svd(m, full_matrices=False)
-                want = (u * np.maximum(s - t, 0.0)) @ vt
-                assert g.tobytes() == want.tobytes()
+            for c in range(n):
+                assert got[c].tobytes() == matops.svt(stack[c : c + 1], tau[c : c + 1])[0].tobytes()
+                assert got[c].tobytes() == matops.svt(stack[c], tau[c]).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_guarded_members_are_bitwise_the_dgesdd_threshold(self, order):
+        # tau = 0, s_max / tau above the guard and entries whose Gram
+        # matrix would overflow go to dgesdd, bitwise its threshold, also
+        # among members that take the Gram path
+        rng = np.random.default_rng(17)
+        stack = rng.standard_normal((6, 24, 12))
+        stack[3] *= 1e200
+        stack = np.asarray(stack, order=order)
+        tau = np.array([0.0, 0.5, 1e-4, 1e198, 1.0, 0.0])
+        guarded = [0, 2, 3, 5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matops.svt(stack, tau)
+        for c in range(6):
+            assert got[c].tobytes() == matops.svt(stack[c], tau[c]).tobytes()
+            if c in guarded:
+                u, s, vt = np.linalg.svd(stack[c], full_matrices=False)
+                want = (u * np.maximum(s - tau[c], 0.0)) @ vt
+                assert got[c].tobytes() == want.tobytes()
+            else:
+                want, s_max, slack = dgesdd_threshold(stack[c], tau[c])
+                assert got[c].tobytes() != want.tobytes()
+                bound = svt_bound((24, 12), s_max, tau[c]) + slack
+                assert np.linalg.norm(got[c] - want) <= bound
+
+    def test_svt_of_zero_and_above_the_spectrum(self):
+        zero = np.zeros((2, 6, 4))
+        assert np.array_equal(matops.svt(zero, np.array([0.0, 1.0])), zero)
+        m = np.random.default_rng(18).standard_normal((7, 3))
+        top = np.linalg.norm(m, 2)
+        assert np.array_equal(matops.svt(m, 2 * top), np.zeros_like(m))
 
     def test_stacked_svt_refuses_one_nonfinite_member(self):
         stack = np.random.default_rng(16).standard_normal((4, 6, 3))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedvar import fed_core, single_client, var
+from fedvar import fed_core, matops, single_client, var
 from fedvar.single_client import AdmmConfig, fit_admm, fit_baseline
 
 from oracles import admm_raw, admm_solo, prefix_panel, scale_to_radius
@@ -211,13 +211,14 @@ class TestStackedAdmm:
     @pytest.mark.parametrize(
         "d, p, t_len", [(12, 2, 44), (20, 1, 400)], ids=["24x12", "20x20"]
     )
-    def test_members_equal_the_solo_oracle_bitwise(self, d, p, t_len, monkeypatch):
+    def test_members_equal_their_one_problem_fits_bitwise(self, d, p, t_len, monkeypatch):
         designs, cfgs = mixed_stack(d, p, t_len)
         monkeypatch.setattr(single_client, "_ADMM_MAX_ITER", STACK_CAP)
         decomps, report = fit_admm(designs, cfgs)
         assert len(decomps) == len(report.members) == len(designs)
         for dec, state, design, cfg in zip(decomps, report.members, designs, cfgs):
-            want_dec, want = admm_solo(design, cfg, max_iter=STACK_CAP)
+            (want_dec,), want_report = fit_admm([design], [cfg])
+            (want,) = want_report.members
             assert state.iterations == want.iterations
             assert state.converged == want.converged
             assert state.primal_residuals == want.primal_residuals
@@ -231,6 +232,49 @@ class TestStackedAdmm:
         assert report.members[4].converged is False
         assert report.iterations == sum(s.iterations for s in report.members)
         assert report.converged is False
+
+    @pytest.mark.filterwarnings("ignore:ADMM stopped")
+    @pytest.mark.parametrize(
+        "d, p, t_len", [(12, 2, 44), (20, 1, 400)], ids=["24x12", "20x20"]
+    )
+    def test_members_within_the_bound_of_the_solo_oracle(self, d, p, t_len, monkeypatch):
+        """Against admm_solo, which thresholds by np.linalg.svd: each svt
+        call is within (k + 1)(k + l) u (1 + R^2 / 2) s_in of the exact
+        threshold (matops, R = _GRAM_RATIO, s_in the largest singular value
+        thresholded), and the oracle's dgesdd within (k + 1)(k + l) u s_in.
+        ADMM's iteration map is nonexpansive, so after n iterations the
+        iterates differ by at most n times the sum, and each residual,
+        a difference of two iterates, by twice that.  The stop iteration
+        is the same."""
+        designs, cfgs = mixed_stack(d, p, t_len)
+        monkeypatch.setattr(single_client, "_ADMM_MAX_ITER", STACK_CAP)
+        tops = []
+
+        def spy(m, tau):
+            tops.append(np.linalg.norm(m, 2, axis=(1, 2)).max())
+            return matops.svt(m, tau)
+
+        monkeypatch.setattr(single_client, "svt", spy)
+        decomps, report = fit_admm(designs, cfgs)
+        k, l = sorted((d, p * d))
+        ratio = matops._GRAM_RATIO
+        per_step = (k + 1) * (k + l) * 2.0**-53 * (2.0 + ratio**2 / 2.0) * max(tops)
+        moved = 0.0
+        for dec, state, design, cfg in zip(decomps, report.members, designs, cfgs):
+            want_dec, want = admm_solo(design, cfg, max_iter=STACK_CAP)
+            assert state.iterations == want.iterations
+            assert state.converged == want.converged
+            bound = state.iterations * per_step
+            for got_h, want_h in ((state.primal_residuals, want.primal_residuals),
+                                  (state.dual_residuals, want.dual_residuals)):
+                assert np.max(np.abs(np.subtract(got_h, want_h))) <= 2.0 * bound
+            for got_m, want_m in zip(state.final, want.final):
+                assert np.linalg.norm(got_m - want_m) <= bound
+            assert np.linalg.norm(dec.a0 - want_dec.a0) <= bound
+            assert np.linalg.norm(dec.delta - want_dec.delta) <= bound
+            moved = max(moved, np.abs(dec.a0 - want_dec.a0).max())
+        # the Gram path ran: some member is not bitwise the oracle
+        assert moved > 0.0
 
     def test_report_converged_when_every_member_did(self):
         designs, cfgs = mixed_stack(12, 2, 44)
