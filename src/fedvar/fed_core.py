@@ -57,9 +57,6 @@ from .matops import (
     svd_truncate,
     tangent_step,
 )
-# after matops: importing scipy.linalg first through single_client made
-# perfbench's setup probe 40 ms slower, all in numpy.f2py's import (cause
-# not found)
 from . import single_client
 from .single_client import _check_designs
 from .var import CoefDecomposition

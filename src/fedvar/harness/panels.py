@@ -18,30 +18,40 @@ from ..var import TimeSeriesPanel
 
 
 def _read_csv(path):
+    """The header, the numeric rows of a CSV file (blank lines skipped) and
+    the file line of each numeric row.  An error names the file's line
+    (its row, counting the header and any blank lines) where the cell
+    sits."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
     header = [name.strip() for name in rows[0]]
+    rows, lines = rows[1:], lines[1:]
     width = len(header)
-    data = np.empty((len(rows) - 1, width))
-    for i, row in enumerate(rows[1:]):
+    data = np.empty((len(rows), width))
+    for i, (row, line) in enumerate(zip(rows, lines)):
         if len(row) != width:
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
+            raise ValueError(f"{path}: row {line} has {len(row)} cells, expected {width}")
         for j, cell in enumerate(row):
             try:
                 data[i, j] = float(cell)
             except ValueError:
                 raise ValueError(
-                    f"{path}: non-numeric cell at row {i + 2}, column {header[j]!r}"
+                    f"{path}: non-numeric cell at row {line}, column {header[j]!r}"
                 ) from None
     if not np.all(np.isfinite(data)):
         where = np.argwhere(~np.isfinite(data))[0]
         raise ValueError(
-            f"{path}: non-finite cell at row {where[0] + 2}, column {header[where[1]]!r}"
+            f"{path}: non-finite cell at row {lines[where[0]]}, "
+            f"column {header[where[1]]!r}"
         )
-    return header, data
+    return header, data, lines
 
 
 def load_panel(spec, p):
@@ -54,7 +64,7 @@ def load_panel(spec, p):
     population standard deviation; constant columns are rejected, and so
     is a sensitive index beyond the panel's width.
     """
-    header, raw = _read_csv(spec.path)
+    header, raw, lines = _read_csv(spec.path)
     n, width = raw.shape
     if spec.sensitive and max(spec.sensitive) > width:
         raise ValueError(
@@ -78,7 +88,7 @@ def load_panel(spec, p):
             if np.any(col <= 0):
                 bad = int(np.argmax(col <= 0))
                 raise ValueError(
-                    f"{spec.path}: nonpositive value at row {bad + 2}, "
+                    f"{spec.path}: nonpositive value at row {lines[bad]}, "
                     f"column {header[j]!r} under log-difference"
                 )
             out[:, j] = np.diff(np.log(col))

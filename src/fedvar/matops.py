@@ -5,11 +5,13 @@ All routines work on float64 ndarrays and are deterministic: no randomized
 algorithms, and the factors ``svd_truncate`` returns are sign-fixed so
 repeated calls on equal input return bitwise-equal factors.  ``svt`` and
 ``tangent_step`` return points that do not depend on the signs, so they
-skip the fix.  ``svd_truncate`` and ``tangent_step`` take LAPACK's
-dgesdd SVD.  ``svt`` takes the eigendecomposition of each matrix's
-smaller Gram matrix, which is not bitwise dgesdd's threshold but stays
-within the bound derived beside ``_GRAM_RATIO``; a matrix outside that
-guard is thresholded from dgesdd.
+skip the fix.  Every decomposition is one batched ``numpy.linalg`` call
+over a stack, which runs LAPACK on each member in turn.
+``svd_truncate`` and ``tangent_step`` take LAPACK's dgesdd SVD, and
+``tangent_step`` its dgeqrf/dorgqr QR.  ``svt`` takes the
+eigendecomposition of each matrix's smaller Gram matrix, which is not
+bitwise dgesdd's threshold but stays within the bound derived beside
+``_GRAM_RATIO``; a matrix outside that guard is thresholded from dgesdd.
 
 The kernels (``svd_truncate``, ``svt``, ``soft_threshold``,
 ``linf_project``, ``tangent_project``, ``tangent_step``) sit inside solver
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 # Dense SVD only; refuse anything bigger than this per side.
 SVD_DIM_CAP = 1024
@@ -268,17 +269,10 @@ def tangent_project(b, basis):
     return ub + bv - (u @ (u.T @ bv))
 
 
-def _orthonormal_columns(a):
-    """Q of the thin QR a = Q R: min(a.shape) orthonormal columns spanning
-    a's column space, by LAPACK dgeqrf and dorgqr called directly (the
-    numpy and scipy wrappers cost more than the arithmetic at these sizes).
-    Assumes a finite float64 ``a``; not checked."""
-    qr, tau, _, info = dgeqrf(a)
-    if info == 0:
-        q, _, info = dorgqr(qr[:, : tau.shape[0]], tau)
-    if info != 0:  # pragma: no cover - only for an invalid argument
-        raise RuntimeError(f"QR failed: LAPACK info={info}")
-    return q
+def _transposed(a):
+    """a stored as the C-ordered stack of its members' transposes: the
+    same values, each slice with Fortran strides."""
+    return np.ascontiguousarray(a.swapaxes(1, 2)).swapaxes(1, 2)
 
 
 def tangent_step(factors, z, rho):
@@ -296,15 +290,16 @@ def tangent_step(factors, z, rho):
     costs O((d1 + d2) r^2) after the two products with z.  No sign fix:
     the point does not depend on the signs of the factors.
 
-    The products run batched over the stack.  The QR (dgeqrf, dorgqr) and
-    the SVD (dgesdd) stay one direct LAPACK call per member.  numpy's
-    batched ``svd`` returns bitwise dgesdd's factors at these core shapes
-    (numpy 2.4, scipy 1.17), but is not worth its overhead: with one BLAS
-    thread it takes 12.0 us against 6.4 us for one 12 x 4 core, 34.6
-    against 32.2 us for five 20 x 4 cores, and 45.9 against 52.0 us for
-    eight 12 x 4 cores.  Its batched ``qr`` costs three times one direct
-    call when the stack has one member.  A member's result is bitwise
-    that of a one-member stack.
+    The stack takes one batched ``np.linalg.qr`` (dgeqrf and dorgqr on
+    each member), one batched ``np.linalg.svd`` (dgesdd) and batched
+    products, and each member's result is bitwise that of a one-member
+    stack and of one direct LAPACK call per member (checked against
+    scipy's LAPACK wrappers at numpy 2.4, scipy 1.17).  Timed with one BLAS
+    thread (minimum of 15 x 200 calls, r = 2), against those per-member
+    calls: 56 us against 39 us for one 20 x 20 member, where numpy's
+    wrappers cost more than the arithmetic; 88 against 89 us for five;
+    118 against 135 us for nine 12 x 24 members, and 371 against 574 us
+    for 45.
 
     Parameters
     ----------
@@ -330,26 +325,21 @@ def tangent_step(factors, z, rho):
     m_t = (u.swapaxes(1, 2) @ zv).swapaxes(1, 2)
     right = np.concatenate((v, z.swapaxes(1, 2) @ u - v @ m_t), axis=2)
     _require_finite(right, "tangent step QR input")
-    # LAPACK returns Fortran-ordered arrays; each is stored transposed in a
-    # C-ordered stack, so that a slice has the strides of the 2-D output
-    # (q, uc[:, :r], vct[:r].T) and a batched product equals the 2-D
-    # product of the outputs bit for bit
-    n, d1, d2 = z.shape
-    k = min(d2, right.shape[2])
-    qt = np.empty((n, k, d2))
-    for c in range(n):
-        qt[c] = _orthonormal_columns(right[c]).T
-    q = qt.swapaxes(1, 2)
+    # numpy's batched QR and SVD factor each member in a Fortran-ordered
+    # buffer, as a direct LAPACK call does, and return C-ordered stacks.
+    # Each output is stored transposed, so that a slice has the strides of
+    # LAPACK's Fortran-ordered 2-D output (q, uc[:, :r], vct[:r].T) and a
+    # batched product equals the 2-D product of the outputs bit for bit
+    q, _ = np.linalg.qr(right)
+    q = _transposed(q)
     left = np.concatenate((u * s[:, None, :] - rho * zv, -rho * u), axis=2)
     core = left @ (right.swapaxes(1, 2) @ q)
     _require_finite(core, "tangent step core")
+    try:
+        uc, s_out, vct = np.linalg.svd(core, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"SVD failed to converge: {exc}") from exc
     r = s.shape[1]
-    ut, s_out = np.empty((n, r, d1)), np.empty((n, r))
-    vt = np.empty((n, k, min(d1, k)))
-    for c in range(n):
-        uc, sc, vct, info = dgesdd(core[c], full_matrices=0)
-        if info != 0:
-            raise ValueError(f"SVD failed to converge: LAPACK dgesdd info={info}")
-        ut[c], s_out[c], vt[c] = uc[:, :r].T, sc[:r], vct.T
-    out = SvdFactors(u=ut.swapaxes(1, 2), s=s_out, v=q @ vt[:, :, :r])
+    vc = np.ascontiguousarray(vct.swapaxes(1, 2))
+    out = SvdFactors(u=_transposed(uc[:, :, :r]), s=s_out[:, :r], v=q @ vc[:, :, :r])
     return out.matrix(), out

@@ -5,15 +5,15 @@ baseline is ``fed_core.refine_fista`` around a zero shared part.
 
 ``fit_admm`` is one lockstep loop over any number of same-shape problems,
 and one fit is the one-problem call: each problem keeps its own ridge
-factor, pin_delta and penalties, all share the module's stop rule, the
+inverse, pin_delta and penalties, all share the module's stop rule, the
 elementwise updates run once over the stack, and a problem's result is
 bitwise that of its one-problem call.  The harness fits a replication's
 single-client problems, the starts of its federations and every
 (method, client, origin) fit of the empirical comparison as such stacks.
 
 Internally the solver works with (pd, d) coefficient blocks B = B0 + D so
-the ridge system factors once per fit; results are transposed back to the
-package-wide (d, pd) orientation on output.
+the ridge system is inverted once per fit; results are transposed back to
+the package-wide (d, pd) orientation on output.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrs
 
 from .matops import _dots, linf_project, soft_threshold, svt
 from .var import CoefDecomposition, LagDesign
@@ -37,7 +35,21 @@ from .var import CoefDecomposition, LagDesign
 # 8.7e-5 relative at 1.5, 9.7e-5 at 1.6 and 1.3e-4 at 1.7.
 _ADMM_RELAX = 1.5
 
-# fit_admm's penalty parameter rho; AdmmState.final's dual is scaled by 1/rho
+# fit_admm's penalty parameter rho; AdmmState.final's dual is scaled by 1/rho.
+# It also bounds the rounding of the ridge solve.  fit_admm multiplies by the
+# computed inverse X of A = 2 sxx + rho I, whose eigenvalues lie in
+# [rho, rho + 2 ||sxx||_2], so ||A^-1||_2 <= 1/rho and
+# kappa(A) <= 1 + 2 ||sxx||_2 / rho.  numpy inverts by LU with partial
+# pivoting (dgesv on the identity), which solves for each column of X
+# backward stably, so each column is within about pd u kappa(A) ||A^-1||_2
+# of the exact one, u = 2^-53 (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 9 and 14).  The product X rhs adds at most
+# pd u ||X||_2 ||rhs||.  So a solve is within about
+# pd u kappa(A) ||A^-1||_2 ||rhs|| <= pd u kappa(A) ||rhs|| / rho of the
+# exact solution x, which is pd u kappa(A) ||x|| when rhs is not weighted
+# towards A's smallest eigenvalues, the order of a Cholesky solve's own
+# forward error.  On the benchmark's designs kappa(A) lies between 8 and
+# 330, so a solve's error stays well below svt's (matops._GRAM_RATIO).
 _ADMM_RHO = 1.0
 
 # fit_admm's stop rule: both residuals at most _ADMM_EPS * sqrt(pd * d),
@@ -147,19 +159,22 @@ def fit_admm(designs, cfgs):
     residual S = rho ((B0 + D) - (B0_prev + D_prev)).  Relaxation changes
     the path, not the fixed point: there B = B0 + D, so Bh = B.
 
-    The problems run in one lockstep loop.  Each keeps its own Cholesky
-    factor of the ridge system (one LAPACK dpotrs per problem and
-    iteration), its own pin_delta and zeta, and its own lam; the singular
-    value thresholding is one ``matops.svt`` call over the stack per
-    iteration (the eigendecomposition of each problem's d x d Gram
-    matrix, within svt's stated bound of the dgesdd threshold, and
-    dgesdd itself for lam = 0), and the elementwise updates and the
-    residual norms run once over the stack.  Every problem stops once both residuals are at most
-    _ADMM_EPS * sqrt(pd * d), one tolerance for the stack since its
+    The problems run in one lockstep loop.  Each keeps its own inverse of
+    the ridge system, taken once per fit by one batched ``np.linalg.inv``,
+    so the ridge solve is one batched product per iteration, within the
+    bound stated beside _ADMM_RHO of an exact solve.  Each keeps its own
+    pin_delta, zeta and lam.  The singular value thresholding is one
+    ``matops.svt`` call over the stack per iteration (the
+    eigendecomposition of each problem's d x d Gram matrix, within svt's
+    stated bound of the dgesdd threshold, and dgesdd itself for
+    lam = 0), and the elementwise updates and the residual norms run
+    once over the stack.  Every problem stops once both residuals are at
+    most _ADMM_EPS * sqrt(pd * d), one tolerance for the stack since its
     problems share a shape, or after _ADMM_MAX_ITER iterations.  A
     problem that stops leaves the stack, so its iterates, residual
     histories and iteration count are bitwise those of its one-problem
-    call (svt's result for a member does not depend on the stack).
+    call (the inverse, each slice of the batched product and svt's
+    result for a member do not depend on the stack).
     Each problem that stops at the cap warns once.
 
     Every problem starts at B0 = D = U = 0.
@@ -173,24 +188,17 @@ def fit_admm(designs, cfgs):
     if len(cfgs) != n:
         raise ValueError(f"{len(cfgs)} ADMM configs for {n} designs")
 
-    # the working stacks hold Fortran-ordered (pd, d) slices, the layout of
-    # dpotrs's solution, so the solve runs in place; _check_in_place
-    # refuses any other layout before a solve
-    def stack():
-        return np.zeros((n, d, pd)).transpose(0, 2, 1)
-
-    b0, d_mat, u, g = stack(), stack(), stack(), stack()
-    factors = []
-    for j, design in enumerate(designs):
-        try:
-            factors.append(cho_factor(2.0 * design.sxx + _ADMM_RHO * np.eye(pd)))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - pd + rho I
-            raise RuntimeError(f"ridge system factorization failed: {exc}") from exc
-        g[j] = 2.0 * design.sxy
+    b0, d_mat, u = np.zeros((3, n, pd, d))
+    ridge = np.stack([2.0 * dsn.sxx for dsn in designs]) + _ADMM_RHO * np.eye(pd)
+    try:
+        ainv = np.linalg.inv(ridge)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pd + rho I
+        raise RuntimeError(f"ridge system inversion failed: {exc}") from exc
+    g = np.stack([2.0 * dsn.sxy for dsn in designs])
 
     tol, max_iter = _ADMM_EPS * math.sqrt(pd * d), _ADMM_MAX_ITER
-    # per-problem constants; the arrays shrink with the stack, lam and the
-    # factors are read by problem index
+    # per-problem constants; the arrays shrink with the stack, lam is read
+    # by problem index
     lam = np.array([c.lam / _ADMM_RHO for c in cfgs])
     omega = np.array([c.omega / _ADMM_RHO for c in cfgs])[:, None, None]
     zeta = np.array([math.inf if c.zeta is None else c.zeta for c in cfgs])[:, None, None]
@@ -208,19 +216,10 @@ def fit_admm(designs, cfgs):
     live = np.arange(n)
     z = b0 + d_mat
     for it in range(1, max_iter + 1):
-        b = g + _ADMM_RHO * (z - u)
-        _check_in_place(b)
-        for j, c in enumerate(live):
-            # the LAPACK solve cho_solve makes, in place on a Fortran-ordered
-            # slice and without its per-call finiteness scan; the guard
-            # below catches non-finite iterates
-            factor, lower = factors[c]
-            _, info = dpotrs(factor, b[j], lower=lower, overwrite_b=True)
-            if info != 0:  # pragma: no cover - only for an invalid argument
-                raise RuntimeError(f"ridge solve failed: LAPACK dpotrs info={info}")
+        b = ainv @ (g + _ADMM_RHO * (z - u))
         b_hat = _ADMM_RELAX * b + (1.0 - _ADMM_RELAX) * z
         z_prev = z
-        b0[...] = svt(b_hat - d_mat + u, lam[live])
+        b0 = svt(b_hat - d_mat + u, lam[live])
         if clip:
             b0 = linf_project(b0, zeta)
         d_mat = soft_threshold(b_hat - b0 + u, omega)
@@ -245,8 +244,9 @@ def fit_admm(designs, cfgs):
             if stop.all():
                 break
             keep = ~stop
-            live, omega, zeta, pin_delta, g, b0, d_mat, u, z = (
-                a[keep] for a in (live, omega, zeta, pin_delta, g, b0, d_mat, u, z)
+            live, omega, zeta, pin_delta, ainv, g, b0, d_mat, u, z = (
+                a[keep]
+                for a in (live, omega, zeta, pin_delta, ainv, g, b0, d_mat, u, z)
             )
 
     primal, dual = np.empty((2, len(history), n))
@@ -274,17 +274,6 @@ def fit_admm(designs, cfgs):
     return decomps, AdmmReport(members=states)
 
 
-def _check_in_place(b):
-    """Refuse a stack whose slices are not Fortran-ordered.  On any other
-    layout f2py hands dpotrs a copy of the slice, and overwrite_b solves
-    the copy, leaving the iterate unsolved without a word."""
-    if not b[0].flags.f_contiguous:
-        raise RuntimeError(
-            f"ADMM working stack has strides {b.strides}, not Fortran-ordered "
-            "slices; dpotrs would not solve it in place"
-        )
-
-
 def fit_baseline(design):
     """The least-squares reference fit, a stacked (d, pd) coefficient matrix:
     ridge-jittered normal equations sxx B = sxy (jitter 1e-8 tr(sxx)/pd
@@ -297,9 +286,12 @@ def fit_baseline(design):
         warnings.warn("rank-deficient design in least_squares fit", RuntimeWarning)
         gram = gram + jitter * np.eye(design.pd)
     try:
-        coef = cho_solve(cho_factor(gram), cross)
+        # a Cholesky factor exists exactly when gram is numerically positive
+        # definite; it is only the test, the solve below takes gram itself
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         warnings.warn("near-singular design in least_squares fit", RuntimeWarning)
-        coef = cho_solve(cho_factor(gram + jitter * np.eye(design.pd)), cross)
+        gram = gram + jitter * np.eye(design.pd)
+    coef = np.linalg.solve(gram, cross)
     return coef.T
 

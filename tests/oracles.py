@@ -11,10 +11,11 @@ import warnings
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 from fedvar import fed_core, single_client, var
 from fedvar.harness import experiments
-from fedvar.matops import linf_project, soft_threshold
+from fedvar.matops import SvdFactors, linf_project, soft_threshold
 
 
 def svd_via_gram(m):
@@ -402,3 +403,37 @@ def simulate_reference(a, p, t_len, rng, burn_in=200):
                 acc += blk @ y[s]
         y[t] = acc
     return y[burn_in : burn_in + p], y[burn_in + p :]
+
+
+def tangent_step_lapack(factors, z, rho):
+    """matops.tangent_step with its QR and SVD taken one member at a time
+    by direct LAPACK calls (dgeqrf and dorgqr, then dgesdd), each output
+    stored transposed in a C-ordered stack so that a slice keeps the
+    strides of LAPACK's Fortran-ordered result.  The products around them
+    are tangent_step's own, batched over the stack."""
+    u, s, v = factors.u, factors.s, factors.v
+    rho = np.asarray(rho, dtype=np.float64)[:, None, None]
+    zv = z @ v
+    m_t = (u.swapaxes(1, 2) @ zv).swapaxes(1, 2)
+    right = np.concatenate((v, z.swapaxes(1, 2) @ u - v @ m_t), axis=2)
+    n, d1, d2 = z.shape
+    k = min(d2, right.shape[2])
+    qt = np.empty((n, k, d2))
+    for c in range(n):
+        qr, tau, _, info = dgeqrf(right[c])
+        assert info == 0
+        q, _, info = dorgqr(qr[:, : tau.shape[0]], tau)
+        assert info == 0
+        qt[c] = q.T
+    q = qt.swapaxes(1, 2)
+    left = np.concatenate((u * s[:, None, :] - rho * zv, -rho * u), axis=2)
+    core = left @ (right.swapaxes(1, 2) @ q)
+    r = s.shape[1]
+    ut, s_out = np.empty((n, r, d1)), np.empty((n, r))
+    vt = np.empty((n, k, min(d1, k)))
+    for c in range(n):
+        uc, sc, vct, info = dgesdd(core[c], full_matrices=0)
+        assert info == 0
+        ut[c], s_out[c], vt[c] = uc[:, :r].T, sc[:r], vct.T
+    out = SvdFactors(u=ut.swapaxes(1, 2), s=s_out, v=q @ vt[:, :, :r])
+    return out.matrix(), out

@@ -374,6 +374,25 @@ class TestLoadPanel:
         with pytest.raises(ValueError, match="row 3"):
             load_panel(PanelSpec(path=str(path)), p=1)
 
+    @pytest.mark.parametrize(
+        "text, transforms, message",
+        [
+            ("a,b\n1,2\n\n3,x\n", (0,), "non-numeric cell at row 4, column 'b'"),
+            ("a,b\n\n1,2\n\n\n3\n", (0,), "row 6 has 1 cells"),
+            ("a,b\n1,2\n\n3,inf\n5,6\n", (0,), "non-finite cell at row 4, column 'b'"),
+            ("a,b\n1,2\n\n3,4\n-1,5\n6,7\n", (2,), "nonpositive value at row 5, column 'a'"),
+        ],
+        ids=["non-numeric", "ragged", "non-finite", "nonpositive"],
+    )
+    def test_bad_cell_after_blank_line_gives_its_file_line(
+        self, text, transforms, message, tmp_path
+    ):
+        # a reported row is a line of the file, blank lines counted
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_panel(PanelSpec(path=str(path), transforms=transforms), p=1)
+
     def test_too_short_after_preprocessing(self, tmp_path):
         path = tmp_path / "p.csv"
         write_csv(path, ["a"], [[1], [2], [3]])
@@ -1124,6 +1143,32 @@ class TestCli:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert err == b""
+
+    def test_simulation_and_fit_leave_scipy_unloaded(self, tmp_path):
+        # numpy is the one runtime dependency: a t_sweep replication (ADMM
+        # starts, stage 1 and FISTA) and a fedvar fit import no scipy module
+        sim_path, fit_path = tmp_path / "sim.json", tmp_path / "fit.json"
+        to_json(tiny_config(kind="t_sweep", t_grid=(60, 80), reps=1), str(sim_path))
+        to_json(empirical_config(tmp_path, (30, 31)), str(fit_path))
+        script = (
+            "import sys\n"
+            "from fedvar.harness import cli\n"
+            f"assert cli.main(['simulate', 't_sweep', '--config', {str(sim_path)!r},"
+            f" '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+            f"assert cli.main(['fit', '--config', {str(fit_path)!r},"
+            f" '--out', {str(tmp_path / 'fit')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(fedvar.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "fit" / "estimates.npz").is_file()
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_heatmap_without_noise_mode_exits_one(self, tmp_path, capsys):
         argv = ["simulate", "privacy_heatmap", "--seed", "1", "--out", str(tmp_path)]

@@ -11,6 +11,7 @@ from oracles import (
     fix_signs_loop,
     rank_r_part,
     tangent_project_basis,
+    tangent_step_lapack,
 )
 
 
@@ -493,6 +494,29 @@ class TestTangentStep:
             for f, z, rho, where in cases:
                 with pytest.raises(ValueError, match=f"{where} contains non-finite"):
                     solo_step(f, z, rho)
+
+    @pytest.mark.parametrize("members", [1, 5, 9])
+    @pytest.mark.parametrize(
+        "d1, d2, r", [(20, 20, 2), (12, 24, 2), (24, 12, 3), (6, 12, 2)]
+    )
+    def test_bitwise_the_per_member_lapack_step(self, members, d1, d2, r):
+        # the batched QR and SVD against one direct LAPACK call per member,
+        # each side chained from its own output
+        rng = np.random.default_rng(d1 * 100 + d2 + members)
+        _, start = matops.svd_truncate(rng.standard_normal((members, d1, d2)), r)
+        got_f = want_f = start
+        for _ in range(12):
+            z = rng.standard_normal((members, d1, d2))
+            rho = rng.uniform(0.05, 2.0, members)
+            got, got_f = matops.tangent_step(got_f, z, rho)
+            want, want_f = tangent_step_lapack(want_f, z, rho)
+            assert got.tobytes() == want.tobytes()
+            assert got_f.s.tobytes() == want_f.s.tobytes()
+            # u and v enter the next step's products, so their strides count
+            for name in ("u", "v"):
+                g, w = getattr(got_f, name), getattr(want_f, name)
+                assert g.shape == w.shape and g.strides == w.strides
+                assert g.tobytes() == w.tobytes()
 
     def test_stack_equals_solo_steps(self):
         rng = np.random.default_rng(17)

@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from fedvar import fed_core, matops, single_client, var
 from fedvar.single_client import AdmmConfig, fit_admm, fit_baseline
 
+import oracles
 from oracles import admm_raw, admm_solo, prefix_panel, scale_to_radius
 
 
@@ -238,32 +240,46 @@ class TestStackedAdmm:
         "d, p, t_len", [(12, 2, 44), (20, 1, 400)], ids=["24x12", "20x20"]
     )
     def test_members_within_the_bound_of_the_solo_oracle(self, d, p, t_len, monkeypatch):
-        """Against admm_solo, which thresholds by np.linalg.svd: each svt
-        call is within (k + 1)(k + l) u (1 + R^2 / 2) s_in of the exact
-        threshold (matops, R = _GRAM_RATIO, s_in the largest singular value
-        thresholded), and the oracle's dgesdd within (k + 1)(k + l) u s_in.
-        ADMM's iteration map is nonexpansive, so after n iterations the
-        iterates differ by at most n times the sum, and each residual,
-        a difference of two iterates, by twice that.  The stop iteration
-        is the same."""
+        """Against admm_solo, which thresholds by np.linalg.svd and solves
+        the ridge system by cho_solve: each svt call is within
+        (k + 1)(k + l) u (1 + R^2 / 2) s_in of the exact threshold (matops,
+        R = _GRAM_RATIO, s_in the largest singular value thresholded), and
+        the oracle's dgesdd within (k + 1)(k + l) u s_in.  Each ridge solve
+        through the explicit inverse of A = 2 sxx + rho I is within about
+        pd u kappa(A) ||rhs|| / rho of the exact solution, with
+        kappa(A) <= 1 + 2 ||sxx||_2 / rho (single_client, beside
+        _ADMM_RHO), and a Cholesky solve's forward error is of the same
+        order; relaxation scales the solve's error by alpha.  ADMM's
+        iteration map is nonexpansive, so after n iterations the iterates
+        differ by at most n times the sum, and each residual, a difference
+        of two iterates, by twice that.  The stop iteration is the same."""
         designs, cfgs = mixed_stack(d, p, t_len)
         monkeypatch.setattr(single_client, "_ADMM_MAX_ITER", STACK_CAP)
-        tops = []
+        tops, rhs_norms = [], []
 
         def spy(m, tau):
             tops.append(np.linalg.norm(m, 2, axis=(1, 2)).max())
             return matops.svt(m, tau)
 
+        def spy_solve(factor, rhs):
+            rhs_norms.append(np.linalg.norm(rhs))
+            return cho_solve(factor, rhs)
+
         monkeypatch.setattr(single_client, "svt", spy)
+        monkeypatch.setattr(oracles, "cho_solve", spy_solve)
         decomps, report = fit_admm(designs, cfgs)
         k, l = sorted((d, p * d))
-        ratio = matops._GRAM_RATIO
-        per_step = (k + 1) * (k + l) * 2.0**-53 * (2.0 + ratio**2 / 2.0) * max(tops)
+        ratio, rho = matops._GRAM_RATIO, single_client._ADMM_RHO
+        u = 2.0**-53
+        per_svt = (k + 1) * (k + l) * u * (2.0 + ratio**2 / 2.0) * max(tops)
         moved = 0.0
         for dec, state, design, cfg in zip(decomps, report.members, designs, cfgs):
             want_dec, want = admm_solo(design, cfg, max_iter=STACK_CAP)
             assert state.iterations == want.iterations
             assert state.converged == want.converged
+            kappa = 1.0 + 2.0 * np.linalg.norm(design.sxx, 2) / rho
+            per_solve = 2.0 * p * d * u * kappa * max(rhs_norms) / rho
+            per_step = per_svt + single_client._ADMM_RELAX * per_solve
             bound = state.iterations * per_step
             for got_h, want_h in ((state.primal_residuals, want.primal_residuals),
                                   (state.dual_residuals, want.dual_residuals)):
@@ -273,6 +289,7 @@ class TestStackedAdmm:
             assert np.linalg.norm(dec.a0 - want_dec.a0) <= bound
             assert np.linalg.norm(dec.delta - want_dec.delta) <= bound
             moved = max(moved, np.abs(dec.a0 - want_dec.a0).max())
+            rhs_norms.clear()
         # the Gram path ran: some member is not bitwise the oracle
         assert moved > 0.0
 
@@ -313,14 +330,6 @@ class TestStackedAdmm:
             tracemalloc.stop()
         assert report.converged
         assert peak < 2**20
-
-    def test_working_stack_must_be_solvable_in_place(self):
-        # dpotrs solves in place only on a Fortran-ordered slice; on any
-        # other layout f2py solves a copy, so fit_admm refuses the stack
-        f_ordered = np.zeros((3, 4, 6)).transpose(0, 2, 1)
-        single_client._check_in_place(f_ordered)
-        with pytest.raises(RuntimeError, match="not Fortran-ordered"):
-            single_client._check_in_place(np.zeros((3, 6, 4)))
 
     def test_stack_arguments_validated(self):
         designs, cfgs = mixed_stack(12, 2, 44)
