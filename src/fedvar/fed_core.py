@@ -17,13 +17,14 @@ gradients) and retracts to rank r.  Projection and retraction are one
 factored step, ``matops.tangent_step``: a thin QR and the SVD of a
 d x 2r core, never a full SVD.  The message a client sends per round is
 that one d x pd gradient.  ``stage1_run`` runs any number of federations
-(members of one rank and one number of clients, each with its own
-clients' designs, start, step, noise, generator and number of rounds) in
-one lockstep loop: a round takes every (member, client) gradient in one
+(members of one rank, each with its own clients' designs, number of
+clients, start, step, noise, generator and number of rounds) in one
+lockstep loop: a round takes every (member, client) gradient in one
 batched product and makes one tangent step over the members still
 running, a member leaves the stack once its rounds are run, and its
 result is bitwise that of its one-member call.  The harness fits the
-cells of a privacy heatmap in one call.
+cells of a privacy heatmap, and the client counts of a K sweep, in one
+call each.
 
 Stage II refines each client's sparse deviation by accelerated proximal
 gradient (FISTA) around a frozen shared estimate.  ``refine_fista`` is
@@ -190,8 +191,7 @@ def initial_shared_estimate(designs, rank, admm_cfgs):
 def _check_members(design_sets, cfgs, rngs):
     """The (d, pd) shape of every member's clients, each member's sigma,
     and the checked (C, d, pd) stack of their starts ``init_a0``, after
-    the checks of one federation; the stack must share rank and number of
-    clients."""
+    the checks of one federation; the stack must share rank."""
     if not cfgs:
         raise ValueError("need at least one federation config")
     if len(rngs) != len(cfgs):
@@ -201,15 +201,14 @@ def _check_members(design_sets, cfgs, rngs):
             f"{len(design_sets)} client lists for {len(cfgs)} federation configs"
         )
     d, pd = _check_designs([ds for designs in design_sets for ds in designs])
-    rank, n_clients = cfgs[0].rank, len(design_sets[0])
+    rank = cfgs[0].rank
     _check_rank(rank, d, pd)
     sigmas, inits = [], []
     for c, (designs, cfg) in enumerate(zip(design_sets, cfgs)):
-        if (cfg.rank, len(designs)) != (rank, n_clients):
-            raise ValueError(
-                f"member {c} has rank {cfg.rank} and {len(designs)} clients, "
-                f"member 0 has rank {rank} and {n_clients} clients"
-            )
+        if not designs:
+            raise ValueError(f"member {c} has no clients")
+        if cfg.rank != rank:
+            raise ValueError(f"member {c} has rank {cfg.rank}, member 0 has rank {rank}")
         sigmas.append(round_sigma(cfg.noise, cfg.budget, cfg.rounds))
         init = check_matrix(cfg.init_a0, "init_a0")
         if init.shape != (d, pd):
@@ -225,9 +224,12 @@ def stage1_run(design_sets, cfgs, rngs):
     one RoundTrace (sigma and each client's gradient norm) per round run.
     One federation is the one-member call.
 
-    Every member has the same number K of clients, all of one (d, pd)
-    shape, and the members share rank; they may differ in their clients'
-    designs, start, step, noise, budget and number of rounds.  A
+    Every client is of one (d, pd) shape and the members share rank; they
+    may differ in their clients' designs, number of clients, start, step,
+    noise, budget and number of rounds.  A member of fewer clients than
+    the largest is padded with zero-weight clients of zero data, which
+    draw no noise and add zero to its sum; its trace holds its own
+    clients' gradient norms only.  A
     calibrated member spends its budget (eps, delta) evenly over the R
     rounds it runs, (eps/R, delta/R) per round; a zero-round member draws
     no noise and returns its truncated start.  The starts are truncated
@@ -251,11 +253,17 @@ def stage1_run(design_sets, cfgs, rngs):
     cfgs, rngs = list(cfgs), list(rngs)
     design_sets = [list(designs) for designs in design_sets]
     d, pd, sigmas, inits = _check_members(design_sets, cfgs, rngs)
-    n_clients = len(design_sets[0])
-    # per-member constants of the working stack, one row per running member
-    weights = np.array([sample_size_weights(ds) for ds in design_sets])[..., None, None]
-    sxx = np.array([[ds.sxx for ds in designs] for designs in design_sets])
-    sxy_t = np.array([[ds.sxy.T for ds in designs] for designs in design_sets])
+    sizes = [len(designs) for designs in design_sets]
+    n_clients = max(sizes)
+    # per-member constants of the working stack, one row per running member,
+    # a member of fewer clients padded with zero-weight clients of zero data
+    weights = np.zeros((len(cfgs), n_clients, 1, 1))
+    sxx = np.zeros((len(cfgs), n_clients, pd, pd))
+    sxy_t = np.zeros((len(cfgs), n_clients, d, pd))
+    for c, designs in enumerate(design_sets):
+        weights[c, : sizes[c], 0, 0] = sample_size_weights(designs)
+        sxx[c, : sizes[c]] = [ds.sxx for ds in designs]
+        sxy_t[c, : sizes[c]] = [ds.sxy.T for ds in designs]
     rho = np.array([cfg.step_rho for cfg in cfgs])
     rounds = np.array([cfg.rounds for cfg in cfgs])
     # each noisy member's round generators, spawned in one call: the same
@@ -289,9 +297,10 @@ def stage1_run(design_sets, cfgs, rngs):
         for j, c in enumerate(live.tolist()):
             sigma = sigmas[c]
             noise_rng = noise_rngs[c][n] if sigma > 0 else None
-            for k in range(n_clients):
+            for k in range(sizes[c]):
                 noisy[j, k] = add_gaussian_noise(grads[j, k], sigma, noise_rng)
-            traces[c].append(RoundTrace(n, sigma, tuple(norms[j])))
+            noisy[j, sizes[c] :] = 0.0  # padding: no noise, and zero weight
+            traces[c].append(RoundTrace(n, sigma, tuple(norms[j][: sizes[c]])))
         # each member's weighted sum, in client order
         weighted = weights * noisy
         agg = np.zeros_like(a0s)
@@ -422,13 +431,13 @@ def fit_federated(design_sets, fed_cfgs, fista_cfgs, rngs):
     if n_cfgs != n_clients:
         raise ValueError(f"refinement configs per member {n_cfgs}, clients {n_clients}")
     a0_hats, stage1_traces = stage1_run(design_sets, fed_cfgs, rngs)
-    k = n_clients[0]
     deltas, fista_traces = refine_fista(
         [ds for designs in design_sets for ds in designs],
-        np.repeat(a0_hats, k, axis=0),
+        np.repeat(a0_hats, n_clients, axis=0),
         [fcfg for fcfgs in fista_cfgs for fcfg in fcfgs],
     )
-    parts = [slice(c * k, (c + 1) * k) for c in range(len(a0_hats))]
+    ends = np.cumsum(n_clients).tolist()
+    parts = [slice(end - k, end) for k, end in zip(n_clients, ends)]
     decomps = [[CoefDecomposition(a0=a0, delta=dl) for dl in deltas[part]]
                for a0, part in zip(a0_hats, parts)]
     reports = [FitReport(a0_hat=a0, stage1_trace=trace, fista_traces=fista_traces[part])

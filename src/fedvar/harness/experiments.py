@@ -38,16 +38,13 @@ kinds fit all of a replication's single-client problems in one
 ``fit_admm`` call; a k or T sweep starts its federations from those
 fits, and a privacy heatmap fits its start in one more call.
 A T sweep fits its worlds' federations in one ``fit_federated`` call.
-A privacy heatmap fits its noise-free cell and all its (eps, delta)
-cells in one stacked ``stage1_run`` call; each cell keeps its own
-generator, built from the replication's noise stream, so a cell's draws
-do not depend on the other cells.  Within a stage-1 run, a noisy member
-spawns one generator per round from its stream, all in one spawn call,
-and a round's clients draw from its generator in turn.  Before rounds
-drew this way (one spawned generator per client per round), the same
-stream gave
-other draws, so noisy results from earlier versions differ; noise-free
-results are unchanged up to rounding (within 1e-12 relative).
+A K sweep fits the federations of its first k clients, for every k of
+its grid, in one stacked ``stage1_run`` call, and a privacy heatmap its
+noise-free cell and all its (eps, delta) cells in another; each member
+keeps its own generator, built from the replication's noise stream, so
+its draws do not depend on the other members.  Within a stage-1 run, a
+noisy member spawns one generator per round from its stream, all in one
+spawn call, and a round's clients draw from its generator in turn.
 """
 
 from __future__ import annotations
@@ -370,11 +367,14 @@ def _fit_k_sweep(cfg, rep, worlds, panels):
     fits = _fit_single(cfg, designs)
     singles = _fit_errors(fits, world.a0, world.deltas)
 
+    design_sets = [designs[:k] for k in cfg.k_grid]
+    a0_hats, _ = fed_core.stage1_run(
+        design_sets,
+        fed_config(cfg, design_sets, zip(designs, fits)),
+        [_noise_rng(cfg.seed, rep) for _ in design_sets],
+    )
     recs = []
-    fcfgs = fed_config(cfg, [designs[:k] for k in cfg.k_grid], zip(designs, fits))
-    for k, fcfg in zip(cfg.k_grid, fcfgs):
-        sub = designs[:k]
-        (a0_hat,), _ = fed_core.stage1_run([sub], [fcfg], [_noise_rng(cfg.seed, rep)])
+    for k, a0_hat in zip(cfg.k_grid, a0_hats):
         fed_err = float(np.linalg.norm(a0_hat - world.a0))
         single_mean = float(np.mean(singles["a0"][:k]))
         base = {"rep": rep, "n_clients": k}
@@ -432,8 +432,9 @@ def empirical_rmsfe(cfg, designs, rep):
     tagged with replication ``rep`` and the client's PanelSpec.label, and
     the full-sample federated fit: one decomposition per client.
 
-    Client k forecasts from the origins t = T_k - n_origins, ..., T_k - 1
-    (a design too short for that raises ValueError before any fit).  Each
+    Client k forecasts from the origins t = T_k - n_origins, ..., T_k - 1;
+    a design too short for that, or a rank outside [1, d], raises
+    ValueError before any fit.  Each
     method fits a table of coefficients keyed by (k, t): entry (k, t) is
     fitted on rows [:t] of client k's design, a row prefix kept in one
     cache, and scored on row t, predicting y[t] by the entry times x[t],
@@ -457,6 +458,8 @@ def empirical_rmsfe(cfg, designs, rep):
                 f"n_origins {cfg.n_origins} outside [1, {length - 1}] "
                 f"for panel {spec.path}"
             )
+    if not 1 <= cfg.rank <= designs[0].d:
+        raise ValueError(f"rank {cfg.rank} outside [1, d={designs[0].d}] for the panels")
     origins = [(k, t) for k, length in enumerate(lengths)
                for t in range(length - cfg.n_origins, length)]
 
@@ -470,45 +473,41 @@ def empirical_rmsfe(cfg, designs, rep):
         prefixes * 2, acfgs + [single_client.nuclear_only_config(c) for c in acfgs]
     )
     nuc_l1, nuclear = admm_fits[: len(origins)], admm_fits[len(origins) :]
-    full_fit = None
 
-    def federated():
-        nonlocal full_fit
-        # the last member, at origin max T_k, is the full-sample fit
-        fed_origins = sorted({t for _, t in origins})
-        members = [*fed_origins, max(lengths)]
-        design_sets = [
-            [design(k, min(origin, t)) for k, t in enumerate(lengths)] for origin in members
-        ]
-        decomps, _ = fed_core.fit_federated(
-            design_sets,
-            fed_config(cfg, design_sets, zip(prefixes, nuc_l1)),
-            [[fista_config(cfg, ds) for ds in designs] for designs in design_sets],
-            [_noise_rng(cfg.seed, 0, origin) for origin in fed_origins]
-            + [_noise_rng(cfg.seed, 0)],
-        )
-        full_fit = decomps.pop()
-        return {(k, t): dec.a for t, fits in zip(fed_origins, decomps)
-                for k, dec in enumerate(fits)}
+    # every origin's federation; the last member, at origin max T_k, is the
+    # full-sample fit
+    fed_origins = sorted({t for _, t in origins})
+    design_sets = [
+        [design(k, min(origin, t)) for k, t in enumerate(lengths)]
+        for origin in [*fed_origins, max(lengths)]
+    ]
+    fed_fits, _ = fed_core.fit_federated(
+        design_sets,
+        fed_config(cfg, design_sets, zip(prefixes, nuc_l1)),
+        [[fista_config(cfg, ds) for ds in designs] for designs in design_sets],
+        [_noise_rng(cfg.seed, 0, origin) for origin in fed_origins]
+        + [_noise_rng(cfg.seed, 0)],
+    )
+    full_fit = fed_fits.pop()
 
-    def single_l1():
-        omegas = [cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len) for ds in prefixes]
-        # penalty omega around a zero shared part, capped at 500 iterations
-        cfgs = [fed_core.FistaConfig(varpi=omega, iters=500) for omega in omegas]
-        zero = np.zeros((len(prefixes), prefixes[0].d, prefixes[0].pd))
-        deltas, _ = fed_core.refine_fista(prefixes, zero, cfgs)
-        return dict(zip(origins, deltas))
+    # the l1-only baseline: penalty omega around a zero shared part, capped
+    # at 500 iterations
+    l1_cfgs = [
+        fed_core.FistaConfig(varpi=cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len),
+                             iters=500)
+        for ds in prefixes
+    ]
+    zero = np.zeros((len(prefixes), prefixes[0].d, prefixes[0].pd))
+    l1_deltas, _ = fed_core.refine_fista(prefixes, zero, l1_cfgs)
 
-    fits = {
-        "federated": federated,
-        "single_nuc_l1": lambda: {o: dec.a for o, dec in zip(origins, nuc_l1)},
-        "single_nuclear": lambda: {o: dec.a for o, dec in zip(origins, nuclear)},
-        "single_l1": single_l1,
-        "least_squares": lambda: {
-            o: single_client.fit_baseline(ds) for o, ds in zip(origins, prefixes)
-        },
+    tables = {
+        "federated": {(k, t): dec.a for t, fits in zip(fed_origins, fed_fits)
+                      for k, dec in enumerate(fits)},
+        "single_nuc_l1": {o: dec.a for o, dec in zip(origins, nuc_l1)},
+        "single_nuclear": {o: dec.a for o, dec in zip(origins, nuclear)},
+        "single_l1": dict(zip(origins, l1_deltas)),
+        "least_squares": {o: single_client.fit_baseline(ds) for o, ds in zip(origins, prefixes)},
     }
-    tables = {method: fits[method]() for method in EMPIRICAL_METHODS}
 
     recs = []
     for k, (spec, full) in enumerate(zip(cfg.panels, designs)):

@@ -528,9 +528,10 @@ class TestStageOne:
     def test_members_of_own_clients_and_rounds_equal_their_solo_runs(
         self, monkeypatch
     ):
-        # members over different clients (so different client weights) and
-        # round counts, under no, fixed and calibrated noise, with one
-        # zero-round member, leave the stack at different rounds
+        # members over different clients (so different client weights), of
+        # one to three clients, and of different round counts, under no,
+        # fixed and calibrated noise, with one zero-round member, leave the
+        # stack at different rounds
         draws = []
 
         def record(m, sigma, rng):
@@ -547,6 +548,7 @@ class TestStageOne:
                 for k, dk in enumerate(deltas)
             ]
             sets.append([var.lag_design(pn) for pn in panels])
+        sets = [designs[:k] for designs, k in zip(sets, (3, 1, 3, 2, 2))]
         budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
         base = FedConfig(rank=2, rounds=9, step_rho=0.05, init_a0=a0)
         cfgs = [
@@ -561,15 +563,16 @@ class TestStageOne:
         outs, traces = stage1_run(sets, cfgs, rngs)
         assert [len(tr) for tr in traces] == [9, 4, 0, 6, 2]
         # each noisy member spawned once per round it ran, and drew once per
-        # client in each of them
+        # client of its own in each of them
         spawned = [g.bit_generator.seed_seq.n_children_spawned for g in rngs]
         assert spawned == [0, 4, 0, 6, 0]
-        assert len(draws) == 3 * sum(len(tr) for tr in traces)
+        assert len(draws) == sum(len(ds) * len(tr) for ds, tr in zip(sets, traces))
         for designs, cfg, seed, out, trace in zip(sets, cfgs, seeds, outs, traces):
             solo_rng = np.random.default_rng(seed)
             (want,), (want_trace,) = stage1_run([designs], [cfg], [solo_rng])
             assert out.tobytes() == want.tobytes()
             assert trace == want_trace
+            assert all(len(tr.grad_norms) == len(designs) for tr in trace)
             assert solo_rng.bit_generator.seed_seq.n_children_spawned == (
                 cfg.rounds if cfg.noise.mode != "none" else 0
             )
@@ -604,11 +607,10 @@ class TestStageOne:
         with pytest.raises(ValueError, match="3 client lists for 4 federation configs"):
             stage1_run(sets[:3], cfgs, rngs)
         bad = [cfgs[0], replace(cfgs[1], rank=1)] + cfgs[2:]
-        with pytest.raises(ValueError, match="member 1 has rank 1 and 4 clients"):
+        with pytest.raises(ValueError, match="member 1 has rank 1, member 0 has rank 2"):
             stage1_run(sets, bad, rngs)
-        fewer = [designs, designs[:3]] + sets[2:]
-        with pytest.raises(ValueError, match="member 1 has rank 2 and 3 clients"):
-            stage1_run(fewer, cfgs, rngs)
+        with pytest.raises(ValueError, match="member 1 has no clients"):
+            stage1_run([designs, []] + sets[2:], cfgs, rngs)
         _, _, _, other = make_world(seed=14, d=4, k=4)
         with pytest.raises(ValueError, match="shape"):
             stage1_run([designs, other] + sets[2:], cfgs, rngs)
@@ -664,8 +666,9 @@ class TestFitFederated:
                 fit_federated(sets, [cfg] * len(sets), bad, rngs * len(sets))
 
     def test_members_equal_their_one_member_calls(self):
-        # members over different clients and sample sizes, with their own
-        # rounds (one of them zero), noise, step and refinement penalties
+        # members over different clients, numbers of clients and sample
+        # sizes, with their own rounds (one of them zero), noise, step and
+        # refinement penalties
         a0, deltas = var.assemble_dgp(5, 2, 2, 3, np.random.default_rng(40), ratio=5.0)
         sets = []
         for t_len in (70, 120, 95, 150):
@@ -675,6 +678,7 @@ class TestFitFederated:
                 for k, dk in enumerate(deltas)
             ]
             sets.append([var.lag_design(pn) for pn in panels])
+        sets = [designs[:k] for designs, k in zip(sets, (3, 1, 3, 2))]
         budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
         base = FedConfig(rank=2, rounds=8, step_rho=0.05, init_a0=a0)
         cfgs = [
@@ -685,8 +689,8 @@ class TestFitFederated:
                     noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
         ]
         fista_cfgs = [
-            [FistaConfig(varpi=v * (k + 1), iters=n) for k in range(3)]
-            for v, n in ((0.02, 20), (0.05, 200), (0.01, 0), (0.1, 60))
+            [FistaConfig(varpi=v * (k + 1), iters=n) for k in range(len(designs))]
+            for designs, (v, n) in zip(sets, ((0.02, 20), (0.05, 200), (0.01, 0), (0.1, 60)))
         ]
         seeds = (11, 12, 13, 14)
         decomps, reports = fit_federated(
@@ -700,10 +704,10 @@ class TestFitFederated:
             report = reports[c]
             assert report.a0_hat.tobytes() == want_report.a0_hat.tobytes()
             assert report.stage1_trace == want_report.stage1_trace
-            assert len(report.fista_traces) == len(want_report.fista_traces) == 3
+            assert len(report.fista_traces) == len(want_report.fista_traces) == len(designs)
             for got_tr, want_tr in zip(report.fista_traces, want_report.fista_traces):
                 assert got_tr.tobytes() == want_tr.tobytes()
-            assert len(decomps[c]) == 3
+            assert len(decomps[c]) == len(designs)
             for got, exp in zip(decomps[c], want):
                 assert got.a0.tobytes() == exp.a0.tobytes()
                 assert got.delta.tobytes() == exp.delta.tobytes()

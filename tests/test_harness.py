@@ -1014,8 +1014,10 @@ class TestFedConfig:
         assert [len(designs) for designs in stacks] == stacks_want
         fitted = {id(ds) for ds in stacks[0]}
         assert not any(id(ds) in fitted for designs in stacks[1:] for ds in designs)
-        # each fed_config call truncates its starts in one stacked call,
-        # and each stage1_run call its members' starts in one more
+        # one stage-1 stack per replication; each fed_config call truncates
+        # its starts in one stacked call, and the stage1_run call its
+        # members' starts in one more
+        assert [name for name, _ in per_call].count("stage1_run") == 1
         assert {name for name, _ in per_call} == {"fed_config", "stage1_run"}
         assert all(n == 1 for _, n in per_call)
         assert truncations == [3] * len(per_call)
@@ -1272,6 +1274,19 @@ class TestCli:
         out = tmp_path / "fitout"
         assert cli.main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert f"panel {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_rank_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # d = 4 panels: rank 5 is refused before the first ADMM stack
+        cfg = replace(empirical_config(tmp_path, (30, 31)), rank=5)
+        cfg_path = tmp_path / "cfg.json"
+        to_json(cfg, str(cfg_path))
+        stacks = []
+        monkeypatch.setattr(single_client, "fit_admm", lambda *args: stacks.append(args))
+        out = tmp_path / "fitout"
+        assert cli.main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "rank 5 outside [1, d=4]" in capsys.readouterr().err
+        assert stacks == []
         assert not out.exists()
 
     def test_all_zero_panels_exit_one(self, tmp_path, capsys):
