@@ -41,8 +41,10 @@ for k, t_len in enumerate((42, 44)):
     panels.append({"path": path, "client_id": f"c{k + 1}"})
 doc = {"kind": "empirical", "seed": 1, "d": 4, "p": 1, "rank": 1,
        "n_origins": 4, "panels": panels}
-json.dump(doc, open("fit.json", "w"))
-json.dump({**doc, "noise_mode": "calibrated"}, open("fit-dp.json", "w"))
+with open("fit.json", "w") as fh:
+    json.dump(doc, fh)
+with open("fit-dp.json", "w") as fh:
+    json.dump({**doc, "noise_mode": "calibrated"}, fh)
 EOF
 
 fedvar fit --config fit.json --out fit --rmsfe-agg pooled >/dev/null

@@ -18,10 +18,10 @@ import sys
 
 import numpy as np
 
-from .. import rank_select, single_client, var
+from .. import rank_select, var
 from ..matops import check_matrix
 from .config import KINDS, RMSFE_AGGREGATES, from_json
-from .experiments import admm_config, empirical_rmsfe, run_experiment
+from .experiments import empirical_rmsfe, fit_single, run_experiment
 from .panels import load_panels
 
 NOISE_FLAG_MODES = {"none": "none", "fixed": "fixed_scale", "calibrated": "calibrated"}
@@ -172,7 +172,7 @@ def _cmd_forecast(args):
 def _cmd_rank_select(args):
     cfg, panels = _config_and_panels(args, "rank-select")
     designs = [var.lag_design(panel) for panel in panels]
-    decomps, _ = single_client.fit_admm(designs, [admm_config(ds, cfg) for ds in designs])
+    decomps = fit_single(cfg, designs)
     rank, picks = rank_select.select_rank(
         [dec.a0 for dec in decomps], [ds.t_len for ds in designs]
     )

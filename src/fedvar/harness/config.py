@@ -9,20 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
 from ..dp import NOISE_MODES
-
-KINDS = (
-    "single_client_curve",
-    "rank_table",
-    "privacy_heatmap",
-    "k_sweep",
-    "t_sweep",
-    "empirical",
-)
+from ..matops import SVD_DIM_CAP
 
 RMSFE_AGGREGATES = ("mean", "pooled")
 
@@ -74,15 +65,6 @@ class PanelSpec:
         return self.client_id or self.path
 
 
-# numeric fields by type; None is allowed where it is the default
-_INT_FIELDS = ("reps", "d", "p", "rank", "n_clients", "t_len", "fista_iters",
-               "n_origins", "rounds")
-_FLOAT_FIELDS = ("eps", "delta", "kappa", "sensitivity", "ratio", "q", "s_q",
-                 "target_radius", "lam_scale", "omega_scale", "zeta", "rho_scale",
-                 "varpi_scale")
-_NONE_ALLOWED = ("rounds", "zeta")
-
-
 def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
@@ -91,23 +73,96 @@ def _is_real(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _check_types(cfg):
-    """ValueError for a numeric field or grid entry of the wrong type, such
-    as a JSON string or boolean; int fields and int grids take integers."""
-    for names, ok, what in ((_INT_FIELDS, _is_int, "an integer"),
-                            (_FLOAT_FIELDS, _is_real, "a number")):
-        for name in names:
-            v = getattr(cfg, name)
-            if not ok(v) and not (v is None and name in _NONE_ALLOWED):
-                raise ValueError(f"{name} must be {what}, got {v!r}")
-    for name in ("t_grid", "rank_grid", "k_grid"):
-        for v in getattr(cfg, name):
-            if not (_is_real(v) and float(v).is_integer()):
-                raise ValueError(f"{name} entries must be integers, got {v!r}")
-    for name in ("eps_grid", "delta_grid"):
-        for v in getattr(cfg, name):
-            if not _is_real(v):
-                raise ValueError(f"{name} entries must be numbers, got {v!r}")
+# Each kind's grid defaults, filled in where a config leaves a grid empty.
+KIND_DEFAULTS = {
+    "single_client_curve": {"t_grid": (200, 400, 800, 1600)},
+    "rank_table": {"t_grid": (400, 1600), "rank_grid": (1, 2, 3)},
+    "privacy_heatmap": {"eps_grid": (0.5, 1.0, 2.0, 4.0)},
+    "k_sweep": {"k_grid": (2, 5, 10)},
+    "t_sweep": {"t_grid": (200, 400, 800)},
+    "empirical": {},
+}
+
+KINDS = tuple(KIND_DEFAULTS)
+
+# One row per numeric field and grid (for a *_grid, its entries): the
+# type, the interval every value lies in ("(" and ")" mark open ends, "["
+# and "]" closed ones; None for no bound) and whether None is allowed.
+CONTRACT = {
+    "seed": (int, "[0, inf)", False),
+    "reps": (int, "[1, inf)", False),
+    "d": (int, "[1, inf)", False),
+    "p": (int, "[1, inf)", False),
+    "rank": (int, "[1, inf)", False),
+    "n_clients": (int, "[1, inf)", False),
+    "t_len": (int, "[1, inf)", False),
+    "t_grid": (int, "[1, inf)", False),
+    "rank_grid": (int, None, False),  # [1, d] for a rank_table, checked below
+    "k_grid": (int, "[1, inf)", False),
+    "eps_grid": (float, "(0, inf)", False),
+    "delta_grid": (float, "(0, 1)", False),
+    "eps": (float, "(0, inf)", False),  # inf would calibrate no noise
+    "delta": (float, "(0, 1)", False),
+    "kappa": (float, "(0, inf)", False),
+    "sensitivity": (float, "(0, inf)", False),
+    "ratio": (float, "(0, inf)", False),
+    "q": (float, "(0, 1]", False),
+    "s_q": (float, "(0, inf)", False),
+    # the worlds' largest companion radius: 0 gives all-zero coefficients,
+    # 1 or more a world no path can be simulated from
+    "target_radius": (float, "(0, 1)", False),
+    "lam_scale": (float, "[0, inf)", False),
+    "omega_scale": (float, "[0, inf)", False),
+    "zeta": (float, "(0, inf)", True),
+    "rho_scale": (float, "(0, inf)", False),  # 0 would release the non-private start
+    "varpi_scale": (float, "[0, inf)", False),
+    "rounds": (int, "[1, inf)", True),
+    "fista_iters": (int, "[1, inf)", False),
+    "n_origins": (int, "[1, inf)", False),
+}
+
+
+def _within(v, interval):
+    lo, hi = map(float, interval[1:-1].split(","))
+    above = lo < v if interval[0] == "(" else lo <= v
+    return above and (v < hi if interval[-1] == ")" else v <= hi)
+
+
+def _range_text(interval, kind):
+    """'lie in (0, 1)', or for no upper end 'be positive' or 'be >= 1'; an
+    infinite end is open, so such a float must also be finite."""
+    lo, hi = interval[1:-1].split(", ")
+    if hi != "inf":
+        return f"lie in {interval}"
+    bound = "positive" if interval.startswith("(0,") else f">= {lo}"
+    return f"be {bound}" + " and finite" * (kind is float)
+
+
+def _check_contract(cfg):
+    """ValueError for a numeric field or grid entry of the wrong type (a
+    JSON string or boolean, say) or range; stores each grid as a tuple of
+    its type, an empty one as the kind's default."""
+    for name, (kind, interval, none_ok) in CONTRACT.items():
+        value = getattr(cfg, name)
+        if name.endswith("_grid"):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            for v in value:
+                if not (_is_real(v) and (kind is float or float(v).is_integer())):
+                    plural = "integers" if kind is int else "numbers"
+                    raise ValueError(f"{name} entries must be {plural}, got {v!r}")
+            value = tuple(map(kind, value)) or KIND_DEFAULTS[cfg.kind].get(name, ())
+            object.__setattr__(cfg, name, value)
+            what, values = f"{name} entries", value
+        elif value is None and none_ok:
+            continue
+        elif not (_is_int(value) if kind is int else _is_real(value)):
+            article = "an integer" if kind is int else "a number"
+            raise ValueError(f"{name} must be {article}, got {value!r}")
+        else:
+            what, values = name, (value,)
+        if interval is not None and not all(_within(v, interval) for v in values):
+            raise ValueError(f"{what} must {_range_text(interval, kind)}, got {value}")
 
 
 def _panel_spec(doc):
@@ -122,18 +177,17 @@ def _panel_spec(doc):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs besides the output location.
+    """Everything a run needs besides the output location, complete and
+    checked once it is built.
 
-    Grid fields left empty fall back to per-kind defaults at run time.
-    rounds=None means the ceil(10 log T) default.  Numeric fields and grid
-    entries must be numbers (integers where the field counts something);
-    a string or a boolean raises ValueError.  A simulated rank lies in
-    [1, d]: every ``rank_grid`` entry of a rank_table, and ``rank`` for
-    the other simulation kinds; ``t_grid`` and ``k_grid`` entries are
-    >= 1; ``target_radius`` lies in (0, 1).  The privacy fields are
-    checked in every noise mode, so a bad one fails before any
-    replication.
-    Two panels may not share a label (PanelSpec.label).
+    Each numeric field and grid has its type, range and None allowance
+    in CONTRACT; a grid is a list, an empty one filled from KIND_DEFAULTS.
+    rounds=None means the ceil(10 log T) default, zeta=None no clip.  A
+    simulation kind's rank lies in [1, d] (every ``rank_grid`` entry of a
+    rank_table) and its p * d is at most matops.SVD_DIM_CAP; an empirical
+    config runs one replication (reps is set to 1) over at least one
+    panel, no two of one label (PanelSpec.label), and checks rank once
+    they load.  A privacy_heatmap needs a noise mode other than "none".
     """
 
     kind: str
@@ -173,51 +227,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        _check_types(self)
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        for name in ("d", "p", "rank", "n_clients", "t_len", "fista_iters", "n_origins"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        _check_contract(self)
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if self.rmsfe_agg not in RMSFE_AGGREGATES:
             raise ValueError(f"unknown rmsfe aggregate {self.rmsfe_agg!r}")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError("rounds must be >= 1 when given")
-        for name in ("t_grid", "rank_grid", "k_grid"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
-        for name in ("eps_grid", "delta_grid"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        for name in ("t_grid", "k_grid"):
-            if not all(v >= 1 for v in getattr(self, name)):
-                raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)}")
-        # an empirical run takes d from its panels and checks rank once they load
-        if self.kind != "empirical":
+        if self.kind == "empirical":
+            object.__setattr__(self, "reps", 1)
+        else:
             ranks = self.rank_grid if self.kind == "rank_table" else (self.rank,)
             for r in ranks:
                 if not 1 <= r <= self.d:
                     raise ValueError(f"rank {r} outside [1, d={self.d}] for {self.kind}")
-        # the worlds' largest companion radius: 0 gives all-zero coefficients,
-        # 1 or more a world no path can be simulated from
-        if not 0 < self.target_radius < 1:
-            raise ValueError(f"target_radius must lie in (0, 1), got {self.target_radius}")
-        # an infinite eps would calibrate a "private" run with no noise
-        for name in ("eps", "kappa", "sensitivity"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}"
-                )
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not all(0 < v < math.inf for v in self.eps_grid):
-            raise ValueError(
-                f"eps_grid entries must be positive and finite, got {self.eps_grid}"
-            )
-        if not all(0 < v < 1 for v in self.delta_grid):
-            raise ValueError(f"delta_grid entries must lie in (0, 1), got {self.delta_grid}")
+            if self.p * self.d > SVD_DIM_CAP:
+                raise ValueError(f"p * d = {self.p * self.d} exceeds the SVD cap {SVD_DIM_CAP}")
+        if self.kind == "privacy_heatmap" and self.noise_mode == "none":
+            raise ValueError("privacy_heatmap needs noise_mode fixed_scale or calibrated")
+        if not isinstance(self.panels, (list, tuple)):
+            raise ValueError(f"panels must be a list, got {self.panels!r}")
         specs = tuple(
             s if isinstance(s, PanelSpec) else _panel_spec(s) for s in self.panels
         )
@@ -266,9 +295,6 @@ def from_json(text=None, path=None, overrides=None):
         raise ValueError(f"unknown config fields: {', '.join(unknown)}")
     if "kind" not in doc or "seed" not in doc:
         raise ValueError("config must set kind and seed")
-    for name in ("t_grid", "rank_grid", "k_grid", "eps_grid", "delta_grid", "panels"):
-        if name in doc and isinstance(doc[name], list):
-            doc[name] = tuple(doc[name])
     return ExperimentConfig(**doc)
 
 

@@ -75,15 +75,6 @@ _BURN_IN = 200
 # rank_table or eight privacy_heatmap replications.
 CHUNK_BYTES = 4 * 2**20
 
-DEFAULT_GRIDS = {
-    "single_client_curve": {"t_grid": (200, 400, 800, 1600)},
-    "rank_table": {"t_grid": (400, 1600), "rank_grid": (1, 2, 3)},
-    "privacy_heatmap": {"eps_grid": (0.5, 1.0, 2.0, 4.0)},
-    "k_sweep": {"k_grid": (2, 5, 10)},
-    "t_sweep": {"t_grid": (200, 400, 800)},
-    "empirical": {},
-}
-
 FIELDNAMES = {
     "single_client_curve": ("rep", "t_len", "metric", "value"),
     "rank_table": ("rep", "true_rank", "t_len", "metric", "value"),
@@ -231,11 +222,11 @@ def fed_config(cfg, design_sets, fitted=()):
     lowest-indexed one among clients of equal size; the noise is
     cfg.noise_mode at (cfg.eps, cfg.delta) over all the rounds.
     ``fitted`` holds (design, fit) pairs of single-client ADMM fits under
-    the config's scales that the caller already has, as ``_fit_single``
+    the config's scales that the caller already has, as ``fit_single``
     returns them; a largest design among them (by identity) starts from
     its fit, bitwise the start a new fit would give.  The distinct
     largest designs (by identity) without a fit are fitted in one
-    ``_fit_single`` stack, and every distinct start is truncated in one
+    ``fit_single`` stack, and every distinct start is truncated in one
     stacked ``svd_truncate`` call; lists that share a largest design
     share its start.
     """
@@ -244,7 +235,7 @@ def fed_config(cfg, design_sets, fitted=()):
     distinct = list({id(ds): ds for ds in largest}.values())
     todo = [ds for ds in distinct if id(ds) not in known]
     if todo:
-        known.update(zip(map(id, todo), _fit_single(cfg, todo)))
+        known.update(zip(map(id, todo), fit_single(cfg, todo)))
     starts, _ = svd_truncate(np.stack([known[id(ds)].a0 for ds in distinct]), cfg.rank)
     inits = dict(zip(map(id, distinct), starts))
     fcfgs = []
@@ -266,7 +257,7 @@ def fista_config(cfg, design):
     return fed_core.FistaConfig(varpi=varpi, iters=cfg.fista_iters)
 
 
-def _fit_single(cfg, designs):
+def fit_single(cfg, designs):
     """Each design's single-client ADMM fit under the config's scales, all
     in one stacked ``fit_admm`` call."""
     decomps, _ = single_client.fit_admm(designs, [admm_config(ds, cfg) for ds in designs])
@@ -281,7 +272,7 @@ def _draw_single_client_curve(cfg, rep):
 def _fit_single_client_curve(cfg, rep, worlds, panels):
     (world,), ((panel,),) = worlds, panels
     full = var.lag_design(panel)
-    decomps = _fit_single(cfg, [_row_prefix(full, t) for t in cfg.t_grid])
+    decomps = fit_single(cfg, [_row_prefix(full, t) for t in cfg.t_grid])
     recs = []
     for t_len, dec in zip(cfg.t_grid, decomps):
         errs = _fit_errors([dec], world.a0, world.deltas)
@@ -301,7 +292,7 @@ def _fit_rank_table(cfg, rep, worlds, panels):
     cells = [(r, t) for r in cfg.rank_grid for t in cfg.t_grid]
     designs = [_row_prefix(full, t) for full in fulls for t in cfg.t_grid]
     recs = []
-    for (true_rank, t_len), dec in zip(cells, _fit_single(cfg, designs)):
+    for (true_rank, t_len), dec in zip(cells, fit_single(cfg, designs)):
         picked = rank_select.client_rank(dec.a0, t_len)
         base = {"rep": rep, "true_rank": true_rank, "t_len": t_len}
         recs.append({**base, "metric": "selected_rank", "value": picked})
@@ -364,7 +355,7 @@ def _draw_k_sweep(cfg, rep):
 def _fit_k_sweep(cfg, rep, worlds, panels):
     (world,), (client_panels,) = worlds, panels
     designs = [var.lag_design(pn) for pn in client_panels]
-    fits = _fit_single(cfg, designs)
+    fits = fit_single(cfg, designs)
     singles = _fit_errors(fits, world.a0, world.deltas)
 
     design_sets = [designs[:k] for k in cfg.k_grid]
@@ -397,7 +388,7 @@ def _fit_t_sweep(cfg, rep, worlds, panels):
     replication's noise stream."""
     design_sets = [[var.lag_design(pn) for pn in client_panels] for client_panels in panels]
     flat = [ds for designs in design_sets for ds in designs]
-    single_fits = _fit_single(cfg, flat)
+    single_fits = fit_single(cfg, flat)
     fed_fits, _ = fed_core.fit_federated(
         design_sets,
         fed_config(cfg, design_sets, zip(flat, single_fits)),
@@ -490,13 +481,9 @@ def empirical_rmsfe(cfg, designs, rep):
     )
     full_fit = fed_fits.pop()
 
-    # the l1-only baseline: penalty omega around a zero shared part, capped
-    # at 500 iterations
-    l1_cfgs = [
-        fed_core.FistaConfig(varpi=cfg.omega_scale * np.sqrt(np.log(ds.pd) / ds.t_len),
-                             iters=500)
-        for ds in prefixes
-    ]
+    # the l1-only baseline: the ADMM fit's penalty omega around a zero
+    # shared part, capped at 500 iterations
+    l1_cfgs = [fed_core.FistaConfig(varpi=c.omega, iters=500) for c in acfgs]
     zero = np.zeros((len(prefixes), prefixes[0].d, prefixes[0].pd))
     l1_deltas, _ = fed_core.refine_fista(prefixes, zero, l1_cfgs)
 
@@ -546,16 +533,6 @@ SIMULATIONS = {
     "k_sweep": Simulation(_draw_k_sweep, _fit_k_sweep),
     "t_sweep": Simulation(_draw_t_sweep, _fit_t_sweep),
 }
-
-
-def _fill_grids(cfg):
-    updates = {}
-    for name, default in DEFAULT_GRIDS[cfg.kind].items():
-        if not getattr(cfg, name):
-            updates[name] = default
-    if cfg.kind == "empirical":
-        updates["reps"] = 1
-    return replace(cfg, **updates) if updates else cfg
 
 
 def _format_cell(value):
@@ -642,7 +619,10 @@ def _run_simulation(cfg, sim):
 
 
 def run_experiment(cfg, run_dir=None):
-    """Run every replication and write raw.csv, summary.json, manifest.json.
+    """Run every replication of ``cfg`` and write raw.csv, summary.json,
+    manifest.json.  The config is complete and checked once it is built
+    (see ``ExperimentConfig``), so no value outside its range reaches a
+    replication.
 
     Replications run one after another in the calling thread, their
     worlds simulated a chunk at a time (see ``_run_simulation``), and
@@ -650,15 +630,8 @@ def run_experiment(cfg, run_dir=None):
     draw or fit raises is logged and skipped; the run fails once more than 1% of
     replications abort.  An empirical run has one replication, whose
     errors propagate: a missing or mismatched panel, or an n_origins too
-    large for a panel, raises ValueError before any fit.  A privacy
-    heatmap needs a noise mode other than "none" and raises ValueError
-    before any replication.
+    large for a panel, raises ValueError before any fit.
     """
-    cfg = _fill_grids(cfg)
-    if cfg.kind == "privacy_heatmap" and cfg.noise_mode == "none":
-        raise ValueError(
-            "privacy_heatmap needs noise_mode fixed_scale or calibrated, got 'none'"
-        )
     fieldnames = FIELDNAMES[cfg.kind]
     if cfg.kind == "empirical":
         # one replication over fixed panels, with no abort to tolerate: its

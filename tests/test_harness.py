@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from fedvar.harness import (
 )
 from fedvar.harness import cli, experiments
 from fedvar.harness import panels as panels_module
-from fedvar.harness.config import from_json, to_json
+from fedvar.harness.config import CONTRACT, KIND_DEFAULTS, from_json, to_json
 
 from oracles import (
     cold_l1_forecaster,
@@ -215,6 +215,19 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match=field):
                 ExperimentConfig(kind="k_sweep", seed=1, noise_mode=mode, **{field: bad})
 
+
+    def test_every_numeric_field_has_a_contract_row(self):
+        # a count, a real (None allowed or not) or a grid: each is checked
+        # against its row when the config is built
+        types = {f.name: f.type for f in fields(ExperimentConfig)}
+        numeric = {
+            name for name, t in types.items()
+            if t in ("int", "float", "int | None", "float | None") or name.endswith("_grid")
+        }
+        assert numeric == set(CONTRACT)
+        for name, (kind, _, none_ok) in CONTRACT.items():
+            assert kind in (int, float)
+            assert none_ok == types[name].endswith(" | None")
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, float("nan")])
     def test_target_radius_outside_unit_interval_rejected(self, bad):
@@ -448,14 +461,15 @@ class TestRunExperiment:
 
     def test_grid_defaults_fill_and_hash_ignores_spelling(self, tmp_path):
         # leaving a grid empty and spelling out the default are the same
-        # experiment, so they must hash identically in the manifest
-        sparse = ExperimentConfig(kind="privacy_heatmap", seed=9, reps=1, d=4)
-        explicit = ExperimentConfig(
-            kind="privacy_heatmap", seed=9, reps=1, d=4, eps_grid=(0.5, 1.0, 2.0, 4.0)
-        )
-        filled = experiments._fill_grids(sparse)
-        assert filled.eps_grid == explicit.eps_grid
-        assert config_hash(filled) == config_hash(explicit)
+        # experiment: the config fills the default when it is built, so
+        # the two are equal and hash identically in the manifest
+        base = dict(kind="privacy_heatmap", seed=9, reps=1, d=4, noise_mode="fixed_scale")
+        sparse = ExperimentConfig(**base)
+        explicit = ExperimentConfig(**base, eps_grid=(0.5, 1.0, 2.0, 4.0))
+        assert sparse.eps_grid == KIND_DEFAULTS["privacy_heatmap"]["eps_grid"]
+        assert sparse == explicit
+        assert config_hash(sparse) == config_hash(explicit)
+        assert from_json(text=to_json(sparse)) == sparse
 
     def test_timestamped_dir_under_out(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path), reps=1)
@@ -674,7 +688,7 @@ class TestChunks:
 
     def test_chunk_holds_as_many_replications_as_fit_the_budget(self):
         # d = 20: a rank_table replication is three 1,801-row paths, 0.86 MB
-        cfg = experiments._fill_grids(ExperimentConfig(kind="rank_table", seed=1))
+        cfg = ExperimentConfig(kind="rank_table", seed=1)
         worlds = experiments.SIMULATIONS["rank_table"].draw(cfg, 0)
         rep_bytes = experiments._path_bytes(cfg, worlds)
         assert rep_bytes == 3 * 1801 * 20 * 8
@@ -942,7 +956,7 @@ class TestFedConfig:
         designs = [var.lag_design(var.simulate(a, 1, t, rng, burn_in=100)) for t in (90, 60)]
         sets = [designs, designs[1:]]
         want = experiments.fed_config(self.CFG, sets)
-        fits = experiments._fit_single(self.CFG, designs)
+        fits = experiments.fit_single(self.CFG, designs)
         calls = []
         real = single_client.fit_admm
         monkeypatch.setattr(
@@ -1088,17 +1102,10 @@ class TestPrivacyHeatmap:
                 blobs.append(fh.read())
         assert blobs[0] != blobs[1]
 
-    def test_no_noise_is_rejected_before_any_replication(
-        self, tmp_path, monkeypatch
-    ):
-        calls = record_replications(monkeypatch, "privacy_heatmap")
+    def test_no_noise_is_rejected_before_any_replication(self, tmp_path):
+        # the config refuses it when it is built, so no run can start
         with pytest.raises(ValueError, match="noise_mode"):
-            run_experiment(
-                heatmap_config(tmp_path, noise_mode="none"),
-                run_dir=str(tmp_path / "none"),
-            )
-        assert calls == []
-        assert not os.path.exists(tmp_path / "none")
+            heatmap_config(tmp_path, noise_mode="none")
 
 
 class TestCli:
@@ -1232,9 +1239,30 @@ class TestCli:
              "target_radius must lie in (0, 1), got 1.0"),
             ({"kind": "t_sweep", "target_radius": 0.0},
              "target_radius must lie in (0, 1), got 0.0"),
+            # each of these once aborted every replication, or failed after
+            # them, with exit 2
+            ({"kind": "t_sweep", "ratio": -1}, "ratio must be positive and finite, got -1"),
+            ({"kind": "t_sweep", "q": 2}, "q must lie in (0, 1], got 2"),
+            ({"kind": "t_sweep", "s_q": -1}, "s_q must be positive and finite, got -1"),
+            ({"kind": "t_sweep", "lam_scale": -1}, "lam_scale must be >= 0 and finite, got -1"),
+            ({"kind": "t_sweep", "omega_scale": -1},
+             "omega_scale must be >= 0 and finite, got -1"),
+            ({"kind": "t_sweep", "zeta": -1}, "zeta must be positive and finite, got -1"),
+            ({"kind": "t_sweep", "rho_scale": -1}, "rho_scale must be positive and finite, got -1"),
+            ({"kind": "t_sweep", "varpi_scale": -1},
+             "varpi_scale must be >= 0 and finite, got -1"),
+            ({"kind": "t_sweep", "out_dir": 5}, "out_dir must be a string, got 5"),
+            ({"kind": "t_sweep", "t_grid": 400}, "t_grid must be a list, got 400"),
+            ({"kind": "t_sweep", "panels": 5}, "panels must be a list, got 5"),
+            # 0 once released the non-private start from a calibrated run
+            ({"kind": "t_sweep", "rho_scale": 0}, "rho_scale must be positive and finite, got 0"),
+            ({"kind": "k_sweep", "d": 20, "p": 52},
+             "p * d = 1040 exceeds the SVD cap 1024"),
         ],
         ids=["rank", "rank_grid_0", "rank_grid_6", "t_grid", "k_grid",
-             "target_radius_1", "target_radius_0"],
+             "target_radius_1", "target_radius_0", "ratio", "q", "s_q", "lam_scale",
+             "omega_scale", "zeta", "rho_scale", "varpi_scale", "out_dir", "t_grid_scalar",
+             "panels", "rho_scale_0", "svd_cap"],
     )
     def test_bad_rank_or_grid_exits_one_before_any_replication(
         self, doc, message, tmp_path, capsys, monkeypatch
