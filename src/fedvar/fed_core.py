@@ -122,13 +122,23 @@ class RoundTrace:
     grad_norms: tuple
 
 
+@dataclass(frozen=True)
+class FistaState:
+    """How one problem of a refine_fista call stopped: the iterations run,
+    and whether a step met the tolerance (False for a problem stopped by
+    its cap alone)."""
+
+    iterations: int
+    converged: bool
+
+
 @dataclass
 class FitReport:
-    """Diagnostics of a full federated fit."""
+    """Diagnostics of one federation's two-stage fit: stage I's
+    RoundTraces and one FistaState per client."""
 
-    a0_hat: np.ndarray
     stage1_trace: list
-    fista_traces: list
+    fista_states: list
 
 
 def local_gradient(design, a0):
@@ -329,9 +339,9 @@ def refine_fista(designs, a0_hats, cfgs):
     in one loop: each iteration makes one stacked product over the
     problems still running and one soft threshold at their own
     eta_j varpi_j.  A problem that stops leaves the stack, so its
-    iterate, its trace and its iteration count are those of a run on its
-    own.  Returns the (K, d, pd) final iterates and, per problem, the
-    objective value at each iterate run (including the start).
+    iterate and its FistaState are those of a run on its own.  Returns
+    the (K, d, pd) final iterates and, per problem, a FistaState: the
+    iterations run and whether the step rule stopped it.
     """
     designs, cfgs = list(designs), list(cfgs)
     d, pd = _check_designs(designs)
@@ -347,7 +357,6 @@ def refine_fista(designs, a0_hats, cfgs):
     if not np.isfinite(a0).all():
         raise ValueError("a0_hats contains non-finite entries")
     eta = np.array([default_eta(ds) for ds in designs])
-    varpi = np.array([c.varpi for c in cfgs])
     caps = np.array([c.iters for c in cfgs])
     max_iters = int(caps.max())
 
@@ -355,33 +364,28 @@ def refine_fista(designs, a0_hats, cfgs):
     live = np.arange(n_probs)
     sxx = np.stack([ds.sxx for ds in designs])
     cross = np.stack([2.0 * ds.sxy.T for ds in designs])
-    syy = np.array([ds.syy for ds in designs])
-    thresh = (eta * varpi)[:, None, None]
+    thresh = (eta * np.array([c.varpi for c in cfgs]))[:, None, None]
     eta = eta[:, None, None]
 
     # M(delta) = (a0 + delta) sxx is the one product an iteration makes:
     # the gradient at the extrapolated point delta + beta (delta - delta_prev)
-    # is 2 (M + beta (M - M_prev)) - cross, and the loss at delta is
-    # syy - <a0 + delta, cross - M>, design.loss written with M.
+    # is 2 (M + beta (M - M_prev)) - cross.
     deltas = np.zeros((n_probs, d, pd))
     runs = np.zeros(n_probs, dtype=np.intp)  # iterations each problem ran
-    objective = np.empty((max_iters + 1, n_probs))
+    converged = np.zeros(n_probs, dtype=bool)  # stopped by the step rule
     delta = deltas.copy()
     extrap = delta
-    point = a0 + delta
-    m = point @ sxx
+    m = (a0 + delta) @ sxx
     grad = 2.0 * m - cross
-    objective[0] = syy - _dots(point, cross - m)
     q = np.array(momentum_sequence(max_iters))
     k = np.zeros(n_probs, dtype=np.intp)  # momentum indices, reset by a restart
     done = caps == 0
     for n in range(1, max_iters + 1):
         if done.any():
             keep = ~done
-            (live, a0, sxx, cross, syy, varpi, caps, eta, thresh,
-             delta, extrap, m, grad, k) = (
-                a[keep] for a in (live, a0, sxx, cross, syy, varpi, caps, eta,
-                                  thresh, delta, extrap, m, grad, k)
+            live, a0, sxx, cross, caps, eta, thresh, delta, extrap, m, grad, k = (
+                a[keep] for a in (live, a0, sxx, cross, caps, eta, thresh,
+                                  delta, extrap, m, grad, k)
             )
         delta_next = soft_threshold(extrap - eta * grad, thresh)
         step = delta_next - delta
@@ -390,30 +394,25 @@ def refine_fista(designs, a0_hats, cfgs):
         extrap = delta_next + beta * step
         k += 1
         delta = delta_next
-        point = a0 + delta
-        m_next = point @ sxx
-        objective[n, live] = (
-            syy
-            - _dots(point, cross - m_next)
-            + varpi * np.abs(delta).reshape(len(live), -1).sum(axis=1)
-        )
+        m_next = (a0 + delta) @ sxx
         step_norm = np.sqrt(_dots(step, step))
         # an overflowing step gives inf <= inf; leave it to the check below
-        done = (caps == n) | (
-            np.isfinite(step_norm)
-            & (step_norm <= _FISTA_TOL * np.maximum(1.0, np.sqrt(_dots(delta, delta))))
+        small = np.isfinite(step_norm) & (
+            step_norm <= _FISTA_TOL * np.maximum(1.0, np.sqrt(_dots(delta, delta)))
         )
+        done = small | (caps == n)
         if done.any():
             # a stopped problem's row leaves the stack at the next iteration
             deltas[live[done]] = delta[done]
             runs[live[done]] = n
+            converged[live[done]] = small[done]
             if done.all():
                 break
         grad = 2.0 * (m_next + beta * (m_next - m)) - cross
         m = m_next
     if not np.all(np.isfinite(deltas)):
         raise ValueError("FISTA produced a non-finite deviation")
-    return deltas, [objective[: r + 1, j] for j, r in enumerate(runs)]
+    return deltas, [FistaState(int(r), bool(c)) for r, c in zip(runs, converged)]
 
 
 def fit_federated(design_sets, fed_cfgs, fista_cfgs, rngs):
@@ -424,14 +423,15 @@ def fit_federated(design_sets, fed_cfgs, fista_cfgs, rngs):
     Stage I is one ``stage1_run`` call over the members; stage II refines
     every (member, client) deviation around its member's estimate in one
     ``refine_fista`` call.  Returns, per member, one decomposition per
-    client and a FitReport with both stages' traces; a member's results
-    are bitwise those of its one-member call.
+    client, each holding the member's shared estimate as its a0, and a
+    FitReport with its stage-I trace and its clients' FistaStates; a
+    member's results are bitwise those of its one-member call.
     """
     n_cfgs, n_clients = [len(f) for f in fista_cfgs], [len(d) for d in design_sets]
     if n_cfgs != n_clients:
         raise ValueError(f"refinement configs per member {n_cfgs}, clients {n_clients}")
     a0_hats, stage1_traces = stage1_run(design_sets, fed_cfgs, rngs)
-    deltas, fista_traces = refine_fista(
+    deltas, fista_states = refine_fista(
         [ds for designs in design_sets for ds in designs],
         np.repeat(a0_hats, n_clients, axis=0),
         [fcfg for fcfgs in fista_cfgs for fcfg in fcfgs],
@@ -440,6 +440,6 @@ def fit_federated(design_sets, fed_cfgs, fista_cfgs, rngs):
     parts = [slice(end - k, end) for k, end in zip(n_clients, ends)]
     decomps = [[CoefDecomposition(a0=a0, delta=dl) for dl in deltas[part]]
                for a0, part in zip(a0_hats, parts)]
-    reports = [FitReport(a0_hat=a0, stage1_trace=trace, fista_traces=fista_traces[part])
-               for a0, trace, part in zip(a0_hats, stage1_traces, parts)]
+    reports = [FitReport(stage1_trace=trace, fista_states=fista_states[part])
+               for trace, part in zip(stage1_traces, parts)]
     return decomps, reports

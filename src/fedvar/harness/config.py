@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
@@ -122,6 +123,15 @@ CONTRACT = {
 }
 
 
+def _as_float(v):
+    """v as a float, or inf for an int beyond the float range, which no
+    row's interval holds."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _within(v, interval):
     lo, hi = map(float, interval[1:-1].split(","))
     above = lo < v if interval[0] == "(" else lo <= v
@@ -148,10 +158,12 @@ def _check_contract(cfg):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
             for v in value:
-                if not (_is_real(v) and (kind is float or float(v).is_integer())):
+                # an int entry is not converted: a float of it may overflow
+                if not (_is_int(v) or _is_real(v) and (kind is float or float(v).is_integer())):
                     plural = "integers" if kind is int else "numbers"
                     raise ValueError(f"{name} entries must be {plural}, got {v!r}")
-            value = tuple(map(kind, value)) or KIND_DEFAULTS[cfg.kind].get(name, ())
+            value = tuple(map(_as_float if kind is float else int, value))
+            value = value or KIND_DEFAULTS[cfg.kind].get(name, ())
             object.__setattr__(cfg, name, value)
             what, values = f"{name} entries", value
         elif value is None and none_ok:
@@ -160,7 +172,7 @@ def _check_contract(cfg):
             article = "an integer" if kind is int else "a number"
             raise ValueError(f"{name} must be {article}, got {value!r}")
         else:
-            what, values = name, (value,)
+            what, values = name, (_as_float(value) if kind is float else value,)
         if interval is not None and not all(_within(v, interval) for v in values):
             raise ValueError(f"{what} must {_range_text(interval, kind)}, got {value}")
 

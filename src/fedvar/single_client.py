@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,11 +35,10 @@ from .var import CoefDecomposition, LagDesign
 # 8.7e-5 relative at 1.5, 9.7e-5 at 1.6 and 1.3e-4 at 1.7.
 _ADMM_RELAX = 1.5
 
-# fit_admm's penalty parameter rho; AdmmState.final's dual is scaled by 1/rho.
-# It also bounds the rounding of the ridge solve.  fit_admm multiplies by the
-# computed inverse X of A = 2 sxx + rho I, whose eigenvalues lie in
-# [rho, rho + 2 ||sxx||_2], so ||A^-1||_2 <= 1/rho and
-# kappa(A) <= 1 + 2 ||sxx||_2 / rho.  numpy inverts by LU with partial
+# fit_admm's penalty parameter rho.  It also bounds the rounding of the ridge
+# solve.  fit_admm multiplies by the computed inverse X of A = 2 sxx + rho I,
+# whose eigenvalues lie in [rho, rho + 2 ||sxx||_2], so ||A^-1||_2 <= 1/rho
+# and kappa(A) <= 1 + 2 ||sxx||_2 / rho.  numpy inverts by LU with partial
 # pivoting (dgesv on the identity), which solves for each column of X
 # backward stably, so each column is within about pd u kappa(A) ||A^-1||_2
 # of the exact one, u = 2^-53 (Higham, Accuracy and Stability of Numerical
@@ -82,19 +81,16 @@ class AdmmConfig:
             raise ValueError("zeta must be positive (or None to disable)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmmState:
-    """Solver diagnostics for one problem of a fit_admm call.
-
-    final is the last (B0, D, U) in the solver's (pd, d) orientation, U
-    being the dual scaled by 1/_ADMM_RHO.
-    """
+    """How one problem of a fit_admm call stopped: the iterations run,
+    whether both residuals met the tolerance, and the primal and dual
+    residual norms of the last iteration."""
 
     iterations: int
     converged: bool
-    final: tuple = ()
-    primal_residuals: list = field(default_factory=list)
-    dual_residuals: list = field(default_factory=list)
+    primal_residual: float
+    dual_residual: float
 
 
 @dataclass
@@ -170,17 +166,18 @@ def fit_admm(designs, cfgs):
     lam = 0), and the elementwise updates and the residual norms run
     once over the stack.  Every problem stops once both residuals are at
     most _ADMM_EPS * sqrt(pd * d), one tolerance for the stack since its
-    problems share a shape, or after _ADMM_MAX_ITER iterations.  A
-    problem that stops leaves the stack, so its iterates, residual
-    histories and iteration count are bitwise those of its one-problem
+    problems share a shape (the rule of Boyd et al., sec. 3.3), or after
+    _ADMM_MAX_ITER iterations.  A problem that stops leaves the stack, so
+    its iterates and its AdmmState are bitwise those of its one-problem
     call (the inverse, each slice of the batched product and svt's
     result for a member do not depend on the stack).
     Each problem that stops at the cap warns once.
 
     Every problem starts at B0 = D = U = 0.
 
-    Returns one decomposition per problem (transposed back to (d, pd)) and
-    an AdmmReport holding each problem's AdmmState.
+    Returns one decomposition per problem, its last B0 and D transposed
+    back to (d, pd), and an AdmmReport holding each problem's AdmmState:
+    its iterations, whether it converged and its last two residuals.
     """
     designs, cfgs = list(designs), list(cfgs)
     d, pd = _check_designs(designs)
@@ -197,8 +194,7 @@ def fit_admm(designs, cfgs):
     g = np.stack([2.0 * dsn.sxy for dsn in designs])
 
     tol, max_iter = _ADMM_EPS * math.sqrt(pd * d), _ADMM_MAX_ITER
-    # per-problem constants; the arrays shrink with the stack, lam is read
-    # by problem index
+    # per-problem constants; the arrays shrink with the stack
     lam = np.array([c.lam / _ADMM_RHO for c in cfgs])
     omega = np.array([c.omega / _ADMM_RHO for c in cfgs])[:, None, None]
     zeta = np.array([math.inf if c.zeta is None else c.zeta for c in cfgs])[:, None, None]
@@ -206,12 +202,11 @@ def fit_admm(designs, cfgs):
     clip = any(c.zeta is not None for c in cfgs)
 
     # per-problem results, filled as problems leave the stack; the final
-    # triple is C-ordered, as the one-problem iterates are
-    finals = np.empty((3, n, pd, d))
+    # (B0, D) pair is C-ordered, as the one-problem iterates are
+    finals = np.empty((2, n, pd, d))
     runs = np.zeros(n, dtype=np.intp)
     converged = np.zeros(n, dtype=bool)
-    # (live, primal, dual) residual norms of each iteration run
-    history = []
+    last = np.empty((2, n))  # the last (primal, dual) residual norms
 
     live = np.arange(n)
     z = b0 + d_mat
@@ -219,7 +214,7 @@ def fit_admm(designs, cfgs):
         b = ainv @ (g + _ADMM_RHO * (z - u))
         b_hat = _ADMM_RELAX * b + (1.0 - _ADMM_RELAX) * z
         z_prev = z
-        b0 = svt(b_hat - d_mat + u, lam[live])
+        b0 = svt(b_hat - d_mat + u, lam)
         if clip:
             b0 = linf_project(b0, zeta)
         d_mat = soft_threshold(b_hat - b0 + u, omega)
@@ -234,43 +229,31 @@ def fit_admm(designs, cfgs):
         # so a problem's residuals do not depend on the stack
         r_norm = np.sqrt(_dots(r, r))
         s_norm = np.sqrt(_dots(s, s))
-        history.append((live, r_norm, s_norm))
         done = (r_norm <= tol) & (s_norm <= tol)
         stop = done | (it == max_iter)
         if stop.any():
             gone = live[stop]
-            finals[:, gone] = (b0[stop], d_mat[stop], u[stop])
+            finals[:, gone] = (b0[stop], d_mat[stop])
+            last[:, gone] = (r_norm[stop], s_norm[stop])
             runs[gone], converged[gone] = it, done[stop]
             if stop.all():
                 break
             keep = ~stop
-            live, omega, zeta, pin_delta, ainv, g, b0, d_mat, u, z = (
+            live, lam, omega, zeta, pin_delta, ainv, g, b0, d_mat, u, z = (
                 a[keep]
-                for a in (live, omega, zeta, pin_delta, ainv, g, b0, d_mat, u, z)
+                for a in (live, lam, omega, zeta, pin_delta, ainv, g, b0, d_mat, u, z)
             )
 
-    primal, dual = np.empty((2, len(history), n))
-    for i, (rows, r_norm, s_norm) in enumerate(history):
-        primal[i, rows], dual[i, rows] = r_norm, s_norm
-    states = []
-    for j in range(n):
-        hist_r, hist_s = primal[: runs[j], j].tolist(), dual[: runs[j], j].tolist()
-        if not converged[j]:
+    states = [AdmmState(int(i), bool(c), float(r), float(s))
+              for i, c, r, s in zip(runs, converged, *last)]
+    for state in states:
+        if not state.converged:
             warnings.warn(
                 f"ADMM stopped at max_iter={max_iter} with residuals "
-                f"(primal {hist_r[-1]:.2e}, dual {hist_s[-1]:.2e})",
+                f"(primal {state.primal_residual:.2e}, dual {state.dual_residual:.2e})",
                 RuntimeWarning,
             )
-        states.append(
-            AdmmState(
-                iterations=int(runs[j]),
-                converged=bool(converged[j]),
-                final=tuple(finals[:, j]),
-                primal_residuals=hist_r,
-                dual_residuals=hist_s,
-            )
-        )
-    decomps = [CoefDecomposition(a0=s.final[0].T, delta=s.final[1].T) for s in states]
+    decomps = [CoefDecomposition(a0=a0.T, delta=dl.T) for a0, dl in zip(*finals)]
     return decomps, AdmmReport(members=states)
 
 

@@ -281,7 +281,7 @@ def admm_solo(design, cfg, pin_a0=False, tol=None, max_iter=2000):
     tol = 1e-6 * math.sqrt(pd * d) if tol is None else tol
     factor = cho_factor(2.0 * design.sxx + rho * np.eye(pd))
     g = 2.0 * design.sxy
-    state = single_client.AdmmState(iterations=0, converged=False)
+    converged = False
 
     z = b0 + d_mat
     for it in range(1, max_iter + 1):
@@ -301,21 +301,17 @@ def admm_solo(design, cfg, pin_a0=False, tol=None, max_iter=2000):
         s = rho * (z - z_prev)
         r_norm = float(np.linalg.norm(r))
         s_norm = float(np.linalg.norm(s))
-        state.primal_residuals.append(r_norm)
-        state.dual_residuals.append(s_norm)
-        state.iterations = it
         if r_norm <= tol and s_norm <= tol:
-            state.converged = True
+            converged = True
             break
 
-    if not state.converged:
+    if not converged:
         warnings.warn(
             f"ADMM stopped at max_iter={max_iter} with residuals "
-            f"(primal {state.primal_residuals[-1]:.2e}, "
-            f"dual {state.dual_residuals[-1]:.2e})",
+            f"(primal {r_norm:.2e}, dual {s_norm:.2e})",
             RuntimeWarning,
         )
-    state.final = (b0, d_mat, u)
+    state = single_client.AdmmState(it, converged, r_norm, s_norm)
     return var.CoefDecomposition(a0=b0.T, delta=d_mat.T), state
 
 

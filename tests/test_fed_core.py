@@ -7,6 +7,7 @@ from fedvar import dp, fed_core, matops, var
 from fedvar.fed_core import (
     FedConfig,
     FistaConfig,
+    FistaState,
     default_eta,
     default_rounds,
     fit_federated,
@@ -24,6 +25,7 @@ from oracles import (
     numerical_gradient,
     oracle_instance,
     plain_fista,
+    raw_loss,
     restart_fista,
     stage1_full_svd,
     tangent_project_basis,
@@ -99,24 +101,29 @@ class TestRefineFista:
         assert np.linalg.norm(delta - ls.T) < 1e-8
 
     def test_objective_trace(self):
+        # the objective at the start and after 20 iterations, from runs
+        # capped at 0 and at 20
         _, _, _, designs = make_world(seed=4, ratio=5.0)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        (delta,), (trace,) = refine_fista(
-            [design], [a0], [FistaConfig(varpi=0.05, iters=20)]
-        )
-        assert len(trace) == 21
+        trace = []
+        for iters in (0, 20):
+            (delta,), (state,) = refine_fista(
+                [design], [a0], [FistaConfig(varpi=0.05, iters=iters)]
+            )
+            assert state == FistaState(iters, False)
+            trace.append(design.loss(a0 + delta) + 0.05 * np.sum(np.abs(delta)))
         assert trace[-1] <= trace[0] + 1e-10
 
     def test_zero_iters_returns_zero(self):
         _, _, _, designs = make_world(seed=5)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        (delta,), (trace,) = refine_fista(
+        (delta,), (state,) = refine_fista(
             [design], [a0], [FistaConfig(varpi=0.1, iters=0)]
         )
         np.testing.assert_array_equal(delta, np.zeros_like(delta))
-        assert len(trace) == 1
+        assert state == FistaState(0, False)
 
     def test_huge_penalty_keeps_zero(self):
         _, _, _, designs = make_world(seed=6)
@@ -140,12 +147,12 @@ class TestRefineFista:
         )
         a0 = np.zeros((3, 6))
         cfg = FistaConfig(varpi=0.05, iters=20_000)
-        (delta,), (trace,) = refine_fista([design], [a0], [cfg])
-        assert len(trace) - 1 < 100
+        (delta,), (state,) = refine_fista([design], [a0], [cfg])
+        assert state.converged and state.iterations < 100
         ref, ref_iters = plain_fista(
             design.x, design.y, a0, 0.05, default_eta(design), tol=0.0, cap=20_000
         )
-        assert ref_iters > len(trace) - 1
+        assert ref_iters > state.iterations
         assert np.linalg.norm(delta - ref) <= 1e-8 * max(1.0, np.linalg.norm(ref))
 
     def test_restart_beats_plain_fista_on_ill_conditioned_oracle(self):
@@ -159,11 +166,12 @@ class TestRefineFista:
         eta = default_eta(design)
         a0 = np.zeros((design.d, design.pd))
         cfg = FistaConfig(varpi=varpi, iters=40_000)
-        (delta,), (trace,) = refine_fista([design], [a0], [cfg])
+        (delta,), (state,) = refine_fista([design], [a0], [cfg])
         plain, plain_iters = plain_fista(
             design.x, design.y, a0, varpi, eta, fed_core._FISTA_TOL, cfg.iters
         )
-        assert len(trace) - 1 < plain_iters < cfg.iters
+        assert state.converged
+        assert state.iterations < plain_iters < cfg.iters
         assert np.linalg.norm(delta - plain) < 1e-6
 
     def test_iterates_match_raw_design_restart_fista(self):
@@ -174,26 +182,31 @@ class TestRefineFista:
             eta = default_eta(design)
             for iters in (1, 2, 10, 40):
                 cfg = FistaConfig(varpi=0.05, iters=iters)
-                (delta,), (trace,) = refine_fista([design], [a0], [cfg])
-                assert len(trace) - 1 == iters
+                (delta,), (state,) = refine_fista([design], [a0], [cfg])
+                assert state == FistaState(iters, False)
                 want = restart_fista(design.x, design.y, a0, 0.05, eta, iters)
                 assert np.linalg.norm(delta - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_trace_entries_are_the_objective_at_each_iterate(self):
-        # a run capped at n iterations ends at the n-th iterate of a longer run
+        # a run capped at n iterations ends at the n-th iterate of a longer
+        # run: its objective, from the statistics, is the raw-design
+        # reference's objective at that iterate
         _, _, _, designs = make_world(seed=4, ratio=5.0)
         design = designs[0]
         rng = np.random.default_rng(5)
         a0 = 0.1 * rng.standard_normal((design.d, design.pd))
-        varpi = 0.05
-        _, (trace,) = refine_fista([design], [a0], [FistaConfig(varpi=varpi, iters=30)])
-        assert len(trace) == 31
-        for n, value in enumerate(trace):
-            (delta,), _ = refine_fista([design], [a0], [FistaConfig(varpi=varpi, iters=n)])
-            want = design.loss(a0 + delta) + varpi * np.sum(np.abs(delta))
+        varpi, eta = 0.05, default_eta(design)
+        for n in range(31):
+            (delta,), (state,) = refine_fista(
+                [design], [a0], [FistaConfig(varpi=varpi, iters=n)]
+            )
+            assert state == FistaState(n, False)
+            value = design.loss(a0 + delta) + varpi * np.sum(np.abs(delta))
+            ref = restart_fista(design.x, design.y, a0, varpi, eta, n)
+            want = raw_loss(design.x, design.y, a0 + ref) + varpi * np.sum(np.abs(ref))
             assert abs(value - want) <= 1e-12 * abs(want)
 
-    def test_trace_has_one_value_per_iteration_run(self, monkeypatch):
+    def test_iterations_count_the_proximal_steps(self, monkeypatch):
         # every iteration makes exactly one proximal step
         calls = []
         real = fed_core.soft_threshold
@@ -209,9 +222,24 @@ class TestRefineFista:
         for iters, stops_early in ((5, False), (5000, True)):
             calls.clear()
             cfg = FistaConfig(varpi=0.05, iters=iters)
-            _, (trace,) = refine_fista([design], [a0], [cfg])
-            assert len(trace) - 1 == len(calls)
+            _, (state,) = refine_fista([design], [a0], [cfg])
+            assert state == FistaState(len(calls), stops_early)
             assert (len(calls) < iters) == stops_early
+
+    def test_converged_exactly_when_the_step_rule_stops(self):
+        # a problem stopped by the tolerance converged, also when that is at
+        # its cap; one cap lower it is stopped by the cap alone
+        _, _, _, designs = make_world(seed=4, ratio=5.0)
+        design = designs[0]
+        a0 = np.zeros((design.d, design.pd))
+        (free,), (state,) = refine_fista([design], [a0], [FistaConfig(varpi=0.05, iters=5000)])
+        n = state.iterations
+        assert state.converged and 1 < n < 5000
+        (at_cap,), (state,) = refine_fista([design], [a0], [FistaConfig(varpi=0.05, iters=n)])
+        assert state == FistaState(n, True)
+        assert at_cap.tobytes() == free.tobytes()
+        _, (state,) = refine_fista([design], [a0], [FistaConfig(varpi=0.05, iters=n - 1)])
+        assert state == FistaState(n - 1, False)
 
 
 class TestStackedRefinement:
@@ -236,30 +264,31 @@ class TestStackedRefinement:
 
     def test_members_equal_their_solo_runs(self):
         designs, shared, cfgs = self._stack()
-        deltas, traces = refine_fista(designs, [shared] * 5, cfgs)
+        deltas, states = refine_fista(designs, [shared] * 5, cfgs)
         assert deltas.shape == (5, 4, 8)
-        runs = [len(tr) - 1 for tr in traces]
+        runs = [s.iterations for s in states]
         assert runs[0] < 5000 and runs[1] < 5000 and runs[0] != runs[1]
         assert runs[2:] == [12, 0, 7]
+        # the first two stop by the step rule, the rest by their caps
+        assert [s.converged for s in states] == [True, True, False, False, False]
         for j, (dsn, cfg) in enumerate(zip(designs, cfgs)):
-            (solo,), (solo_trace,) = refine_fista([dsn], [shared], [cfg])
+            (solo,), (solo_state,) = refine_fista([dsn], [shared], [cfg])
             assert np.array_equal(deltas[j], solo)
-            assert np.array_equal(traces[j], solo_trace)
+            assert states[j] == solo_state
         # the order of the stack does not matter either
-        back, back_traces = refine_fista(designs[::-1], [shared] * 5, cfgs[::-1])
+        back, back_states = refine_fista(designs[::-1], [shared] * 5, cfgs[::-1])
         assert np.array_equal(back[::-1], deltas)
-        for got, want in zip(back_traces[::-1], traces):
-            assert np.array_equal(got, want)
+        assert back_states[::-1] == states
 
     def test_members_around_their_own_shared_parts_equal_solo_runs(self):
         designs, shared, cfgs = self._stack()
         rng = np.random.default_rng(10)
         parts = [shared + 0.1 * rng.standard_normal(shared.shape) for _ in designs]
-        deltas, traces = refine_fista(designs, parts, cfgs)
+        deltas, states = refine_fista(designs, parts, cfgs)
         for j, (dsn, part, cfg) in enumerate(zip(designs, parts, cfgs)):
-            (solo,), (solo_trace,) = refine_fista([dsn], [part], [cfg])
+            (solo,), (solo_state,) = refine_fista([dsn], [part], [cfg])
             assert deltas[j].tobytes() == solo.tobytes()
-            assert np.array_equal(traces[j], solo_trace)
+            assert states[j] == solo_state
         # the shared part matters: around one common part the result differs
         common, _ = refine_fista(designs, [shared] * 5, cfgs)
         assert not np.array_equal(common[0], deltas[0])
@@ -638,11 +667,11 @@ class TestFitFederated:
         assert len(decomps) == 4
         for dec in decomps:
             assert dec.a0.shape == (6, 6)
-            assert np.array_equal(dec.a0, report.a0_hat)
+            assert np.array_equal(dec.a0, decomps[0].a0)
         assert len(report.stage1_trace) == 40
-        assert len(report.fista_traces) == 4
+        assert [s.iterations for s in report.fista_states] == [20] * 4
         err_init = np.linalg.norm(init - a0)
-        err_final = np.linalg.norm(report.a0_hat - a0)
+        err_final = np.linalg.norm(decomps[0].a0 - a0)
         assert err_final < err_init
 
     def test_per_client_configs_and_validation(self):
@@ -702,11 +731,9 @@ class TestFitFederated:
                 [designs], [cfg], [fcfgs], [np.random.default_rng(seed)]
             )
             report = reports[c]
-            assert report.a0_hat.tobytes() == want_report.a0_hat.tobytes()
             assert report.stage1_trace == want_report.stage1_trace
-            assert len(report.fista_traces) == len(want_report.fista_traces) == len(designs)
-            for got_tr, want_tr in zip(report.fista_traces, want_report.fista_traces):
-                assert got_tr.tobytes() == want_tr.tobytes()
+            assert len(report.fista_states) == len(designs)
+            assert report.fista_states == want_report.fista_states
             assert len(decomps[c]) == len(designs)
             for got, exp in zip(decomps[c], want):
                 assert got.a0.tobytes() == exp.a0.tobytes()

@@ -1277,6 +1277,35 @@ class TestCli:
         assert calls == []
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"kind": "rank_table", "d": 4, "rank_grid": [10**400]},
+          f"rank {10**400} outside [1, d=4] for rank_table"),
+         # no grid entry has an upper bound; the world simulation refuses
+         # a path of this length before anything is written
+         ({"kind": "t_sweep", "d": 4, "t_grid": [10**400]}, "fedvar: error:"),
+         # a float field holds no such value
+         ({"kind": "privacy_heatmap", "d": 4, "noise_mode": "fixed", "eps_grid": [10**400]},
+          "eps_grid entries must be positive and finite, got (inf,)"),
+         ({"kind": "t_sweep", "d": 4, "eps": 10**400},
+          f"eps must be positive and finite, got {10**400}")],
+        ids=["rank_grid", "t_grid", "eps_grid", "eps"],
+    )
+    def test_integer_too_large_for_a_float_exits_one(
+        self, doc, message, tmp_path, capsys, monkeypatch
+    ):
+        # a 400-digit grid entry once overflowed the config check's
+        # conversion to float, and a 400-digit eps failed every replication;
+        # each exited 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1, "reps": 2, **doc}))
+        argv = ["simulate", doc["kind"], "--config", "cfg.json", "--out", "out"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_unknown_panel_field_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

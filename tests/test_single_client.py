@@ -99,14 +99,13 @@ class TestFitAdmm:
         assert np.array_equal(d1.delta, d2.delta)
         assert s1.iterations == s2.iterations
 
-    def test_residual_histories(self):
+    def test_last_residuals_meet_the_tolerance(self):
         design, _ = make_noisy(seed=6)
         _, state = fit_one(design, AdmmConfig(lam=0.1, omega=0.05))
-        assert len(state.primal_residuals) == state.iterations
-        assert len(state.dual_residuals) == state.iterations
-        assert state.primal_residuals[-1] <= 1e-6 * np.sqrt(
-            design.pd * design.d
-        )
+        tol = 1e-6 * np.sqrt(design.pd * design.d)
+        assert state.converged
+        assert 0.0 < state.primal_residual <= tol
+        assert 0.0 < state.dual_residual <= tol
 
     @pytest.mark.filterwarnings("ignore:ADMM stopped")
     def test_primal_residual_is_on_the_unrelaxed_step(self, monkeypatch):
@@ -118,7 +117,8 @@ class TestFitAdmm:
         h = 2.0 * design.sxx + single_client._ADMM_RHO * np.eye(design.pd)
         b = np.linalg.solve(h, 2.0 * design.sxy)
         want = np.linalg.norm(b - dec.a0.T - dec.delta.T)
-        assert state.primal_residuals == [pytest.approx(want, rel=1e-10)]
+        assert state.iterations == 1
+        assert state.primal_residual == pytest.approx(want, rel=1e-10)
 
     def test_max_iter_warning(self, monkeypatch):
         design, _ = make_noisy(seed=7)
@@ -221,12 +221,8 @@ class TestStackedAdmm:
         for dec, state, design, cfg in zip(decomps, report.members, designs, cfgs):
             (want_dec,), want_report = fit_admm([design], [cfg])
             (want,) = want_report.members
-            assert state.iterations == want.iterations
-            assert state.converged == want.converged
-            assert state.primal_residuals == want.primal_residuals
-            assert state.dual_residuals == want.dual_residuals
-            for got_m, want_m in zip(state.final, want.final):
-                assert got_m.tobytes() == want_m.tobytes()
+            # iterations, convergence and the last residuals, all exact
+            assert state == want
             assert dec.a0.tobytes() == want_dec.a0.tobytes()
             assert dec.delta.tobytes() == want_dec.delta.tobytes()
         # the mix has members that stop early, capped and converged
@@ -281,11 +277,8 @@ class TestStackedAdmm:
             per_solve = 2.0 * p * d * u * kappa * max(rhs_norms) / rho
             per_step = per_svt + single_client._ADMM_RELAX * per_solve
             bound = state.iterations * per_step
-            for got_h, want_h in ((state.primal_residuals, want.primal_residuals),
-                                  (state.dual_residuals, want.dual_residuals)):
-                assert np.max(np.abs(np.subtract(got_h, want_h))) <= 2.0 * bound
-            for got_m, want_m in zip(state.final, want.final):
-                assert np.linalg.norm(got_m - want_m) <= bound
+            assert abs(state.primal_residual - want.primal_residual) <= 2.0 * bound
+            assert abs(state.dual_residual - want.dual_residual) <= 2.0 * bound
             assert np.linalg.norm(dec.a0 - want_dec.a0) <= bound
             assert np.linalg.norm(dec.delta - want_dec.delta) <= bound
             moved = max(moved, np.abs(dec.a0 - want_dec.a0).max())
@@ -312,9 +305,10 @@ class TestStackedAdmm:
         assert [s.iterations for s in report.members] == [31, 40, 40, 38]
         assert [s.converged for s in report.members] == [True, False, False, True]
 
-    def test_histories_hold_only_the_iterations_run(self, monkeypatch):
-        # a 4-member fit of 50 to 96 iterations: residual histories sized
-        # by the cap would take 2 x 200,000 x 4 floats, 12.8 MB
+    def test_memory_is_not_sized_by_the_cap(self, monkeypatch):
+        # a 4-member fit of 50 to 96 iterations under a cap of 200,000:
+        # per-iteration records sized by the cap would take 2 x 200,000 x 4
+        # floats, 12.8 MB
         rng = np.random.default_rng(23)
         designs = []
         for _ in range(4):
