@@ -8,6 +8,7 @@
 set -euo pipefail
 
 work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
 cd "$work"
 fedvar() { python -m fedvar.harness.cli "$@"; }
 
@@ -64,6 +65,3 @@ fedvar rank-select --config fit.json >/dev/null
 echo "ok: rank-select"
 fedvar simulate empirical --config fit.json --out sim >/dev/null
 echo "ok: simulate empirical"
-
-cd /
-rm -rf "$work"

@@ -10,7 +10,6 @@ selection, and an experiment harness.
 from .dp import NoisePolicy, PrivacyBudget, gaussian_sigma
 from .fed_core import (
     FedConfig,
-    FistaConfig,
     FitReport,
     default_eta,
     default_rounds,
@@ -41,7 +40,6 @@ __all__ = [
     "AdmmConfig",
     "CoefDecomposition",
     "FedConfig",
-    "FistaConfig",
     "FitReport",
     "LagDesign",
     "NoisePolicy",

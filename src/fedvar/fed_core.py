@@ -28,18 +28,19 @@ call each.
 
 Stage II refines each client's sparse deviation by accelerated proximal
 gradient (FISTA) around a frozen shared estimate.  ``refine_fista`` is
-one stacked loop over any number of same-shape problems, each around its
-own shared estimate: each iteration makes one batched product and one
-soft threshold for every problem still running, and each problem stops
-on its own, so a problem's result does not depend on what it is stacked
-with.  The harness fits the l1-only baseline (shared part zero) of every
-forecast origin in one call.
+one stacked loop over any number of same-shape problems, each with its
+own shared estimate and l1 penalty, under one iteration cap: each
+iteration makes one batched product and one soft threshold for every
+problem still running, and each problem stops on its own, so a problem's
+result does not depend on what it is stacked with.  The harness fits the
+l1-only baseline (shared part zero) of every forecast origin in one call.
 
 ``fit_federated`` is the two-stage fit, stacked like its stages: one
 ``stage1_run`` over its federations, then one ``refine_fista`` over every
-(federation, client) pair around that federation's estimate.  The harness
-fits the sample sizes of a T sweep, and every forecast origin of the
-empirical comparison together with its full-sample fit, in one call each.
+(federation, client) pair around that federation's estimate, capped at
+_REFINE_ITERS.  The harness fits the sample sizes of a T sweep, and every
+forecast origin of the empirical comparison together with its
+full-sample fit, in one call each.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ from .var import CoefDecomposition
 # refine_fista stops once a step is at most this times max(1, ||delta||_F);
 # 1e-8 left the acceptance oracle's sparse-only gap at 2e-5, 1e-10 at 6e-8
 _FISTA_TOL = 1e-10
+# fit_federated's refinement cap; it binds on every call, each measured
+# refinement stopping at it short of _FISTA_TOL (ROADMAP item 8)
+_REFINE_ITERS = 20
 
 
 @dataclass
@@ -93,26 +97,6 @@ class FedConfig:
             raise ValueError("step_rho must be nonnegative")
 
 
-@dataclass
-class FistaConfig:
-    """Sparse-refinement controls.
-
-    The step is ``default_eta`` of the client's design, the inverse of
-    twice the operator norm of its scaled Gram matrix.  iters caps the
-    iterations; the run stops earlier once a step moves the deviation by
-    at most _FISTA_TOL * max(1, ||delta||_F) in Frobenius norm.
-    """
-
-    varpi: float
-    iters: int = 20
-
-    def __post_init__(self):
-        if self.varpi < 0:
-            raise ValueError("varpi must be nonnegative")
-        if self.iters < 0:
-            raise ValueError("iters must be >= 0")
-
-
 @dataclass(frozen=True)
 class RoundTrace:
     """Per-round diagnostics of one gradient round."""
@@ -135,7 +119,7 @@ class FistaState:
 @dataclass
 class FitReport:
     """Diagnostics of one federation's two-stage fit: stage I's
-    RoundTraces and one FistaState per client."""
+    RoundTraces and one FistaState per client, of at most _REFINE_ITERS."""
 
     stage1_trace: list
     fista_states: list
@@ -321,18 +305,19 @@ def stage1_run(design_sets, cfgs, rngs):
     return out, traces
 
 
-def refine_fista(designs, a0_hats, cfgs):
+def refine_fista(designs, a0_hats, varpis, iters):
     """Accelerated proximal gradient for a stack of sparse deviations.
 
     Problem j starts from zero and iterates soft-thresholded gradient
-    steps on delta |-> loss_j(a0_hats[j] + delta) + varpi_j ||delta||_1
+    steps on delta |-> loss_j(a0_hats[j] + delta) + varpis[j] ||delta||_1
     with momentum extrapolation, where loss_j is designs[j]'s loss and
     a0_hats[j] its frozen shared part.  The momentum restarts whenever
     the last step points against the gradient mapping, the gradient
     scheme of O'Donoghue & Candes (Found. Comput. Math., 2015).  Problem
-    j steps by eta_j = default_eta(designs[j]) and stops after
-    cfgs[j].iters iterations or once a step is at most
-    _FISTA_TOL * max(1, ||delta_j||_F).
+    j steps by eta_j = default_eta(designs[j]) and stops after ``iters``,
+    the call's one cap, or once a step is at most _FISTA_TOL *
+    max(1, ||delta_j||_F).  A negative or NaN penalty, or a negative cap,
+    raises ValueError.
 
     The designs share one (d, pd) shape, ``a0_hats`` is a (K, d, pd)
     stack of finite shared parts, one per problem, and all problems run
@@ -343,11 +328,16 @@ def refine_fista(designs, a0_hats, cfgs):
     the (K, d, pd) final iterates and, per problem, a FistaState: the
     iterations run and whether the step rule stopped it.
     """
-    designs, cfgs = list(designs), list(cfgs)
+    designs = list(designs)
     d, pd = _check_designs(designs)
     n_probs = len(designs)
-    if len(cfgs) != n_probs:
-        raise ValueError(f"{len(cfgs)} refinement configs for {n_probs} designs")
+    varpis = np.asarray(varpis, dtype=np.float64)
+    if varpis.shape != (n_probs,):
+        raise ValueError(f"{varpis.size} penalties for {n_probs} designs")
+    if not (varpis >= 0).all():  # NaN fails the comparison too
+        raise ValueError("penalties must be nonnegative")
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
     a0 = np.asarray(a0_hats, dtype=np.float64)
     if a0.shape != (n_probs, d, pd):
         raise ValueError(
@@ -357,14 +347,12 @@ def refine_fista(designs, a0_hats, cfgs):
     if not np.isfinite(a0).all():
         raise ValueError("a0_hats contains non-finite entries")
     eta = np.array([default_eta(ds) for ds in designs])
-    caps = np.array([c.iters for c in cfgs])
-    max_iters = int(caps.max())
 
     # per-problem constants of the working stack, one row per running problem
     live = np.arange(n_probs)
     sxx = np.stack([ds.sxx for ds in designs])
     cross = np.stack([2.0 * ds.sxy.T for ds in designs])
-    thresh = (eta * np.array([c.varpi for c in cfgs]))[:, None, None]
+    thresh = (eta * varpis)[:, None, None]
     eta = eta[:, None, None]
 
     # M(delta) = (a0 + delta) sxx is the one product an iteration makes:
@@ -377,14 +365,14 @@ def refine_fista(designs, a0_hats, cfgs):
     extrap = delta
     m = (a0 + delta) @ sxx
     grad = 2.0 * m - cross
-    q = np.array(momentum_sequence(max_iters))
+    q = np.array(momentum_sequence(iters))
     k = np.zeros(n_probs, dtype=np.intp)  # momentum indices, reset by a restart
-    done = caps == 0
-    for n in range(1, max_iters + 1):
+    done = np.zeros(n_probs, dtype=bool)
+    for n in range(1, iters + 1):
         if done.any():
             keep = ~done
-            live, a0, sxx, cross, caps, eta, thresh, delta, extrap, m, grad, k = (
-                a[keep] for a in (live, a0, sxx, cross, caps, eta, thresh,
+            live, a0, sxx, cross, eta, thresh, delta, extrap, m, grad, k = (
+                a[keep] for a in (live, a0, sxx, cross, eta, thresh,
                                   delta, extrap, m, grad, k)
             )
         delta_next = soft_threshold(extrap - eta * grad, thresh)
@@ -400,7 +388,7 @@ def refine_fista(designs, a0_hats, cfgs):
         small = np.isfinite(step_norm) & (
             step_norm <= _FISTA_TOL * np.maximum(1.0, np.sqrt(_dots(delta, delta)))
         )
-        done = small | (caps == n)
+        done = small | (n == iters)
         if done.any():
             # a stopped problem's row leaves the stack at the next iteration
             deltas[live[done]] = delta[done]
@@ -415,26 +403,29 @@ def refine_fista(designs, a0_hats, cfgs):
     return deltas, [FistaState(int(r), bool(c)) for r, c in zip(runs, converged)]
 
 
-def fit_federated(design_sets, fed_cfgs, fista_cfgs, rngs):
+def fit_federated(design_sets, fed_cfgs, varpis, rngs):
     """Two-stage federated fits of C federations over their clients' lag
-    designs, member c over design_sets[c] under fed_cfgs[c], the refinement
-    configs fista_cfgs[c] (one per client) and the generator rngs[c].
+    designs, member c over design_sets[c] under fed_cfgs[c], the
+    refinement penalties varpis[c] (one per client) and the generator
+    rngs[c].
 
     Stage I is one ``stage1_run`` call over the members; stage II refines
     every (member, client) deviation around its member's estimate in one
-    ``refine_fista`` call.  Returns, per member, one decomposition per
-    client, each holding the member's shared estimate as its a0, and a
-    FitReport with its stage-I trace and its clients' FistaStates; a
-    member's results are bitwise those of its one-member call.
+    ``refine_fista`` call, capped at _REFINE_ITERS iterations.  Returns,
+    per member, one decomposition per client, each holding the member's
+    shared estimate as its a0, and a FitReport with its stage-I trace and
+    its clients' FistaStates; a member's results are bitwise those of its
+    one-member call.
     """
-    n_cfgs, n_clients = [len(f) for f in fista_cfgs], [len(d) for d in design_sets]
-    if n_cfgs != n_clients:
-        raise ValueError(f"refinement configs per member {n_cfgs}, clients {n_clients}")
+    n_pens, n_clients = [len(v) for v in varpis], [len(d) for d in design_sets]
+    if n_pens != n_clients:
+        raise ValueError(f"refinement penalties per member {n_pens}, clients {n_clients}")
     a0_hats, stage1_traces = stage1_run(design_sets, fed_cfgs, rngs)
     deltas, fista_states = refine_fista(
         [ds for designs in design_sets for ds in designs],
         np.repeat(a0_hats, n_clients, axis=0),
-        [fcfg for fcfgs in fista_cfgs for fcfg in fcfgs],
+        [v for member in varpis for v in member],
+        _REFINE_ITERS,
     )
     ends = np.cumsum(n_clients).tolist()
     parts = [slice(end - k, end) for k, end in zip(n_clients, ends)]

@@ -13,6 +13,8 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from ..dp import NOISE_MODES
 from ..matops import SVD_DIM_CAP
 
@@ -89,6 +91,7 @@ KINDS = tuple(KIND_DEFAULTS)
 # One row per numeric field and grid (for a *_grid, its entries): the
 # type, the interval every value lies in ("(" and ")" mark open ends, "["
 # and "]" closed ones; None for no bound) and whether None is allowed.
+# An integer also fits np.intp, as every array dimension and list length does.
 CONTRACT = {
     "seed": (int, "[0, inf)", False),
     "reps": (int, "[1, inf)", False),
@@ -118,7 +121,6 @@ CONTRACT = {
     "rho_scale": (float, "(0, inf)", False),  # 0 would release the non-private start
     "varpi_scale": (float, "[0, inf)", False),
     "rounds": (int, "[1, inf)", True),
-    "fista_iters": (int, "[1, inf)", False),
     "n_origins": (int, "[1, inf)", False),
 }
 
@@ -152,6 +154,7 @@ def _check_contract(cfg):
     """ValueError for a numeric field or grid entry of the wrong type (a
     JSON string or boolean, say) or range; stores each grid as a tuple of
     its type, an empty one as the kind's default."""
+    intp_max = np.iinfo(np.intp).max
     for name, (kind, interval, none_ok) in CONTRACT.items():
         value = getattr(cfg, name)
         if name.endswith("_grid"):
@@ -175,6 +178,8 @@ def _check_contract(cfg):
             what, values = name, (_as_float(value) if kind is float else value,)
         if interval is not None and not all(_within(v, interval) for v in values):
             raise ValueError(f"{what} must {_range_text(interval, kind)}, got {value}")
+        if kind is int and any(v > intp_max for v in values):
+            raise ValueError(f"{what} must be at most {intp_max}, got {value}")
 
 
 def _panel_spec(doc):
@@ -231,7 +236,6 @@ class ExperimentConfig:
     rho_scale: float = 0.5
     varpi_scale: float = 0.5
     rounds: int | None = None
-    fista_iters: int = 20
     n_origins: int = 20
     rmsfe_agg: str = "mean"
     panels: tuple = ()

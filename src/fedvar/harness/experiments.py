@@ -251,10 +251,9 @@ def fed_config(cfg, design_sets, fitted=()):
     return fcfgs
 
 
-def fista_config(cfg, design):
+def refine_penalty(cfg, design):
     """Refinement penalty varpi_scale sqrt(log(pd) / T) for one design."""
-    varpi = cfg.varpi_scale * np.sqrt(np.log(design.pd) / design.t_len)
-    return fed_core.FistaConfig(varpi=varpi, iters=cfg.fista_iters)
+    return float(cfg.varpi_scale * np.sqrt(np.log(design.pd) / design.t_len))
 
 
 def fit_single(cfg, designs):
@@ -392,7 +391,7 @@ def _fit_t_sweep(cfg, rep, worlds, panels):
     fed_fits, _ = fed_core.fit_federated(
         design_sets,
         fed_config(cfg, design_sets, zip(flat, single_fits)),
-        [[fista_config(cfg, ds) for ds in designs] for designs in design_sets],
+        [[refine_penalty(cfg, ds) for ds in designs] for designs in design_sets],
         [_noise_rng(cfg.seed, rep) for _ in design_sets],
     )
     k = cfg.n_clients
@@ -475,7 +474,7 @@ def empirical_rmsfe(cfg, designs, rep):
     fed_fits, _ = fed_core.fit_federated(
         design_sets,
         fed_config(cfg, design_sets, zip(prefixes, nuc_l1)),
-        [[fista_config(cfg, ds) for ds in designs] for designs in design_sets],
+        [[refine_penalty(cfg, ds) for ds in designs] for designs in design_sets],
         [_noise_rng(cfg.seed, 0, origin) for origin in fed_origins]
         + [_noise_rng(cfg.seed, 0)],
     )
@@ -483,9 +482,8 @@ def empirical_rmsfe(cfg, designs, rep):
 
     # the l1-only baseline: the ADMM fit's penalty omega around a zero
     # shared part, capped at 500 iterations
-    l1_cfgs = [fed_core.FistaConfig(varpi=c.omega, iters=500) for c in acfgs]
     zero = np.zeros((len(prefixes), prefixes[0].d, prefixes[0].pd))
-    l1_deltas, _ = fed_core.refine_fista(prefixes, zero, l1_cfgs)
+    l1_deltas, _ = fed_core.refine_fista(prefixes, zero, [c.omega for c in acfgs], 500)
 
     tables = {
         "federated": {(k, t): dec.a for t, fits in zip(fed_origins, fed_fits)

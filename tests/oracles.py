@@ -178,7 +178,8 @@ def cold_l1_forecaster(cfg):
         (coef,), _ = fed_core.refine_fista(
             [design],
             np.zeros((1, design.d, design.pd)),
-            [fed_core.FistaConfig(varpi=omega, iters=500)],
+            [omega],
+            500,
         )
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(coef, full[-cfg.p:])
@@ -373,7 +374,10 @@ def per_client_federated_forecaster(cfg, panels, client):
         (fcfg,) = experiments.fed_config(cfg, [designs])
         (a0_hat,), _ = fed_core.stage1_run([designs], [fcfg], [nrng])
         (delta,), _ = fed_core.refine_fista(
-            [designs[client]], [a0_hat], [experiments.fista_config(cfg, designs[client])]
+            [designs[client]],
+            [a0_hat],
+            [experiments.refine_penalty(cfg, designs[client])],
+            fed_core._REFINE_ITERS,
         )
         full = np.vstack([prefix_panel.presample, prefix_panel.observations])
         return var.forecast_one_step(a0_hat + delta, full[-cfg.p:])

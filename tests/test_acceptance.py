@@ -201,7 +201,8 @@ def test_optimizer_oracle_equivalence(monkeypatch):
         (fista_delta,), _ = fed_core.refine_fista(
             [design],
             np.zeros((1, design.d, design.pd)),
-            [fed_core.FistaConfig(varpi=omega, iters=4000)],
+            [omega],
+            4000,
         )
         worst_l1 = max(worst_l1, float(np.linalg.norm(admm_dec.delta - fista_delta)))
 

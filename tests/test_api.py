@@ -10,7 +10,7 @@ ENTRY_POINTS = {
     "TimeSeriesPanel", "LagDesign", "CoefDecomposition", "lag_design", "simulate",
     "assemble_dgp", "forecast_one_step",
     "NoisePolicy", "PrivacyBudget", "gaussian_sigma",
-    "FedConfig", "FistaConfig", "FitReport", "fit_federated", "stage1_run",
+    "FedConfig", "FitReport", "fit_federated", "stage1_run",
     "refine_fista", "initial_shared_estimate", "default_rounds", "default_eta",
     "AdmmConfig", "fit_admm", "fit_baseline", "default_admm_config",
     "select_rank", "client_rank",
@@ -42,5 +42,5 @@ def test_readme_quick_start_runs_the_harness_configuration():
     got = scope["fed_cfg"]
     assert (got.rank, got.rounds, got.step_rho) == (want.rank, want.rounds, want.step_rho)
     assert np.array_equal(got.init_a0, want.init_a0)
-    assert scope["fista_cfgs"] == [experiments.fista_config(cfg, ds) for ds in designs]
+    assert scope["varpis"] == [experiments.refine_penalty(cfg, ds) for ds in designs]
     assert len(scope["decomps"]) == len(designs)

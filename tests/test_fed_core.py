@@ -6,7 +6,6 @@ import pytest
 from fedvar import dp, fed_core, matops, var
 from fedvar.fed_core import (
     FedConfig,
-    FistaConfig,
     FistaState,
     default_eta,
     default_rounds,
@@ -96,7 +95,7 @@ class TestRefineFista:
             x=rng.standard_normal((120, 6)), y=rng.standard_normal((120, 3))
         )
         a0 = np.zeros((3, 6))
-        (delta,), _ = refine_fista([design], [a0], [FistaConfig(varpi=0.0, iters=2000)])
+        (delta,), _ = refine_fista([design], [a0], [0.0], 2000)
         ls, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
         assert np.linalg.norm(delta - ls.T) < 1e-8
 
@@ -108,9 +107,7 @@ class TestRefineFista:
         a0 = np.zeros((design.d, design.pd))
         trace = []
         for iters in (0, 20):
-            (delta,), (state,) = refine_fista(
-                [design], [a0], [FistaConfig(varpi=0.05, iters=iters)]
-            )
+            (delta,), (state,) = refine_fista([design], [a0], [0.05], iters)
             assert state == FistaState(iters, False)
             trace.append(design.loss(a0 + delta) + 0.05 * np.sum(np.abs(delta)))
         assert trace[-1] <= trace[0] + 1e-10
@@ -119,9 +116,7 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=5)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        (delta,), (state,) = refine_fista(
-            [design], [a0], [FistaConfig(varpi=0.1, iters=0)]
-        )
+        (delta,), (state,) = refine_fista([design], [a0], [0.1], 0)
         np.testing.assert_array_equal(delta, np.zeros_like(delta))
         assert state == FistaState(0, False)
 
@@ -129,13 +124,13 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=6)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        (delta,), _ = refine_fista([design], [a0], [FistaConfig(varpi=1e6, iters=20)])
+        (delta,), _ = refine_fista([design], [a0], [1e6], 20)
         np.testing.assert_array_equal(delta, np.zeros_like(delta))
 
     def test_shape_mismatch(self):
         _, _, _, designs = make_world(seed=7)
         with pytest.raises(ValueError):
-            refine_fista([designs[0]], np.zeros((1, 2, 2)), [FistaConfig(varpi=0.1)])
+            refine_fista([designs[0]], np.zeros((1, 2, 2)), [0.1], 20)
 
     def test_stops_before_cap_near_long_reference(self):
         # Gram condition number about 1.7: the proximal-gradient map is a
@@ -146,8 +141,7 @@ class TestRefineFista:
             x=rng.standard_normal((200, 6)), y=rng.standard_normal((200, 3))
         )
         a0 = np.zeros((3, 6))
-        cfg = FistaConfig(varpi=0.05, iters=20_000)
-        (delta,), (state,) = refine_fista([design], [a0], [cfg])
+        (delta,), (state,) = refine_fista([design], [a0], [0.05], 20_000)
         assert state.converged and state.iterations < 100
         ref, ref_iters = plain_fista(
             design.x, design.y, a0, 0.05, default_eta(design), tol=0.0, cap=20_000
@@ -165,13 +159,13 @@ class TestRefineFista:
         varpi = float(np.sqrt(np.log(design.pd) / design.t_len))
         eta = default_eta(design)
         a0 = np.zeros((design.d, design.pd))
-        cfg = FistaConfig(varpi=varpi, iters=40_000)
-        (delta,), (state,) = refine_fista([design], [a0], [cfg])
+        cap = 40_000
+        (delta,), (state,) = refine_fista([design], [a0], [varpi], cap)
         plain, plain_iters = plain_fista(
-            design.x, design.y, a0, varpi, eta, fed_core._FISTA_TOL, cfg.iters
+            design.x, design.y, a0, varpi, eta, fed_core._FISTA_TOL, cap
         )
         assert state.converged
-        assert state.iterations < plain_iters < cfg.iters
+        assert state.iterations < plain_iters < cap
         assert np.linalg.norm(delta - plain) < 1e-6
 
     def test_iterates_match_raw_design_restart_fista(self):
@@ -181,8 +175,7 @@ class TestRefineFista:
             a0 = 0.1 * np.random.default_rng(seed).standard_normal((design.d, design.pd))
             eta = default_eta(design)
             for iters in (1, 2, 10, 40):
-                cfg = FistaConfig(varpi=0.05, iters=iters)
-                (delta,), (state,) = refine_fista([design], [a0], [cfg])
+                (delta,), (state,) = refine_fista([design], [a0], [0.05], iters)
                 assert state == FistaState(iters, False)
                 want = restart_fista(design.x, design.y, a0, 0.05, eta, iters)
                 assert np.linalg.norm(delta - want) <= 1e-10 * np.linalg.norm(want)
@@ -197,9 +190,7 @@ class TestRefineFista:
         a0 = 0.1 * rng.standard_normal((design.d, design.pd))
         varpi, eta = 0.05, default_eta(design)
         for n in range(31):
-            (delta,), (state,) = refine_fista(
-                [design], [a0], [FistaConfig(varpi=varpi, iters=n)]
-            )
+            (delta,), (state,) = refine_fista([design], [a0], [varpi], n)
             assert state == FistaState(n, False)
             value = design.loss(a0 + delta) + varpi * np.sum(np.abs(delta))
             ref = restart_fista(design.x, design.y, a0, varpi, eta, n)
@@ -221,8 +212,7 @@ class TestRefineFista:
         a0 = np.zeros((design.d, design.pd))
         for iters, stops_early in ((5, False), (5000, True)):
             calls.clear()
-            cfg = FistaConfig(varpi=0.05, iters=iters)
-            _, (state,) = refine_fista([design], [a0], [cfg])
+            _, (state,) = refine_fista([design], [a0], [0.05], iters)
             assert state == FistaState(len(calls), stops_early)
             assert (len(calls) < iters) == stops_early
 
@@ -232,19 +222,23 @@ class TestRefineFista:
         _, _, _, designs = make_world(seed=4, ratio=5.0)
         design = designs[0]
         a0 = np.zeros((design.d, design.pd))
-        (free,), (state,) = refine_fista([design], [a0], [FistaConfig(varpi=0.05, iters=5000)])
+        (free,), (state,) = refine_fista([design], [a0], [0.05], 5000)
         n = state.iterations
         assert state.converged and 1 < n < 5000
-        (at_cap,), (state,) = refine_fista([design], [a0], [FistaConfig(varpi=0.05, iters=n)])
+        (at_cap,), (state,) = refine_fista([design], [a0], [0.05], n)
         assert state == FistaState(n, True)
         assert at_cap.tobytes() == free.tobytes()
-        _, (state,) = refine_fista([design], [a0], [FistaConfig(varpi=0.05, iters=n - 1)])
+        _, (state,) = refine_fista([design], [a0], [0.05], n - 1)
         assert state == FistaState(n - 1, False)
 
 
 class TestStackedRefinement:
     """refine_fista runs a stack of problems in one loop; each member's
     result is that of a one-problem call."""
+
+    # under this cap three members stop by the step rule (after 67, 98 and
+    # 103 iterations) and two by the cap (they would run 132 and 137)
+    CAP = 120
 
     def _stack(self):
         rng = np.random.default_rng(9)
@@ -253,66 +247,78 @@ class TestStackedRefinement:
             var.lag_design(var.simulate(a0 + dl, 2, t, rng, burn_in=100))
             for dl, t in zip(deltas, (40, 55, 70, 90, 120))
         ]
-        cfgs = [
-            FistaConfig(varpi=0.05, iters=5000),  # stops early
-            FistaConfig(varpi=0.0, iters=5000),  # no penalty
-            FistaConfig(varpi=0.02, iters=12),  # capped
-            FistaConfig(varpi=0.1, iters=0),  # no iteration
-            FistaConfig(varpi=0.03, iters=7),  # capped
-        ]
-        return designs, 0.5 * a0, cfgs
+        varpis = [0.05, 0.0, 0.02, 0.1, 0.03]  # the second with no penalty
+        return designs, 0.5 * a0, varpis
 
     def test_members_equal_their_solo_runs(self):
-        designs, shared, cfgs = self._stack()
-        deltas, states = refine_fista(designs, [shared] * 5, cfgs)
+        designs, shared, varpis = self._stack()
+        deltas, states = refine_fista(designs, [shared] * 5, varpis, self.CAP)
         assert deltas.shape == (5, 4, 8)
+        assert [s.converged for s in states] == [False, False, True, True, True]
         runs = [s.iterations for s in states]
-        assert runs[0] < 5000 and runs[1] < 5000 and runs[0] != runs[1]
-        assert runs[2:] == [12, 0, 7]
-        # the first two stop by the step rule, the rest by their caps
-        assert [s.converged for s in states] == [True, True, False, False, False]
-        for j, (dsn, cfg) in enumerate(zip(designs, cfgs)):
-            (solo,), (solo_state,) = refine_fista([dsn], [shared], [cfg])
+        assert runs[:2] == [self.CAP] * 2 and max(runs[2:]) < self.CAP
+        for j, (dsn, varpi) in enumerate(zip(designs, varpis)):
+            (solo,), (solo_state,) = refine_fista([dsn], [shared], [varpi], self.CAP)
             assert np.array_equal(deltas[j], solo)
             assert states[j] == solo_state
         # the order of the stack does not matter either
-        back, back_states = refine_fista(designs[::-1], [shared] * 5, cfgs[::-1])
+        back, back_states = refine_fista(designs[::-1], [shared] * 5, varpis[::-1], self.CAP)
         assert np.array_equal(back[::-1], deltas)
         assert back_states[::-1] == states
 
+    def test_zero_cap_leaves_every_member_at_zero(self):
+        designs, shared, varpis = self._stack()
+        deltas, states = refine_fista(designs, [shared] * 5, varpis, 0)
+        assert deltas.shape == (5, 4, 8) and not deltas.any()
+        assert states == [FistaState(0, False)] * 5
+
     def test_members_around_their_own_shared_parts_equal_solo_runs(self):
-        designs, shared, cfgs = self._stack()
+        designs, shared, varpis = self._stack()
         rng = np.random.default_rng(10)
         parts = [shared + 0.1 * rng.standard_normal(shared.shape) for _ in designs]
-        deltas, states = refine_fista(designs, parts, cfgs)
-        for j, (dsn, part, cfg) in enumerate(zip(designs, parts, cfgs)):
-            (solo,), (solo_state,) = refine_fista([dsn], [part], [cfg])
+        deltas, states = refine_fista(designs, parts, varpis, self.CAP)
+        for j, (dsn, part, varpi) in enumerate(zip(designs, parts, varpis)):
+            (solo,), (solo_state,) = refine_fista([dsn], [part], [varpi], self.CAP)
             assert deltas[j].tobytes() == solo.tobytes()
             assert states[j] == solo_state
         # the shared part matters: around one common part the result differs
-        common, _ = refine_fista(designs, [shared] * 5, cfgs)
+        common, _ = refine_fista(designs, [shared] * 5, varpis, self.CAP)
         assert not np.array_equal(common[0], deltas[0])
 
     def test_member_matches_raw_design_restart_fista(self):
-        designs, shared, cfgs = self._stack()
-        deltas, _ = refine_fista(designs, [shared] * 5, cfgs)
-        dsn, cfg = designs[2], cfgs[2]
-        want = restart_fista(dsn.x, dsn.y, shared, cfg.varpi, default_eta(dsn), cfg.iters)
-        assert np.linalg.norm(deltas[2] - want) <= 1e-10 * np.linalg.norm(want)
+        # the first member runs to the cap
+        designs, shared, varpis = self._stack()
+        deltas, _ = refine_fista(designs, [shared] * 5, varpis, self.CAP)
+        dsn = designs[0]
+        want = restart_fista(dsn.x, dsn.y, shared, varpis[0], default_eta(dsn), self.CAP)
+        assert np.linalg.norm(deltas[0] - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_bad_stacks_rejected(self):
-        designs, shared, cfgs = self._stack()
+        designs, shared, varpis = self._stack()
         with pytest.raises(ValueError, match="at least one"):
-            refine_fista([], [], [])
-        with pytest.raises(ValueError, match="1 refinement configs for 2 designs"):
-            refine_fista(designs[:2], [shared] * 2, cfgs[:1])
+            refine_fista([], [], [], 20)
+        with pytest.raises(ValueError, match="1 penalties for 2 designs"):
+            refine_fista(designs[:2], [shared] * 2, varpis[:1], 20)
+        with pytest.raises(ValueError, match="3 penalties for 2 designs"):
+            refine_fista(designs[:2], [shared] * 2, varpis[:3], 20)
         _, _, _, other = make_world(seed=7, d=4, p=1)
         with pytest.raises(ValueError, match="shape"):
-            refine_fista([designs[0], other[0]], [shared] * 2, cfgs[:2])
+            refine_fista([designs[0], other[0]], [shared] * 2, varpis[:2], 20)
         with pytest.raises(ValueError, match=r"a0_hats shape \(1, 4, 8\)"):
-            refine_fista(designs[:2], [shared], cfgs[:2])
+            refine_fista(designs[:2], [shared], varpis[:2], 20)
         with pytest.raises(ValueError, match="non-finite"):
-            refine_fista(designs[:2], [shared, np.full_like(shared, np.inf)], cfgs[:2])
+            refine_fista(designs[:2], [shared, np.full_like(shared, np.inf)], varpis[:2], 20)
+
+    @pytest.mark.parametrize("bad", [-0.1, -np.inf, np.nan])
+    def test_negative_or_nan_penalty_rejected(self, bad):
+        designs, shared, _ = self._stack()
+        with pytest.raises(ValueError, match="penalties must be nonnegative"):
+            refine_fista(designs[:2], [shared] * 2, [0.05, bad], 20)
+
+    def test_negative_cap_rejected(self):
+        designs, shared, varpis = self._stack()
+        with pytest.raises(ValueError, match="iters must be >= 0"):
+            refine_fista(designs, [shared] * 5, varpis, -1)
 
 
 class TestStageOne:
@@ -660,16 +666,15 @@ class TestFitFederated:
         )
         eta = min(default_eta(d) for d in designs)
         cfg = FedConfig(rank=2, rounds=40, step_rho=eta, init_a0=init)
-        fcfgs = [FistaConfig(varpi=0.05, iters=20)] * len(designs)
         (decomps,), (report,) = fit_federated(
-            [designs], [cfg], [fcfgs], [np.random.default_rng(6)]
+            [designs], [cfg], [[0.05] * len(designs)], [np.random.default_rng(6)]
         )
         assert len(decomps) == 4
         for dec in decomps:
             assert dec.a0.shape == (6, 6)
             assert np.array_equal(dec.a0, decomps[0].a0)
         assert len(report.stage1_trace) == 40
-        assert [s.iterations for s in report.fista_states] == [20] * 4
+        assert report.fista_states == [FistaState(fed_core._REFINE_ITERS, False)] * 4
         err_init = np.linalg.norm(init - a0)
         err_final = np.linalg.norm(decomps[0].a0 - a0)
         assert err_final < err_init
@@ -680,19 +685,38 @@ class TestFitFederated:
             rank=1, rounds=2, step_rho=0.05,
             init_a0=np.zeros((5, 5)) + np.eye(5)[:5],
         )
-        fcfgs = [FistaConfig(varpi=0.1), FistaConfig(varpi=0.2)]
+        varpis = [0.1, 0.2]
         rngs = [np.random.default_rng(7)]
-        (decomps,), _ = fit_federated([designs], [cfg], [fcfgs], rngs)
+        (decomps,), _ = fit_federated([designs], [cfg], [varpis], rngs)
         assert len(decomps) == 2
-        short = [FistaConfig(varpi=0.1)]
+        short, long = [0.1], [0.1, 0.2, 0.3]
         for sets, bad in (
-            ([designs], [short]),  # too few configs for the member's clients
-            ([designs, designs], [fcfgs, short]),  # ... for the second member's
-            ([designs, designs], [fcfgs]),  # one list for two members
-            ([designs], [fcfgs, fcfgs]),  # two lists for one member
+            ([designs], [short]),  # too few penalties for the member's clients
+            ([designs], [long]),  # too many
+            ([designs, designs], [varpis, short]),  # ... for the second member's
+            ([designs, designs], [varpis]),  # one list for two members
+            ([designs], [varpis, varpis]),  # two lists for one member
         ):
-            with pytest.raises(ValueError, match="refinement configs"):
+            with pytest.raises(ValueError, match="refinement penalties"):
                 fit_federated(sets, [cfg] * len(sets), bad, rngs * len(sets))
+
+    def test_every_refinement_stops_by_the_cap(self, monkeypatch):
+        # the cap is one constant for every (member, client) problem
+        monkeypatch.setattr(fed_core, "_REFINE_ITERS", 3)
+        _, _, _, designs = make_world(seed=18, k=3)
+        eta = min(default_eta(d) for d in designs)
+        cfg = FedConfig(rank=1, rounds=2, step_rho=eta, init_a0=np.eye(5))
+        sets = [designs, designs[:2]]
+        _, reports = fit_federated(
+            sets, [cfg] * 2, [[0.1, 0.2, 0.0], [1e6, 0.1]],
+            [np.random.default_rng(s) for s in (7, 8)],
+        )
+        states = [s for report in reports for s in report.fista_states]
+        assert len(states) == 5
+        assert all(s.iterations <= 3 for s in states)
+        # a huge penalty keeps the deviation at zero, which the step rule
+        # stops after one step
+        assert states[3] == FistaState(1, True)
 
     def test_members_equal_their_one_member_calls(self):
         # members over different clients, numbers of clients and sample
@@ -717,18 +741,18 @@ class TestFitFederated:
             replace(base, rounds=7, step_rho=0.08,
                     noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
         ]
-        fista_cfgs = [
-            [FistaConfig(varpi=v * (k + 1), iters=n) for k in range(len(designs))]
-            for designs, (v, n) in zip(sets, ((0.02, 20), (0.05, 200), (0.01, 0), (0.1, 60)))
+        varpis = [
+            [v * (k + 1) for k in range(len(designs))]
+            for designs, v in zip(sets, (0.02, 0.05, 0.01, 0.1))
         ]
         seeds = (11, 12, 13, 14)
         decomps, reports = fit_federated(
-            sets, cfgs, fista_cfgs, [np.random.default_rng(s) for s in seeds]
+            sets, cfgs, varpis, [np.random.default_rng(s) for s in seeds]
         )
         assert [len(r.stage1_trace) for r in reports] == [8, 5, 0, 7]
-        for c, (designs, cfg, fcfgs, seed) in enumerate(zip(sets, cfgs, fista_cfgs, seeds)):
+        for c, (designs, cfg, pens, seed) in enumerate(zip(sets, cfgs, varpis, seeds)):
             (want,), (want_report,) = fit_federated(
-                [designs], [cfg], [fcfgs], [np.random.default_rng(seed)]
+                [designs], [cfg], [pens], [np.random.default_rng(seed)]
             )
             report = reports[c]
             assert report.stage1_trace == want_report.stage1_trace
@@ -758,9 +782,9 @@ class TestEntryPointValidation:
     def test_rank_above_min_rejected(self):
         _, _, _, designs = make_world(seed=20, d=4, p=2)  # min(d, pd) = 4
         cfg = FedConfig(rank=5, rounds=1, step_rho=0.1, init_a0=np.zeros((4, 8)))
-        fcfgs = [FistaConfig(varpi=0.1)] * len(designs)
+        varpis = [0.1] * len(designs)
         with pytest.raises(ValueError, match="rank 5 outside"):
-            fit_federated([designs], [cfg], [fcfgs], [np.random.default_rng(0)])
+            fit_federated([designs], [cfg], [varpis], [np.random.default_rng(0)])
         admm_cfg = default_admm_config(designs[0])
         for rank in (0, 5):
             with pytest.raises(ValueError, match="outside"):
@@ -770,12 +794,11 @@ class TestEntryPointValidation:
 
     def test_negative_thresholds_rejected_by_configs(self):
         # svt and soft_threshold take their thresholds from these configs
+        # (refine_fista checks its own penalties)
         with pytest.raises(ValueError):
             AdmmConfig(lam=0.1, omega=-0.1)
         with pytest.raises(ValueError):
             AdmmConfig(lam=-0.1, omega=0.1)
-        with pytest.raises(ValueError):
-            FistaConfig(varpi=-0.1)
 
     def test_fista_divergence_raises(self, monkeypatch):
         _, _, _, designs = make_world(seed=21)
@@ -786,9 +809,8 @@ class TestEntryPointValidation:
         raised = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for iters in (1, 10, 50, 200):
-                cfg = FistaConfig(varpi=0.1, iters=iters)
                 try:
-                    (delta,), _ = refine_fista([design], [a0], [cfg])
+                    (delta,), _ = refine_fista([design], [a0], [0.1], iters)
                 except ValueError as exc:
                     assert "non-finite" in str(exc)
                     raised += 1

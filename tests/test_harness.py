@@ -34,6 +34,8 @@ from oracles import (
     scale_to_radius,
 )
 
+INTP_MAX = int(np.iinfo(np.intp).max)  # the largest integer a config holds
+
 
 def assert_reruns_identical_and_reps_independent(cfg, tmp_path):
     """Reruns write identical bytes, and the records of replications 0-1
@@ -242,7 +244,7 @@ class TestExperimentConfig:
             {"eps": "2"},
             {"reps": True},
             {"seed": True},
-            {"fista_iters": 2.0},
+            {"rounds": 2.0},
             {"zeta": "1"},
             {"t_grid": [100, "200"]},
             {"t_grid": [100.5]},
@@ -778,9 +780,9 @@ class TestEmpiricalFederation:
                 shared[max(ds.t_len for ds in designs)] = a0_hat
             return a0_hats, traces
 
-        def recording(designs, a0_hats, cfgs):
+        def recording(designs, a0_hats, varpis, iters):
             calls.append(([ds.t_len for ds in designs], np.array(a0_hats)))
-            return real_refine(designs, a0_hats, cfgs)
+            return real_refine(designs, a0_hats, varpis, iters)
 
         monkeypatch.setattr(fed_core, "stage1_run", stage1)
         monkeypatch.setattr(fed_core, "refine_fista", recording)
@@ -814,7 +816,7 @@ class TestEmpiricalFederation:
         (want,), _ = fed_core.fit_federated(
             [designs],
             experiments.fed_config(cfg, [designs]),
-            [[experiments.fista_config(cfg, ds) for ds in designs]],
+            [[experiments.refine_penalty(cfg, ds) for ds in designs]],
             [rng],
         )
         with np.load(out / "estimates.npz") as got:
@@ -1280,29 +1282,50 @@ class TestCli:
     @pytest.mark.parametrize(
         "doc, message",
         [({"kind": "rank_table", "d": 4, "rank_grid": [10**400]},
-          f"rank {10**400} outside [1, d=4] for rank_table"),
-         # no grid entry has an upper bound; the world simulation refuses
-         # a path of this length before anything is written
-         ({"kind": "t_sweep", "d": 4, "t_grid": [10**400]}, "fedvar: error:"),
+          f"rank_grid entries must be at most {INTP_MAX}, got ({10**400},)"),
+         ({"kind": "t_sweep", "d": 4, "t_grid": [10**400]},
+          f"t_grid entries must be at most {INTP_MAX}, got ({10**400},)"),
+         ({"kind": "t_sweep", "d": 4, "reps": 10**400},
+          f"reps must be at most {INTP_MAX}, got {10**400}"),
+         ({"kind": "k_sweep", "d": 4, "t_len": INTP_MAX + 1},
+          f"t_len must be at most {INTP_MAX}, got {INTP_MAX + 1}"),
+         ({"kind": "k_sweep", "d": 4, "n_clients": 10**400},
+          f"n_clients must be at most {INTP_MAX}, got {10**400}"),
          # a float field holds no such value
          ({"kind": "privacy_heatmap", "d": 4, "noise_mode": "fixed", "eps_grid": [10**400]},
           "eps_grid entries must be positive and finite, got (inf,)"),
          ({"kind": "t_sweep", "d": 4, "eps": 10**400},
           f"eps must be positive and finite, got {10**400}")],
-        ids=["rank_grid", "t_grid", "eps_grid", "eps"],
+        ids=["rank_grid", "t_grid", "reps", "t_len", "n_clients", "eps_grid", "eps"],
     )
     def test_integer_too_large_for_a_float_exits_one(
         self, doc, message, tmp_path, capsys, monkeypatch
     ):
         # a 400-digit grid entry once overflowed the config check's
         # conversion to float, and a 400-digit eps failed every replication;
-        # each exited 2
+        # each exited 2.  An integer field or grid entry beyond np.intp
+        # was let through to numpy or to a list of that length: reps exited
+        # 2, and t_grid exited 1 with numpy's message, which names no field
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1, "reps": 2, **doc}))
         argv = ["simulate", doc["kind"], "--config", "cfg.json", "--out", "out"]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("field", ["bogus", "fista_iters"])
+    def test_unknown_config_field_exits_one(self, field, tmp_path, capsys, monkeypatch):
+        # fista_iters was a field once; the refinement cap is now fixed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"kind": "t_sweep", "seed": 1, "reps": 1, field: 20})
+        )
+        argv = ["simulate", "t_sweep", "--config", "cfg.json", "--out", "out"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"unknown config fields: {field}" in captured.err
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["cfg.json"]
 

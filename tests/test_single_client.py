@@ -378,7 +378,8 @@ class TestBaselines:
         (fista,), _ = fed_core.refine_fista(
             [design],
             np.zeros((1, design.d, design.pd)),
-            [fed_core.FistaConfig(varpi=omega, iters=3000)],
+            [omega],
+            3000,
         )
         decomp, _ = admm_solo(
             design, AdmmConfig(lam=0.0, omega=omega), pin_a0=True, max_iter=5000

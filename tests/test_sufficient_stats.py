@@ -70,9 +70,7 @@ def test_fista_objective_trace_matches_residuals(case):
     # and at 5 iterations, against the same iterates' residuals
     varpi = 0.05
     for iters in (0, 5):
-        (delta,), _ = fed_core.refine_fista(
-            [design], [a], [fed_core.FistaConfig(varpi=varpi, iters=iters)]
-        )
+        (delta,), _ = fed_core.refine_fista([design], [a], [varpi], iters)
         penalty = varpi * np.sum(np.abs(delta))
         want = raw_loss(design.x, design.y, a + delta) + penalty
         assert design.loss(a + delta) + penalty == pytest.approx(want, rel=REL)
