@@ -3,6 +3,8 @@ budget splitting by basic composition, and the noise policies used by the
 federated gradient rounds.  A budget is spent over the rounds a run makes,
 so the split reads the rounds from the run, not from the budget.
 
+``add_gaussian_noise`` scales a standard-normal draw that the caller
+makes, so a caller may draw the noise of several messages in one call.
 Noise is always applied to the full gradient matrix.  Which variables are
 sensitive is not carried here: a panel's ``PanelSpec.sensitive`` lists
 them, and run manifests record it.
@@ -107,16 +109,16 @@ def round_sigma(policy, budget, rounds):
     return gaussian_sigma(policy.sensitivity, eps_round, delta_round)
 
 
-def add_gaussian_noise(m, sigma, rng):
-    """Add i.i.d. N(0, sigma^2) noise entrywise; sigma 0 is the identity."""
+def add_gaussian_noise(m, sigma, z):
+    """m + sigma * z, the Gaussian mechanism given z, a draw of i.i.d.
+    N(0, 1) entries of m's shape; sigma 0 returns a copy of m and does
+    not read z.  A z of another shape raises ValueError."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     m = np.asarray(m, dtype=np.float64)
     if sigma == 0.0:
         return m.copy()
-    # m + sigma * z in the draw's own buffer: IEEE * and + commute, so the
-    # bytes are those of the expression
-    out = rng.standard_normal(m.shape)
-    out *= sigma
-    out += m
-    return out
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != m.shape:
+        raise ValueError(f"noise shape {z.shape}, expected {m.shape}")
+    return m + sigma * z

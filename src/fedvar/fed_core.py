@@ -22,9 +22,13 @@ clients, start, step, noise, generator and number of rounds) in one
 lockstep loop: a round takes every (member, client) gradient in one
 batched product and makes one tangent step over the members still
 running, a member leaves the stack once its rounds are run, and its
-result is bitwise that of its one-member call.  The harness fits the
-cells of a privacy heatmap, and the client counts of a K sweep, in one
-call each.
+result is bitwise that of its one-member call.  Noisy members whose
+generators hold equal seed sequences share one noise stream: its round
+generators are spawned once, and each round draws one standard-normal
+block for all of them, from which every client of every such member
+takes its row.  The harness fits the cells of a privacy heatmap, and the
+client counts of a K sweep, in one call each; their members are equally
+seeded, so each such call draws its noise once per round.
 
 Stage II refines each client's sparse deviation by accelerated proximal
 gradient (FISTA) around a frozen shared estimate.  ``refine_fista`` is
@@ -211,6 +215,53 @@ def _check_members(design_sets, cfgs, rngs):
     return d, pd, sigmas, np.stack(inits)
 
 
+def _entropy_key(entropy):
+    """A seed sequence's entropy, an int or a (nested) sequence of ints,
+    as a flat tuple of ints; equal tuples seed equal sequences."""
+    if np.iterable(entropy):
+        return tuple(v for e in entropy for v in _entropy_key(e))
+    return (int(entropy),)
+
+
+def _noise_streams(rngs, cfgs, sigmas):
+    """The noise streams of stage 1's noisy members, each a list of round
+    generators, and each member's stream index (None for a noise-free
+    member).
+
+    Members are taken in order, and each one's key is read just before it
+    would spawn: the bit generator's type, its seed sequence's entropy,
+    spawn key, pool size and children spawned so far.  The first member
+    of a key spawns its R round generators from its own generator, as its
+    one-member call would.  A later member of the same key shares that
+    stream and is not spawned from; if it runs more rounds, the further
+    children come from a copy of the seed sequence, equal to those its
+    own spawn would give.  One generator object passed for two members
+    has spawned between the two reads, so they get sequential children.
+    """
+    streams, stream_of, first = [], [], {}
+    for rng, cfg, sigma in zip(rngs, cfgs, sigmas):
+        if sigma == 0:
+            stream_of.append(None)
+            continue
+        bit_gen = rng.bit_generator
+        seq = bit_gen.seed_seq
+        key = (type(bit_gen), _entropy_key(seq.entropy), seq.spawn_key,
+               seq.pool_size, seq.n_children_spawned)
+        if key not in first:
+            first[key] = len(streams)
+            streams.append(rng.spawn(cfg.rounds))
+        gens = streams[first[key]]
+        if cfg.rounds > len(gens):
+            rest = np.random.SeedSequence(
+                seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size,
+                n_children_spawned=seq.n_children_spawned + len(gens),
+            )
+            gens += [type(rng)(type(bit_gen)(child))
+                     for child in rest.spawn(cfg.rounds - len(gens))]
+        stream_of.append(first[key])
+    return streams, stream_of
+
+
 def stage1_run(design_sets, cfgs, rngs):
     """Run the gradient rounds of C federations in lockstep, member c over
     the clients design_sets[c] under cfgs[c] with noise from rngs[c].
@@ -237,12 +288,23 @@ def stage1_run(design_sets, cfgs, rngs):
     stack.
 
     A noisy member spawns its R round generators from its rngs[c] in one
-    ``spawn(R)`` call, which gives the children of R ``spawn(1)`` calls;
-    round n's clients draw their noise from child n in client order.  A
-    noise-free member spawns nothing.  A member's estimate and trace are
-    therefore bitwise those of its one-member call, and a run of n rounds
-    equals n chained one-round runs on the same generators, each with a
-    per-round budget of (eps/n, delta/n).
+    ``spawn(R)`` call, which gives the children of R ``spawn(1)`` calls.
+    Round n draws one (K, d, pd) standard-normal block from child n, K
+    the largest member's number of clients, and client k's noise is
+    sigma times row k: bitwise the K (d, pd) draws its clients would make
+    from child n in client order.  ``add_gaussian_noise`` is still called
+    once per (member, client, round).  Noisy members whose generators hold
+    equal seed sequences, by bit generator type, entropy, spawn key, pool
+    size and children spawned, read just before each would spawn, share
+    one set of round generators and one block per round; the first of
+    them spawns, and a generator whose round generators were reused from
+    an earlier member is not spawned from, which is the one side effect
+    a caller can see.  One generator object passed for two members still
+    gives them sequential children.  A noise-free member spawns nothing
+    and reads no draw.  A member's estimate and trace are therefore
+    bitwise those of its one-member call, and a run of n rounds equals n
+    chained one-round runs on the same generators, each with a per-round
+    budget of (eps/n, delta/n).
     """
     cfgs, rngs = list(cfgs), list(rngs)
     design_sets = [list(designs) for designs in design_sets]
@@ -260,12 +322,8 @@ def stage1_run(design_sets, cfgs, rngs):
         sxy_t[c, : sizes[c]] = [ds.sxy.T for ds in designs]
     rho = np.array([cfg.step_rho for cfg in cfgs])
     rounds = np.array([cfg.rounds for cfg in cfgs])
-    # each noisy member's round generators, spawned in one call: the same
-    # children as one spawn(1) per round
-    noise_rngs = [
-        rng.spawn(cfg.rounds) if sigma > 0 else None
-        for rng, cfg, sigma in zip(rngs, cfgs, sigmas)
-    ]
+    streams, stream_of = _noise_streams(rngs, cfgs, sigmas)
+    quiet = [None] * n_clients  # a noise-free member's clients read no draw
 
     a0s, factors = svd_truncate(inits, cfgs[0].rank)
     out = np.empty_like(a0s)  # each member's estimate, filled as it leaves
@@ -287,12 +345,18 @@ def stage1_run(design_sets, cfgs, rngs):
         grads = 2.0 * (a0s[:, None] @ sxx - sxy_t)
         flat = grads.reshape(-1, d, pd)
         norms = np.sqrt(_dots(flat, flat)).reshape(grads.shape[:2]).tolist()
+        # one standard-normal block per stream still running: client k's
+        # noise is row k, bitwise its own (d, pd) draw in client order
+        blocks = [
+            gens[n].standard_normal((n_clients, d, pd)) if n < len(gens) else None
+            for gens in streams
+        ]
         noisy = np.empty_like(grads)
         for j, c in enumerate(live.tolist()):
             sigma = sigmas[c]
-            noise_rng = noise_rngs[c][n] if sigma > 0 else None
+            z = blocks[stream_of[c]] if sigma > 0 else quiet
             for k in range(sizes[c]):
-                noisy[j, k] = add_gaussian_noise(grads[j, k], sigma, noise_rng)
+                noisy[j, k] = add_gaussian_noise(grads[j, k], sigma, z[k])
             noisy[j, sizes[c] :] = 0.0  # padding: no noise, and zero weight
             traces[c].append(RoundTrace(n, sigma, tuple(norms[j][: sizes[c]])))
         # each member's weighted sum, in client order

@@ -113,16 +113,32 @@ class TestAddNoise:
     def test_noise_sd_close(self):
         rng = np.random.default_rng(1)
         noise = dp.add_gaussian_noise(
-            np.zeros((500, 400)), 2.0, rng
+            np.zeros((500, 400)), 2.0, rng.standard_normal((500, 400))
         )
         assert np.std(noise) == pytest.approx(2.0, rel=0.02)
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(2)
         m = 5.0 * np.ones((400, 400))
-        out = dp.add_gaussian_noise(m, 0.5, rng)
+        out = dp.add_gaussian_noise(m, 0.5, rng.standard_normal(m.shape))
         assert np.mean(out) == pytest.approx(5.0, abs=0.01)
+
+    def test_bytes_of_the_scaled_draw_added_in_place(self):
+        # m + sigma z, bitwise the in-place scale-then-add over the draw
+        rng = np.random.default_rng(3)
+        m, z = rng.standard_normal((2, 20, 20))
+        want = z.copy()
+        want *= 0.7
+        want += m
+        out = dp.add_gaussian_noise(m, 0.7, z)
+        assert out.tobytes() == want.tobytes()
+        assert out is not z and out is not m
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            dp.add_gaussian_noise(np.zeros((2, 2)), -0.1, np.random.default_rng(0))
+            dp.add_gaussian_noise(np.zeros((2, 2)), -0.1, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2), ()])
+    def test_block_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"noise shape .*, expected \(2, 2\)"):
+            dp.add_gaussian_noise(np.zeros((2, 2)), 0.5, np.zeros(shape))

@@ -41,6 +41,23 @@ def make_world(seed=0, d=5, p=1, r=2, k=3, t_len=200, ratio=None):
     return a0, deltas, panels, designs
 
 
+def spy_generator(log):
+    """A Generator class that logs each spawn call and each standard_normal
+    call, with its seed sequence's spawn key; spawn gives children of the
+    same class, so a spawned round generator logs its draws too."""
+
+    class SpyGenerator(np.random.Generator):
+        def spawn(self, n_children):
+            log.append(("spawn", self.bit_generator.seed_seq.spawn_key, n_children))
+            return super().spawn(n_children)
+
+        def standard_normal(self, size=None):
+            log.append(("draw", self.bit_generator.seed_seq.spawn_key, size))
+            return super().standard_normal(size)
+
+    return SpyGenerator
+
+
 class TestGradientAndSteps:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -396,9 +413,9 @@ class TestStageOne:
     def test_noisy_round_spawns_one_generator(self, monkeypatch):
         draws = []
 
-        def record(m, sigma, rng):
-            draws.append((sigma, rng))
-            return dp.add_gaussian_noise(m, sigma, rng)
+        def record(m, sigma, z):
+            draws.append((sigma, z))
+            return dp.add_gaussian_noise(m, sigma, z)
 
         monkeypatch.setattr(fed_core, "add_gaussian_noise", record)
         a0, _, _, designs = make_world(seed=26, k=4, ratio=None)
@@ -416,17 +433,20 @@ class TestStageOne:
             assert rng.bit_generator.seed_seq.n_children_spawned == spawned
             assert len(draws) == 6 * len(designs)
             assert all(s == want_sigma for s, _ in draws)
-            # one generator per round, shared by the clients in order
+            # one draw per round, its rows taken by the clients in order
             k = len(designs)
             per_round = [
-                [g for _, g in draws[i : i + k]] for i in range(0, len(draws), k)
+                [z for _, z in draws[i : i + k]] for i in range(0, len(draws), k)
             ]
-            assert all(len({id(g) for g in gens}) == 1 for gens in per_round)
-            firsts = [gens[0] for gens in per_round]
             if spawned:
-                assert None not in firsts and len({id(g) for g in firsts}) == 6
+                blocks = [zs[0].base for zs in per_round]
+                assert all(b.shape == (k,) + a0.shape for b in blocks)
+                assert len({id(b) for b in blocks}) == 6
+                for block, zs in zip(blocks, per_round):
+                    assert all(z.base is block for z in zs)
+                    assert [z.tobytes() for z in zs] == [row.tobytes() for row in block]
             else:
-                assert firsts == [None] * 6
+                assert all(z is None for zs in per_round for z in zs)
 
     def test_noise_recorded_and_seed_sensitive(self):
         a0, _, _, designs = make_world(seed=11, ratio=None)
@@ -519,26 +539,27 @@ class TestStageOne:
 
     def test_round_generators_are_sequential_spawn_children(self, monkeypatch):
         # a noisy member spawns its R round generators in one spawn(R)
-        # call: they are the children R spawn(1) calls give, and each
-        # round's first client draws from its child's fresh state
+        # call: they are the children R spawn(1) calls give, and round n's
+        # clients take, in order, the rows of one (K, d, pd) draw from
+        # child n's fresh state
         designs, cfgs = self._members()
         seen = []
         real = fed_core.add_gaussian_noise
 
-        def spy(m, sigma, rng):
-            seen.append((rng.bit_generator.seed_seq.spawn_key, rng.bit_generator.state))
-            return real(m, sigma, rng)
+        def spy(m, sigma, z):
+            seen.append(z)
+            return real(m, sigma, z)
 
         monkeypatch.setattr(fed_core, "add_gaussian_noise", spy)
         cfg, n_clients = cfgs[1], len(designs)
         stage1_run([designs], [cfg], [np.random.default_rng(6)])
         assert len(seen) == cfg.rounds * n_clients
         parent = np.random.default_rng(6)
+        shape = (n_clients,) + cfg.init_a0.shape
         for n in range(cfg.rounds):
-            child = parent.spawn(1)[0]
+            want = parent.spawn(1)[0].standard_normal(shape)
             this_round = seen[n * n_clients : (n + 1) * n_clients]
-            assert {key for key, _ in this_round} == {child.bit_generator.seed_seq.spawn_key}
-            assert this_round[0][1] == child.bit_generator.state
+            assert np.stack(this_round).tobytes() == want.tobytes()
 
     def test_members_equal_their_solo_runs(self):
         designs, cfgs = self._members()
@@ -613,9 +634,80 @@ class TestStageOne:
             )
         assert np.array_equal(outs[2], fed_core.svd_truncate(a0, 2)[0])
 
+    def test_equally_seeded_members_share_one_spawn_and_one_draw_per_round(self):
+        # the k_sweep shape: members of 2, 3, 4 and 4 clients with their own
+        # round counts, each on its own generator of one seed
+        a0, _, _, designs = make_world(seed=31, k=4, ratio=None)
+        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
+        base = FedConfig(rank=2, rounds=3, step_rho=0.05, init_a0=a0,
+                         noise=dp.NoisePolicy.fixed(), budget=budget)
+        sets = [designs[:2], designs[:3], designs, designs]
+        cfgs = [
+            base,
+            replace(base, rounds=5, noise=dp.NoisePolicy.calibrated(0.5)),
+            replace(base, rounds=6),
+            replace(base, rounds=4, step_rho=0.08),
+        ]
+        log = []
+        spy = spy_generator(log)
+        rngs = [spy(np.random.PCG64(11)) for _ in sets]
+        outs, traces = stage1_run(sets, cfgs, rngs)
+        # the first member spawns its own 3 round generators; the later
+        # rounds' children are made once, and no later member is spawned
+        assert [e for e in log if e[0] == "spawn"] == [("spawn", (), 3)]
+        assert [g.bit_generator.seed_seq.n_children_spawned for g in rngs] == [3, 0, 0, 0]
+        # one draw per round, child n's, covering the largest member's clients
+        assert [e for e in log if e[0] == "draw"] == [
+            ("draw", (n,), (4,) + a0.shape) for n in range(6)
+        ]
+        for members, cfg, out, trace in zip(sets, cfgs, outs, traces):
+            (want,), (want_trace,) = stage1_run(
+                [members], [cfg], [np.random.default_rng(11)]
+            )
+            assert out.tobytes() == want.tobytes()
+            assert trace == want_trace
+
+    def test_one_generator_for_two_members_gives_sequential_children(self):
+        designs, cfgs = self._members()
+        first, second = cfgs[1], replace(cfgs[3], rounds=4)
+        rng = np.random.default_rng(12)
+        outs, traces = stage1_run([designs] * 2, [first, second], [rng, rng])
+        assert rng.bit_generator.seed_seq.n_children_spawned == 7 + 4
+        # solo runs on one generator, the second after the first's spawn
+        solo = np.random.default_rng(12)
+        for cfg, out, trace in zip((first, second), outs, traces):
+            (want,), (want_trace,) = stage1_run([designs], [cfg], [solo])
+            assert out.tobytes() == want.tobytes()
+            assert trace == want_trace
+        (fresh,), _ = stage1_run([designs], [second], [np.random.default_rng(12)])
+        assert not np.array_equal(outs[1], fresh)
+
+    def test_list_and_array_seeds_share_one_stream(self):
+        # a list or uint32 array entropy is not hashable; an equal one
+        # seeds an equal stream, a different one its own
+        designs, cfgs = self._members()
+        entropies = ([3, 1, 4], np.array([3, 1, 4], dtype=np.uint32), [3, 1, 5])
+        log = []
+        spy = spy_generator(log)
+        rngs = [spy(np.random.PCG64(e)) for e in entropies]
+        for g in rngs:
+            with pytest.raises(TypeError):
+                hash(g.bit_generator.seed_seq.entropy)
+        noisy = [cfgs[1], cfgs[2], cfgs[3]]
+        outs, traces = stage1_run([designs] * 3, noisy, rngs)
+        draws = [e for e in log if e[0] == "draw"]
+        assert len(draws) == 2 * 7  # one per round for each of two streams
+        for e, cfg, out, trace in zip(entropies, noisy, outs, traces):
+            (want,), (want_trace,) = stage1_run(
+                [designs], [cfg], [np.random.default_rng(e)]
+            )
+            assert out.tobytes() == want.tobytes()
+            assert trace == want_trace
+
     def test_round_by_hand(self):
-        # one noisy round, bitwise: client-order draws from one child
-        # generator, a client-order weighted sum, one tangent step
+        # one noisy round, bitwise: one (d, pd) draw per client, in client
+        # order from one child generator, a client-order weighted sum, one
+        # tangent step
         designs, cfgs = self._members()
         cfg = replace(cfgs[2], rounds=1)
         rng = np.random.default_rng(8)
@@ -625,7 +717,8 @@ class TestStageOne:
         child = np.random.default_rng(8).spawn(1)[0]
         agg = np.zeros_like(start)
         for w, ds in zip(sample_size_weights(designs), designs):
-            agg += w * dp.add_gaussian_noise(local_gradient(ds, start), sigma, child)
+            z = child.standard_normal(start.shape)
+            agg += w * dp.add_gaussian_noise(local_gradient(ds, start), sigma, z)
         one = matops.SvdFactors(u=factors.u[None], s=factors.s[None], v=factors.v[None])
         (want,), _ = matops.tangent_step(one, agg[None], [cfg.step_rho])
         assert np.array_equal(got, want)
@@ -681,14 +774,18 @@ class TestFitFederated:
 
     def test_per_client_configs_and_validation(self):
         _, _, _, designs = make_world(seed=18, k=2)
-        cfg = FedConfig(
-            rank=1, rounds=2, step_rho=0.05,
-            init_a0=np.zeros((5, 5)) + np.eye(5)[:5],
-        )
+        eta = min(default_eta(d) for d in designs)
+        cfg = FedConfig(rank=1, rounds=2, step_rho=eta, init_a0=np.eye(5))
         varpis = [0.1, 0.2]
         rngs = [np.random.default_rng(7)]
         (decomps,), _ = fit_federated([designs], [cfg], [varpis], rngs)
         assert len(decomps) == 2
+        # two steps of 1 / (2 ||sxx||_op) move the shared estimate less than
+        # the start's own norm, 1 (they move it 0.80)
+        start = fed_core.svd_truncate(cfg.init_a0, 1)[0]
+        for dec in decomps:
+            assert np.isfinite(dec.a0).all() and np.isfinite(dec.delta).all()
+            assert np.linalg.norm(dec.a0 - start) <= 1.0
         short, long = [0.1], [0.1, 0.2, 0.3]
         for sets, bad in (
             ([designs], [short]),  # too few penalties for the member's clients
