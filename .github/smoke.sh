@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of an importable fedvar: every simulation kind at one
-# replication, two calibrated runs each written twice with one raw.csv,
-# and fit, forecast, rank-select and the empirical kind on two small
-# unequal panels.
+# replication, a calibrated run written twice with one raw.csv, and fit,
+# forecast, rank-select and the empirical kind on two small unequal panels.
 # It works in a fresh temporary directory, so the only fedvar it can use is
 # the one on the import path: the installed package, or a checkout's with
 #   PYTHONPATH=$PWD/src bash .github/smoke.sh
@@ -26,12 +25,6 @@ first=$(fedvar simulate privacy_heatmap --seed 1 --reps 1 --noise-mode calibrate
 again=$(fedvar simulate privacy_heatmap --seed 1 --reps 1 --noise-mode calibrated --out sim)
 cmp "$first/raw.csv" "$again/raw.csv"
 echo "ok: simulate privacy_heatmap, calibrated, twice to one raw.csv"
-# the k_sweep's members of 2, 5 and 10 clients run different numbers of
-# rounds and share one noise stream; a second run writes the same raw.csv
-first=$(fedvar simulate k_sweep --seed 1 --reps 1 --noise-mode calibrated --out sim)
-again=$(fedvar simulate k_sweep --seed 1 --reps 1 --noise-mode calibrated --out sim)
-cmp "$first/raw.csv" "$again/raw.csv"
-echo "ok: simulate k_sweep, calibrated, twice to one raw.csv"
 
 # two panels of 42 and 44 rows, and an empirical config over them
 python - <<'EOF'

@@ -121,4 +121,7 @@ def add_gaussian_noise(m, sigma, z):
     z = np.asarray(z, dtype=np.float64)
     if z.shape != m.shape:
         raise ValueError(f"noise shape {z.shape}, expected {m.shape}")
-    return m + sigma * z
+    # IEEE * and + commute, so the bytes are those of m + sigma * z
+    out = sigma * z
+    out += m
+    return out

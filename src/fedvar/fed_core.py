@@ -23,12 +23,13 @@ lockstep loop: a round takes every (member, client) gradient in one
 batched product and makes one tangent step over the members still
 running, a member leaves the stack once its rounds are run, and its
 result is bitwise that of its one-member call.  Noisy members whose
-generators hold equal seed sequences share one noise stream: its round
-generators are spawned once, and each round draws one standard-normal
-block for all of them, from which every client of every such member
-takes its row.  The harness fits the cells of a privacy heatmap, and the
-client counts of a K sweep, in one call each; their members are equally
-seeded, so each such call draws its noise once per round.
+generators hold equal seed sequences share one noise stream: only the
+first of them, and any that runs more rounds than those before it,
+spawns round generators, and each round draws one standard-normal block
+for all of them, from which every client of every such member takes its
+row.  The harness fits the cells of a privacy heatmap, and the client
+counts of a K sweep, in one call each; their members are equally seeded,
+so each such call draws its noise once per round.
 
 Stage II refines each client's sparse deviation by accelerated proximal
 gradient (FISTA) around a frozen shared estimate.  ``refine_fista`` is
@@ -223,43 +224,47 @@ def _entropy_key(entropy):
     return (int(entropy),)
 
 
-def _noise_streams(rngs, cfgs, sigmas):
+def _noise_streams(rngs, cfgs, sigmas, sizes):
     """The noise streams of stage 1's noisy members, each a list of round
-    generators, and each member's stream index (None for a noise-free
-    member).
+    generators, the largest client count among each stream's members, and
+    each member's stream index (None for a noise-free member).
 
     Members are taken in order, and each one's key is read just before it
     would spawn: the bit generator's type, its seed sequence's entropy,
-    spawn key, pool size and children spawned so far.  The first member
-    of a key spawns its R round generators from its own generator, as its
-    one-member call would.  A later member of the same key shares that
-    stream and is not spawned from; if it runs more rounds, the further
-    children come from a copy of the seed sequence, equal to those its
-    own spawn would give.  One generator object passed for two members
-    has spawned between the two reads, so they get sequential children.
+    spawn key, pool size and children spawned so far, counting those of
+    the rounds it shared earlier in the call.  The first member of a key
+    spawns its R round generators from its own generator, as its
+    one-member call would, and so does a later member of the key that runs
+    more rounds: its children begin with those already spawned.  Any other
+    member of the key shares the stream and is not spawned from, but the
+    rounds it shared still count, so one generator object passed for
+    several members gives them sequential children.
     """
-    streams, stream_of, first = [], [], {}
-    for rng, cfg, sigma in zip(rngs, cfgs, sigmas):
+    streams, widths, stream_of, first, shared = [], [], [], {}, {}
+    for rng, cfg, sigma, size in zip(rngs, cfgs, sigmas, sizes):
         if sigma == 0:
             stream_of.append(None)
             continue
         bit_gen = rng.bit_generator
         seq = bit_gen.seed_seq
         key = (type(bit_gen), _entropy_key(seq.entropy), seq.spawn_key,
-               seq.pool_size, seq.n_children_spawned)
-        if key not in first:
-            first[key] = len(streams)
-            streams.append(rng.spawn(cfg.rounds))
-        gens = streams[first[key]]
-        if cfg.rounds > len(gens):
-            rest = np.random.SeedSequence(
-                seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size,
-                n_children_spawned=seq.n_children_spawned + len(gens),
-            )
-            gens += [type(rng)(type(bit_gen)(child))
-                     for child in rest.spawn(cfg.rounds - len(gens))]
-        stream_of.append(first[key])
-    return streams, stream_of
+               seq.pool_size, seq.n_children_spawned + shared.get(id(seq), 0))
+        j = first.get(key)
+        if j is not None and cfg.rounds <= len(streams[j]):
+            shared[id(seq)] = shared.get(id(seq), 0) + cfg.rounds
+        else:
+            if id(seq) in shared:
+                seq.spawn(shared.pop(id(seq)))  # skip the children it shared
+            gens = rng.spawn(cfg.rounds)
+            if j is None:
+                first[key] = j = len(streams)
+                streams.append(gens)
+                widths.append(size)
+            else:
+                streams[j] = gens
+        widths[j] = max(widths[j], size)
+        stream_of.append(j)
+    return streams, widths, stream_of
 
 
 def stage1_run(design_sets, cfgs, rngs):
@@ -290,21 +295,22 @@ def stage1_run(design_sets, cfgs, rngs):
     A noisy member spawns its R round generators from its rngs[c] in one
     ``spawn(R)`` call, which gives the children of R ``spawn(1)`` calls.
     Round n draws one (K, d, pd) standard-normal block from child n, K
-    the largest member's number of clients, and client k's noise is
-    sigma times row k: bitwise the K (d, pd) draws its clients would make
-    from child n in client order.  ``add_gaussian_noise`` is still called
-    once per (member, client, round).  Noisy members whose generators hold
-    equal seed sequences, by bit generator type, entropy, spawn key, pool
-    size and children spawned, read just before each would spawn, share
-    one set of round generators and one block per round; the first of
-    them spawns, and a generator whose round generators were reused from
-    an earlier member is not spawned from, which is the one side effect
-    a caller can see.  One generator object passed for two members still
-    gives them sequential children.  A noise-free member spawns nothing
-    and reads no draw.  A member's estimate and trace are therefore
-    bitwise those of its one-member call, and a run of n rounds equals n
-    chained one-round runs on the same generators, each with a per-round
-    budget of (eps/n, delta/n).
+    the member's number of clients, and client k's noise is sigma times
+    row k: bitwise the K (d, pd) draws its clients would make from child
+    n in client order.  ``add_gaussian_noise`` is still called once per
+    (member, client, round).  Noisy members whose generators hold equal
+    seed sequences, by bit generator type, entropy, spawn key, pool size
+    and children spawned, read just before each would spawn, share one
+    set of round generators and one block per round, as wide as their
+    largest member.  The first of them spawns, and so does a later one
+    that runs more rounds; any other is not spawned from, which is the one
+    side effect a caller can see.  The call counts the children a shared
+    member would have spawned, so one generator object passed for several
+    members still gives them sequential children.  A noise-free member
+    spawns nothing and reads no draw.  A member's estimate and trace are
+    therefore bitwise those of its one-member call, and a run of n rounds
+    equals n chained one-round runs on the same generators, each with a
+    per-round budget of (eps/n, delta/n).
     """
     cfgs, rngs = list(cfgs), list(rngs)
     design_sets = [list(designs) for designs in design_sets]
@@ -322,7 +328,7 @@ def stage1_run(design_sets, cfgs, rngs):
         sxy_t[c, : sizes[c]] = [ds.sxy.T for ds in designs]
     rho = np.array([cfg.step_rho for cfg in cfgs])
     rounds = np.array([cfg.rounds for cfg in cfgs])
-    streams, stream_of = _noise_streams(rngs, cfgs, sigmas)
+    streams, widths, stream_of = _noise_streams(rngs, cfgs, sigmas, sizes)
     quiet = [None] * n_clients  # a noise-free member's clients read no draw
 
     a0s, factors = svd_truncate(inits, cfgs[0].rank)
@@ -345,11 +351,12 @@ def stage1_run(design_sets, cfgs, rngs):
         grads = 2.0 * (a0s[:, None] @ sxx - sxy_t)
         flat = grads.reshape(-1, d, pd)
         norms = np.sqrt(_dots(flat, flat)).reshape(grads.shape[:2]).tolist()
-        # one standard-normal block per stream still running: client k's
-        # noise is row k, bitwise its own (d, pd) draw in client order
+        # one standard-normal block per stream still running, as wide as
+        # its largest member: client k's noise is row k, bitwise its own
+        # (d, pd) draw in client order
         blocks = [
-            gens[n].standard_normal((n_clients, d, pd)) if n < len(gens) else None
-            for gens in streams
+            gens[n].standard_normal((width, d, pd)) if n < len(gens) else None
+            for gens, width in zip(streams, widths)
         ]
         noisy = np.empty_like(grads)
         for j, c in enumerate(live.tolist()):

@@ -43,10 +43,10 @@ its grid, in one stacked ``stage1_run`` call, and a privacy heatmap its
 noise-free cell and all its (eps, delta) cells in another; each member
 keeps its own generator, built from the replication's noise stream, so
 its draws do not depend on the other members.  Those generators are
-equally seeded, so a stage-1 run spawns the stream's round generators
-once, and each round makes one standard-normal draw whose rows are the
-noise of every noisy member's clients in turn, each member reading what
-it would draw run alone.
+equally seeded, so a stage-1 run shares one noise stream among them:
+each round makes one standard-normal draw whose rows are the noise of
+every noisy member's clients in turn, each member reading what it would
+draw run alone.
 """
 
 from __future__ import annotations

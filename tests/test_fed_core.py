@@ -652,10 +652,12 @@ class TestStageOne:
         spy = spy_generator(log)
         rngs = [spy(np.random.PCG64(11)) for _ in sets]
         outs, traces = stage1_run(sets, cfgs, rngs)
-        # the first member spawns its own 3 round generators; the later
-        # rounds' children are made once, and no later member is spawned
-        assert [e for e in log if e[0] == "spawn"] == [("spawn", (), 3)]
-        assert [g.bit_generator.seed_seq.n_children_spawned for g in rngs] == [3, 0, 0, 0]
+        # a member spawns only when it runs more rounds than those before
+        # it, and the last member, of 4 rounds, is not spawned from
+        assert [e for e in log if e[0] == "spawn"] == [
+            ("spawn", (), 3), ("spawn", (), 5), ("spawn", (), 6)
+        ]
+        assert [g.bit_generator.seed_seq.n_children_spawned for g in rngs] == [3, 5, 6, 0]
         # one draw per round, child n's, covering the largest member's clients
         assert [e for e in log if e[0] == "draw"] == [
             ("draw", (n,), (4,) + a0.shape) for n in range(6)
@@ -681,6 +683,46 @@ class TestStageOne:
             assert trace == want_trace
         (fresh,), _ = stage1_run([designs], [second], [np.random.default_rng(12)])
         assert not np.array_equal(outs[1], fresh)
+
+    def test_generator_that_shared_then_spawns_skips_the_shared_children(self):
+        # g first shares A's stream, then spawns for a member of its own:
+        # that member gets g's children 7.., as on a g spawned for both
+        designs, cfgs = self._members()
+        first, again = cfgs[1], replace(cfgs[3], rounds=4)
+        log = []
+        spy = spy_generator(log)
+        a, g = spy(np.random.PCG64(12)), spy(np.random.PCG64(12))
+        outs, traces = stage1_run([designs] * 3, [first, first, again], [a, g, g])
+        assert [e for e in log if e[0] == "spawn"] == [("spawn", (), 7), ("spawn", (), 4)]
+        assert g.bit_generator.seed_seq.n_children_spawned == 7 + 4
+        solo = np.random.default_rng(12)
+        wants = [stage1_run([designs], [first], [np.random.default_rng(12)])]
+        wants += [stage1_run([designs], [cfg], [solo]) for cfg in (first, again)]
+        for out, trace, ((want,), (want_trace,)) in zip(outs, traces, wants):
+            assert out.tobytes() == want.tobytes()
+            assert trace == want_trace
+        assert not np.array_equal(outs[2], outs[1])
+
+    def test_stream_block_is_as_wide_as_its_widest_member(self):
+        # a wider noise-free member, or a wider member of another stream,
+        # does not widen a stream's draw
+        designs, cfgs = self._members()
+        sets = [designs[:2], designs, designs[:3]]
+        members = [cfgs[1], cfgs[0], cfgs[3]]
+        log = []
+        spy = spy_generator(log)
+        rngs = [spy(np.random.PCG64(s)) for s in (13, 13, 14)]
+        outs, traces = stage1_run(sets, members, rngs)
+        shape = cfgs[0].init_a0.shape
+        draws = [e for e in log if e[0] == "draw"]
+        assert draws == [
+            e for n in range(7) for e in (("draw", (n,), (2,) + shape),
+                                          ("draw", (n,), (3,) + shape))
+        ]
+        for ds, cfg, s, out, trace in zip(sets, members, (13, 13, 14), outs, traces):
+            (want,), (want_trace,) = stage1_run([ds], [cfg], [np.random.default_rng(s)])
+            assert out.tobytes() == want.tobytes()
+            assert trace == want_trace
 
     def test_list_and_array_seeds_share_one_stream(self):
         # a list or uint32 array entropy is not hashable; an equal one
