@@ -118,7 +118,12 @@ CONTRACT = {
     "lam_scale": (float, "[0, inf)", False),
     "omega_scale": (float, "[0, inf)", False),
     "zeta": (float, "(0, inf)", True),
-    "rho_scale": (float, "(0, inf)", False),  # 0 would release the non-private start
+    # stage 1's step is rho_scale / lambda_max(S), S the pooled Gram matrix
+    # sum_k T_k sxx_k / sum_k T_k; the pooled quadratic's gradient is
+    # 2 lambda_max(S)-Lipschitz, so a gradient step shrinks it only below
+    # 2 / (2 lambda_max(S)), that is rho_scale < 1: 1.5 diverged to errors
+    # of 1e23 with exit 0.  0 would release the non-private start
+    "rho_scale": (float, "(0, 1)", False),
     "varpi_scale": (float, "[0, inf)", False),
     "rounds": (int, "[1, inf)", True),
     "n_origins": (int, "[1, inf)", False),

@@ -1250,14 +1250,14 @@ class TestCli:
             ({"kind": "t_sweep", "omega_scale": -1},
              "omega_scale must be >= 0 and finite, got -1"),
             ({"kind": "t_sweep", "zeta": -1}, "zeta must be positive and finite, got -1"),
-            ({"kind": "t_sweep", "rho_scale": -1}, "rho_scale must be positive and finite, got -1"),
+            ({"kind": "t_sweep", "rho_scale": -1}, "rho_scale must lie in (0, 1), got -1"),
             ({"kind": "t_sweep", "varpi_scale": -1},
              "varpi_scale must be >= 0 and finite, got -1"),
             ({"kind": "t_sweep", "out_dir": 5}, "out_dir must be a string, got 5"),
             ({"kind": "t_sweep", "t_grid": 400}, "t_grid must be a list, got 400"),
             ({"kind": "t_sweep", "panels": 5}, "panels must be a list, got 5"),
             # 0 once released the non-private start from a calibrated run
-            ({"kind": "t_sweep", "rho_scale": 0}, "rho_scale must be positive and finite, got 0"),
+            ({"kind": "t_sweep", "rho_scale": 0}, "rho_scale must lie in (0, 1), got 0"),
             ({"kind": "k_sweep", "d": 20, "p": 52},
              "p * d = 1040 exceeds the SVD cap 1024"),
         ],
@@ -1278,6 +1278,31 @@ class TestCli:
         assert captured.out == ""
         assert calls == []
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_step_past_the_stability_bound_exits_one_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 1.5 once wrote a fed_a0_err of 1e23 with exit 0
+        monkeypatch.chdir(tmp_path)
+        calls = record_replications(monkeypatch, "k_sweep")
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"kind": "k_sweep", "seed": 3, "reps": 2, "rho_scale": 1.5})
+        )
+        assert cli.main(["simulate", "k_sweep", "--config", "cfg.json"]) == 1
+        assert "rho_scale must lie in (0, 1), got 1.5" in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_step_inside_the_stability_bound_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"kind": "k_sweep", "seed": 3, "reps": 2, "rho_scale": 0.99})
+        )
+        assert cli.main(["simulate", "k_sweep", "--config", "cfg.json", "--out", "sim"]) == 0
+        run_dir = capsys.readouterr().out.strip()
+        with open(os.path.join(run_dir, "raw.csv"), newline="", encoding="utf-8") as fh:
+            errs = [float(r["value"]) for r in csv.DictReader(fh) if r["metric"] == "fed_a0_err"]
+        assert len(errs) == 2 * 3 and max(errs) < 1.0
 
     @pytest.mark.parametrize(
         "doc, message",
