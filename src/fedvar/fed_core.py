@@ -347,8 +347,11 @@ def stage1_run(design_sets, cfgs, rngs):
                                   factors.u, factors.s, factors.v)
             )
             factors = SvdFactors(u=u, s=s, v=v)
-        # local_gradient of every (member, client) pair: (C, K, d, pd)
-        grads = 2.0 * (a0s[:, None] @ sxx - sxy_t)
+        # local_gradient of every (member, client) pair: (C, K, d, pd), in
+        # place, bitwise 2.0 * (a0 @ sxx - sxy.T)
+        grads = a0s[:, None] @ sxx
+        grads -= sxy_t
+        grads *= 2.0
         flat = grads.reshape(-1, d, pd)
         norms = np.sqrt(_dots(flat, flat)).reshape(grads.shape[:2]).tolist()
         # one standard-normal block per stream still running, as wide as
@@ -366,11 +369,12 @@ def stage1_run(design_sets, cfgs, rngs):
                 noisy[j, k] = add_gaussian_noise(grads[j, k], sigma, z[k])
             noisy[j, sizes[c] :] = 0.0  # padding: no noise, and zero weight
             traces[c].append(RoundTrace(n, sigma, tuple(norms[j][: sizes[c]])))
-        # each member's weighted sum, in client order
-        weighted = weights * noisy
+        # each member's weighted sum, in client order; IEEE * commutes, so
+        # weighting in place gives the bytes of weights * noisy
+        noisy *= weights
         agg = np.zeros_like(a0s)
         for k in range(n_clients):
-            agg += weighted[:, k]
+            agg += noisy[:, k]
         a0s, factors = tangent_step(factors, agg, rho)
     out[live] = a0s
     return out, traces

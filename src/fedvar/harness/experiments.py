@@ -13,14 +13,18 @@ Its draw builds each of its worlds on a fresh world generator:
 ``run_experiment`` gathers the drawn replications into chunks of at
 most CHUNK_BYTES of paths and simulates a chunk's worlds in one
 ``var.simulate_paths`` call, each path bitwise its own ``var.simulate``;
-it then fits the chunk's replications in order and releases the paths
-before the next chunk.  Records therefore do not depend on the chunking
-either.  rank_table and single_client_curve draw every sample size of a
-world from one generator, so each world is simulated once, at the
-largest T, and a smaller T's design is the row prefix of that world's
-design, bitwise the design of a world simulated at that T.  The
-multi-client kinds draw their clients in turn from one generator, so
-their sample sizes are not nested; they only stack.
+it then fits the whole chunk in one call of the kind's fit, which feeds
+every replication of the chunk into the solver stacks one replication
+would use, and releases the paths before the next chunk.  Each solver
+member is bitwise its one-member call, so records do not depend on the
+chunking either.  When a chunk's fit raises, its replications are fitted
+again one by one, so a failing replication aborts alone.  rank_table and
+single_client_curve draw every sample size of a world from one
+generator, so each world is simulated once, at the largest T, and a
+smaller T's design is the row prefix of that world's design, bitwise
+the design of a world simulated at that T.  The multi-client kinds draw
+their clients in turn from one generator, so their sample sizes are not
+nested; they only stack.
 
 The empirical protocol reads each client through one lag design: the
 coefficients of every method at forecast origin t are fitted on the
@@ -34,19 +38,20 @@ The two single-client ADMM methods fit every (client, origin) entry from
 zero in one ``fit_admm`` call; an origin's federation starts from the fit
 in that stack of its largest client, and the starts not in it are one
 more stacked ADMM call.  The simulation
-kinds fit all of a replication's single-client problems in one
-``fit_admm`` call; a k or T sweep starts its federations from those
-fits, and a privacy heatmap fits its start in one more call.
-A T sweep fits its worlds' federations in one ``fit_federated`` call.
-A K sweep fits the federations of its first k clients, for every k of
-its grid, in one stacked ``stage1_run`` call, and a privacy heatmap its
-noise-free cell and all its (eps, delta) cells in another; each member
-keeps its own generator, built from the replication's noise stream, so
-its draws do not depend on the other members.  Those generators are
-equally seeded, so a stage-1 run shares one noise stream among them:
-each round makes one standard-normal draw whose rows are the noise of
-every noisy member's clients in turn, each member reading what it would
-draw run alone.
+kinds fit all of a chunk's single-client problems in one ``fit_admm``
+call; a k or T sweep starts its federations from those fits, and a
+privacy heatmap fits its starts in one more call.  A T sweep fits every
+world's federation in one ``fit_federated`` call.  A K sweep fits the
+federations of each replication's first k clients, for every k of its
+grid, in one stacked ``stage1_run`` call, and a privacy heatmap each
+replication's noise-free cell and all its (eps, delta) cells in
+another; each member keeps its own generator, built from its
+replication's noise stream, so its draws do not depend on the other
+members.  A replication's generators are equally seeded, so a stage-1
+run shares one noise stream among them: each round makes one
+standard-normal draw whose rows are the noise of every noisy member's
+clients in turn, each member reading what it would draw run alone.
+Distinct replications' streams stay distinct.
 """
 
 from __future__ import annotations
@@ -270,17 +275,25 @@ def _draw_single_client_curve(cfg, rep):
     return [_draw_world(cfg, rep, 1, max(cfg.t_grid))]
 
 
-def _fit_single_client_curve(cfg, rep, worlds, panels):
-    (world,), ((panel,),) = worlds, panels
-    full = var.lag_design(panel)
-    decomps = fit_single(cfg, [_row_prefix(full, t) for t in cfg.t_grid])
-    recs = []
-    for t_len, dec in zip(cfg.t_grid, decomps):
-        errs = _fit_errors([dec], world.a0, world.deltas)
-        for part in ("ak", "a0", "delta"):
-            recs.append({"rep": rep, "t_len": t_len, "metric": f"{part}_err",
-                         "value": errs[part][0]})
-    return recs
+def _per_rep(items, n):
+    """Consecutive slices of ``n`` items, one per replication of a chunk."""
+    return [items[i : i + n] for i in range(0, len(items), n)]
+
+
+def _fit_single_client_curve(cfg, chunk):
+    """Every sample size of every replication in one stacked ADMM call."""
+    fulls = [var.lag_design(panel) for _, _, ((panel,),) in chunk]
+    decomps = fit_single(cfg, [_row_prefix(full, t) for full in fulls for t in cfg.t_grid])
+    out = []
+    for (rep, (world,), _), fits in zip(chunk, _per_rep(decomps, len(cfg.t_grid))):
+        recs = []
+        for t_len, dec in zip(cfg.t_grid, fits):
+            errs = _fit_errors([dec], world.a0, world.deltas)
+            for part in ("ak", "a0", "delta"):
+                recs.append({"rep": rep, "t_len": t_len, "metric": f"{part}_err",
+                             "value": errs[part][0]})
+        out.append(recs)
+    return out
 
 
 def _draw_rank_table(cfg, rep):
@@ -288,56 +301,54 @@ def _draw_rank_table(cfg, rep):
     return [_draw_world(cfg, rep, 1, max(cfg.t_grid), rank=r) for r in cfg.rank_grid]
 
 
-def _fit_rank_table(cfg, rep, worlds, panels):
-    fulls = [var.lag_design(pn) for (pn,) in panels]
+def _fit_rank_table(cfg, chunk):
+    """Every (true rank, T) cell of every replication in one stacked ADMM
+    call."""
+    fulls = [var.lag_design(pn) for _, _, panels in chunk for (pn,) in panels]
     cells = [(r, t) for r in cfg.rank_grid for t in cfg.t_grid]
-    designs = [_row_prefix(full, t) for full in fulls for t in cfg.t_grid]
-    recs = []
-    for (true_rank, t_len), dec in zip(cells, fit_single(cfg, designs)):
-        picked = rank_select.client_rank(dec.a0, t_len)
-        base = {"rep": rep, "true_rank": true_rank, "t_len": t_len}
-        recs.append({**base, "metric": "selected_rank", "value": picked})
-        recs.append({**base, "metric": "correct", "value": int(picked == true_rank)})
-    return recs
+    decomps = fit_single(cfg, [_row_prefix(full, t) for full in fulls for t in cfg.t_grid])
+    out = []
+    for (rep, _, _), fits in zip(chunk, _per_rep(decomps, len(cells))):
+        recs = []
+        for (true_rank, t_len), dec in zip(cells, fits):
+            picked = rank_select.client_rank(dec.a0, t_len)
+            base = {"rep": rep, "true_rank": true_rank, "t_len": t_len}
+            recs.append({**base, "metric": "selected_rank", "value": picked})
+            recs.append({**base, "metric": "correct", "value": int(picked == true_rank)})
+        out.append(recs)
+    return out
 
 
 def _draw_privacy_heatmap(cfg, rep):
     return [_draw_world(cfg, rep, cfg.n_clients, cfg.t_len)]
 
 
-def _fit_privacy_heatmap(cfg, rep, worlds, panels):
+def _fit_privacy_heatmap(cfg, chunk):
     """A noise-free cell, then one cell per (delta, eps) pair of the grids
-    under cfg.noise_mode, fitted in one stacked stage-1 call; every cell
-    shares the world and the start, and draws from its own generator on
-    the replication's noise stream."""
-    (world,), (client_panels,) = worlds, panels
-    designs = [var.lag_design(pn) for pn in client_panels]
-    (base,) = fed_config(cfg, [designs])
-    deltas_grid = cfg.delta_grid or (cfg.delta,)
-
-    cells = [("none", None, None, replace(base, noise=NoisePolicy.none(), budget=None))]
-    for dl in deltas_grid:
-        for eps in cfg.eps_grid:
-            cells.append((cfg.noise_mode, eps, dl, _with_privacy(base, cfg, eps, dl)))
-
+    under cfg.noise_mode, every cell of every replication fitted in one
+    stacked stage-1 call; a replication's cells share its world and its
+    start, and each draws from its own generator on the replication's
+    noise stream."""
+    design_sets = [[var.lag_design(pn) for pn in client_panels]
+                   for _, _, (client_panels,) in chunk]
+    grid = [(eps, dl) for dl in (cfg.delta_grid or (cfg.delta,)) for eps in cfg.eps_grid]
+    cells = [("none", "", "")] + [(cfg.noise_mode, eps, dl) for eps, dl in grid]
+    members, fcfgs = [], []
+    for designs, base in zip(design_sets, fed_config(cfg, design_sets)):
+        members += [designs] * len(cells)
+        fcfgs.append(replace(base, noise=NoisePolicy.none(), budget=None))
+        fcfgs += [_with_privacy(base, cfg, eps, dl) for eps, dl in grid]
     a0_hats, _ = fed_core.stage1_run(
-        [designs] * len(cells),
-        [fcfg for _, _, _, fcfg in cells],
-        [_noise_rng(cfg.seed, rep) for _ in cells],
+        members, fcfgs, [_noise_rng(cfg.seed, rep) for rep, _, _ in chunk for _ in cells]
     )
-    recs = []
-    for (mode, eps, dl, _), a0_hat in zip(cells, a0_hats):
-        recs.append(
-            {
-                "rep": rep,
-                "noise": mode,
-                "eps": "" if eps is None else eps,
-                "delta": "" if dl is None else dl,
-                "metric": "a0_err",
-                "value": float(np.linalg.norm(a0_hat - world.a0)),
-            }
-        )
-    return recs
+    out = []
+    for (rep, (world,), _), hats in zip(chunk, _per_rep(a0_hats, len(cells))):
+        out.append([
+            {"rep": rep, "noise": mode, "eps": eps, "delta": dl, "metric": "a0_err",
+             "value": float(np.linalg.norm(a0_hat - world.a0))}
+            for (mode, eps, dl), a0_hat in zip(cells, hats)
+        ])
+    return out
 
 
 def _fit_errors(decomps, a0, deltas):
@@ -353,27 +364,34 @@ def _draw_k_sweep(cfg, rep):
     return [_draw_world(cfg, rep, max(cfg.k_grid), cfg.t_len)]
 
 
-def _fit_k_sweep(cfg, rep, worlds, panels):
-    (world,), (client_panels,) = worlds, panels
-    designs = [var.lag_design(pn) for pn in client_panels]
-    fits = fit_single(cfg, designs)
-    singles = _fit_errors(fits, world.a0, world.deltas)
-
-    design_sets = [designs[:k] for k in cfg.k_grid]
+def _fit_k_sweep(cfg, chunk):
+    """Every client of every replication in one stacked ADMM call, and
+    every replication's federations of its first k clients, for every k
+    of the grid, in one stacked stage-1 call."""
+    clients = [[var.lag_design(pn) for pn in client_panels]
+               for _, _, (client_panels,) in chunk]
+    flat = [ds for designs in clients for ds in designs]
+    fits = fit_single(cfg, flat)
+    design_sets = [designs[:k] for designs in clients for k in cfg.k_grid]
     a0_hats, _ = fed_core.stage1_run(
         design_sets,
-        fed_config(cfg, design_sets, zip(designs, fits)),
-        [_noise_rng(cfg.seed, rep) for _ in design_sets],
+        fed_config(cfg, design_sets, zip(flat, fits)),
+        [_noise_rng(cfg.seed, rep) for rep, _, _ in chunk for _ in cfg.k_grid],
     )
-    recs = []
-    for k, a0_hat in zip(cfg.k_grid, a0_hats):
-        fed_err = float(np.linalg.norm(a0_hat - world.a0))
-        single_mean = float(np.mean(singles["a0"][:k]))
-        base = {"rep": rep, "n_clients": k}
-        recs.append({**base, "metric": "fed_a0_err", "value": fed_err})
-        recs.append({**base, "metric": "single_a0_err_mean", "value": single_mean})
-        recs.append({**base, "metric": "benefit_a0", "value": single_mean - fed_err})
-    return recs
+    out = []
+    per_rep = zip(chunk, _per_rep(fits, max(cfg.k_grid)), _per_rep(a0_hats, len(cfg.k_grid)))
+    for (rep, (world,), _), rep_fits, hats in per_rep:
+        singles = _fit_errors(rep_fits, world.a0, world.deltas)
+        recs = []
+        for k, a0_hat in zip(cfg.k_grid, hats):
+            fed_err = float(np.linalg.norm(a0_hat - world.a0))
+            single_mean = float(np.mean(singles["a0"][:k]))
+            base = {"rep": rep, "n_clients": k}
+            recs.append({**base, "metric": "fed_a0_err", "value": fed_err})
+            recs.append({**base, "metric": "single_a0_err_mean", "value": single_mean})
+            recs.append({**base, "metric": "benefit_a0", "value": single_mean - fed_err})
+        out.append(recs)
+    return out
 
 
 def _draw_t_sweep(cfg, rep):
@@ -382,40 +400,45 @@ def _draw_t_sweep(cfg, rep):
     return [_draw_world(cfg, rep, cfg.n_clients, t) for t in cfg.t_grid]
 
 
-def _fit_t_sweep(cfg, rep, worlds, panels):
-    """Every world's single-client fits are one stacked ADMM call, which
-    also gives each federation its start.  The worlds' federations are
-    one ``fit_federated`` call, each on its own generator from the
-    replication's noise stream."""
-    design_sets = [[var.lag_design(pn) for pn in client_panels] for client_panels in panels]
+def _fit_t_sweep(cfg, chunk):
+    """Every world's single-client fits, over every replication, are one
+    stacked ADMM call, which also gives each federation its start.  The
+    worlds' federations are one ``fit_federated`` call, each on its own
+    generator from its replication's noise stream."""
+    design_sets = [[var.lag_design(pn) for pn in client_panels]
+                   for _, _, panels in chunk for client_panels in panels]
     flat = [ds for designs in design_sets for ds in designs]
     single_fits = fit_single(cfg, flat)
     fed_fits, _ = fed_core.fit_federated(
         design_sets,
         fed_config(cfg, design_sets, zip(flat, single_fits)),
         [[refine_penalty(cfg, ds) for ds in designs] for designs in design_sets],
-        [_noise_rng(cfg.seed, rep) for _ in design_sets],
+        [_noise_rng(cfg.seed, rep) for rep, worlds, _ in chunk for _ in worlds],
     )
-    k = cfg.n_clients
-
-    recs = []
-    for i, (t_len, world, fitted) in enumerate(zip(cfg.t_grid, worlds, fed_fits)):
-        singles = _fit_errors(single_fits[i * k : (i + 1) * k], world.a0, world.deltas)
-        fed = _fit_errors(fitted, world.a0, world.deltas)
-        fed_a0, fed_ak = fed["a0"][0], float(np.mean(fed["ak"]))
-        base = {"rep": rep, "t_len": t_len}
-        for metric, value in (
-            ("fed_a0_err", fed_a0),
-            ("fed_delta_err_mean", float(np.mean(fed["delta"]))),
-            ("fed_ak_err_mean", fed_ak),
-            ("single_a0_err_mean", float(np.mean(singles["a0"]))),
-            ("single_delta_err_mean", float(np.mean(singles["delta"]))),
-            ("single_ak_err_mean", float(np.mean(singles["ak"]))),
-            ("benefit_a0", float(np.mean(singles["a0"])) - fed_a0),
-            ("benefit_ak", float(np.mean(singles["ak"])) - fed_ak),
-        ):
-            recs.append({**base, "metric": metric, "value": value})
-    return recs
+    k, n_worlds = cfg.n_clients, len(cfg.t_grid)
+    out = []
+    for (rep, worlds, _), rep_singles, rep_feds in zip(
+        chunk, _per_rep(single_fits, n_worlds * k), _per_rep(fed_fits, n_worlds)
+    ):
+        recs = []
+        for i, (t_len, world, fitted) in enumerate(zip(cfg.t_grid, worlds, rep_feds)):
+            singles = _fit_errors(rep_singles[i * k : (i + 1) * k], world.a0, world.deltas)
+            fed = _fit_errors(fitted, world.a0, world.deltas)
+            fed_a0, fed_ak = fed["a0"][0], float(np.mean(fed["ak"]))
+            base = {"rep": rep, "t_len": t_len}
+            for metric, value in (
+                ("fed_a0_err", fed_a0),
+                ("fed_delta_err_mean", float(np.mean(fed["delta"]))),
+                ("fed_ak_err_mean", fed_ak),
+                ("single_a0_err_mean", float(np.mean(singles["a0"]))),
+                ("single_delta_err_mean", float(np.mean(singles["delta"]))),
+                ("single_ak_err_mean", float(np.mean(singles["ak"]))),
+                ("benefit_a0", float(np.mean(singles["a0"])) - fed_a0),
+                ("benefit_ak", float(np.mean(singles["ak"])) - fed_ak),
+            ):
+                recs.append({**base, "metric": metric, "value": value})
+        out.append(recs)
+    return out
 
 
 def empirical_rmsfe(cfg, designs, rep):
@@ -518,9 +541,12 @@ def _rep_empirical(cfg, rep):
 
 class Simulation(NamedTuple):
     """A simulation kind's replication in two steps.  ``draw(cfg, rep)``
-    returns the replication's worlds, drawn on its own world generator;
-    ``fit(cfg, rep, worlds, panels)`` returns its records, given each
-    world's list of client panels."""
+    returns the replication's worlds, drawn on its own world generator.
+    ``fit(cfg, chunk)`` takes a chunk of replications, a list of (rep,
+    worlds, panels) with each world's list of client panels, and returns
+    each replication's records in chunk order; it fits the whole chunk in
+    the solver stacks one replication would use, so a replication's
+    records are bitwise those of its one-element chunk."""
 
     draw: Callable
     fit: Callable
@@ -579,10 +605,10 @@ def _run_dir(cfg):
     return path
 
 
-def _guarded(cfg, rep, step, *args):
-    """step(cfg, rep, *args), or None, logged, if it raises."""
+def _guarded(cfg, rep, step):
+    """step(), or None, logged as replication rep's abort, if it raises."""
     try:
-        return step(cfg, rep, *args)
+        return step()
     except Exception:
         log.exception("replication %d of seed %d aborted", rep, cfg.seed)
         return None
@@ -592,21 +618,31 @@ def _run_simulation(cfg, sim):
     """Every replication's records, or None for one that aborted, in
     replication order.  Replications are drawn one after another and
     gathered into chunks of at most CHUNK_BYTES of paths; each chunk's
-    worlds are simulated in one ``var.simulate_paths`` call, its
-    replications fitted in order, and its paths released before the next
-    chunk is simulated.  A draw or fit that raises aborts its replication
-    alone."""
+    worlds are simulated in one ``var.simulate_paths`` call, the chunk is
+    fitted in one ``sim.fit`` call, and its paths are released before the
+    next chunk is simulated.  A draw that raises aborts its replication
+    alone.  So does a fit: when a chunk's fit raises, its replications are
+    fitted again one by one, and only those that raise alone abort, each
+    with its own log line.  Warnings the failed stacked fit gave may then
+    repeat."""
     results = [None] * cfg.reps
 
     def run(chunk):
         panels = iter(_simulate_worlds(cfg, [w for _, worlds in chunk for w in worlds]))
-        for rep, worlds in chunk:
-            mine = [next(panels) for _ in worlds]
-            results[rep] = _guarded(cfg, rep, sim.fit, worlds, mine)
+        items = [(rep, worlds, [next(panels) for _ in worlds]) for rep, worlds in chunk]
+        if len(items) > 1:
+            try:
+                for (rep, _, _), recs in zip(items, sim.fit(cfg, items), strict=True):
+                    results[rep] = recs
+                return
+            except Exception:
+                pass  # refit one by one below, so a failure aborts its replication alone
+        for item in items:
+            results[item[0]] = _guarded(cfg, item[0], lambda: sim.fit(cfg, [item])[0])
 
     chunk = []
     for rep in range(cfg.reps):
-        worlds = _guarded(cfg, rep, sim.draw)
+        worlds = _guarded(cfg, rep, lambda: sim.draw(cfg, rep))
         if worlds is None:
             continue
         if chunk and _path_bytes(cfg, [w for _, ws in chunk for w in ws] + worlds) > CHUNK_BYTES:
@@ -624,9 +660,9 @@ def run_experiment(cfg, run_dir=None):
     (see ``ExperimentConfig``), so no value outside its range reaches a
     replication.
 
-    Replications run one after another in the calling thread, their
-    worlds simulated a chunk at a time (see ``_run_simulation``), and
-    their records are emitted in replication order. A replication whose
+    Replications run in the calling thread, simulated and fitted a chunk
+    at a time (see ``_run_simulation``), and their records are emitted in
+    replication order. A replication whose
     draw or fit raises is logged and skipped; the run fails once more than 1% of
     replications abort.  An empirical run has one replication, whose
     errors propagate: a missing or mismatched panel, or an n_origins too

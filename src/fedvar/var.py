@@ -406,13 +406,18 @@ def simulate(a, p, t_len, rng, burn_in=200):
 
 
 def lag_design(panel):
-    """Stack lagged regressors: row t of x is [y_{t-1}, ..., y_{t-p}]."""
+    """Stack lagged regressors: row t of x is [y_{t-1}, ..., y_{t-p}].
+
+    y is the panel's observations themselves, not a copy, when they are
+    C-ordered (a C-ordered copy otherwise), so it aliases the panel; the
+    statistics are bitwise those of a copy.
+    """
     p, t_len = panel.p, panel.t_len
     if p < 1:
         raise ValueError("panel needs a presample of at least one row")
     full = np.vstack([panel.presample, panel.observations])
     cols = [full[p - j : p - j + t_len] for j in range(1, p + 1)]
-    return LagDesign(x=np.hstack(cols), y=panel.observations.copy())
+    return LagDesign(x=np.hstack(cols), y=np.ascontiguousarray(panel.observations))
 
 
 def forecast_one_step(a, recent):

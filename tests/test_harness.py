@@ -64,7 +64,7 @@ def record_replications(monkeypatch, kind):
     stub_simulation(
         monkeypatch, kind,
         lambda cfg, rep: calls.append(rep) or [],
-        lambda cfg, rep, worlds, panels: calls.append(rep) or [],
+        lambda cfg, chunk: [calls.append(rep) or [] for rep, _, _ in chunk],
     )
     return calls
 
@@ -492,9 +492,12 @@ class TestRunExperiment:
             calls.append((threading.get_ident(), "draw", rep))
             return []
 
-        def fit(cfg, rep, worlds, panels):
-            calls.append((threading.get_ident(), "fit", rep))
-            return [{"rep": rep, "t_len": 60, "metric": "ak_err", "value": 1.0}]
+        def fit(cfg, chunk):
+            out = []
+            for rep, _, _ in chunk:
+                calls.append((threading.get_ident(), "fit", rep))
+                out.append([{"rep": rep, "t_len": 60, "metric": "ak_err", "value": 1.0}])
+            return out
 
         stub_simulation(monkeypatch, "single_client_curve", draw, fit)
         res = run_experiment(
@@ -510,7 +513,7 @@ class TestRunExperiment:
             raise RuntimeError("boom")
 
         stub_simulation(
-            monkeypatch, "single_client_curve", explode, lambda cfg, rep, w, p: []
+            monkeypatch, "single_client_curve", explode, lambda cfg, chunk: [[] for _ in chunk]
         )
         with pytest.raises(RuntimeError, match="aborted"):
             run_experiment(
@@ -518,10 +521,13 @@ class TestRunExperiment:
             )
 
     def test_rare_abort_is_tolerated_and_counted(self, tmp_path, monkeypatch):
-        def fit(cfg, rep, worlds, panels):
-            if rep == 7:
+        # the 200 replications draw no paths, so they make one chunk; its
+        # fit raises, and only replication 7 raises again on its own
+        def fit(cfg, chunk):
+            if any(rep == 7 for rep, _, _ in chunk):
                 raise RuntimeError("boom")
-            return [{"rep": rep, "t_len": 60, "metric": "ak_err", "value": 1.0}]
+            return [[{"rep": rep, "t_len": 60, "metric": "ak_err", "value": 1.0}]
+                    for rep, _, _ in chunk]
 
         stub_simulation(monkeypatch, "single_client_curve", lambda cfg, rep: [], fit)
         res = run_experiment(
@@ -597,6 +603,20 @@ def count_stacks(monkeypatch):
     return calls
 
 
+def count_solver_calls(monkeypatch):
+    """Count the single_client.fit_admm and fed_core.stage1_run calls."""
+    calls = {"fit_admm": 0, "stage1_run": 0}
+    for module, name in ((single_client, "fit_admm"), (fed_core, "stage1_run")):
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestChunks:
     """Replications' worlds are simulated in chunks of at most
     CHUNK_BYTES of paths."""
@@ -606,6 +626,7 @@ class TestChunks:
         cfg = chunked_config(kind, tmp_path)
         rep_bytes = experiments._path_bytes(cfg, experiments.SIMULATIONS[kind].draw(cfg, 0))
         stacks = count_stacks(monkeypatch)
+        solvers = count_solver_calls(monkeypatch)
         runs = {}
         # every replication in one chunk, two to a chunk, each on its own
         for name, budget in (("one", 3 * rep_bytes), ("two", 2 * rep_bytes), ("each", 1)):
@@ -613,6 +634,10 @@ class TestChunks:
             runs[name] = run_experiment(cfg, run_dir=str(tmp_path / name)).records
         per_rep = stacks[0] // 3
         assert stacks == [3 * per_rep, 2 * per_rep, per_rep, per_rep, per_rep, per_rep]
+        # each of the six chunks is fitted in one ADMM stack, and a
+        # multi-client kind's federations in one stage-1 stack
+        stage1 = 0 if kind in ("single_client_curve", "rank_table") else 6
+        assert solvers == {"fit_admm": 6, "stage1_run": stage1}
         assert runs["one"] == runs["two"] == runs["each"]
         assert {r["rep"] for r in runs["one"]} == {0, 1, 2}
         solo = run_experiment(replace(cfg, reps=1), run_dir=str(tmp_path / "solo")).records
@@ -622,16 +647,18 @@ class TestChunks:
     def test_every_client_gets_its_own_path(self, kind, tmp_path, monkeypatch):
         cfg = chunked_config(kind, tmp_path)
         sim = experiments.SIMULATIONS[kind]
-        seen = {}
+        seen, fits = {}, []
 
-        def keep(cfg, rep, worlds, panels):
-            seen[rep] = panels
-            return []
+        def keep(cfg, chunk):
+            fits.append([rep for rep, _, _ in chunk])
+            seen.update((rep, panels) for rep, _, panels in chunk)
+            return [[] for _ in chunk]
 
         stub_simulation(monkeypatch, kind, sim.draw, keep)
         stacks = count_stacks(monkeypatch)
         run_experiment(cfg, run_dir=str(tmp_path / "run"))
-        assert len(stacks) == 1 and sorted(seen) == [0, 1, 2]
+        # one chunk: one stack of paths and one fit of every replication
+        assert len(stacks) == 1 and fits == [[0, 1, 2]]
         # a world drawn again, its clients simulated one by one in order
         for rep, panels in seen.items():
             worlds = sim.draw(cfg, rep)
@@ -663,14 +690,46 @@ class TestChunks:
         cfg = chunked_config("rank_table", tmp_path)
         sim = experiments.SIMULATIONS["rank_table"]
         want = experiments._run_simulation(cfg, sim)
+        calls = []
 
-        def fit(cfg, rep, worlds, panels):
-            if rep == 0:
+        def fit(cfg, chunk):
+            calls.append([rep for rep, _, _ in chunk])
+            if any(rep == 0 for rep, _, _ in chunk):
                 raise RuntimeError("boom")
-            return sim.fit(cfg, rep, worlds, panels)
+            return sim.fit(cfg, chunk)
 
         got = experiments._run_simulation(cfg, experiments.Simulation(sim.draw, fit))
+        # the chunk's fit raises, so its replications are fitted one by one
+        assert calls == [[0, 1, 2], [0], [1], [2]]
         assert got == [None, want[1], want[2]]
+
+    def test_solver_failure_in_a_stacked_fit_aborts_its_replication_alone(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # replication 1's panels are scaled past float64's square, so its
+        # lag designs raise: the chunk's stacked fit fails, and on their
+        # own replications 0 and 2 fit as in a clean run
+        cfg = chunked_config("k_sweep", tmp_path)
+        sim = experiments.SIMULATIONS["k_sweep"]
+        want = experiments._run_simulation(cfg, sim)
+        real, calls = experiments._simulate_worlds, []
+
+        def poisoned(cfg, worlds):
+            panels = real(cfg, worlds)
+            panels[1] = [var.TimeSeriesPanel(pn.presample, pn.observations * 1e200)
+                         for pn in panels[1]]
+            return panels
+
+        def fit(cfg, chunk):
+            calls.append([rep for rep, _, _ in chunk])
+            return sim.fit(cfg, chunk)
+
+        monkeypatch.setattr(experiments, "_simulate_worlds", poisoned)
+        got = experiments._run_simulation(cfg, experiments.Simulation(sim.draw, fit))
+        assert calls == [[0, 1, 2], [0], [1], [2]]
+        assert got == [want[0], None, want[2]]
+        aborts = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert aborts == ["replication 1 of seed 6 aborted"]
 
     def test_prefix_design_is_bitwise_a_separately_simulated_world(self):
         # rank_table's T=400 design is a row prefix of its T=1600 world
