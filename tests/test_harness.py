@@ -1317,13 +1317,16 @@ class TestCli:
             ({"kind": "t_sweep", "panels": 5}, "panels must be a list, got 5"),
             # 0 once released the non-private start from a calibrated run
             ({"kind": "t_sweep", "rho_scale": 0}, "rho_scale must lie in (0, 1), got 0"),
+            # a step past the stability bound: 1.5 once wrote a fed_a0_err
+            # of 1e23 with exit 0
+            ({"kind": "k_sweep", "rho_scale": 1.5}, "rho_scale must lie in (0, 1), got 1.5"),
             ({"kind": "k_sweep", "d": 20, "p": 52},
              "p * d = 1040 exceeds the SVD cap 1024"),
         ],
         ids=["rank", "rank_grid_0", "rank_grid_6", "t_grid", "k_grid",
              "target_radius_1", "target_radius_0", "ratio", "q", "s_q", "lam_scale",
              "omega_scale", "zeta", "rho_scale", "varpi_scale", "out_dir", "t_grid_scalar",
-             "panels", "rho_scale_0", "svd_cap"],
+             "panels", "rho_scale_0", "rho_scale_1_5", "svd_cap"],
     )
     def test_bad_rank_or_grid_exits_one_before_any_replication(
         self, doc, message, tmp_path, capsys, monkeypatch
@@ -1338,21 +1341,8 @@ class TestCli:
         assert calls == []
         assert os.listdir(tmp_path) == ["cfg.json"]
 
-    def test_step_past_the_stability_bound_exits_one_before_any_replication(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # 1.5 once wrote a fed_a0_err of 1e23 with exit 0
-        monkeypatch.chdir(tmp_path)
-        calls = record_replications(monkeypatch, "k_sweep")
-        (tmp_path / "cfg.json").write_text(
-            json.dumps({"kind": "k_sweep", "seed": 3, "reps": 2, "rho_scale": 1.5})
-        )
-        assert cli.main(["simulate", "k_sweep", "--config", "cfg.json"]) == 1
-        assert "rho_scale must lie in (0, 1), got 1.5" in capsys.readouterr().err
-        assert calls == []
-        assert os.listdir(tmp_path) == ["cfg.json"]
-
     def test_step_inside_the_stability_bound_runs(self, tmp_path, capsys, monkeypatch):
+        # the sweep that diverged at rho_scale 1.5 converges just inside
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(
             json.dumps({"kind": "k_sweep", "seed": 3, "reps": 2, "rho_scale": 0.99})
