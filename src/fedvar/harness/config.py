@@ -118,11 +118,13 @@ CONTRACT = {
     "lam_scale": (float, "[0, inf)", False),
     "omega_scale": (float, "[0, inf)", False),
     "zeta": (float, "(0, inf)", True),
-    # stage 1's step is rho_scale / lambda_max(S), S the pooled Gram matrix
-    # sum_k T_k sxx_k / sum_k T_k; the pooled quadratic's gradient is
-    # 2 lambda_max(S)-Lipschitz, so a gradient step shrinks it only below
-    # 2 / (2 lambda_max(S)), that is rho_scale < 1: 1.5 diverged to errors
-    # of 1e23 with exit 0.  0 would release the non-private start
+    # stage 1 steps by rho_scale / lambda_max(S), S the pooled Gram matrix
+    # sum_k T_k sxx_k / sum_k T_k.  The pooled quadratic's Hessian is 2 S,
+    # so its gradient is 2 lambda_max(S)-Lipschitz, and a gradient step
+    # contracts along every direction only below 2 / (2 lambda_max(S)):
+    # rho_scale < 1.  A tangent step moves within a subspace, where the
+    # same bound holds.  At 1.5 a k_sweep diverged to errors of 1e23 with
+    # exit 0; 0 would release the non-private start
     "rho_scale": (float, "(0, 1)", False),
     "varpi_scale": (float, "[0, inf)", False),
     "rounds": (int, "[1, inf)", True),
