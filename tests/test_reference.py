@@ -1,4 +1,5 @@
-"""Every simulation kind's raw.csv against its checked-in reference.
+"""Every simulation kind's raw.csv, and fedvar fit's rmsfe.csv and
+estimates, against their checked-in references.
 
 The references in tests/reference/ are rewritten by reference_runs.py; a
 change that moves an output must rewrite them, so the move shows in the
@@ -14,7 +15,15 @@ import pytest
 
 from fedvar import fed_core, single_client
 
-from reference_runs import REFERENCE_RUNS, reference_path, run_reference
+from reference_runs import (
+    FIT_OUTPUTS,
+    FIT_RUNS,
+    REFERENCE_RUNS,
+    fit_reference_path,
+    reference_path,
+    run_fit_reference,
+    run_reference,
+)
 
 # The bound of a float cell, relative to its reference, with the same
 # bound as an absolute floor for a cell near zero (a benefit is the
@@ -30,7 +39,10 @@ from reference_runs import REFERENCE_RUNS, reference_path, run_reference
 # (T_MAX + ITERS * PD) u = 5e-12; a factor 100 covers the conditioning of
 # the statistics and LAPACK's own SVD error.  The bound sits far below
 # the smallest change this test is meant to catch, a noise scale moved by
-# 1e-6 relative.  A rounding change can still flip a stop rule by one
+# 1e-6 relative.  The fit references' cells, an RMSFE or an estimate
+# entry, are covered too: their panels are at most 44 rows of pd = 4, and
+# a fit chains at most an ADMM start, the rounds of 86 rows and the
+# refinement's cap, or the l1-only baseline's cap of 500.  A rounding change can still flip a stop rule by one
 # iteration, which no bound of this kind covers: the references are then
 # rewritten and their diff read.
 _U = 2.0**-53
@@ -65,14 +77,13 @@ def _rows(text):
     return list(csv.reader(io.StringIO(text)))
 
 
-@pytest.mark.parametrize(("kind", "noise_mode"), REFERENCE_RUNS,
-                         ids=[f"{k}-{m}" for k, m in REFERENCE_RUNS])
-def test_raw_csv_matches_reference(kind, noise_mode, tmp_path):
-    with open(reference_path(kind, noise_mode), encoding="utf-8", newline="") as fh:
+def _assert_matches(got_text, path, value_column):
+    """got_text's CSV rows against the reference file at path, whose last
+    column, value_column, holds the values and whose others label them."""
+    with open(path, encoding="utf-8", newline="") as fh:
         want = _rows(fh.read())
-    got = _rows(run_reference(kind, noise_mode, str(tmp_path / "run")))
-    # every kind's last column is its value, the others label it
-    assert got[0] == want[0] and want[0][-1] == "value"
+    got = _rows(got_text)
+    assert got[0] == want[0] and want[0][-1] == value_column
     assert len(got) == len(want), f"{len(got) - 1} records, the reference has {len(want) - 1}"
     moved = []
     for line, (g, w) in enumerate(zip(got[1:], want[1:]), start=2):
@@ -83,3 +94,18 @@ def test_raw_csv_matches_reference(kind, noise_mode, tmp_path):
     worst = "; ".join(f"line {line}: {g} against {w}, {gap:.3g} relative"
                       for gap, line, g, w in sorted(moved, reverse=True)[:5])
     assert not moved, f"{len(moved)} cells outside the bound {REL_BOUND:.3g}; worst: {worst}"
+
+
+@pytest.mark.parametrize(("kind", "noise_mode"), REFERENCE_RUNS,
+                         ids=[f"{k}-{m}" for k, m in REFERENCE_RUNS])
+def test_raw_csv_matches_reference(kind, noise_mode, tmp_path):
+    got = run_reference(kind, noise_mode, str(tmp_path / "run"))
+    _assert_matches(got, reference_path(kind, noise_mode), "value")
+
+
+@pytest.mark.parametrize("noise_mode", FIT_RUNS)
+def test_fit_outputs_match_reference(noise_mode, tmp_path):
+    got = run_fit_reference(noise_mode, str(tmp_path))
+    assert sorted(got) == sorted(FIT_OUTPUTS)
+    _assert_matches(got["rmsfe"], fit_reference_path(noise_mode, "rmsfe"), "rmsfe")
+    _assert_matches(got["estimates"], fit_reference_path(noise_mode, "estimates"), "value")
