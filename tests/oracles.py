@@ -243,6 +243,26 @@ def stage1_full_svd(designs, rank, rounds, step_rho, init_a0):
     return a0
 
 
+def pooled_rrr(designs, rank):
+    """The rank-``rank`` minimizer of the pooled loss sum_k w_k L_k(A),
+    w_k = T_k / sum_j T_j, in closed form: reduced-rank regression.
+
+    The pooled loss is tr(A S A') - 2 tr(A C') + const with S = sum_k w_k
+    sxx_k and C = sum_k w_k sxy_k', that is ||A S^1/2 - C S^-1/2||_F^2 +
+    const, so its minimizer is [C S^-1/2]_r S^-1/2, [.]_r the best rank-r
+    part (Izenman, J. Multivariate Anal. 1975).  Returns it, the singular
+    values of C S^-1/2 (descending) and the eigenvalues of S (ascending).
+    """
+    sizes = np.array([dsn.t_len for dsn in designs], dtype=np.float64)
+    weights = sizes / sizes.sum()
+    s = sum(w * dsn.sxx for w, dsn in zip(weights, designs))
+    c = sum(w * dsn.sxy.T for w, dsn in zip(weights, designs))
+    evals, q = np.linalg.eigh(s)
+    inv_root = (q / np.sqrt(evals)) @ q.T
+    u, sv, vt = np.linalg.svd(c @ inv_root)
+    return (u[:, :rank] * sv[:rank]) @ vt[:rank] @ inv_root, sv, evals
+
+
 def admm_raw(x, y, lam, omega, rho, iters, relax):
     """Scaled-dual ADMM for the nuclear + l1 regression, built from the
     raw design with a dense solve and an explicit SVD, for a fixed number

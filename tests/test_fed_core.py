@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedvar import dp, fed_core, matops, var
+from fedvar.harness import ExperimentConfig, experiments
 from fedvar.fed_core import (
     FedConfig,
     FistaState,
@@ -24,6 +25,7 @@ from oracles import (
     numerical_gradient,
     oracle_instance,
     plain_fista,
+    pooled_rrr,
     raw_loss,
     restart_fista,
     stage1_full_svd,
@@ -791,6 +793,79 @@ class TestStageOne:
         cfg = FedConfig(rank=1, rounds=1, step_rho=0.1, init_a0=np.zeros((5, 5)))
         with pytest.raises(ValueError, match="shape"):
             stage1_run([designs + [other[0]]], [cfg], [np.random.default_rng(0)])
+
+
+def _stage1_worlds(seed):
+    """(label, designs, noise-free harness FedConfig) of each federation of
+    replication 0 of a T sweep, a K sweep and a privacy heatmap at the
+    default sizes, plus the K sweep's ten clients cut to row prefixes of
+    400, 370, ..., 130 rows, so that the sample-size weights differ."""
+    out = []
+    for kind, draw in (("t_sweep", experiments._draw_t_sweep),
+                       ("k_sweep", experiments._draw_k_sweep),
+                       ("privacy_heatmap", experiments._draw_privacy_heatmap)):
+        noise = "fixed_scale" if kind == "privacy_heatmap" else "none"
+        cfg = ExperimentConfig(kind=kind, seed=seed, reps=1, noise_mode=noise)
+        worlds = draw(cfg, 0)
+        sets = [[var.lag_design(pn) for pn in client_panels]
+                for client_panels in experiments._simulate_worlds(cfg, worlds)]
+        if kind == "k_sweep":
+            clients = sets[0]
+            sets = [clients[:k] for k in cfg.k_grid]
+            sets.append([var.LagDesign(x=ds.x[:t], y=ds.y[:t])
+                         for ds, t in zip(clients, range(400, 100, -30))])
+        for designs, fcfg in zip(sets, experiments.fed_config(cfg, sets)):
+            fcfg = replace(fcfg, noise=dp.NoisePolicy.none(), budget=None)
+            sizes = sorted({ds.t_len for ds in designs})
+            t_lens = "-".join(str(t) for t in sizes[:: len(sizes) - 1 or 1])
+            out.append((f"{kind} K={len(designs)} T={t_lens}", designs, fcfg))
+    return out
+
+
+class TestStageOneLimit:
+    def test_noise_free_rounds_reach_pooled_reduced_rank_regression(self):
+        # Noise-free stage 1 is gradient descent on the pooled loss over
+        # the rank-r matrices, with the harness step rho = rho_scale /
+        # lambda_max(S), S the pooled Gram matrix; its limit is the closed
+        # form oracles.pooled_rrr, which shares only the pooled statistics
+        # with it.  Each federation runs 16 times its harness rounds, N,
+        # and once N - 1 rounds, all in one stack.
+        #
+        # The bound.  Near the limit a round is a gradient step on a
+        # quadratic of Hessian 2 S, kept on the tangent space: it contracts
+        # by at most 1 - 2 rho lambda_min(S), as 2 rho lambda_max(S) =
+        # 2 rho_scale <= 1.  The manifold's curvature there, the normal
+        # part of the gradient (of size s_{r+1}, the (r+1)-th singular value
+        # of C S^-1/2) against the limit's r-th singular value (s_r), slows
+        # it by the relative eigengap 1 - s_{r+1} / s_r, so the local rate
+        # is q = 1 - 2 rho lambda_min(S) (1 - s_{r+1} / s_r).  An iterate
+        # of a q-contraction lies within q / (1 - q) times its last step
+        # of the fixed point.  Rounding adds a floor: sums of pd terms, the
+        # inverse square root of S (condition number kappa) and the rank-r
+        # truncation (amplified by s_1 / (s_r - s_{r+1}), Wedin's bound)
+        # give 100 pd kappa s_1 / (s_r - s_{r+1}) u relative, the factor
+        # 100 as in test_reference.py.  A world that converges slowly
+        # shows a small eigengap or a large kappa in the printed line.
+        u = 2.0**-53
+        worlds = _stage1_worlds(seed=3)
+        cfgs = [replace(fcfg, rounds=16 * fcfg.rounds - last)
+                for _, _, fcfg in worlds for last in (1, 0)]
+        outs, _ = stage1_run([designs for _, designs, _ in worlds for _ in (1, 0)],
+                             cfgs, [np.random.default_rng(0)] * len(cfgs))
+        for (label, designs, fcfg), before, after in zip(worlds, outs[::2], outs[1::2]):
+            want, sv, evals = pooled_rrr(designs, fcfg.rank)
+            r, scale = fcfg.rank, np.linalg.norm(want)
+            gap = (sv[r - 1] - sv[r]) / sv[r - 1]
+            q = 1.0 - 2.0 * fcfg.step_rho * evals[0] * gap
+            kappa = evals[-1] / evals[0]
+            floor = 100 * designs[0].pd * kappa * (sv[0] / (sv[r - 1] - sv[r])) * u
+            step = np.linalg.norm(after - before) / scale
+            bound = q / (1.0 - q) * step + floor
+            dist = np.linalg.norm(after - want) / scale
+            print(f"{label}: {16 * fcfg.rounds} rounds, distance {dist:.2e}, "
+                  f"bound {bound:.2e}; eigengap s_r - s_r+1 = {sv[r - 1] - sv[r]:.3g} "
+                  f"({gap:.3f} of s_r), kappa(S) {kappa:.0f}, rate {q:.4f}")
+            assert dist <= bound, label
 
 
 class TestFitFederated:
