@@ -22,14 +22,14 @@ clients, start, step, noise, generator and number of rounds) in one
 lockstep loop: a round takes every (member, client) gradient in one
 batched product and makes one tangent step over the members still
 running, a member leaves the stack once its rounds are run, and its
-result is bitwise that of its one-member call.  Noisy members whose
-generators hold equal seed sequences share one noise stream: only the
-first of them, and any that runs more rounds than those before it,
-spawns round generators, and each round draws one standard-normal block
-for all of them, from which every client of every such member takes its
-row.  The harness fits the cells of a privacy heatmap, and the client
-counts of a K sweep, in one call each; their members are equally seeded,
-so each such call draws its noise once per round.
+result is bitwise that of its one-member call.  Members given one
+generator object share its noise stream: the object spawns its round
+generators once, and each round draws one standard-normal block, from
+which every client of every such member takes its row.  Distinct objects
+are distinct streams, whatever their seeds.  The harness fits the cells
+of a privacy heatmap, and the client counts of a K sweep, in one call
+each, with one generator object per replication, so each such call
+draws a replication's noise once per round.
 
 Stage II refines each client's sparse deviation by accelerated proximal
 gradient (FISTA) around a frozen shared estimate.  ``refine_fista`` is
@@ -216,55 +216,16 @@ def _check_members(design_sets, cfgs, rngs):
     return d, pd, sigmas, np.stack(inits)
 
 
-def _entropy_key(entropy):
-    """A seed sequence's entropy, an int or a (nested) sequence of ints,
-    as a flat tuple of ints; equal tuples seed equal sequences."""
-    if np.iterable(entropy):
-        return tuple(v for e in entropy for v in _entropy_key(e))
-    return (int(entropy),)
-
-
 def _noise_streams(rngs, cfgs, sigmas, sizes):
-    """The noise streams of stage 1's noisy members, each a list of round
-    generators, the largest client count among each stream's members, and
-    each member's stream index (None for a noise-free member).
-
-    Members are taken in order, and each one's key is read just before it
-    would spawn: the bit generator's type, its seed sequence's entropy,
-    spawn key, pool size and children spawned so far, counting those of
-    the rounds it shared earlier in the call.  The first member of a key
-    spawns its R round generators from its own generator, as its
-    one-member call would, and so does a later member of the key that runs
-    more rounds: its children begin with those already spawned.  Any other
-    member of the key shares the stream and is not spawned from, but the
-    rounds it shared still count, so one generator object passed for
-    several members gives them sequential children.
-    """
-    streams, widths, stream_of, first, shared = [], [], [], {}, {}
+    """The noise stream of each generator object given to a noisy member,
+    keyed by the object's id: the round generators it spawns, as many as
+    its longest noisy member runs, and the client count of its widest."""
+    streams = {}
     for rng, cfg, sigma, size in zip(rngs, cfgs, sigmas, sizes):
-        if sigma == 0:
-            stream_of.append(None)
-            continue
-        bit_gen = rng.bit_generator
-        seq = bit_gen.seed_seq
-        key = (type(bit_gen), _entropy_key(seq.entropy), seq.spawn_key,
-               seq.pool_size, seq.n_children_spawned + shared.get(id(seq), 0))
-        j = first.get(key)
-        if j is not None and cfg.rounds <= len(streams[j]):
-            shared[id(seq)] = shared.get(id(seq), 0) + cfg.rounds
-        else:
-            if id(seq) in shared:
-                seq.spawn(shared.pop(id(seq)))  # skip the children it shared
-            gens = rng.spawn(cfg.rounds)
-            if j is None:
-                first[key] = j = len(streams)
-                streams.append(gens)
-                widths.append(size)
-            else:
-                streams[j] = gens
-        widths[j] = max(widths[j], size)
-        stream_of.append(j)
-    return streams, widths, stream_of
+        if sigma > 0:
+            _, rounds, width = streams.get(id(rng), (rng, 0, 0))
+            streams[id(rng)] = (rng, max(rounds, cfg.rounds), max(width, size))
+    return {key: (rng.spawn(rounds), width) for key, (rng, rounds, width) in streams.items()}
 
 
 def stage1_run(design_sets, cfgs, rngs):
@@ -298,19 +259,19 @@ def stage1_run(design_sets, cfgs, rngs):
     the member's number of clients, and client k's noise is sigma times
     row k: bitwise the K (d, pd) draws its clients would make from child
     n in client order.  ``add_gaussian_noise`` is still called once per
-    (member, client, round).  Noisy members whose generators hold equal
-    seed sequences, by bit generator type, entropy, spawn key, pool size
-    and children spawned, read just before each would spawn, share one
-    set of round generators and one block per round, as wide as their
-    largest member.  The first of them spawns, and so does a later one
-    that runs more rounds; any other is not spawned from, which is the one
-    side effect a caller can see.  The call counts the children a shared
-    member would have spawned, so one generator object passed for several
-    members still gives them sequential children.  A noise-free member
-    spawns nothing and reads no draw.  A member's estimate and trace are
-    therefore bitwise those of its one-member call, and a run of n rounds
-    equals n chained one-round runs on the same generators, each with a
-    per-round budget of (eps/n, delta/n).
+    (member, client, round).  Members given the same generator object
+    share its stream: the object calls ``spawn`` once, for as many round
+    generators as the longest of its noisy members runs, and each round
+    draws one block as wide as the widest of them, so one object passed
+    for several members gives them shared noise (``var.simulate_paths``,
+    by contrast, has paths on one object draw from it in turn).  Distinct
+    objects are distinct streams, whatever their seeds, so N members that
+    need independent noise take N generators of distinct seeds.  A
+    noise-free member spawns nothing and reads no draw.  A member's
+    estimate and trace are therefore bitwise those of its one-member call
+    on a generator in the state rngs[c] had at the call, and a run of n
+    rounds equals n chained one-round runs on the same generators, each
+    with a per-round budget of (eps/n, delta/n).
     """
     cfgs, rngs = list(cfgs), list(rngs)
     design_sets = [list(designs) for designs in design_sets]
@@ -328,7 +289,7 @@ def stage1_run(design_sets, cfgs, rngs):
         sxy_t[c, : sizes[c]] = [ds.sxy.T for ds in designs]
     rho = np.array([cfg.step_rho for cfg in cfgs])
     rounds = np.array([cfg.rounds for cfg in cfgs])
-    streams, widths, stream_of = _noise_streams(rngs, cfgs, sigmas, sizes)
+    streams = _noise_streams(rngs, cfgs, sigmas, sizes)
     quiet = [None] * n_clients  # a noise-free member's clients read no draw
 
     a0s, factors = svd_truncate(inits, cfgs[0].rank)
@@ -357,14 +318,14 @@ def stage1_run(design_sets, cfgs, rngs):
         # one standard-normal block per stream still running, as wide as
         # its largest member: client k's noise is row k, bitwise its own
         # (d, pd) draw in client order
-        blocks = [
-            gens[n].standard_normal((width, d, pd)) if n < len(gens) else None
-            for gens, width in zip(streams, widths)
-        ]
+        blocks = {
+            key: gens[n].standard_normal((width, d, pd))
+            for key, (gens, width) in streams.items() if n < len(gens)
+        }
         noisy = np.empty_like(grads)
         for j, c in enumerate(live.tolist()):
             sigma = sigmas[c]
-            z = blocks[stream_of[c]] if sigma > 0 else quiet
+            z = blocks[id(rngs[c])] if sigma > 0 else quiet
             for k in range(sizes[c]):
                 noisy[j, k] = add_gaussian_noise(grads[j, k], sigma, z[k])
             noisy[j, sizes[c] :] = 0.0  # padding: no noise, and zero weight
@@ -484,7 +445,8 @@ def fit_federated(design_sets, fed_cfgs, varpis, rngs):
     refinement penalties varpis[c] (one per client) and the generator
     rngs[c].
 
-    Stage I is one ``stage1_run`` call over the members; stage II refines
+    Stage I is one ``stage1_run`` call over the members, so members given
+    one generator object share its noise stream; stage II refines
     every (member, client) deviation around its member's estimate in one
     ``refine_fista`` call, capped at _REFINE_ITERS iterations.  Returns,
     per member, one decomposition per client, each holding the member's

@@ -45,13 +45,13 @@ world's federation in one ``fit_federated`` call.  A K sweep fits the
 federations of each replication's first k clients, for every k of its
 grid, in one stacked ``stage1_run`` call, and a privacy heatmap each
 replication's noise-free cell and all its (eps, delta) cells in
-another; each member keeps its own generator, built from its
-replication's noise stream, so its draws do not depend on the other
-members.  A replication's generators are equally seeded, so a stage-1
-run shares one noise stream among them: each round makes one
-standard-normal draw whose rows are the noise of every noisy member's
-clients in turn, each member reading what it would draw run alone.
-Distinct replications' streams stay distinct.
+another.  Every member of a replication is given that replication's one
+noise generator object, so a stage-1 run shares one stream among them:
+each round makes one standard-normal draw whose rows are the noise of
+every noisy member's clients in turn, each member reading what it would
+draw run alone on a fresh generator of the stream.  Distinct
+replications' generators are distinct objects of distinct seeds, so
+their streams stay distinct.
 """
 
 from __future__ import annotations
@@ -326,9 +326,9 @@ def _draw_privacy_heatmap(cfg, rep):
 def _fit_privacy_heatmap(cfg, chunk):
     """A noise-free cell, then one cell per (delta, eps) pair of the grids
     under cfg.noise_mode, every cell of every replication fitted in one
-    stacked stage-1 call; a replication's cells share its world and its
-    start, and each draws from its own generator on the replication's
-    noise stream."""
+    stacked stage-1 call; a replication's cells share its world, its
+    start and its one noise generator object, so each noisy cell reads
+    the noise it would draw run alone."""
     design_sets = [[var.lag_design(pn) for pn in client_panels]
                    for _, _, (client_panels,) in chunk]
     grid = [(eps, dl) for dl in (cfg.delta_grid or (cfg.delta,)) for eps in cfg.eps_grid]
@@ -339,7 +339,8 @@ def _fit_privacy_heatmap(cfg, chunk):
         fcfgs.append(replace(base, noise=NoisePolicy.none(), budget=None))
         fcfgs += [_with_privacy(base, cfg, eps, dl) for eps, dl in grid]
     a0_hats, _ = fed_core.stage1_run(
-        members, fcfgs, [_noise_rng(cfg.seed, rep) for rep, _, _ in chunk for _ in cells]
+        members, fcfgs,
+        [g for rep, _, _ in chunk for g in [_noise_rng(cfg.seed, rep)] * len(cells)],
     )
     out = []
     for (rep, (world,), _), hats in zip(chunk, _per_rep(a0_hats, len(cells))):
@@ -367,7 +368,8 @@ def _draw_k_sweep(cfg, rep):
 def _fit_k_sweep(cfg, chunk):
     """Every client of every replication in one stacked ADMM call, and
     every replication's federations of its first k clients, for every k
-    of the grid, in one stacked stage-1 call."""
+    of the grid, in one stacked stage-1 call, each replication's on its
+    one noise generator object."""
     clients = [[var.lag_design(pn) for pn in client_panels]
                for _, _, (client_panels,) in chunk]
     flat = [ds for designs in clients for ds in designs]
@@ -376,7 +378,7 @@ def _fit_k_sweep(cfg, chunk):
     a0_hats, _ = fed_core.stage1_run(
         design_sets,
         fed_config(cfg, design_sets, zip(flat, fits)),
-        [_noise_rng(cfg.seed, rep) for rep, _, _ in chunk for _ in cfg.k_grid],
+        [g for rep, _, _ in chunk for g in [_noise_rng(cfg.seed, rep)] * len(cfg.k_grid)],
     )
     out = []
     per_rep = zip(chunk, _per_rep(fits, max(cfg.k_grid)), _per_rep(a0_hats, len(cfg.k_grid)))
@@ -403,8 +405,9 @@ def _draw_t_sweep(cfg, rep):
 def _fit_t_sweep(cfg, chunk):
     """Every world's single-client fits, over every replication, are one
     stacked ADMM call, which also gives each federation its start.  The
-    worlds' federations are one ``fit_federated`` call, each on its own
-    generator from its replication's noise stream."""
+    worlds' federations are one ``fit_federated`` call; a replication's
+    worlds share its one noise generator object, so each reads the noise
+    it would draw run alone."""
     design_sets = [[var.lag_design(pn) for pn in client_panels]
                    for _, _, panels in chunk for client_panels in panels]
     flat = [ds for designs in design_sets for ds in designs]
@@ -413,7 +416,7 @@ def _fit_t_sweep(cfg, chunk):
         design_sets,
         fed_config(cfg, design_sets, zip(flat, single_fits)),
         [[refine_penalty(cfg, ds) for ds in designs] for designs in design_sets],
-        [_noise_rng(cfg.seed, rep) for rep, worlds, _ in chunk for _ in worlds],
+        [g for rep, worlds, _ in chunk for g in [_noise_rng(cfg.seed, rep)] * len(worlds)],
     )
     k, n_worlds = cfg.n_clients, len(cfg.t_grid)
     out = []

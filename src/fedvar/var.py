@@ -327,8 +327,10 @@ def simulate_paths(coefs, p, t_lens, rngs, burn_in=200):
         presample
     rngs : each path's numpy Generator.  Path i draws exactly
         (burn_in + p + t_lens[i]) standard normal innovation rows from
-        rngs[i], the paths in order, so paths that share a generator
+        rngs[i], the paths in order, so paths given one generator object
         draw from it in turn, as consecutive ``simulate`` calls would
+        (``fed_core.stage1_run``, by contrast, has members on one object
+        share its draws)
     burn_in : discarded initial steps before the presample
 
     Every step is one stacked matrix-vector product per lag, its terms

@@ -47,10 +47,9 @@ REFERENCE_RUNS = (
     ("t_sweep", "calibrated"),
 )
 
-# fedvar fit's noise modes, and the outputs each fit reference holds; a
-# calibrated fit's origins are distinct noise streams
+# fedvar fit's noise modes; a calibrated fit's origins are distinct noise
+# streams
 FIT_RUNS = ("none", "calibrated")
-FIT_OUTPUTS = ("rmsfe", "estimates")
 
 
 def reference_config(kind, noise_mode):
@@ -86,9 +85,9 @@ def _estimates_text(path):
 
 
 def run_fit_reference(noise_mode, work):
-    """The texts of each FIT_OUTPUTS entry that ``fedvar fit`` writes on
-    the two reference panels under noise_mode, run in the directory
-    work."""
+    """The rmsfe.csv text and the estimates.npz dump that ``fedvar fit``
+    writes on the two reference panels under noise_mode, keyed "rmsfe"
+    and "estimates", run in the directory work."""
     rng = np.random.default_rng(1)
     a0, deltas = var.assemble_dgp(4, 1, 1, 2, rng, ratio=5.0)
     panels = []

@@ -636,9 +636,9 @@ class TestStageOne:
             )
         assert np.array_equal(outs[2], fed_core.svd_truncate(a0, 2)[0])
 
-    def test_equally_seeded_members_share_one_spawn_and_one_draw_per_round(self):
+    def test_members_on_one_generator_share_one_spawn_and_one_draw_per_round(self):
         # the k_sweep shape: members of 2, 3, 4 and 4 clients with their own
-        # round counts, each on its own generator of one seed
+        # round counts, all given one generator object
         a0, _, _, designs = make_world(seed=31, k=4, ratio=None)
         budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
         base = FedConfig(rank=2, rounds=3, step_rho=0.05, init_a0=a0,
@@ -651,16 +651,12 @@ class TestStageOne:
             replace(base, rounds=4, step_rho=0.08),
         ]
         log = []
-        spy = spy_generator(log)
-        rngs = [spy(np.random.PCG64(11)) for _ in sets]
-        outs, traces = stage1_run(sets, cfgs, rngs)
-        # a member spawns only when it runs more rounds than those before
-        # it, and the last member, of 4 rounds, is not spawned from
-        assert [e for e in log if e[0] == "spawn"] == [
-            ("spawn", (), 3), ("spawn", (), 5), ("spawn", (), 6)
-        ]
-        assert [g.bit_generator.seed_seq.n_children_spawned for g in rngs] == [3, 5, 6, 0]
-        # one draw per round, child n's, covering the largest member's clients
+        rng = spy_generator(log)(np.random.PCG64(11))
+        outs, traces = stage1_run(sets, cfgs, [rng] * len(sets))
+        # one spawn, for the longest member's 6 rounds
+        assert [e for e in log if e[0] == "spawn"] == [("spawn", (), 6)]
+        assert rng.bit_generator.seed_seq.n_children_spawned == 6
+        # one draw per round, child n's, covering the widest member's clients
         assert [e for e in log if e[0] == "draw"] == [
             ("draw", (n,), (4,) + a0.shape) for n in range(6)
         ]
@@ -671,49 +667,61 @@ class TestStageOne:
             assert out.tobytes() == want.tobytes()
             assert trace == want_trace
 
-    def test_one_generator_for_two_members_gives_sequential_children(self):
+    def test_one_generator_for_two_members_shares_its_stream(self):
         designs, cfgs = self._members()
         first, second = cfgs[1], replace(cfgs[3], rounds=4)
         rng = np.random.default_rng(12)
         outs, traces = stage1_run([designs] * 2, [first, second], [rng, rng])
-        assert rng.bit_generator.seed_seq.n_children_spawned == 7 + 4
-        # solo runs on one generator, the second after the first's spawn
-        solo = np.random.default_rng(12)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 7
+        # both members draw from the children 0.. of one spawn, as each
+        # would on a fresh generator of the seed
         for cfg, out, trace in zip((first, second), outs, traces):
-            (want,), (want_trace,) = stage1_run([designs], [cfg], [solo])
+            (want,), (want_trace,) = stage1_run(
+                [designs], [cfg], [np.random.default_rng(12)]
+            )
             assert out.tobytes() == want.tobytes()
             assert trace == want_trace
-        (fresh,), _ = stage1_run([designs], [second], [np.random.default_rng(12)])
-        assert not np.array_equal(outs[1], fresh)
+        # not the children after the first member's, as a second call on
+        # the same generator would give
+        after = np.random.default_rng(12)
+        after.spawn(7)
+        (later,), _ = stage1_run([designs], [second], [after])
+        assert not np.array_equal(outs[1], later)
 
-    def test_generator_that_shared_then_spawns_skips_the_shared_children(self):
-        # g first shares A's stream, then spawns for a member of its own:
-        # that member gets g's children 7.., as on a g spawned for both
+    def test_equally_seeded_generators_are_distinct_streams(self):
+        # two objects of one seed: each spawns its own round generators and
+        # draws its own blocks, so they share nothing but their seed
         designs, cfgs = self._members()
-        first, again = cfgs[1], replace(cfgs[3], rounds=4)
+        first, second = cfgs[1], replace(cfgs[3], rounds=4)
         log = []
         spy = spy_generator(log)
-        a, g = spy(np.random.PCG64(12)), spy(np.random.PCG64(12))
-        outs, traces = stage1_run([designs] * 3, [first, first, again], [a, g, g])
+        a, b = spy(np.random.PCG64(12)), spy(np.random.PCG64(12))
+        outs, traces = stage1_run([designs] * 2, [first, second], [a, b])
         assert [e for e in log if e[0] == "spawn"] == [("spawn", (), 7), ("spawn", (), 4)]
-        assert g.bit_generator.seed_seq.n_children_spawned == 7 + 4
-        solo = np.random.default_rng(12)
-        wants = [stage1_run([designs], [first], [np.random.default_rng(12)])]
-        wants += [stage1_run([designs], [cfg], [solo]) for cfg in (first, again)]
-        for out, trace, ((want,), (want_trace,)) in zip(outs, traces, wants):
+        assert [g.bit_generator.seed_seq.n_children_spawned for g in (a, b)] == [7, 4]
+        # rounds 0-3 draw a block from each object's child, rounds 4-6 from
+        # a's alone
+        shape = (len(designs),) + first.init_a0.shape
+        assert [e for e in log if e[0] == "draw"] == [
+            ("draw", (n,), shape) for n in range(7) for _ in range(2 if n < 4 else 1)
+        ]
+        for cfg, out, trace in zip((first, second), outs, traces):
+            (want,), (want_trace,) = stage1_run(
+                [designs], [cfg], [np.random.default_rng(12)]
+            )
             assert out.tobytes() == want.tobytes()
             assert trace == want_trace
-        assert not np.array_equal(outs[2], outs[1])
 
     def test_stream_block_is_as_wide_as_its_widest_member(self):
-        # a wider noise-free member, or a wider member of another stream,
-        # does not widen a stream's draw
+        # a wider noise-free member on the same generator object, or a
+        # wider member of another stream, does not widen a stream's draw
         designs, cfgs = self._members()
         sets = [designs[:2], designs, designs[:3]]
         members = [cfgs[1], cfgs[0], cfgs[3]]
         log = []
         spy = spy_generator(log)
-        rngs = [spy(np.random.PCG64(s)) for s in (13, 13, 14)]
+        shared = spy(np.random.PCG64(13))
+        rngs = [shared, shared, spy(np.random.PCG64(14))]
         outs, traces = stage1_run(sets, members, rngs)
         shape = cfgs[0].init_a0.shape
         draws = [e for e in log if e[0] == "draw"]
@@ -726,9 +734,10 @@ class TestStageOne:
             assert out.tobytes() == want.tobytes()
             assert trace == want_trace
 
-    def test_list_and_array_seeds_share_one_stream(self):
-        # a list or uint32 array entropy is not hashable; an equal one
-        # seeds an equal stream, a different one its own
+    def test_list_and_array_seeds_need_no_hashing(self):
+        # a list or uint32 array entropy is not hashable; streams are keyed
+        # by the generator object, so no seed is read: each object is one
+        # stream, and a member given an object already in the call shares it
         designs, cfgs = self._members()
         entropies = ([3, 1, 4], np.array([3, 1, 4], dtype=np.uint32), [3, 1, 5])
         log = []
@@ -737,11 +746,11 @@ class TestStageOne:
         for g in rngs:
             with pytest.raises(TypeError):
                 hash(g.bit_generator.seed_seq.entropy)
-        noisy = [cfgs[1], cfgs[2], cfgs[3]]
-        outs, traces = stage1_run([designs] * 3, noisy, rngs)
-        draws = [e for e in log if e[0] == "draw"]
-        assert len(draws) == 2 * 7  # one per round for each of two streams
-        for e, cfg, out, trace in zip(entropies, noisy, outs, traces):
+        noisy = [cfgs[1], cfgs[2], cfgs[3], cfgs[3]]
+        outs, traces = stage1_run([designs] * 4, noisy, rngs + [rngs[0]])
+        assert [e for e in log if e[0] == "spawn"] == [("spawn", (), 7)] * 3
+        assert len([e for e in log if e[0] == "draw"]) == 3 * 7  # one per stream and round
+        for e, cfg, out, trace in zip(entropies + entropies[:1], noisy, outs, traces):
             (want,), (want_trace,) = stage1_run(
                 [designs], [cfg], [np.random.default_rng(e)]
             )

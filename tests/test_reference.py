@@ -16,7 +16,6 @@ import pytest
 from fedvar import fed_core, single_client
 
 from reference_runs import (
-    FIT_OUTPUTS,
     FIT_RUNS,
     REFERENCE_RUNS,
     fit_reference_path,
@@ -106,6 +105,5 @@ def test_raw_csv_matches_reference(kind, noise_mode, tmp_path):
 @pytest.mark.parametrize("noise_mode", FIT_RUNS)
 def test_fit_outputs_match_reference(noise_mode, tmp_path):
     got = run_fit_reference(noise_mode, str(tmp_path))
-    assert sorted(got) == sorted(FIT_OUTPUTS)
     _assert_matches(got["rmsfe"], fit_reference_path(noise_mode, "rmsfe"), "rmsfe")
     _assert_matches(got["estimates"], fit_reference_path(noise_mode, "estimates"), "value")
