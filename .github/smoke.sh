@@ -25,6 +25,11 @@ first=$(fedvar simulate privacy_heatmap --seed 1 --reps 1 --noise-mode calibrate
 again=$(fedvar simulate privacy_heatmap --seed 1 --reps 1 --noise-mode calibrated --out sim)
 cmp "$first/raw.csv" "$again/raw.csv"
 echo "ok: simulate privacy_heatmap, calibrated, twice to one raw.csv"
+# the CLI's fixed flag maps to the fixed_scale mode the privacy_sweep
+# benchmark runs, which labels the noisy cells
+fixed=$(fedvar simulate privacy_heatmap --seed 1 --reps 1 --noise-mode fixed --out sim)
+grep -q ",fixed_scale," "$fixed/raw.csv"
+echo "ok: simulate privacy_heatmap, fixed"
 
 # two panels of 42 and 44 rows, and an empirical config over them
 python - <<'EOF'

@@ -7,7 +7,7 @@ procedure for the shared component with local FISTA refinement, rank
 selection, and an experiment harness.
 """
 
-from .dp import NoisePolicy, PrivacyBudget, gaussian_sigma
+from .dp import NoisePolicy, gaussian_sigma
 from .fed_core import (
     FedConfig,
     FitReport,
@@ -43,7 +43,6 @@ __all__ = [
     "FitReport",
     "LagDesign",
     "NoisePolicy",
-    "PrivacyBudget",
     "TimeSeriesPanel",
     "assemble_dgp",
     "client_rank",

@@ -22,7 +22,9 @@ clients, start, step, noise, generator and number of rounds) in one
 lockstep loop: a round takes every (member, client) gradient in one
 batched product and makes one tangent step over the members still
 running, a member leaves the stack once its rounds are run, and its
-result is bitwise that of its one-member call.  Members given one
+result is bitwise that of its one-member call.  A member's noise is one
+``dp.NoisePolicy``, its (epsilon, delta) included, and a step at or past
+1 / lambda_max of its pooled Gram matrix is refused.  Members given one
 generator object share its noise stream: the object spawns its round
 generators once, and each round draws one standard-normal block, from
 which every client of every such member takes its row.  Distinct objects
@@ -81,9 +83,9 @@ class FedConfig:
     """Controls for the shared-component gradient rounds.
 
     init_a0 is the start, truncated to rank r before the first round;
-    ``harness.fed_config`` builds it from the largest client.  A noisy
-    run needs a budget; a calibrated one is spent evenly over the
-    ``rounds`` rounds run.
+    ``harness.fed_config`` builds it from the largest client.  ``noise``
+    holds the run's (epsilon, delta), which a calibrated policy spends
+    evenly over the ``rounds`` rounds run.
     """
 
     rank: int
@@ -91,7 +93,6 @@ class FedConfig:
     step_rho: float
     init_a0: np.ndarray
     noise: NoisePolicy = field(default_factory=NoisePolicy.none)
-    budget: object = None
 
     def __post_init__(self):
         if self.rank < 1:
@@ -171,6 +172,16 @@ def sample_size_weights(designs):
     return tuple(sizes / sizes.sum())
 
 
+def pooled_operator_norm(designs):
+    """Top eigenvalue of the pooled Gram sum_k T_k sxx_k / sum_k T_k, if > 0."""
+    total = sum(ds.t_len for ds in designs)
+    gram = sum(ds.t_len * ds.sxx for ds in designs) / total
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    if top <= 0:
+        raise ValueError("degenerate designs: zero pooled Gram matrix")
+    return top
+
+
 def _check_rank(rank, d, pd):
     if not 1 <= rank <= min(d, pd):
         raise ValueError(f"rank {rank} outside [1, {min(d, pd)}]")
@@ -190,7 +201,8 @@ def initial_shared_estimate(designs, rank, admm_cfgs):
 def _check_members(design_sets, cfgs, rngs):
     """The (d, pd) shape of every member's clients, each member's sigma,
     and the checked (C, d, pd) stack of their starts ``init_a0``, after
-    the checks of one federation; the stack must share rank."""
+    the checks of one federation; the stack must share rank, and each
+    step lie inside the stability bound."""
     if not cfgs:
         raise ValueError("need at least one federation config")
     if len(rngs) != len(cfgs):
@@ -208,10 +220,14 @@ def _check_members(design_sets, cfgs, rngs):
             raise ValueError(f"member {c} has no clients")
         if cfg.rank != rank:
             raise ValueError(f"member {c} has rank {cfg.rank}, member 0 has rank {rank}")
-        sigmas.append(round_sigma(cfg.noise, cfg.budget, cfg.rounds))
         init = check_matrix(cfg.init_a0, "init_a0")
         if init.shape != (d, pd):
             raise ValueError(f"init_a0 shape {init.shape}, expected ({d}, {pd})")
+        bound = 1.0 / pooled_operator_norm(designs)
+        if cfg.step_rho >= bound:
+            raise ValueError(f"member {c}: step_rho {cfg.step_rho} is at or past "
+                             f"the stability bound 1 / lambda_max(S) = {bound}")
+        sigmas.append(round_sigma(cfg.noise, cfg.rounds))
         inits.append(init)
     return d, pd, sigmas, np.stack(inits)
 
@@ -237,21 +253,24 @@ def stage1_run(design_sets, cfgs, rngs):
 
     Every client is of one (d, pd) shape and the members share rank; they
     may differ in their clients' designs, number of clients, start, step,
-    noise, budget and number of rounds.  A member of fewer clients than
-    the largest is padded with zero-weight clients of zero data, which
-    draw no noise and add zero to its sum; its trace holds its own
-    clients' gradient norms only.  A
-    calibrated member spends its budget (eps, delta) evenly over the R
-    rounds it runs, (eps/R, delta/R) per round; a zero-round member draws
-    no noise and returns its truncated start.  The starts are truncated
-    to rank r once, all in one stacked ``matops.svd_truncate`` call.  A
-    round takes every (member, client) gradient in one batched product,
-    sums each member's noisy gradients with its own client weights in
-    client order, and makes one ``matops.tangent_step`` over the stack:
-    per member, one tangent projection of its aggregate and a factored
-    retraction of the rank-2r step.  A step that overflows is refused by
-    it with ValueError.  A member that has run its rounds leaves the
-    stack.
+    noise and number of rounds.  A member of fewer clients than the
+    largest is padded with zero-weight clients of zero data, which draw
+    no noise and add zero to its sum; its trace holds its own clients'
+    gradient norms only.  A calibrated member spends its policy's (eps,
+    delta) evenly over the R rounds it runs, (eps/R, delta/R) per round;
+    a zero-round member draws no noise and returns its truncated start.
+    The starts are truncated to rank r once, all in one stacked
+    ``matops.svd_truncate`` call.  A round takes every (member, client)
+    gradient in one batched product, sums each member's noisy gradients
+    with its own client weights in client order, and makes one
+    ``matops.tangent_step`` over the stack: per member, one tangent
+    projection of its aggregate and a factored retraction of the rank-2r
+    step.  A member that has run its rounds leaves the stack.  Before any
+    round, a member whose step_rho is at or past 1 / lambda_max(S), S the
+    pooled Gram matrix of its clients (``pooled_operator_norm``), is
+    refused with ValueError: the pooled loss has Hessian 2 S, so such a
+    step does not contract along S's top direction, which lies in the
+    tangent space.  A step that overflows is refused by ``tangent_step``.
 
     A noisy member spawns its R round generators from its rngs[c] in one
     ``spawn(R)`` call, which gives the children of R ``spawn(1)`` calls.
@@ -271,7 +290,7 @@ def stage1_run(design_sets, cfgs, rngs):
     estimate and trace are therefore bitwise those of its one-member call
     on a generator in the state rngs[c] had at the call, and a run of n
     rounds equals n chained one-round runs on the same generators, each
-    with a per-round budget of (eps/n, delta/n).
+    calibrated at (eps/n, delta/n).
     """
     cfgs, rngs = list(cfgs), list(rngs)
     design_sets = [list(designs) for designs in design_sets]

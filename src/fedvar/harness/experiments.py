@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .. import __version__, fed_core, metrics, rank_select, single_client, var
-from ..dp import NoisePolicy, PrivacyBudget
+from ..dp import NoisePolicy
 from ..matops import svd_truncate
 from .config import FORMAT_VERSION, config_hash
 from .panels import load_panels
@@ -135,16 +135,6 @@ def admm_config(design, cfg):
     )
 
 
-def _pooled_operator_norm(designs):
-    """Top eigenvalue of the pooled sum_k T_k sxx_k / sum_k T_k, if nonzero."""
-    total = sum(ds.t_len for ds in designs)
-    gram = sum(ds.t_len * ds.sxx for ds in designs) / total
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    if top <= 0:
-        raise ValueError("degenerate designs: zero pooled Gram matrix")
-    return top
-
-
 @dataclass(frozen=True)
 class World:
     """One drawn world before simulation: the shared part a0, one deviation
@@ -204,19 +194,13 @@ def _row_prefix(full, t):
     return full if t == full.t_len else var.LagDesign(x=full.x[:t], y=full.y[:t])
 
 
-def _with_privacy(fcfg, cfg, eps=None, delta=None):
-    """``fcfg`` with the config's noise mode at (eps, delta), which default
-    to the config's own eps and delta; the budget covers the whole run."""
-    if cfg.noise_mode == "none":
-        return replace(fcfg, noise=NoisePolicy.none(), budget=None)
-    eps = cfg.eps if eps is None else eps
-    delta = cfg.delta if delta is None else delta
-    budget = PrivacyBudget(epsilon=eps, delta=delta)
+def _noise_policy(cfg, eps, delta):
+    """The config's noise mode at (eps, delta), spent over the whole run."""
     if cfg.noise_mode == "fixed_scale":
-        noise = NoisePolicy.fixed(scale=cfg.kappa)
-    else:
-        noise = NoisePolicy.calibrated(sensitivity=cfg.sensitivity)
-    return replace(fcfg, noise=noise, budget=budget)
+        return NoisePolicy.fixed(eps, delta, scale=cfg.kappa)
+    if cfg.noise_mode == "calibrated":
+        return NoisePolicy.calibrated(cfg.sensitivity, eps, delta)
+    return NoisePolicy.none()
 
 
 def fed_config(cfg, design_sets, fitted=()):
@@ -250,11 +234,11 @@ def fed_config(cfg, design_sets, fitted=()):
         rounds = cfg.rounds
         if rounds is None:
             rounds = fed_core.default_rounds(sum(ds.t_len for ds in designs))
-        rho = cfg.rho_scale / _pooled_operator_norm(designs)
-        fcfg = fed_core.FedConfig(
-            rank=cfg.rank, rounds=rounds, step_rho=rho, init_a0=inits[id(big)]
-        )
-        fcfgs.append(_with_privacy(fcfg, cfg))
+        rho = cfg.rho_scale / fed_core.pooled_operator_norm(designs)
+        fcfgs.append(fed_core.FedConfig(
+            rank=cfg.rank, rounds=rounds, step_rho=rho, init_a0=inits[id(big)],
+            noise=_noise_policy(cfg, cfg.eps, cfg.delta),
+        ))
     return fcfgs
 
 
@@ -336,8 +320,8 @@ def _fit_privacy_heatmap(cfg, chunk):
     members, fcfgs = [], []
     for designs, base in zip(design_sets, fed_config(cfg, design_sets)):
         members += [designs] * len(cells)
-        fcfgs.append(replace(base, noise=NoisePolicy.none(), budget=None))
-        fcfgs += [_with_privacy(base, cfg, eps, dl) for eps, dl in grid]
+        fcfgs.append(replace(base, noise=NoisePolicy.none()))
+        fcfgs += [replace(base, noise=_noise_policy(cfg, eps, dl)) for eps, dl in grid]
     a0_hats, _ = fed_core.stage1_run(
         members, fcfgs,
         [g for rep, _, _ in chunk for g in [_noise_rng(cfg.seed, rep)] * len(cells)],

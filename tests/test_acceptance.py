@@ -19,7 +19,6 @@ from scipy.stats import binomtest
 from fedvar import fed_core, matops, single_client, var
 from fedvar.dp import (
     NoisePolicy,
-    PrivacyBudget,
     add_gaussian_noise,
     gaussian_sigma,
     round_sigma,
@@ -257,19 +256,17 @@ def test_structural_invariants(tmp_path):
         for dk in deltas
     ]
     rounds = 25
-    budget = PrivacyBudget(epsilon=2.0, delta=0.1)
     # every client has T=150, so the start is the first client's fit
     (start,) = fed_core.initial_shared_estimate(
         [designs[0]], 2, [single_client.default_admm_config(designs[0])]
     )
-    for policy in (NoisePolicy.none(), NoisePolicy.fixed(scale=0.5)):
+    for policy in (NoisePolicy.none(), NoisePolicy.fixed(2.0, 0.1, scale=0.5)):
         fcfg = fed_core.FedConfig(
             rank=2,
             rounds=rounds,
-            step_rho=0.05,
+            step_rho=0.02,  # lambda_max of the pooled Gram matrix is 26.1
             init_a0=start,
             noise=policy,
-            budget=budget if policy.mode != "none" else None,
         )
         iterate = start
         for _ in range(rounds):

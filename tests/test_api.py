@@ -9,7 +9,7 @@ from fedvar.harness import ExperimentConfig, experiments
 ENTRY_POINTS = {
     "TimeSeriesPanel", "LagDesign", "CoefDecomposition", "lag_design", "simulate",
     "assemble_dgp", "forecast_one_step",
-    "NoisePolicy", "PrivacyBudget", "gaussian_sigma",
+    "NoisePolicy", "gaussian_sigma",
     "FedConfig", "FitReport", "fit_federated", "stage1_run",
     "refine_fista", "initial_shared_estimate", "default_rounds", "default_eta",
     "AdmmConfig", "fit_admm", "fit_baseline", "default_admm_config",

@@ -45,62 +45,60 @@ class TestGaussianSigma:
 
 
 class TestBudgetAndPolicy:
-    def test_split_example(self):
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
-        assert dp.split_budget(budget, 10) == (0.2, pytest.approx(0.01))
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            dp.PrivacyBudget(epsilon=-1.0, delta=0.1)
-        with pytest.raises(ValueError):
-            dp.PrivacyBudget(epsilon=1.0, delta=1.5)
-
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_non_finite_parameters_rejected(self, bad):
-        # NaN passes a "<= 0" check, and an infinite epsilon or an infinite
-        # sensitivity would calibrate no noise or infinite noise
-        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-            dp.PrivacyBudget(epsilon=bad, delta=0.1)
-        with pytest.raises(ValueError, match="delta"):
-            dp.PrivacyBudget(epsilon=1.0, delta=bad)
-        with pytest.raises(ValueError, match="positive finite sensitivity"):
-            dp.NoisePolicy.calibrated(bad)
-        with pytest.raises(ValueError, match="positive finite scale"):
-            dp.NoisePolicy.fixed(bad)
+    @pytest.mark.parametrize(
+        "mode, eps, delta, match",
+        [
+            # NaN passes a "<= 0" check, and an infinite epsilon would
+            # calibrate no noise
+            ("fixed_scale", 0.0, 0.1, "epsilon must be positive and finite"),
+            ("calibrated", -1.0, 0.1, "epsilon must be positive and finite"),
+            ("fixed_scale", math.inf, 0.1, "epsilon must be positive and finite"),
+            ("calibrated", math.nan, 0.1, "epsilon must be positive and finite"),
+            ("fixed_scale", 1.0, 0.0, r"delta must lie in \(0, 1\)"),
+            ("calibrated", 1.0, 1.0, r"delta must lie in \(0, 1\)"),
+            ("fixed_scale", 1.0, 1.5, r"delta must lie in \(0, 1\)"),
+            ("calibrated", 1.0, math.inf, r"delta must lie in \(0, 1\)"),
+            ("fixed_scale", 1.0, math.nan, r"delta must lie in \(0, 1\)"),
+            ("fixed_scale", None, 0.1, "needs an epsilon and a delta"),
+            ("calibrated", 1.0, None, "needs an epsilon and a delta"),
+            ("calibrated", None, None, "needs an epsilon and a delta"),
+            ("none", 1.0, None, "takes no epsilon or delta"),
+            ("none", None, 0.1, "takes no epsilon or delta"),
+        ],
+    )
+    def test_privacy_parameters_validated(self, mode, eps, delta, match):
+        with pytest.raises(ValueError, match=match):
+            dp.NoisePolicy(mode=mode, epsilon=eps, delta=delta, sensitivity=1.0)
 
     def test_round_sigma_none(self):
-        assert dp.round_sigma(dp.NoisePolicy.none(), None, 10) == 0.0
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
-        assert dp.round_sigma(dp.NoisePolicy.none(), budget, 10) == 0.0
+        assert dp.round_sigma(dp.NoisePolicy.none(), 10) == 0.0
 
     def test_round_sigma_fixed_scale_uses_full_budget(self):
         # kappa=0.1 at (eps, delta) = (0.2, 0.05): 0.1*sqrt(2 ln 25)/0.2
-        budget = dp.PrivacyBudget(epsilon=0.2, delta=0.05)
-        got = dp.round_sigma(dp.NoisePolicy.fixed(scale=0.1), budget, 50)
+        policy = dp.NoisePolicy.fixed(0.2, 0.05, scale=0.1)
+        got = dp.round_sigma(policy, 50)
         assert got == pytest.approx(1.2686362411795196, abs=1e-12)
         # unchanged by the round count
-        assert dp.round_sigma(dp.NoisePolicy.fixed(scale=0.1), budget, 1) == got
+        assert dp.round_sigma(policy, 1) == got
 
     def test_round_sigma_calibrated_splits_budget(self):
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
-        got = dp.round_sigma(dp.NoisePolicy.calibrated(sensitivity=1.0), budget, 10)
+        got = dp.round_sigma(dp.NoisePolicy.calibrated(1.0, 2.0, 0.1), 10)
         want = gaussian_sigma_ref(1.0, 0.2, 0.01)
         assert got == pytest.approx(want, abs=1e-14)
         # no round is run, so nothing is drawn and nothing divides by zero
-        for policy in (dp.NoisePolicy.calibrated(1.0), dp.NoisePolicy.fixed()):
-            assert dp.round_sigma(policy, budget, 0) == 0.0
-
-    def test_policy_requires_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            dp.round_sigma(dp.NoisePolicy.fixed(), None, 10)
-        with pytest.raises(ValueError, match="budget"):
-            dp.round_sigma(dp.NoisePolicy.calibrated(1.0), None, 0)
+        for policy in (dp.NoisePolicy.calibrated(1.0, 2.0, 0.1),
+                       dp.NoisePolicy.fixed(2.0, 0.1)):
+            assert dp.round_sigma(policy, 0) == 0.0
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             dp.NoisePolicy(mode="bogus")
-        with pytest.raises(ValueError):
-            dp.NoisePolicy.calibrated(sensitivity=0.0)
+        # an infinite sensitivity or scale would calibrate infinite noise
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive finite sensitivity"):
+                dp.NoisePolicy.calibrated(bad, 1.0, 0.1)
+            with pytest.raises(ValueError, match="positive finite scale"):
+                dp.NoisePolicy.fixed(1.0, 0.1, scale=bad)
 
 
 class TestAddNoise:

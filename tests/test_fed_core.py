@@ -363,8 +363,10 @@ class TestStageOne:
         assert np.linalg.svd(out, compute_uv=False)[2] < 1e-10
 
     def test_single_round_matches_run(self):
+        # lambda_max of the pooled Gram matrix is 74.5, so the step is 0.75
+        # of the stability bound
         a0, _, _, designs = make_world(seed=10, ratio=None)
-        cfg = FedConfig(rank=2, rounds=1, step_rho=0.05, init_a0=a0)
+        cfg = FedConfig(rank=2, rounds=1, step_rho=0.01, init_a0=a0)
         (out,), (traces,) = stage1_run([designs], [cfg], [np.random.default_rng(3)])
         # one round by hand: weighted tangent-projected gradients, then retract
         start, f = fed_core.svd_truncate(a0, 2)
@@ -372,16 +374,18 @@ class TestStageOne:
             w * tangent_project_basis(local_gradient(ds, start), f.u, f.v)
             for w, ds in zip(sample_size_weights(designs), designs)
         )
-        want, _ = fed_core.svd_truncate(start - 0.05 * agg, 2)
+        want, _ = fed_core.svd_truncate(start - 0.01 * agg, 2)
         np.testing.assert_allclose(out, want, atol=1e-12)
         assert len(traces) == 1
         assert len(traces[0].grad_norms) == len(designs)
         assert traces[0].sigma == 0.0
 
     def test_grad_norms_equal_numpy_norm(self):
+        # inside the stability bound of every world: lambda_max of the
+        # pooled Gram matrix is at most 146.9 (seed 12)
         for seed in (10, 11, 12):
             a0, _, _, designs = make_world(seed=seed, d=6, k=4, ratio=None)
-            cfg = FedConfig(rank=2, rounds=1, step_rho=0.05, init_a0=a0)
+            cfg = FedConfig(rank=2, rounds=1, step_rho=0.005, init_a0=a0)
             _, (traces,) = stage1_run([designs], [cfg], [np.random.default_rng(3)])
             start, _ = fed_core.svd_truncate(a0, 2)
             want = [float(np.linalg.norm(local_gradient(ds, start))) for ds in designs]
@@ -391,8 +395,7 @@ class TestStageOne:
         noisy = replace(
             cfg,
             rounds=4,
-            noise=dp.NoisePolicy.fixed(),
-            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1),
+            noise=dp.NoisePolicy.fixed(2.0, 0.1),
         )
         (whole,), _ = stage1_run([designs], [noisy], [np.random.default_rng(4)])
         rng, iterate = np.random.default_rng(4), a0
@@ -424,10 +427,9 @@ class TestStageOne:
         base = FedConfig(rank=2, rounds=6, step_rho=0.05, init_a0=a0)
         noisy = replace(
             base,
-            noise=dp.NoisePolicy.fixed(),
-            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1),
+            noise=dp.NoisePolicy.fixed(2.0, 0.1),
         )
-        sigma = dp.round_sigma(noisy.noise, noisy.budget, 6)
+        sigma = dp.round_sigma(noisy.noise, 6)
         for cfg, spawned, want_sigma in ((noisy, 6, sigma), (base, 0, 0.0)):
             draws.clear()
             rng = np.random.default_rng(5)
@@ -457,8 +459,7 @@ class TestStageOne:
             rounds=3,
             step_rho=0.05,
             init_a0=a0,
-            noise=dp.NoisePolicy.fixed(),
-            budget=dp.PrivacyBudget(epsilon=2.0, delta=0.1),
+            noise=dp.NoisePolicy.fixed(2.0, 0.1),
         )
         (out1,), (traces,) = stage1_run([designs], [cfg], [np.random.default_rng(4)])
         (out2,), _ = stage1_run([designs], [cfg], [np.random.default_rng(4)])
@@ -485,10 +486,9 @@ class TestStageOne:
 
     def test_calibrated_budget_split_over_the_rounds_run(self):
         a0, _, _, designs = make_world(seed=27, ratio=None)
-        budget = dp.PrivacyBudget(1.0, 0.1)
         noisy = FedConfig(
             rank=2, rounds=10, step_rho=0.05, init_a0=a0,
-            noise=dp.NoisePolicy.calibrated(0.7), budget=budget,
+            noise=dp.NoisePolicy.calibrated(0.7, 1.0, 0.1),
         )
         for rounds in (1, 3, 10):
             _, (trace,) = stage1_run(
@@ -498,10 +498,10 @@ class TestStageOne:
             assert [t.sigma for t in trace] == [want] * rounds
         # ten one-round runs, each on a tenth of the budget, chain to the run
         (whole,), _ = stage1_run([designs], [noisy], [np.random.default_rng(1)])
-        tenth = dp.PrivacyBudget(1.0 / 10, 0.1 / 10)
+        tenth = dp.NoisePolicy.calibrated(0.7, 1.0 / 10, 0.1 / 10)
         rng, iterate = np.random.default_rng(1), a0
         for _ in range(10):
-            one = replace(noisy, rounds=1, budget=tenth, init_a0=iterate)
+            one = replace(noisy, rounds=1, noise=tenth, init_a0=iterate)
             (iterate,), _ = stage1_run([designs], [one], [rng])
         np.testing.assert_allclose(iterate, whole, atol=1e-10)
 
@@ -512,7 +512,7 @@ class TestStageOne:
         init = a0 + 0.1 * np.random.default_rng(2).standard_normal(a0.shape)
         cfg = FedConfig(
             rank=2, rounds=0, step_rho=0.05, init_a0=init,
-            noise=dp.NoisePolicy.calibrated(1.0), budget=dp.PrivacyBudget(1.0, 0.1),
+            noise=dp.NoisePolicy.calibrated(1.0, 1.0, 0.1),
         )
         rng = np.random.default_rng(3)
         (out,), (trace,) = stage1_run([designs], [cfg], [rng])
@@ -524,18 +524,16 @@ class TestStageOne:
         a0, _, _, designs = make_world(seed=28, d=6, k=4, ratio=None)
         rng = np.random.default_rng(29)
         base = FedConfig(rank=2, rounds=7, step_rho=0.05, init_a0=a0)
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
         cfgs = [
             base,
-            replace(base, noise=dp.NoisePolicy.fixed(), budget=budget),
+            replace(base, noise=dp.NoisePolicy.fixed(2.0, 0.1)),
             replace(
                 base,
                 step_rho=0.08,
                 init_a0=a0 + 0.2 * rng.standard_normal(a0.shape),
-                noise=dp.NoisePolicy.calibrated(0.5),
-                budget=replace(budget, epsilon=4.0),
+                noise=dp.NoisePolicy.calibrated(0.5, 4.0, 0.1),
             ),
-            replace(base, noise=dp.NoisePolicy.fixed(scale=0.3), budget=budget),
+            replace(base, noise=dp.NoisePolicy.fixed(2.0, 0.1, scale=0.3)),
         ]
         return designs, cfgs
 
@@ -607,13 +605,12 @@ class TestStageOne:
             ]
             sets.append([var.lag_design(pn) for pn in panels])
         sets = [designs[:k] for designs, k in zip(sets, (3, 1, 3, 2, 2))]
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
         base = FedConfig(rank=2, rounds=9, step_rho=0.05, init_a0=a0)
         cfgs = [
             base,
-            replace(base, rounds=4, noise=dp.NoisePolicy.fixed(), budget=budget),
-            replace(base, rounds=0, noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
-            replace(base, rounds=6, noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
+            replace(base, rounds=4, noise=dp.NoisePolicy.fixed(2.0, 0.1)),
+            replace(base, rounds=0, noise=dp.NoisePolicy.calibrated(0.5, 2.0, 0.1)),
+            replace(base, rounds=6, noise=dp.NoisePolicy.calibrated(0.5, 2.0, 0.1)),
             replace(base, rounds=2, step_rho=0.08),
         ]
         seeds = (1, 2, 3, 4, 5)
@@ -640,13 +637,12 @@ class TestStageOne:
         # the k_sweep shape: members of 2, 3, 4 and 4 clients with their own
         # round counts, all given one generator object
         a0, _, _, designs = make_world(seed=31, k=4, ratio=None)
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
         base = FedConfig(rank=2, rounds=3, step_rho=0.05, init_a0=a0,
-                         noise=dp.NoisePolicy.fixed(), budget=budget)
+                         noise=dp.NoisePolicy.fixed(2.0, 0.1))
         sets = [designs[:2], designs[:3], designs, designs]
         cfgs = [
             base,
-            replace(base, rounds=5, noise=dp.NoisePolicy.calibrated(0.5)),
+            replace(base, rounds=5, noise=dp.NoisePolicy.calibrated(0.5, 2.0, 0.1)),
             replace(base, rounds=6),
             replace(base, rounds=4, step_rho=0.08),
         ]
@@ -765,7 +761,7 @@ class TestStageOne:
         cfg = replace(cfgs[2], rounds=1)
         rng = np.random.default_rng(8)
         (got,), (trace,) = stage1_run([designs], [cfg], [rng])
-        sigma = dp.round_sigma(cfg.noise, cfg.budget, 1)
+        sigma = dp.round_sigma(cfg.noise, 1)
         start, factors = fed_core.svd_truncate(cfg.init_a0, cfg.rank)
         child = np.random.default_rng(8).spawn(1)[0]
         agg = np.zeros_like(start)
@@ -824,7 +820,7 @@ def _stage1_worlds(seed):
             sets.append([var.LagDesign(x=ds.x[:t], y=ds.y[:t])
                          for ds, t in zip(clients, range(400, 100, -30))])
         for designs, fcfg in zip(sets, experiments.fed_config(cfg, sets)):
-            fcfg = replace(fcfg, noise=dp.NoisePolicy.none(), budget=None)
+            fcfg = replace(fcfg, noise=dp.NoisePolicy.none())
             sizes = sorted({ds.t_len for ds in designs})
             t_lens = "-".join(str(t) for t in sizes[:: len(sizes) - 1 or 1])
             out.append((f"{kind} K={len(designs)} T={t_lens}", designs, fcfg))
@@ -955,14 +951,13 @@ class TestFitFederated:
             ]
             sets.append([var.lag_design(pn) for pn in panels])
         sets = [designs[:k] for designs, k in zip(sets, (3, 1, 3, 2))]
-        budget = dp.PrivacyBudget(epsilon=2.0, delta=0.1)
         base = FedConfig(rank=2, rounds=8, step_rho=0.05, init_a0=a0)
         cfgs = [
             base,
-            replace(base, rounds=5, noise=dp.NoisePolicy.fixed(), budget=budget),
-            replace(base, rounds=0, noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
+            replace(base, rounds=5, noise=dp.NoisePolicy.fixed(2.0, 0.1)),
+            replace(base, rounds=0, noise=dp.NoisePolicy.calibrated(0.5, 2.0, 0.1)),
             replace(base, rounds=7, step_rho=0.08,
-                    noise=dp.NoisePolicy.calibrated(0.5), budget=budget),
+                    noise=dp.NoisePolicy.calibrated(0.5, 2.0, 0.1)),
         ]
         varpis = [
             [v * (k + 1) for k in range(len(designs))]
@@ -1043,7 +1038,17 @@ class TestEntryPointValidation:
 
     def test_stage1_divergence_raises(self):
         a0, _, _, designs = make_world(seed=22)
-        cfg = FedConfig(rank=2, rounds=120, step_rho=1e6, init_a0=a0)
+        bound = 1.0 / fed_core.pooled_operator_norm(designs)
+        cfg = FedConfig(rank=2, rounds=120, step_rho=0.5 * bound, init_a0=a0)
+        rngs = [np.random.default_rng(0)] * 2
+        # a step at the stability bound cannot contract, so it is refused
+        # before any round, naming its member
+        for step in (bound, 1e6):
+            with pytest.raises(ValueError, match="member 1: step_rho .* stability bound"):
+                stage1_run([designs] * 2, [cfg, replace(cfg, step_rho=step)], rngs)
+        # a step inside it from a start of entries near the largest float
+        # overflows the gradient, which tangent_step refuses
+        huge = replace(cfg, init_a0=1e307 * a0 / np.abs(a0).max())
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                stage1_run([designs], [cfg], [np.random.default_rng(0)])
+                stage1_run([designs], [huge], rngs[:1])

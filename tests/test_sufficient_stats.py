@@ -117,7 +117,7 @@ def test_pooled_operator_norm_matches_stacked_design():
     ]
     x = np.vstack([ds.x for ds in designs_])
     want = np.linalg.eigvalsh(x.T @ x / x.shape[0])[-1]
-    got = experiments._pooled_operator_norm(designs_)
+    got = fed_core.pooled_operator_norm(designs_)
     assert got == pytest.approx(want, rel=REL)
 
 
